@@ -34,16 +34,15 @@ def main(argv=None):
         # argparse exits 2 on usage errors; 2 is reserved for numerical
         # failures here, so remap (keep 0 for --help).
         return 0 if exc.code == 0 else 1
-    if args.version:
-        cfg = _load_config(args)
-        print(f"polyvem {VERSION} (config {cfg.config_hash()})")
-        return 0
-    if args.command is None:
+    if args.command is None and not args.version:
         parser.print_usage()
         return 1
     try:
         cfg = _load_config(args)
-        args.func(args, cfg)
+        if args.version:
+            print(f"polyvem {VERSION} (config {cfg.config_hash()})")
+        else:
+            args.func(args, cfg)
         return 0
     except (MeshError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -58,7 +57,7 @@ def _load_config(args):
     if getattr(args, "config", None):
         file_values = cfgmod.parse_config_file(args.config)
     overrides = {}
-    for key in ("alpha0", "lumping", "threads"):
+    for key in ("alpha0", "lumping"):
         if getattr(args, key, None) is not None:
             overrides[key] = getattr(args, key)
     return cfgmod.build_config(file_values, **overrides)
@@ -71,8 +70,6 @@ def _build_parser():
                         help="stabilization preset: auto, unit, or a number")
     common.add_argument("--lumping",
                         choices=("auto", "row_sum", "diag_scale"))
-    common.add_argument("--threads", type=int, default=None,
-                        help="element-sweep threads (default: all cores)")
     parser = argparse.ArgumentParser(
         prog="polyvem",
         description=__doc__.splitlines()[0],
@@ -154,11 +151,6 @@ def _build_parser():
     return parser
 
 
-def _threads(cfg):
-    return cfg.threads if cfg.threads and cfg.threads > 0 else \
-        (os.cpu_count() or 1)
-
-
 def _cmd_mesh_gen(args, cfg):
     mesh = benchmarks.gen_benchmark(args.name, args.eps, args.variant)
     mesh = cfgmod.apply_material(mesh, cfg)
@@ -200,15 +192,13 @@ def _cmd_agglomerate(args, cfg):
 
 def _cmd_timestep(args, cfg):
     mesh = cfgmod.apply_material(meshmod.load_mesh(args.mesh), cfg)
-    report = eig.critical_dt(mesh, args.method, alpha0=cfg.alpha0,
-                             lumping=cfg.lumping, threads=_threads(cfg))
+    systems = eig.element_systems(mesh, args.method, cfg.alpha0, cfg.lumping)
+    report = eig.time_step_report(systems, args.method)
     if args.out:
         report.write_csv(args.out)
     if args.dump_matrices:
         os.makedirs(args.dump_matrices, exist_ok=True)
-        for e in range(mesh.num_elements):
-            K, ml, _, _ = eig.element_system(mesh, e, args.method,
-                                             cfg.alpha0, cfg.lumping)
+        for e, (K, ml, _, _) in enumerate(systems):
             vem.write_matrix_csv(
                 K, os.path.join(args.dump_matrices, f"K_{e}.csv"))
             vem.write_matrix_csv(
@@ -221,7 +211,7 @@ def _cmd_timestep(args, cfg):
 def _cmd_eig_global(args, cfg):
     mesh = cfgmod.apply_material(meshmod.load_mesh(args.mesh), cfg)
     K, M = dynamics.assemble(mesh, args.method, alpha0=cfg.alpha0,
-                             lumping=cfg.lumping, threads=_threads(cfg))
+                             lumping=cfg.lumping)
     fixed = np.array([], dtype=int)
     if args.beam_bcs:
         f, d = dynamics.beam_boundary_dofs(mesh)
@@ -294,23 +284,21 @@ def _unit_shape(cube):
 
 def _cmd_tables(args, cfg):
     os.makedirs(args.out, exist_ok=True)
-    threads = _threads(cfg)
     eps_2d = (1e-1, 1e-2, 1e-5, 1e-8)
     eps_3d = (1e-1, 1e-3, 1e-5)
     eps_pair = (1e-1, 1e-5)
     _family_table(os.path.join(args.out, "table1.csv"), "tri2d", eps_2d,
-                  alpha0=cfg.alpha0, lumping=cfg.lumping, threads=threads)
+                  alpha0=cfg.alpha0, lumping=cfg.lumping)
     _family_table(os.path.join(args.out, "table2.csv"), "prism3d", eps_3d,
-                  alpha0=cfg.alpha0, lumping=cfg.lumping, threads=threads)
+                  alpha0=cfg.alpha0, lumping=cfg.lumping)
     _family_table(os.path.join(args.out, "table3.csv"), "wedge", eps_3d,
-                  alpha0=cfg.alpha0, lumping=cfg.lumping, threads=threads)
+                  alpha0=cfg.alpha0, lumping=cfg.lumping)
     _family_table(os.path.join(args.out, "table4.csv"), "kite", eps_pair,
-                  alpha0=cfg.alpha0, lumping=cfg.lumping, threads=threads)
+                  alpha0=cfg.alpha0, lumping=cfg.lumping)
     _spire_table(os.path.join(args.out, "table5.csv"), eps_pair,
-                 alpha0=cfg.alpha0, lumping=cfg.lumping, threads=threads)
+                 alpha0=cfg.alpha0, lumping=cfg.lumping)
     beam = _beam_table(os.path.join(args.out, "table6.csv"),
-                       alpha0=cfg.alpha0, lumping=cfg.lumping,
-                       threads=threads)
+                       alpha0=cfg.alpha0, lumping=cfg.lumping)
     _beam_steps_table(os.path.join(args.out, "table7.csv"), beam,
                       with_dynamics=args.with_dynamics,
                       alpha0=cfg.alpha0, lumping=cfg.lumping)
@@ -325,7 +313,7 @@ def _alpha0_for(name, alpha0):
     return "unit" if not name.startswith("beam") else "auto"
 
 
-def _family_table(path, name, eps_values, alpha0, lumping, threads):
+def _family_table(path, name, eps_values, alpha0, lumping):
     a0 = _alpha0_for(name, alpha0)
     with open(path, "w") as fh:
         fh.write("eps,method,omega_max,argmax_element,omega_reference,"
@@ -335,7 +323,7 @@ def _family_table(path, name, eps_values, alpha0, lumping, threads):
             for variant in ("fem", "vem"):
                 mesh = benchmarks.gen_benchmark(name, eps, variant)
                 rep = eig.critical_dt(mesh, variant, alpha0=a0,
-                                      lumping=lumping, threads=threads)
+                                      lumping=lumping)
                 rows[variant] = rep
             ratio = rows["fem"].omega_star / rows["vem"].omega_star
             for variant in ("fem", "vem"):
@@ -348,7 +336,7 @@ def _family_table(path, name, eps_values, alpha0, lumping, threads):
                          f"{rep.argmax_element},{ref:.6e},{tail}\n")
 
 
-def _spire_table(path, eps_values, alpha0, lumping, threads):
+def _spire_table(path, eps_values, alpha0, lumping):
     with open(path, "w") as fh:
         fh.write("eps,case,omega_fem,omega_vem,dt_ratio_vem_over_fem\n")
         for eps in eps_values:
@@ -356,16 +344,14 @@ def _spire_table(path, eps_values, alpha0, lumping, threads):
                 mf = benchmarks.gen_benchmark(f"spire{case}", eps, "fem")
                 mv = benchmarks.gen_benchmark(f"spire{case}", eps, "vem")
                 a0 = _alpha0_for("spire", alpha0)
-                rf = eig.critical_dt(mf, "fem", alpha0=a0, lumping=lumping,
-                                     threads=threads)
-                rv = eig.critical_dt(mv, "vem", alpha0=a0, lumping=lumping,
-                                     threads=threads)
+                rf = eig.critical_dt(mf, "fem", alpha0=a0, lumping=lumping)
+                rv = eig.critical_dt(mv, "vem", alpha0=a0, lumping=lumping)
                 fh.write(f"{eps:g},{case},{rf.omega_star:.6e},"
                          f"{rv.omega_star:.6e},"
                          f"{rf.omega_star / rv.omega_star:.6e}\n")
 
 
-def _beam_table(path, alpha0, lumping, threads):
+def _beam_table(path, alpha0, lumping):
     rows = {}
     with open(path, "w") as fh:
         fh.write("case,method,omega_star_element,omega_global,"
@@ -374,10 +360,9 @@ def _beam_table(path, alpha0, lumping, threads):
             per = {}
             for method in ("fem", "vem"):
                 mesh = benchmarks.gen_benchmark("beam" + case, variant=method)
-                rep = eig.critical_dt(mesh, method, alpha0=alpha0,
-                                      lumping=lumping, threads=threads)
-                K, M = dynamics.assemble(mesh, method, alpha0=alpha0,
-                                         lumping=lumping, threads=threads)
+                systems = eig.element_systems(mesh, method, alpha0, lumping)
+                rep = eig.time_step_report(systems, method)
+                K, M = dynamics.assemble_systems(mesh, systems)
                 f, d = dynamics.beam_boundary_dofs(mesh)
                 bc = np.unique(np.concatenate([f, d]))
                 wg, _, _ = eig.global_max_frequency(K, M, bc)

@@ -1,5 +1,5 @@
 """Run configuration: material overrides, stabilization preset, lumping,
-quality thresholds, thread count.
+quality thresholds.
 
 Configs load from a flat key=value text file; command-line flags override
 file values.  The configuration hash identifies an experiment manifest.
@@ -14,7 +14,7 @@ from .mesh import MaterialParams, ValidationError
 from .quality import QualityThresholds, DEFAULT_THRESHOLDS
 
 _KEYS = ("E", "nu", "rho", "alpha0", "lumping", "angle_deg",
-         "face_area_rel", "face_separation", "edge_rel", "threads")
+         "face_area_rel", "face_separation", "edge_rel")
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,6 @@ class RunConfig:
     alpha0: str | float = "auto"             # "auto" | "unit" | number
     lumping: str = "auto"                    # "auto" | "row_sum" | "diag_scale"
     thresholds: QualityThresholds = DEFAULT_THRESHOLDS
-    threads: int = 0  # 0: let the CLI use all cores; library sweeps default serial
 
     def config_hash(self):
         m = self.material
@@ -33,7 +32,6 @@ class RunConfig:
             str(self.alpha0), self.lumping,
             repr((self.thresholds.angle_deg, self.thresholds.face_area_rel,
                   self.thresholds.face_separation, self.thresholds.edge_rel)),
-            str(self.threads),
         ]
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:12]
 
@@ -87,9 +85,8 @@ def build_config(file_values=None, **overrides):
             "face_separation", DEFAULT_THRESHOLDS.face_separation)),
         edge_rel=float(values.get("edge_rel", DEFAULT_THRESHOLDS.edge_rel)),
     )
-    threads = int(values.get("threads", 0))
     return RunConfig(material=material, alpha0=alpha0, lumping=lumping,
-                     thresholds=thresholds, threads=threads)
+                     thresholds=thresholds)
 
 
 def apply_material(mesh, config):

@@ -1,11 +1,14 @@
 """Global assembly, explicit central-difference integration, and the
 tapered-beam experiment driver.
 
-The integrator is the standard half-step-velocity central-difference update
-with a diagonal mass; prescribed dofs are overwritten kinematically each
-step.  The beam driver reproduces the pulse-loaded tapered-beam runs: fixed
-at x = 0, an axial quartic pulse at x = 4, histories probed mid-beam and
-reported in normalized time and displacement.
+Assembly reduces an element sweep (``eig.element_systems``); the beam driver
+builds one sweep per run and feeds it to both the time-step bound and the
+assembly.  The integrator is the standard half-step-velocity
+central-difference update with a diagonal mass; prescribed dofs are
+overwritten kinematically each step.  The beam driver reproduces the
+pulse-loaded tapered-beam runs: fixed at x = 0, an axial quartic pulse at
+x = 4, histories probed mid-beam and reported in normalized time and
+displacement.
 """
 
 from __future__ import annotations
@@ -22,18 +25,20 @@ from .mesh import ValidationError
 BEAM_PULSE_AMPLITUDE = 1.0 / 16.0  # peak of (t/tau)^4 - 2(t/tau)^3 + (t/tau)^2
 
 
-def assemble(mesh, method, alpha0="unit", lumping="auto", threads=1):
-    """Assembled stiffness (CSR) and lumped mass vector for a mesh.
+def assemble(mesh, method, alpha0="unit", lumping="auto"):
+    """Assembled stiffness (CSR) and lumped mass vector for a mesh."""
+    return assemble_systems(
+        mesh, eig.element_systems(mesh, method, alpha0, lumping))
 
-    Element matrices may be built in a thread pool; the scatter-add happens
-    in element order afterwards, so the result is independent of threads.
-    """
+
+def assemble_systems(mesh, systems):
+    """Scatter-add an element sweep, in element order, into the global
+    stiffness (CSR) and lumped mass vector."""
     dim = mesh.dimension
     n = mesh.num_vertices
     ndof = dim * n
     rows, cols, vals = [], [], []
     M = np.zeros(ndof)
-    systems = eig._element_systems(mesh, method, alpha0, lumping, threads)
     for K, ml, nodes, _ in systems:
         nn = len(nodes)
         gdof = np.concatenate(
@@ -219,7 +224,8 @@ def tapered_beam_experiment(case, method, dt_factor=0.9, dt_basis="element",
 
     dt_basis "element" uses the element-eigenvalue bound 2/max_E omega_E;
     "global" uses the assembled-eigenproblem bound (the element bound can be
-    hopelessly conservative on nearly degenerate meshes).
+    hopelessly conservative on nearly degenerate meshes).  tau=None takes
+    the pulse duration of beam_pulse_duration.
     """
     from . import benchmarks
     if case not in ("A", "B"):
@@ -228,8 +234,9 @@ def tapered_beam_experiment(case, method, dt_factor=0.9, dt_basis="element",
     material = mesh.material
     c_long = np.sqrt(material.youngs_modulus / material.density)
     transit = 4.0 / c_long
-    report = eig.critical_dt(mesh, method, alpha0=alpha0, lumping=lumping)
-    K, M = assemble(mesh, method, alpha0=alpha0, lumping=lumping)
+    systems = eig.element_systems(mesh, method, alpha0, lumping)
+    report = eig.time_step_report(systems, method)
+    K, M = assemble_systems(mesh, systems)
     fixed, driven = beam_boundary_dofs(mesh)
     if dt_basis == "element":
         dt_crit = report.dt_crit
@@ -241,31 +248,28 @@ def tapered_beam_experiment(case, method, dt_factor=0.9, dt_basis="element",
         raise ValidationError(f"unknown dt basis {dt_basis!r}")
     dt = dt_factor * dt_crit
     if tau is None:
-        tau = beam_pulse_duration(case, alpha0=alpha0, lumping=lumping)
-    return run_beam(mesh, K, M, dt, t_max_transits * transit, tau=tau,
-                    probe=probe, report=report, method=method,
-                    amplitude=amplitude)
-
-
-def run_beam(mesh, K, M, dt, t_max, tau, probe, report, method,
-             amplitude=1.0):
-    material = mesh.material
-    c_long = np.sqrt(material.youngs_modulus / material.density)
-    transit = 4.0 / c_long
-    fixed, driven = beam_boundary_dofs(mesh)
-    if tau is None:
-        tau = 100.0 * report.dt_crit
+        # A VEM run's own report is the bound beam_pulse_duration computes.
+        tau = (100.0 * report.dt_crit if method == "vem" else
+               beam_pulse_duration(case, alpha0=alpha0, lumping=lumping))
     bcs = BcSchedule(fixed=fixed, driven=driven, tau=tau,
                      amplitude=amplitude)
+    return run_beam(mesh, K, M, bcs, dt, t_max_transits * transit, transit,
+                    probe=probe, report=report, method=method)
+
+
+def run_beam(mesh, K, M, bcs, dt, t_max, transit, probe, report, method):
+    """Central-difference beam run, probed at `probe`, with the history
+    normalized by the transit time and the pulse peak."""
     probe_dof, exact = find_probe_dof(mesh, probe, comp=0)
     if not exact:
         import warnings
         warnings.warn("probe point is not a mesh node; using nearest node")
-    limit = 1e3 * BEAM_PULSE_AMPLITUDE * amplitude
+    limit = 1e3 * BEAM_PULSE_AMPLITUDE * bcs.amplitude
     result = central_difference_run(K, M, bcs, dt, t_max, [probe_dof],
                                     divergence_limit=limit)
     t_norm = result.times / transit
-    u_norm = result.probe_history[:, 0] / (BEAM_PULSE_AMPLITUDE * amplitude)
+    u_norm = result.probe_history[:, 0] / (BEAM_PULSE_AMPLITUDE
+                                           * bcs.amplitude)
     return BeamExperiment(
         mesh=mesh,
         method=method,

@@ -1,8 +1,11 @@
 """Element and global maximum frequencies; critical-time-step estimates.
 
-The element problems are small symmetric dense matrices, solved with a cyclic
-Jacobi iteration (deterministic, no external eigensolver).  The global bound
-comes from power iteration on the mass-normalized stiffness with homogeneous
+One element sweep (``element_systems``) builds every element's stiffness and
+lumped mass once; ``time_step_report`` reduces it to the element bound, and
+``dynamics.assemble_systems`` reduces the same sweep to the global matrices.
+The element problems are small symmetric dense matrices, solved with LAPACK
+(``eigvalsh``) one stack per element size.  The global bound comes from
+power iteration on the mass-normalized stiffness with homogeneous
 constraints eliminated.  The element-eigenvalue inequality makes
 max_E omega_E an upper bound for the global omega, so dt = 2 / max_E omega_E
 is a safe explicit step.
@@ -17,112 +20,22 @@ import numpy as np
 from . import fem, mesh as meshmod, vem
 
 
-def jacobi_eigenvalues(A, tol=1e-14, max_sweeps=60):
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns eigenvalues in ascending order.  Off-diagonal entries below
-    tol * ||A|| are skipped, which keeps the sweep count low on the nearly
-    diagonal matrices produced after the first couple of passes.
-    """
-    A = np.array(A, dtype=float)
-    n = A.shape[0]
-    if n == 1:
-        return A[0, :1].copy()
-    scale = max(np.abs(A).max(), np.finfo(float).tiny)
-    thresh = tol * scale
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(A, -1) ** 2))
-        if off <= thresh * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= thresh:
-                    continue
-                app = A[p, p]
-                aqq = A[q, q]
-                theta = 0.5 * (aqq - app) / apq
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1)
-                s = t * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-    return np.sort(np.diag(A))
-
-
-def jacobi_eigenvalues_batch(As, tol=1e-14, max_sweeps=60):
-    """Cyclic Jacobi on a stack of same-size symmetric matrices.
-
-    Rotations for one (p, q) pair are applied across the whole stack at once;
-    matrices whose pivot is already below threshold get the identity rotation.
-    Returns eigenvalues sorted ascending, shape (batch, n).
-    """
-    A = np.array(As, dtype=float)
-    if A.ndim == 2:
-        A = A[None, :, :]
-    nb, n, _ = A.shape
-    if n == 1:
-        return A[:, 0, :1].copy()
-    scale = np.maximum(np.abs(A).reshape(nb, -1).max(axis=1),
-                       np.finfo(float).tiny)
-    thresh = tol * scale
-    for _ in range(max_sweeps):
-        lower = np.tril(A, -1)
-        off = np.sqrt((lower ** 2).sum(axis=(1, 2)))
-        if np.all(off <= thresh * n):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[:, p, q]
-                active = np.abs(apq) > thresh
-                if not active.any():
-                    continue
-                safe = np.where(apq == 0.0, 1.0, apq)
-                theta = 0.5 * (A[:, q, q] - A[:, p, p]) / safe
-                t = np.sign(theta) / (np.abs(theta)
-                                      + np.sqrt(theta * theta + 1.0))
-                t = np.where(theta == 0.0, 1.0, t)
-                t = np.where(active, t, 0.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp = A[:, p, :].copy()
-                rq = A[:, q, :].copy()
-                A[:, p, :] = c[:, None] * rp - s[:, None] * rq
-                A[:, q, :] = s[:, None] * rp + c[:, None] * rq
-                cp = A[:, :, p].copy()
-                cq = A[:, :, q].copy()
-                A[:, :, p] = c[:, None] * cp - s[:, None] * cq
-                A[:, :, q] = s[:, None] * cp + c[:, None] * cq
-                A[active, p, q] = 0.0
-                A[active, q, p] = 0.0
-    diags = np.diagonal(A, axis1=1, axis2=2)
-    return np.sort(diags, axis=1)
-
-
 def element_max_frequency(K, M_lumped):
-    """Largest natural frequency of one element, lumped mass.
+    """Largest natural frequency of one element, or of a same-size stack.
 
     Solves the symmetric standard problem L^-1 K L^-T with L = sqrt(M);
-    omega = sqrt(lambda_max).
+    omega = sqrt(lambda_max).  ``K`` is (n, n) with ``M_lumped`` (n,), giving
+    a float, or (batch, n, n) with (batch, n), giving a (batch,) array.
     """
     ml = np.asarray(M_lumped, float)
     if np.any(ml <= 0.0):
         raise meshmod.ValidationError("non-positive lumped mass entry")
     inv_sqrt = 1.0 / np.sqrt(ml)
-    A = K * inv_sqrt[:, None] * inv_sqrt[None, :]
-    A = 0.5 * (A + A.T)
-    lam = jacobi_eigenvalues(A)[-1]
-    return float(np.sqrt(max(lam, 0.0)))
+    A = np.asarray(K, float) * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    lam = np.linalg.eigvalsh(A)[..., -1]
+    omega = np.sqrt(np.maximum(lam, 0.0))
+    return float(omega) if omega.ndim == 0 else omega
 
 
 @dataclass
@@ -166,53 +79,45 @@ def element_system(mesh, index, method, alpha0="unit", lumping="auto"):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _element_systems(mesh, method, alpha0, lumping, threads=1):
-    """Element (K, M_lumped, nodes, mode) tuples, optionally pooled."""
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(
-                lambda i: element_system(mesh, i, method, alpha0, lumping),
-                range(mesh.num_elements)))
+def element_systems(mesh, method, alpha0="unit", lumping="auto"):
+    """Element sweep: element_system of every element, in element order."""
     return [element_system(mesh, i, method, alpha0, lumping)
             for i in range(mesh.num_elements)]
 
 
-def critical_dt(mesh, method, alpha0="unit", lumping="auto", threads=1):
-    """Element-eigenvalue critical time step for the whole mesh.
+def time_step_report(systems, method):
+    """Element-eigenvalue critical time step from an element sweep.
 
-    Element problems of equal size are eigensolved as one Jacobi batch.
-    With threads > 1 the element matrices are built in a thread pool; the
-    ordered gather keeps results identical to the serial sweep.
+    Element problems of equal size are eigensolved as one stack.
     """
-    omegas = np.zeros(mesh.num_elements)
-    modes = set()
     groups = {}
-    systems = _element_systems(mesh, method, alpha0, lumping, threads)
-    for i, (K, ml, _, used) in enumerate(systems):
+    for i, (_, ml, _, _) in enumerate(systems):
         if np.any(ml <= 0.0):
             raise meshmod.ValidationError(
                 f"element {i}: non-positive lumped mass entry")
-        inv_sqrt = 1.0 / np.sqrt(ml)
-        A = K * inv_sqrt[:, None] * inv_sqrt[None, :]
-        groups.setdefault(A.shape[0], ([], []))
-        groups[A.shape[0]][0].append(i)
-        groups[A.shape[0]][1].append(0.5 * (A + A.T))
-        modes.add(used)
-    for _, (ids, mats) in groups.items():
-        lams = jacobi_eigenvalues_batch(np.array(mats))[:, -1]
-        omegas[ids] = np.sqrt(np.maximum(lams, 0.0))
+        groups.setdefault(len(ml), []).append(i)
+    omegas = np.zeros(len(systems))
+    for ids in groups.values():
+        omegas[ids] = element_max_frequency(
+            np.array([systems[i][0] for i in ids]),
+            np.array([systems[i][1] for i in ids]))
     arg = int(np.argmax(omegas))
     omega_star = float(omegas[arg])
     dt = 2.0 / omega_star if omega_star > 0 else float("inf")
     return TimeStepReport(
         method=method,
-        lumping=",".join(sorted(modes)),
+        lumping=",".join(sorted({used for *_, used in systems})),
         omega_elements=omegas,
         omega_star=omega_star,
         dt_crit=dt,
         argmax_element=arg,
     )
+
+
+def critical_dt(mesh, method, alpha0="unit", lumping="auto"):
+    """Element-eigenvalue critical time step for the whole mesh."""
+    return time_step_report(element_systems(mesh, method, alpha0, lumping),
+                            method)
 
 
 def global_max_frequency(K, M_lumped, fixed_dofs=(), tol=1e-6,

@@ -215,16 +215,6 @@ def _newell_normal(tri):
     return 0.5 * np.cross(u, v)
 
 
-def make_integrator(vertices, faces=None, loop=None):
-    """Build the right integrator for raw element data."""
-    if faces is not None:
-        return PolyhedronIntegrator(vertices, faces)
-    if loop is not None:
-        verts = np.asarray(vertices, dtype=float)
-        return PolygonIntegrator(verts[list(loop)])
-    raise ValueError("either faces (3D) or loop (2D) is required")
-
-
 def scaled_moment_table(integrator, centroid, diameter):
     """Order-<=2 integrals of the scaled monomials about (centroid, diameter).
 

@@ -228,6 +228,8 @@ def validate_mesh(mesh):
         raise ValidationError("vertex array shape does not match dimension")
     if not np.all(np.isfinite(mesh.vertices)):
         raise ValidationError("non-finite vertex coordinate")
+    if mesh.num_elements == 0:
+        raise ValidationError("mesh has no elements")
     for i in range(mesh.num_elements):
         validate_element(mesh, i)
     return mesh

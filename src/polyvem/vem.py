@@ -26,7 +26,6 @@ __all__ = [
     "lump",
     "element_matrices",
     "ElementContext",
-    "ProjectorSet",
     "ElementMatrices",
 ]
 
@@ -113,23 +112,6 @@ def element_context(mesh, index):
         raise ValidationError(
             f"element {index}: non-positive measure {geom.volume!r}")
     return ElementContext(mesh.dimension, nodes, verts, conn, geom)
-
-
-@dataclass(frozen=True)
-class ProjectorSet:
-    """Energy- and L2-projector matrices for one element."""
-
-    dof_matrix: np.ndarray         # D: (d n) x n_modes
-    energy_gram: np.ndarray        # G (rigid rows replaced)
-    energy_gram_full: np.ndarray   # G-tilde = Bt C B |E|
-    energy_rhs: np.ndarray         # B-hat
-    coeff_projector: np.ndarray    # Pi* = G^-1 B-hat
-    nodal_projector: np.ndarray    # Pi = D Pi*
-    l2_dof_matrix: np.ndarray      # D0 (scalar): n x (d+1)
-    l2_gram: np.ndarray            # G0
-    l2_rhs: np.ndarray             # B0-hat
-    l2_coeff_scalar: np.ndarray    # S0 = G0^-1 B0-hat
-    l2_nodal_scalar: np.ndarray    # D0 S0 (scalar Pi0)
 
 
 def build_dof_matrix(ctx):
@@ -246,24 +228,6 @@ def l2_projector(ctx):
     return D0, G0, B0, S0
 
 
-def projector_set(ctx, C):
-    D, G, Gfull, Bhat, PiStar, Pi = energy_projector(ctx, C)
-    D0, G0, B0, S0 = l2_projector(ctx)
-    return ProjectorSet(
-        dof_matrix=D,
-        energy_gram=G,
-        energy_gram_full=Gfull,
-        energy_rhs=Bhat,
-        coeff_projector=PiStar,
-        nodal_projector=Pi,
-        l2_dof_matrix=D0,
-        l2_gram=G0,
-        l2_rhs=B0,
-        l2_coeff_scalar=S0,
-        l2_nodal_scalar=D0 @ S0,
-    )
-
-
 def resolve_alpha0(alpha0, dim, diameter):
     """Stabilization scale: 1 in 2D; h_E in 3D unless overridden."""
     if alpha0 == "auto":
@@ -312,7 +276,6 @@ def mass(ctx, rho):
     Mc_s = S0.T @ H @ S0
     Ms_s = rho * g.volume * (np.eye(n) - Pi0).T @ (np.eye(n) - Pi0)
     Z = np.zeros((n, n))
-    blocks = [[Z] * dim for _ in range(dim)]
     Mc = np.block([[Mc_s if i == j else Z for j in range(dim)]
                    for i in range(dim)])
     Ms = np.block([[Ms_s if i == j else Z for j in range(dim)]

@@ -119,6 +119,26 @@ def test_invalid_mesh_exit_code(tmp_path, capsys):
                 str(tmp_path / "q.csv")]) == 1
 
 
+def test_empty_mesh_timestep_rejected(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"dimension": 3, "vertices": [[0,0,0],[1,0,0],[0,1,0]],'
+                     ' "elements": [],'
+                     ' "material": {"E": 1e9, "nu": 0.3, "rho": 1000}}')
+    assert run(["timestep", "--mesh", str(empty), "--method", "vem"]) == 1
+    assert "error: mesh has no elements" in capsys.readouterr().err
+
+
+def test_config_threads_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lumping = auto\nthreads = 2\n")
+    assert run(["mesh-gen", "--name", "kite", "--eps", "1e-1",
+                "--out", str(tmp_path / "kite.json"),
+                "--config", str(cfg)]) == 1
+    assert f"{cfg}:2: unknown key 'threads'" in capsys.readouterr().err
+    assert run(["--config", str(cfg), "--version"]) == 1
+    assert f"{cfg}:2: unknown key 'threads'" in capsys.readouterr().err
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# test config\nE = 100e9\nnu = 0.25\nrho = 2000\n"
@@ -212,5 +232,5 @@ def test_family_table_deterministic(tmp_path):
     b = tmp_path / "b.csv"
     for path in (a, b):
         climod._family_table(str(path), "tri2d", (1e-1, 1e-3),
-                             alpha0="unit", lumping="auto", threads=2)
+                             alpha0="unit", lumping="auto")
     assert a.read_bytes() == b.read_bytes()

@@ -291,6 +291,36 @@ def test_assembled_patch_consistency(beam_meshes, method, alpha0):
     assert np.abs(f - g).max() <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("method, tau, n_elements", [
+    ("vem", None, 549),
+    ("fem", 4e-4, 3456),
+])
+def test_beam_run_builds_each_element_once(monkeypatch, method, tau,
+                                           n_elements):
+    # One run generates its mesh once and builds every element system once
+    # for both the time-step bound and the assembly; the VEM run takes its
+    # pulse duration from its own bound.
+    from polyvem import fem, vem
+    calls = {"gen": 0, "element": 0}
+    module = vem if method == "vem" else fem
+    gen, element_matrices = benchmarks.gen_benchmark, module.element_matrices
+
+    def counting_gen(*args, **kwargs):
+        calls["gen"] += 1
+        return gen(*args, **kwargs)
+
+    def counting_element(*args, **kwargs):
+        calls["element"] += 1
+        return element_matrices(*args, **kwargs)
+
+    monkeypatch.setattr(benchmarks, "gen_benchmark", counting_gen)
+    monkeypatch.setattr(module, "element_matrices", counting_element)
+    exp = dynamics.tapered_beam_experiment("A", method, tau=tau,
+                                           t_max_transits=0.01)
+    assert calls == {"gen": 1, "element": n_elements}
+    assert not exp.result.diverged
+
+
 def test_beam_pulse_arrival_time():
     # The pulse is emitted at x = 4 and the probe sits at x = 2, so the
     # normalized history must stay quiet until about t/T = 0.5.

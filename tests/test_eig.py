@@ -1,5 +1,5 @@
-"""Eigenvalue machinery: Jacobi vs LAPACK, frequency bounds, scaling laws,
-and the reference time-step tables."""
+"""Eigenvalue machinery: stacked vs one-by-one element frequencies,
+frequency bounds, scaling laws, and the reference time-step tables."""
 
 import numpy as np
 import pytest
@@ -10,24 +10,17 @@ from polyvem.mesh import Mesh, tet_element
 from conftest import random_tet_mesh
 
 
-def test_jacobi_matches_lapack():
-    rng = np.random.default_rng(2)
-    for n in (2, 5, 12, 24, 36):
-        A = rng.standard_normal((n, n))
-        A = A + A.T
-        got = eig.jacobi_eigenvalues(A)
-        want = np.linalg.eigvalsh(A)
-        assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
-
-
 def test_jacobi_batch_matches_scalar():
+    # A stack of element problems gives the one-by-one frequencies.
     rng = np.random.default_rng(4)
     mats = rng.standard_normal((7, 9, 9))
     mats = mats + mats.transpose(0, 2, 1)
-    batch = eig.jacobi_eigenvalues_batch(mats)
+    masses = rng.uniform(0.5, 2.0, size=(7, 9))
+    batch = eig.element_max_frequency(mats, masses)
+    assert batch.shape == (7,)
     for k in range(7):
-        assert batch[k] == pytest.approx(np.linalg.eigvalsh(mats[k]),
-                                         rel=1e-11, abs=1e-11)
+        assert batch[k] == pytest.approx(
+            eig.element_max_frequency(mats[k], masses[k]), rel=1e-11)
 
 
 def test_two_dof_closed_form():
@@ -125,13 +118,6 @@ def test_global_bounded_by_element_max(beam_meshes):
     omega, converged, _ = eig.global_max_frequency(K, M, bc)
     assert converged
     assert omega <= report.omega_star * (1 + 1e-6)
-
-
-def test_critical_dt_threads_identical(kite_meshes):
-    mesh = kite_meshes[(1e-1, "vem")]
-    serial = eig.critical_dt(mesh, "vem", alpha0="unit", threads=1)
-    pooled = eig.critical_dt(mesh, "vem", alpha0="unit", threads=4)
-    assert np.array_equal(serial.omega_elements, pooled.omega_elements)
 
 
 def test_report_csv(tmp_path, kite_meshes):

@@ -212,6 +212,15 @@ def test_load_smallest_valid_mesh(tmp_path):
     assert loaded.elements[0].kind == "tet"
 
 
+def test_empty_mesh_rejected(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"dimension": 3, "vertices": [[0,0,0],[1,0,0],[0,1,0]],'
+                    ' "elements": [],'
+                    ' "material": {"E": 1e9, "nu": 0.3, "rho": 1000}}')
+    with pytest.raises(ValidationError, match="mesh has no elements"):
+        meshmod.load_mesh(path)
+
+
 def test_generator_determinism():
     a = benchmarks.gen_benchmark("spireB", 1e-3, "vem")
     b = benchmarks.gen_benchmark("spireB", 1e-3, "vem")

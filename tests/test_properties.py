@@ -135,7 +135,7 @@ def test_kernel_dimension_randomized():
     for _ in range(15):
         mesh = random_extruded_mesh(rng)
         em = vem.element_matrices(mesh, 0, alpha0="unit")
-        w = eig.jacobi_eigenvalues(em.K)
+        w = np.linalg.eigvalsh(em.K)
         lam_max = w[-1]
         assert np.sum(w < 1e-8 * lam_max) == 6
         assert np.all(w >= -1e-10 * lam_max)
