@@ -178,40 +178,31 @@ def merge_groups(mesh, groups):
     return out, mapping
 
 
+def _face_keys(mesh, e):
+    """Sorted vertex tuples of an element's faces (loop edges in 2D), in
+    face order."""
+    el = mesh.elements[e]
+    if mesh.dimension == 2:
+        n = len(el.loop)
+        return [tuple(sorted((el.loop[k], el.loop[(k + 1) % n])))
+                for k in range(n)]
+    return [tuple(sorted(f)) for f in el.faces]
+
+
 def _shared_face_area(mesh, e1, e2):
     """Total area of faces/edges shared between two elements."""
-    if mesh.dimension == 2:
-        l1, l2 = mesh.elements[e1].loop, mesh.elements[e2].loop
-        edges1 = {tuple(sorted((l1[k], l1[(k + 1) % len(l1)])))
-                  for k in range(len(l1))}
-        total = 0.0
-        for k in range(len(l2)):
-            key = tuple(sorted((l2[k], l2[(k + 1) % len(l2)])))
-            if key in edges1:
-                total += float(np.linalg.norm(
-                    mesh.vertices[key[1]] - mesh.vertices[key[0]]))
-        return total
-    keys1 = {tuple(sorted(f)) for f in mesh.elements[e1].faces}
-    total = 0.0
-    for f in mesh.elements[e2].faces:
-        if tuple(sorted(f)) in keys1:
-            area, _ = meshmod.triangle_area_normal(mesh.vertices[list(f)])
-            total += area
-    return total
+    keys1 = set(_face_keys(mesh, e1))
+    areas = meshmod.element_geometry(mesh, e2).face_areas
+    return sum(float(area) for area, key in zip(areas, _face_keys(mesh, e2))
+               if key in keys1)
 
 
 def _neighbors(mesh):
     """element -> set of face-adjacent elements."""
     owner = {}
     adj = [set() for _ in range(mesh.num_elements)]
-    for i, el in enumerate(mesh.elements):
-        if mesh.dimension == 2:
-            loop = el.loop
-            keys = [tuple(sorted((loop[k], loop[(k + 1) % len(loop)])))
-                    for k in range(len(loop))]
-        else:
-            keys = [tuple(sorted(f)) for f in el.faces]
-        for key in keys:
+    for i in range(mesh.num_elements):
+        for key in _face_keys(mesh, i):
             if key in owner:
                 j = owner[key]
                 adj[i].add(j)

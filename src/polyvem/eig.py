@@ -70,12 +70,10 @@ def element_system(mesh, index, method, alpha0="unit", lumping="auto"):
         return em.K, em.M_lumped, em.nodes, em.lumping
     if method == "fem":
         K, M = fem.element_matrices(mesh, index)
-        el = mesh.elements[index]
-        geom = meshmod.element_geometry(mesh, index)
-        convex = meshmod.is_convex(mesh, index)
-        ml, used = vem.lump(M, lumping, mesh.material.density, geom.volume,
-                            mesh.dimension, convex=convex)
-        return K, ml, el.node_ids(), used
+        ml, used = vem.lump(M, lumping, mesh.material.density,
+                            mesh.geometry.volume[index], mesh.dimension,
+                            convex=meshmod.is_convex(mesh, index))
+        return K, ml, mesh.elements[index].node_ids(), used
     raise ValueError(f"unknown method {method!r}")
 
 

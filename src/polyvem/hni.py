@@ -4,8 +4,12 @@ Monomial integrals over a polygon or a polyhedron with planar (triangular)
 faces are reduced to integrals over the boundary facets, and recursively down
 to vertex evaluations, using the homogeneity of x^a y^b z^c.  The reduction is
 exact for watertight, consistently oriented polytopes, convex or not.  All
-lower-degree facet integrals appearing in the recursion are memoized, so a
-full order-<=2 moment table costs a handful of vertex evaluations per face.
+lower-degree facet integrals appearing in the recursion are memoized.
+
+The integrators are the arbitrary-degree reference (``polyvem integrate``,
+the exactness tests).  The element pipeline takes its order-<=2 moments from
+``mesh.MeshGeometry``'s closed forms instead, through the same
+``scaled_moment_table``.
 """
 
 from __future__ import annotations
@@ -51,10 +55,10 @@ class _EdgeTerm:
 
     __slots__ = ("a", "b", "length", "distance")
 
-    def __init__(self, a, b, distance):
+    def __init__(self, a, b, length, distance):
         self.a = a
         self.b = b
-        self.length = float(np.linalg.norm(b - a))
+        self.length = float(length)
         self.distance = float(distance)
 
 
@@ -80,7 +84,8 @@ class PolygonIntegrator:
             if norm == 0.0:
                 raise ValueError("polygon has a zero-length edge")
             nu /= norm
-            self._edges.append((_EdgeTerm(a, b, 0.0), float(nu @ a)))
+            self._edges.append((_EdgeTerm(a, b, np.linalg.norm(b - a), 0.0),
+                                float(nu @ a)))
         self._edge_memo = [dict() for _ in self._edges]
         self._memo = {}
 
@@ -130,25 +135,24 @@ class PolyhedronIntegrator:
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.shape[1] != 3:
             raise ValueError("polyhedron vertices must be 3D")
+        tris = self.vertices[np.asarray(faces, dtype=int).reshape(-1, 3)]
+        normals = _newell_normal(tris)
+        area2 = _norms(normals)
+        if np.any(area2 == 0.0):
+            raise ValueError("zero-area face in polyhedron")
+        units = normals / area2[:, None]
+        x0 = tris[:, 0]
+        plane_dists = _dots(units, x0)
+        edge_vecs = np.roll(tris, -1, axis=1) - tris      # b - a per edge
+        lengths = _norms(edge_vecs)
+        # In-plane outward edge normals of all faces, one cross product.
+        nus = np.cross(edge_vecs / lengths[..., None], units[:, None, :])
+        edge_dists = _dots(nus, tris - x0[:, None, :])
         self._faces = []
-        for face in faces:
-            tri = self.vertices[list(face)]
-            normal = _newell_normal(tri)
-            area2 = np.linalg.norm(normal)
-            if area2 == 0.0:
-                raise ValueError("zero-area face in polyhedron")
-            unit = normal / area2
-            x0 = tri[0]
-            plane_dist = float(unit @ x0)
-            edges = []
-            for k in range(3):
-                a = tri[k]
-                b = tri[(k + 1) % 3]
-                t = b - a
-                t = t / np.linalg.norm(t)
-                nu = np.cross(t, unit)  # in-plane outward normal
-                edges.append(_EdgeTerm(a, b, float(nu @ (a - x0))))
-            self._faces.append((x0, plane_dist, edges))
+        for i, tri in enumerate(tris):
+            edges = [_EdgeTerm(tri[k], tri[(k + 1) % 3], lengths[i, k],
+                               edge_dists[i, k]) for k in range(3)]
+            self._faces.append((x0[i], float(plane_dists[i]), edges))
         self._memo = {}
         self._face_memo = [dict() for _ in self._faces]
         self._edge_memo = [[dict() for _ in range(3)] for _ in self._faces]
@@ -204,15 +208,27 @@ class PolyhedronIntegrator:
 
 
 def _newell_normal(tri):
-    """Area-weighted normal of a triangle.
+    """Area-weighted normal of a triangle, or of each of a (..., 3, 3) stack.
 
     Computed from edge differences about the first vertex (for a triangle
     this equals the Newell edge-sum normal), which keeps tiny faces far
-    from the origin accurate.
+    from the origin accurate.  A stacked cross product gives the same bits
+    as one call per triangle.
     """
-    u = tri[1] - tri[0]
-    v = tri[2] - tri[0]
+    u = tri[..., 1, :] - tri[..., 0, :]
+    v = tri[..., 2, :] - tri[..., 0, :]
     return 0.5 * np.cross(u, v)
+
+
+def _dots(x, y):
+    """Row-wise dot products of (..., k) stacks, reduced as ``x @ y`` is
+    for one pair, so stacked results equal the per-row ones bit for bit."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _norms(x):
+    """Row-wise Euclidean norms, bit-identical to np.linalg.norm per row."""
+    return np.sqrt(_dots(x, x))
 
 
 def scaled_moment_table(integrator, centroid, diameter):
@@ -220,10 +236,13 @@ def scaled_moment_table(integrator, centroid, diameter):
 
     Raw monomial moments are combined through the binomial expansion of
     ((x - x_E)/h_E)^a ..., so a single integrator instance (with its memo of
-    raw moments) serves both the raw and the scaled table.
+    raw moments) serves both the raw and the scaled table.  The integrator
+    may also return one raw moment per element (``mesh.MeshGeometry``); with
+    (n, dim) centroids and (n,) diameters every entry is then an (n,) array.
     """
-    dim = len(centroid)
-    h = float(diameter)
+    c = np.asarray(centroid, dtype=float)
+    dim = c.shape[-1]
+    h = np.asarray(diameter, dtype=float)
     v = integrator.integrate((0,) * dim)
     first = []
     for axis in range(dim):
@@ -237,21 +256,21 @@ def scaled_moment_table(integrator, centroid, diameter):
         e[j] += 1
         return integrator.integrate(tuple(e))
 
-    c = np.asarray(centroid, dtype=float)
     table = {(0,) * dim: v}
     for axis in range(dim):
         key = [0] * dim
         key[axis] = 1
-        table[tuple(key)] = (first[axis] - c[axis] * v) / h
+        table[tuple(key)] = (first[axis] - c[..., axis] * v) / h
     for i in range(dim):
         for j in range(i, dim):
             key = [0] * dim
             key[i] += 1
             key[j] += 1
+            ci, cj = c[..., i], c[..., j]
             if i == j:
-                raw = second(i, i) - 2.0 * c[i] * first[i] + c[i] ** 2 * v
+                raw = second(i, i) - 2.0 * ci * first[i] + ci ** 2 * v
             else:
-                raw = (second(i, j) - c[j] * first[i] - c[i] * first[j]
-                       + c[i] * c[j] * v)
+                raw = (second(i, j) - cj * first[i] - ci * first[j]
+                       + ci * cj * v)
             table[tuple(key)] = raw / h ** 2
     return table

@@ -6,13 +6,21 @@ prisms additionally carry an ordered corner-node list so the reference finite
 elements can be built on them; purely polytopal elements do not need one.
 
 Meshes are immutable by convention: nothing in this package mutates a mesh
-after construction, so instances can be shared freely.
+after construction, so instances can be shared freely.  Each mesh builds its
+geometry table (``Mesh.geometry``: stacked face data, closed-form order-<=2
+moments, convexity and the validation verdict of every element) once, on
+the first geometry query or validation, and keeps it.  Mutating
+``mesh.vertices`` in place after that leaves the table stale; build a new
+``Mesh`` instead.  The HNI integrators (``element_integrator``) are the
+arbitrary-degree reference and are not used by the element pipeline.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,14 +83,7 @@ class Element:
             return self.nodes
         if self.loop is not None:
             return self.loop
-        seen = []
-        have = set()
-        for f in self.faces:
-            for v in f:
-                if v not in have:
-                    have.add(v)
-                    seen.append(v)
-        return tuple(sorted(seen))
+        return tuple(sorted({v for f in self.faces for v in f}))
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,11 @@ class Mesh:
     @property
     def num_elements(self):
         return len(self.elements)
+
+    @cached_property
+    def geometry(self):
+        """The element geometry table, built on first use (MeshGeometry)."""
+        return MeshGeometry(self)
 
 
 @dataclass(frozen=True)
@@ -134,94 +140,305 @@ def tet_volume(p0, p1, p2, p3):
 
 
 def triangle_area_normal(tri):
-    """(area, unit outward normal) of a 3D triangle, Newell form."""
-    n = hni._newell_normal(np.asarray(tri, float))
-    area = float(np.linalg.norm(n))
-    if area == 0.0:
-        return 0.0, np.zeros(3)
-    return area, n / area
+    """(area, unit outward normal) of a 3D triangle, Newell form; arrays of
+    both for an (m, 3, 3) stack, bit for bit the per-triangle values.  A
+    zero-area triangle gets a zero normal."""
+    tri = np.asarray(tri, float)
+    weighted = hni._newell_normal(tri)
+    area = hni._norms(weighted)
+    normal = _unit(weighted, area)
+    return (float(area), normal) if tri.ndim == 2 else (area, normal)
+
+
+def _unit(vectors, lengths):
+    """Rows divided by their lengths; a zero-length row stays zero."""
+    return np.divide(vectors, lengths[..., None], out=np.zeros_like(vectors),
+                     where=lengths[..., None] > 0.0)
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# Geometry table and validation
+
+_KIND_NODES = {"tri": 3, "tet": 4, "prism": 6}
+_FACE_CHECKS = ("faces must be triangles", "vertex index out of range",
+                "repeated vertex", "zero-area face")
+
+
+class MeshGeometry:
+    """Geometry and validation verdict of every element of one mesh.
+
+    3D elements contribute their triangles and 2D elements their loop edges
+    to one stacked face table; ``face_start[e]:face_start[e + 1]`` slices
+    element e's faces, in its own order.  Moments are signed sums over the
+    simplices joining each face to the element's anchor (its first node);
+    ``integrate`` serves them to ``hni.scaled_moment_table``.
+    ``failed_check[e]`` is the first check element e fails (-1: none) and
+    ``error(e)`` words it.
+    """
+
+    def __init__(self, mesh):
+        dim, n_vert, els = mesh.dimension, mesh.num_vertices, mesh.elements
+        V = mesh.vertices if n_vert else np.zeros((1, dim))
+        n_el = len(els)
+        conns = [el.loop if dim == 2 else el.faces for el in els]
+        sizes = np.array([len(c or ()) for c in conns], np.int64)
+        owner = np.repeat(np.arange(n_el), sizes)
+        starts = np.cumsum(sizes) - sizes
+        self.face_start = np.append(starts, len(owner))
+        if dim == 2:
+            corners = _ids([v for c in conns if c for v in c])
+            succ = np.arange(1, len(corners) + 1)
+            succ[(starts + sizes - 1)[sizes > 0]] = starts[sizes > 0]
+            faces = np.stack([corners, corners[succ]], axis=1)
+            corner_owner = owner
+        else:
+            faces = _ids([v for c in conns if c for f in c
+                          for v in (tuple(f) + (None,) * 3)[:3]])
+            faces = faces.reshape(-1, 3)
+            corners, corner_owner = faces.ravel(), np.repeat(owner, 3)
+        vid = (lambda ids: np.clip(ids, 0, len(V) - 1))
+        pts = V[vid(faces)]
+        if dim == 2:
+            t = pts[:, 1] - pts[:, 0]
+            nu = np.stack([t[:, 1], -t[:, 0]], axis=1)
+            areas, normals = hni._norms(t), _unit(nu, hni._norms(nu))
+        else:
+            areas, normals = triangle_area_normal(pts)
+        self.edge_lengths = hni._norms(np.roll(pts, -1, axis=1) - pts)
+
+        # The anchor is node_ids()[0]: the first node, else the first loop
+        # vertex or the smallest face vertex.
+        node_lists = [el.nodes for el in els]
+        node_count = np.array([len(x or ()) for x in node_lists], np.int64)
+        node_ids = _ids([v for x in node_lists if x for v in x])
+        node_owner = np.repeat(np.arange(n_el), node_count)
+        anchor = np.zeros(n_el, np.int64)
+        has = sizes > 0
+        anchor[has] = (corners[starts[has]] if dim == 2 else
+                       np.minimum.reduceat(faces.min(axis=1), starts[has]))
+        given = node_count > 0
+        anchor[given] = node_ids[(np.cumsum(node_count) - node_count)[given]]
+        origin = V[vid(anchor)]
+
+        # Moments of the face-to-anchor simplices, summed d!-scaled and
+        # divided once per element (a unit cube's volume comes out exact).
+        with np.errstate(invalid="ignore", divide="ignore"):
+            local = pts - origin[owner][:, None, :]
+            det = (_cross2(local[:, 0], local[:, 1]) if dim == 2 else
+                   (local[:, 0] * np.cross(local[:, 1], local[:, 2])).sum(1))
+            s = local.sum(axis=1)
+            scale = math.factorial(dim)
+            volume = np.bincount(owner, det, minlength=n_el) / scale
+            first = _sum_per(owner, det[:, None] * s, n_el) / (
+                scale * (dim + 1))
+            second = _sum_per(owner, det[:, None, None] * (
+                np.einsum("fki,fkj->fij", local, local)
+                + s[:, :, None] * s[:, None, :]), n_el) / (
+                scale * (dim + 1) * (dim + 2))
+            self._raw = (volume, first, second)
+            centroid = np.where((volume > 0.0)[:, None],
+                                first / volume[:, None], np.nan)
+
+            # Diameter and convexity over each element's vertex set, in
+            # groups of equal set size.
+            order, run = _runs(corner_owner, corners)
+            head = order[np.flatnonzero(np.diff(run, prepend=-1))]
+            set_owner, set_ids = corner_owner[head], corners[head]
+            set_size = np.bincount(set_owner, minlength=n_el)
+            set_start = np.cumsum(set_size) - set_size
+            diameter, convex = np.zeros(n_el), np.ones(n_el, bool)
+            for size in np.unique(set_size[set_size > 0]):
+                group = np.flatnonzero(set_size == size)
+                p = V[vid(set_ids[set_start[group][:, None]
+                                  + np.arange(size)])]
+                diff = p[:, :, None, :] - p[:, None, :, :]
+                diameter[group] = np.sqrt((diff ** 2).sum(axis=3).max((1, 2)))
+                row = np.full(n_el, -1)
+                row[group] = np.arange(len(group))
+                f = np.flatnonzero(row[owner] >= 0)
+                height = ((p[row[owner[f]]] - pts[f, :1])
+                          @ normals[f, :, None])[..., 0]
+                tol = TAU_GEOM * diameter[owner[f], None]
+                convex[owner[f][(height > tol).any(axis=1)]] = False
+            self.scaled_moments = hni.scaled_moment_table(self, centroid,
+                                                          diameter)
+        self.volume, self.diameter, self.convex = volume, diameter, convex
+        self.centroid = centroid + origin
+        self.degenerate = volume <= TAU_GEOM * diameter ** dim
+        self.face_areas, self.face_normals = areas, normals
+        for arr in (volume, diameter, convex, self.centroid, self.degenerate,
+                    areas, normals, self.edge_lengths,
+                    *self.scaled_moments.values()):
+            arr.flags.writeable = False
+
+        # Validation: one (message, failing elements) pair per check, in
+        # the order an element is checked.
+        outside = (lambda ids: (ids < 0) | (ids >= n_vert))
+        missing = np.array([c is None for c in conns], bool)
+        if dim == 2:
+            checks = [
+                ("2D element lacks a loop", missing),
+                ("loop has < 3 vertices", sizes < 3),
+                ("repeated vertex in loop", _repeated(owner, corners, n_el)),
+                ("vertex index out of range",
+                 _any(owner[outside(corners)], n_el)),
+                ("loop is not CCW or has vanishing area",
+                 volume <= TAU_GEOM * diameter * diameter),
+                ("loop self-intersects",
+                 _crossing(V[vid(corners)], starts, sizes))]
+        else:
+            lengths = np.array([len(f) for c in conns if c for f in c], int)
+            edge = self.edge_lengths.max(axis=1)
+            self._faces = faces
+            self._face_check = np.select(
+                [lengths != 3, outside(faces).any(axis=1),
+                 (faces == np.roll(faces, 1, axis=1)).any(axis=1),
+                 areas <= TAU_GEOM * edge * edge], [1, 2, 3, 4], 0)
+            self._unpaired = _unpaired(faces, owner)
+            weighted = _sum_per(owner, areas[:, None] * normals, n_el)
+            largest = np.zeros(n_el)
+            np.maximum.at(largest, owner, areas)
+            checks = [
+                ("3D element lacks faces", missing),
+                ("fewer than 4 faces", sizes < 4),
+                ("<face>", _any(owner[self._face_check > 0], n_el)),
+                ("<edge>", _any(corner_owner[self._unpaired], n_el)),
+                ("faces are not watertight",
+                 hni._norms(weighted) > 1e-12 * largest),
+                ("faces oriented inward (volume {volume:g})", volume <= 0.0)]
+        self._kinds = [el.kind for el in els]
+        self._expected = np.array([_KIND_NODES.get(k, -1)
+                                   for k in self._kinds], np.int64)
+        self._node_count = node_count
+        has_nodes = np.array([x is not None for x in node_lists], bool)
+        in_set = np.isin(node_owner * len(V) + vid(node_ids),
+                         set_owner * len(V) + vid(set_ids))
+        checks += [
+            ("a {kind} needs {expected} nodes, got {count}",
+             (self._expected >= 0) & (node_count != self._expected)),
+            ("node id out of range or not an integer",
+             _any(node_owner[outside(node_ids)], n_el)),
+            ("repeated node", _repeated(node_owner, node_ids, n_el)),
+            ("nodes differ from the element's vertex set",
+             has_nodes & (_any(node_owner[~in_set], n_el)
+                          | (set_size != node_count)))]
+        self._messages = [message for message, _ in checks]
+        self.failed_check = np.full(n_el, -1)
+        for k in reversed(range(len(checks))):
+            self.failed_check[checks[k][1]] = k
+
+    def integrate(self, exponent):
+        """Raw integral of a degree <= 2 monomial over every element, about
+        each element's anchor: one value per element."""
+        axes = [a for a, e in enumerate(exponent) for _ in range(e)]
+        return self._raw[len(axes)][(slice(None), *axes)]
+
+    def error(self, index):
+        """Message naming element `index` and its first failed check, or
+        None."""
+        k = self.failed_check[index]
+        if k < 0:
+            return None
+        where, message = f"element {index}", self._messages[k]
+        s = self.face_start[index]
+        if message == "<face>":
+            f = s + np.flatnonzero(self._face_check[s:])[0]
+            where += f", face {f - s}"
+            message = _FACE_CHECKS[self._face_check[f] - 1]
+        elif message == "<edge>":
+            f, j = divmod(3 * s + np.flatnonzero(self._unpaired[3 * s:])[0], 3)
+            where += f", face {f - s}"
+            message = ("face orientation mismatch on edge "
+                       f"({self._faces[f, j]}, {self._faces[f, (j + 1) % 3]})")
+        return f"{where}: " + message.format(
+            volume=self.volume[index], kind=self._kinds[index],
+            expected=self._expected[index], count=self._node_count[index])
+
+
+def _ids(values):
+    """Vertex ids as int64.  A non-integer entry becomes a distinct negative
+    id: out of range, and never a repeat."""
+    arr = np.array(values)
+    if arr.dtype.kind in "iu" or arr.size == 0:
+        return arr.astype(np.int64)
+    return np.array([v if isinstance(v, (int, np.integer))
+                     and -2 ** 62 < v < 2 ** 62 else -1 - k
+                     for k, v in enumerate(values)], np.int64)
+
+
+def _sum_per(owners, rows, n_elements):
+    """Rows summed per owner, in row order."""
+    out = np.zeros((n_elements,) + rows.shape[1:])
+    np.add.at(out, owners, rows)
+    return out
+
+
+def _cross2(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _any(owners, n_elements):
+    """Per element: is it among `owners`?"""
+    return np.bincount(owners, minlength=n_elements) > 0
+
+
+def _runs(*keys):
+    """(order, run): the lexicographic order of the rows (first key most
+    significant) and, per sorted row, the number of its run of equal rows."""
+    order = np.lexsort(keys[::-1])
+    rows = np.stack(keys)[:, order]
+    new = np.ones(len(order), bool)
+    new[1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=0)
+    return order, np.cumsum(new) - 1
+
+
+def _repeated(owners, ids, n_elements):
+    """Per element: does one of its ids occur twice?"""
+    order, run = _runs(owners, ids)
+    return _any(owners[order][np.bincount(run)[run] > 1], n_elements)
+
+
+def _unpaired(faces, owner):
+    """Per half-edge (faces[f, k], faces[f, k + 1]): is it not matched by
+    exactly one opposite half-edge of its element, or not unique?  Each
+    undirected edge of an element must be crossed once in each direction."""
+    a, b = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+    order, run = _runs(np.repeat(owner, 3), np.minimum(a, b), np.maximum(a, b))
+    forward = np.bincount(run, (a < b)[order])
+    bad = np.empty(len(a), bool)
+    bad[order] = (np.bincount(run) != 2)[run] | (forward != 1)[run]
+    return bad
+
+
+def _crossing(corners, starts, sizes):
+    """Per 2D loop (corner points, stacked): do two non-adjacent edges
+    cross?  Loops are grouped by length; a group tests all edge pairs."""
+    def orient(a, b, c):
+        return _cross2(b - a, c - a)
+
+    out = np.zeros(len(sizes), bool)
+    for n in np.unique(sizes[sizes >= 4]):
+        group = np.flatnonzero(sizes == n)
+        p = corners[starts[group][:, None] + np.arange(n)]
+        i, j = np.array([(i, j) for i in range(n) for j in range(i + 2, n)
+                         if (j + 1) % n != i]).T
+        p1, p2, p3, p4 = p[:, i], p[:, (i + 1) % n], p[:, j], p[:, (j + 1) % n]
+        out[group] = (((orient(p3, p4, p1) > 0) != (orient(p3, p4, p2) > 0))
+                      & ((orient(p1, p2, p3) > 0) != (orient(p1, p2, p4) > 0))
+                      ).any(axis=1)
+    return out
 
 
 def validate_element(mesh, index):
     """Check one element's structural invariants; raise ValidationError."""
-    el = mesh.elements[index]
-    n_vert = mesh.num_vertices
-    if mesh.dimension == 2:
-        if el.loop is None:
-            raise ValidationError(f"element {index}: 2D element lacks a loop")
-        loop = el.loop
-        if len(loop) < 3:
-            raise ValidationError(f"element {index}: loop has < 3 vertices")
-        if len(set(loop)) != len(loop):
-            raise ValidationError(f"element {index}: repeated vertex in loop")
-        if any(v < 0 or v >= n_vert for v in loop):
-            raise ValidationError(f"element {index}: vertex index out of range")
-        pts = mesh.vertices[list(loop)]
-        area = _polygon_signed_area(pts)
-        h = _max_pairwise_distance(pts)
-        if area <= TAU_GEOM * h * h:
-            raise ValidationError(
-                f"element {index}: loop is not CCW or has vanishing area")
-        if not _polygon_is_simple(pts):
-            raise ValidationError(f"element {index}: loop self-intersects")
-        return
-
-    if el.faces is None:
-        raise ValidationError(f"element {index}: 3D element lacks faces")
-    faces = el.faces
-    if len(faces) < 4:
-        raise ValidationError(f"element {index}: fewer than 4 faces")
-    edge_count = {}
-    areas = []
-    weighted = np.zeros(3)
-    for fi, f in enumerate(faces):
-        if len(f) != 3:
-            raise ValidationError(
-                f"element {index}, face {fi}: faces must be triangles")
-        if any(v < 0 or v >= n_vert for v in f):
-            raise ValidationError(
-                f"element {index}, face {fi}: vertex index out of range")
-        if len(set(f)) != 3:
-            raise ValidationError(
-                f"element {index}, face {fi}: repeated vertex")
-        tri = mesh.vertices[list(f)]
-        area, normal = triangle_area_normal(tri)
-        edge_len = max(np.linalg.norm(tri[k] - tri[(k + 1) % 3])
-                       for k in range(3))
-        if area <= TAU_GEOM * edge_len * edge_len:
-            raise ValidationError(
-                f"element {index}, face {fi}: zero-area face")
-        areas.append(area)
-        weighted += area * normal
-        for k in range(3):
-            a, b = f[k], f[(k + 1) % 3]
-            edge_count[(a, b)] = edge_count.get((a, b), 0) + 1
-    for fi, f in enumerate(faces):
-        for k in range(3):
-            a, b = f[k], f[(k + 1) % 3]
-            if edge_count[(a, b)] != 1 or edge_count.get((b, a), 0) != 1:
-                raise ValidationError(
-                    f"element {index}, face {fi}: face orientation mismatch "
-                    f"on edge ({a}, {b})")
-    if np.linalg.norm(weighted) > 1e-12 * max(areas):
-        raise ValidationError(f"element {index}: faces are not watertight")
-    # Outward orientation: the divergence-theorem volume must be positive.
-    # Integrate about the first vertex so tiny far-off elements survive.
-    nodes = el.node_ids()
-    local = {g: i for i, g in enumerate(nodes)}
-    verts = mesh.vertices[list(nodes)] - mesh.vertices[nodes[0]]
-    local_faces = [tuple(local[v] for v in f) for f in faces]
-    vol = hni.PolyhedronIntegrator(verts, local_faces).integrate((0, 0, 0))
-    if vol <= 0.0:
-        raise ValidationError(
-            f"element {index}: faces oriented inward (volume {vol:g})")
+    message = mesh.geometry.error(index)
+    if message is not None:
+        raise ValidationError(message)
 
 
 def validate_mesh(mesh):
+    """Check the mesh and every element; the first failing element, in
+    element order, is named in the ValidationError."""
     if mesh.dimension not in (2, 3):
         raise ValidationError(f"unsupported dimension {mesh.dimension}")
     if mesh.vertices.ndim != 2 or mesh.vertices.shape[1] != mesh.dimension:
@@ -230,17 +447,10 @@ def validate_mesh(mesh):
         raise ValidationError("non-finite vertex coordinate")
     if mesh.num_elements == 0:
         raise ValidationError("mesh has no elements")
-    for i in range(mesh.num_elements):
-        validate_element(mesh, i)
+    bad = np.flatnonzero(mesh.geometry.failed_check >= 0)
+    if bad.size:
+        validate_element(mesh, int(bad[0]))
     return mesh
-
-
-def _polygon_signed_area(pts):
-    # Shoelace about the first vertex; absolute coordinates would drown
-    # slivers far from the origin in cancellation noise.
-    x = pts[:, 0] - pts[0, 0]
-    y = pts[:, 1] - pts[0, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def _max_pairwise_distance(pts):
@@ -248,34 +458,8 @@ def _max_pairwise_distance(pts):
     return float(np.sqrt((diff ** 2).sum(axis=2).max()))
 
 
-def _segments_intersect(p1, p2, p3, p4):
-    """Proper intersection test for open segments (shared endpoints allowed)."""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(p3, p4, p1)
-    d2 = orient(p3, p4, p2)
-    d3 = orient(p1, p2, p3)
-    d4 = orient(p1, p2, p4)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-def _polygon_is_simple(pts):
-    n = len(pts)
-    for i in range(n):
-        a1, a2 = pts[i], pts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            b1, b2 = pts[j], pts[(j + 1) % n]
-            if _segments_intersect(a1, a2, b1, b2):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# Geometry
+# Geometry queries: views into Mesh.geometry
 
 
 def element_local(mesh, index):
@@ -290,6 +474,7 @@ def element_local(mesh, index):
 
 
 def element_integrator(mesh, index):
+    """Arbitrary-degree HNI integrator of one element (reference path)."""
     nodes, verts, conn = element_local(mesh, index)
     if mesh.dimension == 2:
         return hni.PolygonIntegrator(verts[list(conn)])
@@ -304,72 +489,23 @@ def element_geometry(mesh, index):
     shifted back.  Anchoring keeps tiny elements far from the global
     origin at full relative accuracy.
     """
-    el = mesh.elements[index]
-    nodes, verts, conn = element_local(mesh, index)
-    dim = mesh.dimension
-    anchor = verts[0].copy()
-    local = verts - anchor
-    if dim == 2:
-        integ = hni.PolygonIntegrator(local[list(conn)])
-    else:
-        integ = hni.PolyhedronIntegrator(local, conn)
-    volume = integ.integrate((0,) * dim)
-    first = np.array([
-        integ.integrate(tuple(1 if a == axis else 0 for a in range(dim)))
-        for axis in range(dim)
-    ])
-    centroid = first / volume if volume > 0 else np.full(dim, np.nan)
-    diameter = _max_pairwise_distance(verts)
-    if dim == 2:
-        loop_pts = verts[list(conn)]
-        n = len(loop_pts)
-        areas = np.array([np.linalg.norm(loop_pts[(k + 1) % n] - loop_pts[k])
-                          for k in range(n)])
-        normals = []
-        for k in range(n):
-            t = loop_pts[(k + 1) % n] - loop_pts[k]
-            nu = np.array([t[1], -t[0]])
-            normals.append(nu / np.linalg.norm(nu))
-        normals = np.array(normals)
-    else:
-        data = [triangle_area_normal(verts[list(f)]) for f in conn]
-        areas = np.array([a for a, _ in data])
-        normals = np.array([n for _, n in data])
-    moments = hni.scaled_moment_table(integ, centroid, diameter)
-    degenerate = volume <= TAU_GEOM * diameter ** dim
+    g = mesh.geometry
+    i = range(mesh.num_elements)[index]
+    faces = slice(g.face_start[i], g.face_start[i + 1])
     return ElementGeometry(
-        volume=float(volume),
-        centroid=centroid + anchor,
-        diameter=float(diameter),
-        face_areas=areas,
-        face_normals=normals,
-        scaled_moments=moments,
-        degenerate=degenerate,
+        volume=float(g.volume[i]),
+        centroid=g.centroid[i],
+        diameter=float(g.diameter[i]),
+        face_areas=g.face_areas[faces],
+        face_normals=g.face_normals[faces],
+        scaled_moments={k: float(v[i]) for k, v in g.scaled_moments.items()},
+        degenerate=bool(g.degenerate[i]),
     )
 
 
 def is_convex(mesh, index):
     """True iff every vertex lies on or behind every face plane."""
-    el = mesh.elements[index]
-    nodes, verts, conn = element_local(mesh, index)
-    h = _max_pairwise_distance(verts)
-    tol = TAU_GEOM * h
-    if mesh.dimension == 2:
-        pts = verts[list(conn)]
-        n = len(pts)
-        for k in range(n):
-            t = pts[(k + 1) % n] - pts[k]
-            nu = np.array([t[1], -t[0]])
-            nu /= np.linalg.norm(nu)
-            if np.any((verts - pts[k]) @ nu > tol):
-                return False
-        return True
-    for f in conn:
-        tri = verts[list(f)]
-        area, normal = triangle_area_normal(tri)
-        if np.any((verts - tri[0]) @ normal > tol):
-            return False
-    return True
+    return bool(mesh.geometry.convex[index])
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +684,7 @@ def load_mesh(path):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot parse mesh file {path}: {exc}") from exc
+    where = ""
     try:
         dim = int(data["dimension"])
         vertices = np.asarray(data["vertices"], dtype=float)
@@ -557,18 +694,21 @@ def load_mesh(path):
             density=float(data["material"]["rho"]),
         )
         elements = []
-        for raw in data["elements"]:
+        for e, raw in enumerate(data["elements"]):
+            where = f"element {e}: "
             kind = raw.get("kind")
-            nodes = tuple(raw["nodes"]) if "nodes" in raw else None
+            nodes = (tuple(_vertex_id(v) for v in raw["nodes"])
+                     if "nodes" in raw else None)
             if "loop" in raw:
-                loop = tuple(int(v) for v in raw["loop"])
+                loop = tuple(_vertex_id(v) for v in raw["loop"])
                 if kind is None:
                     kind = "tri" if len(loop) == 3 else "poly"
                 if kind == "tri" and nodes is None:
                     nodes = loop
                 elements.append(Element(loop=loop, kind=kind, nodes=nodes))
             elif "faces" in raw:
-                faces = tuple(tuple(int(v) for v in f) for f in raw["faces"])
+                faces = tuple(tuple(_vertex_id(v) for v in f)
+                              for f in raw["faces"])
                 if kind is None:
                     node_set = {v for f in faces for v in f}
                     kind = ("tet" if len(faces) == 4 and len(node_set) == 4
@@ -578,10 +718,18 @@ def load_mesh(path):
                 elements.append(Element(faces=faces, kind=kind, nodes=nodes))
             else:
                 raise KeyError("element needs 'loop' or 'faces'")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed mesh file {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"malformed mesh file {path}: {where}{exc}") from exc
     mesh = Mesh(dim, vertices, elements, material)
     return validate_mesh(mesh)
+
+
+def _vertex_id(value):
+    """A vertex id read from a file: an integral number."""
+    vid = int(value)
+    if vid != value:
+        raise ValueError(f"non-integral vertex id {value!r}")
+    return vid
 
 
 def _tet_nodes_from_faces(faces):

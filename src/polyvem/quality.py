@@ -56,6 +56,8 @@ CSV_HEADER = ("element_id,class,min_dihedral_deg,max_dihedral_deg,"
               "min_edge,min_face_area,volume")
 
 _TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_OPPOSITE_FACES = np.array([[k for k in range(4) if k != opp]
+                            for opp in range(4)])
 
 
 def dihedral_angles(mesh, index):
@@ -66,13 +68,9 @@ def dihedral_angles(mesh, index):
         raise ValidationError(f"element {index} is not a tetrahedron")
     v = mesh.vertices[list(nodes)]
     # Outward normals of the face opposite each vertex.
-    normals = {}
-    for opp in range(4):
-        tri = [k for k in range(4) if k != opp]
-        area, n = meshmod.triangle_area_normal(v[tri])
-        if (v[opp] - v[tri[0]]) @ n > 0:
-            n = -n
-        normals[opp] = n
+    _, normals = meshmod.triangle_area_normal(v[_OPPOSITE_FACES])
+    inward = ((v - v[_OPPOSITE_FACES[:, 0]]) * normals).sum(axis=1) > 0
+    normals[inward] *= -1.0
     angles = []
     for a, b in _TET_EDGES:
         others = [k for k in range(4) if k not in (a, b)]
@@ -84,25 +82,10 @@ def dihedral_angles(mesh, index):
 
 
 def _element_metrics(mesh, index):
-    el = mesh.elements[index]
-    nodes = el.node_ids()
-    v = mesh.vertices[list(nodes)]
-    if mesh.dimension == 2:
-        loop = el.loop
-        n = len(loop)
-        edges = [np.linalg.norm(mesh.vertices[loop[(k + 1) % n]]
-                                - mesh.vertices[loop[k]]) for k in range(n)]
-        geom = meshmod.element_geometry(mesh, index)
-        return min(edges), float(geom.face_areas.min()), geom
     geom = meshmod.element_geometry(mesh, index)
-    edges = set()
-    for f in el.faces:
-        for k in range(3):
-            a, b = f[k], f[(k + 1) % 3]
-            edges.add((min(a, b), max(a, b)))
-    min_edge = min(np.linalg.norm(mesh.vertices[a] - mesh.vertices[b])
-                   for a, b in edges)
-    return float(min_edge), float(geom.face_areas.min()), geom
+    g = mesh.geometry
+    edges = g.edge_lengths[g.face_start[index]:g.face_start[index + 1]]
+    return float(edges.min()), float(geom.face_areas.min()), geom
 
 
 def classify(mesh, index, thresholds=DEFAULT_THRESHOLDS):

@@ -234,3 +234,15 @@ def test_family_table_deterministic(tmp_path):
         climod._family_table(str(path), "tri2d", (1e-1, 1e-3),
                              alpha0="unit", lumping="auto")
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("nodes", ["[0,1,2,999]", "[1,2,3,4]", "[0,1,2]",
+                                   "[0.5,1,2,3]"])
+def test_bad_tet_nodes_timestep_rejected(tmp_path, capsys, nodes):
+    from test_mesh import TWO_TETS
+    path = tmp_path / "bad.json"
+    path.write_text(TWO_TETS.replace("NODES", nodes))
+    assert run(["timestep", "--mesh", str(path), "--method", "fem"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "element 0" in err
+    assert "Traceback" not in err

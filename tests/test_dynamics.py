@@ -321,6 +321,45 @@ def test_beam_run_builds_each_element_once(monkeypatch, method, tau,
     assert not exp.result.diverged
 
 
+@pytest.mark.parametrize("method, tau, n_meshes", [
+    ("vem", None, 2),      # plane mesh, extruded polyhedra
+    ("fem", 4e-4, 3),      # plane triangles, prisms, tetrahedra
+])
+def test_beam_run_builds_geometry_once_per_mesh(monkeypatch, method, tau,
+                                                n_meshes):
+    # Every mesh a run creates builds its geometry table exactly once, and
+    # no HNI integrator is constructed on the run's path.
+    from polyvem import hni, mesh as meshmod
+    created, built, integrators = [], [], []
+    post_init = meshmod.Mesh.__post_init__
+
+    def counting_post_init(self):
+        created.append(id(self))
+        post_init(self)
+
+    class CountingGeometry(meshmod.MeshGeometry):
+        def __init__(self, mesh):
+            built.append(id(mesh))
+            super().__init__(mesh)
+
+    def counting_integrator(self, *args, **kwargs):
+        integrators.append(1)
+        raise AssertionError("HNI integrator built on the run path")
+
+    monkeypatch.setattr(meshmod.Mesh, "__post_init__", counting_post_init)
+    monkeypatch.setattr(meshmod, "MeshGeometry", CountingGeometry)
+    monkeypatch.setattr(hni.PolyhedronIntegrator, "__init__",
+                        counting_integrator)
+    monkeypatch.setattr(hni.PolygonIntegrator, "__init__",
+                        counting_integrator)
+    exp = dynamics.tapered_beam_experiment("A", method, tau=tau,
+                                           t_max_transits=0.01)
+    assert not exp.result.diverged
+    assert integrators == []
+    assert len(created) == n_meshes
+    assert sorted(built) == sorted(created)
+
+
 def test_beam_pulse_arrival_time():
     # The pulse is emitted at x = 4 and the probe sits at x = 2, so the
     # normalized history must stay quiet until about t/T = 0.5.

@@ -247,3 +247,72 @@ def test_polygonal_face_rejected(tmp_path):
         '"material": {"E": 1e9, "nu": 0.3, "rho": 1000}}')
     with pytest.raises(meshmod.ValidationError, match="triangles"):
         meshmod.load_mesh(path)
+
+
+# ---------------------------------------------------------------------------
+# Element.nodes validation and element-order error reporting
+
+TWO_TETS = ('{"dimension": 3, "vertices": [[0,0,0],[1,0,0],[0,1,0],[0,0,1],'
+            '[1,1,1]], "elements": [{"faces": [[0,2,1],[0,1,3],[0,3,2],'
+            '[1,2,3]], "kind": "tet", "nodes": NODES}, {"faces": [[1,3,2],'
+            '[1,2,4],[1,4,3],[2,3,4]], "kind": "tet", "nodes": [1,2,3,4]}],'
+            ' "material": {"E": 1e9, "nu": 0.3, "rho": 1000}}')
+
+NODE_PROBES = [
+    ("[0,1,2,999]", ValidationError,
+     "element 0: node id out of range or not an integer"),
+    ("[1,2,3,4]", ValidationError,
+     "element 0: nodes differ from the element's vertex set"),
+    ("[0,1,2]", ValidationError, "element 0: a tet needs 4 nodes, got 3"),
+    ("[0.5,1,2,3]", ParseError, "element 0: non-integral vertex id 0.5"),
+]
+
+
+@pytest.mark.parametrize("nodes, error, match", NODE_PROBES)
+def test_bad_tet_nodes_rejected(tmp_path, nodes, error, match):
+    path = tmp_path / "bad.json"
+    path.write_text(TWO_TETS.replace("NODES", nodes))
+    with pytest.raises(error, match=match):
+        meshmod.load_mesh(path)
+
+
+def test_good_tet_nodes_accepted(tmp_path):
+    path = tmp_path / "good.json"
+    path.write_text(TWO_TETS.replace("NODES", "[0,1,2,3]"))
+    assert meshmod.load_mesh(path).num_elements == 2
+
+
+@pytest.mark.parametrize("nodes, match", [
+    ((0.0, 1.0, 2.0, 3.0), "node id out of range or not an integer"),
+    ((0, 1, 2, 2), "repeated node"),
+    (None, "a tet needs 4 nodes, got 0"),
+])
+def test_bad_in_memory_nodes_rejected(nodes, match):
+    tet = tet_element((0, 1, 2, 3))
+    bad = Mesh(3, unit_tet().vertices,
+               [Element(faces=tet.faces, kind="tet", nodes=nodes)])
+    with pytest.raises(ValidationError, match="element 0: " + match):
+        meshmod.validate_mesh(bad)
+
+
+def test_first_bad_element_is_named():
+    # Element 1 fails a late check (orientation), element 2 an early one
+    # (index range): element order wins over check order.
+    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                      [1, 1, 1]])
+    good = tet_element((0, 1, 2, 3))
+    inward = Element(faces=tuple(tuple(reversed(f))
+                                 for f in tet_element((1, 2, 3, 4)).faces))
+    out_of_range = Element(faces=((0, 2, 1), (0, 1, 9), (0, 9, 2),
+                                  (1, 2, 9)))
+    mesh = Mesh(3, verts, [good, inward, out_of_range])
+    with pytest.raises(ValidationError, match=r"^element 1: faces oriented"):
+        meshmod.validate_mesh(mesh)
+    with pytest.raises(ValidationError,
+                       match=r"^element 2, face 1: vertex index out of"):
+        meshmod.validate_element(mesh, 2)
+    square = Mesh(2, np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]),
+                  [Element(loop=(0, 1, 2)), Element(loop=(0, 3, 2)),
+                   Element(loop=(0, 1, 1))])
+    with pytest.raises(ValidationError, match=r"^element 1: loop is not CCW"):
+        meshmod.validate_mesh(square)
