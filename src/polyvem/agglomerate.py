@@ -109,30 +109,7 @@ def merge(mesh, group):
     group = sorted(set(int(g) for g in group))
     if not group:
         raise MergeError("empty merge group")
-    if any(g < 0 or g >= mesh.num_elements for g in group):
-        raise MergeError("merge group index out of range")
-    if mesh.dimension == 2:
-        loop = _merged_loop_2d(mesh, group)
-        union = Element(loop=loop, kind="poly")
-    else:
-        faces = _merged_faces_3d(mesh, group)
-        union = Element(faces=faces, kind="poly")
-    slot = group[0]
-    drop = set(group[1:])
-    elements = []
-    for i, el in enumerate(mesh.elements):
-        if i == slot:
-            elements.append(union)
-        elif i not in drop:
-            elements.append(el)
-    merged = Mesh(mesh.dimension, mesh.vertices, elements, mesh.material)
-    meshmod.validate_element(merged, elements.index(union))
-    geom = meshmod.element_geometry(merged, elements.index(union))
-    if geom.volume < TAU_GEOM * geom.diameter ** mesh.dimension:
-        raise MergeError(
-            "merged element volume vanishes; agglomerate with more "
-            "neighbors so the polytope keeps finite measure")
-    return merged
+    return _rebuild(mesh, [group])[0]
 
 
 def merge_groups(mesh, groups):
@@ -142,39 +119,43 @@ def merge_groups(mesh, groups):
     Each union lands at its smallest member's slot.  Returns the new mesh
     and {new element id: tuple of original ids}.
     """
-    cleaned = []
-    seen = set()
-    for group in groups:
-        members = sorted(set(int(g) for g in group))
-        if len(members) < 2:
-            raise MergeError("merge groups need at least two elements")
-        if any(g < 0 or g >= mesh.num_elements for g in members):
-            raise MergeError("merge group index out of range")
-        if seen & set(members):
-            raise MergeError("merge groups overlap")
-        seen |= set(members)
-        cleaned.append(members)
-    slot_of = {members[0]: members for members in cleaned}
-    consumed = {g for members in cleaned for g in members[1:]}
+    cleaned = [sorted(set(int(g) for g in group)) for group in groups]
+    if any(len(members) < 2 for members in cleaned):
+        raise MergeError("merge groups need at least two elements")
+    ids = [g for members in cleaned for g in members]
+    if len(set(ids)) < len(ids):
+        raise MergeError("merge groups overlap")
+    return _rebuild(mesh, cleaned)
+
+
+def _rebuild(mesh, groups):
+    """The mesh with each group (sorted, disjoint member lists) replaced by
+    its union at the slot of its smallest member; the other elements keep
+    their order.  Every union is validated and must keep a finite measure.
+    Returns the new mesh and {new element id: tuple of original ids}."""
+    if any(g < 0 or g >= mesh.num_elements for members in groups
+           for g in members):
+        raise MergeError("merge group index out of range")
+    slot_of = {members[0]: members for members in groups}
+    consumed = {g for members in groups for g in members[1:]}
     elements = []
     mapping = {}
     for i in range(mesh.num_elements):
-        if i in consumed:
-            continue
-        if i in slot_of:
-            elements.append(_union_element(mesh, slot_of[i]))
-            mapping[len(elements) - 1] = tuple(slot_of[i])
-        else:
-            elements.append(mesh.elements[i])
-            mapping[len(elements) - 1] = (i,)
+        if i not in consumed:
+            members = slot_of.get(i, (i,))
+            elements.append(_union_element(mesh, members) if i in slot_of
+                            else mesh.elements[i])
+            mapping[len(elements) - 1] = tuple(members)
     out = Mesh(mesh.dimension, mesh.vertices, elements, mesh.material)
     for new_id, members in mapping.items():
-        if len(members) > 1:
-            meshmod.validate_element(out, new_id)
-            geom = meshmod.element_geometry(out, new_id)
-            if geom.volume < TAU_GEOM * geom.diameter ** mesh.dimension:
-                raise MergeError(
-                    f"merged element {new_id} has vanishing measure")
+        if members[0] not in slot_of:
+            continue
+        meshmod.validate_element(out, new_id)
+        g = out.geometry
+        if g.volume[new_id] < TAU_GEOM * g.diameter[new_id] ** mesh.dimension:
+            raise MergeError(
+                f"merged element {new_id} has vanishing measure; agglomerate "
+                "with more neighbors so the polytope keeps finite measure")
     return out, mapping
 
 
@@ -230,14 +211,10 @@ def auto_agglomerate(mesh, thresholds=quality.DEFAULT_THRESHOLDS,
     unmerged = []
 
     def group_volume(members):
-        total = 0.0
-        pts = []
-        for e in members:
-            g = meshmod.element_geometry(mesh, e)
-            total += g.volume
-            pts.append(mesh.vertices[list(mesh.elements[e].node_ids())])
-        h = meshmod._max_pairwise_distance(np.vstack(pts))
-        return total, h
+        members = sorted(members)
+        nodes = {v for e in members for v in mesh.elements[e].node_ids()}
+        return (mesh.geometry.volume[members].sum(),
+                meshmod._max_pairwise_distance(mesh.vertices[sorted(nodes)]))
 
     for seed in bad:
         while True:
@@ -264,17 +241,8 @@ def auto_agglomerate(mesh, thresholds=quality.DEFAULT_THRESHOLDS,
             for e in groups[keep]:
                 owner[e] = keep
 
-    # Rebuild in slot order: each group lands at its smallest member index.
-    mapping = {}
-    elements = []
-    for root in sorted(set(owner), key=lambda r: min(groups[r])):
-        members = sorted(groups[root])
-        if len(members) == 1:
-            elements.append(mesh.elements[members[0]])
-        else:
-            elements.append(_union_element(mesh, members))
-        mapping[len(elements) - 1] = tuple(members)
-    out = Mesh(mesh.dimension, mesh.vertices, elements, mesh.material)
+    out, mapping = _rebuild(mesh, sorted(
+        sorted(m) for m in groups.values() if len(m) > 1))
     meshmod.validate_mesh(out)
     return out, mapping, unmerged
 

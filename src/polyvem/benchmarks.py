@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import agglomerate, mesh as meshmod
-from .mesh import Element, MaterialParams, Mesh, STEEL, tet_element, tet_volume
+from .mesh import Element, MaterialParams, Mesh, STEEL, tet_element
 
 BENCHMARK_NAMES = ("tri2d", "prism3d", "wedge", "kite",
                    "spireA", "spireB", "spireC", "beamA", "beamB")
@@ -60,20 +60,6 @@ def gen_benchmark(name, eps=None, variant="fem"):
     return _spire(name[-1], eps, variant)
 
 
-def _oriented_tet(verts, ids):
-    p = [verts[i] for i in ids]
-    if tet_volume(*[np.asarray(q, float) for q in p]) < 0:
-        ids = (ids[0], ids[2], ids[1], ids[3])
-    return tet_element(tuple(ids))
-
-
-def _merge_all(mesh, groups):
-    out = mesh
-    for group in groups:
-        out = agglomerate.merge(out, group)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # 2D family and its prismatic extrusion.
 #
@@ -97,7 +83,7 @@ def _tri2d(eps, variant):
     mesh = meshmod.validate_mesh(Mesh(2, verts, elements, STEEL))
     if variant == "fem":
         return mesh
-    return _merge_all(mesh, [(0, 1)])
+    return agglomerate.merge(mesh, (0, 1))
 
 
 def extruded_prisms(eps, variant, thickness=PRISM_THICKNESS):
@@ -118,12 +104,12 @@ def _wedge(eps, variant):
         [0.5, 0.5, eps],
         [1.0 / 3.0, 1.0 / 3.0, -0.5],
     ])
-    wedge = _oriented_tet(verts, (0, 1, 2, 3))
-    good = _oriented_tet(verts, (0, 2, 1, 4))
+    wedge = tet_element((0, 1, 2, 3), verts)
+    good = tet_element((0, 2, 1, 4), verts)
     mesh = meshmod.validate_mesh(Mesh(3, verts, [wedge, good], STEEL))
     if variant == "fem":
         return mesh
-    return _merge_all(mesh, [(0, 1)])
+    return agglomerate.merge(mesh, (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +128,12 @@ def _kite(eps, variant):
         [0.0, 1.0, -eps],
         [0.0, 0.0, 1.0],
     ])
-    kite = _oriented_tet(verts, (0, 1, 2, 3))
-    neighbor = _oriented_tet(verts, (0, 1, 3, 4))
+    kite = tet_element((0, 1, 2, 3), verts)
+    neighbor = tet_element((0, 1, 3, 4), verts)
     mesh = meshmod.validate_mesh(Mesh(3, verts, [kite, neighbor], STEEL))
     if variant == "fem":
         return mesh
-    return _merge_all(mesh, [(0, 1)])
+    return agglomerate.merge(mesh, (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -169,26 +155,17 @@ def _spire(case, eps, variant):
         [0.0, -1.0, 0.0],   # 5
         [0.5, 1.0, 0.0],    # 6
     ])
-    spire = _oriented_tet(verts, (0, 1, 2, 3))
-    below = _oriented_tet(verts, (0, 1, 3, 4))
-    side = _oriented_tet(verts, (0, 3, 2, 5))
-    big = _oriented_tet(verts, (0, 3, 4, 5))
-    if case == "A":
-        tets = [spire, below]
-    elif case == "B":
-        tets = [spire, below, side]
-    else:
-        tets = [spire, below, big]
-    used = sorted({v for t in tets for v in t.nodes})
+    # The spire and the element below it, then case B's side element or
+    # case C's big element.
+    tets = [(0, 1, 2, 3), (0, 1, 3, 4)] + {
+        "A": [], "B": [(0, 3, 2, 5)], "C": [(0, 3, 4, 5)]}[case]
+    used = sorted({v for t in tets for v in t})
     remap = {g: i for i, g in enumerate(used)}
-    elements = []
-    for t in tets:
-        elements.append(tet_element(tuple(remap[v] for v in t.nodes)))
-    mesh = meshmod.validate_mesh(
-        Mesh(3, verts[used], elements, STEEL))
+    elements = [tet_element([remap[v] for v in t], verts[used]) for t in tets]
+    mesh = meshmod.validate_mesh(Mesh(3, verts[used], elements, STEEL))
     if variant == "fem":
         return mesh
-    return _merge_all(mesh, [tuple(range(len(elements)))])
+    return agglomerate.merge(mesh, range(len(elements)))
 
 
 # ---------------------------------------------------------------------------

@@ -210,17 +210,17 @@ def _cmd_timestep(args, cfg):
 
 def _cmd_eig_global(args, cfg):
     mesh = cfgmod.apply_material(meshmod.load_mesh(args.mesh), cfg)
-    K, M = dynamics.assemble(mesh, args.method, alpha0=cfg.alpha0,
-                             lumping=cfg.lumping)
-    fixed = np.array([], dtype=int)
     if args.beam_bcs:
-        f, d = dynamics.beam_boundary_dofs(mesh)
-        fixed = np.unique(np.concatenate([f, d]))
-    elif args.fixed_nodes:
-        nodes = np.array([int(v) for v in args.fixed_nodes.split(",")])
-        n = mesh.num_vertices
-        fixed = np.unique(np.concatenate(
-            [nodes + c * n for c in range(mesh.dimension)]))
+        problem = dynamics.beam_problem(mesh, args.method, cfg.alpha0,
+                                        cfg.lumping)
+        K, M, fixed = problem.K, problem.M, problem.constrained
+    else:
+        K, M = dynamics.assemble(mesh, args.method, alpha0=cfg.alpha0,
+                                 lumping=cfg.lumping)
+        nodes = np.array([int(v) for v in args.fixed_nodes.split(",")]
+                         if args.fixed_nodes else [], dtype=int)
+        fixed = np.concatenate([nodes + c * mesh.num_vertices
+                                for c in range(mesh.dimension)])
     omega, converged, iters = eig.global_max_frequency(K, M, fixed)
     if not converged:
         raise NumericalError(
@@ -255,6 +255,9 @@ def _cmd_integrate(args, cfg):
         mesh = meshmod.load_mesh(args.mesh)
     else:
         raise ValidationError("integrate needs --mesh or --unit-tet/--unit-cube")
+    if not 0 <= args.element < mesh.num_elements:
+        raise ValidationError(f"element {args.element} out of range "
+                              f"[0, {mesh.num_elements})")
     if args.moments:
         geom = meshmod.element_geometry(mesh, args.element)
         print("exponent,value")
@@ -297,37 +300,32 @@ def _cmd_tables(args, cfg):
                   alpha0=cfg.alpha0, lumping=cfg.lumping)
     _spire_table(os.path.join(args.out, "table5.csv"), eps_pair,
                  alpha0=cfg.alpha0, lumping=cfg.lumping)
-    beam = _beam_table(os.path.join(args.out, "table6.csv"),
-                       alpha0=cfg.alpha0, lumping=cfg.lumping)
-    _beam_steps_table(os.path.join(args.out, "table7.csv"), beam,
-                      with_dynamics=args.with_dynamics,
-                      alpha0=cfg.alpha0, lumping=cfg.lumping)
+    problems = _beam_table(os.path.join(args.out, "table6.csv"),
+                           alpha0=cfg.alpha0, lumping=cfg.lumping)
+    _beam_steps_table(os.path.join(args.out, "table7.csv"), problems,
+                      args.with_dynamics)
     print(f"wrote table1.csv .. table7.csv under {args.out}")
 
 
-def _alpha0_for(name, alpha0):
-    # The O(1)-sized element studies use the unit stabilization scale;
-    # "auto" resolves to h_E only on the beam meshes.
-    if alpha0 != "auto":
-        return alpha0
-    return "unit" if not name.startswith("beam") else "auto"
+def _variant_reports(name, eps, alpha0, lumping):
+    """Element-bound reports of both variants of a benchmark at eps.  The
+    O(1)-sized element studies use the unit stabilization scale; "auto"
+    resolves to h_E only on the beam meshes."""
+    a0 = "unit" if alpha0 == "auto" else alpha0
+    return {variant: eig.critical_dt(
+                benchmarks.gen_benchmark(name, eps, variant), variant,
+                alpha0=a0, lumping=lumping)
+            for variant in ("fem", "vem")}
 
 
 def _family_table(path, name, eps_values, alpha0, lumping):
-    a0 = _alpha0_for(name, alpha0)
     with open(path, "w") as fh:
         fh.write("eps,method,omega_max,argmax_element,omega_reference,"
                  "dt_ratio_vem_over_fem\n")
         for eps in eps_values:
-            rows = {}
-            for variant in ("fem", "vem"):
-                mesh = benchmarks.gen_benchmark(name, eps, variant)
-                rep = eig.critical_dt(mesh, variant, alpha0=a0,
-                                      lumping=lumping)
-                rows[variant] = rep
+            rows = _variant_reports(name, eps, alpha0, lumping)
             ratio = rows["fem"].omega_star / rows["vem"].omega_star
-            for variant in ("fem", "vem"):
-                rep = rows[variant]
+            for variant, rep in rows.items():
                 others = [w for i, w in enumerate(rep.omega_elements)
                           if i != rep.argmax_element]
                 ref = min(others) if others else float("nan")
@@ -341,61 +339,48 @@ def _spire_table(path, eps_values, alpha0, lumping):
         fh.write("eps,case,omega_fem,omega_vem,dt_ratio_vem_over_fem\n")
         for eps in eps_values:
             for case in ("A", "B", "C"):
-                mf = benchmarks.gen_benchmark(f"spire{case}", eps, "fem")
-                mv = benchmarks.gen_benchmark(f"spire{case}", eps, "vem")
-                a0 = _alpha0_for("spire", alpha0)
-                rf = eig.critical_dt(mf, "fem", alpha0=a0, lumping=lumping)
-                rv = eig.critical_dt(mv, "vem", alpha0=a0, lumping=lumping)
-                fh.write(f"{eps:g},{case},{rf.omega_star:.6e},"
-                         f"{rv.omega_star:.6e},"
-                         f"{rf.omega_star / rv.omega_star:.6e}\n")
+                rows = _variant_reports(f"spire{case}", eps, alpha0, lumping)
+                wf, wv = rows["fem"].omega_star, rows["vem"].omega_star
+                fh.write(f"{eps:g},{case},{wf:.6e},{wv:.6e},{wf / wv:.6e}\n")
 
 
 def _beam_table(path, alpha0, lumping):
-    rows = {}
+    """Table 6; returns the four beam problems, by (case, method)."""
+    problems = {}
     with open(path, "w") as fh:
         fh.write("case,method,omega_star_element,omega_global,"
                  "dt_ratio_vem_over_fem\n")
         for case in ("A", "B"):
-            per = {}
             for method in ("fem", "vem"):
-                mesh = benchmarks.gen_benchmark("beam" + case, variant=method)
-                systems = eig.element_systems(mesh, method, alpha0, lumping)
-                rep = eig.time_step_report(systems, method)
-                K, M = dynamics.assemble_systems(mesh, systems)
-                f, d = dynamics.beam_boundary_dofs(mesh)
-                bc = np.unique(np.concatenate([f, d]))
-                wg, _, _ = eig.global_max_frequency(K, M, bc)
-                per[method] = (rep, wg)
-            ratio = per["fem"][0].omega_star / per["vem"][0].omega_star
+                problems[case, method] = dynamics.beam_problem(
+                    benchmarks.gen_benchmark("beam" + case, variant=method),
+                    method, alpha0, lumping)
+            ratio = (problems[case, "fem"].report.omega_star
+                     / problems[case, "vem"].report.omega_star)
             for method in ("fem", "vem"):
-                rep, wg = per[method]
-                fh.write(f"{case},{method},{rep.omega_star:.6e},{wg:.6e},"
+                p = problems[case, method]
+                fh.write(f"{case},{method},{p.report.omega_star:.6e},"
+                         f"{p.omega_global:.6e},"
                          f"{ratio if method == 'vem' else ''}\n")
-            rows[case] = per
-    return rows
+    return problems
 
 
-def _beam_steps_table(path, beam_rows, with_dynamics, alpha0, lumping):
-    c_long = math.sqrt(benchmarks.STEEL_NU0.youngs_modulus
-                       / benchmarks.STEEL_NU0.density)
-    t_max = 3.0 * 4.0 / c_long
+def _beam_steps_table(path, problems, with_dynamics):
+    """Table 7: steps for three transits at 0.9 x the bound the method
+    runs on (FEM: global, VEM: element); with_dynamics runs the VEM beams
+    and reports their measured steps and loop time."""
     with open(path, "w") as fh:
         fh.write("case,method,dt_crit,steps_for_three_transits,"
                  "measured_wall_seconds\n")
-        for case in ("A", "B"):
-            for method in ("fem", "vem"):
-                rep, wg = beam_rows[case][method]
-                dt = rep.dt_crit if method == "vem" else 2.0 / wg
-                steps = int(math.ceil(t_max / (0.9 * dt)))
-                wall = ""
-                if with_dynamics and method == "vem":
-                    exp = dynamics.tapered_beam_experiment(
-                        case, method, dt_factor=0.9, dt_basis="element",
-                        alpha0=alpha0, lumping=lumping)
-                    wall = f"{exp.result.wall_seconds:.3f}"
-                    steps = exp.result.steps
-                fh.write(f"{case},{method},{dt:.6e},{steps},{wall}\n")
+        for (case, method), p in problems.items():
+            dt = p.dt_crit("element" if method == "vem" else "global")
+            steps = int(math.ceil(3.0 * p.transit / (0.9 * dt)))
+            wall = ""
+            if with_dynamics and method == "vem":
+                exp = p.run(0.9 * dt, 3.0)
+                wall = f"{exp.result.wall_seconds:.3f}"
+                steps = exp.result.steps
+            fh.write(f"{case},{method},{dt:.6e},{steps},{wall}\n")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Global assembly, explicit central-difference integration, and the
 tapered-beam experiment driver.
 
-Assembly reduces an element sweep (``eig.element_systems``); the beam driver
-builds one sweep per run and feeds it to both the time-step bound and the
-assembly.  The integrator is the standard half-step-velocity
+Assembly reduces an element sweep (``eig.element_systems``); a beam problem
+(``beam_problem``) builds one sweep per beam mesh and feeds it to both the
+time-step bound and the assembly.  The integrator is the standard half-step-velocity
 central-difference update with a diagonal mass; prescribed dofs are
 overwritten kinematically each step.  The beam driver reproduces the
 pulse-loaded tapered-beam runs: fixed at x = 0, an axial quartic pulse at
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,9 +72,6 @@ class BcSchedule:
             return 0.0
         s = t / self.tau
         return self.amplitude * (s ** 4 - 2.0 * s ** 3 + s ** 2)
-
-    def constrained(self):
-        return np.unique(np.concatenate([self.fixed, self.driven]))
 
 
 @dataclass
@@ -194,14 +192,68 @@ class BeamExperiment:
     u_norm: np.ndarray
     probe_exact: bool
 
-    @property
-    def wave_speed(self):
-        m = self.mesh.material
-        return float(np.sqrt(m.youngs_modulus / m.density))
+
+@dataclass
+class BeamProblem:
+    """A beam mesh under one method: its element sweep, assembled K and
+    lumped M, and the beam's boundary dofs.  The element bound, the global
+    omega and the wave transit time are derived on demand."""
+
+    mesh: object
+    method: str
+    systems: list
+    K: object
+    M: np.ndarray
+    fixed: np.ndarray
+    driven: np.ndarray
+
+    @cached_property
+    def report(self):
+        return eig.time_step_report(self.systems, self.method)
 
     @property
-    def transit_time(self):
-        return 4.0 / self.wave_speed
+    def constrained(self):
+        """Fixed and driven dofs (a dof may appear twice)."""
+        return np.concatenate([self.fixed, self.driven])
+
+    @cached_property
+    def omega_global(self):
+        return eig.global_max_frequency(self.K, self.M, self.constrained)[0]
+
+    @property
+    def transit(self):
+        """Time a longitudinal wave takes to cross the 4 m beam."""
+        m = self.mesh.material
+        return 4.0 / np.sqrt(m.youngs_modulus / m.density)
+
+    def dt_crit(self, basis):
+        """Critical step on the "element" or the "global" bound."""
+        if basis == "element":
+            return self.report.dt_crit
+        if basis == "global":
+            return 2.0 / self.omega_global
+        raise ValidationError(f"unknown dt basis {basis!r}")
+
+    def run(self, dt, t_max_transits, tau=None, amplitude=1.0,
+            probe=(2.0, 0.5, 0.0)):
+        """The pulse-loaded run: the pulse of duration tau drives the x = 4
+        end for t_max_transits transit times.  tau=None takes 100 x this
+        problem's element bound, which is the case's pulse duration
+        (beam_pulse_duration) when the problem is the VEM one."""
+        if tau is None:
+            tau = 100.0 * self.report.dt_crit
+        bcs = BcSchedule(fixed=self.fixed, driven=self.driven, tau=tau,
+                         amplitude=amplitude)
+        return run_beam(self.mesh, self.K, self.M, bcs, dt,
+                        t_max_transits * self.transit, self.transit,
+                        probe=probe, report=self.report, method=self.method)
+
+
+def beam_problem(mesh, method, alpha0="auto", lumping="auto"):
+    """Build a BeamProblem from one element sweep of the mesh."""
+    systems = eig.element_systems(mesh, method, alpha0, lumping)
+    K, M = assemble_systems(mesh, systems)
+    return BeamProblem(mesh, method, systems, K, M, *beam_boundary_dofs(mesh))
 
 
 def beam_pulse_duration(case, alpha0="auto", lumping="auto"):
@@ -230,31 +282,13 @@ def tapered_beam_experiment(case, method, dt_factor=0.9, dt_basis="element",
     from . import benchmarks
     if case not in ("A", "B"):
         raise ValidationError(f"unknown beam case {case!r}")
-    mesh = benchmarks.gen_benchmark("beam" + case, variant=method)
-    material = mesh.material
-    c_long = np.sqrt(material.youngs_modulus / material.density)
-    transit = 4.0 / c_long
-    systems = eig.element_systems(mesh, method, alpha0, lumping)
-    report = eig.time_step_report(systems, method)
-    K, M = assemble_systems(mesh, systems)
-    fixed, driven = beam_boundary_dofs(mesh)
-    if dt_basis == "element":
-        dt_crit = report.dt_crit
-    elif dt_basis == "global":
-        bcs_all = np.unique(np.concatenate([fixed, driven]))
-        omega_g, _, _ = eig.global_max_frequency(K, M, bcs_all)
-        dt_crit = 2.0 / omega_g
-    else:
-        raise ValidationError(f"unknown dt basis {dt_basis!r}")
-    dt = dt_factor * dt_crit
-    if tau is None:
-        # A VEM run's own report is the bound beam_pulse_duration computes.
-        tau = (100.0 * report.dt_crit if method == "vem" else
-               beam_pulse_duration(case, alpha0=alpha0, lumping=lumping))
-    bcs = BcSchedule(fixed=fixed, driven=driven, tau=tau,
-                     amplitude=amplitude)
-    return run_beam(mesh, K, M, bcs, dt, t_max_transits * transit, transit,
-                    probe=probe, report=report, method=method)
+    problem = beam_problem(
+        benchmarks.gen_benchmark("beam" + case, variant=method), method,
+        alpha0, lumping)
+    dt = dt_factor * problem.dt_crit(dt_basis)
+    if tau is None and method == "fem":
+        tau = beam_pulse_duration(case, alpha0=alpha0, lumping=lumping)
+    return problem.run(dt, t_max_transits, tau, amplitude, probe)
 
 
 def run_beam(mesh, K, M, bcs, dt, t_max, transit, probe, report, method):

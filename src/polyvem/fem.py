@@ -10,7 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import ValidationError
-from .vem import constitutive_matrix
+from .vem import constitutive_matrix, strain_operator
+
+
+def _simplex_matrices(grads, measure, C, rho):
+    """Constant-strain stiffness and consistent mass of a linear simplex."""
+    n = len(grads)
+    B = strain_operator(grads)
+    K = measure * B.T @ C @ B
+    m = rho * measure / (n * (n + 1)) * (np.ones((n, n)) + np.eye(n))
+    return K, np.kron(np.eye(n - 1), m)
 
 
 def tri3_matrices(verts, C, rho):
@@ -21,20 +30,9 @@ def tri3_matrices(verts, C, rho):
     area2 = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
     if area2 <= 0.0:
         raise ValidationError("triangle is degenerate or clockwise")
-    area = 0.5 * area2
     b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]]) / area2
     c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]]) / area2
-    B = np.zeros((3, 6))
-    B[0, :3] = b
-    B[1, 3:] = c
-    B[2, :3] = c
-    B[2, 3:] = b
-    K = area * B.T @ C @ B
-    m = rho * area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-    M = np.zeros((6, 6))
-    M[:3, :3] = m
-    M[3:, 3:] = m
-    return K, M
+    return _simplex_matrices(np.stack([b, c], axis=1), 0.5 * area2, C, rho)
 
 
 def tet4_matrices(verts, C, rho):
@@ -44,30 +42,11 @@ def tet4_matrices(verts, C, rho):
     vol6 = float(np.linalg.det(J))
     if vol6 <= 0.0:
         raise ValidationError("tetrahedron is inverted or degenerate")
-    vol = vol6 / 6.0
     # grad N_i: rows of [ -sum ; inv(J)^T ] in the right arrangement
-    invJ = np.linalg.inv(J)
     grads = np.zeros((4, 3))
-    grads[1:, :] = invJ.T
+    grads[1:, :] = np.linalg.inv(J).T
     grads[0, :] = -grads[1:, :].sum(axis=0)
-    B = np.zeros((6, 12))
-    for i in range(4):
-        gx, gy, gz = grads[i]
-        B[0, i] = gx
-        B[1, 4 + i] = gy
-        B[2, 8 + i] = gz
-        B[3, 4 + i] = gz
-        B[3, 8 + i] = gy
-        B[4, i] = gz
-        B[4, 8 + i] = gx
-        B[5, i] = gy
-        B[5, 4 + i] = gx
-    K = vol * B.T @ C @ B
-    m = rho * vol / 20.0 * (np.ones((4, 4)) + np.eye(4))
-    M = np.zeros((12, 12))
-    for comp in range(3):
-        M[4 * comp:4 * comp + 4, 4 * comp:4 * comp + 4] = m
-    return K, M
+    return _simplex_matrices(grads, vol6 / 6.0, C, rho)
 
 
 _TRI3_POINTS = [(1 / 6, 1 / 6), (2 / 3, 1 / 6), (1 / 6, 2 / 3)]
@@ -85,7 +64,7 @@ def prism6_matrices(verts, C, rho):
     if verts.shape != (6, 3):
         raise ValidationError("prism needs 6 nodes")
     K = np.zeros((18, 18))
-    M = np.zeros((18, 18))
+    m = np.zeros((6, 6))
     for r, s in _TRI3_POINTS:
         for t in _LINE2_POINTS:
             N, dN = _wedge_shape(r, s, t)
@@ -95,24 +74,10 @@ def prism6_matrices(verts, C, rho):
                 raise ValidationError(
                     "prism has non-positive Jacobian at a quadrature point")
             w = detJ * (1.0 / 6.0)  # (1/3 * 1/2) triangle x 1 line weight
-            grads = dN @ np.linalg.inv(J).T
-            B = np.zeros((6, 18))
-            for i in range(6):
-                gx, gy, gz = grads[i]
-                B[0, i] = gx
-                B[1, 6 + i] = gy
-                B[2, 12 + i] = gz
-                B[3, 6 + i] = gz
-                B[3, 12 + i] = gy
-                B[4, i] = gz
-                B[4, 12 + i] = gx
-                B[5, i] = gy
-                B[5, 6 + i] = gx
+            B = strain_operator(dN @ np.linalg.inv(J).T)
             K += w * B.T @ C @ B
-            for comp in range(3):
-                sl = slice(6 * comp, 6 * comp + 6)
-                M[sl, sl] += w * rho * np.outer(N, N)
-    return K, M
+            m += w * rho * np.outer(N, N)
+    return K, np.kron(np.eye(3), m)
 
 
 def _wedge_shape(r, s, t):
@@ -132,13 +97,14 @@ def _wedge_shape(r, s, t):
 def element_matrices(mesh, index):
     """Reference-FEM (K, M) for a tri/tet/prism element of a mesh."""
     el = mesh.elements[index]
-    C = constitutive_matrix(mesh.material, mesh.dimension)
-    rho = mesh.material.density
-    if el.kind == "tri":
-        return tri3_matrices(mesh.vertices[list(el.nodes)], C, rho)
-    if el.kind == "tet":
-        return tet4_matrices(mesh.vertices[list(el.nodes)], C, rho)
-    if el.kind == "prism":
-        return prism6_matrices(mesh.vertices[list(el.nodes)], C, rho)
-    raise ValidationError(
-        f"element {index} (kind {el.kind!r}) has no reference finite element")
+    kernel = {"tri": tri3_matrices, "tet": tet4_matrices,
+              "prism": prism6_matrices}.get(el.kind)
+    if kernel is None:
+        raise ValidationError(f"element {index} (kind {el.kind!r}) has no "
+                              "reference finite element")
+    try:
+        return kernel(mesh.vertices[list(el.nodes)],
+                      constitutive_matrix(mesh.material, mesh.dimension),
+                      mesh.material.density)
+    except ValidationError as exc:
+        raise ValidationError(f"element {index}: {exc}") from exc

@@ -50,16 +50,64 @@ def _lowered(exponent, axis):
     return tuple(e)
 
 
-class _EdgeTerm:
-    """One boundary edge of a facet: endpoint data for the 1D reduction."""
+def _checked(exponent):
+    """An exponent tuple of nonnegative ints, or ValueError."""
+    exponent = tuple(int(e) for e in exponent)
+    if any(e < 0 for e in exponent):
+        raise ValueError("monomial exponents must be nonnegative")
+    return exponent
 
-    __slots__ = ("a", "b", "length", "distance")
 
-    def __init__(self, a, b, length, distance):
-        self.a = a
-        self.b = b
-        self.length = float(length)
-        self.distance = float(distance)
+class _Vertex:
+    """A facet's end point: the base case of the reduction."""
+
+    __slots__ = ("point",)
+
+    def __init__(self, point):
+        self.point = point
+
+    def integrate(self, exponent):
+        return monomial_value(self.point, exponent)
+
+
+class _Facet:
+    """A k-dimensional facet (an edge, a face or the polytope itself) and
+    the homogeneous reduction of its monomial integrals
+
+        (k + q) I_F(x^a) = sum_G d_G I_G(x^a) + sum_i x0_i a_i I_F(x^a / x_i)
+
+    over its boundary facets G at signed distance d_G from x0, a point of
+    F's affine hull (q = |a|).  Integrals are memoized per facet.
+    """
+
+    __slots__ = ("x0", "subs", "k", "memo")
+
+    def __init__(self, x0, subs, k):
+        self.x0 = x0
+        self.subs = subs      # (d_G, facet G) pairs
+        self.k = k
+        self.memo = {}
+
+    def integrate(self, exponent):
+        if exponent in self.memo:
+            return self.memo[exponent]
+        total = 0.0
+        for d, sub in self.subs:
+            if d != 0.0:
+                total += d * sub.integrate(exponent)
+        for axis, e in enumerate(exponent):
+            if e and self.x0[axis] != 0.0:
+                total += self.x0[axis] * e * self.integrate(
+                    _lowered(exponent, axis))
+        value = total / (self.k + sum(exponent))
+        self.memo[exponent] = value
+        return value
+
+
+def _edge(a, b, length):
+    """Edge a -> b as a facet: its one end point b lies at distance
+    `length` from a along the edge."""
+    return _Facet(a, [(float(length), _Vertex(b))], 1)
 
 
 class PolygonIntegrator:
@@ -72,7 +120,7 @@ class PolygonIntegrator:
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.shape[1] != 2:
             raise ValueError("polygon vertices must be 2D")
-        self._edges = []
+        edges = []
         n = len(self.vertices)
         for i in range(n):
             a = self.vertices[i]
@@ -84,42 +132,11 @@ class PolygonIntegrator:
             if norm == 0.0:
                 raise ValueError("polygon has a zero-length edge")
             nu /= norm
-            self._edges.append((_EdgeTerm(a, b, np.linalg.norm(b - a), 0.0),
-                                float(nu @ a)))
-        self._edge_memo = [dict() for _ in self._edges]
-        self._memo = {}
+            edges.append((float(nu @ a), _edge(a, b, np.linalg.norm(b - a))))
+        self._polygon = _Facet(np.zeros(2), edges, 2)
 
     def integrate(self, exponent):
-        exponent = tuple(int(e) for e in exponent)
-        if any(e < 0 for e in exponent):
-            raise ValueError("monomial exponents must be nonnegative")
-        return self._element(exponent)
-
-    def _element(self, exponent):
-        if exponent in self._memo:
-            return self._memo[exponent]
-        q = sum(exponent)
-        total = 0.0
-        for i, (edge, dist) in enumerate(self._edges):
-            if dist != 0.0:
-                total += dist * self._edge(i, exponent)
-        value = total / (2 + q)
-        self._memo[exponent] = value
-        return value
-
-    def _edge(self, i, exponent):
-        memo = self._edge_memo[i]
-        if exponent in memo:
-            return memo[exponent]
-        edge = self._edges[i][0]
-        q = sum(exponent)
-        total = edge.length * monomial_value(edge.b, exponent)
-        for axis, e in enumerate(exponent):
-            if e and edge.a[axis] != 0.0:
-                total += edge.a[axis] * e * self._edge(i, _lowered(exponent, axis))
-        value = total / (1 + q)
-        memo[exponent] = value
-        return value
+        return self._polygon.integrate(_checked(exponent))
 
 
 class PolyhedronIntegrator:
@@ -148,63 +165,16 @@ class PolyhedronIntegrator:
         # In-plane outward edge normals of all faces, one cross product.
         nus = np.cross(edge_vecs / lengths[..., None], units[:, None, :])
         edge_dists = _dots(nus, tris - x0[:, None, :])
-        self._faces = []
+        faces = []
         for i, tri in enumerate(tris):
-            edges = [_EdgeTerm(tri[k], tri[(k + 1) % 3], lengths[i, k],
-                               edge_dists[i, k]) for k in range(3)]
-            self._faces.append((x0[i], float(plane_dists[i]), edges))
-        self._memo = {}
-        self._face_memo = [dict() for _ in self._faces]
-        self._edge_memo = [[dict() for _ in range(3)] for _ in self._faces]
+            edges = [(float(edge_dists[i, k]),
+                      _edge(tri[k], tri[(k + 1) % 3], lengths[i, k]))
+                     for k in range(3)]
+            faces.append((float(plane_dists[i]), _Facet(x0[i], edges, 2)))
+        self._polyhedron = _Facet(np.zeros(3), faces, 3)
 
     def integrate(self, exponent):
-        exponent = tuple(int(e) for e in exponent)
-        if any(e < 0 for e in exponent):
-            raise ValueError("monomial exponents must be nonnegative")
-        return self._element(exponent)
-
-    def _element(self, exponent):
-        if exponent in self._memo:
-            return self._memo[exponent]
-        q = sum(exponent)
-        total = 0.0
-        for i, (_, plane_dist, _) in enumerate(self._faces):
-            if plane_dist != 0.0:
-                total += plane_dist * self._face(i, exponent)
-        value = total / (3 + q)
-        self._memo[exponent] = value
-        return value
-
-    def _face(self, i, exponent):
-        memo = self._face_memo[i]
-        if exponent in memo:
-            return memo[exponent]
-        x0, _, edges = self._faces[i]
-        q = sum(exponent)
-        total = 0.0
-        for k, edge in enumerate(edges):
-            if edge.distance != 0.0:
-                total += edge.distance * self._edge(i, k, exponent)
-        for axis, e in enumerate(exponent):
-            if e and x0[axis] != 0.0:
-                total += x0[axis] * e * self._face(i, _lowered(exponent, axis))
-        value = total / (2 + q)
-        memo[exponent] = value
-        return value
-
-    def _edge(self, i, k, exponent):
-        memo = self._edge_memo[i][k]
-        if exponent in memo:
-            return memo[exponent]
-        edge = self._faces[i][2][k]
-        q = sum(exponent)
-        total = edge.length * monomial_value(edge.b, exponent)
-        for axis, e in enumerate(exponent):
-            if e and edge.a[axis] != 0.0:
-                total += edge.a[axis] * e * self._edge(i, k, _lowered(exponent, axis))
-        value = total / (1 + q)
-        memo[exponent] = value
-        return value
+        return self._polyhedron.integrate(_checked(exponent))
 
 
 def _newell_normal(tri):

@@ -129,10 +129,15 @@ class ElementGeometry:
 
 
 def tet_element(nodes, vertices=None):
-    """Tetrahedron element from 4 node ids (positively oriented)."""
+    """Tetrahedron element from 4 node ids.  With the vertex array given,
+    a negatively oriented node order is flipped (the middle two swap);
+    without it the order must already be positive."""
     a, b, c, d = nodes
+    if vertices is not None and tet_volume(
+            *np.asarray(vertices, float)[[a, b, c, d]]) < 0:
+        b, c = c, b
     faces = ((a, c, b), (a, b, d), (a, d, c), (b, c, d))
-    return Element(faces=faces, kind="tet", nodes=tuple(nodes))
+    return Element(faces=faces, kind="tet", nodes=(a, b, c, d))
 
 
 def tet_volume(p0, p1, p2, p3):
@@ -251,8 +256,7 @@ class MeshGeometry:
                 group = np.flatnonzero(set_size == size)
                 p = V[vid(set_ids[set_start[group][:, None]
                                   + np.arange(size)])]
-                diff = p[:, :, None, :] - p[:, None, :, :]
-                diameter[group] = np.sqrt((diff ** 2).sum(axis=3).max((1, 2)))
+                diameter[group] = _max_pairwise_distance(p)
                 row = np.full(n_el, -1)
                 row[group] = np.arange(len(group))
                 f = np.flatnonzero(row[owner] >= 0)
@@ -454,8 +458,10 @@ def validate_mesh(mesh):
 
 
 def _max_pairwise_distance(pts):
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2).max()))
+    """Largest distance between two of the points (k, dim), or per stack
+    of a (..., k, dim) array."""
+    diff = pts[..., :, None, :] - pts[..., None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=-1).max(axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +636,7 @@ def split_prisms_to_tets(mesh):
             tets = [(a, b, c, f), (a, b, f, e), (a, e, f, d)]
         else:
             tets = [(a, b, c, e), (a, e, c, f), (a, e, f, d)]
-        for t in tets:
-            p = mesh.vertices[list(t)]
-            if tet_volume(*p) < 0:
-                t = (t[0], t[2], t[1], t[3])
-            elements.append(tet_element(t))
+        elements.extend(tet_element(t, mesh.vertices) for t in tets)
     return validate_mesh(Mesh(3, mesh.vertices, elements, mesh.material))
 
 

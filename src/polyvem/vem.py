@@ -18,6 +18,7 @@ from .mesh import ValidationError
 
 __all__ = [
     "constitutive_matrix",
+    "strain_operator",
     "build_dof_matrix",
     "energy_projector",
     "l2_projector",
@@ -53,18 +54,22 @@ def constitutive_matrix(material, dim):
     return C
 
 
-def _voigt_traction_map(normal, dim):
-    """Matrix turning a Voigt stress vector into the traction on a face."""
-    if dim == 2:
-        nx, ny = normal
-        return np.array([[nx, 0.0, ny],
-                         [0.0, ny, nx]])
-    nx, ny, nz = normal
-    return np.array([
-        [nx, 0.0, 0.0, 0.0, nz, ny],
-        [0.0, ny, 0.0, nz, 0.0, nx],
-        [0.0, 0.0, nz, ny, nx, 0.0],
-    ])
+# (Voigt row, displacement component, gradient axis) of each strain entry.
+_VOIGT = {2: ((0, 0, 0), (1, 1, 1), (2, 0, 1), (2, 1, 0)),
+          3: ((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 1, 2), (3, 2, 1),
+              (4, 0, 2), (4, 2, 0), (5, 0, 1), (5, 1, 0))}
+
+
+def strain_operator(grads):
+    """Voigt strain of [all-x | all-y | all-z] nodal dofs from the nodal
+    gradients (..., n, dim).  With one unit normal in place of the
+    gradients, its transpose maps a Voigt stress to the face traction."""
+    grads = np.asarray(grads, float)
+    n, dim = grads.shape[-2:]
+    B = np.zeros(grads.shape[:-2] + (3 * dim - 3, dim * n))
+    for row, comp, axis in _VOIGT[dim]:
+        B[..., row, comp * n:(comp + 1) * n] = grads[..., axis]
+    return B
 
 
 def _strain_modes(dim, h):
@@ -98,6 +103,14 @@ class ElementContext:
     @property
     def n_nodes(self):
         return len(self.nodes)
+
+    @property
+    def faces(self):
+        """Local vertex ids of each face (loop edges in 2D), in face order."""
+        conn = np.array(self.conn)
+        if self.dim == 2:
+            return np.stack([conn, np.roll(conn, -1)], axis=1)
+        return conn
 
     @property
     def scaled_coords(self):
@@ -159,18 +172,6 @@ def build_dof_matrix(ctx):
     return D
 
 
-def _face_vertex_lists(ctx):
-    """Per-face (local vertex ids, area, unit outward normal)."""
-    g = ctx.geometry
-    if ctx.dim == 2:
-        loop = ctx.conn
-        n = len(loop)
-        return [((loop[k], loop[(k + 1) % n]), g.face_areas[k],
-                 g.face_normals[k]) for k in range(n)]
-    return [(f, g.face_areas[k], g.face_normals[k])
-            for k, f in enumerate(ctx.conn)]
-
-
 def energy_projector(ctx, C):
     """Strain-energy projector system (G, B-hat, Pi*, Pi)."""
     dim = ctx.dim
@@ -188,12 +189,13 @@ def energy_projector(ctx, C):
     stress_modes = C @ B  # Voigt stress of each basis mode
     Bhat = np.zeros((n_modes, dim * n))
     Bhat[:n_rigid, :] = D[:, :n_rigid].T / n
-    for f, area, normal in _face_vertex_lists(ctx):
-        traction = _voigt_traction_map(normal, dim) @ stress_modes
-        w = area / dim  # one-point rule: integral of a hat over a simplex
-        for v in f:
-            for comp in range(dim):
-                Bhat[n_rigid:, comp * n + v] += w * traction[comp, n_rigid:]
+    # Face tractions of the modes, weighted by the one-point rule (a hat
+    # integrates to area / dim over a simplex), scattered in face order.
+    traction = np.ascontiguousarray(np.swapaxes(
+        strain_operator(g.face_normals[:, None, :]), 1, 2)) @ stress_modes
+    w = (g.face_areas / dim)[:, None, None] * traction[:, :, n_rigid:]
+    cols = np.arange(dim) * n + ctx.faces[:, :, None]
+    np.add.at(Bhat[n_rigid:].T, cols, w[:, None])
 
     try:
         PiStar = np.linalg.solve(G, Bhat)
@@ -217,9 +219,8 @@ def l2_projector(ctx):
     B0 = np.zeros((dim + 1, n))
     B0[0, :] = 1.0 / n
     w = 1.0 / (dim * g.diameter)
-    for f, area, normal in _face_vertex_lists(ctx):
-        for v in f:
-            B0[1:, v] += normal * area * w
+    np.add.at(B0[1:].T, ctx.faces,
+              (g.face_normals * g.face_areas[:, None] * w)[:, None])
     try:
         S0 = np.linalg.solve(G0, B0)
     except np.linalg.LinAlgError as exc:
@@ -261,25 +262,13 @@ def mass(ctx, rho):
     g = ctx.geometry
     D0, G0, B0, S0 = l2_projector(ctx)
     mom = g.scaled_moments
-    H = np.zeros((dim + 1, dim + 1))
-    basis = [(0,) * dim]
-    for axis in range(dim):
-        e = [0] * dim
-        e[axis] = 1
-        basis.append(tuple(e))
-    for i, ei in enumerate(basis):
-        for j, ej in enumerate(basis):
-            key = tuple(a + b for a, b in zip(ei, ej))
-            H[i, j] = mom[key]
-    H *= rho
+    basis = np.vstack([np.zeros(dim, int), np.eye(dim, dtype=int)])
+    H = rho * np.array([[mom[tuple(a + b)] for b in basis] for a in basis])
     Pi0 = D0 @ S0
-    Mc_s = S0.T @ H @ S0
-    Ms_s = rho * g.volume * (np.eye(n) - Pi0).T @ (np.eye(n) - Pi0)
-    Z = np.zeros((n, n))
-    Mc = np.block([[Mc_s if i == j else Z for j in range(dim)]
-                   for i in range(dim)])
-    Ms = np.block([[Ms_s if i == j else Z for j in range(dim)]
-                   for i in range(dim)])
+    # One scalar block per displacement component.
+    Mc = np.kron(np.eye(dim), S0.T @ H @ S0)
+    Ms = np.kron(np.eye(dim),
+                 rho * g.volume * (np.eye(n) - Pi0).T @ (np.eye(n) - Pi0))
     return Mc + Ms, Mc, Ms
 
 

@@ -86,16 +86,27 @@ def test_overlapping_orientation_rejected():
         agglomerate.merge(mesh, (0, 1))
 
 
-def test_vanishing_volume_refused():
+def mirror_slivers():
     # Mirror-image slivers about z=0 with microscopic total volume.
     eps = 1e-16
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0],
                       [0.3, 0.3, eps], [0.3, 0.3, -eps]])
     top = tet_element((0, 1, 2, 3))
     bot = tet_element((0, 2, 1, 4))
-    mesh = Mesh(3, verts, [top, bot])
+    return Mesh(3, verts, [top, bot])
+
+
+def test_vanishing_volume_refused():
+    mesh = mirror_slivers()
     with pytest.raises(MergeError, match="vanish"):
         agglomerate.merge(mesh, (0, 1))
+
+
+def test_auto_agglomerate_refuses_vanishing_union():
+    # Auto-agglomeration goes through the same union rebuild as merge, so
+    # it refuses the same vanishing union instead of returning it.
+    with pytest.raises(MergeError, match="vanish"):
+        agglomerate.auto_agglomerate(mirror_slivers())
 
 
 def test_watertight_merged_elements():

@@ -34,6 +34,15 @@ def test_integrate_unit_cube(capsys):
     assert float(out) == pytest.approx(1.0 / 6.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("element", ["1", "-1"])
+def test_integrate_element_out_of_range(capsys, element):
+    assert run(["integrate", "--unit-tet", "--element", element,
+                "--exp", "0,0,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: element {element} out of range")
+    assert "Traceback" not in err
+
+
 def test_moments_table(capsys):
     assert run(["integrate", "--unit-cube", "--exp", "0,0,0",
                 "--moments"]) == 0
@@ -212,6 +221,39 @@ def test_tables(tmp_path):
     assert len(beam_rows) == 5
 
 
+def test_tables_reuse_beam_problems(tmp_path, monkeypatch):
+    from polyvem import benchmarks
+    beams = []
+    generate = benchmarks.gen_benchmark
+
+    def counted(name, *args, **kwargs):
+        if name.startswith("beam"):
+            beams.append(name)
+        return generate(name, *args, **kwargs)
+
+    monkeypatch.setattr(benchmarks, "gen_benchmark", counted)
+    out = tmp_path / "report"
+    assert run(["tables", "--out", str(out), "--with-dynamics"]) == 0
+    # One mesh per (case, variant); the VEM runs reuse the table-6 beams.
+    assert sorted(beams) == ["beamA", "beamA", "beamB", "beamB"]
+    rows = [r.split(",") for r in
+            (out / "table7.csv").read_text().strip().splitlines()[1:]]
+    # The step counts of `simulate --case A|B --method vem`.
+    assert {r[0]: int(r[3]) for r in rows if r[1] == "vem"} == {
+        "A": 613, "B": 615}
+
+
+def test_eig_global_beam_bcs(tmp_path, capsys):
+    mesh_path = tmp_path / "beam.json"
+    run(["mesh-gen", "--name", "beamA", "--variant", "vem",
+         "--out", str(mesh_path)])
+    assert run(["eig-global", "--mesh", str(mesh_path), "--method", "vem",
+                "--beam-bcs"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()[-1]
+    # Power iteration on the clamped, driven beam (ARPACK: 377766.4).
+    assert out.startswith("omega_global=3.777558e+05 rad/s")
+
+
 def test_agglomerate_mapping_records_groups(tmp_path):
     mesh_path = tmp_path / "spire.json"
     run(["mesh-gen", "--name", "spireC", "--eps", "1e-2", "--variant", "fem",
@@ -237,7 +279,7 @@ def test_family_table_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("nodes", ["[0,1,2,999]", "[1,2,3,4]", "[0,1,2]",
-                                   "[0.5,1,2,3]"])
+                                   "[0.5,1,2,3]", "[0,2,1,3]"])
 def test_bad_tet_nodes_timestep_rejected(tmp_path, capsys, nodes):
     from test_mesh import TWO_TETS
     path = tmp_path / "bad.json"
