@@ -198,11 +198,12 @@ def _cmd_timestep(args, cfg):
         report.write_csv(args.out)
     if args.dump_matrices:
         os.makedirs(args.dump_matrices, exist_ok=True)
-        for e, (K, ml, _, _) in enumerate(systems):
-            vem.write_matrix_csv(
-                K, os.path.join(args.dump_matrices, f"K_{e}.csv"))
-            vem.write_matrix_csv(
-                ml, os.path.join(args.dump_matrices, f"Ml_{e}.csv"))
+        for ids, _, Ks, mls, _ in systems:
+            for e, K, ml in zip(ids, Ks, mls):
+                vem.write_matrix_csv(
+                    K, os.path.join(args.dump_matrices, f"K_{e}.csv"))
+                vem.write_matrix_csv(
+                    ml, os.path.join(args.dump_matrices, f"Ml_{e}.csv"))
     print(f"omega_star={report.omega_star:.6e} rad/s  "
           f"dt_crit={report.dt_crit:.6e} s  "
           f"argmax_element={report.argmax_element}")
@@ -219,6 +220,9 @@ def _cmd_eig_global(args, cfg):
                                  lumping=cfg.lumping)
         nodes = np.array([int(v) for v in args.fixed_nodes.split(",")]
                          if args.fixed_nodes else [], dtype=int)
+        for node in nodes:
+            if not 0 <= node < mesh.num_vertices:
+                raise ValidationError(f"node {node} out of range")
         fixed = np.concatenate([nodes + c * mesh.num_vertices
                                 for c in range(mesh.dimension)])
     omega, converged, iters = eig.global_max_frequency(K, M, fixed)
@@ -231,6 +235,10 @@ def _cmd_eig_global(args, cfg):
 
 
 def _cmd_simulate(args, cfg):
+    for option, value in (("--transits", args.transits),
+                          ("--dt-factor", args.dt_factor)):
+        if not value > 0.0:
+            raise ValidationError(f"{option} must be positive, got {value}")
     print(f"case {args.case} {args.method}: dt basis {args.dt_basis}, "
           f"factor {args.dt_factor}, {args.transits} transits")
     exp = dynamics.tapered_beam_experiment(

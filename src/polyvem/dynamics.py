@@ -1,7 +1,8 @@
 """Global assembly, explicit central-difference integration, and the
 tapered-beam experiment driver.
 
-Assembly reduces an element sweep (``eig.element_systems``); a beam problem
+Assembly reduces an element sweep (``eig.element_systems``: stacked element
+groups), scattering each group with array operations; a beam problem
 (``beam_problem``) builds one sweep per beam mesh and feeds it to both the
 time-step bound and the assembly.  The integrator is the standard half-step-velocity
 central-difference update with a diagonal mass; prescribed dofs are
@@ -33,25 +34,29 @@ def assemble(mesh, method, alpha0="unit", lumping="auto"):
 
 
 def assemble_systems(mesh, systems):
-    """Scatter-add an element sweep, in element order, into the global
-    stiffness (CSR) and lumped mass vector."""
-    dim = mesh.dimension
-    n = mesh.num_vertices
-    ndof = dim * n
-    rows, cols, vals = [], [], []
-    M = np.zeros(ndof)
-    for K, ml, nodes, _ in systems:
-        nn = len(nodes)
-        gdof = np.concatenate(
-            [comp * n + np.asarray(nodes) for comp in range(dim)])
-        rows.append(np.repeat(gdof, dim * nn))
-        cols.append(np.tile(gdof, dim * nn))
-        vals.append(K.ravel())
-        M[gdof] += ml
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ndof, ndof)).tocsr()
-    return K, M
+    """Scatter-add an element sweep into the global stiffness (CSR) and
+    lumped mass vector.  Each group is scattered with array operations
+    into slots laid out in element order, so every shared entry sums its
+    element terms in element order."""
+    dim, n = mesh.dimension, mesh.num_vertices
+    size = np.zeros(mesh.num_elements, np.int64)
+    for ids, _, _, ml, _ in systems:
+        size[ids] = ml.shape[1]
+    start, start2 = np.cumsum(size) - size, np.cumsum(size ** 2) - size ** 2
+    dofs, masses = np.empty(size.sum(), np.int64), np.empty(size.sum())
+    rows, cols = np.empty((2, (size ** 2).sum()), np.int64)
+    vals = np.empty(len(rows))
+    for ids, nodes, K, ml, _ in systems:
+        n_el, dn = ml.shape
+        gdof = (np.arange(dim)[:, None] * n + nodes[:, None, :]).reshape(
+            n_el, dn)
+        at = start[ids][:, None] + np.arange(dn)
+        dofs[at], masses[at] = gdof, ml
+        at = start2[ids][:, None] + np.arange(dn * dn)
+        rows[at], cols[at] = np.repeat(gdof, dn, axis=1), np.tile(gdof, dn)
+        vals[at] = K.reshape(n_el, -1)
+    K = sp.coo_matrix((vals, (rows, cols)), shape=(dim * n, dim * n)).tocsr()
+    return K, np.bincount(dofs, masses, minlength=dim * n)
 
 
 @dataclass
@@ -216,6 +221,12 @@ class BeamProblem:
         """Fixed and driven dofs (a dof may appear twice)."""
         return np.concatenate([self.fixed, self.driven])
 
+    @property
+    def pulse_duration(self):
+        """tau = 100 x this problem's element bound: the case's pulse
+        duration when the problem is the VEM one (beam_pulse_duration)."""
+        return 100.0 * self.report.dt_crit
+
     @cached_property
     def omega_global(self):
         return eig.global_max_frequency(self.K, self.M, self.constrained)[0]
@@ -237,11 +248,10 @@ class BeamProblem:
     def run(self, dt, t_max_transits, tau=None, amplitude=1.0,
             probe=(2.0, 0.5, 0.0)):
         """The pulse-loaded run: the pulse of duration tau drives the x = 4
-        end for t_max_transits transit times.  tau=None takes 100 x this
-        problem's element bound, which is the case's pulse duration
-        (beam_pulse_duration) when the problem is the VEM one."""
+        end for t_max_transits transit times.  tau=None takes this
+        problem's pulse_duration."""
         if tau is None:
-            tau = 100.0 * self.report.dt_crit
+            tau = self.pulse_duration
         bcs = BcSchedule(fixed=self.fixed, driven=self.driven, tau=tau,
                          amplitude=amplitude)
         return run_beam(self.mesh, self.K, self.M, bcs, dt,
@@ -257,15 +267,15 @@ def beam_problem(mesh, method, alpha0="auto", lumping="auto"):
 
 
 def beam_pulse_duration(case, alpha0="auto", lumping="auto"):
-    """tau = 100 x the element-bound critical step of the case's VEM mesh.
+    """The pulse duration of the case: the pulse_duration of its VEM beam
+    problem.
 
     The pulse duration is part of the problem statement, so FEM and VEM
     runs of the same case share it.
     """
     from . import benchmarks
     mesh = benchmarks.gen_benchmark("beam" + case, variant="vem")
-    report = eig.critical_dt(mesh, "vem", alpha0=alpha0, lumping=lumping)
-    return 100.0 * report.dt_crit
+    return beam_problem(mesh, "vem", alpha0, lumping).pulse_duration
 
 
 def tapered_beam_experiment(case, method, dt_factor=0.9, dt_basis="element",

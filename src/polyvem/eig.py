@@ -1,14 +1,15 @@
 """Element and global maximum frequencies; critical-time-step estimates.
 
 One element sweep (``element_systems``) builds every element's stiffness and
-lumped mass once; ``time_step_report`` reduces it to the element bound, and
-``dynamics.assemble_systems`` reduces the same sweep to the global matrices.
-The element problems are small symmetric dense matrices, solved with LAPACK
-(``eigvalsh``) one stack per element size.  The global bound comes from
-power iteration on the mass-normalized stiffness with homogeneous
-constraints eliminated.  The element-eigenvalue inequality makes
-max_E omega_E an upper bound for the global omega, so dt = 2 / max_E omega_E
-is a safe explicit step.
+lumped mass once, elements of equal kind, node and face count as one stack
+(``vem.group_matrices``, ``fem.group_matrices``).  ``time_step_report``
+reduces the sweep to the element bound and ``dynamics.assemble_systems``
+reduces the same sweep to the global matrices.  The element problems are
+small symmetric dense matrices, solved with LAPACK (``eigvalsh``) one stack
+per group.  The global bound comes from power iteration on the
+mass-normalized stiffness with homogeneous constraints eliminated.  The
+element-eigenvalue inequality makes max_E omega_E an upper bound for the
+global omega, so dt = 2 / max_E omega_E is a safe explicit step.
 """
 
 from __future__ import annotations
@@ -63,48 +64,78 @@ class TimeStepReport:
                      f"{self.dt_crit:.17g},argmax={self.argmax_element}\n")
 
 
-def element_system(mesh, index, method, alpha0="unit", lumping="auto"):
-    """(K, lumped M, node ids, lumping used) for one element and method."""
+# Entries of the largest stack of (dim n)^2 matrices built at once.  Each
+# of the ~20 stacked arrays a VEM kernel holds then stays within 128 KiB,
+# which keeps a beam run's peak memory where one element at a time had it.
+STACK_ENTRIES = 1 << 14
+
+
+def element_groups(mesh):
+    """Element ids in groups of equal kind, node count and face count, in
+    order of each group's first element; a group is split into stacks of
+    at most STACK_ENTRIES // (dim n)^2 elements."""
+    groups = {}
+    for e, (el, faces) in enumerate(zip(
+            mesh.elements, np.diff(mesh.geometry.face_start).tolist())):
+        groups.setdefault((el.kind, len(el.node_ids()), faces), []).append(e)
+    out = []
+    for (_, n, _), ids in groups.items():
+        size = max(1, STACK_ENTRIES // (mesh.dimension * n) ** 2)
+        out += [np.array(ids[s:s + size]) for s in range(0, len(ids), size)]
+    return out
+
+
+def group_system(mesh, ids, method, alpha0="unit", lumping="auto"):
+    """(ids, node ids, K, lumped M, lumping used) of elements `ids`, one
+    group of element_groups, under one method; all but ids are stacks
+    whose row k is element ids[k]."""
     if method == "vem":
-        em = vem.element_matrices(mesh, index, alpha0=alpha0, lumping=lumping)
-        return em.K, em.M_lumped, em.nodes, em.lumping
+        em = vem.group_matrices(mesh, ids, alpha0=alpha0, lumping=lumping)
+        return ids, em.nodes, em.K, em.M_lumped, em.lumping
     if method == "fem":
-        K, M = fem.element_matrices(mesh, index)
+        K, M = fem.group_matrices(mesh, ids)
+        g = mesh.geometry
         ml, used = vem.lump(M, lumping, mesh.material.density,
-                            mesh.geometry.volume[index], mesh.dimension,
-                            convex=meshmod.is_convex(mesh, index))
-        return K, ml, mesh.elements[index].node_ids(), used
+                            g.volume[ids], mesh.dimension,
+                            convex=g.convex[ids], ids=ids)
+        return ids, meshmod.element_nodes(mesh, ids), K, ml, used
     raise ValueError(f"unknown method {method!r}")
 
 
+def element_system(mesh, index, method, alpha0="unit", lumping="auto"):
+    """(K, lumped M, node ids, lumping used) for one element and method:
+    the one-element view of group_system."""
+    _, nodes, K, ml, used = group_system(
+        mesh, [range(mesh.num_elements)[index]], method, alpha0, lumping)
+    return K[0], ml[0], tuple(nodes[0].tolist()), str(used[0])
+
+
 def element_systems(mesh, method, alpha0="unit", lumping="auto"):
-    """Element sweep: element_system of every element, in element order."""
-    return [element_system(mesh, i, method, alpha0, lumping)
-            for i in range(mesh.num_elements)]
+    """Element sweep: the group_system of every group of element_groups."""
+    return [group_system(mesh, ids, method, alpha0, lumping)
+            for ids in element_groups(mesh)]
 
 
 def time_step_report(systems, method):
     """Element-eigenvalue critical time step from an element sweep.
 
-    Element problems of equal size are eigensolved as one stack.
+    Each group is eigensolved as one stack.
     """
-    groups = {}
-    for i, (_, ml, _, _) in enumerate(systems):
-        if np.any(ml <= 0.0):
-            raise meshmod.ValidationError(
-                f"element {i}: non-positive lumped mass entry")
-        groups.setdefault(len(ml), []).append(i)
-    omegas = np.zeros(len(systems))
-    for ids in groups.values():
-        omegas[ids] = element_max_frequency(
-            np.array([systems[i][0] for i in ids]),
-            np.array([systems[i][1] for i in ids]))
+    bad = np.concatenate([ids[(ml <= 0.0).any(axis=1)]
+                          for ids, _, _, ml, _ in systems])
+    if bad.size:
+        raise meshmod.ValidationError(
+            f"element {bad.min()}: non-positive lumped mass entry")
+    omegas = np.zeros(sum(len(ids) for ids, *_ in systems))
+    for ids, _, K, ml, _ in systems:
+        omegas[ids] = element_max_frequency(K, ml)
     arg = int(np.argmax(omegas))
     omega_star = float(omegas[arg])
     dt = 2.0 / omega_star if omega_star > 0 else float("inf")
     return TimeStepReport(
         method=method,
-        lumping=",".join(sorted({used for *_, used in systems})),
+        lumping=",".join(sorted({mode for *_, used in systems
+                                 for mode in used.tolist()})),
         omega_elements=omegas,
         omega_star=omega_star,
         dt_crit=dt,

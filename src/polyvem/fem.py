@@ -2,82 +2,52 @@
 
 Dof ordering matches the virtual elements: [all-x | all-y | all-z] over the
 element's corner nodes, so FEM and VEM matrices are directly comparable on
-simplices.
+simplices.  Each kernel takes one element's corners or a stack of them and
+returns K and M likewise; ``group_matrices`` runs one over elements of one
+kind, and ``element_matrices`` is its one-element view.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mesh import ValidationError
-from .vem import constitutive_matrix, strain_operator
+from .mesh import ValidationError, element_nodes, reject
+from .vem import block_diagonal, constitutive_matrix, strain_operator
 
 
 def _simplex_matrices(grads, measure, C, rho):
-    """Constant-strain stiffness and consistent mass of a linear simplex."""
-    n = len(grads)
+    """Constant-strain stiffness and consistent mass of linear simplices."""
+    n = grads.shape[-2]
     B = strain_operator(grads)
-    K = measure * B.T @ C @ B
+    measure = np.asarray(measure)[..., None, None]
+    K = measure * np.swapaxes(B, -1, -2) @ C @ B
     m = rho * measure / (n * (n + 1)) * (np.ones((n, n)) + np.eye(n))
-    return K, np.kron(np.eye(n - 1), m)
+    return K, block_diagonal(m, n - 1)
 
 
-def tri3_matrices(verts, C, rho):
-    """Constant-strain triangle stiffness and consistent mass."""
+def tri3_matrices(verts, C, rho, ids=None):
+    """Constant-strain triangle stiffness and consistent mass.  Errors name
+    the element by its index in `ids`, here and in the other kernels."""
     verts = np.asarray(verts, float)
-    x = verts[:, 0]
-    y = verts[:, 1]
-    area2 = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
-    if area2 <= 0.0:
-        raise ValidationError("triangle is degenerate or clockwise")
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]]) / area2
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]]) / area2
-    return _simplex_matrices(np.stack([b, c], axis=1), 0.5 * area2, C, rho)
+    x, y = verts[..., 0], verts[..., 1]
+    b = np.roll(y, -1, axis=-1) - np.roll(y, -2, axis=-1)  # y[i+1] - y[i+2]
+    c = np.roll(x, -2, axis=-1) - np.roll(x, -1, axis=-1)  # x[i+2] - x[i+1]
+    area2 = c[..., 2] * b[..., 1] - c[..., 1] * b[..., 2]
+    reject(area2 <= 0.0, "triangle is degenerate or clockwise", ids)
+    grads = np.stack([b, c], axis=-1) / area2[..., None, None]
+    return _simplex_matrices(grads, 0.5 * area2, C, rho)
 
 
-def tet4_matrices(verts, C, rho):
+def tet4_matrices(verts, C, rho, ids=None):
     """Linear tetrahedron stiffness and consistent mass."""
     verts = np.asarray(verts, float)
-    J = verts[1:] - verts[0]
-    vol6 = float(np.linalg.det(J))
-    if vol6 <= 0.0:
-        raise ValidationError("tetrahedron is inverted or degenerate")
-    # grad N_i: rows of [ -sum ; inv(J)^T ] in the right arrangement
-    grads = np.zeros((4, 3))
-    grads[1:, :] = np.linalg.inv(J).T
-    grads[0, :] = -grads[1:, :].sum(axis=0)
+    J = verts[..., 1:, :] - verts[..., :1, :]
+    vol6 = np.linalg.det(J)
+    reject(vol6 <= 0.0, "tetrahedron is inverted or degenerate", ids)
+    # grad N_i: rows of [ -sum ; inv(J)^T ]
+    grads = np.swapaxes(np.linalg.inv(J), -1, -2)
+    grads = np.concatenate([-grads.sum(axis=-2, keepdims=True), grads], -2)
     return _simplex_matrices(grads, vol6 / 6.0, C, rho)
-
-
-_TRI3_POINTS = [(1 / 6, 1 / 6), (2 / 3, 1 / 6), (1 / 6, 2 / 3)]
-_LINE2_POINTS = [-1 / np.sqrt(3.0), 1 / np.sqrt(3.0)]
-
-
-def prism6_matrices(verts, C, rho):
-    """Isoparametric 6-node wedge, 3x2 point quadrature.
-
-    Node order: bottom triangle (0,1,2), top triangle (3,4,5).  The rule is
-    exact for prisms with affine (planar, translated) caps, which is all the
-    extrusion generator produces.
-    """
-    verts = np.asarray(verts, float)
-    if verts.shape != (6, 3):
-        raise ValidationError("prism needs 6 nodes")
-    K = np.zeros((18, 18))
-    m = np.zeros((6, 6))
-    for r, s in _TRI3_POINTS:
-        for t in _LINE2_POINTS:
-            N, dN = _wedge_shape(r, s, t)
-            J = dN.T @ verts
-            detJ = float(np.linalg.det(J))
-            if detJ <= 0.0:
-                raise ValidationError(
-                    "prism has non-positive Jacobian at a quadrature point")
-            w = detJ * (1.0 / 6.0)  # (1/3 * 1/2) triangle x 1 line weight
-            B = strain_operator(dN @ np.linalg.inv(J).T)
-            K += w * B.T @ C @ B
-            m += w * rho * np.outer(N, N)
-    return K, np.kron(np.eye(3), m)
 
 
 def _wedge_shape(r, s, t):
@@ -94,17 +64,52 @@ def _wedge_shape(r, s, t):
     return N, dN
 
 
-def element_matrices(mesh, index):
-    """Reference-FEM (K, M) for a tri/tet/prism element of a mesh."""
-    el = mesh.elements[index]
-    kernel = {"tri": tri3_matrices, "tet": tet4_matrices,
-              "prism": prism6_matrices}.get(el.kind)
+# Shape values (6 points, 6 nodes) and gradients (6 points, 6 nodes, 3) at
+# the 3x2 wedge quadrature points (triangle points x line points).
+_WEDGE_N, _WEDGE_DN = map(np.array, zip(*(
+    _wedge_shape(r, s, t)
+    for r, s in [(1 / 6, 1 / 6), (2 / 3, 1 / 6), (1 / 6, 2 / 3)]
+    for t in [-1 / np.sqrt(3.0), 1 / np.sqrt(3.0)])))
+
+
+def prism6_matrices(verts, C, rho, ids=None):
+    """Isoparametric 6-node wedge, 3x2 point quadrature.
+
+    Node order: bottom triangle (0,1,2), top triangle (3,4,5).  The rule is
+    exact for prisms with affine (planar, translated) caps, which is all the
+    extrusion generator produces.
+    """
+    verts = np.asarray(verts, float)
+    J = np.swapaxes(_WEDGE_DN, -1, -2) @ verts[..., None, :, :]
+    detJ = np.linalg.det(J)
+    reject((detJ <= 0.0).any(axis=-1),
+           "prism has non-positive Jacobian at a quadrature point", ids)
+    w = (detJ * (1.0 / 6.0))[..., None, None]  # (1/3 * 1/2) x 1 weight
+    B = strain_operator(_WEDGE_DN @ np.swapaxes(np.linalg.inv(J), -1, -2))
+    K = (w * np.swapaxes(B, -1, -2) @ C @ B).sum(axis=-3)
+    m = (w * rho * (_WEDGE_N[:, :, None] * _WEDGE_N[:, None, :])).sum(-3)
+    return K, block_diagonal(m, 3)
+
+
+_KERNELS = {"tri": tri3_matrices, "tet": tet4_matrices,
+            "prism": prism6_matrices}
+
+
+def group_matrices(mesh, ids):
+    """Reference-FEM (K, M) stacks of tri/tet/prism elements of one kind:
+    row k is mesh element ids[k]."""
+    kind = mesh.elements[ids[0]].kind
+    kernel = _KERNELS.get(kind)
     if kernel is None:
-        raise ValidationError(f"element {index} (kind {el.kind!r}) has no "
+        raise ValidationError(f"element {ids[0]} (kind {kind!r}) has no "
                               "reference finite element")
-    try:
-        return kernel(mesh.vertices[list(el.nodes)],
-                      constitutive_matrix(mesh.material, mesh.dimension),
-                      mesh.material.density)
-    except ValidationError as exc:
-        raise ValidationError(f"element {index}: {exc}") from exc
+    return kernel(mesh.vertices[element_nodes(mesh, ids)],
+                  constitutive_matrix(mesh.material, mesh.dimension),
+                  mesh.material.density, ids)
+
+
+def element_matrices(mesh, index):
+    """Reference-FEM (K, M) for a tri/tet/prism element of a mesh: the
+    one-element view of group_matrices."""
+    K, M = group_matrices(mesh, [range(mesh.num_elements)[index]])
+    return K[0], M[0]

@@ -173,10 +173,11 @@ class MeshGeometry:
     """Geometry and validation verdict of every element of one mesh.
 
     3D elements contribute their triangles and 2D elements their loop edges
-    to one stacked face table; ``face_start[e]:face_start[e + 1]`` slices
-    element e's faces, in its own order.  Moments are signed sums over the
-    simplices joining each face to the element's anchor (its first node);
-    ``integrate`` serves them to ``hni.scaled_moment_table``.
+    to one stacked face table (vertex ids ``faces``); ``face_start[e]:
+    face_start[e + 1]`` slices element e's faces, in its own order.  Moments
+    are signed sums over the simplices joining each face to the element's
+    anchor (its first node); ``integrate`` serves them to
+    ``hni.scaled_moment_table``.
     ``failed_check[e]`` is the first check element e fails (-1: none) and
     ``error(e)`` words it.
     """
@@ -269,9 +270,9 @@ class MeshGeometry:
         self.volume, self.diameter, self.convex = volume, diameter, convex
         self.centroid = centroid + origin
         self.degenerate = volume <= TAU_GEOM * diameter ** dim
-        self.face_areas, self.face_normals = areas, normals
+        self.faces, self.face_areas, self.face_normals = faces, areas, normals
         for arr in (volume, diameter, convex, self.centroid, self.degenerate,
-                    areas, normals, self.edge_lengths,
+                    faces, areas, normals, self.edge_lengths,
                     *self.scaled_moments.values()):
             arr.flags.writeable = False
 
@@ -293,7 +294,6 @@ class MeshGeometry:
         else:
             lengths = np.array([len(f) for c in conns if c for f in c], int)
             edge = self.edge_lengths.max(axis=1)
-            self._faces = faces
             self._face_check = np.select(
                 [lengths != 3, outside(faces).any(axis=1),
                  (faces == np.roll(faces, 1, axis=1)).any(axis=1),
@@ -353,7 +353,7 @@ class MeshGeometry:
             f, j = divmod(3 * s + np.flatnonzero(self._unpaired[3 * s:])[0], 3)
             where += f", face {f - s}"
             message = ("face orientation mismatch on edge "
-                       f"({self._faces[f, j]}, {self._faces[f, (j + 1) % 3]})")
+                       f"({self.faces[f, j]}, {self.faces[f, (j + 1) % 3]})")
         return f"{where}: " + message.format(
             volume=self.volume[index], kind=self._kinds[index],
             expected=self._expected[index], count=self._node_count[index])
@@ -433,6 +433,15 @@ def _crossing(corners, starts, sizes):
     return out
 
 
+def reject(bad, message, ids=None):
+    """Raise a ValidationError for the first element flagged in `bad` (one
+    flag, or one per stacked element), named by its mesh index in `ids`."""
+    first = np.flatnonzero(bad)
+    if first.size:
+        raise ValidationError(
+            message if ids is None else f"element {ids[first[0]]}: {message}")
+
+
 def validate_element(mesh, index):
     """Check one element's structural invariants; raise ValidationError."""
     message = mesh.geometry.error(index)
@@ -477,6 +486,11 @@ def element_local(mesh, index):
     if mesh.dimension == 2:
         return nodes, verts, tuple(local[v] for v in el.loop)
     return nodes, verts, tuple(tuple(local[v] for v in f) for f in el.faces)
+
+
+def element_nodes(mesh, ids):
+    """Node ids in dof order, (len(ids), n), of elements with n nodes each."""
+    return np.array([mesh.elements[i].node_ids() for i in ids], np.int64)
 
 
 def element_integrator(mesh, index):

@@ -2,31 +2,28 @@
 
 Works on polygons (plane strain) and on polyhedra with triangular faces.
 Element dofs are ordered [all-x | all-y | all-z] over the element's nodes.
-The strain-energy projector and the L2 projector are assembled from nodal
-values of the scaled monomials plus one-point face integration, which is
-exact because every face is a simplex.
+``group_matrices`` builds elements of equal node and face counts as stacks:
+the strain-energy and L2 projectors come from nodal values of the scaled
+monomials plus one-point face integration (exact on simplex faces), each
+scattered with one ``np.add.at`` over the group's stacked faces and solved
+with batched ``np.linalg.solve``.  ``element_matrices`` is a one-element view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from . import mesh as meshmod
-from .mesh import ValidationError
+from .mesh import ValidationError, reject
 
 __all__ = [
     "constitutive_matrix",
     "strain_operator",
-    "build_dof_matrix",
-    "energy_projector",
-    "l2_projector",
-    "stiffness",
-    "mass",
     "lump",
+    "group_matrices",
     "element_matrices",
-    "ElementContext",
     "ElementMatrices",
 ]
 
@@ -41,16 +38,11 @@ def constitutive_matrix(material, dim):
     nu = material.poisson_ratio
     lam = E * nu / ((1 + nu) * (1 - 2 * nu))
     mu = E / (2 * (1 + nu))
-    if dim == 2:
-        return np.array([
-            [lam + 2 * mu, lam, 0.0],
-            [lam, lam + 2 * mu, 0.0],
-            [0.0, 0.0, mu],
-        ])
-    C = np.zeros((6, 6))
-    C[:3, :3] = lam
-    C[0, 0] = C[1, 1] = C[2, 2] = lam + 2 * mu
-    C[3, 3] = C[4, 4] = C[5, 5] = mu
+    normal, shear = range(dim), range(dim, 3 * dim - 3)
+    C = np.zeros((3 * dim - 3, 3 * dim - 3))
+    C[:dim, :dim] = lam
+    C[normal, normal] += 2 * mu
+    C[shear, shear] = mu
     return C
 
 
@@ -72,246 +64,199 @@ def strain_operator(grads):
     return B
 
 
-def _strain_modes(dim, h):
-    """Symmetric gradients of the scaled vector monomial basis (Voigt)."""
-    if dim == 2:
-        B = np.zeros((3, 6))
-        B[2, 3] = 2.0   # (eta, xi)
-        B[0, 4] = 1.0   # (xi, 0)
-        B[1, 5] = 1.0   # (0, eta)
-        return B / h
-    B = np.zeros((6, 12))
-    B[3, 6] = 2.0       # (0, zeta, eta)
-    B[4, 7] = 2.0       # (zeta, 0, xi)
-    B[5, 8] = 2.0       # (eta, xi, 0)
-    B[0, 9] = 1.0       # (xi, 0, 0)
-    B[1, 10] = 1.0      # (0, eta, 0)
-    B[2, 11] = 1.0      # (0, 0, zeta)
-    return B / h
+def _table(shape, entries):
+    table = np.zeros(shape)
+    for *index, value in entries:
+        table[tuple(index)] = value
+    return table
 
 
-@dataclass(frozen=True)
-class ElementContext:
-    """Per-element data shared by the projector and matrix builders."""
-
-    dim: int
-    nodes: tuple[int, ...]
-    verts: np.ndarray              # local vertex coordinates (n, dim)
-    conn: tuple                    # local loop (2D) or local faces (3D)
-    geometry: meshmod.ElementGeometry
-
-    @property
-    def n_nodes(self):
-        return len(self.nodes)
-
-    @property
-    def faces(self):
-        """Local vertex ids of each face (loop edges in 2D), in face order."""
-        conn = np.array(self.conn)
-        if self.dim == 2:
-            return np.stack([conn, np.roll(conn, -1)], axis=1)
-        return conn
-
-    @property
-    def scaled_coords(self):
-        g = self.geometry
-        return (self.verts - g.centroid) / g.diameter
+# Symmetric gradients (Voigt) of the vector monomial basis, times h.
+_MODES = {2: _table((3, 6), [(2, 3, 2.0),      # (eta, xi)
+                             (0, 4, 1.0),      # (xi, 0)
+                             (1, 5, 1.0)]),    # (0, eta)
+          3: _table((6, 12), [(3, 6, 2.0),     # (0, zeta, eta)
+                              (4, 7, 2.0),     # (zeta, 0, xi)
+                              (5, 8, 2.0),     # (eta, xi, 0)
+                              (0, 9, 1.0),     # (xi, 0, 0)
+                              (1, 10, 1.0),    # (0, eta, 0)
+                              (2, 11, 1.0)])}  # (0, 0, zeta)
+# The vector monomial basis: entry (displacement component, scalar
+# monomial of [1, xi, eta, zeta], column) is the sign of that monomial.
+_BASIS = {2: _table((2, 3, 6), [
+              (0, 0, 0, 1), (1, 0, 1, 1), (0, 2, 2, -1), (1, 1, 2, 1),
+              (0, 2, 3, 1), (1, 1, 3, 1), (0, 1, 4, 1), (1, 2, 5, 1)]),
+          3: _table((3, 4, 12), [
+              (0, 0, 0, 1), (1, 0, 1, 1), (2, 0, 2, 1),
+              (1, 3, 3, -1), (2, 2, 3, 1), (0, 3, 4, 1), (2, 1, 4, -1),
+              (0, 2, 5, -1), (1, 1, 5, 1), (1, 3, 6, 1), (2, 2, 6, 1),
+              (0, 3, 7, 1), (2, 1, 7, 1), (0, 2, 8, 1), (1, 1, 8, 1),
+              (0, 1, 9, 1), (1, 2, 10, 1), (2, 3, 11, 1)])}
+# Exponents of the moments of [1, xi, eta, zeta] x [1, xi, eta, zeta].
+_MOMENTS = {dim: [tuple((a + b).tolist()) for a in e for b in e]
+            for dim in (2, 3) for e in [np.eye(dim + 1, dim, -1, int)]}
 
 
-def element_context(mesh, index):
-    nodes, verts, conn = meshmod.element_local(mesh, index)
-    geom = meshmod.element_geometry(mesh, index)
-    if not (np.isfinite(geom.volume) and geom.volume > 0.0):
-        raise ValidationError(
-            f"element {index}: non-positive measure {geom.volume!r}")
-    return ElementContext(mesh.dimension, nodes, verts, conn, geom)
+def block_diagonal(block, dim):
+    """kron(eye(dim), block) of a block or of each block of a stack."""
+    *lead, n, _ = block.shape
+    out = np.zeros((*lead, dim, n, dim, n))
+    for comp in range(dim):
+        out[..., comp, :, comp, :] = block
+    return out.reshape(*lead, dim * n, dim * n)
 
 
-def build_dof_matrix(ctx):
-    """Nodal dofs of the scaled vector monomials, [all-x | all-y | all-z]."""
-    dim = ctx.dim
-    n = ctx.n_nodes
-    sc = ctx.scaled_coords
-    xi = sc[:, 0]
-    eta = sc[:, 1]
-    if dim == 2:
-        D = np.zeros((2 * n, 6))
-        one = np.ones(n)
-        # columns: (1,0) (0,1) (-eta,xi) (eta,xi) (xi,0) (0,eta)
-        D[:n, 0] = one
-        D[n:, 1] = one
-        D[:n, 2] = -eta
-        D[n:, 2] = xi
-        D[:n, 3] = eta
-        D[n:, 3] = xi
-        D[:n, 4] = xi
-        D[n:, 5] = eta
-        return D
-    zeta = sc[:, 2]
-    D = np.zeros((3 * n, 12))
-    one = np.ones(n)
-    x, y, z = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
-    D[x, 0] = one
-    D[y, 1] = one
-    D[z, 2] = one
-    D[y, 3] = -zeta
-    D[z, 3] = eta
-    D[x, 4] = zeta
-    D[z, 4] = -xi
-    D[x, 5] = -eta
-    D[y, 5] = xi
-    D[y, 6] = zeta
-    D[z, 6] = eta
-    D[x, 7] = zeta
-    D[z, 7] = xi
-    D[x, 8] = eta
-    D[y, 8] = xi
-    D[x, 9] = xi
-    D[y, 10] = eta
-    D[z, 11] = zeta
-    return D
+def _scatter(out, flat, values):
+    """out.flat[flat] += values (broadcast to flat's shape), with one
+    np.add.at that adds in C order of `flat`."""
+    np.add.at(out.reshape(-1), flat.ravel(),
+              np.broadcast_to(values, flat.shape).ravel())
 
 
-def energy_projector(ctx, C):
-    """Strain-energy projector system (G, B-hat, Pi*, Pi)."""
-    dim = ctx.dim
-    n = ctx.n_nodes
-    g = ctx.geometry
-    n_rigid = dim * (dim + 1) // 2
-    n_modes = 2 * n_rigid
-
-    D = build_dof_matrix(ctx)
-    B = _strain_modes(dim, g.diameter)
-    Gfull = B.T @ (C @ B) * g.volume
-    G = Gfull.copy()
-    G[:n_rigid, :] = (D.T @ D)[:n_rigid, :] / n
-
-    stress_modes = C @ B  # Voigt stress of each basis mode
-    Bhat = np.zeros((n_modes, dim * n))
-    Bhat[:n_rigid, :] = D[:, :n_rigid].T / n
-    # Face tractions of the modes, weighted by the one-point rule (a hat
-    # integrates to area / dim over a simplex), scattered in face order.
-    traction = np.ascontiguousarray(np.swapaxes(
-        strain_operator(g.face_normals[:, None, :]), 1, 2)) @ stress_modes
-    w = (g.face_areas / dim)[:, None, None] * traction[:, :, n_rigid:]
-    cols = np.arange(dim) * n + ctx.faces[:, :, None]
-    np.add.at(Bhat[n_rigid:].T, cols, w[:, None])
-
+def _solve(A, B, ids, message):
+    """Batched solve; a singular system names its element."""
     try:
-        PiStar = np.linalg.solve(G, Bhat)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(
-            "singular projector system (degenerate element)") from exc
-    Pi = D @ PiStar
-    return D, G, Gfull, Bhat, PiStar, Pi
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        for k in range(len(A)):
+            try:
+                np.linalg.solve(A[k], B[k])
+            except np.linalg.LinAlgError as exc:
+                raise ValidationError(f"element {ids[k]}: {message}") from exc
+        raise
 
 
-def l2_projector(ctx):
-    """Scalar L2 (= elliptic) projector system (D0, G0, B0-hat, S0)."""
-    dim = ctx.dim
-    n = ctx.n_nodes
-    g = ctx.geometry
-    sc = ctx.scaled_coords
-    D0 = np.hstack([np.ones((n, 1)), sc])
-    G0 = np.zeros((dim + 1, dim + 1))
-    G0[0, :] = (D0.T @ D0)[0, :] / n
-    G0[1:, 1:] = g.volume / g.diameter ** 2 * np.eye(dim)
-    B0 = np.zeros((dim + 1, n))
-    B0[0, :] = 1.0 / n
-    w = 1.0 / (dim * g.diameter)
-    np.add.at(B0[1:].T, ctx.faces,
-              (g.face_normals * g.face_areas[:, None] * w)[:, None])
-    try:
-        S0 = np.linalg.solve(G0, B0)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(
-            "singular L2 projector system (degenerate element)") from exc
-    return D0, G0, B0, S0
-
-
-def resolve_alpha0(alpha0, dim, diameter):
-    """Stabilization scale: 1 in 2D; h_E in 3D unless overridden."""
-    if alpha0 == "auto":
-        return 1.0 if dim == 2 else diameter
-    if alpha0 == "unit":
-        return 1.0
-    return float(alpha0)
-
-
-def stiffness(ctx, C, alpha0="unit"):
-    """Element stiffness: consistency + diagonally scaled stability."""
-    dim = ctx.dim
-    g = ctx.geometry
-    proj = energy_projector(ctx, C)
-    D, G, Gfull, Bhat, PiStar, Pi = proj
-    Kc = PiStar.T @ Gfull @ PiStar
-    m = 3 if dim == 2 else 6
-    a0 = resolve_alpha0(alpha0, dim, g.diameter)
-    floor = a0 * np.trace(C) / m
-    Sd = np.maximum(floor, np.diag(Kc))
-    I = np.eye(Pi.shape[0])
-    Ks = (I - Pi).T @ (Sd[:, None] * (I - Pi))
-    K = Kc + Ks
-    return K, Kc, Ks, Sd
-
-
-def mass(ctx, rho):
-    """Consistent element mass from the L2 projector plus rank correction."""
-    dim = ctx.dim
-    n = ctx.n_nodes
-    g = ctx.geometry
-    D0, G0, B0, S0 = l2_projector(ctx)
-    mom = g.scaled_moments
-    basis = np.vstack([np.zeros(dim, int), np.eye(dim, dtype=int)])
-    H = rho * np.array([[mom[tuple(a + b)] for b in basis] for a in basis])
-    Pi0 = D0 @ S0
-    # One scalar block per displacement component.
-    Mc = np.kron(np.eye(dim), S0.T @ H @ S0)
-    Ms = np.kron(np.eye(dim),
-                 rho * g.volume * (np.eye(n) - Pi0).T @ (np.eye(n) - Pi0))
-    return Mc + Ms, Mc, Ms
-
-
-def lump(M, mode, rho, volume, dim, convex=None):
-    """Diagonal (lumped) mass by row-sum or diagonal scaling.
+def lump(M, mode, rho, volume, dim, convex=None, ids=None):
+    """Diagonal (lumped) mass by row-sum or diagonal scaling, of one element
+    matrix or a stack; returns the lumped masses and the mode used (per
+    element, for a stack).
 
     Mode "auto" picks row-sum for convex elements and diagonal scaling for
-    nonconvex ones, which keeps every entry positive.
+    nonconvex ones, which keeps every entry positive.  A non-positive entry
+    raises a ValidationError naming the element by its index in `ids`.
     """
     if mode == "auto":
         if convex is None:
             raise ValueError("auto lumping needs the convexity flag")
-        mode = "row_sum" if convex else "diag_scale"
-    if mode == "row_sum":
-        ml = M.sum(axis=1)
-        if np.any(ml <= 0.0):
-            raise ValidationError(
-                "row-sum lumping produced a non-positive entry; "
-                "use diag_scale")
-        return ml, mode
-    if mode == "diag_scale":
-        diag = np.diag(M).copy()
-        if np.any(diag <= 0.0):
-            raise ValidationError("mass diagonal has a non-positive entry")
-        return diag * (dim * rho * volume / np.trace(M)), mode
-    raise ValueError(f"unknown lumping mode {mode!r}")
+        row = np.asarray(convex)
+    elif mode in ("row_sum", "diag_scale"):
+        row = np.full(np.shape(volume), mode == "row_sum")
+    else:
+        raise ValueError(f"unknown lumping mode {mode!r}")
+    row_sum = M.sum(axis=-1)
+    diag = np.diagonal(M, axis1=-2, axis2=-1)
+    bad = np.where(row, row_sum.min(axis=-1), diag.min(axis=-1)) <= 0.0
+    if bad.any():
+        reject(bad, "row-sum lumping produced a non-positive entry; "
+               "use diag_scale" if np.ravel(row)[np.argmax(bad)] else
+               "mass diagonal has a non-positive entry", ids)
+    scale = dim * rho * volume / diag.sum(axis=-1)
+    ml = np.where(row[..., None], row_sum, diag * scale[..., None])
+    return ml, np.where(row, "row_sum", "diag_scale")[()]
 
 
-@dataclass(frozen=True)
-class ElementMatrices:
-    """Stiffness/mass bundle for one element."""
+# Stiffness/mass bundle of a group of elements, stacked along a leading
+# axis, with the projector systems it comes from: D (nodal dofs of the
+# vector monomials), Pi (energy projector), D0, G0, B0, S0 (L2 projector).
+ElementMatrices = namedtuple(
+    "ElementMatrices", "K Kc Ks M Ms M_lumped lumping nodes volume convex "
+    "D Pi D0 G0 B0 S0")
 
-    K: np.ndarray
-    Kc: np.ndarray
-    Ks: np.ndarray
-    M: np.ndarray
-    Mc: np.ndarray
-    Ms: np.ndarray
-    M_lumped: np.ndarray
-    lumping: str
-    nodes: tuple[int, ...]
-    volume: float
-    convex: bool
+
+def group_matrices(mesh, ids, alpha0="unit", lumping="auto"):
+    """K_E, M_E and the lumped mass of virtual elements with equal node and
+    face counts, stacked: row k is mesh element ids[k].
+
+    K is the consistency part plus the diagonally scaled stability; M is the
+    L2-projector mass plus its rank correction.  A non-finite or
+    non-positive measure, a singular projector system or a non-positive
+    lumped mass raises a ValidationError naming the element.
+    """
+    g = mesh.geometry
+    dim, rho = mesh.dimension, mesh.material.density
+    ids = np.asarray(ids)
+    vol, h = g.volume[ids], g.diameter[ids]
+    ok = np.isfinite(vol) & (vol > 0.0)
+    if not ok.all():
+        k = np.argmin(ok)
+        raise ValidationError(f"element {ids[k]}: non-positive measure "
+                              f"{float(vol[k])!r}")
+    nodes = meshmod.element_nodes(mesh, ids)
+    n_el, n = nodes.shape
+    n_rigid = dim * (dim + 1) // 2
+    f = g.face_start[ids][:, None] + np.arange(
+        g.face_start[ids[0] + 1] - g.face_start[ids[0]])
+    local = (g.faces[f][..., None] == nodes[:, None, None, :]).argmax(-1)
+    el = np.arange(n_el)[:, None, None, None]
+    areas, normals = g.face_areas[f], g.face_normals[f]
+
+    # Nodal values of the scalar monomials [1, xi, eta, zeta] (D0) and of
+    # the vector basis (D).
+    D0 = np.ones((n_el, n, dim + 1))
+    D0[..., 1:] = (mesh.vertices[nodes] - g.centroid[ids][:, None]) / h[
+        :, None, None]
+    D = (D0[:, None] @ _BASIS[dim]).reshape(n_el, dim * n, -1)
+    DT = np.swapaxes(D, 1, 2)
+
+    # Strain-energy projector.
+    C = constitutive_matrix(mesh.material, dim)
+    B = _MODES[dim] / h[:, None, None]
+    stress_modes = C @ B
+    Gfull = np.swapaxes(B, 1, 2) @ stress_modes * vol[:, None, None]
+    G = Gfull.copy()
+    G[:, :n_rigid] = (DT @ D)[:, :n_rigid] / n
+    Bhat = np.zeros((n_el, 2 * n_rigid, dim * n))
+    Bhat[:, :n_rigid] = DT[:, :n_rigid] / n
+    # Face tractions of the modes, weighted by the one-point rule (a hat
+    # integrates to area / dim over a simplex), scattered in face order.
+    traction = np.ascontiguousarray(np.swapaxes(strain_operator(
+        normals[..., None, :]), -1, -2)) @ stress_modes[:, None]
+    w = (areas / dim)[..., None, None] * traction[..., n_rigid:]
+    rows = el[..., None] * 2 * n_rigid + np.arange(n_rigid, 2 * n_rigid)
+    dofs = np.arange(dim) * n + local[..., None]
+    _scatter(Bhat, rows * dim * n + dofs[..., None], w[:, :, None])
+    PiStar = _solve(G, Bhat, ids,
+                    "singular projector system (degenerate element)")
+    Pi = D @ PiStar
+    Kc = np.swapaxes(PiStar, 1, 2) @ Gfull @ PiStar
+    # Stabilization scale alpha0: "auto" is 1 in 2D and h_E in 3D.
+    a0 = {"auto": 1.0 if dim == 2 else h, "unit": 1.0}.get(alpha0, alpha0)
+    floor = np.asarray(a0, float) * np.trace(C) / (3 * dim - 3)
+    Sd = np.maximum(np.reshape(floor, (-1, 1)),
+                    np.diagonal(Kc, axis1=1, axis2=2))
+    I_Pi = np.eye(dim * n) - Pi
+    Ks = np.swapaxes(I_Pi, 1, 2) @ (Sd[..., None] * I_Pi)
+
+    # Scalar L2 (= elliptic) projector and the mass, one block per
+    # displacement component.
+    G0 = np.zeros((n_el, dim + 1, dim + 1))
+    G0[:, 0] = (np.swapaxes(D0, 1, 2) @ D0)[:, 0] / n
+    G0[:, 1:, 1:] = (vol / h ** 2)[:, None, None] * np.eye(dim)
+    B0 = np.zeros((n_el, dim + 1, n))
+    B0[:, 0] = 1.0 / n
+    _scatter(B0, (el * (dim + 1) + 1 + np.arange(dim)) * n + local[..., None],
+             (normals * areas[..., None] * (1.0 / (dim * h))[:, None, None])[
+                 :, :, None])
+    S0 = _solve(G0, B0, ids,
+                "singular L2 projector system (degenerate element)")
+    H = rho * np.array([g.scaled_moments[key] for key in _MOMENTS[dim]])[
+        :, ids].T.reshape(n_el, dim + 1, dim + 1)
+    I_Pi0 = np.eye(n) - D0 @ S0
+    Ms = (rho * vol)[:, None, None] * np.swapaxes(I_Pi0, 1, 2) @ I_Pi0
+    M = block_diagonal(np.swapaxes(S0, 1, 2) @ H @ S0 + Ms, dim)
+    Ms = block_diagonal(Ms, dim)
+    convex = g.convex[ids]
+    ml, used = lump(M, lumping, rho, vol, dim, convex=convex, ids=ids)
+    return ElementMatrices(Kc + Ks, Kc, Ks, M, Ms, ml, used, nodes, vol,
+                           convex, D, Pi, D0, G0, B0, S0)
+
+
+def element_matrices(mesh, index, alpha0="unit", lumping="auto"):
+    """Build K_E, M_E and the lumped mass for one virtual element: the
+    one-element view of group_matrices."""
+    em = group_matrices(mesh, [range(mesh.num_elements)[index]], alpha0,
+                        lumping)
+    return ElementMatrices(*(field[0] for field in em))
 
 
 def write_matrix_csv(matrix, path):
@@ -320,17 +265,3 @@ def write_matrix_csv(matrix, path):
     with open(path, "w") as fh:
         for row in matrix:
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
-
-def element_matrices(mesh, index, alpha0="unit", lumping="auto"):
-    """Build K_E, M_E and the lumped mass for one virtual element."""
-    ctx = element_context(mesh, index)
-    C = constitutive_matrix(mesh.material, mesh.dimension)
-    K, Kc, Ks, _ = stiffness(ctx, C, alpha0)
-    M, Mc, Ms = mass(ctx, mesh.material.density)
-    convex = meshmod.is_convex(mesh, index)
-    ml, used = lump(M, lumping, mesh.material.density,
-                    ctx.geometry.volume, mesh.dimension, convex=convex)
-    return ElementMatrices(K=K, Kc=Kc, Ks=Ks, M=M, Mc=Mc, Ms=Ms,
-                           M_lumped=ml, lumping=used, nodes=ctx.nodes,
-                           volume=ctx.geometry.volume, convex=convex)

@@ -65,9 +65,8 @@ def test_criterion_2_simplex_equivalence():
     with Timer("criterion 2: VEM = FEM on a random tet (1e-12)", 1.0):
         mesh = random_tet_mesh(np.random.default_rng(2024))
         C = vem.constitutive_matrix(mesh.material, 3)
-        ctx = vem.element_context(mesh, 0)
-        Kv, _, _, _ = vem.stiffness(ctx, C, alpha0="unit")
-        Mv, _, _ = vem.mass(ctx, mesh.material.density)
+        em = vem.element_matrices(mesh, 0, alpha0="unit")
+        Kv, Mv = em.K, em.M
         Kf, Mf = fem.tet4_matrices(mesh.vertices, C, mesh.material.density)
         assert np.abs(Kv - Kf).max() <= 1e-12 * np.abs(Kf).max()
         assert np.abs(Mv - Mf).max() <= 1e-12 * np.abs(Mf).max()

@@ -288,3 +288,27 @@ def test_bad_tet_nodes_timestep_rejected(tmp_path, capsys, nodes):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "element 0" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("node", ["999", "-1"])
+def test_eig_global_fixed_node_out_of_range(tmp_path, capsys, node):
+    mesh_path = tmp_path / "kite.json"
+    run(["mesh-gen", "--name", "kite", "--eps", "1e-3", "--variant", "vem",
+         "--out", str(mesh_path)])
+    capsys.readouterr()
+    assert run(["eig-global", "--mesh", str(mesh_path), "--method", "vem",
+                "--fixed-nodes", node]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: node {node} out of range\n"
+    assert "omega_global" not in captured.out
+
+
+@pytest.mark.parametrize("option", ["--transits", "--dt-factor"])
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_simulate_nonpositive_option_rejected(tmp_path, capsys, option,
+                                              value):
+    assert run(["simulate", "--case", "A", "--method", "vem", option, value,
+                "--out", str(tmp_path / "hist.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {option} must be positive, got {float(value)}\n"
+    assert not (tmp_path / "hist.csv").exists()

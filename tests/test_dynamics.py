@@ -299,25 +299,29 @@ def test_beam_run_builds_each_element_once(monkeypatch, method, tau,
                                            n_elements):
     # One run generates its mesh once and builds every element system once
     # for both the time-step bound and the assembly; the VEM run takes its
-    # pulse duration from its own bound.
+    # pulse duration from its own bound.  Elements are counted through the
+    # batched kernel, each group call adding its group size.
     from polyvem import fem, vem
     calls = {"gen": 0, "element": 0}
     module = vem if method == "vem" else fem
-    gen, element_matrices = benchmarks.gen_benchmark, module.element_matrices
+    gen, group_matrices = benchmarks.gen_benchmark, module.group_matrices
+    built = []
 
     def counting_gen(*args, **kwargs):
         calls["gen"] += 1
         return gen(*args, **kwargs)
 
-    def counting_element(*args, **kwargs):
-        calls["element"] += 1
-        return element_matrices(*args, **kwargs)
+    def counting_group(mesh, ids, *args, **kwargs):
+        calls["element"] += len(ids)
+        built.extend(ids)
+        return group_matrices(mesh, ids, *args, **kwargs)
 
     monkeypatch.setattr(benchmarks, "gen_benchmark", counting_gen)
-    monkeypatch.setattr(module, "element_matrices", counting_element)
+    monkeypatch.setattr(module, "group_matrices", counting_group)
     exp = dynamics.tapered_beam_experiment("A", method, tau=tau,
                                            t_max_transits=0.01)
     assert calls == {"gen": 1, "element": n_elements}
+    assert sorted(built) == list(range(n_elements))
     assert not exp.result.diverged
 
 

@@ -1,11 +1,13 @@
-"""Eigenvalue machinery: stacked vs one-by-one element frequencies,
-frequency bounds, scaling laws, and the reference time-step tables."""
+"""Eigenvalue machinery: stacked vs one-by-one element frequencies, the
+grouped element sweep against its one-element views, frequency bounds,
+scaling laws, and the reference time-step tables."""
 
 import numpy as np
 import pytest
 
-from polyvem import benchmarks, dynamics, eig, mesh as meshmod
-from polyvem.mesh import Mesh, tet_element
+from polyvem import agglomerate, benchmarks, dynamics, eig, mesh as meshmod
+from polyvem import vem
+from polyvem.mesh import Mesh, ValidationError, tet_element
 
 from conftest import random_tet_mesh
 
@@ -135,3 +137,100 @@ def test_report_invariants(kite_meshes):
     assert report.dt_crit > 0
     assert np.all(report.omega_elements <= report.omega_star)
     assert report.omega_elements[report.argmax_element] == report.omega_star
+
+
+FAMILIES = ("tri2d", "prism3d", "wedge", "kite", "spireA", "spireB",
+            "spireC")
+SWEEP_CASES = (
+    [(name, 1e-3, "fem", method) for name in FAMILIES
+     for method in ("fem", "vem")]
+    + [(name, 1e-3, "vem", "vem") for name in FAMILIES]
+    # auto-agglomerated non-convex unions: diag_scale lumping under "auto"
+    + [("kite", 1e-5, "auto", "vem"), ("spireB", 1e-5, "auto", "vem")]
+    + [("beam" + case, None, variant, variant) for case in "AB"
+       for variant in ("fem", "vem")])
+
+
+@pytest.mark.parametrize("name, eps, variant, method", SWEEP_CASES)
+def test_group_sweep_matches_one_element_views(name, eps, variant, method):
+    # Every row of the stacked sweep is the one-element view of its element
+    # (a stack of one) to rounding, with the same lumping mode and nodes;
+    # every element sits in exactly one row.
+    if variant == "auto":
+        mesh = agglomerate.auto_agglomerate(
+            benchmarks.gen_benchmark(name, eps, "fem"))[0]
+    else:
+        mesh = benchmarks.gen_benchmark(name, eps, variant)
+    alpha0 = "auto" if name.startswith("beam") else "unit"
+    systems = eig.element_systems(mesh, method, alpha0, "auto")
+    rows = []
+    for ids, group_nodes, group_K, group_ml, group_used in systems:
+        for k, e in enumerate(ids):
+            K, ml, nodes, used = eig.element_system(mesh, e, method, alpha0,
+                                                    "auto")
+            assert np.abs(group_K[k] - K).max() <= 1e-13 * np.abs(K).max()
+            assert np.abs(group_ml[k] - ml).max() <= 1e-13 * ml.max()
+            assert (group_used[k], tuple(group_nodes[k])) == (used, nodes)
+            rows.append(e)
+    assert sorted(rows) == list(range(mesh.num_elements))
+    if variant == "auto":
+        assert "diag_scale" in eig.time_step_report(systems, method).lumping
+
+
+def separate_tets(apexes):
+    """Tetrahedra over the unit right triangle, shifted 2 apart along x,
+    one per apex; element 1 is kind "poly", so the "tet" group is elements
+    0, 2, 3, ...  Not validated."""
+    verts, elements = [], []
+    for k, apex in enumerate(apexes):
+        base = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], apex])
+        verts += list(base + [2.0 * k, 0, 0])
+        tet = tet_element(tuple(range(4 * k, 4 * k + 4)))
+        elements.append(meshmod.Element(faces=tet.faces) if k == 1 else tet)
+    return Mesh(3, np.array(verts), elements)
+
+
+GOOD_APEXES = [(0.2, 0.2, 1.0), (0.3, 0.3, 0.9), (0.1, 0.3, 0.8),
+               (0.2, 0.1, 0.7)]
+
+
+@pytest.mark.parametrize("method, message", [
+    ("vem", "element 2: non-positive measure 0.0"),
+    ("fem", "element 2: tetrahedron is inverted or degenerate"),
+])
+def test_degenerate_element_mid_batch_named(method, message):
+    # Element 2 is flat and sits at position 1 of its group's stack.
+    mesh = separate_tets(GOOD_APEXES[:2] + [(0.3, 0.3, 0.0)]
+                         + GOOD_APEXES[3:])
+    assert [grp.tolist() for grp in eig.element_groups(mesh)] == [
+        [0, 2, 3], [1]]
+    with pytest.raises(ValidationError) as info:
+        eig.critical_dt(mesh, method)
+    assert str(info.value) == message
+
+
+def test_singular_projector_mid_batch_named(monkeypatch):
+    # An infinite diameter zeroes the scaled coordinates and the strain
+    # modes of element 2, so its projector system is exactly singular.
+    mesh = separate_tets(GOOD_APEXES)
+    diameter = mesh.geometry.diameter.copy()
+    diameter[2] = np.inf
+    monkeypatch.setattr(mesh.geometry, "diameter", diameter)
+    with pytest.raises(ValidationError, match="^element 2: singular "
+                       "projector system"):
+        eig.critical_dt(mesh, "vem")
+
+
+def test_nonpositive_lumped_mass_mid_batch_named():
+    good, bad = np.eye(2), np.array([[1.0, -2.0], [-2.0, 1.0]])
+    with pytest.raises(ValidationError, match="^element 7: row-sum"):
+        vem.lump(np.stack([good, bad, good]), "row_sum", 1.0, np.ones(3), 1,
+                 ids=[5, 7, 9])
+    with pytest.raises(ValidationError, match="^element 9: mass diagonal"):
+        vem.lump(np.stack([good, good, -good]), "diag_scale", 1.0,
+                 np.ones(3), 1, ids=[5, 7, 9])
+    group = (np.array([0, 2, 1]), np.zeros((3, 1), int), np.zeros((3, 2, 2)),
+             np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
+             np.array(["row_sum"] * 3))
+    with pytest.raises(ValidationError, match="^element 2: non-positive"):
+        eig.time_step_report([group], "vem")

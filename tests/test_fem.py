@@ -69,8 +69,7 @@ def test_fem_matches_vem_on_triangle():
                                    nodes=(0, 1, 2))])
     C = vem.constitutive_matrix(STEEL, 2)
     Kf, _ = fem.tri3_matrices(verts, C, STEEL.density)
-    ctx = vem.element_context(mesh, 0)
-    Kv, _, _, _ = vem.stiffness(ctx, C, alpha0="unit")
+    Kv = vem.element_matrices(mesh, 0, alpha0="unit").K
     assert np.abs(Kf - Kv).max() <= 1e-12 * np.abs(Kf).max()
 
 

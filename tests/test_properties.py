@@ -71,14 +71,12 @@ def test_projector_identities_randomized():
         for builder in (random_tet_mesh, random_polygon_mesh,
                         random_extruded_mesh):
             mesh = builder(rng)
-            C = vem.constitutive_matrix(mesh.material, mesh.dimension)
-            ctx = vem.element_context(mesh, 0)
-            D, G, Gfull, Bhat, PiStar, Pi = vem.energy_projector(ctx, C)
+            em = vem.element_matrices(mesh, 0, alpha0="unit")
+            D, Pi = em.D, em.Pi
             assert np.abs(Pi @ D - D).max() <= 1e-10 * max(1.0,
                                                            np.abs(D).max())
             assert np.abs(Pi @ Pi - Pi).max() <= 1e-10 * np.abs(Pi).max()
-            K, Kc, Ks, _ = vem.stiffness(ctx, C, alpha0="unit")
-            assert np.abs(Ks @ D).max() <= 1e-10 * np.abs(K).max()
+            assert np.abs(em.Ks @ D).max() <= 1e-10 * np.abs(em.K).max()
             cases += 1
     assert cases == 60
 
