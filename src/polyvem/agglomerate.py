@@ -3,6 +3,8 @@
 Internal faces (shared by exactly two group members with opposite
 orientation) are removed; the union keeps the remaining boundary faces
 verbatim, so face integration stays exact and nothing is re-triangulated.
+Auto-agglomeration reads face contacts and node lists from the mesh's
+geometry table (``Mesh.geometry``).
 """
 
 from __future__ import annotations
@@ -159,38 +161,28 @@ def _rebuild(mesh, groups):
     return out, mapping
 
 
-def _face_keys(mesh, e):
-    """Sorted vertex tuples of an element's faces (loop edges in 2D), in
-    face order."""
-    el = mesh.elements[e]
-    if mesh.dimension == 2:
-        n = len(el.loop)
-        return [tuple(sorted((el.loop[k], el.loop[(k + 1) % n])))
-                for k in range(n)]
-    return [tuple(sorted(f)) for f in el.faces]
-
-
-def _shared_face_area(mesh, e1, e2):
-    """Total area of faces/edges shared between two elements."""
-    keys1 = set(_face_keys(mesh, e1))
-    areas = meshmod.element_geometry(mesh, e2).face_areas
-    return sum(float(area) for area, key in zip(areas, _face_keys(mesh, e2))
-               if key in keys1)
-
-
-def _neighbors(mesh):
-    """element -> set of face-adjacent elements."""
-    owner = {}
-    adj = [set() for _ in range(mesh.num_elements)]
-    for i in range(mesh.num_elements):
-        for key in _face_keys(mesh, i):
-            if key in owner:
-                j = owner[key]
-                adj[i].add(j)
-                adj[j].add(i)
-            else:
-                owner[key] = i
-    return adj
+def _contacts(mesh):
+    """Face contacts of the elements, from the geometry table's stacked
+    faces (loop edges in 2D): (neighbors, area).  neighbors[e] is the set
+    of elements sharing a face with e (each later copy of a face links its
+    element to the first element holding it); area[e, nb] is the area of
+    nb's copies of the faces it shares with e, summed in nb's face order."""
+    g = mesh.geometry
+    owner = np.repeat(np.arange(mesh.num_elements), np.diff(g.face_start))
+    order, run = meshmod._runs(*np.sort(g.faces, axis=1).T)
+    first = np.empty_like(order)
+    first[order] = order[np.searchsorted(run, run)]
+    later = np.flatnonzero(first != np.arange(len(first)))
+    a, b = owner[later].tolist(), owner[first[later]].tolist()
+    neighbors = [set() for _ in range(mesh.num_elements)]
+    for i, j in zip(a, b):
+        neighbors[i].add(j)
+        neighbors[j].add(i)
+    area, areas = {}, g.face_areas.tolist()
+    for e, nb, f in sorted(zip(a + b, b + a,
+                               first[later].tolist() + later.tolist())):
+        area[e, nb] = area.get((e, nb), 0.0) + areas[f]
+    return neighbors, area
 
 
 def auto_agglomerate(mesh, thresholds=quality.DEFAULT_THRESHOLDS,
@@ -207,14 +199,15 @@ def auto_agglomerate(mesh, thresholds=quality.DEFAULT_THRESHOLDS,
            if r.classification not in ("good", "not_applicable")]
     groups = {i: {i} for i in range(mesh.num_elements)}
     owner = list(range(mesh.num_elements))
-    adj = _neighbors(mesh)
+    adj, shared = _contacts(mesh)
     unmerged = []
 
     def group_volume(members):
         members = sorted(members)
-        nodes = {v for e in members for v in mesh.elements[e].node_ids()}
+        nodes = np.unique(np.concatenate(
+            [meshmod.element_nodes(mesh, [e])[0] for e in members]))
         return (mesh.geometry.volume[members].sum(),
-                meshmod._max_pairwise_distance(mesh.vertices[sorted(nodes)]))
+                meshmod._max_pairwise_distance(mesh.vertices[nodes]))
 
     for seed in bad:
         while True:
@@ -229,8 +222,8 @@ def auto_agglomerate(mesh, thresholds=quality.DEFAULT_THRESHOLDS,
                     nroot = owner[nb]
                     if nroot == root:
                         continue
-                    area = _shared_face_area(mesh, e, nb)
-                    candidates[nroot] = candidates.get(nroot, 0.0) + area
+                    candidates[nroot] = (candidates.get(nroot, 0.0)
+                                         + shared[e, nb])
             if not candidates:
                 if len(members) == 1:
                     unmerged.append(seed)

@@ -28,9 +28,10 @@ PRISM_THICKNESS = 0.5
 
 # Cut-line clearance above the nearest mesh line, in meters.  Case A is
 # sized so the element-eigenvalue time-step ratio VEM/FEM lands near the
-# factor the tapered-beam reference results give; case B reproduces the reference
-# global maximum frequency, with an element bound ~300x more conservative
-# still (making the element-eigenvalue estimate impractical there).
+# factor the tapered-beam reference results give; case B reproduces the
+# reference global maximum frequency, with an FEM element bound ~3090x above
+# the assembled one (making the element-eigenvalue estimate impractical
+# there).
 BEAM_GAP = {"A": 1.0e-4, "B": 3.6e-10}
 
 
@@ -188,6 +189,10 @@ _MERGE_HEIGHT = 0.47  # rows; cut pieces shorter than this merge downward
 
 
 def _beam_2d(case):
+    """(vertices, polygons, cells) of the beam's plane mesh: the polygons
+    the `fem` variant splits into triangles, in order, and the cells of the
+    `vem` variant, in element order, each as (loop, ids of the triangles it
+    covers)."""
     gap = BEAM_GAP[case]
     delta0 = 3.0 / _BEAM_SLOPE + gap / BEAM_DY
 
@@ -233,12 +238,13 @@ def _beam_2d(case):
     turn_node(1)
     turn_node(2)
 
-    quads = []      # fully kept cells, by (col, row)
-    pieces = []     # cut-cell polygons: (loop, merge_down flag, col)
+    quads = {}      # fully kept cells: (col, row) -> loop
+    pieces = []     # cut-cell polygons: (loop, merge_down flag, col, row)
     for i in range(BEAM_COLS):
         kept_rows = min(K[i], K[i + 1])
         for r in range(kept_rows):
-            quads.append((i, r))
+            quads[i, r] = (node(i, r), node(i + 1, r), node(i + 1, r + 1),
+                           node(i, r + 1))
         if i == c1 or i == c2:
             which = 1 if i == c1 else 2
             row = 11 if i == c1 else 10
@@ -253,48 +259,39 @@ def _beam_2d(case):
                      cut_node(i))
             height = max(ell(i) - row, ell(i + 1) - row)
             pieces.append((piece, height < _MERGE_HEIGHT, i, row))
-    return coords, quads, pieces, node, cut_node, turn_node
+
+    # fem fan-splits each quad, then each piece, into len(loop) - 2
+    # triangles; tris: a quad's (col, row) or a piece's index -> their ids.
+    polygons = [*quads.items(), *enumerate(p[0] for p in pieces)]
+    tris, count = {}, 0
+    for key, loop in polygons:
+        tris[key] = list(range(count, count + len(loop) - 2))
+        count += len(loop) - 2
+
+    # Cells: the quads not merged, then the pieces, a thin piece with the
+    # cell below it as a hexagon, and the two pieces of each turn last.
+    merged, turns = [], {}
+    for k, (loop, flag, col, row) in enumerate(pieces):
+        if flag == "turn":
+            turns.setdefault(col, []).append((loop, tris[k]))
+        elif flag:
+            below = quads.pop((col, row - 1))
+            merged.append(((*below[:2], *loop[1:], loop[0]),
+                           tris[col, row - 1] + tris[k]))
+        else:
+            merged.append((loop, tris[k]))
+    for col, ((tri, t1), (pent, t2)) in sorted(turns.items()):
+        # tri = (d, S, P_col); pent = (a, b, P_right, S, d); they share S-d.
+        merged.append(((*pent[:4], tri[2], tri[0]), t1 + t2))
+    cells = [(loop, tris[key]) for key, loop in quads.items()] + merged
+    return np.array(coords), [loop for _, loop in polygons], cells
 
 
 def _beam_mesh_2d(case, variant):
-    coords, quads, pieces, node, cut_node, turn_node = _beam_2d(case)
-    verts = np.array(coords)
-    elements = []
-    if variant == "fem":
-        for (i, r) in quads:
-            loop = (node(i, r), node(i + 1, r), node(i + 1, r + 1),
-                    node(i, r + 1))
-            elements.extend(_split_polygon(verts, loop))
-        for loop, _, _, _ in pieces:
-            elements.extend(_split_polygon(verts, loop))
-        return meshmod.validate_mesh(Mesh(2, verts, elements, STEEL_NU0))
-
-    consumed = set()
-    merged = []
-    turn_parts = {}
-    for loop, flag, col, row in pieces:
-        if flag == "turn":
-            turn_parts.setdefault(col, []).append(loop)
-        elif flag:
-            # Hexagon: the cell below plus the thin piece above it.
-            a, b, pr, pl = loop
-            hexagon = (node(col, row - 1), node(col + 1, row - 1),
-                       b, pr, pl, a)
-            merged.append(hexagon)
-            consumed.add((col, row - 1))
-        else:
-            merged.append(loop)
-    for col, parts in sorted(turn_parts.items()):
-        tri, pent = parts if len(parts[0]) == 3 else parts[::-1]
-        # tri = (d, S, P_col); pent = (a, b, P_right, S, d); they share S-d.
-        d, S, pcol = tri
-        a, b, pright, S2, d2 = pent
-        assert S == S2 and d == d2
-        merged.append((a, b, pright, S, pcol, d))
-    elements = [Element(loop=(node(i, r), node(i + 1, r),
-                              node(i + 1, r + 1), node(i, r + 1)))
-                for (i, r) in quads if (i, r) not in consumed]
-    elements += [Element(loop=tuple(loop)) for loop in merged]
+    verts, polygons, cells = _beam_2d(case)
+    elements = ([t for loop in polygons for t in _split_polygon(verts, loop)]
+                if variant == "fem" else
+                [Element(loop=loop) for loop, _ in cells])
     return meshmod.validate_mesh(Mesh(2, verts, elements, STEEL_NU0))
 
 
@@ -322,37 +319,6 @@ def beam_agglomeration_groups(case):
     element k.  Driving explicit merges with these groups reproduces the
     549-element mesh from the 3456-tet mesh.
     """
-    coords, quads, pieces, node, cut_node, turn_node = _beam_2d(case)
-    verts = np.array(coords)
-    tri_count = 0
-    quad_tris = {}
-    for (i, r) in quads:
-        loop = (node(i, r), node(i + 1, r), node(i + 1, r + 1),
-                node(i, r + 1))
-        n = len(_split_polygon(verts, loop))
-        quad_tris[(i, r)] = list(range(tri_count, tri_count + n))
-        tri_count += n
-    piece_tris = []
-    for loop, _, _, _ in pieces:
-        n = len(_split_polygon(verts, loop))
-        piece_tris.append(list(range(tri_count, tri_count + n)))
-        tri_count += n
-
-    consumed = set()
-    merged = []   # triangle-id lists, in the vem merged-element order
-    turn_parts = {}
-    for k, (loop, flag, col, row) in enumerate(pieces):
-        if flag == "turn":
-            turn_parts.setdefault(col, []).append(piece_tris[k])
-        elif flag:
-            merged.append(quad_tris[(col, row - 1)] + piece_tris[k])
-            consumed.add((col, row - 1))
-        else:
-            merged.append(piece_tris[k])
-    for col, parts in sorted(turn_parts.items()):
-        merged.append(parts[0] + parts[1])
-    tri_groups = [quad_tris[(i, r)] for (i, r) in quads
-                  if (i, r) not in consumed] + merged
-    return [tuple(t for tri in group for t in (3 * tri, 3 * tri + 1,
-                                               3 * tri + 2))
-            for group in tri_groups]
+    return [tuple(t for tri in tris for t in (3 * tri, 3 * tri + 1,
+                                              3 * tri + 2))
+            for _, tris in _beam_2d(case)[2]]

@@ -44,12 +44,13 @@ def main(argv=None):
         else:
             args.func(args, cfg)
         return 0
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        # Before the ValueError clause: LinAlgError subclasses ValueError.
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (MeshError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
 
 
 def _load_config(args):
@@ -64,7 +65,9 @@ def _load_config(args):
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    # No defaults: the subcommand's parse keeps a value given before it.
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="key=value configuration file")
     common.add_argument("--alpha0",
                         help="stabilization preset: auto, unit, or a number")

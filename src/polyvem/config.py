@@ -8,6 +8,7 @@ file values.  The configuration hash identifies an experiment manifest.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .mesh import MaterialParams, ValidationError
@@ -72,7 +73,14 @@ def build_config(file_values=None, **overrides):
         )
     alpha0 = values.get("alpha0", "auto")
     if alpha0 not in ("auto", "unit"):
-        alpha0 = float(alpha0)
+        try:
+            alpha0 = float(alpha0)
+        except (TypeError, ValueError):
+            alpha0 = math.nan
+        if not (math.isfinite(alpha0) and alpha0 > 0.0):
+            raise ValidationError(
+                "alpha0 must be auto, unit or a positive finite number, "
+                f"got {values['alpha0']!r}")
     lumping = values.get("lumping", "auto")
     if lumping not in ("auto", "row_sum", "diag_scale"):
         raise ValidationError(f"unknown lumping mode {lumping!r}")

@@ -25,6 +25,7 @@ from . import eig
 from .mesh import ValidationError
 
 BEAM_PULSE_AMPLITUDE = 1.0 / 16.0  # peak of (t/tau)^4 - 2(t/tau)^3 + (t/tau)^2
+BEAM_PROBE = (2.0, 0.5, 0.0)  # mid-beam node whose x displacement is recorded
 
 
 def assemble(mesh, method, alpha0="unit", lumping="auto"):
@@ -80,17 +81,6 @@ class BcSchedule:
 
 
 @dataclass
-class SimState:
-    """Nodal kinematics at the end of a run (velocity at the half step)."""
-
-    u: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
-    t: float = 0.0
-    step: int = 0
-
-
-@dataclass
 class RunResult:
     times: np.ndarray
     probe_history: np.ndarray    # (steps+1, n_probes)
@@ -99,7 +89,6 @@ class RunResult:
     diverged: bool
     diverged_step: int | None
     wall_seconds: float
-    state: SimState | None = None
 
 
 def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
@@ -157,7 +146,6 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
         diverged=diverged,
         diverged_step=diverged_step,
         wall_seconds=wall,
-        state=SimState(u=u, v=v_half, a=a, t=times[-1], step=len(times) - 1),
     )
 
 
@@ -245,18 +233,16 @@ class BeamProblem:
             return 2.0 / self.omega_global
         raise ValidationError(f"unknown dt basis {basis!r}")
 
-    def run(self, dt, t_max_transits, tau=None, amplitude=1.0,
-            probe=(2.0, 0.5, 0.0)):
+    def run(self, dt, t_max_transits, tau=None):
         """The pulse-loaded run: the pulse of duration tau drives the x = 4
         end for t_max_transits transit times.  tau=None takes this
         problem's pulse_duration."""
         if tau is None:
             tau = self.pulse_duration
-        bcs = BcSchedule(fixed=self.fixed, driven=self.driven, tau=tau,
-                         amplitude=amplitude)
+        bcs = BcSchedule(fixed=self.fixed, driven=self.driven, tau=tau)
         return run_beam(self.mesh, self.K, self.M, bcs, dt,
                         t_max_transits * self.transit, self.transit,
-                        probe=probe, report=self.report, method=self.method)
+                        report=self.report, method=self.method)
 
 
 def beam_problem(mesh, method, alpha0="auto", lumping="auto"):
@@ -279,9 +265,8 @@ def beam_pulse_duration(case, alpha0="auto", lumping="auto"):
 
 
 def tapered_beam_experiment(case, method, dt_factor=0.9, dt_basis="element",
-                            t_max_transits=3.0, probe=(2.0, 0.5, 0.0),
-                            alpha0="auto", lumping="auto", tau=None,
-                            amplitude=1.0):
+                            t_max_transits=3.0, alpha0="auto",
+                            lumping="auto", tau=None):
     """Run the pulse-loaded beam case and return the normalized history.
 
     dt_basis "element" uses the element-eigenvalue bound 2/max_E omega_E;
@@ -298,13 +283,13 @@ def tapered_beam_experiment(case, method, dt_factor=0.9, dt_basis="element",
     dt = dt_factor * problem.dt_crit(dt_basis)
     if tau is None and method == "fem":
         tau = beam_pulse_duration(case, alpha0=alpha0, lumping=lumping)
-    return problem.run(dt, t_max_transits, tau, amplitude, probe)
+    return problem.run(dt, t_max_transits, tau)
 
 
-def run_beam(mesh, K, M, bcs, dt, t_max, transit, probe, report, method):
-    """Central-difference beam run, probed at `probe`, with the history
+def run_beam(mesh, K, M, bcs, dt, t_max, transit, report, method):
+    """Central-difference beam run, probed at BEAM_PROBE, with the history
     normalized by the transit time and the pulse peak."""
-    probe_dof, exact = find_probe_dof(mesh, probe, comp=0)
+    probe_dof, exact = find_probe_dof(mesh, BEAM_PROBE, comp=0)
     if not exact:
         import warnings
         warnings.warn("probe point is not a mesh node; using nearest node")

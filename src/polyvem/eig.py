@@ -74,10 +74,11 @@ def element_groups(mesh):
     """Element ids in groups of equal kind, node count and face count, in
     order of each group's first element; a group is split into stacks of
     at most STACK_ENTRIES // (dim n)^2 elements."""
+    g = mesh.geometry
     groups = {}
-    for e, (el, faces) in enumerate(zip(
-            mesh.elements, np.diff(mesh.geometry.face_start).tolist())):
-        groups.setdefault((el.kind, len(el.node_ids()), faces), []).append(e)
+    for e, key in enumerate(zip(g.kinds, np.diff(g.node_start).tolist(),
+                                np.diff(g.face_start).tolist())):
+        groups.setdefault(key, []).append(e)
     out = []
     for (_, n, _), ids in groups.items():
         size = max(1, STACK_ENTRIES // (mesh.dimension * n) ** 2)

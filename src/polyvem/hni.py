@@ -21,17 +21,6 @@ __all__ = [
     "PolyhedronIntegrator",
     "monomial_value",
     "scaled_moment_table",
-    "SCALED_EXPONENTS_2D",
-    "SCALED_EXPONENTS_3D",
-]
-
-# Scaled-moment table keys, by exponent of (xi, eta[, zeta]).
-SCALED_EXPONENTS_2D = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
-SCALED_EXPONENTS_3D = [
-    (0, 0, 0),
-    (1, 0, 0), (0, 1, 0), (0, 0, 1),
-    (1, 1, 0), (1, 0, 1), (0, 1, 1),
-    (2, 0, 0), (0, 2, 0), (0, 0, 2),
 ]
 
 

@@ -7,9 +7,11 @@ elements can be built on them; purely polytopal elements do not need one.
 
 Meshes are immutable by convention: nothing in this package mutates a mesh
 after construction, so instances can be shared freely.  Each mesh builds its
-geometry table (``Mesh.geometry``: stacked face data, closed-form order-<=2
-moments, convexity and the validation verdict of every element) once, on
-the first geometry query or validation, and keeps it.  Mutating
+geometry table (``Mesh.geometry``: stacked face data, each element's node
+list in dof order, closed-form order-<=2 moments, convexity and the
+validation verdict of every element) once, on the first geometry query or
+validation, and keeps it.  The table alone decides element connectivity:
+every reader of element nodes or face contacts reads it.  Mutating
 ``mesh.vertices`` in place after that leaves the table stale; build a new
 ``Mesh`` instead.  The HNI integrators (``element_integrator``) are the
 arbitrary-degree reference and are not used by the element pipeline.
@@ -76,14 +78,6 @@ class Element:
     faces: tuple[tuple[int, int, int], ...] | None = None
     kind: str = "poly"
     nodes: tuple[int, ...] | None = None
-
-    def node_ids(self):
-        """Element node ids in the element's dof order."""
-        if self.nodes is not None:
-            return self.nodes
-        if self.loop is not None:
-            return self.loop
-        return tuple(sorted({v for f in self.faces for v in f}))
 
 
 @dataclass(frozen=True)
@@ -174,10 +168,12 @@ class MeshGeometry:
 
     3D elements contribute their triangles and 2D elements their loop edges
     to one stacked face table (vertex ids ``faces``); ``face_start[e]:
-    face_start[e + 1]`` slices element e's faces, in its own order.  Moments
-    are signed sums over the simplices joining each face to the element's
-    anchor (its first node); ``integrate`` serves them to
-    ``hni.scaled_moment_table``.
+    face_start[e + 1]`` slices element e's faces, in its own order.  The
+    node lists are stacked the same way (``nodes``, ``node_start``), each in
+    the element's dof order: its given ``nodes``, else its 2D loop, else the
+    sorted vertex set of its faces.  Moments are signed sums over the
+    simplices joining each face to the element's anchor (its first node);
+    ``integrate`` serves them to ``hni.scaled_moment_table``.
     ``failed_check[e]`` is the first check element e fails (-1: none) and
     ``error(e)`` words it.
     """
@@ -212,19 +208,29 @@ class MeshGeometry:
             areas, normals = triangle_area_normal(pts)
         self.edge_lengths = hni._norms(np.roll(pts, -1, axis=1) - pts)
 
-        # The anchor is node_ids()[0]: the first node, else the first loop
-        # vertex or the smallest face vertex.
+        # Each element's vertex set, sorted.
+        order, run = _runs(corner_owner, corners)
+        head = order[np.flatnonzero(np.diff(run, prepend=-1))]
+        set_owner, set_ids = corner_owner[head], corners[head]
+        set_size = np.bincount(set_owner, minlength=n_el)
+        set_start = np.cumsum(set_size) - set_size
+
+        # Node lists in dof order: the given nodes, else the 2D loop, else
+        # the sorted vertex set of the faces.  The first node anchors the
+        # moments.
         node_lists = [el.nodes for el in els]
-        node_count = np.array([len(x or ()) for x in node_lists], np.int64)
-        node_ids = _ids([v for x in node_lists if x for v in x])
-        node_owner = np.repeat(np.arange(n_el), node_count)
-        anchor = np.zeros(n_el, np.int64)
-        has = sizes > 0
-        anchor[has] = (corners[starts[has]] if dim == 2 else
-                       np.minimum.reduceat(faces.min(axis=1), starts[has]))
-        given = node_count > 0
-        anchor[given] = node_ids[(np.cumsum(node_count) - node_count)[given]]
-        origin = V[vid(anchor)]
+        given_count = np.array([len(x or ()) for x in node_lists], np.int64)
+        given_ids = _ids([v for x in node_lists if x for v in x])
+        given_owner = np.repeat(np.arange(n_el), given_count)
+        has_nodes = np.array([x is not None for x in node_lists], bool)
+        rule_owner, rule_ids = ((corner_owner, corners) if dim == 2 else
+                                (set_owner, set_ids))
+        derived = ~has_nodes[rule_owner]
+        owners = np.concatenate([given_owner, rule_owner[derived]])
+        pick = np.argsort(owners, kind="stable")
+        self.nodes = np.concatenate([given_ids, rule_ids[derived]])[pick]
+        self.node_start = np.searchsorted(owners[pick], np.arange(n_el + 1))
+        origin = V[vid(np.append(self.nodes, 0)[self.node_start[:-1]])]
 
         # Moments of the face-to-anchor simplices, summed d!-scaled and
         # divided once per element (a unit cube's volume comes out exact).
@@ -247,11 +253,6 @@ class MeshGeometry:
 
             # Diameter and convexity over each element's vertex set, in
             # groups of equal set size.
-            order, run = _runs(corner_owner, corners)
-            head = order[np.flatnonzero(np.diff(run, prepend=-1))]
-            set_owner, set_ids = corner_owner[head], corners[head]
-            set_size = np.bincount(set_owner, minlength=n_el)
-            set_start = np.cumsum(set_size) - set_size
             diameter, convex = np.zeros(n_el), np.ones(n_el, bool)
             for size in np.unique(set_size[set_size > 0]):
                 group = np.flatnonzero(set_size == size)
@@ -272,7 +273,8 @@ class MeshGeometry:
         self.degenerate = volume <= TAU_GEOM * diameter ** dim
         self.faces, self.face_areas, self.face_normals = faces, areas, normals
         for arr in (volume, diameter, convex, self.centroid, self.degenerate,
-                    faces, areas, normals, self.edge_lengths,
+                    faces, areas, normals, self.edge_lengths, self.nodes,
+                    self.node_start,
                     *self.scaled_moments.values()):
             arr.flags.writeable = False
 
@@ -310,22 +312,21 @@ class MeshGeometry:
                 ("faces are not watertight",
                  hni._norms(weighted) > 1e-12 * largest),
                 ("faces oriented inward (volume {volume:g})", volume <= 0.0)]
-        self._kinds = [el.kind for el in els]
+        self.kinds = [el.kind for el in els]
         self._expected = np.array([_KIND_NODES.get(k, -1)
-                                   for k in self._kinds], np.int64)
-        self._node_count = node_count
-        has_nodes = np.array([x is not None for x in node_lists], bool)
-        in_set = np.isin(node_owner * len(V) + vid(node_ids),
+                                   for k in self.kinds], np.int64)
+        self._given_count = given_count
+        in_set = np.isin(given_owner * len(V) + vid(given_ids),
                          set_owner * len(V) + vid(set_ids))
         checks += [
             ("a {kind} needs {expected} nodes, got {count}",
-             (self._expected >= 0) & (node_count != self._expected)),
+             (self._expected >= 0) & (given_count != self._expected)),
             ("node id out of range or not an integer",
-             _any(node_owner[outside(node_ids)], n_el)),
-            ("repeated node", _repeated(node_owner, node_ids, n_el)),
+             _any(given_owner[outside(given_ids)], n_el)),
+            ("repeated node", _repeated(given_owner, given_ids, n_el)),
             ("nodes differ from the element's vertex set",
-             has_nodes & (_any(node_owner[~in_set], n_el)
-                          | (set_size != node_count)))]
+             has_nodes & (_any(given_owner[~in_set], n_el)
+                          | (set_size != given_count)))]
         self._messages = [message for message, _ in checks]
         self.failed_check = np.full(n_el, -1)
         for k in reversed(range(len(checks))):
@@ -355,8 +356,8 @@ class MeshGeometry:
             message = ("face orientation mismatch on edge "
                        f"({self.faces[f, j]}, {self.faces[f, (j + 1) % 3]})")
         return f"{where}: " + message.format(
-            volume=self.volume[index], kind=self._kinds[index],
-            expected=self._expected[index], count=self._node_count[index])
+            volume=self.volume[index], kind=self.kinds[index],
+            expected=self._expected[index], count=self._given_count[index])
 
 
 def _ids(values):
@@ -480,7 +481,7 @@ def _max_pairwise_distance(pts):
 def element_local(mesh, index):
     """(node ids, local vertex array, local faces-or-loop) for one element."""
     el = mesh.elements[index]
-    nodes = el.node_ids()
+    nodes = tuple(element_nodes(mesh, [index])[0].tolist())
     local = {g: i for i, g in enumerate(nodes)}
     verts = mesh.vertices[list(nodes)]
     if mesh.dimension == 2:
@@ -489,8 +490,13 @@ def element_local(mesh, index):
 
 
 def element_nodes(mesh, ids):
-    """Node ids in dof order, (len(ids), n), of elements with n nodes each."""
-    return np.array([mesh.elements[i].node_ids() for i in ids], np.int64)
+    """Node ids in dof order, (len(ids), n), of elements with n nodes each:
+    rows of the geometry table's node lists."""
+    g = mesh.geometry
+    start, end = g.node_start[:-1][ids], g.node_start[1:][ids]
+    if (end - start != end[0] - start[0]).any():
+        raise ValueError("the elements of one stack differ in node count")
+    return g.nodes[start[:, None] + np.arange(end[0] - start[0])]
 
 
 def element_integrator(mesh, index):
@@ -712,6 +718,8 @@ def load_mesh(path):
         elements = []
         for e, raw in enumerate(data["elements"]):
             where = f"element {e}: "
+            if not isinstance(raw, dict):
+                raise TypeError(f"expected an object, got {raw!r}")
             kind = raw.get("kind")
             nodes = (tuple(_vertex_id(v) for v in raw["nodes"])
                      if "nodes" in raw else None)

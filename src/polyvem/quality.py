@@ -23,7 +23,6 @@ class QualityThresholds:
     face_area_rel: float = 1e-4     # tiny-face cut, relative to h_E^2
     face_separation: float = 100.0  # smallest face must be this much smaller
     edge_rel: float = 1e-3          # thin-prism edge cut, relative to h_E
-    tau_geom: float = TAU_GEOM
 
 
 DEFAULT_THRESHOLDS = QualityThresholds()
@@ -62,11 +61,10 @@ _OPPOSITE_FACES = np.array([[k for k in range(4) if k != opp]
 
 def dihedral_angles(mesh, index):
     """Interior dihedral angles (degrees) of a tetrahedron, one per edge."""
-    el = mesh.elements[index]
-    nodes = el.node_ids()
+    nodes = meshmod.element_nodes(mesh, [index])[0]
     if mesh.dimension != 3 or len(nodes) != 4:
         raise ValidationError(f"element {index} is not a tetrahedron")
-    v = mesh.vertices[list(nodes)]
+    v = mesh.vertices[nodes]
     # Outward normals of the face opposite each vertex.
     _, normals = meshmod.triangle_area_normal(v[_OPPOSITE_FACES])
     inward = ((v - v[_OPPOSITE_FACES[:, 0]]) * normals).sum(axis=1) > 0
@@ -93,7 +91,7 @@ def classify(mesh, index, thresholds=DEFAULT_THRESHOLDS):
     el = mesh.elements[index]
     min_edge, min_face, geom = _element_metrics(mesh, index)
     h = geom.diameter
-    n_nodes = len(el.node_ids())
+    nodes = meshmod.element_nodes(mesh, [index])[0]
 
     is_tet = mesh.dimension == 3 and el.kind == "tet"
     is_prism = mesh.dimension == 3 and el.kind == "prism"
@@ -111,29 +109,28 @@ def classify(mesh, index, thresholds=DEFAULT_THRESHOLDS):
             label = "sliver_kite"
         elif min_d < thresholds.angle_deg:
             label = "wedge"
-        elif geom.volume < thresholds.tau_geom * h ** 3:
+        elif geom.volume < TAU_GEOM * h ** 3:
             label = "degenerate"
         else:
             label = "good"
     elif is_prism:
         # Smallest edge of the triangular caps.
-        nodes = el.nodes
         caps = [nodes[:3], nodes[3:]]
         cap_min = min(
             np.linalg.norm(mesh.vertices[c[(k + 1) % 3]] - mesh.vertices[c[k]])
             for c in caps for k in range(3))
         if cap_min < thresholds.edge_rel * h:
             label = "thin_prism"
-        elif geom.volume < thresholds.tau_geom * h ** 3:
+        elif geom.volume < TAU_GEOM * h ** 3:
             label = "degenerate"
         else:
             label = "good"
-    elif mesh.dimension == 2 and n_nodes == 3:
-        if geom.volume < thresholds.tau_geom * h * h:
+    elif mesh.dimension == 2 and len(nodes) == 3:
+        if geom.volume < TAU_GEOM * h * h:
             label = "degenerate"
         else:
             # Reuse the dihedral cut for interior angles of triangles.
-            pts = mesh.vertices[list(el.loop)]
+            pts = mesh.vertices[nodes]
             angs = []
             for k in range(3):
                 u = pts[(k + 1) % 3] - pts[k]

@@ -82,7 +82,7 @@ def polytope_monomial_oracle(mesh, index, exponent):
                             mesh.vertices[loop[k + 1]]])
             total += simplex_monomial_integral(tri, exponent)
         return total
-    ref = mesh.vertices[el.node_ids()[0]]
+    ref = mesh.vertices[meshmod.element_nodes(mesh, [index])[0, 0]]
     total = 0.0
     for f in el.faces:
         tet = np.array([ref, *mesh.vertices[list(f)]])

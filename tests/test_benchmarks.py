@@ -131,8 +131,8 @@ def test_beam_explicit_pairing_reproduces_polytopal_mesh(beam_meshes):
         benchmarks.Mesh(3, fem.vertices, elements, fem.material))
     assert union_mesh.num_elements == vem.num_elements
     for k in sorted(spot):
-        a = set(union_mesh.elements[k].node_ids())
-        b = set(vem.elements[k].node_ids())
+        a = set(meshmod.element_nodes(union_mesh, [k])[0].tolist())
+        b = set(meshmod.element_nodes(vem, [k])[0].tolist())
         assert a == b, k
         va = meshmod.element_geometry(union_mesh, k).volume
         vb = meshmod.element_geometry(vem, k).volume

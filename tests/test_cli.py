@@ -312,3 +312,50 @@ def test_simulate_nonpositive_option_rejected(tmp_path, capsys, option,
     err = capsys.readouterr().err
     assert err == f"error: {option} must be positive, got {float(value)}\n"
     assert not (tmp_path / "hist.csv").exists()
+
+
+@pytest.mark.parametrize("option, omega", [
+    (["--alpha0", "5"], "8.536960e+04"),
+    (["--lumping", "row_sum"], "7.369571e+04"),
+    (["--config", "CFG"], "8.536960e+04"),
+], ids=["alpha0", "lumping", "config"])
+def test_common_option_before_or_after_subcommand(tmp_path, capsys, option,
+                                                  omega):
+    mesh_path = tmp_path / "kite.json"
+    run(["mesh-gen", "--name", "kite", "--eps", "1e-3", "--variant", "vem",
+         "--out", str(mesh_path)])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha0 = 5\n")
+    option = [str(cfg) if v == "CFG" else v for v in option]
+    timestep = ["timestep", "--mesh", str(mesh_path), "--method", "vem"]
+    capsys.readouterr()
+    assert run(timestep) == 0
+    assert "omega_star=5.893823e+04" in capsys.readouterr().out
+    for argv in (option + timestep, timestep + option):
+        assert run(argv) == 0
+        assert f"omega_star={omega}" in capsys.readouterr().out, argv
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
+def test_bad_alpha0_rejected(tmp_path, capsys, value):
+    from polyvem import config as cfgmod
+    with pytest.raises(meshmod.ValidationError, match="alpha0"):
+        cfgmod.build_config(alpha0=value)
+    assert run(["--alpha0", value, "--version"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha0 must be") and repr(value) in err
+
+
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    mesh_path = tmp_path / "kite.json"
+    run(["mesh-gen", "--name", "kite", "--eps", "1e-3", "--variant", "vem",
+         "--out", str(mesh_path)])
+    capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli.eig, "time_step_report", fail)
+    assert run(["timestep", "--mesh", str(mesh_path), "--method", "vem"]) == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: Eigenvalues did not converge\n"

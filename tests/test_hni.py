@@ -77,7 +77,7 @@ def test_translation_consistency():
     mesh = benchmarks.gen_benchmark("kite", 0.1, "vem")
     geom = meshmod.element_geometry(mesh, 0)
     el = mesh.elements[0]
-    nodes = el.node_ids()
+    nodes = meshmod.element_nodes(mesh, [0])[0].tolist()
     local = {g: i for i, g in enumerate(nodes)}
     shifted = mesh.vertices[list(nodes)] - geom.centroid
     faces = [tuple(local[v] for v in f) for f in el.faces]

@@ -316,3 +316,64 @@ def test_first_bad_element_is_named():
                    Element(loop=(0, 1, 1))])
     with pytest.raises(ValidationError, match=r"^element 1: loop is not CCW"):
         meshmod.validate_mesh(square)
+
+
+@pytest.mark.parametrize("elements", ["[5]", '{"a": 1}'])
+def test_non_object_element_entry_rejected(tmp_path, elements):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dimension": 3, "vertices": [[0,0,0],[1,0,0],[0,1,0],'
+                    f'[0,0,1]], "elements": {elements}, '
+                    '"material": {"E": 1e9, "nu": 0.3, "rho": 1000}}')
+    with pytest.raises(ParseError, match="element 0: expected an object"):
+        meshmod.load_mesh(path)
+
+
+# ---------------------------------------------------------------------------
+# Node lists of the geometry table
+
+
+def _rule_nodes(el):
+    """An element's nodes in dof order, by the stated rule: the given
+    nodes, else the 2D loop, else the sorted vertex set of the faces."""
+    if el.nodes is not None:
+        return list(el.nodes)
+    if el.loop is not None:
+        return list(el.loop)
+    return sorted({v for f in el.faces for v in f})
+
+
+def _node_rule_meshes():
+    from polyvem import agglomerate
+    for name in ("tri2d", "prism3d", "wedge", "kite", "spireA", "spireB",
+                 "spireC"):
+        for eps in (1e-1, 1e-5, 1e-8):
+            for variant in ("fem", "vem"):
+                mesh = benchmarks.gen_benchmark(name, eps, variant)
+                yield f"{name} {eps:g} {variant}", mesh
+            fem = benchmarks.gen_benchmark(name, eps, "fem")
+            yield f"{name} {eps:g} auto", agglomerate.auto_agglomerate(fem)[0]
+    for case in ("A", "B"):
+        for variant in ("fem", "vem"):
+            yield f"beam{case} {variant}", benchmarks.gen_benchmark(
+                "beam" + case, variant=variant)
+        yield f"beam{case} 2d", benchmarks._beam_mesh_2d(case, "vem")
+
+
+def test_table_node_lists_follow_the_rule():
+    for label, mesh in _node_rule_meshes():
+        g = mesh.geometry
+        lists = [g.nodes[g.node_start[e]:g.node_start[e + 1]].tolist()
+                 for e in range(mesh.num_elements)]
+        assert lists == [_rule_nodes(el) for el in mesh.elements], label
+        assert g.node_start[-1] == len(g.nodes), label
+        for e, nodes in enumerate(lists):
+            assert meshmod.element_nodes(mesh, [e]).tolist() == [nodes]
+            assert meshmod.element_local(mesh, e)[0] == tuple(nodes)
+
+
+def test_element_nodes_rejects_mixed_node_counts(beam_meshes):
+    mesh = beam_meshes[("A", "vem")]
+    sizes = np.diff(mesh.geometry.node_start)
+    mixed = [int(np.flatnonzero(sizes == n)[0]) for n in (8, 12)]
+    with pytest.raises(ValueError, match="differ in node count"):
+        meshmod.element_nodes(mesh, mixed)
