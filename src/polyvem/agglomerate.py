@@ -3,8 +3,9 @@
 Internal faces (shared by exactly two group members with opposite
 orientation) are removed; the union keeps the remaining boundary faces
 verbatim, so face integration stays exact and nothing is re-triangulated.
-Auto-agglomeration reads face contacts and node lists from the mesh's
-geometry table (``Mesh.geometry``).
+Faces match by one rule on the geometry table (``Mesh.geometry``): equal
+sorted rows of its stacked faces (loop edges in 2D).  The unions of all
+groups and auto-agglomeration's face-contact table are both built that way.
 """
 
 from __future__ import annotations
@@ -14,92 +15,11 @@ import numpy as np
 from . import mesh as meshmod, quality
 from .mesh import Element, Mesh, TAU_GEOM, ValidationError
 
+VOLUME_FLOOR = 1e-3  # auto-agglomeration stops at volume >= this * h^dim
+
 
 class MergeError(ValidationError):
     """A group cannot be merged into a valid single element."""
-
-
-def _merged_faces_3d(mesh, group):
-    keyed = {}
-    for e in group:
-        for f in mesh.elements[e].faces:
-            key = tuple(sorted(f))
-            keyed.setdefault(key, []).append((e, f))
-    boundary = []
-    internal = set()
-    for key, hits in keyed.items():
-        if len(hits) == 1:
-            boundary.append(hits[0][1])
-        elif len(hits) == 2:
-            (e1, f1), (e2, f2) = hits
-            # Same cyclic orientation from both sides means overlap.
-            if _same_cycle(f1, f2):
-                raise MergeError(
-                    f"elements {e1} and {e2} traverse shared face {key} "
-                    "in the same direction (orientation mismatch)")
-            internal.add(key)
-        else:
-            raise MergeError(f"face {key} shared by more than two elements")
-    if not internal and len(group) > 1:
-        raise MergeError("group elements share no faces (disconnected)")
-    # Face-connectivity of the group must form one component.
-    adj = {e: set() for e in group}
-    for key, hits in keyed.items():
-        if len(hits) == 2:
-            (e1, _), (e2, _) = hits
-            adj[e1].add(e2)
-            adj[e2].add(e1)
-    seen = set()
-    stack = [next(iter(group))]
-    while stack:
-        e = stack.pop()
-        if e in seen:
-            continue
-        seen.add(e)
-        stack.extend(adj[e] - seen)
-    if seen != set(group):
-        raise MergeError("group is not face-connected")
-    return tuple(boundary)
-
-
-def _same_cycle(f1, f2):
-    rot = [tuple(f2[k:]) + tuple(f2[:k]) for k in range(3)]
-    return tuple(f1) in rot
-
-
-def _merged_loop_2d(mesh, group):
-    directed = {}
-    for e in group:
-        loop = mesh.elements[e].loop
-        n = len(loop)
-        for k in range(n):
-            a, b = loop[k], loop[(k + 1) % n]
-            if (b, a) in directed:
-                directed.pop((b, a))
-            elif (a, b) in directed:
-                raise MergeError(
-                    f"edge ({a},{b}) traversed twice in the same direction")
-            else:
-                directed[(a, b)] = e
-    if not directed:
-        raise MergeError("merged boundary is empty")
-    succ = {}
-    for a, b in directed:
-        if a in succ:
-            raise MergeError("merged region is not edge-connected or "
-                             "touches itself at a vertex")
-        succ[a] = b
-    start = min(succ)
-    loop = [start]
-    cur = succ[start]
-    while cur != start:
-        loop.append(cur)
-        if len(loop) > len(succ):
-            raise MergeError("boundary does not close into a single loop")
-        cur = succ[cur]
-    if len(loop) != len(succ):
-        raise MergeError("merged region has a hole or is disconnected")
-    return tuple(loop)
 
 
 def merge(mesh, group):
@@ -139,18 +59,14 @@ def _rebuild(mesh, groups):
            for g in members):
         raise MergeError("merge group index out of range")
     slot_of = {members[0]: members for members in groups}
+    union_at = dict(zip(slot_of, _unions(mesh, groups)))
     consumed = {g for members in groups for g in members[1:]}
-    elements = []
-    mapping = {}
-    for i in range(mesh.num_elements):
-        if i not in consumed:
-            members = slot_of.get(i, (i,))
-            elements.append(_union_element(mesh, members) if i in slot_of
-                            else mesh.elements[i])
-            mapping[len(elements) - 1] = tuple(members)
-    out = Mesh(mesh.dimension, mesh.vertices, elements, mesh.material)
-    for new_id, members in mapping.items():
-        if members[0] not in slot_of:
+    kept = [i for i in range(mesh.num_elements) if i not in consumed]
+    out = Mesh(mesh.dimension, mesh.vertices,
+               [union_at.get(i, mesh.elements[i]) for i in kept],
+               mesh.material)
+    for new_id, i in enumerate(kept):
+        if i not in slot_of:
             continue
         meshmod.validate_element(out, new_id)
         g = out.geometry
@@ -158,7 +74,86 @@ def _rebuild(mesh, groups):
             raise MergeError(
                 f"merged element {new_id} has vanishing measure; agglomerate "
                 "with more neighbors so the polytope keeps finite measure")
-    return out, mapping
+    return out, {k: tuple(slot_of.get(i, (i,))) for k, i in enumerate(kept)}
+
+
+def _unions(mesh, groups):
+    """The union element of each group, from one pass over its members'
+    rows of the geometry table's stacked faces (loop edges in 2D), matched
+    as ``_contacts`` matches them.  A row held once is boundary, kept in
+    member then face order.  A row held twice is internal: its copies must
+    be oppositely oriented, that is, the permutations sorting them differ
+    in parity, and such pairs must connect the group."""
+    if not groups:
+        return []
+    size = [len(members) for members in groups]
+    members = np.concatenate(groups)
+    rows, pos = meshmod.face_rows(mesh, members)
+    faces = mesh.geometry.faces[rows]
+    member_group = np.repeat(np.arange(len(groups)), size)
+    group = member_group[pos]
+    key = np.sort(faces, axis=1)
+    order, run = meshmod._runs(group, *key.T)
+    copies = np.bincount(run)[run]
+    what = "edge" if mesh.dimension == 2 else "face"
+    if (copies > 2).any():
+        raise MergeError(f"{what} {tuple(key[order[copies > 2][0]].tolist())}"
+                         " shared by more than two elements")
+    k = faces.shape[1]
+    parity = sum(faces[:, a] > faces[:, b]
+                 for a in range(k) for b in range(a + 1, k)) % 2
+    paired = order[copies == 2]
+    i, j = paired[::2], paired[1::2]
+    same = np.flatnonzero(parity[i] == parity[j])
+    if same.size:
+        a, b = i[same[0]], j[same[0]]
+        raise MergeError(
+            f"elements {members[pos[a]]} and {members[pos[b]]} traverse "
+            f"shared {what} {tuple(key[a].tolist())} in the same direction "
+            "(orientation mismatch)")
+    apart = (_components(len(members), pos[i], pos[j])
+             != np.repeat(np.cumsum(size) - size, size))
+    if apart.any():
+        raise MergeError(f"group {groups[member_group[np.argmax(apart)]]} "
+                         "is not face-connected")
+    alone = np.sort(order[copies == 1])
+    cuts = np.searchsorted(group[alone], np.arange(len(groups) + 1)).tolist()
+    boundary = faces[alone].tolist()
+    if mesh.dimension == 2:
+        return [Element(loop=_loop(boundary[a:b]), kind="poly")
+                for a, b in zip(cuts, cuts[1:])]
+    return [Element(faces=tuple(map(tuple, boundary[a:b])), kind="poly")
+            for a, b in zip(cuts, cuts[1:])]
+
+
+def _components(n, a, b):
+    """Per node of the graph with edges (a[k], b[k]) on nodes 0..n-1: the
+    smallest node of its connected component."""
+    label = np.arange(n)
+    while (label[a] != label[b]).any():
+        np.minimum.at(label, a, label[b])
+        np.minimum.at(label, b, label[a])
+        label = label[label]
+    return label
+
+
+def _loop(edges):
+    """2D boundary edges (a, b) walked into one loop from the smallest
+    vertex; a vertex touched twice or a second loop (a hole) is refused."""
+    if not edges:
+        raise MergeError("merged boundary is empty")
+    succ = {}
+    for a, b in edges:
+        if a in succ:
+            raise MergeError("merged region is not edge-connected or "
+                             "touches itself at a vertex")
+        succ[a] = b
+    loop = [min(succ)]
+    while succ[loop[-1]] != loop[0]:
+        loop.append(succ[loop[-1]])
+    if len(loop) != len(succ):
+        raise MergeError("merged region has a hole or is disconnected")
+    return tuple(loop)
 
 
 def _contacts(mesh):
@@ -185,12 +180,11 @@ def _contacts(mesh):
     return neighbors, area
 
 
-def auto_agglomerate(mesh, thresholds=quality.DEFAULT_THRESHOLDS,
-                     volume_floor=1e-3):
+def auto_agglomerate(mesh, thresholds=quality.DEFAULT_THRESHOLDS):
     """Merge every pathological element with neighbors, greedily.
 
     Each flagged element absorbs the neighbor sharing the largest contact
-    area until its volume reaches volume_floor * h_E^dim.  Returns the new
+    area until its volume reaches VOLUME_FLOOR * h_E^dim.  Returns the new
     mesh and a mapping {new element id: tuple of original ids}.  Good meshes
     come back untouched with the identity mapping.
     """
@@ -200,21 +194,15 @@ def auto_agglomerate(mesh, thresholds=quality.DEFAULT_THRESHOLDS,
     groups = {i: {i} for i in range(mesh.num_elements)}
     owner = list(range(mesh.num_elements))
     adj, shared = _contacts(mesh)
-    unmerged = []
-
-    def group_volume(members):
-        members = sorted(members)
-        nodes = np.unique(np.concatenate(
-            [meshmod.element_nodes(mesh, [e])[0] for e in members]))
-        return (mesh.geometry.volume[members].sum(),
-                meshmod._max_pairwise_distance(mesh.vertices[nodes]))
-
+    unmerged, g = [], mesh.geometry
     for seed in bad:
         while True:
             root = owner[seed]
-            members = groups[root]
-            vol, h = group_volume(members)
-            if len(members) > 1 and vol >= volume_floor * h ** mesh.dimension:
+            members, ids = groups[root], sorted(groups[root])
+            nodes = np.unique(g.faces[meshmod.face_rows(mesh, ids)[0]])
+            h = meshmod._max_pairwise_distance(mesh.vertices[nodes])
+            if (len(ids) > 1 and g.volume[ids].sum()
+                    >= VOLUME_FLOOR * h ** mesh.dimension):
                 break
             candidates = {}
             for e in members:
@@ -238,12 +226,6 @@ def auto_agglomerate(mesh, thresholds=quality.DEFAULT_THRESHOLDS,
         sorted(m) for m in groups.values() if len(m) > 1))
     meshmod.validate_mesh(out)
     return out, mapping, unmerged
-
-
-def _union_element(mesh, members):
-    if mesh.dimension == 2:
-        return Element(loop=_merged_loop_2d(mesh, members), kind="poly")
-    return Element(faces=_merged_faces_3d(mesh, members), kind="poly")
 
 
 def write_mapping_csv(mapping, path):

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from .mesh import MaterialParams, ValidationError
 from .quality import QualityThresholds, DEFAULT_THRESHOLDS
 
-_KEYS = ("E", "nu", "rho", "alpha0", "lumping", "angle_deg",
-         "face_area_rel", "face_separation", "edge_rel")
+_THRESHOLD_KEYS = ("angle_deg", "face_area_rel", "face_separation",
+                   "edge_rel")
+_KEYS = ("E", "nu", "rho", "alpha0", "lumping") + _THRESHOLD_KEYS
 
 
 @dataclass(frozen=True)
@@ -56,45 +57,46 @@ def parse_config_file(path):
     return values
 
 
+def _number(key, raw, what="a number"):
+    """A config value as a float; the ValidationError names the key."""
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{key} must be {what}, got {raw!r}") from None
+
+
+def _positive(key, raw, what="a positive finite number"):
+    value = _number(key, raw, what)
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"{key} must be {what}, got {raw!r}")
+    return value
+
+
 def build_config(file_values=None, **overrides):
     """Merge file values and explicit overrides into a RunConfig."""
     values = dict(file_values or {})
     values.update({k: v for k, v in overrides.items() if v is not None})
-    mat_keys = {"E", "nu", "rho"}
+    mat_keys = ("E", "nu", "rho")
     material = None
-    if mat_keys & set(values):
-        if not mat_keys <= set(values):
+    if set(mat_keys) & set(values):
+        if not set(mat_keys) <= set(values):
             raise ValidationError(
                 "material override needs all of E, nu, rho")
-        material = MaterialParams(
-            youngs_modulus=float(values["E"]),
-            poisson_ratio=float(values["nu"]),
-            density=float(values["rho"]),
-        )
+        material = MaterialParams(*(_number(k, values[k]) for k in mat_keys))
     alpha0 = values.get("alpha0", "auto")
     if alpha0 not in ("auto", "unit"):
-        try:
-            alpha0 = float(alpha0)
-        except (TypeError, ValueError):
-            alpha0 = math.nan
-        if not (math.isfinite(alpha0) and alpha0 > 0.0):
-            raise ValidationError(
-                "alpha0 must be auto, unit or a positive finite number, "
-                f"got {values['alpha0']!r}")
+        alpha0 = _positive("alpha0", alpha0,
+                           "auto, unit or a positive finite number")
     lumping = values.get("lumping", "auto")
     if lumping not in ("auto", "row_sum", "diag_scale"):
         raise ValidationError(f"unknown lumping mode {lumping!r}")
-    thresholds = QualityThresholds(
-        angle_deg=float(values.get("angle_deg",
-                                   DEFAULT_THRESHOLDS.angle_deg)),
-        face_area_rel=float(values.get("face_area_rel",
-                                       DEFAULT_THRESHOLDS.face_area_rel)),
-        face_separation=float(values.get(
-            "face_separation", DEFAULT_THRESHOLDS.face_separation)),
-        edge_rel=float(values.get("edge_rel", DEFAULT_THRESHOLDS.edge_rel)),
-    )
+    thresholds = {key: _positive(key, values[key])
+                  for key in _THRESHOLD_KEYS if key in values}
+    if thresholds.get("angle_deg", 0.0) >= 90.0:
+        raise ValidationError(
+            f"angle_deg must be below 90, got {values['angle_deg']!r}")
     return RunConfig(material=material, alpha0=alpha0, lumping=lumping,
-                     thresholds=thresholds)
+                     thresholds=QualityThresholds(**thresholds))
 
 
 def apply_material(mesh, config):

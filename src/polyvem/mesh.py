@@ -499,6 +499,16 @@ def element_nodes(mesh, ids):
     return g.nodes[start[:, None] + np.arange(end[0] - start[0])]
 
 
+def face_rows(mesh, ids):
+    """(rows, owner): the geometry table's face rows of the elements `ids`,
+    stacked in that order, and each row's position in `ids`."""
+    start = mesh.geometry.face_start[ids]
+    count = mesh.geometry.face_start[np.add(ids, 1)] - start
+    owner = np.repeat(np.arange(len(count)), count)
+    shift = start - (np.cumsum(count) - count)
+    return np.arange(len(owner)) + np.repeat(shift, count), owner
+
+
 def element_integrator(mesh, index):
     """Arbitrary-degree HNI integrator of one element (reference path)."""
     nodes, verts, conn = element_local(mesh, index)
@@ -757,8 +767,9 @@ def _vertex_id(value):
 
 
 def _tet_nodes_from_faces(faces):
-    f0 = faces[0]
+    """A tet's corners from its outward faces, or None (validation then
+    names the fault) when face 0 is no triangle with an apex off it."""
+    f0 = faces[0] if faces else ()
     rest = {v for f in faces[1:] for v in f} - set(f0)
-    apex = rest.pop()
     # Face 0 is outward, so (f0 reversed, apex) is positively oriented.
-    return (f0[0], f0[2], f0[1], apex)
+    return (f0[0], f0[2], f0[1], rest.pop()) if len(f0) == 3 and rest else None

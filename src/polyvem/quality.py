@@ -1,9 +1,10 @@
-"""Shape diagnostics for tetrahedra and prisms: dihedral angles, sliver/
-wedge/spire/thin-prism classification.
-
-Thresholds are policy, not physics: the defaults separate the benchmark
-pathologies (mesh parameter <= 0.1) from well-shaped reference elements.
-All classification inputs are scale- and rotation-invariant ratios.
+"""Shape diagnostics for tetrahedra, prisms and triangles: dihedral angles,
+sliver/wedge/spire/thin-prism classification, in one array pass over the
+mesh's geometry table (``mesh_report``; ``classify`` and ``dihedral_angles``
+are one-element views of it).  Thresholds are policy, not physics: the
+defaults separate the benchmark pathologies (mesh parameter <= 0.1) from
+well-shaped reference elements.  All classification inputs are scale- and
+rotation-invariant ratios.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mesh as meshmod
+from . import hni, mesh as meshmod
 from .mesh import TAU_GEOM, ValidationError
 
 
@@ -26,10 +27,6 @@ class QualityThresholds:
 
 
 DEFAULT_THRESHOLDS = QualityThresholds()
-
-CLASSES = ("good", "wedge", "sliver_kite", "spire", "thin_prism",
-           "degenerate", "not_applicable")
-
 
 @dataclass(frozen=True)
 class QualityReport:
@@ -54,104 +51,108 @@ class QualityReport:
 CSV_HEADER = ("element_id,class,min_dihedral_deg,max_dihedral_deg,"
               "min_edge,min_face_area,volume")
 
-_TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_OPPOSITE_FACES = np.array([[k for k in range(4) if k != opp]
-                            for opp in range(4)])
+# Tet corners: the face opposite each vertex, and per edge (01, 02, 03, 12,
+# 13, 23) the two faces meeting there, those opposite its other vertices.
+_OPPOSITE_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+_EDGE_FACES = np.array([[2, 3], [1, 3], [1, 2], [0, 3], [0, 2], [0, 1]])
+
+
+def _degrees(cosines):
+    """Angles in degrees of the cosines, clipped to [-1, 1].  math.acos
+    per value: np.arccos differs from it in the last bit."""
+    c = np.clip(cosines, -1.0, 1.0)
+    return np.reshape([math.degrees(math.acos(x)) for x in c.ravel().tolist()],
+                      c.shape)
+
+
+def _tet_angles(v):
+    """Interior dihedral angles (degrees) of tets with corners v (m, 4, 3),
+    one row of six per tet, in _EDGE_FACES order."""
+    # Outward normals of the face opposite each vertex.
+    _, normals = meshmod.triangle_area_normal(v[:, _OPPOSITE_FACES])
+    inward = ((v - v[:, _OPPOSITE_FACES[:, 0]]) * normals).sum(axis=-1) > 0
+    normals[inward] *= -1.0
+    return _degrees(-hni._dots(normals[:, _EDGE_FACES[:, 0]],
+                               normals[:, _EDGE_FACES[:, 1]]))
+
+
+def _tri_angles(p):
+    """Interior angles (degrees) of triangles with corners p (m, 3, 2)."""
+    u, w = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _degrees(hni._dots(u, w) / (hni._norms(u) * hni._norms(w)))
+
+
+def _cap_edges(p):
+    """Edge lengths of the two triangular caps of prisms with corners p
+    (m, 6, 3), bottom then top."""
+    caps = p.reshape(-1, 2, 3, 3)
+    return hni._norms(np.roll(caps, -1, axis=2) - caps).reshape(-1, 6)
+
+
+def _reports(mesh, ids, thresholds):
+    """QualityReports of the elements `ids`, classified as one stack.
+    Polytopes report metrics only."""
+    g, t, dim = mesh.geometry, thresholds, mesh.dimension
+    ids = np.asarray(ids, np.int64)
+    n = len(ids)
+    rows, owner = meshmod.face_rows(mesh, ids)
+    first = np.searchsorted(owner, np.arange(n))
+    areas = g.face_areas[rows]
+    ranked = areas[np.lexsort((areas, owner))]
+    min_face = ranked[first]
+    second = ranked[np.minimum(first + 1, len(ranked) - 1)]
+    edges = g.edge_lengths[rows].min(axis=1)
+    min_edge = edges[np.lexsort((edges, owner))][first]
+    volume, h = g.volume[ids], g.diameter[ids]
+    flat = volume < (TAU_GEOM * h * h if dim == 2 else TAU_GEOM * h ** 3)
+    spire = ((second >= t.face_separation * min_face)
+             & (min_face < t.face_area_rel * h * h))
+
+    kind, nodes = np.array(g.kinds, object)[ids], np.diff(g.node_start)[ids]
+    tet = (kind == "tet") & (dim == 3)
+    prism = (kind == "prism") & (dim == 3)
+    tri = (nodes == 3) & (dim == 2)
+    meshmod.reject(tet & (nodes != 4), "not a tetrahedron", ids)
+    # Smallest and largest angle (tets, triangles) or cap edge (prisms).
+    lo, hi = np.full(n, np.nan), np.full(n, np.nan)
+    for mask, values in ((tet, _tet_angles), (tri, _tri_angles),
+                         (prism, _cap_edges)):
+        if mask.any():
+            a = values(mesh.vertices[meshmod.element_nodes(mesh, ids[mask])])
+            lo[mask], hi[mask] = a.min(axis=1), a.max(axis=1)
+    # Each kind's branches in order; the kind masks are disjoint.
+    label = np.select(
+        [tet & spire, tet & (hi > 180.0 - t.angle_deg) & (lo < t.angle_deg),
+         tet & (lo < t.angle_deg), prism & (lo < t.edge_rel * h), tri & flat,
+         tri & (lo < t.angle_deg), (tet | prism) & flat, tet | prism | tri],
+        ["spire", "sliver_kite", "wedge", "thin_prism", "degenerate",
+         "wedge", "degenerate", "good"], "not_applicable")
+    angled = tet | (tri & ~flat)
+    lo_out, hi_out = np.full(n, None, object), np.full(n, None, object)
+    lo_out[angled], hi_out[angled] = lo[angled], hi[angled]
+    return [QualityReport(*row) for row in zip(
+        ids.tolist(), label.tolist(), lo_out.tolist(), hi_out.tolist(),
+        min_edge.tolist(), min_face.tolist(), volume.tolist())]
 
 
 def dihedral_angles(mesh, index):
-    """Interior dihedral angles (degrees) of a tetrahedron, one per edge."""
-    nodes = meshmod.element_nodes(mesh, [index])[0]
-    if mesh.dimension != 3 or len(nodes) != 4:
+    """Interior dihedral angles (degrees) of a tetrahedron, one per edge:
+    the one-element view of the classification pass's angles."""
+    nodes = meshmod.element_nodes(mesh, [index])
+    if mesh.dimension != 3 or nodes.shape[1] != 4:
         raise ValidationError(f"element {index} is not a tetrahedron")
-    v = mesh.vertices[nodes]
-    # Outward normals of the face opposite each vertex.
-    _, normals = meshmod.triangle_area_normal(v[_OPPOSITE_FACES])
-    inward = ((v - v[_OPPOSITE_FACES[:, 0]]) * normals).sum(axis=1) > 0
-    normals[inward] *= -1.0
-    angles = []
-    for a, b in _TET_EDGES:
-        others = [k for k in range(4) if k not in (a, b)]
-        n1 = normals[others[0]]
-        n2 = normals[others[1]]
-        cosang = float(np.clip(-(n1 @ n2), -1.0, 1.0))
-        angles.append(math.degrees(math.acos(cosang)))
-    return angles
-
-
-def _element_metrics(mesh, index):
-    geom = meshmod.element_geometry(mesh, index)
-    g = mesh.geometry
-    edges = g.edge_lengths[g.face_start[index]:g.face_start[index + 1]]
-    return float(edges.min()), float(geom.face_areas.min()), geom
+    return _tet_angles(mesh.vertices[nodes])[0].tolist()
 
 
 def classify(mesh, index, thresholds=DEFAULT_THRESHOLDS):
-    """Classify one element; polytopes report metrics only."""
-    el = mesh.elements[index]
-    min_edge, min_face, geom = _element_metrics(mesh, index)
-    h = geom.diameter
-    nodes = meshmod.element_nodes(mesh, [index])[0]
-
-    is_tet = mesh.dimension == 3 and el.kind == "tet"
-    is_prism = mesh.dimension == 3 and el.kind == "prism"
-    min_d = max_d = None
-    label = "not_applicable"
-    if is_tet:
-        angles = dihedral_angles(mesh, index)
-        min_d, max_d = min(angles), max(angles)
-        areas = np.sort(geom.face_areas)
-        one_tiny = (areas[1] >= thresholds.face_separation * areas[0])
-        if min_face < thresholds.face_area_rel * h * h and one_tiny:
-            label = "spire"
-        elif (max_d > 180.0 - thresholds.angle_deg
-              and min_d < thresholds.angle_deg):
-            label = "sliver_kite"
-        elif min_d < thresholds.angle_deg:
-            label = "wedge"
-        elif geom.volume < TAU_GEOM * h ** 3:
-            label = "degenerate"
-        else:
-            label = "good"
-    elif is_prism:
-        # Smallest edge of the triangular caps.
-        caps = [nodes[:3], nodes[3:]]
-        cap_min = min(
-            np.linalg.norm(mesh.vertices[c[(k + 1) % 3]] - mesh.vertices[c[k]])
-            for c in caps for k in range(3))
-        if cap_min < thresholds.edge_rel * h:
-            label = "thin_prism"
-        elif geom.volume < TAU_GEOM * h ** 3:
-            label = "degenerate"
-        else:
-            label = "good"
-    elif mesh.dimension == 2 and len(nodes) == 3:
-        if geom.volume < TAU_GEOM * h * h:
-            label = "degenerate"
-        else:
-            # Reuse the dihedral cut for interior angles of triangles.
-            pts = mesh.vertices[nodes]
-            angs = []
-            for k in range(3):
-                u = pts[(k + 1) % 3] - pts[k]
-                w = pts[(k + 2) % 3] - pts[k]
-                cosang = (u @ w) / (np.linalg.norm(u) * np.linalg.norm(w))
-                angs.append(math.degrees(math.acos(np.clip(cosang, -1, 1))))
-            min_d, max_d = min(angs), max(angs)
-            label = "wedge" if min_d < thresholds.angle_deg else "good"
-    return QualityReport(
-        element=index,
-        classification=label,
-        min_dihedral_deg=min_d,
-        max_dihedral_deg=max_d,
-        min_edge=float(min_edge),
-        min_face_area=float(min_face),
-        volume=float(geom.volume),
-    )
+    """Classify one element: the one-element view of mesh_report."""
+    return _reports(mesh, [range(mesh.num_elements)[index]], thresholds)[0]
 
 
 def mesh_report(mesh, thresholds=DEFAULT_THRESHOLDS):
-    return [classify(mesh, i, thresholds) for i in range(mesh.num_elements)]
+    """One QualityReport per element, from one array pass."""
+    return _reports(mesh, np.arange(mesh.num_elements), thresholds)
 
 
 def write_csv(reports, path):

@@ -188,3 +188,33 @@ def test_merge_groups_overlap_rejected():
     mesh = two_tets()
     with pytest.raises(MergeError, match="overlap"):
         agglomerate.merge_groups(mesh, [(0, 1), (1, 0)])
+
+
+def test_face_shared_by_three_members_rejected():
+    # Tets 0 and 2 both sit above face {0, 1, 2}, tet 1 below it.
+    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.2, 1],
+                      [0.2, 0.2, -1], [0.3, 0.3, 2]])
+    mesh = Mesh(3, verts, [tet_element(t, verts) for t in
+                           ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5))])
+    with pytest.raises(MergeError, match="more than two"):
+        agglomerate.merge(mesh, (0, 1, 2))
+
+
+def plane_mesh(loops):
+    verts = np.array([[0.0, 0], [1, 0], [0.5, 1], [1, 2], [0, 2],
+                      [3, 0], [4, 0], [3.5, 1]])
+    return Mesh(2, verts, [Element(loop=loop) for loop in loops])
+
+
+@pytest.mark.parametrize("loops", [
+    ((0, 1, 2), (5, 6, 7)),   # no shared vertex
+    ((0, 1, 2), (2, 3, 4)),   # one shared vertex
+])
+def test_2d_group_without_shared_edge_rejected(loops):
+    with pytest.raises(MergeError, match="connect"):
+        agglomerate.merge(plane_mesh(loops), (0, 1))
+
+
+def test_coincident_2d_triangles_rejected():
+    with pytest.raises(MergeError, match="same direction"):
+        agglomerate.merge(plane_mesh(((0, 1, 2), (0, 1, 2))), (0, 1))

@@ -126,7 +126,7 @@ def test_beam_explicit_pairing_reproduces_polytopal_mesh(beam_meshes):
     rng = np.random.default_rng(0)
     spot = set(rng.choice(549, size=40, replace=False))
     spot |= {i for i, el in enumerate(vem.elements) if len(el.faces) == 20}
-    elements = [agglomerate._union_element(fem, group) for group in groups]
+    elements = agglomerate._unions(fem, groups)
     union_mesh = meshmod.validate_mesh(
         benchmarks.Mesh(3, fem.vertices, elements, fem.material))
     assert union_mesh.num_elements == vem.num_elements

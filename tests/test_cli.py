@@ -346,6 +346,33 @@ def test_bad_alpha0_rejected(tmp_path, capsys, value):
     assert err.startswith("error: alpha0 must be") and repr(value) in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("angle_deg", "nan"), ("angle_deg", "-5"), ("angle_deg", "0"),
+    ("angle_deg", "90"), ("angle_deg", "abc"), ("face_area_rel", "-1e-4"),
+    ("face_separation", "inf"), ("edge_rel", "nan"), ("E", "abc")])
+def test_bad_config_value_rejected(tmp_path, capsys, key, value):
+    # A threshold that is not finite, not positive or (angle_deg) not below
+    # 90, or any value that is no number, is refused with its key named.
+    from polyvem import config as cfgmod
+    values = {"E": "2e11", "nu": "0.3", "rho": "7800"} if key == "E" else {}
+    values[key] = value
+    with pytest.raises(meshmod.ValidationError, match=f"^{key} must be"):
+        cfgmod.build_config(values)
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert run(["--config", str(path), "--version"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be") and repr(value) in err
+
+
+def test_config_thresholds_read():
+    from polyvem import config as cfgmod, quality
+    cfg = cfgmod.build_config({"angle_deg": "89.5", "edge_rel": "1e-2"})
+    assert cfg.thresholds == quality.QualityThresholds(
+        angle_deg=89.5, edge_rel=1e-2)
+    assert cfgmod.build_config().thresholds == quality.DEFAULT_THRESHOLDS
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     mesh_path = tmp_path / "kite.json"
     run(["mesh-gen", "--name", "kite", "--eps", "1e-3", "--variant", "vem",

@@ -328,6 +328,22 @@ def test_non_object_element_entry_rejected(tmp_path, elements):
         meshmod.load_mesh(path)
 
 
+@pytest.mark.parametrize("faces", ["[]", "[[0,1],[0,1,3],[0,3,2],[1,2,3]]"])
+def test_tet_faces_without_corners_rejected(tmp_path, capsys, faces):
+    # The tet's corner nodes cannot be read off its faces: the load ends
+    # in an error naming the element, not a raw IndexError.
+    from polyvem import cli
+    path = tmp_path / "bad.json"
+    path.write_text('{"dimension": 3, "vertices": [[0,0,0],[1,0,0],[0,1,0],'
+                    f'[0,0,1]], "elements": [{{"kind": "tet", "faces": {faces}'
+                    '}], "material": {"E": 1e9, "nu": 0.3, "rho": 1000}}')
+    with pytest.raises((ParseError, ValidationError), match="^element 0"):
+        meshmod.load_mesh(path)
+    assert cli.main(["quality", "--mesh", str(path),
+                     "--out", str(tmp_path / "q.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: element 0")
+
+
 # ---------------------------------------------------------------------------
 # Node lists of the geometry table
 

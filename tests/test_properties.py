@@ -8,8 +8,9 @@ Together the loops cover well over a hundred randomized cases.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from polyvem import agglomerate, eig, mesh as meshmod, vem
+from polyvem import agglomerate, eig, mesh as meshmod, quality, vem
 from polyvem.mesh import Element, Mesh, tet_element
 
 from conftest import random_rotation, random_tet_mesh
@@ -137,3 +138,34 @@ def test_kernel_dimension_randomized():
         lam_max = w[-1]
         assert np.sum(w < 1e-8 * lam_max) == 6
         assert np.all(w >= -1e-10 * lam_max)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_tets=st.integers(1, 4))
+def test_dihedral_angles_of_random_tets(seed, n_tets):
+    # Six dihedral angles of a tetrahedron sum to between 2 pi and 3 pi;
+    # they are invariant under rotation and scaling.  Several tets go
+    # through one stacked pass.
+    rng = np.random.default_rng(seed)
+    verts = rng.uniform(-1.0, 1.0, size=(4 * n_tets, 3))
+    elements = [tet_element(tuple(range(4 * k, 4 * k + 4)), verts)
+                for k in range(n_tets)]
+    for k in range(n_tets):
+        p = verts[4 * k:4 * k + 4]
+        assume(abs(meshmod.tet_volume(*p))
+               > 1e-6 * meshmod._max_pairwise_distance(p) ** 3)
+
+    def angles(vertices):
+        mesh = Mesh(3, vertices, elements)
+        return np.array([quality.dihedral_angles(mesh, k)
+                         for k in range(n_tets)])
+
+    base = angles(verts)
+    sums = base.sum(axis=1)
+    assert np.all((sums > 360.0 - 1e-9) & (sums < 540.0 + 1e-9))
+    report = quality.mesh_report(Mesh(3, verts, elements))
+    assert [r.min_dihedral_deg for r in report] == base.min(axis=1).tolist()
+    assert [r.max_dihedral_deg for r in report] == base.max(axis=1).tolist()
+    well = base.min(axis=1) > 1.0
+    for moved in (verts @ random_rotation(rng).T, verts * 1e-3, verts * 1e4):
+        assert np.abs(angles(moved) - base)[well].max(initial=0.0) <= 1e-8

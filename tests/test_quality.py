@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from polyvem import benchmarks, mesh as meshmod, quality
+from polyvem import agglomerate, benchmarks, mesh as meshmod, quality
 from polyvem.mesh import Mesh, tet_element
 
 from conftest import random_rotation
@@ -135,3 +135,28 @@ def test_csv_report(tmp_path):
     assert lines[0] == quality.CSV_HEADER
     assert len(lines) == 1 + mesh.num_elements
     assert lines[1].startswith("0,sliver_kite,")
+
+
+FAMILIES = ("tri2d", "prism3d", "wedge", "kite", "spireA", "spireB",
+            "spireC")
+VIEW_CASES = (
+    [(name, eps, variant) for name in FAMILIES for eps in (1e-1, 1e-5, 1e-8)
+     for variant in ("fem", "vem", "auto")]
+    + [("beam" + case, None, variant) for case in "AB"
+       for variant in ("fem", "vem", "2d fem", "2d vem")])
+
+
+@pytest.mark.parametrize("name, eps, variant", VIEW_CASES)
+def test_classify_matches_mesh_report(name, eps, variant):
+    # classify is the one-element view of the stacked pass: tet, prism,
+    # triangle and polytope rows alike.
+    if variant == "auto":
+        mesh = agglomerate.auto_agglomerate(
+            benchmarks.gen_benchmark(name, eps, "fem"))[0]
+    elif variant.startswith("2d"):
+        mesh = benchmarks._beam_mesh_2d(name[-1], variant[3:])
+    else:
+        mesh = benchmarks.gen_benchmark(name, eps, variant)
+    reports = quality.mesh_report(mesh)
+    assert [quality.classify(mesh, i) for i in range(mesh.num_elements)] \
+        == reports
