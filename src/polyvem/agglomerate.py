@@ -185,8 +185,9 @@ def auto_agglomerate(mesh, thresholds=quality.DEFAULT_THRESHOLDS):
 
     Each flagged element absorbs the neighbor sharing the largest contact
     area until its volume reaches VOLUME_FLOOR * h_E^dim.  Returns the new
-    mesh and a mapping {new element id: tuple of original ids}.  Good meshes
-    come back untouched with the identity mapping.
+    mesh and a mapping {new element id: tuple of original ids}.  A mesh with
+    nothing to merge comes back as the same object with the identity
+    mapping.
     """
     reports = quality.mesh_report(mesh, thresholds)
     bad = [r.element for r in reports
@@ -222,8 +223,11 @@ def auto_agglomerate(mesh, thresholds=quality.DEFAULT_THRESHOLDS):
             for e in groups[keep]:
                 owner[e] = keep
 
-    out, mapping = _rebuild(mesh, sorted(
-        sorted(m) for m in groups.values() if len(m) > 1))
+    groups = sorted(sorted(m) for m in groups.values() if len(m) > 1)
+    if not groups:
+        identity = {i: (i,) for i in range(mesh.num_elements)}
+        return meshmod.validate_mesh(mesh), identity, unmerged
+    out, mapping = _rebuild(mesh, groups)
     meshmod.validate_mesh(out)
     return out, mapping, unmerged
 

@@ -5,8 +5,8 @@ Assembly reduces an element sweep (``eig.element_systems``: stacked element
 groups), scattering each group with array operations; a beam problem
 (``beam_problem``) builds one sweep per beam mesh and feeds it to both the
 time-step bound and the assembly.  The integrator is the standard half-step-velocity
-central-difference update with a diagonal mass; prescribed dofs are
-overwritten kinematically each step.  The beam driver reproduces the
+central-difference update with a diagonal mass; fixed dofs are held at rest
+and driven dofs are overwritten each step.  The beam driver reproduces the
 pulse-loaded tapered-beam runs: fixed at x = 0, an axial quartic pulse at
 x = 4, histories probed mid-beam and reported in normalized time and
 displacement.
@@ -57,6 +57,7 @@ def assemble_systems(mesh, systems):
         rows[at], cols[at] = np.repeat(gdof, dn, axis=1), np.tile(gdof, dn)
         vals[at] = K.reshape(n_el, -1)
     K = sp.coo_matrix((vals, (rows, cols)), shape=(dim * n, dim * n)).tocsr()
+    K.eliminate_zeros()  # exact zeros: summed terms that cancel
     return K, np.bincount(dofs, masses, minlength=dim * n)
 
 
@@ -96,57 +97,60 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
     """Explicit central-difference run of M a + K u = 0 under the schedule.
 
     probes are global dof indices recorded every step.  Divergence (any
-    |u| beyond divergence_limit) aborts and flags the result.
+    |u| beyond divergence_limit, or a non-finite u) aborts and flags the
+    result.  A step is one ``K @ u`` (an assembled K stores no zeros) and
+    in-place updates of preallocated vectors: -1/m is one scale that is 0
+    on the fixed and driven dofs, a fixed dof keeps v_half = 0 and so
+    u = 0, and the exact max|u| check runs only when u @ u > limit^2 / 4.
     """
-    if dt <= 0.0:
-        raise ValidationError("time step must be positive")
-    ml = np.asarray(M_lumped, float)
-    if np.any(ml <= 0.0):
-        raise ValidationError("non-positive lumped mass entry")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValidationError("time step must be positive and finite")
+    if not (t_max >= 0.0 and np.isfinite(t_max / dt)):
+        raise ValidationError("t_max must be non-negative and span a "
+                              "finite number of steps")
     ndof = K.shape[0]
-    inv_m = 1.0 / ml
-    probes = np.asarray(probes, dtype=int)
+    ml = np.asarray(M_lumped, float)
+    if ml.shape != (ndof,) or not np.all(ml > 0.0):
+        raise ValidationError(f"lumped mass needs {ndof} positive entries")
+    probes, fixed, driven = dofs = [np.asarray(d, dtype=int)
+                                    for d in (probes, bcs.fixed, bcs.driven)]
+    for name, d in zip(("probe", "fixed", "driven"), dofs):
+        if d.size and not (0 <= d.min() and d.max() < ndof):
+            raise ValidationError(f"{name} dof out of range [0, {ndof})")
+    scale = -1.0 / ml
+    scale[fixed] = 0.0
+    scale[driven] = 0.0
     n_steps = int(np.ceil(t_max / dt))
-    u = np.zeros(ndof)
-    a = -(K @ u) * inv_m
-    v_half = 0.5 * dt * a  # v at t = dt/2 from zero initial velocity
-    fixed = bcs.fixed
-    driven = bcs.driven
+    times = np.arange(n_steps + 1, dtype=float)
+    times *= dt
     history = np.zeros((n_steps + 1, len(probes)))
-    times = np.zeros(n_steps + 1)
-    history[0] = u[probes]
-    diverged = False
+    u, work = np.zeros(ndof), np.empty(ndof)
+    v_half = 0.5 * dt * ((K @ u) * scale)  # v at t = dt/2 from rest
+    # u @ u <= gate proves max|u| < limit; the gate is off (-1) where
+    # limit^2 / 4 would overflow or underflow.
+    limit = 0.0 if divergence_limit is None else divergence_limit
+    gate = 0.25 * limit * limit
+    gate = gate if np.finfo(float).tiny <= gate < np.inf else -1.0
     diverged_step = None
     start = time.perf_counter()
     for step in range(1, n_steps + 1):
-        t_new = step * dt
-        u = u + dt * v_half
-        u[fixed] = 0.0
-        u[driven] = bcs.pulse(t_new)
-        a = -(K @ u) * inv_m
-        a[fixed] = 0.0
-        a[driven] = 0.0
-        v_half = v_half + dt * a
-        times[step] = t_new
+        np.add(u, np.multiply(v_half, dt, out=work), out=u)
+        u[driven] = bcs.pulse(float(times[step]))
+        np.multiply(K @ u, scale, out=work)
+        np.add(v_half, np.multiply(work, dt, out=work), out=v_half)
         history[step] = u[probes]
-        if divergence_limit is not None:
+        if divergence_limit is not None and not (u @ u <= gate):
             peak = float(np.abs(u).max())
-            if not np.isfinite(peak) or peak > divergence_limit:
-                diverged = True
+            if not np.isfinite(peak) or peak > limit:
                 diverged_step = step
                 times = times[:step + 1]
                 history = history[:step + 1]
                 break
     wall = time.perf_counter() - start
-    return RunResult(
-        times=times,
-        probe_history=history,
-        steps=len(times) - 1,
-        dt=dt,
-        diverged=diverged,
-        diverged_step=diverged_step,
-        wall_seconds=wall,
-    )
+    return RunResult(times=times, probe_history=history,
+                     steps=len(times) - 1, dt=dt,
+                     diverged=diverged_step is not None,
+                     diverged_step=diverged_step, wall_seconds=wall)
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,8 @@ def tet_element(nodes, vertices=None):
 
 
 def tet_volume(p0, p1, p2, p3):
-    return float(np.linalg.det(np.array([p1 - p0, p2 - p0, p3 - p0]))) / 6.0
+    """Signed volume of the tet (p0, p1, p2, p3); one per row of stacks."""
+    return np.linalg.det(np.stack([p1 - p0, p2 - p0, p3 - p0], axis=-2)) / 6.0
 
 
 def triangle_area_normal(tri):
@@ -628,7 +629,7 @@ def extrude(mesh2d, thickness, layers=1):
             for k in range(n):
                 a, b = loop[k], loop[(k + 1) % n]
                 quad = (vid(a, l), vid(b, l), vid(b, l + 1), vid(a, l + 1))
-                start = int(np.argmin(quad))
+                start = quad.index(min(quad))
                 q = [quad[(start + s) % 4] for s in range(4)]
                 faces.append((q[0], q[1], q[2]))
                 faces.append((q[0], q[2], q[3]))
@@ -650,23 +651,29 @@ def split_prisms_to_tets(mesh):
     """
     if mesh.dimension != 3:
         raise ValidationError("split_prisms_to_tets expects a 3D mesh")
-    elements = []
+    elements, tets = [], []
     for el in mesh.elements:
         if el.kind != "prism":
             elements.append(el)
             continue
         a, b, c, d, e, f = el.nodes  # bottom (a,b,c), top (d,e,f)
-        bottom = [a, b, c]
-        top = [d, e, f]
-        m = int(np.argmin(bottom))
+        bottom, top = [a, b, c], [d, e, f]
+        m = bottom.index(min(bottom))
         a, b, c = bottom[m], bottom[(m + 1) % 3], bottom[(m + 2) % 3]
         d, e, f = top[m], top[(m + 1) % 3], top[(m + 2) % 3]
         # Quad (b,c,f,e) splits toward min(b, c); both tets use vertex a.
+        # Slots now, tets once all are oriented; nodes flat, 4 per tet.
+        elements += (None, None, None)
         if b < c:
-            tets = [(a, b, c, f), (a, b, f, e), (a, e, f, d)]
+            tets += (a, b, c, f, a, b, f, e, a, e, f, d)
         else:
-            tets = [(a, b, c, e), (a, e, c, f), (a, e, f, d)]
-        elements.extend(tet_element(t, mesh.vertices) for t in tets)
+            tets += (a, b, c, e, a, e, c, f, a, e, f, d)
+    # Orient every tet at once: a negative one swaps its middle two nodes.
+    flip = (tet_volume(*mesh.vertices[
+        np.array(tets, dtype=int).reshape(-1, 4).T]) < 0).tolist()
+    made = (tet_element((a, c, b, d) if f else (a, b, c, d))
+            for (a, b, c, d), f in zip(zip(*[iter(tets)] * 4), flip))
+    elements = [next(made) if e is None else e for e in elements]
     return validate_mesh(Mesh(3, mesh.vertices, elements, mesh.material))
 
 

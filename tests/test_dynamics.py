@@ -375,3 +375,170 @@ def test_beam_pulse_arrival_time():
     active = exp.u_norm[(exp.t_norm > 0.7) & (exp.t_norm < 1.2)]
     assert np.abs(quiet).max() < 1e-3
     assert np.abs(active).max() > 0.5
+
+
+# ---------------------------------------------------------------------------
+# The lean step against the textbook loop
+
+
+def _reference_run(K, M_lumped, bcs, dt, t_max, probes,
+                   divergence_limit=None):
+    """The straightforward central-difference loop: fresh arrays every
+    step, prescribed dofs overwritten in u and a, max|u| checked every
+    step.  Returns (times, probe history, diverged step or None)."""
+    inv_m = 1.0 / np.asarray(M_lumped, float)
+    probes = np.asarray(probes, dtype=int)
+    n_steps = int(np.ceil(t_max / dt))
+    u = np.zeros(K.shape[0])
+    v_half = 0.5 * dt * (-(K @ u) * inv_m)
+    history = np.zeros((n_steps + 1, len(probes)))
+    times = np.zeros(n_steps + 1)
+    for step in range(1, n_steps + 1):
+        t_new = step * dt
+        u = u + dt * v_half
+        u[bcs.fixed] = 0.0
+        u[bcs.driven] = bcs.pulse(t_new)
+        a = -(K @ u) * inv_m
+        a[bcs.fixed] = 0.0
+        a[bcs.driven] = 0.0
+        v_half = v_half + dt * a
+        times[step] = t_new
+        history[step] = u[probes]
+        if divergence_limit is not None:
+            peak = float(np.abs(u).max())
+            if not np.isfinite(peak) or peak > divergence_limit:
+                return times[:step + 1], history[:step + 1], step
+    return times, history, None
+
+
+def _assert_same_run(res, ref):
+    times, history, diverged_step = ref
+    assert res.times.tobytes() == times.tobytes()
+    assert res.probe_history.tobytes() == history.tobytes()
+    assert res.diverged_step == diverged_step
+    assert res.diverged == (diverged_step is not None)
+    assert res.steps == len(times) - 1
+
+
+@pytest.fixture
+def unpruned(monkeypatch):
+    """assemble as it stands without dropping K's stored zeros."""
+    def build(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(sp.csr_matrix, "eliminate_zeros", lambda self: None)
+            return dynamics.assemble(*args, **kwargs)
+    return build
+
+
+def test_assembled_stiffness_stores_no_zeros(beam_meshes, unpruned):
+    mesh = beam_meshes[("A", "fem")]
+    K, M = dynamics.assemble(mesh, "fem")
+    K0, M0 = unpruned(mesh, "fem")
+    assert (K.data != 0).all()
+    assert K.nnz < K0.nnz  # the tet beam's K holds cancelled sums
+    assert np.array_equal(M, M0)
+    assert np.array_equal(K.toarray(), K0.toarray())
+    u = np.random.default_rng(3).standard_normal(K.shape[0])
+    assert (K @ u).tobytes() == (K0 @ u).tobytes()
+
+
+def test_run_matches_reference_loop_wedge(unpruned):
+    mesh = benchmarks.gen_benchmark("wedge", 1e-1, "vem")
+    K, M = dynamics.assemble(mesh, "vem", alpha0="unit")
+    K0, _ = unpruned(mesh, "vem", alpha0="unit")
+    n = mesh.num_vertices
+    bcs = BcSchedule(fixed=np.array([0, n, 2 * n]), driven=np.array([1]),
+                     tau=1e-5)
+    args = (M, bcs, 1e-7, 1e-4, [2, 0, 1, n + 2])
+    _assert_same_run(dynamics.central_difference_run(K, *args),
+                     _reference_run(K0, *args))
+
+
+def test_run_matches_reference_loop_tet_beam(beam_meshes, unpruned):
+    # Case-A tet beam, probed at the beam probe, a fixed and a driven dof.
+    mesh = beam_meshes[("A", "fem")]
+    K, M = dynamics.assemble(mesh, "fem")
+    K0, _ = unpruned(mesh, "fem")
+    fixed, driven = dynamics.beam_boundary_dofs(mesh)
+    probe, _ = dynamics.find_probe_dof(mesh, dynamics.BEAM_PROBE)
+    omega, _, _ = eig.global_max_frequency(
+        K, M, np.concatenate([fixed, driven]))
+    dt = 0.9 * 2.0 / omega
+    bcs = BcSchedule(fixed=fixed, driven=driven, tau=100 * dt)
+    args = (M, bcs, dt, 400 * dt, [probe, fixed[0], driven[0]], 1e3 / 16)
+    _assert_same_run(dynamics.central_difference_run(K, *args),
+                     _reference_run(K0, *args))
+
+
+def test_run_matches_reference_loop_diverging():
+    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    bcs = BcSchedule(fixed=np.array([], dtype=int), driven=np.array([0]),
+                     tau=1e3)
+    dt = 2.05 / np.sqrt(2.0)
+    args = (two, np.ones(2), bcs, dt, 1e5 * dt, [1, 0], 10.0)
+    res = dynamics.central_difference_run(*args)
+    assert res.diverged
+    _assert_same_run(res, _reference_run(*args))
+
+
+class _Injected(BcSchedule):
+    """A schedule whose driven value at one step is `value`."""
+
+    def __init__(self, step, dt, value):
+        super().__init__(fixed=np.array([0]), driven=np.array([1]), tau=1.0)
+        self.t, self.value = step * dt, value
+
+    def pulse(self, t):
+        return self.value if t == self.t else 0.0
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("limit, value", [
+    (10.0, np.nextafter(10.0, np.inf)),     # one dof just above the limit
+    (10.0, np.nan),
+    (10.0, np.inf),
+    (np.inf, np.inf),                       # limit^2 / 4 overflows
+    (1e-200, 1e-170),                       # limit^2 / 4 underflows
+])
+def test_divergence_gate_catches_every_excursion(limit, value):
+    # Three uncoupled dofs at rest: only the driven one moves, and only at
+    # step 7, so the gate sees one non-zero entry.
+    K, M, dt = sp.identity(3, format="csr"), np.ones(3), 0.1
+    bcs = _Injected(7, dt, value)
+    args = (K, M, bcs, dt, 20 * dt, [1, 2], limit)
+    res = dynamics.central_difference_run(*args)
+    assert res.diverged_step == 7
+    _assert_same_run(res, _reference_run(*args))
+
+
+def test_divergence_gate_lets_the_limit_itself_pass():
+    K, M, dt = sp.identity(3, format="csr"), np.ones(3), 0.1
+    res = dynamics.central_difference_run(
+        K, M, _Injected(7, dt, 10.0), dt, 20 * dt, [1], 10.0)
+    assert not res.diverged and res.steps == 20
+    assert res.probe_history[7, 0] == 10.0
+
+
+@pytest.mark.parametrize("dt, t_max, probes, fixed, driven, mass, match", [
+    (np.nan, 1.0, [0], [], [], [1, 1], "time step"),
+    (np.inf, 1.0, [0], [], [], [1, 1], "time step"),
+    (-1.0, 1.0, [0], [], [], [1, 1], "time step"),
+    (0.1, np.inf, [0], [], [], [1, 1], "t_max"),
+    (0.1, np.nan, [0], [], [], [1, 1], "t_max"),
+    (0.1, -1.0, [0], [], [], [1, 1], "t_max"),
+    (1e-320, 1e300, [0], [], [], [1, 1], "finite number of steps"),
+    (0.1, 1.0, [5], [], [], [1, 1], "probe dof"),
+    (0.1, 1.0, [-1], [], [], [1, 1], "probe dof"),
+    (0.1, 1.0, [0], [2], [], [1, 1], "fixed dof"),
+    (0.1, 1.0, [0], [], [7], [1, 1], "driven dof"),
+    (0.1, 1.0, [0], [], [], [1, 1, 1], "lumped mass"),
+    (0.1, 1.0, [0], [], [], [1, np.nan], "lumped mass"),
+])
+def test_bad_run_inputs_rejected(dt, t_max, probes, fixed, driven, mass,
+                                 match):
+    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    bcs = BcSchedule(fixed=np.array(fixed, dtype=int),
+                     driven=np.array(driven, dtype=int), tau=1.0)
+    with pytest.raises(ValidationError, match=match):
+        dynamics.central_difference_run(two, np.array(mass, float), bcs, dt,
+                                        t_max, probes)

@@ -144,6 +144,31 @@ def test_split_prisms_conforming_volume():
                                 rel=1e-13)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_split_prisms_orients_each_tet_in_place(reverse):
+    # A square (poly) beside a triangle (prism), extruded in two layers:
+    # each prism's three tets take its slot in order, and each tet is
+    # oriented as tet_element orients it from the vertices.  Listing the
+    # prism's corners clockwise makes every tet of the split negative.
+    plane = Mesh(2, np.array([[0.0, 0], [1, 0], [1, 1], [0, 1], [2, 0.5]]),
+                 [Element(loop=(0, 1, 2, 3)),
+                  Element(loop=(1, 4, 2), kind="tri", nodes=(1, 4, 2))])
+    solid = meshmod.extrude(plane, 0.5, 2)
+    if reverse:
+        solid = Mesh(3, solid.vertices, [
+            el if el.kind != "prism" else Element(
+                faces=el.faces, kind="prism",
+                nodes=tuple(el.nodes[i] for i in (0, 2, 1, 3, 5, 4)))
+            for el in solid.elements])
+    tets = meshmod.split_prisms_to_tets(solid)
+    assert [el.kind for el in tets.elements] == ["poly"] * 2 + ["tet"] * 6
+    assert tets.elements[:2] == solid.elements[:2]
+    for el in tets.elements[2:]:
+        assert tet_element(el.nodes, solid.vertices) == el
+        assert meshmod.tet_volume(*solid.vertices[list(el.nodes)]) > 0
+    assert meshmod.split_prisms_to_tets(tets).elements == tets.elements
+
+
 def test_is_convex():
     assert meshmod.is_convex(unit_tet(), 0)
     square = Mesh(2, np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]),
