@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,13 +66,19 @@ class BcSchedule:
     """Fixed dofs plus driven dofs following a smooth finite pulse.
 
     The pulse g(t) = (t/tau)^4 - 2 (t/tau)^3 + (t/tau)^2 for t < tau and 0
-    afterwards is C1 at both ends; its peak value is 1/16.
+    afterwards is C1 at both ends; its peak value is 1/16.  tau must be
+    positive and finite.
     """
 
     fixed: np.ndarray
     driven: np.ndarray
     tau: float
     amplitude: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 < self.tau < np.inf:
+            raise ValidationError("pulse duration tau must be positive and "
+                                  "finite")
 
     def pulse(self, t):
         if t >= self.tau or t <= 0.0:
@@ -256,16 +262,18 @@ def beam_problem(mesh, method, alpha0="auto", lumping="auto"):
     return BeamProblem(mesh, method, systems, K, M, *beam_boundary_dofs(mesh))
 
 
+@cache
 def beam_pulse_duration(case, alpha0="auto", lumping="auto"):
-    """The pulse duration of the case: the pulse_duration of its VEM beam
-    problem.
+    """The pulse duration of the case: 100 x the element bound of its VEM
+    beam, the pulse_duration of its VEM beam problem.  Memoized per
+    (case, alpha0, lumping).
 
     The pulse duration is part of the problem statement, so FEM and VEM
     runs of the same case share it.
     """
     from . import benchmarks
     mesh = benchmarks.gen_benchmark("beam" + case, variant="vem")
-    return beam_problem(mesh, "vem", alpha0, lumping).pulse_duration
+    return 100.0 * eig.critical_dt(mesh, "vem", alpha0, lumping).dt_crit
 
 
 def tapered_beam_experiment(case, method, dt_factor=0.9, dt_basis="element",

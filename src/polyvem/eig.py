@@ -28,15 +28,33 @@ def element_max_frequency(K, M_lumped):
     omega = sqrt(lambda_max).  ``K`` is (n, n) with ``M_lumped`` (n,), giving
     a float, or (batch, n, n) with (batch, n), giving a (batch,) array.
     """
-    ml = np.asarray(M_lumped, float)
-    if np.any(ml <= 0.0):
-        raise meshmod.ValidationError("non-positive lumped mass entry")
+    K, ml = np.asarray(K, float), np.asarray(M_lumped, float)
+    _reject_faults(np.atleast_1d(_faults(K, ml)), ml.ndim > 1)
     inv_sqrt = 1.0 / np.sqrt(ml)
-    A = np.asarray(K, float) * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+    A = K * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
     lam = np.linalg.eigvalsh(A)[..., -1]
     omega = np.sqrt(np.maximum(lam, 0.0))
     return float(omega) if omega.ndim == 0 else omega
+
+
+def _faults(K, ml):
+    """Per element of a stack (or one element): 1 if a lumped mass entry
+    is not positive and finite, else 2 if a stiffness entry is not finite,
+    else 0."""
+    return np.where(~((ml > 0.0) & (ml < np.inf)).all(axis=-1), 1,
+                    2 * ~np.isfinite(K).all(axis=(-2, -1)))
+
+
+def _reject_faults(fault, named=True):
+    """A ValidationError for the first element with a fault (_faults codes,
+    indexed by element id), named when `named`."""
+    bad = np.flatnonzero(fault)
+    if bad.size:
+        e = bad[0]
+        raise meshmod.ValidationError((f"element {e}: " if named else "") + (
+            "non-positive or non-finite lumped mass entry",
+            "non-finite stiffness entry")[fault[e] - 1])
 
 
 @dataclass
@@ -120,14 +138,14 @@ def element_systems(mesh, method, alpha0="unit", lumping="auto"):
 def time_step_report(systems, method):
     """Element-eigenvalue critical time step from an element sweep.
 
-    Each group is eigensolved as one stack.
+    Each group is eigensolved as one stack.  The first element with a
+    fault (see _faults) is named in a ValidationError.
     """
-    bad = np.concatenate([ids[(ml <= 0.0).any(axis=1)]
-                          for ids, _, _, ml, _ in systems])
-    if bad.size:
-        raise meshmod.ValidationError(
-            f"element {bad.min()}: non-positive lumped mass entry")
-    omegas = np.zeros(sum(len(ids) for ids, *_ in systems))
+    fault = np.zeros(sum(len(ids) for ids, *_ in systems), np.int64)
+    for ids, _, K, ml, _ in systems:
+        fault[ids] = _faults(K, ml)
+    _reject_faults(fault)
+    omegas = np.zeros(len(fault))
     for ids, _, K, ml, _ in systems:
         omegas[ids] = element_max_frequency(K, ml)
     arg = int(np.argmax(omegas))
@@ -155,12 +173,16 @@ def global_max_frequency(K, M_lumped, fixed_dofs=(), tol=1e-6,
     """Largest global frequency by power iteration on L^-1 K L^-T.
 
     ``K`` may be dense or scipy-sparse; ``fixed_dofs`` are eliminated before
-    iterating.  Returns (omega, converged, iterations).
+    iterating; a fixed dof outside [0, n) is a ValidationError.  Returns
+    (omega, converged, iterations).
     """
     n = K.shape[0]
-    free = np.setdiff1d(np.arange(n), np.asarray(list(fixed_dofs), dtype=int))
+    fixed = np.asarray(list(fixed_dofs), dtype=int)
+    if fixed.size and not (0 <= fixed.min() and fixed.max() < n):
+        raise meshmod.ValidationError(f"fixed dof out of range [0, {n})")
+    free = np.setdiff1d(np.arange(n), fixed)
     ml = np.asarray(M_lumped, float)[free]
-    if np.any(ml <= 0.0):
+    if not np.all(ml > 0.0):
         raise meshmod.ValidationError("non-positive lumped mass entry")
     Kff = K[np.ix_(free, free)] if isinstance(K, np.ndarray) else \
         K.tocsr()[free, :][:, free]

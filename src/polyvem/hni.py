@@ -176,7 +176,13 @@ def _newell_normal(tri):
     """
     u = tri[..., 1, :] - tri[..., 0, :]
     v = tri[..., 2, :] - tri[..., 0, :]
-    return 0.5 * np.cross(u, v)
+    return 0.5 * _cross(u, v)
+
+
+def _cross(u, v):
+    """Row-wise 3D cross products: np.cross's bits, at less cost per call."""
+    i, j = np.array([[1, 2, 0], [2, 0, 1]])
+    return u.take(i, -1) * v.take(j, -1) - u.take(j, -1) * v.take(i, -1)
 
 
 def _dots(x, y):

@@ -8,13 +8,14 @@ elements can be built on them; purely polytopal elements do not need one.
 Meshes are immutable by convention: nothing in this package mutates a mesh
 after construction, so instances can be shared freely.  Each mesh builds its
 geometry table (``Mesh.geometry``: stacked face data, each element's node
-list in dof order, closed-form order-<=2 moments, convexity and the
-validation verdict of every element) once, on the first geometry query or
-validation, and keeps it.  The table alone decides element connectivity:
-every reader of element nodes or face contacts reads it.  Mutating
-``mesh.vertices`` in place after that leaves the table stale; build a new
-``Mesh`` instead.  The HNI integrators (``element_integrator``) are the
-arbitrary-degree reference and are not used by the element pipeline.
+list in dof order, measures and the validation verdict of every element)
+once, on the first geometry query or validation, and keeps it; moments and
+convexity are added on first read.  The table alone decides element
+connectivity: every reader of element nodes or face contacts reads it.
+Mutating ``mesh.vertices`` in place after that leaves the table stale;
+build a new ``Mesh`` instead.  The HNI integrators (``element_integrator``)
+are the arbitrary-degree reference and are not used by the element
+pipeline.
 """
 
 from __future__ import annotations
@@ -160,6 +161,7 @@ def _unit(vectors, lengths):
 # Geometry table and validation
 
 _KIND_NODES = {"tri": 3, "tet": 4, "prism": 6}
+_NEXT = {2: np.array([1, 0]), 3: np.array([1, 2, 0])}  # corner successors
 _FACE_CHECKS = ("faces must be triangles", "vertex index out of range",
                 "repeated vertex", "zero-area face")
 
@@ -172,16 +174,19 @@ class MeshGeometry:
     face_start[e + 1]`` slices element e's faces, in its own order.  The
     node lists are stacked the same way (``nodes``, ``node_start``), each in
     the element's dof order: its given ``nodes``, else its 2D loop, else the
-    sorted vertex set of its faces.  Moments are signed sums over the
-    simplices joining each face to the element's anchor (its first node);
-    ``integrate`` serves them to ``hni.scaled_moment_table``.
+    sorted vertex set of its faces.  These, the face areas, normals and edge
+    lengths, ``volume``, ``diameter``, ``degenerate`` and the verdict are
+    built with the table; ``integrate``, ``centroid``, ``scaled_moments``
+    and ``convex`` on first read, from it alone.  Moments are signed sums
+    over the simplices joining each face to the element's anchor (its
+    first node); ``integrate`` serves them to ``hni.scaled_moment_table``.
     ``failed_check[e]`` is the first check element e fails (-1: none) and
-    ``error(e)`` words it.
+    ``error(e)`` words it.  Every array is read-only.
     """
 
     def __init__(self, mesh):
         dim, n_vert, els = mesh.dimension, mesh.num_vertices, mesh.elements
-        V = mesh.vertices if n_vert else np.zeros((1, dim))
+        V = self._V = mesh.vertices if n_vert else np.zeros((1, dim))
         n_el = len(els)
         conns = [el.loop if dim == 2 else el.faces for el in els]
         sizes = np.array([len(c or ()) for c in conns], np.int64)
@@ -199,22 +204,23 @@ class MeshGeometry:
                           for v in (tuple(f) + (None,) * 3)[:3]])
             faces = faces.reshape(-1, 3)
             corners, corner_owner = faces.ravel(), np.repeat(owner, 3)
-        vid = (lambda ids: np.clip(ids, 0, len(V) - 1))
-        pts = V[vid(faces)]
+        pts = V.take(faces, 0, mode="clip")  # ids out of range clipped
         if dim == 2:
             t = pts[:, 1] - pts[:, 0]
             nu = np.stack([t[:, 1], -t[:, 0]], axis=1)
             areas, normals = hni._norms(t), _unit(nu, hni._norms(nu))
         else:
             areas, normals = triangle_area_normal(pts)
-        self.edge_lengths = hni._norms(np.roll(pts, -1, axis=1) - pts)
+        self.edge_lengths = hni._norms(pts.take(_NEXT[dim], 1) - pts)
+        self.faces, self.face_areas, self.face_normals = faces, areas, normals
 
         # Each element's vertex set, sorted.
-        order, run = _runs(corner_owner, corners)
-        head = order[np.flatnonzero(np.diff(run, prepend=-1))]
-        set_owner, set_ids = corner_owner[head], corners[head]
-        set_size = np.bincount(set_owner, minlength=n_el)
-        set_start = np.cumsum(set_size) - set_size
+        order, run = corner_runs = _runs(corner_owner, corners)
+        count = np.bincount(run)
+        head = order[np.cumsum(count) - count]
+        set_owner, self._set_ids = corner_owner[head], corners[head]
+        self._set_size = set_size = np.bincount(set_owner, minlength=n_el)
+        self._set_start = np.cumsum(set_size) - set_size
 
         # Node lists in dof order: the given nodes, else the 2D loop, else
         # the sorted vertex set of the faces.  The first node anchors the
@@ -225,59 +231,25 @@ class MeshGeometry:
         given_owner = np.repeat(np.arange(n_el), given_count)
         has_nodes = np.array([x is not None for x in node_lists], bool)
         rule_owner, rule_ids = ((corner_owner, corners) if dim == 2 else
-                                (set_owner, set_ids))
+                                (set_owner, self._set_ids))
         derived = ~has_nodes[rule_owner]
         owners = np.concatenate([given_owner, rule_owner[derived]])
         pick = np.argsort(owners, kind="stable")
         self.nodes = np.concatenate([given_ids, rule_ids[derived]])[pick]
         self.node_start = np.searchsorted(owners[pick], np.arange(n_el + 1))
-        origin = V[vid(np.append(self.nodes, 0)[self.node_start[:-1]])]
+        self._origin = V.take(np.append(self.nodes, 0)[self.node_start[:-1]],
+                              0, mode="clip")
 
-        # Moments of the face-to-anchor simplices, summed d!-scaled and
-        # divided once per element (a unit cube's volume comes out exact).
-        with np.errstate(invalid="ignore", divide="ignore"):
-            local = pts - origin[owner][:, None, :]
-            det = (_cross2(local[:, 0], local[:, 1]) if dim == 2 else
-                   (local[:, 0] * np.cross(local[:, 1], local[:, 2])).sum(1))
-            s = local.sum(axis=1)
-            scale = math.factorial(dim)
-            volume = np.bincount(owner, det, minlength=n_el) / scale
-            first = _sum_per(owner, det[:, None] * s, n_el) / (
-                scale * (dim + 1))
-            second = _sum_per(owner, det[:, None, None] * (
-                np.einsum("fki,fkj->fij", local, local)
-                + s[:, :, None] * s[:, None, :]), n_el) / (
-                scale * (dim + 1) * (dim + 2))
-            self._raw = (volume, first, second)
-            centroid = np.where((volume > 0.0)[:, None],
-                                first / volume[:, None], np.nan)
-
-            # Diameter and convexity over each element's vertex set, in
-            # groups of equal set size.
-            diameter, convex = np.zeros(n_el), np.ones(n_el, bool)
-            for size in np.unique(set_size[set_size > 0]):
-                group = np.flatnonzero(set_size == size)
-                p = V[vid(set_ids[set_start[group][:, None]
-                                  + np.arange(size)])]
+        with np.errstate(invalid="ignore"):
+            volume = np.bincount(owner, self._simplices()[2],
+                                 minlength=n_el) / math.factorial(dim)
+            diameter = np.zeros(n_el)
+            for group, p in self._vertex_sets():
                 diameter[group] = _max_pairwise_distance(p)
-                row = np.full(n_el, -1)
-                row[group] = np.arange(len(group))
-                f = np.flatnonzero(row[owner] >= 0)
-                height = ((p[row[owner[f]]] - pts[f, :1])
-                          @ normals[f, :, None])[..., 0]
-                tol = TAU_GEOM * diameter[owner[f], None]
-                convex[owner[f][(height > tol).any(axis=1)]] = False
-            self.scaled_moments = hni.scaled_moment_table(self, centroid,
-                                                          diameter)
-        self.volume, self.diameter, self.convex = volume, diameter, convex
-        self.centroid = centroid + origin
+        self.volume, self.diameter = volume, diameter
         self.degenerate = volume <= TAU_GEOM * diameter ** dim
-        self.faces, self.face_areas, self.face_normals = faces, areas, normals
-        for arr in (volume, diameter, convex, self.centroid, self.degenerate,
-                    faces, areas, normals, self.edge_lengths, self.nodes,
-                    self.node_start,
-                    *self.scaled_moments.values()):
-            arr.flags.writeable = False
+        _frozen(volume, diameter, self.degenerate, faces, areas, normals,
+                self.edge_lengths, self.nodes, self.node_start)
 
         # Validation: one (message, failing elements) pair per check, in
         # the order an element is checked.
@@ -287,21 +259,23 @@ class MeshGeometry:
             checks = [
                 ("2D element lacks a loop", missing),
                 ("loop has < 3 vertices", sizes < 3),
-                ("repeated vertex in loop", _repeated(owner, corners, n_el)),
+                ("repeated vertex in loop",
+                 _repeated(owner, corner_runs, n_el)),
                 ("vertex index out of range",
                  _any(owner[outside(corners)], n_el)),
                 ("loop is not CCW or has vanishing area",
                  volume <= TAU_GEOM * diameter * diameter),
-                ("loop self-intersects",
-                 _crossing(V[vid(corners)], starts, sizes))]
+                ("loop self-intersects", _crossing(pts[:, 0], starts, sizes))]
         else:
             lengths = np.array([len(f) for c in conns if c for f in c], int)
             edge = self.edge_lengths.max(axis=1)
-            self._face_check = np.select(
-                [lengths != 3, outside(faces).any(axis=1),
-                 (faces == np.roll(faces, 1, axis=1)).any(axis=1),
-                 areas <= TAU_GEOM * edge * edge], [1, 2, 3, 4], 0)
-            self._unpaired = _unpaired(faces, owner)
+            self._face_check = np.zeros(len(faces), np.int64)  # 0: none
+            for k, bad in reversed(list(enumerate(
+                    [lengths != 3, outside(faces).any(axis=1),
+                     (faces == faces.take(_NEXT[3], 1)).any(axis=1),
+                     areas <= TAU_GEOM * edge * edge], 1))):
+                self._face_check[bad] = k
+            self._unpaired = _unpaired(faces, corner_owner)
             weighted = _sum_per(owner, areas[:, None] * normals, n_el)
             largest = np.zeros(n_el)
             np.maximum.at(largest, owner, areas)
@@ -317,14 +291,17 @@ class MeshGeometry:
         self._expected = np.array([_KIND_NODES.get(k, -1)
                                    for k in self.kinds], np.int64)
         self._given_count = given_count
-        in_set = np.isin(given_owner * len(V) + vid(given_ids),
-                         set_owner * len(V) + vid(set_ids))
+        # Sorted (owner, clipped id) keys of the vertex sets, searched.
+        keys = set_owner * len(V) + self._set_ids.clip(0, len(V) - 1)
+        query = given_owner * len(V) + given_ids.clip(0, len(V) - 1)
+        in_set = np.append(keys, -1)[np.searchsorted(keys, query)] == query
         checks += [
             ("a {kind} needs {expected} nodes, got {count}",
              (self._expected >= 0) & (given_count != self._expected)),
             ("node id out of range or not an integer",
              _any(given_owner[outside(given_ids)], n_el)),
-            ("repeated node", _repeated(given_owner, given_ids, n_el)),
+            ("repeated node", _repeated(
+                given_owner, _runs(given_owner, given_ids), n_el)),
             ("nodes differ from the element's vertex set",
              has_nodes & (_any(given_owner[~in_set], n_el)
                           | (set_size != given_count)))]
@@ -332,6 +309,75 @@ class MeshGeometry:
         self.failed_check = np.full(n_el, -1)
         for k in reversed(range(len(checks))):
             self.failed_check[checks[k][1]] = k
+
+    def _simplices(self):
+        """(owner, local, det) of each face-to-anchor simplex: its element,
+        its face's corners about the anchor and d! x its signed measure."""
+        owner = np.repeat(np.arange(len(self._origin)),
+                          np.diff(self.face_start))
+        local = (self._V.take(self.faces, 0, mode="clip")
+                 - self._origin[owner][:, None, :])
+        if local.shape[-1] == 2:
+            return owner, local, _cross2(local[:, 0], local[:, 1])
+        return owner, local, (
+            local[:, 0] * hni._cross(local[:, 1], local[:, 2])).sum(1)
+
+    def _vertex_sets(self):
+        """(elements, their sets' points (elements, size, dim)) per size
+        of vertex set."""
+        for k in np.flatnonzero(np.bincount(self._set_size)[1:]) + 1:
+            group = np.flatnonzero(self._set_size == k)
+            yield group, self._V.take(self._set_ids[self._set_start[group][
+                :, None] + np.arange(k)], 0, mode="clip")
+
+    @cached_property
+    def _raw(self):
+        """Order-0, 1 and 2 moments about each anchor (the simplices',
+        summed d!-scaled and divided once per element: a unit cube's volume
+        comes out exact), then the centroid about the anchor."""
+        owner, local, det = self._simplices()
+        n_el, dim = len(self.volume), local.shape[-1]
+        scale, s = math.factorial(dim), local.sum(axis=1)
+        first = _sum_per(owner, det[:, None] * s, n_el) / (scale * (dim + 1))
+        second = _sum_per(owner, det[:, None, None] * (
+            np.einsum("fki,fkj->fij", local, local)
+            + s[:, :, None] * s[:, None, :]), n_el) / (
+            scale * (dim + 1) * (dim + 2))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            centroid = np.where((self.volume > 0.0)[:, None],
+                                first / self.volume[:, None], np.nan)
+        return self.volume, *_frozen(first, second, centroid)
+
+    @cached_property
+    def centroid(self):
+        """Each element's centroid (NaN where its volume is not positive)."""
+        return _frozen(self._raw[3] + self._origin)[0]
+
+    @cached_property
+    def scaled_moments(self):
+        """Order-<=2 moments of the scaled monomials about each element's
+        (centroid, diameter), one array per exponent tuple."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            table = hni.scaled_moment_table(self, self._raw[3], self.diameter)
+        return dict(zip(table, _frozen(*table.values())))
+
+    @cached_property
+    def convex(self):
+        """Per element: does no vertex lie above a face plane by more than
+        TAU_GEOM x its diameter?"""
+        owner = np.repeat(np.arange(len(self.volume)),
+                          np.diff(self.face_start))
+        base = self._V.take(self.faces[:, :1], 0, mode="clip")
+        convex = np.ones(len(self.volume), bool)
+        for group, p in self._vertex_sets():
+            row = np.full(len(self.volume), -1)
+            row[group] = np.arange(len(group))
+            f = np.flatnonzero(row[owner] >= 0)
+            height = ((p[row[owner[f]]] - base[f])
+                      @ self.face_normals[f, :, None])[..., 0]
+            tol = TAU_GEOM * self.diameter[owner[f], None]
+            convex[owner[f][(height > tol).any(axis=1)]] = False
+        return _frozen(convex)[0]
 
     def integrate(self, exponent):
         """Raw integral of a degree <= 2 monomial over every element, about
@@ -383,6 +429,13 @@ def _cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
+def _frozen(*arrays):
+    """The arrays, each made read-only."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def _any(owners, n_elements):
     """Per element: is it among `owners`?"""
     return np.bincount(owners, minlength=n_elements) > 0
@@ -392,24 +445,27 @@ def _runs(*keys):
     """(order, run): the lexicographic order of the rows (first key most
     significant) and, per sorted row, the number of its run of equal rows."""
     order = np.lexsort(keys[::-1])
-    rows = np.stack(keys)[:, order]
-    new = np.ones(len(order), bool)
-    new[1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=0)
+    new = np.zeros(len(order), bool)
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    new[:1] = True
     return order, np.cumsum(new) - 1
 
 
-def _repeated(owners, ids, n_elements):
-    """Per element: does one of its ids occur twice?"""
-    order, run = _runs(owners, ids)
+def _repeated(owners, runs, n_elements):
+    """Per element: does one of its ids occur twice?  `runs` is
+    _runs(owners, ids)."""
+    order, run = runs
     return _any(owners[order][np.bincount(run)[run] > 1], n_elements)
 
 
 def _unpaired(faces, owner):
-    """Per half-edge (faces[f, k], faces[f, k + 1]): is it not matched by
-    exactly one opposite half-edge of its element, or not unique?  Each
-    undirected edge of an element must be crossed once in each direction."""
-    a, b = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
-    order, run = _runs(np.repeat(owner, 3), np.minimum(a, b), np.maximum(a, b))
+    """Per half-edge (faces[f, k], faces[f, k + 1]), of element owner[3f+k]:
+    is it not matched by exactly one opposite half-edge of its element, or
+    not unique?  Each undirected edge must be crossed once each way."""
+    a, b = faces.ravel(), faces.take(_NEXT[3], 1).ravel()
+    order, run = _runs(owner, np.minimum(a, b), np.maximum(a, b))
     forward = np.bincount(run, (a < b)[order])
     bad = np.empty(len(a), bool)
     bad[order] = (np.bincount(run) != 2)[run] | (forward != 1)[run]
@@ -423,7 +479,7 @@ def _crossing(corners, starts, sizes):
         return _cross2(b - a, c - a)
 
     out = np.zeros(len(sizes), bool)
-    for n in np.unique(sizes[sizes >= 4]):
+    for n in 4 + np.flatnonzero(np.bincount(sizes)[4:]):
         group = np.flatnonzero(sizes == n)
         p = corners[starts[group][:, None] + np.arange(n)]
         i, j = np.array([(i, j) for i in range(n) for j in range(i + 2, n)

@@ -542,3 +542,27 @@ def test_bad_run_inputs_rejected(dt, t_max, probes, fixed, driven, mass,
     with pytest.raises(ValidationError, match=match):
         dynamics.central_difference_run(two, np.array(mass, float), bcs, dt,
                                         t_max, probes)
+
+
+def test_beam_pulse_duration_is_the_vem_bound_memoized(beam_meshes,
+                                                       monkeypatch):
+    # The same bits as the VEM beam problem's pulse duration; a second
+    # call for the same (case, alpha0, lumping) generates no mesh.
+    tau = dynamics.beam_pulse_duration("A")
+    problem = dynamics.beam_problem(beam_meshes[("A", "vem")], "vem")
+    assert tau == problem.pulse_duration
+
+    def no_generation(*args, **kwargs):
+        raise AssertionError("gen_benchmark called")
+
+    monkeypatch.setattr(benchmarks, "gen_benchmark", no_generation)
+    assert dynamics.beam_pulse_duration("A") == tau
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -1.0, 0.0])
+def test_bad_pulse_duration_rejected(beam_meshes, tau):
+    with pytest.raises(ValidationError, match="pulse duration tau"):
+        BcSchedule(fixed=np.array([0]), driven=np.array([1]), tau=tau)
+    problem = dynamics.beam_problem(beam_meshes[("A", "vem")], "vem")
+    with pytest.raises(ValidationError, match="pulse duration tau"):
+        problem.run(problem.dt_crit("element"), 0.01, tau=tau)

@@ -234,3 +234,56 @@ def test_nonpositive_lumped_mass_mid_batch_named():
              np.array(["row_sum"] * 3))
     with pytest.raises(ValidationError, match="^element 2: non-positive"):
         eig.time_step_report([group], "vem")
+
+
+@pytest.mark.parametrize("K, mass, match", [
+    (np.eye(2), [1.0, np.nan], "non-positive or non-finite lumped mass"),
+    (np.eye(2), [1.0, np.inf], "non-positive or non-finite lumped mass"),
+    (np.eye(2), [1.0, -1.0], "non-positive or non-finite lumped mass"),
+    (np.diag([1.0, np.nan]), [1.0, 1.0], "non-finite stiffness"),
+    (np.diag([1.0, -np.inf]), [1.0, 1.0], "non-finite stiffness"),
+])
+def test_unsound_element_rejected(K, mass, match):
+    with pytest.raises(ValidationError, match="^" + match):
+        eig.element_max_frequency(K, np.array(mass))
+    # In a stack, the row is named; in a sweep, the element.
+    stack_K, stack_m = np.stack([np.eye(2), K]), np.array([[1.0, 1.0], mass])
+    with pytest.raises(ValidationError, match="^element 1: " + match):
+        eig.element_max_frequency(stack_K, stack_m)
+    group = (np.array([3, 1]), np.zeros((2, 1), int), stack_K, stack_m,
+             np.array(["row_sum"] * 2))
+    sound = (np.array([0, 2]), np.zeros((2, 1), int),
+             np.stack([np.eye(2)] * 2), np.ones((2, 2)),
+             np.array(["row_sum"] * 2))
+    with pytest.raises(ValidationError, match="^element 1: " + match):
+        eig.time_step_report([group, sound], "vem")
+
+
+def test_first_unsound_element_named_across_groups():
+    # Element 1 (stiffness) precedes element 2 (mass) in element order.
+    nan_K = (np.array([0, 1]), np.zeros((2, 1), int),
+             np.stack([np.eye(2), np.diag([np.nan, 1.0])]), np.ones((2, 2)),
+             np.array(["row_sum"] * 2))
+    nan_m = (np.array([2]), np.zeros((1, 1), int), np.eye(2)[None],
+             np.array([[np.nan, 1.0]]), np.array(["row_sum"]))
+    for systems in ([nan_K, nan_m], [nan_m, nan_K]):
+        with pytest.raises(ValidationError,
+                           match="^element 1: non-finite stiffness"):
+            eig.time_step_report(systems, "fem")
+
+
+def test_nan_alpha0_named_not_linalg_error():
+    mesh = benchmarks.gen_benchmark("wedge", 1e-1, "vem")
+    with pytest.raises(ValidationError,
+                       match="^element 0: non-finite stiffness"):
+        eig.critical_dt(mesh, "vem", alpha0=float("nan"))
+
+
+@pytest.mark.parametrize("fixed", [[7], [-1], [0, 3]])
+def test_global_fixed_dofs_out_of_range_rejected(fixed):
+    K = np.diag([1.0, 4.0, 9.0])
+    with pytest.raises(ValidationError,
+                       match=r"fixed dof out of range \[0, 3\)"):
+        eig.global_max_frequency(K, np.ones(3), fixed)
+    omega, converged, _ = eig.global_max_frequency(K, np.ones(3), [2])
+    assert converged and omega == pytest.approx(2.0, rel=1e-6)

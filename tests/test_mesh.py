@@ -418,3 +418,53 @@ def test_element_nodes_rejects_mixed_node_counts(beam_meshes):
     mixed = [int(np.flatnonzero(sizes == n)[0]) for n in (8, 12)]
     with pytest.raises(ValueError, match="differ in node count"):
         meshmod.element_nodes(mesh, mixed)
+
+
+# ---------------------------------------------------------------------------
+# Fields of the geometry table built on first read
+
+ON_DEMAND = ("_raw", "centroid", "scaled_moments", "convex")
+
+
+def _fresh(mesh):
+    """A new Mesh of the same data: its table is not built yet."""
+    return Mesh(mesh.dimension, mesh.vertices, mesh.elements, mesh.material)
+
+
+@pytest.mark.parametrize("name, variant", [
+    ("tri2d", "fem"), ("tri2d", "vem"), ("prism3d", "fem"),
+    ("kite", "vem"), ("spireC", "fem")])
+def test_validation_builds_no_on_demand_field(name, variant):
+    mesh = _fresh(benchmarks.gen_benchmark(name, 1e-3, variant))
+    meshmod.validate_mesh(mesh)
+    g = mesh.geometry
+    assert not set(ON_DEMAND) & set(vars(g))
+    # Each field is built by its first read, and only that one.
+    g.convex
+    assert set(ON_DEMAND) & set(vars(g)) == {"convex"}
+    g.integrate((0,) * mesh.dimension)
+    assert set(ON_DEMAND) & set(vars(g)) == {"convex", "_raw"}
+
+
+def test_face_queries_build_no_on_demand_field(beam_meshes):
+    # Shape quality, agglomeration and node lists read the eager part only,
+    # on the input mesh and on the merged one.
+    from polyvem import agglomerate, quality
+    mesh = _fresh(beam_meshes[("A", "fem")])
+    quality.mesh_report(mesh)
+    merged, mapping, _ = agglomerate.auto_agglomerate(mesh)
+    assert merged.num_elements < mesh.num_elements
+    meshmod.element_nodes(mesh, [0, 1])
+    for m in (mesh, merged):
+        assert not set(ON_DEMAND) & set(vars(m.geometry))
+
+
+def test_on_demand_arrays_are_read_only():
+    mesh = benchmarks.gen_benchmark("wedge", 1e-3, "vem")
+    g = mesh.geometry
+    arrays = [g.centroid, g.convex, *g.scaled_moments.values(), *g._raw,
+              g.integrate((1, 0, 0)), g.integrate((0, 1, 1))]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polyvem import agglomerate, eig, mesh as meshmod, quality, vem
+from polyvem import agglomerate, benchmarks, eig, mesh as meshmod, quality, vem
 from polyvem.mesh import Element, Mesh, tet_element
 
 from conftest import random_rotation, random_tet_mesh
@@ -169,3 +169,29 @@ def test_dihedral_angles_of_random_tets(seed, n_tets):
     well = base.min(axis=1) > 1.0
     for moved in (verts @ random_rotation(rng).T, verts * 1e-3, verts * 1e4):
         assert np.abs(angles(moved) - base)[well].max(initial=0.0) <= 1e-8
+
+
+def _on_demand_fields(mesh, first):
+    """The on-demand fields of a fresh table of the mesh, `first` read
+    first, as raw bytes."""
+    g = Mesh(mesh.dimension, mesh.vertices, mesh.elements,
+             mesh.material).geometry
+    getattr(g, first)
+    fields = [g.centroid, g.convex, *g._raw,
+              *(g.scaled_moments[k] for k in sorted(g.scaled_moments))]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in fields]
+
+
+def test_on_demand_fields_independent_of_read_order(beam_meshes):
+    # Each on-demand field is computed from the eager table alone, so the
+    # order of first reads cannot change a bit of any of them.
+    meshes = [benchmarks.gen_benchmark(name, eps, variant)
+              for name in benchmarks.BENCHMARK_NAMES
+              if not name.startswith("beam")
+              for eps in (1e-1, 1e-5) for variant in ("fem", "vem")]
+    meshes += [beam_meshes[("A", v)] for v in ("fem", "vem")]
+    meshes += [beam_meshes[("B", v)] for v in ("fem", "vem")]
+    for mesh in meshes:
+        reference = _on_demand_fields(mesh, "convex")
+        for first in ("scaled_moments", "centroid", "_raw"):
+            assert _on_demand_fields(mesh, first) == reference
