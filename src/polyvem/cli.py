@@ -51,6 +51,14 @@ def main(argv=None):
     except (MeshError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # Inputs are read through load_mesh/parse_config_file, which raise
+        # the errors above, so an OSError here is an output that failed (a
+        # failed write or close carries no file name).
+        path = "output" if exc.filename is None else exc.filename
+        print(f"error: cannot write {path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
 
 
 def _load_config(args):
@@ -140,7 +148,7 @@ def _build_parser():
     p.add_argument("--element", type=int, default=0)
     p.add_argument("--unit-tet", action="store_true")
     p.add_argument("--unit-cube", action="store_true")
-    p.add_argument("--exp", required=True,
+    p.add_argument("--exp",
                    help="comma-separated exponents, e.g. 2,1,0")
     p.add_argument("--moments", action="store_true",
                    help="print the scaled order-<=2 moment table instead")
@@ -182,7 +190,7 @@ def _cmd_agglomerate(args, cfg):
             print(f"warning: element {e} flagged but has no merge partner",
                   file=sys.stderr)
     elif args.groups:
-        groups = [tuple(int(v) for v in part.split(","))
+        groups = [tuple(_int_list(part, "--groups"))
                   for part in args.groups.split(";") if part.strip()]
         merged, mapping = agglomerate.merge_groups(mesh, groups)
     else:
@@ -221,7 +229,7 @@ def _cmd_eig_global(args, cfg):
     else:
         K, M = dynamics.assemble(mesh, args.method, alpha0=cfg.alpha0,
                                  lumping=cfg.lumping)
-        nodes = np.array([int(v) for v in args.fixed_nodes.split(",")]
+        nodes = np.array(_int_list(args.fixed_nodes, "--fixed-nodes")
                          if args.fixed_nodes else [], dtype=int)
         for node in nodes:
             if not 0 <= node < mesh.num_vertices:
@@ -259,7 +267,6 @@ def _cmd_simulate(args, cfg):
 
 
 def _cmd_integrate(args, cfg):
-    exponent = tuple(int(v) for v in args.exp.split(","))
     if args.unit_tet or args.unit_cube:
         mesh = _unit_shape(args.unit_cube)
     elif args.mesh:
@@ -276,10 +283,25 @@ def _cmd_integrate(args, cfg):
             name = ",".join(str(v) for v in key)
             print(f"\"{name}\",{geom.scaled_moments[key]:.17g}")
         return
+    if args.exp is None:
+        raise ValidationError("integrate needs --exp (or --moments)")
+    exponent = tuple(_int_list(args.exp, "--exp"))
     integ = meshmod.element_integrator(mesh, args.element)
     if len(exponent) != mesh.dimension:
         raise ValidationError("exponent arity must match mesh dimension")
     print(f"{integ.integrate(exponent):.17g}")
+
+
+def _int_list(text, option):
+    """The integers of a comma-separated option value."""
+    values = []
+    for v in text.split(","):
+        try:
+            values.append(int(v))
+        except ValueError:
+            raise ValidationError(f"{option}: expected comma-separated "
+                                  f"integers, got {v!r}") from None
+    return values
 
 
 def _unit_shape(cube):

@@ -40,20 +40,24 @@ class RunConfig:
 
 def parse_config_file(path):
     """key = value pairs, # comments, blank lines ignored."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValidationError(f"cannot read config file {path}: "
+                              f"{exc.strerror or exc}") from exc
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _KEYS:
-                raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = val.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in _KEYS:
+            raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = val.strip()
     return values
 
 

@@ -10,6 +10,10 @@ and driven dofs are overwritten each step.  The beam driver reproduces the
 pulse-loaded tapered-beam runs: fixed at x = 0, an axial quartic pulse at
 x = 4, histories probed mid-beam and reported in normalized time and
 displacement.
+
+``scipy.sparse`` is imported inside ``assemble_systems``, the one place a
+global matrix is built, so importing this module (and running element
+studies) does not load it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import eig
 from .mesh import ValidationError
@@ -39,6 +42,8 @@ def assemble_systems(mesh, systems):
     lumped mass vector.  Each group is scattered with array operations
     into slots laid out in element order, so every shared entry sums its
     element terms in element order."""
+    import scipy.sparse as sp
+
     dim, n = mesh.dimension, mesh.num_vertices
     size = np.zeros(mesh.num_elements, np.int64)
     for ids, _, _, ml, _ in systems:

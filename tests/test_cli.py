@@ -386,3 +386,67 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert run(["timestep", "--mesh", str(mesh_path), "--method", "vem"]) == 2
     err = capsys.readouterr().err
     assert err == "numerical failure: Eigenvalues did not converge\n"
+
+
+# Each output option, pointed below a regular file ("blocker/...").
+@pytest.mark.parametrize("args", [
+    ["mesh-gen", "--name", "kite", "--eps", "1e-5", "--out", "{bad}"],
+    ["quality", "--mesh", "{mesh}", "--out", "{bad}"],
+    ["agglomerate", "--mesh", "{mesh}", "--auto", "--out", "{bad}"],
+    ["agglomerate", "--mesh", "{mesh}", "--auto", "--out", "{ok}",
+     "--mapping", "{bad}"],
+    ["timestep", "--mesh", "{mesh}", "--method", "vem", "--out", "{bad}"],
+    ["timestep", "--mesh", "{mesh}", "--method", "vem",
+     "--dump-matrices", "{bad}"],
+    ["simulate", "--case", "A", "--method", "vem", "--transits", "0.05",
+     "--out", "{bad}"],
+    ["simulate", "--case", "A", "--method", "vem", "--transits", "0.05",
+     "--out", "{ok}", "--summary", "{bad}"],
+    ["tables", "--out", "{bad}"],
+], ids=lambda args: args[0] + args[args.index("{bad}") - 1])
+def test_unwritable_output_is_an_error(tmp_path, capsys, args):
+    mesh_path = tmp_path / "kite.json"
+    run(["mesh-gen", "--name", "kite", "--eps", "1e-5", "--out",
+         str(mesh_path)])
+    (tmp_path / "blocker").write_text("")
+    bad = str(tmp_path / "blocker" / "out")
+    capsys.readouterr()
+    assert run([a.format(mesh=mesh_path, ok=tmp_path / "ok", bad=bad)
+                for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {bad}: ")
+    assert "Traceback" not in err
+
+
+def test_missing_config_file_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "none.cfg"
+    assert run(["--config", str(missing), "--version"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {missing}: ")
+
+
+def test_moments_without_exp(capsys):
+    assert run(["integrate", "--unit-cube", "--moments"]) == 0
+    assert '"0,0,0",1' in capsys.readouterr().out
+
+
+def test_integrate_without_exp_or_moments(capsys):
+    assert run(["integrate", "--unit-cube"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--exp" in err
+
+
+@pytest.mark.parametrize("option, value, args", [
+    ("--exp", "1,a,0", ["integrate"]),
+    ("--groups", "0,1;a", ["agglomerate", "--out", "{out}"]),
+    ("--fixed-nodes", "0,a", ["eig-global", "--method", "vem"]),
+], ids=["exp", "groups", "fixed-nodes"])
+def test_non_integer_list_rejected(tmp_path, capsys, option, value, args):
+    mesh_path = tmp_path / "kite.json"
+    run(["mesh-gen", "--name", "kite", "--eps", "1e-5", "--out",
+         str(mesh_path)])
+    capsys.readouterr()
+    argv = [a.format(out=tmp_path / "m.json") for a in args]
+    assert run(argv + ["--mesh", str(mesh_path), option, value]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {option}: expected comma-separated integers, got 'a'\n")
