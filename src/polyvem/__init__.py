@@ -7,9 +7,8 @@ time-step estimation, and explicit central-difference simulation.
 
 from . import (agglomerate, benchmarks, config, dynamics, eig, fem, hni,
                mesh, quality, vem)
-from .mesh import (Element, ElementGeometry, MaterialParams, Mesh, MeshError,
-                   ParseError, ValidationError, element_geometry, extrude,
-                   is_convex, load_mesh, save_mesh)
+from .mesh import (Element, MaterialParams, Mesh, MeshError, ParseError,
+                   ValidationError, extrude, load_mesh, save_mesh)
 from .benchmarks import gen_benchmark
 from .eig import critical_dt, element_max_frequency, global_max_frequency
 from .dynamics import assemble, central_difference_run, tapered_beam_experiment

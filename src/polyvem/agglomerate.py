@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import mesh as meshmod, quality
-from .mesh import Element, Mesh, TAU_GEOM, ValidationError
+from .mesh import Element, Mesh, ValidationError
 
 VOLUME_FLOOR = 1e-3  # auto-agglomeration stops at volume >= this * h^dim
 
@@ -53,7 +53,8 @@ def merge_groups(mesh, groups):
 def _rebuild(mesh, groups):
     """The mesh with each group (sorted, disjoint member lists) replaced by
     its union at the slot of its smallest member; the other elements keep
-    their order.  Every union is validated and must keep a finite measure.
+    their order.  Every union must pass validation and must not be
+    degenerate; the first union in element order that fails either raises.
     Returns the new mesh and {new element id: tuple of original ids}."""
     if any(g < 0 or g >= mesh.num_elements for members in groups
            for g in members):
@@ -65,15 +66,15 @@ def _rebuild(mesh, groups):
     out = Mesh(mesh.dimension, mesh.vertices,
                [union_at.get(i, mesh.elements[i]) for i in kept],
                mesh.material)
-    for new_id, i in enumerate(kept):
-        if i not in slot_of:
-            continue
-        meshmod.validate_element(out, new_id)
-        g = out.geometry
-        if g.volume[new_id] < TAU_GEOM * g.diameter[new_id] ** mesh.dimension:
-            raise MergeError(
-                f"merged element {new_id} has vanishing measure; agglomerate "
-                "with more neighbors so the polytope keeps finite measure")
+    g = out.geometry
+    slots = np.searchsorted(kept, sorted(slot_of))  # the unions' new ids
+    bad = slots[(g.failed_check[slots] >= 0) | g.degenerate[slots]]
+    if bad.size and g.failed_check[bad[0]] >= 0:
+        raise ValidationError(g.error(bad[0]))
+    if bad.size:
+        raise MergeError(
+            f"merged element {bad[0]} has vanishing measure; agglomerate "
+            "with more neighbors so the polytope keeps finite measure")
     return out, {k: tuple(slot_of.get(i, (i,))) for k, i in enumerate(kept)}
 
 

@@ -250,6 +250,8 @@ def _cmd_simulate(args, cfg):
                           ("--dt-factor", args.dt_factor)):
         if not value > 0.0:
             raise ValidationError(f"{option} must be positive, got {value}")
+    for path in filter(None, (args.out, args.summary)):
+        open(path, "a").close()  # an unwritable output fails before the run
     print(f"case {args.case} {args.method}: dt basis {args.dt_basis}, "
           f"factor {args.dt_factor}, {args.transits} transits")
     exp = dynamics.tapered_beam_experiment(
@@ -277,11 +279,11 @@ def _cmd_integrate(args, cfg):
         raise ValidationError(f"element {args.element} out of range "
                               f"[0, {mesh.num_elements})")
     if args.moments:
-        geom = meshmod.element_geometry(mesh, args.element)
+        moments = mesh.geometry.scaled_moments
         print("exponent,value")
-        for key in sorted(geom.scaled_moments, key=lambda k: (sum(k), k)):
+        for key in sorted(moments, key=lambda k: (sum(k), k)):
             name = ",".join(str(v) for v in key)
-            print(f"\"{name}\",{geom.scaled_moments[key]:.17g}")
+            print(f"\"{name}\",{moments[key][args.element]:.17g}")
         return
     if args.exp is None:
         raise ValidationError("integrate needs --exp (or --moments)")

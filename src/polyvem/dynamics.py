@@ -18,6 +18,7 @@ studies) does not load it.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -109,10 +110,12 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
 
     probes are global dof indices recorded every step.  Divergence (any
     |u| beyond divergence_limit, or a non-finite u) aborts and flags the
-    result.  A step is one ``K @ u`` (an assembled K stores no zeros) and
-    in-place updates of preallocated vectors: -1/m is one scale that is 0
-    on the fixed and driven dofs, a fixed dof keeps v_half = 0 and so
-    u = 0, and the exact max|u| check runs only when u @ u > limit^2 / 4.
+    result.  A run whose time and probe history would not fit in physical
+    memory is refused before anything is allocated.  A step is one
+    ``K @ u`` (an assembled K stores no zeros) and in-place updates of
+    preallocated vectors: -1/m is one scale that is 0 on the fixed and
+    driven dofs, a fixed dof keeps v_half = 0 and so u = 0, and the exact
+    max|u| check runs only when u @ u > limit^2 / 4.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValidationError("time step must be positive and finite")
@@ -128,10 +131,17 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
     for name, d in zip(("probe", "fixed", "driven"), dofs):
         if d.size and not (0 <= d.min() and d.max() < ndof):
             raise ValidationError(f"{name} dof out of range [0, {ndof})")
+    n_steps = int(np.ceil(t_max / dt))
+    need = (n_steps + 1) * (1 + len(probes)) * 8
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise ValidationError(
+            f"{n_steps} steps need {need / 2 ** 30:.3g} GiB of time and "
+            f"probe history, more than the {memory / 2 ** 30:.3g} GiB of "
+            "physical memory")
     scale = -1.0 / ml
     scale[fixed] = 0.0
     scale[driven] = 0.0
-    n_steps = int(np.ceil(t_max / dt))
     times = np.arange(n_steps + 1, dtype=float)
     times *= dt
     history = np.zeros((n_steps + 1, len(probes)))

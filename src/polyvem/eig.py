@@ -121,14 +121,6 @@ def group_system(mesh, ids, method, alpha0="unit", lumping="auto"):
     raise ValueError(f"unknown method {method!r}")
 
 
-def element_system(mesh, index, method, alpha0="unit", lumping="auto"):
-    """(K, lumped M, node ids, lumping used) for one element and method:
-    the one-element view of group_system."""
-    _, nodes, K, ml, used = group_system(
-        mesh, [range(mesh.num_elements)[index]], method, alpha0, lumping)
-    return K[0], ml[0], tuple(nodes[0].tolist()), str(used[0])
-
-
 def element_systems(mesh, method, alpha0="unit", lumping="auto"):
     """Element sweep: the group_system of every group of element_groups."""
     return [group_system(mesh, ids, method, alpha0, lumping)

@@ -4,7 +4,7 @@ Dof ordering matches the virtual elements: [all-x | all-y | all-z] over the
 element's corner nodes, so FEM and VEM matrices are directly comparable on
 simplices.  Each kernel takes one element's corners or a stack of them and
 returns K and M likewise; ``group_matrices`` runs one over elements of one
-kind, and ``element_matrices`` is its one-element view.
+kind.
 """
 
 from __future__ import annotations
@@ -106,10 +106,3 @@ def group_matrices(mesh, ids):
     return kernel(mesh.vertices[element_nodes(mesh, ids)],
                   constitutive_matrix(mesh.material, mesh.dimension),
                   mesh.material.density, ids)
-
-
-def element_matrices(mesh, index):
-    """Reference-FEM (K, M) for a tri/tet/prism element of a mesh: the
-    one-element view of group_matrices."""
-    K, M = group_matrices(mesh, [range(mesh.num_elements)[index]])
-    return K[0], M[0]

@@ -106,19 +106,6 @@ class Mesh:
         return MeshGeometry(self)
 
 
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Measure, centroid, diameter, face data and order-<=2 scaled moments."""
-
-    volume: float
-    centroid: np.ndarray
-    diameter: float
-    face_areas: np.ndarray
-    face_normals: np.ndarray
-    scaled_moments: dict
-    degenerate: bool = False
-
-
 # ---------------------------------------------------------------------------
 # Construction helpers
 
@@ -175,9 +162,11 @@ class MeshGeometry:
     node lists are stacked the same way (``nodes``, ``node_start``), each in
     the element's dof order: its given ``nodes``, else its 2D loop, else the
     sorted vertex set of its faces.  These, the face areas, normals and edge
-    lengths, ``volume``, ``diameter``, ``degenerate`` and the verdict are
-    built with the table; ``integrate``, ``centroid``, ``scaled_moments``
-    and ``convex`` on first read, from it alone.  Moments are signed sums
+    lengths, ``volume``, ``diameter``, ``degenerate`` (volume <= TAU_GEOM x
+    diameter^dim: the one degeneracy rule, which 2D validation, quality and
+    merging read) and the verdict are built with the table; ``integrate``,
+    ``centroid``, ``scaled_moments`` and ``convex`` on first read, from it
+    alone.  Moments are signed sums
     over the simplices joining each face to the element's anchor (its
     first node); ``integrate`` serves them to ``hni.scaled_moment_table``.
     ``failed_check[e]`` is the first check element e fails (-1: none) and
@@ -263,8 +252,7 @@ class MeshGeometry:
                  _repeated(owner, corner_runs, n_el)),
                 ("vertex index out of range",
                  _any(owner[outside(corners)], n_el)),
-                ("loop is not CCW or has vanishing area",
-                 volume <= TAU_GEOM * diameter * diameter),
+                ("loop is not CCW or has vanishing area", self.degenerate),
                 ("loop self-intersects", _crossing(pts[:, 0], starts, sizes))]
         else:
             lengths = np.array([len(f) for c in conns if c for f in c], int)
@@ -500,13 +488,6 @@ def reject(bad, message, ids=None):
             message if ids is None else f"element {ids[first[0]]}: {message}")
 
 
-def validate_element(mesh, index):
-    """Check one element's structural invariants; raise ValidationError."""
-    message = mesh.geometry.error(index)
-    if message is not None:
-        raise ValidationError(message)
-
-
 def validate_mesh(mesh):
     """Check the mesh and every element; the first failing element, in
     element order, is named in the ValidationError."""
@@ -520,7 +501,7 @@ def validate_mesh(mesh):
         raise ValidationError("mesh has no elements")
     bad = np.flatnonzero(mesh.geometry.failed_check >= 0)
     if bad.size:
-        validate_element(mesh, int(bad[0]))
+        raise ValidationError(mesh.geometry.error(bad[0]))
     return mesh
 
 
@@ -532,7 +513,7 @@ def _max_pairwise_distance(pts):
 
 
 # ---------------------------------------------------------------------------
-# Geometry queries: views into Mesh.geometry
+# Element rows of Mesh.geometry
 
 
 def element_local(mesh, index):
@@ -572,33 +553,6 @@ def element_integrator(mesh, index):
     if mesh.dimension == 2:
         return hni.PolygonIntegrator(verts[list(conn)])
     return hni.PolyhedronIntegrator(verts, conn)
-
-
-def element_geometry(mesh, index):
-    """Measure, centroid, diameter, per-face data and scaled moments.
-
-    Moments are integrated in a frame anchored at the element's first
-    vertex; scaled moments are translation-invariant, and the centroid is
-    shifted back.  Anchoring keeps tiny elements far from the global
-    origin at full relative accuracy.
-    """
-    g = mesh.geometry
-    i = range(mesh.num_elements)[index]
-    faces = slice(g.face_start[i], g.face_start[i + 1])
-    return ElementGeometry(
-        volume=float(g.volume[i]),
-        centroid=g.centroid[i],
-        diameter=float(g.diameter[i]),
-        face_areas=g.face_areas[faces],
-        face_normals=g.face_normals[faces],
-        scaled_moments={k: float(v[i]) for k, v in g.scaled_moments.items()},
-        degenerate=bool(g.degenerate[i]),
-    )
-
-
-def is_convex(mesh, index):
-    """True iff every vertex lies on or behind every face plane."""
-    return bool(mesh.geometry.convex[index])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Shape diagnostics for tetrahedra, prisms and triangles: dihedral angles,
 sliver/wedge/spire/thin-prism classification, in one array pass over the
-mesh's geometry table (``mesh_report``; ``classify`` and ``dihedral_angles``
-are one-element views of it).  Thresholds are policy, not physics: the
+mesh's geometry table (``mesh_report``; ``dihedral_angles`` is the one
+tetrahedron's six angles).  Thresholds are policy, not physics: the
 defaults separate the benchmark pathologies (mesh parameter <= 0.1) from
 well-shaped reference elements.  All classification inputs are scale- and
 rotation-invariant ratios.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hni, mesh as meshmod
-from .mesh import TAU_GEOM, ValidationError
+from .mesh import ValidationError
 
 
 @dataclass(frozen=True)
@@ -90,26 +90,24 @@ def _cap_edges(p):
     return hni._norms(np.roll(caps, -1, axis=2) - caps).reshape(-1, 6)
 
 
-def _reports(mesh, ids, thresholds):
-    """QualityReports of the elements `ids`, classified as one stack.
+def mesh_report(mesh, thresholds=DEFAULT_THRESHOLDS):
+    """One QualityReport per element, classified in one array pass.
     Polytopes report metrics only."""
     g, t, dim = mesh.geometry, thresholds, mesh.dimension
-    ids = np.asarray(ids, np.int64)
-    n = len(ids)
-    rows, owner = meshmod.face_rows(mesh, ids)
-    first = np.searchsorted(owner, np.arange(n))
-    areas = g.face_areas[rows]
-    ranked = areas[np.lexsort((areas, owner))]
+    n = mesh.num_elements
+    ids = np.arange(n)
+    owner = np.repeat(ids, np.diff(g.face_start))
+    first = g.face_start[:-1]
+    ranked = g.face_areas[np.lexsort((g.face_areas, owner))]
     min_face = ranked[first]
     second = ranked[np.minimum(first + 1, len(ranked) - 1)]
-    edges = g.edge_lengths[rows].min(axis=1)
+    edges = g.edge_lengths.min(axis=1)
     min_edge = edges[np.lexsort((edges, owner))][first]
-    volume, h = g.volume[ids], g.diameter[ids]
-    flat = volume < (TAU_GEOM * h * h if dim == 2 else TAU_GEOM * h ** 3)
+    volume, h, flat = g.volume, g.diameter, g.degenerate
     spire = ((second >= t.face_separation * min_face)
              & (min_face < t.face_area_rel * h * h))
 
-    kind, nodes = np.array(g.kinds, object)[ids], np.diff(g.node_start)[ids]
+    kind, nodes = np.array(g.kinds, object), np.diff(g.node_start)
     tet = (kind == "tet") & (dim == 3)
     prism = (kind == "prism") & (dim == 3)
     tri = (nodes == 3) & (dim == 2)
@@ -143,16 +141,6 @@ def dihedral_angles(mesh, index):
     if mesh.dimension != 3 or nodes.shape[1] != 4:
         raise ValidationError(f"element {index} is not a tetrahedron")
     return _tet_angles(mesh.vertices[nodes])[0].tolist()
-
-
-def classify(mesh, index, thresholds=DEFAULT_THRESHOLDS):
-    """Classify one element: the one-element view of mesh_report."""
-    return _reports(mesh, [range(mesh.num_elements)[index]], thresholds)[0]
-
-
-def mesh_report(mesh, thresholds=DEFAULT_THRESHOLDS):
-    """One QualityReport per element, from one array pass."""
-    return _reports(mesh, np.arange(mesh.num_elements), thresholds)
 
 
 def write_csv(reports, path):

@@ -6,7 +6,7 @@ Element dofs are ordered [all-x | all-y | all-z] over the element's nodes.
 the strain-energy and L2 projectors come from nodal values of the scaled
 monomials plus one-point face integration (exact on simplex faces), each
 scattered with one ``np.add.at`` over the group's stacked faces and solved
-with batched ``np.linalg.solve``.  ``element_matrices`` is a one-element view.
+with batched ``np.linalg.solve``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "strain_operator",
     "lump",
     "group_matrices",
-    "element_matrices",
     "ElementMatrices",
 ]
 
@@ -249,14 +248,6 @@ def group_matrices(mesh, ids, alpha0="unit", lumping="auto"):
     ml, used = lump(M, lumping, rho, vol, dim, convex=convex, ids=ids)
     return ElementMatrices(Kc + Ks, Kc, Ks, M, Ms, ml, used, nodes, vol,
                            convex, D, Pi, D0, G0, B0, S0)
-
-
-def element_matrices(mesh, index, alpha0="unit", lumping="auto"):
-    """Build K_E, M_E and the lumped mass for one virtual element: the
-    one-element view of group_matrices."""
-    em = group_matrices(mesh, [range(mesh.num_elements)[index]], alpha0,
-                        lumping)
-    return ElementMatrices(*(field[0] for field in em))
 
 
 def write_matrix_csv(matrix, path):

@@ -65,8 +65,8 @@ def test_criterion_2_simplex_equivalence():
     with Timer("criterion 2: VEM = FEM on a random tet (1e-12)", 1.0):
         mesh = random_tet_mesh(np.random.default_rng(2024))
         C = vem.constitutive_matrix(mesh.material, 3)
-        em = vem.element_matrices(mesh, 0, alpha0="unit")
-        Kv, Mv = em.K, em.M
+        em = vem.group_matrices(mesh, [0], alpha0="unit")
+        Kv, Mv = em.K[0], em.M[0]
         Kf, Mf = fem.tet4_matrices(mesh.vertices, C, mesh.material.density)
         assert np.abs(Kv - Kf).max() <= 1e-12 * np.abs(Kf).max()
         assert np.abs(Mv - Mf).max() <= 1e-12 * np.abs(Mf).max()
@@ -97,13 +97,13 @@ def test_criterion_3_kernel_psd_lumping():
             dim = mesh.dimension
             n_rigid = dim * (dim + 1) // 2
             for i in range(mesh.num_elements):
-                K, ml, _, _ = eig.element_system(mesh, i, variant,
-                                                 "unit", "auto")
-                geom = meshmod.element_geometry(mesh, i)
+                _, _, K, ml, _ = eig.group_system(mesh, [i], variant,
+                                                  "unit", "auto")
+                K, ml = K[0], ml[0]
                 rho = mesh.material.density
                 assert np.all(ml > 0), (name, eps, variant, i)
                 assert ml.sum() == pytest.approx(
-                    dim * rho * geom.volume, rel=1e-12)
+                    dim * rho * mesh.geometry.volume[i], rel=1e-12)
                 if (name, eps, variant) in strict:
                     w = np.linalg.eigvalsh(K)
                     lam_max = w[-1]

@@ -6,7 +6,7 @@ import pytest
 
 from polyvem import agglomerate, benchmarks, mesh as meshmod
 from polyvem.agglomerate import MergeError
-from polyvem.mesh import Element, Mesh, tet_element
+from polyvem.mesh import Element, Mesh, ValidationError, tet_element
 
 
 def two_tets():
@@ -24,9 +24,8 @@ def test_two_tets_merge_to_six_faces():
     merged = agglomerate.merge(mesh, (0, 1))
     assert merged.num_elements == 1
     assert len(merged.elements[0].faces) == 6
-    va = meshmod.element_geometry(mesh, 0).volume \
-        + meshmod.element_geometry(mesh, 1).volume
-    vb = meshmod.element_geometry(merged, 0).volume
+    va = mesh.geometry.volume[0] + mesh.geometry.volume[1]
+    vb = merged.geometry.volume[0]
     assert vb == pytest.approx(va, rel=1e-12)
 
 
@@ -53,10 +52,8 @@ def test_spire_case_c_merge():
     assert mesh.num_elements == 1
     assert len(mesh.elements[0].faces) == 8
     fem = benchmarks.gen_benchmark("spireC", 1e-1, "fem")
-    va = sum(meshmod.element_geometry(fem, i).volume
-             for i in range(fem.num_elements))
-    assert meshmod.element_geometry(mesh, 0).volume == pytest.approx(
-        va, rel=1e-12)
+    va = sum(fem.geometry.volume.tolist())
+    assert mesh.geometry.volume[0] == pytest.approx(va, rel=1e-12)
 
 
 def test_merge_2d_polygon():
@@ -64,8 +61,8 @@ def test_merge_2d_polygon():
     merged = agglomerate.merge(mesh, (0, 1))
     assert merged.num_elements == 2
     assert len(merged.elements[0].loop) == 4
-    area = sum(meshmod.element_geometry(mesh, i).volume for i in (0, 1))
-    assert meshmod.element_geometry(merged, 0).volume == pytest.approx(
+    area = sum(mesh.geometry.volume[i] for i in (0, 1))
+    assert merged.geometry.volume[0] == pytest.approx(
         area, rel=1e-13)
 
 
@@ -107,6 +104,49 @@ def test_auto_agglomerate_refuses_vanishing_union():
     # it refuses the same vanishing union instead of returning it.
     with pytest.raises(MergeError, match="vanish"):
         agglomerate.auto_agglomerate(mirror_slivers())
+
+
+def nested_cones():
+    # Two tets over the same base, apexes 1 and 2 high, the taller one
+    # inside out: their union is closed but encloses negative volume.
+    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.2, 1],
+                      [0.2, 0.2, 2]])
+    tall = tet_element((0, 1, 2, 4))
+    return Mesh(3, verts, [tet_element((0, 1, 2, 3)), Element(
+        faces=tuple(f[::-1] for f in tall.faces))])
+
+
+def side_by_side(*meshes):
+    """The meshes' elements in one 3D mesh, each mesh shifted 4 along x
+    from the one before."""
+    verts, elements = [], []
+    for k, m in enumerate(meshes):
+        base = sum(len(v) for v in verts)
+        verts.append(m.vertices + [4.0 * k, 0, 0])
+        elements += [Element(faces=tuple(tuple(base + v for v in f)
+                                         for f in el.faces))
+                     for el in m.elements]
+    return Mesh(3, np.vstack(verts), elements)
+
+
+@pytest.mark.parametrize("first, later", [("vanishing", "invalid"),
+                                          ("invalid", "vanishing")])
+def test_first_bad_union_in_element_order_raises(first, later):
+    # One merge_groups call with a good union and then two bad ones names
+    # the earlier bad union by its new element id (1), with the error of
+    # the check it fails; merged without it, the later one (new id 3)
+    # fails the other check.
+    errors = {"vanishing": (MergeError, "merged element {} has vanishing"),
+              "invalid": (ValidationError, "element {}: faces oriented")}
+    bad = {"vanishing": mirror_slivers(), "invalid": nested_cones()}
+    mesh = side_by_side(two_tets(), bad[first], bad[later])
+    for groups, new_id, kind in (([(4, 5), (2, 3), (0, 1)], 1, first),
+                                 ([(0, 1), (4, 5)], 3, later)):
+        with pytest.raises(ValidationError) as info:
+            agglomerate.merge_groups(mesh, groups)
+        error, message = errors[kind]
+        assert info.type is error
+        assert str(info.value).startswith(message.format(new_id))
 
 
 def test_watertight_merged_elements():
@@ -179,8 +219,8 @@ def test_merge_groups_interleaved_indices():
     assert mapping == {0: (0, 1), 1: (2,), 2: (3,), 3: (4, 5)}
     assert len(merged.elements[0].faces) == 6
     assert len(merged.elements[3].faces) == 6
-    va = sum(meshmod.element_geometry(mesh, i).volume for i in range(6))
-    vb = sum(meshmod.element_geometry(merged, i).volume for i in range(4))
+    va = sum(mesh.geometry.volume.tolist())
+    vb = sum(merged.geometry.volume.tolist())
     assert vb == pytest.approx(va, rel=1e-12)
 
 

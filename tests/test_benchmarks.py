@@ -8,8 +8,7 @@ from polyvem.mesh import ValidationError
 
 
 def total_volume(mesh):
-    return sum(meshmod.element_geometry(mesh, i).volume
-               for i in range(mesh.num_elements))
+    return sum(mesh.geometry.volume.tolist())
 
 
 def test_unknown_name_rejected():
@@ -30,7 +29,7 @@ def test_kite_counts(kite_meshes):
     vem = kite_meshes[(1e-1, "vem")]
     assert vem.num_elements == 1
     assert len(vem.elements[0].faces) == 6
-    assert not meshmod.is_convex(vem, 0)
+    assert not vem.geometry.convex[0]
 
 
 def test_tri2d_counts():
@@ -134,6 +133,6 @@ def test_beam_explicit_pairing_reproduces_polytopal_mesh(beam_meshes):
         a = set(meshmod.element_nodes(union_mesh, [k])[0].tolist())
         b = set(meshmod.element_nodes(vem, [k])[0].tolist())
         assert a == b, k
-        va = meshmod.element_geometry(union_mesh, k).volume
-        vb = meshmod.element_geometry(vem, k).volume
+        va = union_mesh.geometry.volume[k]
+        vb = vem.geometry.volume[k]
         assert vb == pytest.approx(va, rel=1e-12)

@@ -314,6 +314,35 @@ def test_simulate_nonpositive_option_rejected(tmp_path, capsys, option,
     assert not (tmp_path / "hist.csv").exists()
 
 
+def test_simulate_infeasible_run_is_an_error(tmp_path, capsys):
+    # 1e-9 x the stable step is ~7e11 steps, terabytes of history: refused
+    # before the time and history arrays are allocated.
+    hist = tmp_path / "hist.csv"
+    assert run(["simulate", "--case", "A", "--method", "vem",
+                "--dt-factor", "1e-9", "--out", str(hist)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "steps need" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["--out", "--summary"])
+def test_simulate_checks_outputs_before_the_run(tmp_path, capsys,
+                                                monkeypatch, bad):
+    def no_run(*args, **kwargs):
+        raise AssertionError("tapered_beam_experiment called")
+
+    monkeypatch.setattr(cli.dynamics, "tapered_beam_experiment", no_run)
+    (tmp_path / "blocker").write_text("")
+    paths = {"--out": str(tmp_path / "hist.csv"),
+             "--summary": str(tmp_path / "run.json")}
+    paths[bad] = str(tmp_path / "blocker" / "out")
+    assert run(["simulate", "--case", "A", "--method", "vem",
+                *[a for option, path in paths.items()
+                  for a in (option, path)]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {paths[bad]}: ")
+
+
 @pytest.mark.parametrize("option, omega", [
     (["--alpha0", "5"], "8.536960e+04"),
     (["--lumping", "row_sum"], "7.369571e+04"),

@@ -544,6 +544,18 @@ def test_bad_run_inputs_rejected(dt, t_max, probes, fixed, driven, mass,
                                         t_max, probes)
 
 
+def test_infeasible_run_refused_before_allocating():
+    # ~1e15 steps of time and probe history (16 PB) cannot fit in memory:
+    # the run is refused by step count, not by a failed allocation.
+    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    bcs = BcSchedule(fixed=np.array([], dtype=int),
+                     driven=np.array([], dtype=int), tau=1.0)
+    with pytest.raises(ValidationError,
+                       match=r"^1000000000000000 steps need .* physical"):
+        dynamics.central_difference_run(two, np.ones(2), bcs, 1e-15, 1.0,
+                                        [0])
+
+
 def test_beam_pulse_duration_is_the_vem_bound_memoized(beam_meshes,
                                                        monkeypatch):
     # The same bits as the VEM beam problem's pulse duration; a second

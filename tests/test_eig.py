@@ -153,9 +153,9 @@ SWEEP_CASES = (
 
 @pytest.mark.parametrize("name, eps, variant, method", SWEEP_CASES)
 def test_group_sweep_matches_one_element_views(name, eps, variant, method):
-    # Every row of the stacked sweep is the one-element view of its element
-    # (a stack of one) to rounding, with the same lumping mode and nodes;
-    # every element sits in exactly one row.
+    # Every row of the stacked sweep is the group_system of its element
+    # alone (a stack of one) to rounding, with the same lumping mode and
+    # nodes; every element sits in exactly one row.
     if variant == "auto":
         mesh = agglomerate.auto_agglomerate(
             benchmarks.gen_benchmark(name, eps, "fem"))[0]
@@ -166,11 +166,12 @@ def test_group_sweep_matches_one_element_views(name, eps, variant, method):
     rows = []
     for ids, group_nodes, group_K, group_ml, group_used in systems:
         for k, e in enumerate(ids):
-            K, ml, nodes, used = eig.element_system(mesh, e, method, alpha0,
-                                                    "auto")
-            assert np.abs(group_K[k] - K).max() <= 1e-13 * np.abs(K).max()
-            assert np.abs(group_ml[k] - ml).max() <= 1e-13 * ml.max()
-            assert (group_used[k], tuple(group_nodes[k])) == (used, nodes)
+            _, nodes, K, ml, used = eig.group_system(mesh, [e], method,
+                                                     alpha0, "auto")
+            assert np.abs(group_K[k] - K[0]).max() <= 1e-13 * np.abs(K).max()
+            assert np.abs(group_ml[k] - ml[0]).max() <= 1e-13 * ml.max()
+            assert group_used[k] == used[0]
+            assert (group_nodes[k] == nodes[0]).all()
             rows.append(e)
     assert sorted(rows) == list(range(mesh.num_elements))
     if variant == "auto":

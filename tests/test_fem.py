@@ -69,7 +69,7 @@ def test_fem_matches_vem_on_triangle():
                                    nodes=(0, 1, 2))])
     C = vem.constitutive_matrix(STEEL, 2)
     Kf, _ = fem.tri3_matrices(verts, C, STEEL.density)
-    Kv = vem.element_matrices(mesh, 0, alpha0="unit").K
+    Kv = vem.group_matrices(mesh, [0], alpha0="unit").K[0]
     assert np.abs(Kf - Kv).max() <= 1e-12 * np.abs(Kf).max()
 
 
@@ -98,4 +98,4 @@ def test_prism_mesh_frequency():
 def test_unsupported_kind_rejected():
     mesh = benchmarks.gen_benchmark("kite", 0.1, "vem")
     with pytest.raises(ValidationError, match="reference finite element"):
-        fem.element_matrices(mesh, 0)
+        fem.group_matrices(mesh, [0])

@@ -1,7 +1,7 @@
 """The per-mesh geometry table against the reference integrators.
 
-The reference is element_geometry as computed one element at a time before
-the table existed: HNI in a frame anchored at the element's first node,
+The reference is each element's geometry as computed one element at a time
+before the table existed: HNI in a frame anchored at the element's first node,
 scaled_moment_table, and the per-face convexity rule.  The property test
 checks the table against the simplicial oracle on random tetrahedra.
 """
@@ -50,16 +50,16 @@ def reference_convex(mesh, index):
 
 
 def assert_table_matches_reference(mesh):
+    g = mesh.geometry
     for i in range(mesh.num_elements):
-        g = meshmod.element_geometry(mesh, i)
         volume, centroid, h, moments = reference_geometry(mesh, i)
-        assert g.volume == pytest.approx(volume, rel=1e-12, abs=0.0)
-        assert g.diameter == h
-        assert np.abs(g.centroid - centroid).max() <= 1e-12 * h
+        assert g.volume[i] == pytest.approx(volume, rel=1e-12, abs=0.0)
+        assert g.diameter[i] == h
+        assert np.abs(g.centroid[i] - centroid).max() <= 1e-12 * h
         assert g.scaled_moments.keys() == moments.keys()
         for key, value in moments.items():
-            assert abs(g.scaled_moments[key] - value) <= 1e-12 * volume
-        assert meshmod.is_convex(mesh, i) == reference_convex(mesh, i)
+            assert abs(g.scaled_moments[key][i] - value) <= 1e-12 * volume
+        assert g.convex[i] == reference_convex(mesh, i)
 
 
 @pytest.mark.parametrize("variant", ["fem", "vem"])
@@ -100,14 +100,14 @@ def test_random_tets_match_simplicial_oracle(seed, n_tets, scale, shift):
             def integrate(exponent):
                 return polytope_monomial_oracle(one, 0, exponent)
 
-        g = meshmod.element_geometry(mesh, i)
+        g, h = mesh.geometry, mesh.geometry.diameter[i]
         volume = Oracle.integrate((0, 0, 0))
         centroid = np.array([Oracle.integrate(e) for e in
                              ((1, 0, 0), (0, 1, 0), (0, 0, 1))]) / volume
-        assert g.volume == pytest.approx(volume, rel=1e-12)
-        assert np.abs(g.centroid - (centroid + corner)).max() <= \
-            1e-12 * (g.diameter + np.abs(corner).max())
-        assert meshmod.is_convex(mesh, i)
-        want = hni.scaled_moment_table(Oracle, centroid, g.diameter)
+        assert g.volume[i] == pytest.approx(volume, rel=1e-12)
+        assert np.abs(g.centroid[i] - (centroid + corner)).max() <= \
+            1e-12 * (h + np.abs(corner).max())
+        assert g.convex[i]
+        want = hni.scaled_moment_table(Oracle, centroid, h)
         for key, value in want.items():
-            assert abs(g.scaled_moments[key] - value) <= 1e-12 * volume
+            assert abs(g.scaled_moments[key][i] - value) <= 1e-12 * volume

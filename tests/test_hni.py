@@ -75,18 +75,18 @@ def test_translation_consistency():
     # Integrating scaled monomials on shifted coordinates must agree with
     # the binomial recombination of raw moments.
     mesh = benchmarks.gen_benchmark("kite", 0.1, "vem")
-    geom = meshmod.element_geometry(mesh, 0)
+    geom = mesh.geometry
     el = mesh.elements[0]
     nodes = meshmod.element_nodes(mesh, [0])[0].tolist()
     local = {g: i for i, g in enumerate(nodes)}
-    shifted = mesh.vertices[list(nodes)] - geom.centroid
+    shifted = mesh.vertices[list(nodes)] - geom.centroid[0]
     faces = [tuple(local[v] for v in f) for f in el.faces]
     direct = hni.PolyhedronIntegrator(shifted, faces)
-    h = geom.diameter
+    h = geom.diameter[0]
     for key, val in geom.scaled_moments.items():
         q = sum(key)
         want = direct.integrate(key) / h ** q
-        assert val == pytest.approx(want, rel=1e-13, abs=1e-15)
+        assert val[0] == pytest.approx(want, rel=1e-13, abs=1e-15)
 
 
 def test_additivity_under_agglomeration():
@@ -103,18 +103,17 @@ def test_additivity_under_agglomeration():
 
 def test_centroid_zeroes_first_scaled_moments():
     mesh = benchmarks.gen_benchmark("spireC", 1e-2, "vem")
-    geom = meshmod.element_geometry(mesh, 0)
+    geom = mesh.geometry
     for axis in range(3):
         key = tuple(1 if a == axis else 0 for a in range(3))
-        assert abs(geom.scaled_moments[key]) < 1e-12 * geom.volume
+        assert abs(geom.scaled_moments[key][0]) < 1e-12 * geom.volume[0]
 
 
 def test_scaled_moment_example_cube():
     mesh = unit_cube_mesh()
-    geom = meshmod.element_geometry(mesh, 0)
     # variance of x over the cube is 1/12; scaling by h^2 = 3 gives 1/36.
-    assert geom.scaled_moments[(2, 0, 0)] == pytest.approx(1.0 / 36.0,
-                                                           rel=1e-13)
+    assert mesh.geometry.scaled_moments[(2, 0, 0)][0] == pytest.approx(
+        1.0 / 36.0, rel=1e-13)
 
 
 def test_rejects_negative_exponent():

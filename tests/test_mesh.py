@@ -22,11 +22,11 @@ def test_material_validation():
 
 
 def test_unit_tet_geometry():
-    g = meshmod.element_geometry(unit_tet(), 0)
-    assert g.volume == pytest.approx(1.0 / 6.0, rel=1e-14)
-    assert g.centroid == pytest.approx([0.25, 0.25, 0.25])
-    assert g.diameter == pytest.approx(np.sqrt(2.0))
-    assert not g.degenerate
+    g = unit_tet().geometry
+    assert g.volume[0] == pytest.approx(1.0 / 6.0, rel=1e-14)
+    assert g.centroid[0] == pytest.approx([0.25, 0.25, 0.25])
+    assert g.diameter[0] == pytest.approx(np.sqrt(2.0))
+    assert not g.degenerate[0]
 
 
 def test_unit_cube_geometry():
@@ -34,22 +34,21 @@ def test_unit_cube_geometry():
                   [Element(loop=(0, 1, 2, 3))])
     cube = meshmod.extrude(square, 1.0, 1)
     assert len(cube.elements[0].faces) == 12
-    g = meshmod.element_geometry(cube, 0)
-    assert g.volume == pytest.approx(1.0, rel=1e-14)
-    assert g.centroid == pytest.approx([0.5, 0.5, 0.5])
-    assert g.diameter == pytest.approx(np.sqrt(3.0))
+    g = cube.geometry
+    assert g.volume[0] == pytest.approx(1.0, rel=1e-14)
+    assert g.centroid[0] == pytest.approx([0.5, 0.5, 0.5])
+    assert g.diameter[0] == pytest.approx(np.sqrt(3.0))
 
 
 def test_kite_volume_matches_split_oracle():
     # Split the kite about the y = 0 plane into two tets and sum.
     eps = 0.1
     mesh = benchmarks.gen_benchmark("kite", eps, "fem")
-    g = meshmod.element_geometry(mesh, 0)
     v = mesh.vertices
     mid = np.array([0.0, 0.0, -eps])  # V3-V4 crosses the y=0 plane here
     t1 = abs(meshmod.tet_volume(v[0], v[1], v[3], mid))
     t2 = abs(meshmod.tet_volume(v[0], v[1], mid, v[2]))
-    assert g.volume == pytest.approx(t1 + t2, rel=1e-12)
+    assert mesh.geometry.volume[0] == pytest.approx(t1 + t2, rel=1e-12)
 
 
 def test_inward_face_rejected():
@@ -99,8 +98,7 @@ def test_extrude_triangle_prism():
     el = prism.elements[0]
     assert el.kind == "prism"
     assert len(el.faces) == 8  # 2 caps + 3 quads split in two
-    g = meshmod.element_geometry(prism, 0)
-    assert g.volume == pytest.approx(0.5, rel=1e-14)
+    assert prism.geometry.volume[0] == pytest.approx(0.5, rel=1e-14)
 
 
 def test_extrude_volume_and_layers():
@@ -108,7 +106,7 @@ def test_extrude_volume_and_layers():
                   [Element(loop=(0, 1, 2, 3))])
     solid = meshmod.extrude(square, 0.7, 3)
     assert solid.num_elements == 3
-    total = sum(meshmod.element_geometry(solid, i).volume for i in range(3))
+    total = solid.geometry.volume.sum()
     assert total == pytest.approx(2.0 * 0.7, rel=1e-13)
 
 
@@ -139,9 +137,8 @@ def test_split_prisms_conforming_volume():
     prism = meshmod.extrude(tri, 0.4, 1)
     tets = meshmod.split_prisms_to_tets(prism)
     assert tets.num_elements == 3
-    vol = sum(meshmod.element_geometry(tets, i).volume for i in range(3))
-    assert vol == pytest.approx(meshmod.element_geometry(prism, 0).volume,
-                                rel=1e-13)
+    vol = tets.geometry.volume.sum()
+    assert vol == pytest.approx(prism.geometry.volume[0], rel=1e-13)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -170,21 +167,21 @@ def test_split_prisms_orients_each_tet_in_place(reverse):
 
 
 def test_is_convex():
-    assert meshmod.is_convex(unit_tet(), 0)
+    assert unit_tet().geometry.convex[0]
     square = Mesh(2, np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]),
                   [Element(loop=(0, 1, 2, 3))])
     cube = meshmod.extrude(square, 1.0, 1)
-    assert meshmod.is_convex(cube, 0)
+    assert cube.geometry.convex[0]
     kite = benchmarks.gen_benchmark("kite", 0.1, "vem")
-    assert not meshmod.is_convex(kite, 0)
+    assert not kite.geometry.convex[0]
     # collinear boundary nodes do not break convexity
     quad = Mesh(2, np.array([[0.0, 0], [0.4, 0], [1, 0], [0, 1]]),
                 [Element(loop=(0, 1, 2, 3))])
-    assert meshmod.is_convex(quad, 0)
+    assert quad.geometry.convex[0]
     lshape = Mesh(2, np.array([[0.0, 0], [2, 0], [2, 1], [1, 1],
                                [1, 2], [0, 2]]),
                   [Element(loop=(0, 1, 2, 3, 4, 5))])
-    assert not meshmod.is_convex(lshape, 0)
+    assert not lshape.geometry.convex[0]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -258,9 +255,8 @@ def test_degenerate_element_flagged_not_fatal():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0],
                       [0.3, 0.3, eps]])
     mesh = Mesh(3, verts, [tet_element((0, 1, 2, 3))])
-    g = meshmod.element_geometry(mesh, 0)
-    assert g.degenerate
-    assert g.volume > 0
+    assert mesh.geometry.degenerate[0]
+    assert mesh.geometry.volume[0] > 0
 
 
 def test_polygonal_face_rejected(tmp_path):
@@ -333,9 +329,8 @@ def test_first_bad_element_is_named():
     mesh = Mesh(3, verts, [good, inward, out_of_range])
     with pytest.raises(ValidationError, match=r"^element 1: faces oriented"):
         meshmod.validate_mesh(mesh)
-    with pytest.raises(ValidationError,
-                       match=r"^element 2, face 1: vertex index out of"):
-        meshmod.validate_element(mesh, 2)
+    assert mesh.geometry.error(2).startswith(
+        "element 2, face 1: vertex index out of")
     square = Mesh(2, np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]),
                   [Element(loop=(0, 1, 2)), Element(loop=(0, 3, 2)),
                    Element(loop=(0, 1, 1))])

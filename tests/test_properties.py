@@ -72,12 +72,12 @@ def test_projector_identities_randomized():
         for builder in (random_tet_mesh, random_polygon_mesh,
                         random_extruded_mesh):
             mesh = builder(rng)
-            em = vem.element_matrices(mesh, 0, alpha0="unit")
-            D, Pi = em.D, em.Pi
+            em = vem.group_matrices(mesh, [0], alpha0="unit")
+            D, Pi, K, Ks = em.D[0], em.Pi[0], em.K[0], em.Ks[0]
             assert np.abs(Pi @ D - D).max() <= 1e-10 * max(1.0,
                                                            np.abs(D).max())
             assert np.abs(Pi @ Pi - Pi).max() <= 1e-10 * np.abs(Pi).max()
-            assert np.abs(em.Ks @ D).max() <= 1e-10 * np.abs(em.K).max()
+            assert np.abs(Ks @ D).max() <= 1e-10 * np.abs(K).max()
             cases += 1
     assert cases == 60
 
@@ -87,13 +87,13 @@ def test_rotation_objectivity_randomized():
     for _ in range(20):
         mesh = random_tet_pair_mesh(rng)
         merged = agglomerate.merge(mesh, (0, 1))
-        em = vem.element_matrices(merged, 0, alpha0="unit")
-        omega = eig.element_max_frequency(em.K, em.M_lumped)
+        em = vem.group_matrices(merged, [0], alpha0="unit")
+        omega = eig.element_max_frequency(em.K[0], em.M_lumped[0])
         R = random_rotation(rng)
         rotated = Mesh(3, merged.vertices @ R.T, merged.elements,
                        merged.material)
-        em2 = vem.element_matrices(rotated, 0, alpha0="unit")
-        omega2 = eig.element_max_frequency(em2.K, em2.M_lumped)
+        em2 = vem.group_matrices(rotated, [0], alpha0="unit")
+        omega2 = eig.element_max_frequency(em2.K[0], em2.M_lumped[0])
         assert omega2 == pytest.approx(omega, rel=1e-9)
 
 
@@ -111,8 +111,8 @@ def test_merge_conservation_randomized():
             total += area * n
             areas.append(area)
         assert np.linalg.norm(total) <= 1e-12 * max(areas)
-        va = sum(meshmod.element_geometry(mesh, i).volume for i in (0, 1))
-        vb = meshmod.element_geometry(merged, 0).volume
+        va = sum(mesh.geometry.volume[i] for i in (0, 1))
+        vb = merged.geometry.volume[0]
         assert vb == pytest.approx(va, rel=1e-12)
 
 
@@ -122,19 +122,19 @@ def test_lumped_mass_positivity_randomized():
         mesh = random_tet_pair_mesh(rng)
         merged = agglomerate.merge(mesh, (0, 1))
         for lump_mode in ("diag_scale", "auto"):
-            em = vem.element_matrices(merged, 0, alpha0="unit",
-                                      lumping=lump_mode)
-            assert np.all(em.M_lumped > 0)
-            total = 3 * mesh.material.density * em.volume
-            assert em.M_lumped.sum() == pytest.approx(total, rel=1e-12)
+            em = vem.group_matrices(merged, [0], alpha0="unit",
+                                    lumping=lump_mode)
+            assert np.all(em.M_lumped[0] > 0)
+            total = 3 * mesh.material.density * em.volume[0]
+            assert em.M_lumped[0].sum() == pytest.approx(total, rel=1e-12)
 
 
 def test_kernel_dimension_randomized():
     rng = np.random.default_rng(31)
     for _ in range(15):
         mesh = random_extruded_mesh(rng)
-        em = vem.element_matrices(mesh, 0, alpha0="unit")
-        w = np.linalg.eigvalsh(em.K)
+        em = vem.group_matrices(mesh, [0], alpha0="unit")
+        w = np.linalg.eigvalsh(em.K[0])
         lam_max = w[-1]
         assert np.sum(w < 1e-8 * lam_max) == 6
         assert np.all(w >= -1e-10 * lam_max)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polyvem import agglomerate, benchmarks, mesh as meshmod, quality
-from polyvem.mesh import Mesh, tet_element
+from polyvem.mesh import Element, Mesh, tet_element
 
 from conftest import random_rotation
 
@@ -54,7 +54,7 @@ def test_non_tet_rejected():
 ])
 def test_classification_examples(name, eps, expected):
     mesh = benchmarks.gen_benchmark(name, eps, "fem")
-    report = quality.classify(mesh, 0)
+    report = quality.mesh_report(mesh)[0]
     assert report.classification == expected
 
 
@@ -66,7 +66,7 @@ def test_wedge_branch():
     if meshmod.tet_volume(*verts) < 0:
         verts[[1, 2]] = verts[[2, 1]]
     mesh = Mesh(3, verts, [tet_element((0, 1, 2, 3))])
-    assert quality.classify(mesh, 0).classification == "wedge"
+    assert quality.mesh_report(mesh)[0].classification == "wedge"
 
 
 def test_flat_wedge_benchmark_classification():
@@ -74,32 +74,36 @@ def test_flat_wedge_benchmark_classification():
     # small eps it picks up a near-180 angle (and at 1e-5 a tiny face) and
     # lands in the sliver/spire bins; only its minimum angle is asserted
     # by the reference description.
-    assert quality.classify(
-        benchmarks.gen_benchmark("wedge", 1e-3, "fem"), 0
-    ).classification == "sliver_kite"
-    assert quality.classify(
-        benchmarks.gen_benchmark("wedge", 1e-5, "fem"), 0
-    ).classification == "spire"
-    assert quality.classify(
-        benchmarks.gen_benchmark("wedge", 1e-1, "fem"), 0
-    ).classification == "good"
+    for eps, label in ((1e-3, "sliver_kite"), (1e-5, "spire"), (1e-1, "good")):
+        mesh = benchmarks.gen_benchmark("wedge", eps, "fem")
+        assert quality.mesh_report(mesh)[0].classification == label
 
 
 def test_regular_tet_good():
-    assert quality.classify(regular_tet_mesh(), 0).classification == "good"
+    assert quality.mesh_report(regular_tet_mesh())[0].classification == "good"
+
+
+def test_flat_triangle_is_degenerate():
+    # Area 5e-16 against TAU_GEOM h^2 = 1e-14: the table's degeneracy flag
+    # is the label, and no angles are reported.
+    mesh = Mesh(2, np.array([[0.0, 0], [1, 0], [0.5, 1e-15]]),
+                [Element(loop=(0, 1, 2), kind="tri", nodes=(0, 1, 2))])
+    report = quality.mesh_report(mesh)[0]
+    assert mesh.geometry.degenerate[0]
+    assert report.classification == "degenerate"
+    assert report.min_dihedral_deg is None
 
 
 def test_thin_prism_detected():
     mesh = benchmarks.gen_benchmark("prism3d", 1e-5, "fem")
-    labels = [quality.classify(mesh, i).classification
-              for i in range(mesh.num_elements)]
+    labels = [r.classification for r in quality.mesh_report(mesh)]
     assert labels[0] == "thin_prism"
     assert labels[-1] == "good"
 
 
 def test_polyhedron_reports_metrics_only():
     mesh = benchmarks.gen_benchmark("kite", 0.1, "vem")
-    report = quality.classify(mesh, 0)
+    report = quality.mesh_report(mesh)[0]
     assert report.classification == "not_applicable"
     assert report.volume > 0
     assert report.min_edge > 0
@@ -111,8 +115,8 @@ def test_scale_invariance():
             mesh = benchmarks.gen_benchmark(name, eps, "fem")
             scaled = Mesh(3, mesh.vertices * scale, mesh.elements,
                           mesh.material)
-            a = quality.classify(mesh, 0).classification
-            b = quality.classify(scaled, 0).classification
+            a = quality.mesh_report(mesh)[0].classification
+            b = quality.mesh_report(scaled)[0].classification
             assert a == b
 
 
@@ -122,8 +126,8 @@ def test_rotation_invariance():
         mesh = benchmarks.gen_benchmark(name, eps, "fem")
         R = random_rotation(rng)
         rotated = Mesh(3, mesh.vertices @ R.T, mesh.elements, mesh.material)
-        assert (quality.classify(mesh, 0).classification
-                == quality.classify(rotated, 0).classification)
+        assert (quality.mesh_report(mesh)[0].classification
+                == quality.mesh_report(rotated)[0].classification)
 
 
 def test_csv_report(tmp_path):
@@ -148,8 +152,9 @@ VIEW_CASES = (
 
 @pytest.mark.parametrize("name, eps, variant", VIEW_CASES)
 def test_classify_matches_mesh_report(name, eps, variant):
-    # classify is the one-element view of the stacked pass: tet, prism,
-    # triangle and polytope rows alike.
+    # Row i of the one pass is element i, read from the geometry table:
+    # tet, prism, triangle and polytope rows alike.  The "degenerate" label
+    # is the table's degeneracy flag on an element no shape branch took.
     if variant == "auto":
         mesh = agglomerate.auto_agglomerate(
             benchmarks.gen_benchmark(name, eps, "fem"))[0]
@@ -158,5 +163,9 @@ def test_classify_matches_mesh_report(name, eps, variant):
     else:
         mesh = benchmarks.gen_benchmark(name, eps, variant)
     reports = quality.mesh_report(mesh)
-    assert [quality.classify(mesh, i) for i in range(mesh.num_elements)] \
-        == reports
+    g = mesh.geometry
+    assert [r.element for r in reports] == list(range(mesh.num_elements))
+    assert [r.volume for r in reports] == g.volume.tolist()
+    for r, flat in zip(reports, g.degenerate.tolist()):
+        if r.classification in ("degenerate", "good"):
+            assert flat == (r.classification == "degenerate")

@@ -16,21 +16,18 @@ def cube_mesh():
     return meshmod.extrude(square, 1.0, 1)
 
 
-def em_of(mesh, e=0):
-    return vem.element_matrices(mesh, e, alpha0="unit")
-
-
-def scaled_coords(mesh, em, e=0):
-    """(x - centroid) / diameter at the element's nodes, in dof order."""
-    g = meshmod.element_geometry(mesh, e)
-    return (mesh.vertices[em.nodes] - g.centroid) / g.diameter
+def scaled_coords(mesh, em):
+    """(x - centroid) / diameter at element 0's nodes, in dof order; `em`
+    is the group_matrices stack of [0]."""
+    g = mesh.geometry
+    return (mesh.vertices[em.nodes[0]] - g.centroid[0]) / g.diameter[0]
 
 
 def test_dof_matrix_against_direct_evaluation(kite_meshes):
     mesh = kite_meshes[(1e-1, "vem")]
-    em = em_of(mesh)
-    D = em.D
-    n = len(em.nodes)
+    em = vem.group_matrices(mesh, [0], alpha0="unit")
+    D = em.D[0]
+    n = em.nodes.shape[1]
     xi, eta, zeta = scaled_coords(mesh, em).T
     modes = [
         lambda: (np.ones(n), np.zeros(n), np.zeros(n)),
@@ -55,9 +52,9 @@ def test_dof_matrix_against_direct_evaluation(kite_meshes):
 def test_dof_matrix_node_at_centroid():
     # A node exactly at the centroid has vanishing xi/eta/zeta entries.
     mesh = cube_mesh()
-    em = em_of(mesh)
+    em = vem.group_matrices(mesh, [0], alpha0="unit")
     sc = scaled_coords(mesh, em)
-    D = em.D
+    D = em.D[0]
     # no cube vertex sits at the centroid, so emulate by direct check of
     # the scaled coordinates entering D
     assert D[:8, 9] == pytest.approx(sc[:, 0])
@@ -65,7 +62,7 @@ def test_dof_matrix_node_at_centroid():
 
 def test_unit_tet_first_column_pattern():
     mesh = random_tet_mesh(np.random.default_rng(0))
-    D = em_of(mesh).D
+    D = vem.group_matrices(mesh, [0], alpha0="unit").D[0]
     assert D.shape == (12, 12)
     assert D[:, 0] == pytest.approx([1, 1, 1, 1] + [0] * 8)
 
@@ -79,13 +76,13 @@ def test_unit_tet_first_column_pattern():
 ])
 def test_projector_identities(builder):
     mesh = builder()
-    em = em_of(mesh)
-    D, Pi = em.D, em.Pi
+    em = vem.group_matrices(mesh, [0], alpha0="unit")
+    D, Pi = em.D[0], em.Pi[0]
     scale = np.abs(Pi).max()
     assert np.abs(Pi @ D - D).max() <= 1e-10 * max(1.0, np.abs(D).max())
     assert np.abs(Pi @ Pi - Pi).max() <= 1e-10 * scale
     # L2 projector reproduces linears and idempotency
-    D0, S0 = em.D0, em.S0
+    D0, S0 = em.D0[0], em.S0[0]
     Pi0 = D0 @ S0
     assert np.abs(Pi0 @ D0 - D0).max() <= 1e-10 * max(1.0, np.abs(D0).max())
     assert np.abs(Pi0 @ Pi0 - Pi0).max() <= 1e-10 * max(1.0,
@@ -94,17 +91,17 @@ def test_projector_identities(builder):
 
 def test_stability_vanishes_on_polynomials(kite_meshes):
     mesh = kite_meshes[(1e-1, "vem")]
-    em = em_of(mesh)
-    K, Kc, Ks, D = em.K, em.Kc, em.Ks, em.D
+    em = vem.group_matrices(mesh, [0], alpha0="unit")
+    K, Kc, Ks, D = em.K[0], em.Kc[0], em.Ks[0], em.D[0]
     assert np.abs(Ks @ D).max() <= 1e-10 * np.abs(K).max()
     assert np.abs(K @ D - Kc @ D).max() <= 1e-10 * np.abs(K).max()
 
 
 def test_rigid_modes_in_kernel(kite_meshes):
     mesh = kite_meshes[(1e-5, "vem")]
-    em = vem.element_matrices(mesh, 0, alpha0="unit")
-    rigid = em.D[:, :6]
-    assert np.abs(em.K @ rigid).max() <= 1e-9 * np.abs(em.K).max()
+    em = vem.group_matrices(mesh, [0], alpha0="unit")
+    K, rigid = em.K[0], em.D[0, :, :6]
+    assert np.abs(K @ rigid).max() <= 1e-9 * np.abs(K).max()
 
 
 def test_simplex_equivalence_3d():
@@ -112,8 +109,8 @@ def test_simplex_equivalence_3d():
     for _ in range(5):
         mesh = random_tet_mesh(rng)
         C = vem.constitutive_matrix(mesh.material, 3)
-        em = em_of(mesh)
-        Kv, Ks, Mv, Ms = em.K, em.Ks, em.M, em.Ms
+        em = vem.group_matrices(mesh, [0], alpha0="unit")
+        Kv, Ks, Mv, Ms = em.K[0], em.Ks[0], em.M[0], em.Ms[0]
         Kf, Mf = fem.tet4_matrices(mesh.vertices, C, mesh.material.density)
         assert np.abs(Kv - Kf).max() <= 1e-12 * np.abs(Kf).max()
         assert np.abs(Mv - Mf).max() <= 1e-12 * np.abs(Mf).max()
@@ -126,8 +123,8 @@ def test_simplex_equivalence_2d():
     mesh = Mesh(2, verts, [Element(loop=(0, 1, 2), kind="tri",
                                    nodes=(0, 1, 2))])
     C = vem.constitutive_matrix(mesh.material, 2)
-    em = em_of(mesh)
-    Kv, Mv = em.K, em.M
+    em = vem.group_matrices(mesh, [0], alpha0="unit")
+    Kv, Mv = em.K[0], em.M[0]
     Kf, Mf = fem.tri3_matrices(verts, C, mesh.material.density)
     assert np.abs(Kv - Kf).max() <= 1e-12 * np.abs(Kf).max()
     assert np.abs(Mv - Mf).max() <= 1e-12 * np.abs(Mf).max()
@@ -136,9 +133,9 @@ def test_simplex_equivalence_2d():
 def test_mass_total_and_psd():
     mesh = cube_mesh()
     rho = mesh.material.density
-    em = em_of(mesh)
-    M, volume = em.M, meshmod.element_geometry(mesh, 0).volume
-    n = len(em.nodes)
+    em = vem.group_matrices(mesh, [0], alpha0="unit")
+    M, volume = em.M[0], mesh.geometry.volume[0]
+    n = em.nodes.shape[1]
     ones_x = np.zeros(3 * n)
     ones_x[:n] = 1.0
     assert ones_x @ M @ ones_x == pytest.approx(rho * volume, rel=1e-12)
@@ -155,17 +152,17 @@ def test_l2_projector_cube_oracle():
     pins S0; symmetry patterns of the cube add a structural check.
     """
     mesh = cube_mesh()
-    em = em_of(mesh)
-    D0, G0, B0, S0 = em.D0, em.G0, em.B0, em.S0
-    g = meshmod.element_geometry(mesh, 0)
-    n = len(em.nodes)
+    em = vem.group_matrices(mesh, [0], alpha0="unit")
+    D0, G0, B0, S0 = em.D0[0], em.G0[0], em.B0[0], em.S0[0]
+    volume, h = mesh.geometry.volume[0], mesh.geometry.diameter[0]
+    n = em.nodes.shape[1]
     # Independent G0: row 0 is the vertex-average of each monomial; rows
     # 1..3 are grad-grad volume integrals |E|/h^2 I.
     sc = scaled_coords(mesh, em)
     G0_ind = np.zeros((4, 4))
     G0_ind[0, 0] = 1.0
     G0_ind[0, 1:] = sc.mean(axis=0)
-    G0_ind[1:, 1:] = g.volume / g.diameter ** 2 * np.eye(3)
+    G0_ind[1:, 1:] = volume / h ** 2 * np.eye(3)
     assert G0 == pytest.approx(G0_ind, abs=1e-14)
     # Independent B0-hat rows 1..3: sum over faces of n |f|/(3 h) per vertex.
     B0_ind = np.zeros((4, n))
@@ -174,7 +171,7 @@ def test_l2_projector_cube_oracle():
     for f in el.faces:
         area, normal = meshmod.triangle_area_normal(mesh.vertices[list(f)])
         for v in f:
-            B0_ind[1:, v] += normal * area / (3.0 * g.diameter)
+            B0_ind[1:, v] += normal * area / (3.0 * h)
     assert B0 == pytest.approx(B0_ind, abs=1e-14)
     # The matched system pins S0 itself.
     S0_ind = np.linalg.solve(G0_ind, B0_ind)
@@ -190,8 +187,8 @@ def test_l2_projector_cube_oracle():
 def test_lumping_modes():
     mesh = cube_mesh()
     rho = mesh.material.density
-    M = em_of(mesh).M
-    vol = meshmod.element_geometry(mesh, 0).volume
+    M = vem.group_matrices(mesh, [0], alpha0="unit").M[0]
+    vol = mesh.geometry.volume[0]
     for mode in ("row_sum", "diag_scale"):
         ml, used = vem.lump(M, mode, rho, vol, 3)
         assert used == mode
@@ -201,21 +198,21 @@ def test_lumping_modes():
 
 def test_lump_auto_picks_by_convexity(kite_meshes):
     mesh = kite_meshes[(1e-5, "vem")]
-    em = vem.element_matrices(mesh, 0, alpha0="unit", lumping="auto")
-    assert not em.convex
-    assert em.lumping == "diag_scale"
+    em = vem.group_matrices(mesh, [0], alpha0="unit", lumping="auto")
+    assert not em.convex[0]
+    assert em.lumping[0] == "diag_scale"
     cube = cube_mesh()
-    em2 = vem.element_matrices(cube, 0, lumping="auto")
-    assert em2.convex
-    assert em2.lumping == "row_sum"
+    em2 = vem.group_matrices(cube, [0], lumping="auto")
+    assert em2.convex[0]
+    assert em2.lumping[0] == "row_sum"
 
 
 def test_unit_tet_row_sum_quarter_mass():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     mesh = Mesh(3, verts, [tet_element((0, 1, 2, 3))])
-    em = vem.element_matrices(mesh, 0, lumping="row_sum")
+    em = vem.group_matrices(mesh, [0], lumping="row_sum")
     rho = mesh.material.density
-    assert em.M_lumped == pytest.approx(
+    assert em.M_lumped[0] == pytest.approx(
         np.full(12, rho * (1.0 / 6.0) / 4.0), rel=1e-12)
 
 
@@ -228,16 +225,16 @@ def test_row_sum_negative_entry_raises():
 def test_rotation_objectivity():
     rng = np.random.default_rng(5)
     mesh = benchmarks.gen_benchmark("kite", 1e-3, "vem")
-    em = vem.element_matrices(mesh, 0, alpha0="unit")
-    lam = np.linalg.eigvalsh(
-        em.K / np.sqrt(em.M_lumped)[:, None] / np.sqrt(em.M_lumped)[None, :])
+    em = vem.group_matrices(mesh, [0], alpha0="unit")
+    lam = np.linalg.eigvalsh(em.K[0] / np.sqrt(em.M_lumped[0])[:, None]
+                             / np.sqrt(em.M_lumped[0])[None, :])
     for _ in range(3):
         R = random_rotation(rng)
         rotated = Mesh(3, mesh.vertices @ R.T, mesh.elements, mesh.material)
-        em2 = vem.element_matrices(rotated, 0, alpha0="unit")
+        em2 = vem.group_matrices(rotated, [0], alpha0="unit")
         lam2 = np.linalg.eigvalsh(
-            em2.K / np.sqrt(em2.M_lumped)[:, None]
-            / np.sqrt(em2.M_lumped)[None, :])
+            em2.K[0] / np.sqrt(em2.M_lumped[0])[:, None]
+            / np.sqrt(em2.M_lumped[0])[None, :])
         assert lam2[-1] == pytest.approx(lam[-1], rel=1e-9)
 
 
@@ -248,4 +245,4 @@ def test_singular_projector_reported():
                       [0.4, 0.4, 0.0]])
     mesh = Mesh(3, verts, [tet_element((0, 1, 2, 3))])
     with pytest.raises(ValidationError, match="element 0"):
-        vem.element_matrices(mesh, 0)
+        vem.group_matrices(mesh, [0])
