@@ -163,8 +163,7 @@ def _contacts(mesh):
     of elements sharing a face with e (each later copy of a face links its
     element to the first element holding it); area[e, nb] is the area of
     nb's copies of the faces it shares with e, summed in nb's face order."""
-    g = mesh.geometry
-    owner = np.repeat(np.arange(mesh.num_elements), np.diff(g.face_start))
+    g, owner = mesh.geometry, mesh.geometry.face_owner
     order, run = meshmod._runs(*np.sort(g.faces, axis=1).T)
     first = np.empty_like(order)
     first[order] = order[np.searchsorted(run, run)]

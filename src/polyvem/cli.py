@@ -250,14 +250,21 @@ def _cmd_simulate(args, cfg):
                           ("--dt-factor", args.dt_factor)):
         if not value > 0.0:
             raise ValidationError(f"{option} must be positive, got {value}")
-    for path in filter(None, (args.out, args.summary)):
-        open(path, "a").close()  # an unwritable output fails before the run
-    print(f"case {args.case} {args.method}: dt basis {args.dt_basis}, "
-          f"factor {args.dt_factor}, {args.transits} transits")
-    exp = dynamics.tapered_beam_experiment(
-        args.case, args.method, dt_factor=args.dt_factor,
-        dt_basis=args.dt_basis, t_max_transits=args.transits,
-        alpha0=cfg.alpha0, lumping=cfg.lumping)
+    outputs = [path for path in (args.out, args.summary) if path]
+    created = [path for path in outputs if not os.path.exists(path)]
+    try:
+        for path in outputs:
+            open(path, "a").close()  # an unwritable output fails early
+        print(f"case {args.case} {args.method}: dt basis {args.dt_basis}, "
+              f"factor {args.dt_factor}, {args.transits} transits")
+        exp = dynamics.tapered_beam_experiment(
+            args.case, args.method, dt_factor=args.dt_factor,
+            dt_basis=args.dt_basis, t_max_transits=args.transits,
+            alpha0=cfg.alpha0, lumping=cfg.lumping)
+    except BaseException:  # no run: remove the outputs made above
+        for path in filter(os.path.exists, created):
+            os.remove(path)
+        raise
     dynamics.write_history_csv(exp, args.out)
     if args.summary:
         with open(args.summary, "w") as fh:
@@ -412,7 +419,8 @@ def _beam_steps_table(path, problems, with_dynamics):
             steps = int(math.ceil(3.0 * p.transit / (0.9 * dt)))
             wall = ""
             if with_dynamics and method == "vem":
-                exp = p.run(0.9 * dt, 3.0)
+                exp = dynamics.run_beam(p, 0.9 * dt, 3.0,
+                                        dynamics.pulse_duration(p.report))
                 wall = f"{exp.result.wall_seconds:.3f}"
                 steps = exp.result.steps
             fh.write(f"{case},{method},{dt:.6e},{steps},{wall}\n")

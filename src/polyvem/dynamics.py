@@ -4,12 +4,14 @@ tapered-beam experiment driver.
 Assembly reduces an element sweep (``eig.element_systems``: stacked element
 groups), scattering each group with array operations; a beam problem
 (``beam_problem``) builds one sweep per beam mesh and feeds it to both the
-time-step bound and the assembly.  The integrator is the standard half-step-velocity
-central-difference update with a diagonal mass; fixed dofs are held at rest
-and driven dofs are overwritten each step.  The beam driver reproduces the
-pulse-loaded tapered-beam runs: fixed at x = 0, an axial quartic pulse at
-x = 4, histories probed mid-beam and reported in normalized time and
-displacement.
+time-step bound and the assembly.  The integrator is the standard
+half-step-velocity central-difference update with a diagonal mass; fixed
+dofs are held at rest and driven dofs are overwritten each step.
+``run_beam``, the one beam driver, reproduces the pulse-loaded
+tapered-beam runs: fixed at x = 0, an axial quartic pulse at x = 4,
+histories probed mid-beam and reported in normalized time and
+displacement.  A case's pulse duration is one rule, ``pulse_duration`` of
+its VEM beam's element bound.
 
 ``scipy.sparse`` is imported inside ``assemble_systems``, the one place a
 global matrix is built, so importing this module (and running element
@@ -200,7 +202,6 @@ def find_probe_dof(mesh, point, comp=0):
 
 @dataclass
 class BeamExperiment:
-    mesh: object
     method: str
     dt: float
     dt_crit_element: float
@@ -208,7 +209,6 @@ class BeamExperiment:
     result: RunResult
     t_norm: np.ndarray
     u_norm: np.ndarray
-    probe_exact: bool
 
 
 @dataclass
@@ -234,12 +234,6 @@ class BeamProblem:
         """Fixed and driven dofs (a dof may appear twice)."""
         return np.concatenate([self.fixed, self.driven])
 
-    @property
-    def pulse_duration(self):
-        """tau = 100 x this problem's element bound: the case's pulse
-        duration when the problem is the VEM one (beam_pulse_duration)."""
-        return 100.0 * self.report.dt_crit
-
     @cached_property
     def omega_global(self):
         return eig.global_max_frequency(self.K, self.M, self.constrained)[0]
@@ -258,17 +252,6 @@ class BeamProblem:
             return 2.0 / self.omega_global
         raise ValidationError(f"unknown dt basis {basis!r}")
 
-    def run(self, dt, t_max_transits, tau=None):
-        """The pulse-loaded run: the pulse of duration tau drives the x = 4
-        end for t_max_transits transit times.  tau=None takes this
-        problem's pulse_duration."""
-        if tau is None:
-            tau = self.pulse_duration
-        bcs = BcSchedule(fixed=self.fixed, driven=self.driven, tau=tau)
-        return run_beam(self.mesh, self.K, self.M, bcs, dt,
-                        t_max_transits * self.transit, self.transit,
-                        report=self.report, method=self.method)
-
 
 def beam_problem(mesh, method, alpha0="auto", lumping="auto"):
     """Build a BeamProblem from one element sweep of the mesh."""
@@ -277,18 +260,23 @@ def beam_problem(mesh, method, alpha0="auto", lumping="auto"):
     return BeamProblem(mesh, method, systems, K, M, *beam_boundary_dofs(mesh))
 
 
+def pulse_duration(report):
+    """The pulse rule: tau = 100 x the element bound of `report`, which
+    is the case's pulse duration when `report` is its VEM beam's."""
+    return 100.0 * report.dt_crit
+
+
 @cache
 def beam_pulse_duration(case, alpha0="auto", lumping="auto"):
-    """The pulse duration of the case: 100 x the element bound of its VEM
-    beam, the pulse_duration of its VEM beam problem.  Memoized per
-    (case, alpha0, lumping).
+    """The pulse duration of the case: the pulse rule applied to its VEM
+    beam's element bound.  Memoized per (case, alpha0, lumping).
 
     The pulse duration is part of the problem statement, so FEM and VEM
     runs of the same case share it.
     """
     from . import benchmarks
     mesh = benchmarks.gen_benchmark("beam" + case, variant="vem")
-    return 100.0 * eig.critical_dt(mesh, "vem", alpha0, lumping).dt_crit
+    return pulse_duration(eig.critical_dt(mesh, "vem", alpha0, lumping))
 
 
 def tapered_beam_experiment(case, method, dt_factor=0.9, dt_basis="element",
@@ -299,7 +287,8 @@ def tapered_beam_experiment(case, method, dt_factor=0.9, dt_basis="element",
     dt_basis "element" uses the element-eigenvalue bound 2/max_E omega_E;
     "global" uses the assembled-eigenproblem bound (the element bound can be
     hopelessly conservative on nearly degenerate meshes).  tau=None takes
-    the pulse duration of beam_pulse_duration.
+    the case's pulse duration: a VEM run reads it from its own report, a
+    FEM run from beam_pulse_duration.
     """
     from . import benchmarks
     if case not in ("A", "B"):
@@ -308,34 +297,34 @@ def tapered_beam_experiment(case, method, dt_factor=0.9, dt_basis="element",
         benchmarks.gen_benchmark("beam" + case, variant=method), method,
         alpha0, lumping)
     dt = dt_factor * problem.dt_crit(dt_basis)
-    if tau is None and method == "fem":
-        tau = beam_pulse_duration(case, alpha0=alpha0, lumping=lumping)
-    return problem.run(dt, t_max_transits, tau)
+    if tau is None:
+        tau = (pulse_duration(problem.report) if method == "vem" else
+               beam_pulse_duration(case, alpha0=alpha0, lumping=lumping))
+    return run_beam(problem, dt, t_max_transits, tau)
 
 
-def run_beam(mesh, K, M, bcs, dt, t_max, transit, report, method):
-    """Central-difference beam run, probed at BEAM_PROBE, with the history
-    normalized by the transit time and the pulse peak."""
-    probe_dof, exact = find_probe_dof(mesh, BEAM_PROBE, comp=0)
+def run_beam(problem, dt, t_max_transits, tau):
+    """The pulse-loaded central-difference run of a beam problem: the
+    pulse of duration tau drives the x = 4 end for t_max_transits transit
+    times, probed at BEAM_PROBE, with the history normalized by the
+    transit time and the pulse peak."""
+    report = problem.report
+    bcs = BcSchedule(fixed=problem.fixed, driven=problem.driven, tau=tau)
+    probe_dof, exact = find_probe_dof(problem.mesh, BEAM_PROBE, comp=0)
     if not exact:
         import warnings
         warnings.warn("probe point is not a mesh node; using nearest node")
-    limit = 1e3 * BEAM_PULSE_AMPLITUDE * bcs.amplitude
-    result = central_difference_run(K, M, bcs, dt, t_max, [probe_dof],
-                                    divergence_limit=limit)
-    t_norm = result.times / transit
-    u_norm = result.probe_history[:, 0] / (BEAM_PULSE_AMPLITUDE
-                                           * bcs.amplitude)
+    result = central_difference_run(
+        problem.K, problem.M, bcs, dt, t_max_transits * problem.transit,
+        [probe_dof], divergence_limit=1e3 * BEAM_PULSE_AMPLITUDE)
     return BeamExperiment(
-        mesh=mesh,
-        method=method,
+        method=problem.method,
         dt=dt,
         dt_crit_element=report.dt_crit,
         omega_star=report.omega_star,
         result=result,
-        t_norm=t_norm,
-        u_norm=u_norm,
-        probe_exact=exact,
+        t_norm=result.times / problem.transit,
+        u_norm=result.probe_history[:, 0] / BEAM_PULSE_AMPLITUDE,
     )
 
 

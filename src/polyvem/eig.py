@@ -1,15 +1,16 @@
 """Element and global maximum frequencies; critical-time-step estimates.
 
 One element sweep (``element_systems``) builds every element's stiffness and
-lumped mass once, elements of equal kind, node and face count as one stack
-(``vem.group_matrices``, ``fem.group_matrices``).  ``time_step_report``
-reduces the sweep to the element bound and ``dynamics.assemble_systems``
-reduces the same sweep to the global matrices.  The element problems are
-small symmetric dense matrices, solved with LAPACK (``eigvalsh``) one stack
-per group.  The global bound comes from power iteration on the
-mass-normalized stiffness with homogeneous constraints eliminated.  The
-element-eigenvalue inequality makes max_E omega_E an upper bound for the
-global omega, so dt = 2 / max_E omega_E is a safe explicit step.
+lumped mass once, elements of equal kind, node and face count as one stack:
+``group_system`` lumps the consistent mass of either kernel
+(``vem.group_matrices``, ``fem.group_matrices``) with ``vem.lump``.
+``time_step_report`` checks the sweep for faults once and reduces it to the
+element bound; ``dynamics.assemble_systems`` reduces it to the global
+matrices.  The element problems are solved with LAPACK (``eigvalsh``) one
+stack per group; the global bound by power iteration on the mass-normalized
+stiffness with homogeneous constraints eliminated.  The element-eigenvalue
+inequality makes max_E omega_E an upper bound for the global omega, so
+dt = 2 / max_E omega_E is a safe explicit step.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ def element_max_frequency(K, M_lumped):
     """
     K, ml = np.asarray(K, float), np.asarray(M_lumped, float)
     _reject_faults(np.atleast_1d(_faults(K, ml)), ml.ndim > 1)
+    return _max_frequency(K, ml)
+
+
+def _max_frequency(K, ml):
+    """element_max_frequency of fault-free arrays, unchecked."""
     inv_sqrt = 1.0 / np.sqrt(ml)
     A = K * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
@@ -109,16 +115,17 @@ def group_system(mesh, ids, method, alpha0="unit", lumping="auto"):
     group of element_groups, under one method; all but ids are stacks
     whose row k is element ids[k]."""
     if method == "vem":
-        em = vem.group_matrices(mesh, ids, alpha0=alpha0, lumping=lumping)
-        return ids, em.nodes, em.K, em.M_lumped, em.lumping
-    if method == "fem":
+        em = vem.group_matrices(mesh, ids, alpha0=alpha0)
+        nodes, K, M = em.nodes, em.K, em.M
+    elif method == "fem":
         K, M = fem.group_matrices(mesh, ids)
-        g = mesh.geometry
-        ml, used = vem.lump(M, lumping, mesh.material.density,
-                            g.volume[ids], mesh.dimension,
-                            convex=g.convex[ids], ids=ids)
-        return ids, meshmod.element_nodes(mesh, ids), K, ml, used
-    raise ValueError(f"unknown method {method!r}")
+        nodes = meshmod.element_nodes(mesh, ids)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    g = mesh.geometry
+    ml, used = vem.lump(M, lumping, mesh.material.density, g.volume[ids],
+                        mesh.dimension, convex=g.convex[ids], ids=ids)
+    return ids, nodes, K, ml, used
 
 
 def element_systems(mesh, method, alpha0="unit", lumping="auto"):
@@ -130,8 +137,8 @@ def element_systems(mesh, method, alpha0="unit", lumping="auto"):
 def time_step_report(systems, method):
     """Element-eigenvalue critical time step from an element sweep.
 
-    Each group is eigensolved as one stack.  The first element with a
-    fault (see _faults) is named in a ValidationError.
+    The sweep is checked once: its first element with a fault (see _faults)
+    is named in a ValidationError.  Each group is eigensolved as one stack.
     """
     fault = np.zeros(sum(len(ids) for ids, *_ in systems), np.int64)
     for ids, _, K, ml, _ in systems:
@@ -139,7 +146,7 @@ def time_step_report(systems, method):
     _reject_faults(fault)
     omegas = np.zeros(len(fault))
     for ids, _, K, ml, _ in systems:
-        omegas[ids] = element_max_frequency(K, ml)
+        omegas[ids] = _max_frequency(K, ml)
     arg = int(np.argmax(omegas))
     omega_star = float(omegas[arg])
     dt = 2.0 / omega_star if omega_star > 0 else float("inf")
@@ -160,8 +167,11 @@ def critical_dt(mesh, method, alpha0="unit", lumping="auto"):
                             method)
 
 
-def global_max_frequency(K, M_lumped, fixed_dofs=(), tol=1e-6,
-                         max_iter=200000, seed=0):
+# Power iteration: stopping change of the Rayleigh quotient, cap, seed.
+POWER_TOL, POWER_MAX_ITER, POWER_SEED = 1e-6, 200000, 0
+
+
+def global_max_frequency(K, M_lumped, fixed_dofs=()):
     """Largest global frequency by power iteration on L^-1 K L^-T.
 
     ``K`` may be dense or scipy-sparse; ``fixed_dofs`` are eliminated before
@@ -183,22 +193,19 @@ def global_max_frequency(K, M_lumped, fixed_dofs=(), tol=1e-6,
     def apply(x):
         return inv_sqrt * (Kff @ (inv_sqrt * x))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POWER_SEED)
     x = rng.standard_normal(len(free))
     x /= np.linalg.norm(x)
     lam = 0.0
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, POWER_MAX_ITER + 1):
         y = apply(x)
         norm = np.linalg.norm(y)
         if norm == 0.0:
             return 0.0, True, it
         lam_new = float(x @ y)
         x = y / norm
-        if it > 1 and abs(lam_new - lam) <= tol * abs(lam_new):
-            lam = lam_new
-            converged = True
-            break
+        converged = it > 1 and abs(lam_new - lam) <= POWER_TOL * abs(lam_new)
         lam = lam_new
+        if converged:
+            break
     return float(np.sqrt(max(lam, 0.0))), converged, it

@@ -157,18 +157,18 @@ class MeshGeometry:
     """Geometry and validation verdict of every element of one mesh.
 
     3D elements contribute their triangles and 2D elements their loop edges
-    to one stacked face table (vertex ids ``faces``); ``face_start[e]:
-    face_start[e + 1]`` slices element e's faces, in its own order.  The
-    node lists are stacked the same way (``nodes``, ``node_start``), each in
-    the element's dof order: its given ``nodes``, else its 2D loop, else the
-    sorted vertex set of its faces.  These, the face areas, normals and edge
-    lengths, ``volume``, ``diameter``, ``degenerate`` (volume <= TAU_GEOM x
-    diameter^dim: the one degeneracy rule, which 2D validation, quality and
-    merging read) and the verdict are built with the table; ``integrate``,
-    ``centroid``, ``scaled_moments`` and ``convex`` on first read, from it
-    alone.  Moments are signed sums
-    over the simplices joining each face to the element's anchor (its
-    first node); ``integrate`` serves them to ``hni.scaled_moment_table``.
+    to one stacked face table (vertex ids ``faces``, element ``face_owner``);
+    ``face_start[e]: face_start[e + 1]`` slices element e's faces, in its
+    own order.  The node lists are stacked the same way (``nodes``,
+    ``node_start``), each in the element's dof order: its given ``nodes``,
+    else its 2D loop, else the sorted vertex set of its faces.  These, the
+    face areas, normals and edge lengths, ``volume``, ``diameter``,
+    ``degenerate`` (volume <= TAU_GEOM x diameter^dim: the one degeneracy
+    rule, which 2D validation, quality and merging read) and the verdict are
+    built with the table; ``integrate``, ``centroid``, ``scaled_moments``
+    and ``convex`` on first read, from it alone.  Moments are signed sums
+    over the simplices joining each face to the element's anchor (its first
+    node); ``integrate`` serves them to ``hni.scaled_moment_table``.
     ``failed_check[e]`` is the first check element e fails (-1: none) and
     ``error(e)`` words it.  Every array is read-only.
     """
@@ -179,7 +179,7 @@ class MeshGeometry:
         n_el = len(els)
         conns = [el.loop if dim == 2 else el.faces for el in els]
         sizes = np.array([len(c or ()) for c in conns], np.int64)
-        owner = np.repeat(np.arange(n_el), sizes)
+        owner = self.face_owner = np.repeat(np.arange(n_el), sizes)
         starts = np.cumsum(sizes) - sizes
         self.face_start = np.append(starts, len(owner))
         if dim == 2:
@@ -237,8 +237,8 @@ class MeshGeometry:
                 diameter[group] = _max_pairwise_distance(p)
         self.volume, self.diameter = volume, diameter
         self.degenerate = volume <= TAU_GEOM * diameter ** dim
-        _frozen(volume, diameter, self.degenerate, faces, areas, normals,
-                self.edge_lengths, self.nodes, self.node_start)
+        _frozen(volume, diameter, self.degenerate, owner, faces, areas,
+                normals, self.edge_lengths, self.nodes, self.node_start)
 
         # Validation: one (message, failing elements) pair per check, in
         # the order an element is checked.
@@ -301,13 +301,11 @@ class MeshGeometry:
     def _simplices(self):
         """(owner, local, det) of each face-to-anchor simplex: its element,
         its face's corners about the anchor and d! x its signed measure."""
-        owner = np.repeat(np.arange(len(self._origin)),
-                          np.diff(self.face_start))
         local = (self._V.take(self.faces, 0, mode="clip")
-                 - self._origin[owner][:, None, :])
+                 - self._origin[self.face_owner][:, None, :])
         if local.shape[-1] == 2:
-            return owner, local, _cross2(local[:, 0], local[:, 1])
-        return owner, local, (
+            return self.face_owner, local, _cross2(local[:, 0], local[:, 1])
+        return self.face_owner, local, (
             local[:, 0] * hni._cross(local[:, 1], local[:, 2])).sum(1)
 
     def _vertex_sets(self):
@@ -353,8 +351,7 @@ class MeshGeometry:
     def convex(self):
         """Per element: does no vertex lie above a face plane by more than
         TAU_GEOM x its diameter?"""
-        owner = np.repeat(np.arange(len(self.volume)),
-                          np.diff(self.face_start))
+        owner = self.face_owner
         base = self._V.take(self.faces[:, :1], 0, mode="clip")
         convex = np.ones(len(self.volume), bool)
         for group, p in self._vertex_sets():

@@ -96,8 +96,7 @@ def mesh_report(mesh, thresholds=DEFAULT_THRESHOLDS):
     g, t, dim = mesh.geometry, thresholds, mesh.dimension
     n = mesh.num_elements
     ids = np.arange(n)
-    owner = np.repeat(ids, np.diff(g.face_start))
-    first = g.face_start[:-1]
+    owner, first = g.face_owner, g.face_start[:-1]
     ranked = g.face_areas[np.lexsort((g.face_areas, owner))]
     min_face = ranked[first]
     second = ranked[np.minimum(first + 1, len(ranked) - 1)]

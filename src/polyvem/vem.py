@@ -2,11 +2,13 @@
 
 Works on polygons (plane strain) and on polyhedra with triangular faces.
 Element dofs are ordered [all-x | all-y | all-z] over the element's nodes.
-``group_matrices`` builds elements of equal node and face counts as stacks:
-the strain-energy and L2 projectors come from nodal values of the scaled
-monomials plus one-point face integration (exact on simplex faces), each
-scattered with one ``np.add.at`` over the group's stacked faces and solved
-with batched ``np.linalg.solve``.
+``group_matrices`` builds the stiffness and consistent mass of elements of
+equal node and face counts as stacks: the strain-energy and L2 projectors
+come from nodal values of the scaled monomials plus one-point face
+integration (exact on simplex faces), each scattered with one
+``np.add.at`` over the group's stacked faces and solved with batched
+``np.linalg.solve``.  ``lump`` diagonalizes a mass stack of either method;
+``eig.group_system`` is its one caller in the package.
 """
 
 from __future__ import annotations
@@ -158,18 +160,17 @@ def lump(M, mode, rho, volume, dim, convex=None, ids=None):
 # axis, with the projector systems it comes from: D (nodal dofs of the
 # vector monomials), Pi (energy projector), D0, G0, B0, S0 (L2 projector).
 ElementMatrices = namedtuple(
-    "ElementMatrices", "K Kc Ks M Ms M_lumped lumping nodes volume convex "
-    "D Pi D0 G0 B0 S0")
+    "ElementMatrices", "K Kc Ks M Ms nodes D Pi D0 G0 B0 S0")
 
 
-def group_matrices(mesh, ids, alpha0="unit", lumping="auto"):
-    """K_E, M_E and the lumped mass of virtual elements with equal node and
+def group_matrices(mesh, ids, alpha0="unit"):
+    """K_E and the consistent M_E of virtual elements with equal node and
     face counts, stacked: row k is mesh element ids[k].
 
     K is the consistency part plus the diagonally scaled stability; M is the
     L2-projector mass plus its rank correction.  A non-finite or
-    non-positive measure, a singular projector system or a non-positive
-    lumped mass raises a ValidationError naming the element.
+    non-positive measure or a singular projector system raises a
+    ValidationError naming the element.
     """
     g = mesh.geometry
     dim, rho = mesh.dimension, mesh.material.density
@@ -243,11 +244,8 @@ def group_matrices(mesh, ids, alpha0="unit", lumping="auto"):
     I_Pi0 = np.eye(n) - D0 @ S0
     Ms = (rho * vol)[:, None, None] * np.swapaxes(I_Pi0, 1, 2) @ I_Pi0
     M = block_diagonal(np.swapaxes(S0, 1, 2) @ H @ S0 + Ms, dim)
-    Ms = block_diagonal(Ms, dim)
-    convex = g.convex[ids]
-    ml, used = lump(M, lumping, rho, vol, dim, convex=convex, ids=ids)
-    return ElementMatrices(Kc + Ks, Kc, Ks, M, Ms, ml, used, nodes, vol,
-                           convex, D, Pi, D0, G0, B0, S0)
+    return ElementMatrices(Kc + Ks, Kc, Ks, M, block_diagonal(Ms, dim),
+                           nodes, D, Pi, D0, G0, B0, S0)
 
 
 def write_matrix_csv(matrix, path):

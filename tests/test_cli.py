@@ -314,15 +314,33 @@ def test_simulate_nonpositive_option_rejected(tmp_path, capsys, option,
     assert not (tmp_path / "hist.csv").exists()
 
 
-def test_simulate_infeasible_run_is_an_error(tmp_path, capsys):
+def _refused_simulate(hist, summary):
     # 1e-9 x the stable step is ~7e11 steps, terabytes of history: refused
     # before the time and history arrays are allocated.
-    hist = tmp_path / "hist.csv"
-    assert run(["simulate", "--case", "A", "--method", "vem",
-                "--dt-factor", "1e-9", "--out", str(hist)]) == 1
+    return run(["simulate", "--case", "A", "--method", "vem",
+                "--dt-factor", "1e-9", "--out", str(hist),
+                "--summary", str(summary)])
+
+
+def test_simulate_infeasible_run_is_an_error(tmp_path, capsys):
+    # The refused run leaves neither output file behind.
+    hist, summary = tmp_path / "hist.csv", tmp_path / "run.json"
+    assert _refused_simulate(hist, summary) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "steps need" in err
     assert "Traceback" not in err
+    assert not hist.exists() and not summary.exists()
+
+
+def test_simulate_refused_run_keeps_an_existing_output(tmp_path, capsys):
+    # Only the files the run created are removed: an --out that existed
+    # before keeps its bytes.
+    hist, summary = tmp_path / "hist.csv", tmp_path / "run.json"
+    hist.write_bytes(b"t_norm,u_x_norm\n0,0\n")
+    assert _refused_simulate(hist, summary) == 1
+    assert "steps need" in capsys.readouterr().err
+    assert hist.read_bytes() == b"t_norm,u_x_norm\n0,0\n"
+    assert not summary.exists()
 
 
 @pytest.mark.parametrize("bad", ["--out", "--summary"])

@@ -558,11 +558,13 @@ def test_infeasible_run_refused_before_allocating():
 
 def test_beam_pulse_duration_is_the_vem_bound_memoized(beam_meshes,
                                                        monkeypatch):
-    # The same bits as the VEM beam problem's pulse duration; a second
-    # call for the same (case, alpha0, lumping) generates no mesh.
+    # The same bits as the pulse rule applied to the VEM beam problem's own
+    # report (100 x its element bound); a second call for the same (case,
+    # alpha0, lumping) generates no mesh.
     tau = dynamics.beam_pulse_duration("A")
     problem = dynamics.beam_problem(beam_meshes[("A", "vem")], "vem")
-    assert tau == problem.pulse_duration
+    assert tau == dynamics.pulse_duration(problem.report)
+    assert tau == 100.0 * problem.report.dt_crit
 
     def no_generation(*args, **kwargs):
         raise AssertionError("gen_benchmark called")
@@ -577,4 +579,21 @@ def test_bad_pulse_duration_rejected(beam_meshes, tau):
         BcSchedule(fixed=np.array([0]), driven=np.array([1]), tau=tau)
     problem = dynamics.beam_problem(beam_meshes[("A", "vem")], "vem")
     with pytest.raises(ValidationError, match="pulse duration tau"):
-        problem.run(problem.dt_crit("element"), 0.01, tau=tau)
+        dynamics.run_beam(problem, problem.dt_crit("element"), 0.01, tau)
+
+
+def test_fem_run_takes_the_case_pulse_duration():
+    # With no tau a FEM run takes the case's pulse duration (the VEM
+    # bound's), not a pulse from its own far smaller element bound.
+    default = dynamics.tapered_beam_experiment(
+        "A", "fem", dt_basis="global", t_max_transits=0.01)
+    given = dynamics.tapered_beam_experiment(
+        "A", "fem", dt_basis="global", t_max_transits=0.01,
+        tau=dynamics.beam_pulse_duration("A"))
+    assert default.result.steps == given.result.steps > 0
+    assert np.array_equal(default.t_norm, given.t_norm)
+    assert np.array_equal(default.u_norm, given.u_norm)
+    own = dynamics.tapered_beam_experiment(
+        "A", "fem", dt_basis="global", t_max_transits=0.01,
+        tau=100.0 * default.dt_crit_element)
+    assert not np.array_equal(own.u_norm, default.u_norm)

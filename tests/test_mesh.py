@@ -407,6 +407,17 @@ def test_table_node_lists_follow_the_rule():
             assert meshmod.element_local(mesh, e)[0] == tuple(nodes)
 
 
+def test_face_owner_names_each_face_element():
+    for label, mesh in _node_rule_meshes():
+        g = mesh.geometry
+        owners = [e for e in range(mesh.num_elements)
+                  for _ in range(g.face_start[e], g.face_start[e + 1])]
+        assert g.face_owner.tolist() == owners, label
+        assert len(g.face_owner) == len(g.faces), label
+        with pytest.raises(ValueError, match="read-only"):
+            g.face_owner[...] = 0
+
+
 def test_element_nodes_rejects_mixed_node_counts(beam_meshes):
     mesh = beam_meshes[("A", "vem")]
     sizes = np.diff(mesh.geometry.node_start)

@@ -87,13 +87,14 @@ def test_rotation_objectivity_randomized():
     for _ in range(20):
         mesh = random_tet_pair_mesh(rng)
         merged = agglomerate.merge(mesh, (0, 1))
-        em = vem.group_matrices(merged, [0], alpha0="unit")
-        omega = eig.element_max_frequency(em.K[0], em.M_lumped[0])
+        _, _, K, ml, _ = eig.group_system(merged, [0], "vem", alpha0="unit")
+        omega = eig.element_max_frequency(K[0], ml[0])
         R = random_rotation(rng)
         rotated = Mesh(3, merged.vertices @ R.T, merged.elements,
                        merged.material)
-        em2 = vem.group_matrices(rotated, [0], alpha0="unit")
-        omega2 = eig.element_max_frequency(em2.K[0], em2.M_lumped[0])
+        _, _, K2, ml2, _ = eig.group_system(rotated, [0], "vem",
+                                            alpha0="unit")
+        omega2 = eig.element_max_frequency(K2[0], ml2[0])
         assert omega2 == pytest.approx(omega, rel=1e-9)
 
 
@@ -122,11 +123,12 @@ def test_lumped_mass_positivity_randomized():
         mesh = random_tet_pair_mesh(rng)
         merged = agglomerate.merge(mesh, (0, 1))
         for lump_mode in ("diag_scale", "auto"):
-            em = vem.group_matrices(merged, [0], alpha0="unit",
-                                    lumping=lump_mode)
-            assert np.all(em.M_lumped[0] > 0)
-            total = 3 * mesh.material.density * em.volume[0]
-            assert em.M_lumped[0].sum() == pytest.approx(total, rel=1e-12)
+            _, _, _, ml, _ = eig.group_system(merged, [0], "vem",
+                                              alpha0="unit",
+                                              lumping=lump_mode)
+            assert np.all(ml[0] > 0)
+            total = 3 * mesh.material.density * merged.geometry.volume[0]
+            assert ml[0].sum() == pytest.approx(total, rel=1e-12)
 
 
 def test_kernel_dimension_randomized():

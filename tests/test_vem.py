@@ -4,7 +4,7 @@ mass consistency, and lumping."""
 import numpy as np
 import pytest
 
-from polyvem import benchmarks, fem, mesh as meshmod, vem
+from polyvem import benchmarks, eig, fem, mesh as meshmod, vem
 from polyvem.mesh import Element, Mesh, ValidationError, tet_element
 
 from conftest import random_rotation, random_tet_mesh
@@ -198,21 +198,22 @@ def test_lumping_modes():
 
 def test_lump_auto_picks_by_convexity(kite_meshes):
     mesh = kite_meshes[(1e-5, "vem")]
-    em = vem.group_matrices(mesh, [0], alpha0="unit", lumping="auto")
-    assert not em.convex[0]
-    assert em.lumping[0] == "diag_scale"
+    *_, used = eig.group_system(mesh, [0], "vem", alpha0="unit",
+                                lumping="auto")
+    assert not mesh.geometry.convex[0]
+    assert used[0] == "diag_scale"
     cube = cube_mesh()
-    em2 = vem.group_matrices(cube, [0], lumping="auto")
-    assert em2.convex[0]
-    assert em2.lumping[0] == "row_sum"
+    *_, used2 = eig.group_system(cube, [0], "vem", lumping="auto")
+    assert cube.geometry.convex[0]
+    assert used2[0] == "row_sum"
 
 
 def test_unit_tet_row_sum_quarter_mass():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     mesh = Mesh(3, verts, [tet_element((0, 1, 2, 3))])
-    em = vem.group_matrices(mesh, [0], lumping="row_sum")
+    _, _, _, ml, _ = eig.group_system(mesh, [0], "vem", lumping="row_sum")
     rho = mesh.material.density
-    assert em.M_lumped[0] == pytest.approx(
+    assert ml[0] == pytest.approx(
         np.full(12, rho * (1.0 / 6.0) / 4.0), rel=1e-12)
 
 
@@ -225,16 +226,16 @@ def test_row_sum_negative_entry_raises():
 def test_rotation_objectivity():
     rng = np.random.default_rng(5)
     mesh = benchmarks.gen_benchmark("kite", 1e-3, "vem")
-    em = vem.group_matrices(mesh, [0], alpha0="unit")
-    lam = np.linalg.eigvalsh(em.K[0] / np.sqrt(em.M_lumped[0])[:, None]
-                             / np.sqrt(em.M_lumped[0])[None, :])
+    _, _, K, ml, _ = eig.group_system(mesh, [0], "vem", alpha0="unit")
+    lam = np.linalg.eigvalsh(K[0] / np.sqrt(ml[0])[:, None]
+                             / np.sqrt(ml[0])[None, :])
     for _ in range(3):
         R = random_rotation(rng)
         rotated = Mesh(3, mesh.vertices @ R.T, mesh.elements, mesh.material)
-        em2 = vem.group_matrices(rotated, [0], alpha0="unit")
-        lam2 = np.linalg.eigvalsh(
-            em2.K[0] / np.sqrt(em2.M_lumped[0])[:, None]
-            / np.sqrt(em2.M_lumped[0])[None, :])
+        _, _, K2, ml2, _ = eig.group_system(rotated, [0], "vem",
+                                            alpha0="unit")
+        lam2 = np.linalg.eigvalsh(K2[0] / np.sqrt(ml2[0])[:, None]
+                                  / np.sqrt(ml2[0])[None, :])
         assert lam2[-1] == pytest.approx(lam[-1], rel=1e-9)
 
 
