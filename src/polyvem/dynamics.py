@@ -2,14 +2,15 @@
 tapered-beam experiment driver.
 
 Assembly reduces an element sweep (``eig.element_systems``: stacked element
-groups), scattering each group with array operations; a beam problem
-(``beam_problem``) builds one sweep per beam mesh and feeds it to both the
-time-step bound and the assembly.  The integrator is the standard
-half-step-velocity central-difference update with a diagonal mass; fixed
-dofs are held at rest and driven dofs are overwritten each step.
-``run_beam``, the one beam driver, reproduces the pulse-loaded
-tapered-beam runs: fixed at x = 0, an axial quartic pulse at x = 4,
-histories probed mid-beam and reported in normalized time and
+groups), adding each group straight into K's CSR arrays, which are laid
+out once from the coupled node pairs: each stored entry sums its element
+terms in sweep order.  A beam problem (``beam_problem``) builds one sweep
+per beam mesh and feeds it to both the time-step bound and the assembly.
+The integrator is the standard half-step-velocity central-difference
+update with a diagonal mass; fixed dofs are held at rest and driven dofs
+are overwritten each step.  ``run_beam``, the one beam driver, reproduces
+the pulse-loaded tapered-beam runs: fixed at x = 0, an axial quartic pulse
+at x = 4, histories probed mid-beam and reported in normalized time and
 displacement.  A case's pulse duration is one rule, ``pulse_duration`` of
 its VEM beam's element bound.
 
@@ -42,29 +43,49 @@ def assemble(mesh, method, alpha0="unit", lumping="auto"):
 
 def assemble_systems(mesh, systems):
     """Scatter-add an element sweep into the global stiffness (CSR) and
-    lumped mass vector.  Each group is scattered with array operations
-    into slots laid out in element order, so every shared entry sums its
-    element terms in element order."""
+    lumped mass vector.  K's pattern is laid out from the node pairs the
+    elements couple: row (a, i) holds columns b n + j, b = 0..dim-1, for
+    the nodes j coupled to node i, in order.  Each group's stack is added
+    into its slots of ``K.data`` with one ``np.add.at``, so each stored
+    entry is the sequential sum of its element terms in sweep order
+    (groups in ``eig.element_groups`` order, stack rows in order).  Each
+    mass entry sums its element terms in element order."""
     import scipy.sparse as sp
 
     dim, n = mesh.dimension, mesh.num_vertices
     size = np.zeros(mesh.num_elements, np.int64)
     for ids, _, _, ml, _ in systems:
         size[ids] = ml.shape[1]
-    start, start2 = np.cumsum(size) - size, np.cumsum(size ** 2) - size ** 2
+    start = np.cumsum(size) - size
     dofs, masses = np.empty(size.sum(), np.int64), np.empty(size.sum())
-    rows, cols = np.empty((2, (size ** 2).sum()), np.int64)
-    vals = np.empty(len(rows))
-    for ids, nodes, K, ml, _ in systems:
-        n_el, dn = ml.shape
-        gdof = (np.arange(dim)[:, None] * n + nodes[:, None, :]).reshape(
-            n_el, dn)
-        at = start[ids][:, None] + np.arange(dn)
-        dofs[at], masses[at] = gdof, ml
-        at = start2[ids][:, None] + np.arange(dn * dn)
-        rows[at], cols[at] = np.repeat(gdof, dn, axis=1), np.tile(gdof, dn)
-        vals[at] = K.reshape(n_el, -1)
-    K = sp.coo_matrix((vals, (rows, cols)), shape=(dim * n, dim * n)).tocsr()
+    pairs = [nodes[:, :, None] * n + nodes[:, None, :]
+             for _, nodes, *_ in systems]
+    keys = np.sort(np.concatenate([np.empty(0, np.int64),
+                                   *map(np.ravel, pairs)]))
+    keys = keys[np.diff(keys, prepend=-1) > 0]  # the coupled pairs i n + j
+    # Pair p = (i, j) in column block b of row (a, i) has slot
+    # a dim P + offset[i] + b deg[i] + p of K.data, P = len(keys).
+    row, col = np.divmod(keys, n)
+    deg = np.bincount(row, minlength=n)
+    offset, comp = (dim - 1) * (np.cumsum(deg) - deg), np.arange(dim)[:, None]
+    block = dim * len(keys)
+    idx = np.int32 if max(dim * block, dim * n) < 2 ** 31 else np.int64
+    indices, indptr = np.empty(block, idx), np.zeros(dim * n + 1, idx)
+    indices[offset[row] + comp * deg[row] + np.arange(len(keys))] = (
+        comp * n + col)
+    np.cumsum(np.tile(dim * deg, dim), out=indptr[1:])
+    data = np.zeros(dim * block)
+    for (ids, nodes, K, ml, _), pair in zip(systems, pairs):
+        n_el, nn = nodes.shape
+        at = start[ids][:, None] + np.arange(dim * nn)
+        dofs[at] = (comp * n + nodes[:, None, :]).reshape(n_el, -1)
+        masses[at] = ml
+        at = offset[nodes][:, :, None] + np.searchsorted(keys, pair)
+        at = (block * comp[:, :, None, None] + at[:, None, :, None, :]
+              + comp * deg[nodes][:, None, :, None, None])  # (el, a, i, b, j)
+        np.add.at(data, at.ravel(), K.ravel())  # 1-D: numpy's fast path
+    K = sp.csr_matrix((data, np.tile(indices, dim), indptr),
+                      shape=(dim * n, dim * n))
     K.eliminate_zeros()  # exact zeros: summed terms that cancel
     return K, np.bincount(dofs, masses, minlength=dim * n)
 

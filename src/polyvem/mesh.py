@@ -175,7 +175,7 @@ class MeshGeometry:
 
     def __init__(self, mesh):
         dim, n_vert, els = mesh.dimension, mesh.num_vertices, mesh.elements
-        V = self._V = mesh.vertices if n_vert else np.zeros((1, dim))
+        V = self._V = (mesh.vertices if n_vert else np.zeros((1, dim))).view()
         n_el = len(els)
         conns = [el.loop if dim == 2 else el.faces for el in els]
         sizes = np.array([len(c or ()) for c in conns], np.int64)
@@ -237,8 +237,6 @@ class MeshGeometry:
                 diameter[group] = _max_pairwise_distance(p)
         self.volume, self.diameter = volume, diameter
         self.degenerate = volume <= TAU_GEOM * diameter ** dim
-        _frozen(volume, diameter, self.degenerate, owner, faces, areas,
-                normals, self.edge_lengths, self.nodes, self.node_start)
 
         # Validation: one (message, failing elements) pair per check, in
         # the order an element is checked.
@@ -297,6 +295,7 @@ class MeshGeometry:
         self.failed_check = np.full(n_el, -1)
         for k in reversed(range(len(checks))):
             self.failed_check[checks[k][1]] = k
+        _frozen(*(a for a in vars(self).values() if isinstance(a, np.ndarray)))
 
     def _simplices(self):
         """(owner, local, det) of each face-to-anchor simplex: its element,

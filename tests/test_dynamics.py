@@ -1,13 +1,15 @@
 """Explicit integrator: assembly, stability dichotomy on a scalar
 oscillator, linearity, determinism, and beam plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from polyvem import benchmarks, dynamics, eig
+from polyvem import agglomerate, benchmarks, dynamics, eig
 from polyvem.dynamics import BcSchedule
-from polyvem.mesh import Mesh, ValidationError, tet_element
+from polyvem.mesh import Element, Mesh, ValidationError, extrude, tet_element
 
 
 def test_assemble_block_diagonal_for_disjoint_tets():
@@ -440,6 +442,123 @@ def test_assembled_stiffness_stores_no_zeros(beam_meshes, unpruned):
     assert np.array_equal(K.toarray(), K0.toarray())
     u = np.random.default_rng(3).standard_normal(K.shape[0])
     assert (K @ u).tobytes() == (K0 @ u).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Assembly contract: scipy's pattern, sweep-order sums, bounded memory
+
+
+def _element_dofs(mesh, nodes):
+    """Global dofs of a stack's elements, in element dof order."""
+    n_el = len(nodes)
+    return (np.arange(mesh.dimension)[:, None] * mesh.num_vertices
+            + nodes[:, None, :]).reshape(n_el, -1)
+
+
+def _coo_reference(mesh, systems):
+    """K as scipy sums COO triplets (pruned like assemble), and the lumped
+    mass summed per dof in element order."""
+    ndof = mesh.dimension * mesh.num_vertices
+    rows, cols, vals, per_element = [], [], [], {}
+    for ids, nodes, K, ml, _ in systems:
+        dofs = _element_dofs(mesh, nodes)
+        rows.append(np.repeat(dofs, dofs.shape[1], axis=1).ravel())
+        cols.append(np.tile(dofs, dofs.shape[1]).ravel())
+        vals.append(K.ravel())
+        per_element.update(zip(ids.tolist(), zip(dofs, ml)))
+    K = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                              np.concatenate(cols))),
+                      shape=(ndof, ndof)).tocsr()
+    K.eliminate_zeros()
+    M = np.zeros(ndof)
+    order = sorted(per_element)
+    np.add.at(M, np.concatenate([per_element[e][0] for e in order]),
+              np.concatenate([per_element[e][1] for e in order]))
+    return K, M
+
+
+def _sweep_order_sums(mesh, systems):
+    """(row ndof + column, value) of every nonzero K entry, each summed
+    term by term in sweep order."""
+    ndof = mesh.dimension * mesh.num_vertices
+    keys, vals = [], []
+    for _, nodes, K, _, _ in systems:
+        dofs = _element_dofs(mesh, nodes)
+        keys.append((dofs[:, :, None] * ndof + dofs[:, None, :]).ravel())
+        vals.append(K.ravel())
+    keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = np.zeros(len(keys))
+    np.add.at(sums, slot, np.concatenate(vals))  # unbuffered, in order
+    return keys[sums != 0.0], sums[sums != 0.0]
+
+
+def _strip_2d(cells=7):
+    """Unit cells along x, alternately one quadrilateral and two
+    triangles: the two element groups interleave."""
+    verts = np.array([[x, y] for y in (0.0, 1.0) for x in range(cells + 1)],
+                     float)
+    elements = []
+    for k in range(cells):
+        b0, b1, t0, t1 = k, k + 1, cells + 1 + k, cells + 2 + k
+        if k % 3 == 0:
+            elements.append(Element(loop=(b0, b1, t1, t0)))
+        else:
+            elements += [Element(loop=t, kind="tri", nodes=t)
+                         for t in ((b0, b1, t1), (b0, t1, t0))]
+    return Mesh(2, verts, elements)
+
+
+def _interleaved_mesh(name, beam_meshes):
+    if name == "agglomerated-tet-beam":
+        return agglomerate.auto_agglomerate(beam_meshes[("A", "fem")])[0]
+    return _strip_2d() if name == "strip-2d" else extrude(_strip_2d(), 0.5)
+
+
+@pytest.mark.parametrize("case, method", [
+    ("A", "fem"), ("A", "vem"), ("B", "fem"), ("B", "vem"), ("tri2d", "vem")])
+def test_assembly_matches_scipy_pattern(beam_meshes, case, method):
+    mesh = (benchmarks.gen_benchmark("tri2d", 1e-3, method) if case == "tri2d"
+            else beam_meshes[(case, method)])
+    systems = eig.element_systems(mesh, method, "auto")
+    K, M = dynamics.assemble_systems(mesh, systems)
+    K0, M0 = _coo_reference(mesh, systems)
+    assert K.nnz == K0.nnz
+    assert K.indices.dtype == K0.indices.dtype == K.indptr.dtype
+    assert np.array_equal(K.indptr, K0.indptr)
+    assert np.array_equal(K.indices, K0.indices)
+    assert np.abs(K.data - K0.data).max() <= 1e-15 * np.abs(K0.data).max()
+    assert M.tobytes() == M0.tobytes()
+
+
+@pytest.mark.parametrize("name", ["strip-2d", "strip-3d",
+                                  "agglomerated-tet-beam"])
+def test_assembly_sums_each_entry_in_sweep_order(beam_meshes, name):
+    mesh = _interleaved_mesh(name, beam_meshes)
+    systems = eig.element_systems(mesh, "vem", "unit")
+    ids = np.concatenate([ids for ids, *_ in systems])
+    assert (np.diff(ids) < 0).any()  # sweep order is not element order
+    K, _ = dynamics.assemble_systems(mesh, systems)
+    keys, sums = _sweep_order_sums(mesh, systems)
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    assert np.array_equal(rows * K.shape[0] + K.indices, keys)
+    assert K.data.tobytes() == sums.tobytes()
+
+
+@pytest.mark.parametrize("case, method", [
+    ("A", "fem"), ("A", "vem"), ("B", "fem"), ("B", "vem")])
+def test_assembly_peak_memory_is_a_few_times_its_output(beam_meshes, case,
+                                                        method):
+    mesh = beam_meshes[(case, method)]
+    systems = eig.element_systems(mesh, method, "auto")
+    dynamics.assemble_systems(mesh, systems)  # warm-up: imports, caches
+    tracemalloc.start()
+    try:
+        K, M = dynamics.assemble_systems(mesh, systems)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes + M.nbytes
+    assert peak <= 4 * output
 
 
 def test_run_matches_reference_loop_wedge(unpruned):

@@ -465,6 +465,29 @@ def test_face_queries_build_no_on_demand_field(beam_meshes):
         assert not set(ON_DEMAND) & set(vars(m.geometry))
 
 
+@pytest.mark.parametrize("name, eps, variant", [
+    ("kite", 1e-5, "vem"), ("beamA", None, "fem"), ("tri2d", 1e-3, "vem")])
+def test_every_table_array_is_read_only(name, eps, variant):
+    g = _fresh(benchmarks.gen_benchmark(name, eps, variant)).geometry
+    eager = {k for k, v in vars(g).items() if isinstance(v, np.ndarray)}
+    assert {"face_start", "failed_check", "nodes", "_V"} <= eager
+    g.centroid, g.convex, g.scaled_moments  # build every on-demand field
+    arrays = {}
+    for k, v in vars(g).items():
+        items = (v.items() if isinstance(v, dict) else enumerate(v)
+                 if isinstance(v, tuple) else [(None, v)])
+        arrays.update({(k, j): a for j, a in items
+                       if isinstance(a, np.ndarray)})
+    assert {k for k, _ in arrays} >= set(ON_DEMAND) | eager
+    assert [k for k, a in arrays.items() if a.flags.writeable] == []
+
+
+def test_table_leaves_mesh_vertices_writable():
+    mesh = _fresh(benchmarks.gen_benchmark("wedge", 1e-3, "vem"))
+    mesh.geometry
+    assert mesh.vertices.flags.writeable
+
+
 def test_on_demand_arrays_are_read_only():
     mesh = benchmarks.gen_benchmark("wedge", 1e-3, "vem")
     g = mesh.geometry
