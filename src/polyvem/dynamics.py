@@ -16,13 +16,15 @@ its VEM beam's element bound.
 
 ``scipy.sparse`` is imported inside ``assemble_systems``, the one place a
 global matrix is built, so importing this module (and running element
-studies) does not load it.
+studies) does not load it.  A long run splits each step's ``K @ u`` with
+a forked helper process, bit for bit (``central_difference_run``).
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -33,6 +35,8 @@ from .mesh import ValidationError
 
 BEAM_PULSE_AMPLITUDE = 1.0 / 16.0  # peak of (t/tau)^4 - 2(t/tau)^3 + (t/tau)^2
 BEAM_PROBE = (2.0, 0.5, 0.0)  # mid-beam node whose x displacement is recorded
+# n_steps * K.nnz from which a run forks a helper for K @ u (>= 6x break-even)
+PARALLEL_MIN_WORK = 1e9
 
 
 def assemble(mesh, method, alpha0="unit", lumping="auto"):
@@ -78,7 +82,7 @@ def assemble_systems(mesh, systems):
     for (ids, nodes, K, ml, _), pair in zip(systems, pairs):
         n_el, nn = nodes.shape
         at = start[ids][:, None] + np.arange(dim * nn)
-        dofs[at] = (comp * n + nodes[:, None, :]).reshape(n_el, -1)
+        dofs[at] = (comp * n + nodes[:, None, :]).reshape(n_el, dim * nn)
         masses[at] = ml
         at = offset[nodes][:, :, None] + np.searchsorted(keys, pair)
         at = (block * comp[:, :, None, None] + at[:, None, :, None, :]
@@ -127,18 +131,93 @@ class RunResult:
     wall_seconds: float
 
 
+def _await_change(flags, i, old, alive):
+    """flags[i] once it differs from old, or -1 as soon as alive() fails:
+    spin 64 reads, then yield the CPU between reads."""
+    for _ in range(64):
+        if flags[i] != old:
+            return flags[i]
+    while flags[i] == old:
+        if not alive():
+            return -1
+        os.sched_yield()
+    return flags[i]
+
+
+@contextmanager
+def _stiffness_product(K, n_steps):
+    """(u, product): the run's state vector and its K @ u function."""
+    import platform
+    import threading
+    if not (n_steps * K.nnz >= PARALLEL_MIN_WORK
+            and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and platform.machine() == "x86_64"
+            and threading.active_count() == 1):
+        u = np.zeros(K.shape[0])
+        yield u, lambda: K @ u
+        return
+    import ctypes
+    import mmap
+    ndof, r0 = K.shape[0], int(np.searchsorted(K.indptr, K.nnz // 2))
+    shared = mmap.mmap(-1, 16 + 16 * ndof)  # anonymous: no name, no file
+    flags = memoryview(shared)[:16].cast("q")
+    u, ku = np.frombuffer(shared, float, 2 * ndof, 16).reshape(2, ndof)
+    getcpu = ctypes.CDLL(None).sched_getcpu
+    getcpu.argtypes, getcpu.restype = [], ctypes.c_int
+    cpu, parent, top = getcpu(), os.getpid(), K[:r0]
+    alive = lambda: os.waitpid(pid, os.WNOHANG)[0] == 0  # noqa: E731
+
+    def product():
+        flags[0] = step = flags[0] + 1
+        ku[:r0] = top @ u
+        if _await_change(flags, 1, step - 1, alive) < 0:
+            raise RuntimeError("the K @ u helper process died mid-run")
+        return ku
+
+    pid = os.fork()
+    if pid == 0:  # the helper: rows r0: until flag 0 is -1 or it is orphaned
+        try:
+            os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
+            bottom, step = K[r0:], 0
+            has_parent = lambda: os.getppid() == parent  # noqa: E731
+            while (step := _await_change(flags, 0, step, has_parent)) > 0:
+                ku[r0:] = bottom @ u
+                flags[1] = step
+            os._exit(0)
+        finally:
+            os._exit(1)
+    try:
+        yield u, product
+    finally:
+        flags[0] = -1
+        with suppress(ChildProcessError):  # reaped if it died mid-run
+            os.waitpid(pid, 0)
+
+
 def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
                            divergence_limit=None):
     """Explicit central-difference run of M a + K u = 0 under the schedule.
 
-    probes are global dof indices recorded every step.  Divergence (any
-    |u| beyond divergence_limit, or a non-finite u) aborts and flags the
-    result.  A run whose time and probe history would not fit in physical
-    memory is refused before anything is allocated.  A step is one
-    ``K @ u`` (an assembled K stores no zeros) and in-place updates of
-    preallocated vectors: -1/m is one scale that is 0 on the fixed and
-    driven dofs, a fixed dof keeps v_half = 0 and so u = 0, and the exact
-    max|u| check runs only when u @ u > limit^2 / 4.
+    K is a CSR matrix; probes are global dof indices recorded every step.
+    Divergence (any |u| beyond divergence_limit, or a non-finite u) aborts
+    and flags the result.  A run whose time and probe history would not
+    fit in physical memory is refused before anything is allocated.  A
+    step is one ``K @ u`` (an assembled K stores no zeros) and in-place
+    updates of preallocated vectors: -1/m is one scale that is 0 on the
+    fixed and driven dofs, a fixed dof keeps v_half = 0 and so u = 0, and
+    the exact max|u| check runs only when u @ u > limit^2 / 4.
+
+    A helper process forked for the run computes the rows of ``K @ u``
+    from r0 = searchsorted(K.indptr, K.nnz // 2) on, this process the rows
+    before, each with scipy's CSR product, so the history is the serial
+    loop's bit for bit.  That needs n_steps * K.nnz >= PARALLEL_MIN_WORK,
+    two allowed CPUs, x86-64 (whose store order publishes the product
+    before the flag after it) and no other thread (safe to fork).  u, the
+    products and two step flags share an anonymous mmap; the helper runs
+    off this process's CPU, leaves by os._exit when told, orphaned or on
+    error, is reaped when the run ends, breaks or raises, and its death
+    mid-run raises RuntimeError.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValidationError("time step must be positive and finite")
@@ -168,8 +247,7 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
     times = np.arange(n_steps + 1, dtype=float)
     times *= dt
     history = np.zeros((n_steps + 1, len(probes)))
-    u, work = np.zeros(ndof), np.empty(ndof)
-    v_half = 0.5 * dt * ((K @ u) * scale)  # v at t = dt/2 from rest
+    work = np.empty(ndof)
     # u @ u <= gate proves max|u| < limit; the gate is off (-1) where
     # limit^2 / 4 would overflow or underflow.
     limit = 0.0 if divergence_limit is None else divergence_limit
@@ -177,19 +255,21 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
     gate = gate if np.finfo(float).tiny <= gate < np.inf else -1.0
     diverged_step = None
     start = time.perf_counter()
-    for step in range(1, n_steps + 1):
-        np.add(u, np.multiply(v_half, dt, out=work), out=u)
-        u[driven] = bcs.pulse(float(times[step]))
-        np.multiply(K @ u, scale, out=work)
-        np.add(v_half, np.multiply(work, dt, out=work), out=v_half)
-        history[step] = u[probes]
-        if divergence_limit is not None and not (u @ u <= gate):
-            peak = float(np.abs(u).max())
-            if not np.isfinite(peak) or peak > limit:
-                diverged_step = step
-                times = times[:step + 1]
-                history = history[:step + 1]
-                break
+    with _stiffness_product(K, n_steps) as (u, product):
+        v_half = 0.5 * dt * ((K @ u) * scale)  # v at t = dt/2 from rest
+        for step in range(1, n_steps + 1):
+            np.add(u, np.multiply(v_half, dt, out=work), out=u)
+            u[driven] = bcs.pulse(float(times[step]))
+            np.multiply(product(), scale, out=work)
+            np.add(v_half, np.multiply(work, dt, out=work), out=v_half)
+            history[step] = u[probes]
+            if divergence_limit is not None and not (u @ u <= gate):
+                peak = float(np.abs(u).max())
+                if not np.isfinite(peak) or peak > limit:
+                    diverged_step = step
+                    times = times[:step + 1]
+                    history = history[:step + 1]
+                    break
     wall = time.perf_counter() - start
     return RunResult(times=times, probe_history=history,
                      steps=len(times) - 1, dt=dt,

@@ -8,11 +8,36 @@ boundary-reduction integrator it is used to check.
 
 import itertools
 import math
+import os
+import platform
 
 import numpy as np
 import pytest
 
 from polyvem import benchmarks, mesh as meshmod
+
+
+# ---------------------------------------------------------------------------
+# Leak guard: a central-difference run may fork a helper process for its
+# products, and no test may leave a child process behind.
+
+
+def helper_capable():
+    """Whether a long central-difference run here forks its K @ u helper
+    (an x86-64 machine with two or more allowed CPUs)."""
+    return (platform.machine() == "x86_64"
+            and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)  # also reaps an exited child
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind: {left}")
 
 
 # ---------------------------------------------------------------------------

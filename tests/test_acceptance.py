@@ -2,6 +2,7 @@
 with its measured runtime (run with -s to see the lines as they happen).
 """
 
+import os
 import time
 
 import numpy as np
@@ -11,8 +12,8 @@ from polyvem import (agglomerate, benchmarks, dynamics, eig, fem,
                      mesh as meshmod, vem)
 from polyvem.mesh import Element, Mesh, tet_element
 
-from conftest import (exponents_up_to, polytope_monomial_oracle,
-                      random_tet_mesh)
+from conftest import (exponents_up_to, helper_capable,
+                      polytope_monomial_oracle, random_tet_mesh)
 
 
 class Timer:
@@ -215,7 +216,14 @@ def test_criterion_7_element_eigenvalue_inequality(beam_meshes):
         assert 100.0 <= ratio <= 1000.0, f"case A dt ratio {ratio:.1f}"
 
 
-def test_criterion_8_beam_dynamics():
+def test_criterion_8_beam_dynamics(monkeypatch):
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
     with Timer("criterion 8: beam histories agree; stability dichotomy",
                600.0):
         tau = dynamics.beam_pulse_duration("A")
@@ -235,6 +243,14 @@ def test_criterion_8_beam_dynamics():
             "A", "fem", dt_factor=1.000001, dt_basis="global", tau=tau,
             t_max_transits=40.0)
         assert eu.result.diverged
+        # Both global-bound runs split K @ u with a forked helper where the
+        # machine allows it; the serial loop diverges at the same step.
+        assert len(forks) == (2 if helper_capable() else 0)
+        monkeypatch.setattr(dynamics, "PARALLEL_MIN_WORK", np.inf)
+        serial = dynamics.tapered_beam_experiment(
+            "A", "fem", dt_factor=1.000001, dt_basis="global", tau=tau,
+            t_max_transits=40.0)
+        assert serial.result.diverged_step == eu.result.diverged_step
 
 
 def test_criterion_9_property_suite():

@@ -1,7 +1,15 @@
 """Explicit integrator: assembly, stability dichotomy on a scalar
 oscillator, linearity, determinism, and beam plumbing."""
 
+import os
+import platform
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +18,12 @@ import scipy.sparse as sp
 from polyvem import agglomerate, benchmarks, dynamics, eig
 from polyvem.dynamics import BcSchedule
 from polyvem.mesh import Element, Mesh, ValidationError, extrude, tet_element
+
+from conftest import helper_capable
+
+needs_helper = pytest.mark.skipif(
+    not helper_capable(), reason="the forked K @ u helper needs x86-64 and "
+    "two or more CPUs")
 
 
 def test_assemble_block_diagonal_for_disjoint_tets():
@@ -544,6 +558,18 @@ def test_assembly_sums_each_entry_in_sweep_order(beam_meshes, name):
     assert K.data.tobytes() == sums.tobytes()
 
 
+def test_assembly_skips_an_empty_stack():
+    mesh = benchmarks.gen_benchmark("wedge", 1e-1, "fem")
+    systems = eig.element_systems(mesh, "fem", "unit")
+    ids, nodes, K, ml, used = systems[0]
+    K0, M0 = dynamics.assemble_systems(mesh, systems)
+    K1, M1 = dynamics.assemble_systems(
+        mesh, [*systems, (ids[:0], nodes[:0], K[:0], ml[:0], used)])
+    for a, b in ((K1.data, K0.data), (K1.indices, K0.indices),
+                 (K1.indptr, K0.indptr), (M1, M0)):
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("case, method", [
     ("A", "fem"), ("A", "vem"), ("B", "fem"), ("B", "vem")])
 def test_assembly_peak_memory_is_a_few_times_its_output(beam_meshes, case,
@@ -561,43 +587,242 @@ def test_assembly_peak_memory_is_a_few_times_its_output(beam_meshes, case,
     assert peak <= 4 * output
 
 
-def test_run_matches_reference_loop_wedge(unpruned):
-    mesh = benchmarks.gen_benchmark("wedge", 1e-1, "vem")
-    K, M = dynamics.assemble(mesh, "vem", alpha0="unit")
-    K0, _ = unpruned(mesh, "vem", alpha0="unit")
-    n = mesh.num_vertices
-    bcs = BcSchedule(fixed=np.array([0, n, 2 * n]), driven=np.array([1]),
-                     tau=1e-5)
-    args = (M, bcs, 1e-7, 1e-4, [2, 0, 1, n + 2])
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns to this process, in order."""
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def _reference_case(name, beam_meshes, unpruned):
+    """(K, K with its stored zeros, the other run arguments) of a case."""
+    if name == "wedge":
+        mesh = benchmarks.gen_benchmark("wedge", 1e-1, "vem")
+        K, M = dynamics.assemble(mesh, "vem", alpha0="unit")
+        K0, _ = unpruned(mesh, "vem", alpha0="unit")
+        n = mesh.num_vertices
+        bcs = BcSchedule(fixed=np.array([0, n, 2 * n]), driven=np.array([1]),
+                         tau=1e-5)
+        return K, K0, (M, bcs, 1e-7, 1e-4, [2, 0, 1, n + 2])
+    if name == "tet-beam":
+        # Case-A tet beam, probed at the beam probe, a fixed and a driven
+        # dof.
+        mesh = beam_meshes[("A", "fem")]
+        K, M = dynamics.assemble(mesh, "fem")
+        K0, _ = unpruned(mesh, "fem")
+        fixed, driven = dynamics.beam_boundary_dofs(mesh)
+        probe, _ = dynamics.find_probe_dof(mesh, dynamics.BEAM_PROBE)
+        omega, _, _ = eig.global_max_frequency(
+            K, M, np.concatenate([fixed, driven]))
+        dt = 0.9 * 2.0 / omega
+        bcs = BcSchedule(fixed=fixed, driven=driven, tau=100 * dt)
+        return K, K0, (M, bcs, dt, 400 * dt, [probe, fixed[0], driven[0]],
+                       1e3 / 16)
+    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    bcs = BcSchedule(fixed=np.array([], dtype=int), driven=np.array([0]),
+                     tau=1e3)
+    dt = 2.05 / np.sqrt(2.0)
+    return two, two, (np.ones(2), bcs, dt, 1e5 * dt, [1, 0], 10.0)
+
+
+def test_run_matches_reference_loop_wedge(beam_meshes, unpruned):
+    K, K0, args = _reference_case("wedge", beam_meshes, unpruned)
     _assert_same_run(dynamics.central_difference_run(K, *args),
                      _reference_run(K0, *args))
 
 
 def test_run_matches_reference_loop_tet_beam(beam_meshes, unpruned):
-    # Case-A tet beam, probed at the beam probe, a fixed and a driven dof.
-    mesh = beam_meshes[("A", "fem")]
-    K, M = dynamics.assemble(mesh, "fem")
-    K0, _ = unpruned(mesh, "fem")
-    fixed, driven = dynamics.beam_boundary_dofs(mesh)
-    probe, _ = dynamics.find_probe_dof(mesh, dynamics.BEAM_PROBE)
-    omega, _, _ = eig.global_max_frequency(
-        K, M, np.concatenate([fixed, driven]))
-    dt = 0.9 * 2.0 / omega
-    bcs = BcSchedule(fixed=fixed, driven=driven, tau=100 * dt)
-    args = (M, bcs, dt, 400 * dt, [probe, fixed[0], driven[0]], 1e3 / 16)
+    K, K0, args = _reference_case("tet-beam", beam_meshes, unpruned)
     _assert_same_run(dynamics.central_difference_run(K, *args),
                      _reference_run(K0, *args))
 
 
-def test_run_matches_reference_loop_diverging():
-    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    bcs = BcSchedule(fixed=np.array([], dtype=int), driven=np.array([0]),
-                     tau=1e3)
-    dt = 2.05 / np.sqrt(2.0)
-    args = (two, np.ones(2), bcs, dt, 1e5 * dt, [1, 0], 10.0)
-    res = dynamics.central_difference_run(*args)
+def test_run_matches_reference_loop_diverging(beam_meshes, unpruned):
+    K, K0, args = _reference_case("diverging", beam_meshes, unpruned)
+    res = dynamics.central_difference_run(K, *args)
     assert res.diverged
-    _assert_same_run(res, _reference_run(*args))
+    _assert_same_run(res, _reference_run(K0, *args))
+
+
+@needs_helper
+@pytest.mark.parametrize("name", ["wedge", "tet-beam", "diverging"])
+def test_helper_run_matches_reference_loop(name, beam_meshes, unpruned,
+                                           monkeypatch, forks):
+    # Forced onto the forked-helper path: the reference loop's bits, and so
+    # the serial path's.
+    monkeypatch.setattr(dynamics, "PARALLEL_MIN_WORK", 0)
+    K, K0, args = _reference_case(name, beam_meshes, unpruned)
+    res = dynamics.central_difference_run(K, *args)
+    assert len(forks) == 1
+    assert res.diverged == (name == "diverging")
+    _assert_same_run(res, _reference_run(K0, *args))
+
+
+@needs_helper
+def test_helper_beam_history_is_the_serial_one(monkeypatch, forks):
+    # Case-A FEM on the global bound for 0.3 transits.
+    problem = dynamics.beam_problem(
+        benchmarks.gen_benchmark("beamA", variant="fem"), "fem")
+    dt = 0.9 * problem.dt_crit("global")
+    tau = dynamics.beam_pulse_duration("A")
+    runs = []
+    for work in (np.inf, 0):
+        monkeypatch.setattr(dynamics, "PARALLEL_MIN_WORK", work)
+        runs.append(dynamics.run_beam(problem, dt, 0.3, tau).result)
+    serial, helper = runs
+    assert len(forks) == 1 and serial.steps == helper.steps > 3000
+    assert helper.times.tobytes() == serial.times.tobytes()
+    assert helper.probe_history.tobytes() == serial.probe_history.tobytes()
+
+
+def _wedge_run_args():
+    mesh = benchmarks.gen_benchmark("wedge", 1e-1, "vem")
+    K, M = dynamics.assemble(mesh, "vem", alpha0="unit")
+    bcs = BcSchedule(fixed=np.array([0]), driven=np.array([1]), tau=1e-5)
+    return K, M, bcs, 1e-7, 1e-5, [2]
+
+
+@pytest.mark.parametrize("why", ["one CPU", "little work", "another thread",
+                                 "not x86-64"])
+def test_serial_path_never_forks(monkeypatch, why):
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    K, M, bcs, dt, t_max, probes = _wedge_run_args()
+    monkeypatch.setattr(os, "fork", no_fork)
+    steps = int(np.ceil(t_max / dt))
+    monkeypatch.setattr(dynamics, "PARALLEL_MIN_WORK",
+                        steps * K.nnz + 1 if why == "little work" else 0)
+    if why == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    if why == "not x86-64":
+        monkeypatch.setattr(platform, "machine", lambda: "aarch64")
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, daemon=True)
+    if why == "another thread":
+        other.start()
+    try:
+        res = dynamics.central_difference_run(K, M, bcs, dt, t_max, probes)
+    finally:
+        stop.set()
+    assert res.steps == steps
+
+
+class _RaisingAt50(BcSchedule):
+    """Drives dof 1 with the pulse, and `action()` at step 50."""
+
+    def __init__(self, dt, action):
+        super().__init__(fixed=np.array([0]), driven=np.array([1]), tau=1e-5)
+        self.t50, self.action = 50 * dt, action
+
+    def pulse(self, t):
+        if t == self.t50:
+            self.action()
+        return super().pulse(t)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_helper
+def test_helper_is_reaped_after_every_kind_of_run(monkeypatch, forks):
+    monkeypatch.setattr(dynamics, "PARALLEL_MIN_WORK", 0)
+    K, M, bcs, dt, t_max, probes = _wedge_run_args()
+    assert dynamics.central_difference_run(K, M, bcs, dt, t_max,
+                                           probes).steps > 50
+    _no_child_left()
+    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    diverging = BcSchedule(fixed=np.array([], dtype=int),
+                           driven=np.array([0]), tau=1e3)
+    dt2 = 2.05 / np.sqrt(2.0)
+    assert dynamics.central_difference_run(
+        two, np.ones(2), diverging, dt2, 1e5 * dt2, [1], 10.0).diverged
+    _no_child_left()
+
+    def boom():
+        raise KeyError("pulse failed")
+
+    with pytest.raises(KeyError, match="pulse failed"):
+        dynamics.central_difference_run(K, M, _RaisingAt50(dt, boom), dt,
+                                        t_max, probes)
+    _no_child_left()
+    assert len(forks) == 3
+
+
+@needs_helper
+def test_helper_death_mid_run_raises(monkeypatch, forks):
+    monkeypatch.setattr(dynamics, "PARALLEL_MIN_WORK", 0)
+    K, M, _, dt, t_max, probes = _wedge_run_args()
+    bcs = _RaisingAt50(dt, lambda: os.kill(forks[-1], signal.SIGKILL))
+    with pytest.raises(RuntimeError, match="helper process died"):
+        dynamics.central_difference_run(K, M, bcs, dt, t_max, probes)
+    _no_child_left()
+
+
+KILLED_MID_RUN = """
+import sys
+import numpy as np
+from polyvem import benchmarks, dynamics
+
+class Announcing(dynamics.BcSchedule):
+    def pulse(self, t):
+        if t == 10 * DT:
+            print("running", flush=True)
+        return super().pulse(t)
+
+DT = 1e-7
+dynamics.PARALLEL_MIN_WORK = 0
+mesh = benchmarks.gen_benchmark("wedge", 1e-1, "vem")
+K, M = dynamics.assemble(mesh, "vem", alpha0="unit")
+bcs = Announcing(fixed=np.array([0]), driven=np.array([1]), tau=1e-5)
+dynamics.central_difference_run(K, M, bcs, DT, 1e6 * DT, [2])
+"""
+
+
+def _group_members(pgid):
+    """Pids of the processes in process group pgid (from /proc/*/stat)."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # the process is gone
+            continue
+        if int(fields[2]) == pgid:
+            members.append(int(stat.parent.name))
+    return members
+
+
+@needs_helper
+def test_killed_run_leaves_no_process():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(dynamics.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", KILLED_MID_RUN],
+                            stdout=subprocess.PIPE, text=True, env=env,
+                            start_new_session=True)
+    try:
+        assert proc.stdout.readline() == "running\n"
+        assert len(_group_members(proc.pid)) == 2  # the run and its helper
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+    deadline = time.monotonic() + 2.0
+    while (left := _group_members(proc.pid)) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if left:
+        os.killpg(proc.pid, signal.SIGKILL)  # leave nothing spinning
+    assert left == []
 
 
 class _Injected(BcSchedule):
