@@ -2,6 +2,11 @@
 tapered beam, each in an `fem` (simplicial/prismatic) and a `vem`
 (agglomerated polytopal) variant.
 
+Each element family builds its `fem` mesh only, with the group of elements
+its `vem` variant merges; ``gen_benchmark`` derives that variant by one
+``agglomerate.merge`` (the prism family extrudes the chosen 2D variant).
+The beams build both variants from one plane construction.
+
 Geometries with exact reference coordinates (kite, spire) are used verbatim;
 figure-only configurations (2D family, wedge apexes, beam cut line) are
 reconstructions chosen to reproduce the reference frequencies and mesh
@@ -15,7 +20,7 @@ import math
 import numpy as np
 
 from . import agglomerate, mesh as meshmod
-from .mesh import Element, MaterialParams, Mesh, STEEL, tet_element
+from .mesh import Element, MaterialParams, Mesh, STEEL
 
 BENCHMARK_NAMES = ("tri2d", "prism3d", "wedge", "kite",
                    "spireA", "spireB", "spireC", "beamA", "beamB")
@@ -50,15 +55,14 @@ def gen_benchmark(name, eps=None, variant="fem"):
         return _beam(name[-1], variant)
     if eps is None or not (0.0 < eps <= 1.0):
         raise meshmod.ValidationError("eps must lie in (0, 1]")
-    if name == "tri2d":
-        return _tri2d(eps, variant)
+    family = {"tri2d": _tri2d, "prism3d": _tri2d, "wedge": _wedge,
+              "kite": _kite}.get(name)
+    mesh, group = family(eps) if family else _spire(name[-1], eps)
+    if variant == "vem":
+        mesh = agglomerate.merge(mesh, group)
     if name == "prism3d":
-        return extruded_prisms(eps, variant)
-    if name == "wedge":
-        return _wedge(eps, variant)
-    if name == "kite":
-        return _kite(eps, variant)
-    return _spire(name[-1], eps, variant)
+        mesh = meshmod.extrude(mesh, PRISM_THICKNESS, 1)
+    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +75,7 @@ def gen_benchmark(name, eps=None, variant="fem"):
 # triangle with its neighbor into a quadrilateral with a short edge.
 
 
-def _tri2d(eps, variant):
+def _tri2d(eps):
     verts = np.array([
         [0.0, 0.0],   # corner
         [eps, 0.0],   # near-coincident node on the bottom edge
@@ -81,14 +85,7 @@ def _tri2d(eps, variant):
     ])
     tris = [(0, 1, 4), (1, 2, 4), (2, 3, 4)]
     elements = [Element(loop=t, kind="tri", nodes=t) for t in tris]
-    mesh = meshmod.validate_mesh(Mesh(2, verts, elements, STEEL))
-    if variant == "fem":
-        return mesh
-    return agglomerate.merge(mesh, (0, 1))
-
-
-def extruded_prisms(eps, variant, thickness=PRISM_THICKNESS):
-    return meshmod.extrude(_tri2d(eps, variant), thickness, 1)
+    return meshmod.validate_mesh(Mesh(2, verts, elements, STEEL)), (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +94,7 @@ def extruded_prisms(eps, variant, thickness=PRISM_THICKNESS):
 # one dihedral angle -> 0; the element below the base plane is well shaped.
 
 
-def _wedge(eps, variant):
+def _wedge(eps):
     verts = np.array([
         [0.0, 0.0, 0.0],
         [1.0, 0.0, 0.0],
@@ -105,12 +102,7 @@ def _wedge(eps, variant):
         [0.5, 0.5, eps],
         [1.0 / 3.0, 1.0 / 3.0, -0.5],
     ])
-    wedge = tet_element((0, 1, 2, 3), verts)
-    good = tet_element((0, 2, 1, 4), verts)
-    mesh = meshmod.validate_mesh(Mesh(3, verts, [wedge, good], STEEL))
-    if variant == "fem":
-        return mesh
-    return agglomerate.merge(mesh, (0, 1))
+    return meshmod.tet_mesh(verts, [(0, 1, 2, 3), (0, 2, 1, 4)]), (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +113,7 @@ def _wedge(eps, variant):
 # neighbor apex (0, 0, 1) attaches to the face containing the +eps edge.
 
 
-def _kite(eps, variant):
+def _kite(eps):
     verts = np.array([
         [-1.0, 0.0, eps],
         [1.0, 0.0, eps],
@@ -129,12 +121,7 @@ def _kite(eps, variant):
         [0.0, 1.0, -eps],
         [0.0, 0.0, 1.0],
     ])
-    kite = tet_element((0, 1, 2, 3), verts)
-    neighbor = tet_element((0, 1, 3, 4), verts)
-    mesh = meshmod.validate_mesh(Mesh(3, verts, [kite, neighbor], STEEL))
-    if variant == "fem":
-        return mesh
-    return agglomerate.merge(mesh, (0, 1))
+    return meshmod.tet_mesh(verts, [(0, 1, 2, 3), (0, 1, 3, 4)]), (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +133,7 @@ def _kite(eps, variant):
 # volume (figure-only reconstruction).
 
 
-def _spire(case, eps, variant):
+def _spire(case, eps):
     verts = np.array([
         [0.0, 0.0, 0.0],    # 0 apex of the tiny face
         [0.0, eps, 0.0],    # 1
@@ -157,16 +144,12 @@ def _spire(case, eps, variant):
         [0.5, 1.0, 0.0],    # 6
     ])
     # The spire and the element below it, then case B's side element or
-    # case C's big element.
+    # case C's big element (negative as listed: tet_mesh flips it).  Only
+    # the vertices used are kept, renumbered in order.
     tets = [(0, 1, 2, 3), (0, 1, 3, 4)] + {
         "A": [], "B": [(0, 3, 2, 5)], "C": [(0, 3, 4, 5)]}[case]
-    used = sorted({v for t in tets for v in t})
-    remap = {g: i for i, g in enumerate(used)}
-    elements = [tet_element([remap[v] for v in t], verts[used]) for t in tets]
-    mesh = meshmod.validate_mesh(Mesh(3, verts[used], elements, STEEL))
-    if variant == "fem":
-        return mesh
-    return agglomerate.merge(mesh, range(len(elements)))
+    used, ids = np.unique(tets, return_inverse=True)
+    return meshmod.tet_mesh(verts[used], ids.reshape(-1, 4)), range(len(tets))
 
 
 # ---------------------------------------------------------------------------
@@ -204,31 +187,22 @@ def _beam_2d(case):
     s_turn2 = _BEAM_SLOPE * (1.0 + delta0)    # crossing of row line 10
     c1, c2 = int(s_turn1), int(s_turn2)
 
-    index = {}
-    coords = []
+    points = {}  # node key -> (id, (x, y)), in id order
+
+    def add(key, s, j):
+        """Id of the node `key` at column s and row j, added when new."""
+        return points.setdefault(key, (len(points),
+                                       (s * BEAM_DX, j * BEAM_DY)))[0]
 
     def node(i, j):
-        key = ("g", i, j)
-        if key not in index:
-            index[key] = len(coords)
-            coords.append((i * BEAM_DX, j * BEAM_DY))
-        return index[key]
+        return add(("g", i, j), i, j)
 
     def cut_node(i):
-        key = ("p", i)
-        if key not in index:
-            index[key] = len(coords)
-            coords.append((i * BEAM_DX, ell(i) * BEAM_DY))
-        return index[key]
+        return add(("p", i), i, ell(i))
 
     def turn_node(which):
-        key = ("s", which)
-        if key not in index:
-            index[key] = len(coords)
-            s = s_turn1 if which == 1 else s_turn2
-            j = 11 if which == 1 else 10
-            coords.append((s * BEAM_DX, j * BEAM_DY))
-        return index[key]
+        return add(("s", which), *((s_turn1, 11) if which == 1 else
+                                   (s_turn2, 10)))
 
     for i in range(BEAM_COLS + 1):
         for j in range(K[i] + 1):
@@ -284,7 +258,8 @@ def _beam_2d(case):
         # tri = (d, S, P_col); pent = (a, b, P_right, S, d); they share S-d.
         merged.append(((*pent[:4], tri[2], tri[0]), t1 + t2))
     cells = [(loop, tris[key]) for key, loop in quads.items()] + merged
-    return np.array(coords), [loop for _, loop in polygons], cells
+    return (np.array([xy for _, xy in points.values()]),
+            [loop for _, loop in polygons], cells)
 
 
 def _beam_mesh_2d(case, variant):

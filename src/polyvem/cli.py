@@ -17,13 +17,10 @@ import numpy as np
 
 from . import (agglomerate, benchmarks, config as cfgmod, dynamics, eig,
                mesh as meshmod, quality, vem)
+from .eig import NumericalError
 from .mesh import MeshError, ValidationError
 
 VERSION = "0.1.0"
-
-
-class NumericalError(RuntimeError):
-    pass
 
 
 def main(argv=None):
@@ -204,7 +201,7 @@ def _cmd_agglomerate(args, cfg):
 def _cmd_timestep(args, cfg):
     mesh = cfgmod.apply_material(meshmod.load_mesh(args.mesh), cfg)
     systems = eig.element_systems(mesh, args.method, cfg.alpha0, cfg.lumping)
-    report = eig.time_step_report(systems, args.method)
+    report = eig.time_step_report(systems)
     if args.out:
         report.write_csv(args.out)
     if args.dump_matrices:
@@ -236,11 +233,7 @@ def _cmd_eig_global(args, cfg):
                 raise ValidationError(f"node {node} out of range")
         fixed = np.concatenate([nodes + c * mesh.num_vertices
                                 for c in range(mesh.dimension)])
-    omega, converged, iters = eig.global_max_frequency(K, M, fixed)
-    if not converged:
-        raise NumericalError(
-            f"power iteration did not converge in {iters} iterations "
-            f"(best estimate omega={omega:.6e})")
+    omega, _, iters = eig.global_max_frequency(K, M, fixed)
     print(f"omega_global={omega:.6e} rad/s  dt={2.0 / omega:.6e} s  "
           f"iterations={iters}")
 
@@ -320,7 +313,7 @@ def _unit_shape(cube):
             [meshmod.Element(loop=(0, 1, 2, 3))])
         return meshmod.extrude(square, 1.0, 1)
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    return meshmod.Mesh(3, verts, [meshmod.tet_element((0, 1, 2, 3))])
+    return meshmod.tet_mesh(verts, [(0, 1, 2, 3)])
 
 
 # ---------------------------------------------------------------------------

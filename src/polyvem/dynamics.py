@@ -106,7 +106,6 @@ class BcSchedule:
     fixed: np.ndarray
     driven: np.ndarray
     tau: float
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.tau < np.inf:
@@ -117,7 +116,7 @@ class BcSchedule:
         if t >= self.tau or t <= 0.0:
             return 0.0
         s = t / self.tau
-        return self.amplitude * (s ** 4 - 2.0 * s ** 3 + s ** 2)
+        return s ** 4 - 2.0 * s ** 3 + s ** 2
 
 
 @dataclass
@@ -125,7 +124,6 @@ class RunResult:
     times: np.ndarray
     probe_history: np.ndarray    # (steps+1, n_probes)
     steps: int
-    dt: float
     diverged: bool
     diverged_step: int | None
     wall_seconds: float
@@ -272,7 +270,7 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
                     break
     wall = time.perf_counter() - start
     return RunResult(times=times, probe_history=history,
-                     steps=len(times) - 1, dt=dt,
+                     steps=len(times) - 1,
                      diverged=diverged_step is not None,
                      diverged_step=diverged_step, wall_seconds=wall)
 
@@ -293,19 +291,17 @@ def beam_boundary_dofs(mesh):
     return np.unique(fixed), driven
 
 
-def find_probe_dof(mesh, point, comp=0):
-    """Dof index of the node nearest `point`; warns when not coincident."""
+def find_probe_dof(mesh, point):
+    """(x dof of the node nearest `point`, is the node at `point`?)"""
     d2 = ((mesh.vertices - np.asarray(point)) ** 2).sum(axis=1)
     node = int(np.argmin(d2))
-    exact = d2[node] < 1e-20
-    return comp * mesh.num_vertices + node, exact
+    return node, d2[node] < 1e-20
 
 
 @dataclass
 class BeamExperiment:
     method: str
     dt: float
-    dt_crit_element: float
     omega_star: float
     result: RunResult
     t_norm: np.ndarray
@@ -328,7 +324,7 @@ class BeamProblem:
 
     @cached_property
     def report(self):
-        return eig.time_step_report(self.systems, self.method)
+        return eig.time_step_report(self.systems)
 
     @property
     def constrained(self):
@@ -409,9 +405,8 @@ def run_beam(problem, dt, t_max_transits, tau):
     pulse of duration tau drives the x = 4 end for t_max_transits transit
     times, probed at BEAM_PROBE, with the history normalized by the
     transit time and the pulse peak."""
-    report = problem.report
     bcs = BcSchedule(fixed=problem.fixed, driven=problem.driven, tau=tau)
-    probe_dof, exact = find_probe_dof(problem.mesh, BEAM_PROBE, comp=0)
+    probe_dof, exact = find_probe_dof(problem.mesh, BEAM_PROBE)
     if not exact:
         import warnings
         warnings.warn("probe point is not a mesh node; using nearest node")
@@ -421,8 +416,7 @@ def run_beam(problem, dt, t_max_transits, tau):
     return BeamExperiment(
         method=problem.method,
         dt=dt,
-        dt_crit_element=report.dt_crit,
-        omega_star=report.omega_star,
+        omega_star=problem.report.omega_star,
         result=result,
         t_norm=result.times / problem.transit,
         u_norm=result.probe_history[:, 0] / BEAM_PULSE_AMPLITUDE,

@@ -10,7 +10,9 @@ matrices.  The element problems are solved with LAPACK (``eigvalsh``) one
 stack per group; the global bound by power iteration on the mass-normalized
 stiffness with homogeneous constraints eliminated.  The element-eigenvalue
 inequality makes max_E omega_E an upper bound for the global omega, so
-dt = 2 / max_E omega_E is a safe explicit step.
+dt = 2 / max_E omega_E is a safe explicit step.  A power iteration that
+stops at its cap (POWER_MAX_ITER) raises NumericalError: no global omega,
+and so no time step, comes from a stalled Rayleigh quotient.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem, mesh as meshmod, vem
+
+
+class NumericalError(RuntimeError):
+    """An iterative solve did not converge."""
 
 
 def element_max_frequency(K, M_lumped):
@@ -67,7 +73,6 @@ def _reject_faults(fault, named=True):
 class TimeStepReport:
     """Per-element frequencies and the element-eigenvalue time-step bound."""
 
-    method: str
     lumping: str
     omega_elements: np.ndarray
     omega_star: float
@@ -134,7 +139,7 @@ def element_systems(mesh, method, alpha0="unit", lumping="auto"):
             for ids in element_groups(mesh)]
 
 
-def time_step_report(systems, method):
+def time_step_report(systems):
     """Element-eigenvalue critical time step from an element sweep.
 
     The sweep is checked once: its first element with a fault (see _faults)
@@ -151,7 +156,6 @@ def time_step_report(systems, method):
     omega_star = float(omegas[arg])
     dt = 2.0 / omega_star if omega_star > 0 else float("inf")
     return TimeStepReport(
-        method=method,
         lumping=",".join(sorted({mode for *_, used in systems
                                  for mode in used.tolist()})),
         omega_elements=omegas,
@@ -163,8 +167,7 @@ def time_step_report(systems, method):
 
 def critical_dt(mesh, method, alpha0="unit", lumping="auto"):
     """Element-eigenvalue critical time step for the whole mesh."""
-    return time_step_report(element_systems(mesh, method, alpha0, lumping),
-                            method)
+    return time_step_report(element_systems(mesh, method, alpha0, lumping))
 
 
 # Power iteration: stopping change of the Rayleigh quotient, cap, seed.
@@ -174,9 +177,10 @@ POWER_TOL, POWER_MAX_ITER, POWER_SEED = 1e-6, 200000, 0
 def global_max_frequency(K, M_lumped, fixed_dofs=()):
     """Largest global frequency by power iteration on L^-1 K L^-T.
 
-    ``K`` may be dense or scipy-sparse; ``fixed_dofs`` are eliminated before
-    iterating; a fixed dof outside [0, n) is a ValidationError.  Returns
-    (omega, converged, iterations).
+    ``K`` is dense or CSR; ``fixed_dofs`` are eliminated before iterating;
+    a fixed dof outside [0, n) is a ValidationError.  Returns (omega,
+    converged, iterations), converged always True: a loop that reaches
+    POWER_MAX_ITER raises NumericalError.
     """
     n = K.shape[0]
     fixed = np.asarray(list(fixed_dofs), dtype=int)
@@ -186,8 +190,7 @@ def global_max_frequency(K, M_lumped, fixed_dofs=()):
     ml = np.asarray(M_lumped, float)[free]
     if not np.all(ml > 0.0):
         raise meshmod.ValidationError("non-positive lumped mass entry")
-    Kff = K[np.ix_(free, free)] if isinstance(K, np.ndarray) else \
-        K.tocsr()[free, :][:, free]
+    Kff = K[:, free][free]  # C-ordered when dense: the same bits as np.ix_
     inv_sqrt = 1.0 / np.sqrt(ml)
 
     def apply(x):
@@ -204,8 +207,9 @@ def global_max_frequency(K, M_lumped, fixed_dofs=()):
             return 0.0, True, it
         lam_new = float(x @ y)
         x = y / norm
-        converged = it > 1 and abs(lam_new - lam) <= POWER_TOL * abs(lam_new)
+        if it > 1 and abs(lam_new - lam) <= POWER_TOL * abs(lam_new):
+            return float(np.sqrt(max(lam_new, 0.0))), True, it
         lam = lam_new
-        if converged:
-            break
-    return float(np.sqrt(max(lam, 0.0))), converged, it
+    raise NumericalError(
+        f"power iteration did not converge in {POWER_MAX_ITER} iterations "
+        f"(best estimate omega={np.sqrt(max(lam, 0.0)):.6e})")

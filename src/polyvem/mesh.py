@@ -4,6 +4,10 @@ A mesh is dimension-tagged.  2D elements are CCW vertex loops; 3D elements are
 watertight sets of outward-oriented triangular faces.  Simplices and extruded
 prisms additionally carry an ordered corner-node list so the reference finite
 elements can be built on them; purely polytopal elements do not need one.
+``tet_mesh`` is the one constructor of tetrahedral meshes (the benchmark
+tets, ``split_prisms_to_tets``): it orients every tet in one stacked pass
+and validates the mesh.  ``tet_element`` makes one tet whose nodes are
+already positively ordered.
 
 Meshes are immutable by convention: nothing in this package mutates a mesh
 after construction, so instances can be shared freely.  Each mesh builds its
@@ -110,16 +114,26 @@ class Mesh:
 # Construction helpers
 
 
-def tet_element(nodes, vertices=None):
-    """Tetrahedron element from 4 node ids.  With the vertex array given,
-    a negatively oriented node order is flipped (the middle two swap);
-    without it the order must already be positive."""
+def tet_element(nodes):
+    """Tetrahedron element from 4 positively ordered node ids."""
     a, b, c, d = nodes
-    if vertices is not None and tet_volume(
-            *np.asarray(vertices, float)[[a, b, c, d]]) < 0:
-        b, c = c, b
     faces = ((a, c, b), (a, b, d), (a, d, c), (b, c, d))
     return Element(faces=faces, kind="tet", nodes=(a, b, c, d))
+
+
+def tet_mesh(vertices, tets, material=STEEL):
+    """Validated tetrahedral mesh from (m, 4) node ids.  Every tet is
+    oriented in one stacked pass: a negative one swaps its middle two
+    nodes.  The vertices are taken with ids clipped, so an out-of-range id
+    reaches validation, which names it."""
+    vertices = np.asarray(vertices, float)
+    tets = np.array(tets, np.int64).reshape(-1, 4)
+    flip = tet_volume(*vertices.take(tets.T, 0, mode="clip")) < 0
+    tets[flip, 1:3] = tets[flip, 2:0:-1]
+    used, ids = np.unique(tets, return_inverse=True)
+    rows = used.astype(object)[ids.reshape(-1, 4)]  # ints shared by tets
+    elements = map(tet_element, zip(*rows.T.tolist()))  # no list per tet
+    return validate_mesh(Mesh(3, vertices, elements, material))
 
 
 def tet_volume(p0, p1, p2, p3):
@@ -512,17 +526,6 @@ def _max_pairwise_distance(pts):
 # Element rows of Mesh.geometry
 
 
-def element_local(mesh, index):
-    """(node ids, local vertex array, local faces-or-loop) for one element."""
-    el = mesh.elements[index]
-    nodes = tuple(element_nodes(mesh, [index])[0].tolist())
-    local = {g: i for i, g in enumerate(nodes)}
-    verts = mesh.vertices[list(nodes)]
-    if mesh.dimension == 2:
-        return nodes, verts, tuple(local[v] for v in el.loop)
-    return nodes, verts, tuple(tuple(local[v] for v in f) for f in el.faces)
-
-
 def element_nodes(mesh, ids):
     """Node ids in dof order, (len(ids), n), of elements with n nodes each:
     rows of the geometry table's node lists."""
@@ -545,10 +548,10 @@ def face_rows(mesh, ids):
 
 def element_integrator(mesh, index):
     """Arbitrary-degree HNI integrator of one element (reference path)."""
-    nodes, verts, conn = element_local(mesh, index)
+    el = mesh.elements[index]
     if mesh.dimension == 2:
-        return hni.PolygonIntegrator(verts[list(conn)])
-    return hni.PolyhedronIntegrator(verts, conn)
+        return hni.PolygonIntegrator(mesh.vertices[list(el.loop)])
+    return hni.PolyhedronIntegrator(mesh.vertices, el.faces)
 
 
 # ---------------------------------------------------------------------------
@@ -649,38 +652,30 @@ def extrude(mesh2d, thickness, layers=1):
     return validate_mesh(mesh)
 
 
-def split_prisms_to_tets(mesh):
-    """Replace every prism element by three tetrahedra.
+# The three tets of a prism (a, b, c, d, e, f) turned so that a is the
+# bottom's smallest node: side quad (b, c, f, e) splits toward min(b, c).
+_PRISM_SPLIT = np.array([[0, 1, 2, 5, 0, 1, 5, 4, 0, 4, 5, 3],    # b < c
+                         [0, 1, 2, 4, 0, 4, 2, 5, 0, 4, 5, 3]])   # b > c
 
-    The split honors the lowest-index diagonal of each quad side face, so
-    shared faces of adjacent prisms stay conforming.
+
+def split_prisms_to_tets(mesh):
+    """The tet mesh of a prism mesh: three tetrahedra per prism, in order.
+
+    Each prism splits along the lowest-index diagonal of its quad side
+    faces, as ``extrude`` triangulates them, so shared faces of adjacent
+    prisms stay conforming.  Any other element is a ValidationError.
     """
     if mesh.dimension != 3:
         raise ValidationError("split_prisms_to_tets expects a 3D mesh")
-    elements, tets = [], []
-    for el in mesh.elements:
-        if el.kind != "prism":
-            elements.append(el)
-            continue
-        a, b, c, d, e, f = el.nodes  # bottom (a,b,c), top (d,e,f)
-        bottom, top = [a, b, c], [d, e, f]
-        m = bottom.index(min(bottom))
-        a, b, c = bottom[m], bottom[(m + 1) % 3], bottom[(m + 2) % 3]
-        d, e, f = top[m], top[(m + 1) % 3], top[(m + 2) % 3]
-        # Quad (b,c,f,e) splits toward min(b, c); both tets use vertex a.
-        # Slots now, tets once all are oriented; nodes flat, 4 per tet.
-        elements += (None, None, None)
-        if b < c:
-            tets += (a, b, c, f, a, b, f, e, a, e, f, d)
-        else:
-            tets += (a, b, c, e, a, e, c, f, a, e, f, d)
-    # Orient every tet at once: a negative one swaps its middle two nodes.
-    flip = (tet_volume(*mesh.vertices[
-        np.array(tets, dtype=int).reshape(-1, 4).T]) < 0).tolist()
-    made = (tet_element((a, c, b, d) if f else (a, b, c, d))
-            for (a, b, c, d), f in zip(zip(*[iter(tets)] * 4), flip))
-    elements = [next(made) if e is None else e for e in elements]
-    return validate_mesh(Mesh(3, mesh.vertices, elements, mesh.material))
+    reject([el.kind != "prism" for el in mesh.elements], "not a prism",
+           range(mesh.num_elements))
+    nodes = np.array([el.nodes for el in mesh.elements], np.int64)
+    nodes = nodes.reshape(-1, 6)
+    turn = (nodes[:, :3].argmin(axis=1)[:, None] + np.arange(3)) % 3
+    nodes = np.take_along_axis(nodes, np.hstack([turn, turn + 3]), 1)
+    split = _PRISM_SPLIT[(nodes[:, 1] > nodes[:, 2]).astype(np.int64)]
+    return tet_mesh(mesh.vertices, np.take_along_axis(nodes, split, 1),
+                    mesh.material)
 
 
 # ---------------------------------------------------------------------------

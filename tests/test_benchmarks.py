@@ -1,5 +1,7 @@
 """Benchmark generators: catalog counts, volume additivity, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,112 @@ def test_beam_explicit_pairing_reproduces_polytopal_mesh(beam_meshes):
         va = union_mesh.geometry.volume[k]
         vb = vem.geometry.volume[k]
         assert vb == pytest.approx(va, rel=1e-12)
+
+
+# SHA-256 of the save_mesh text of every benchmark mesh: the seven element
+# families at three eps and both beams, each in both variants.  A change to
+# mesh construction must leave every mesh, and so every result, as it is.
+MESH_SHA256 = {
+    ("tri2d", 1e-1, "fem"):
+        "88a89bc0a419e32e18f65c3f43a98aed22ff3e423baf9af68eb81516a4da64d3",
+    ("tri2d", 1e-1, "vem"):
+        "3e322c7d886eab335266515a7afe94f821f4b77e038787c9cbf2b598a38e4cfe",
+    ("tri2d", 1e-5, "fem"):
+        "c4229b12979ff34f4e2e80f6f97c238a63304dc0d4f43874e444b08a9925861a",
+    ("tri2d", 1e-5, "vem"):
+        "a0fb16667c4b947f9898062077c0ec1b14f02860dfaff92962d0a5712dc9db25",
+    ("tri2d", 1e-8, "fem"):
+        "df8398dc7470f9e9297d2fa9ac69c851cc8c54c7d40b0980de3e1554078cf888",
+    ("tri2d", 1e-8, "vem"):
+        "47da0a41f783e8a89b445dd44b52245a5609d92fd3db54ad99f35ad6f6144820",
+    ("prism3d", 1e-1, "fem"):
+        "2d07a056f33e82c60248c15f2c0de7d4a3dbffe365acec7176c7cefbc4d1d38b",
+    ("prism3d", 1e-1, "vem"):
+        "e87d8dc361e95a2e3d807fcb2eaad6f323b1383a59dfe09cde019d5d665e677d",
+    ("prism3d", 1e-5, "fem"):
+        "e793f3b9c21fac812c654b409d386ad6e7b9b91271e28c77570c5a72b7ddf3b5",
+    ("prism3d", 1e-5, "vem"):
+        "e96d10ff05e0455b1ff6aa1321f3b560319d576fc1a7780d0e9601647f68de60",
+    ("prism3d", 1e-8, "fem"):
+        "e1882498a275bcc51dd39f15540591f69ad207c730a4b56f3bfef20bb638f43b",
+    ("prism3d", 1e-8, "vem"):
+        "f5a285c56827ab4506e8d97ff4e9ef8ee87b9c2c274c89e8eb893d9c8332cd6a",
+    ("wedge", 1e-1, "fem"):
+        "91d1b8d5aafe9464ddc2768668cda47b0e0c859533cd5b29ccd1bfe5a75df71e",
+    ("wedge", 1e-1, "vem"):
+        "9935a3e0aa00a0f958a5732629d6e9c5adefc6b73585a62a22515ead3f3a89bd",
+    ("wedge", 1e-5, "fem"):
+        "f6a7d513091b219a1d14bfcc558834bc051deadeb5f9698b26dd0dbb500f3523",
+    ("wedge", 1e-5, "vem"):
+        "14ab5003dbc38132d59462b58b86c2be8b34196e5205c5ab185074111ed7bd70",
+    ("wedge", 1e-8, "fem"):
+        "7f78744ef6207e9fb441edbf2d7048d9c0516578ac96139f7d6b7eacac058108",
+    ("wedge", 1e-8, "vem"):
+        "19212de3c3f8367bcca21a092a725d9ae68a4ec0083a8d073863d0f1c846a5cd",
+    ("kite", 1e-1, "fem"):
+        "310b35ae3565ad3a630416aa23b7ffd4066fabd52a39d878fb917f8e7507b007",
+    ("kite", 1e-1, "vem"):
+        "05039e5615005b85e60af5720847f1dde70d992ddfe6a3998226989e02053053",
+    ("kite", 1e-5, "fem"):
+        "3dbe2e0e08dafc896e6ef3ca4a955f875c6abfe4e5e819c61aa076bc1ea7491c",
+    ("kite", 1e-5, "vem"):
+        "502cc31f2189b30d47240b63babe5ab7c1abfbc9e76a3ee1fa8bec5ada24b5da",
+    ("kite", 1e-8, "fem"):
+        "4660da0130c717a9d2ddc81672143df8cdf0099d96e5c646a0d7408fa738f870",
+    ("kite", 1e-8, "vem"):
+        "c0f5fe4707a45ad1f6eb74851aa604b667c01033a4d3336040e94f633df4731a",
+    ("spireA", 1e-1, "fem"):
+        "c96ccc37b2493365d22d9d208804beb1bce80b6e76e72800cc037e0fb3ff9e47",
+    ("spireA", 1e-1, "vem"):
+        "5eb913ca5884cf9201bc8fa3f55921622153846a1ea184020c89c3bbd8677877",
+    ("spireA", 1e-5, "fem"):
+        "f0e5f709ad2625d3d29143ef49d7e1a8e69b84d198a6edae70f0ba0004201afa",
+    ("spireA", 1e-5, "vem"):
+        "74b5d5bef1de51fde240ea11a5d00fb5521fd8113590a242e9c513faa49d0e9a",
+    ("spireA", 1e-8, "fem"):
+        "70b75996b03e91ce7b2531de37648720402ce278b72fbaa6964087d00463cbf4",
+    ("spireA", 1e-8, "vem"):
+        "96d00bd3d96d675db31c52063e13245b459e53a5c80543f1a13fee4ac0864bd9",
+    ("spireB", 1e-1, "fem"):
+        "46a92a3b2ba08d7a3156fd71c846f774a073b1807e1e4ab26b1cf5b918a98a44",
+    ("spireB", 1e-1, "vem"):
+        "e7464839dcba5156728ab82d1f444f78eef75c14f9c30781944a8ba0358db24c",
+    ("spireB", 1e-5, "fem"):
+        "b57212c2508cc3c3c74cfd4c4364da0869f44432f15d9c0534da43160fb53e26",
+    ("spireB", 1e-5, "vem"):
+        "8c409dde0a4881fb70319ba1a9ac456d88636156f9d1790095faa9b65e9f347d",
+    ("spireB", 1e-8, "fem"):
+        "b2d6fa119b7c910427b6649ee9ef6b47f95bdf1a16695e4feb19413c607fcfd3",
+    ("spireB", 1e-8, "vem"):
+        "6feee88022c5687cd713c533c05474ebb90338d12a0ea25eafcb10b6d9ebc77d",
+    ("spireC", 1e-1, "fem"):
+        "325c56830f93321ba7552ade6b130e444dd7a809f6917aa11b7332d26a93f897",
+    ("spireC", 1e-1, "vem"):
+        "2766116ad2b7542b796db4ca68ffb1bfae171eb5e641884b969d5026c05ff038",
+    ("spireC", 1e-5, "fem"):
+        "f0b1b89917d0f854e617097e4a2916a388777f6813d57a0c5084ee323b4b1fce",
+    ("spireC", 1e-5, "vem"):
+        "da4e2cf32fba056031e86fb1822a47a6d1339319f155a41f54e372d4682eb469",
+    ("spireC", 1e-8, "fem"):
+        "de980af80515ad6e028e4d13bf4dac59c52bd33687b2f595623f03b2c2cd4979",
+    ("spireC", 1e-8, "vem"):
+        "b4e1fef4202de27ccd272f3fc18c19e4ccff4b9cf727bff2c3ff6c16da5c19ec",
+    ("beamA", None, "fem"):
+        "443c4eb57f1dcf5fb84e758e800d3f66fbb866af567b75196f0a6a8ff0de722b",
+    ("beamA", None, "vem"):
+        "74f86d4e9a0ea682747fab19e2c7f9d046b13a1041473e5d4cffe9bfcaf05dd5",
+    ("beamB", None, "fem"):
+        "db98e62c6253a15bc2c47e2e18af18e31c2bc8579f5c0f4d29889055f41dd21b",
+    ("beamB", None, "vem"):
+        "29fde1a8e8097d47d4f320d3d7123cd926009a9e1a6b134462024a0d34b21271",
+}
+
+
+@pytest.mark.parametrize("name,eps,variant", list(MESH_SHA256))
+def test_mesh_text_is_pinned(tmp_path, beam_meshes, name, eps, variant):
+    mesh = (beam_meshes[(name[-1], variant)] if name.startswith("beam")
+            else benchmarks.gen_benchmark(name, eps, variant))
+    path = tmp_path / "mesh.json"
+    meshmod.save_mesh(mesh, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == MESH_SHA256[name, eps, variant]

@@ -435,6 +435,24 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert err == "numerical failure: Eigenvalues did not converge\n"
 
 
+def test_stalled_power_iteration_sets_no_time_step(tmp_path, capsys,
+                                                   monkeypatch, beam_meshes):
+    # Three iterations leave case A's VEM omega ~20% low: a step on it
+    # would be unsafe, so the global bound raises instead of returning it.
+    from polyvem import dynamics
+    monkeypatch.setattr(cli.eig, "POWER_MAX_ITER", 3)
+    problem = dynamics.beam_problem(beam_meshes[("A", "vem")], "vem")
+    with pytest.raises(cli.NumericalError):
+        problem.dt_crit("global")
+    out = tmp_path / "history.csv"
+    assert run(["simulate", "--case", "A", "--method", "vem", "--dt-basis",
+                "global", "--transits", "0.01", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: power iteration did not converge in 3 "
+        "iterations")
+    assert not out.exists()
+
+
 # Each output option, pointed below a regular file ("blocker/...").
 @pytest.mark.parametrize("args", [
     ["mesh-gen", "--name", "kite", "--eps", "1e-5", "--out", "{bad}"],

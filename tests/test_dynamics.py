@@ -60,7 +60,7 @@ def test_zero_forcing_stays_zero():
     mesh = Mesh(3, verts, [tet_element((0, 1, 2, 3))])
     K, M = dynamics.assemble(mesh, "fem")
     bcs = BcSchedule(fixed=np.array([0]), driven=np.array([], dtype=int),
-                     tau=1.0, amplitude=0.0)
+                     tau=1.0)
     res = dynamics.central_difference_run(K, M, bcs, 1e-9, 1e-6, [5])
     assert res.steps == 1000
     assert np.abs(res.probe_history).max() == 0.0
@@ -101,7 +101,7 @@ def test_sdof_stability_dichotomy():
 def test_run_divergence_detection():
     K, M, omega = _sdof_system()
     bcs = BcSchedule(fixed=np.array([], dtype=int), driven=np.array([0]),
-                     tau=2000 * 2.0 / omega * 1.05, amplitude=1.0)
+                     tau=2000 * 2.0 / omega * 1.05)
     dt = 2.05 / omega  # beyond the stability limit
     res = dynamics.central_difference_run(
         K, M, bcs, dt, 4000 * dt, [0], divergence_limit=10.0)
@@ -109,7 +109,7 @@ def test_run_divergence_detection():
     assert not res.diverged
     two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     bcs2 = BcSchedule(fixed=np.array([], dtype=int), driven=np.array([0]),
-                      tau=1e3, amplitude=1.0)
+                      tau=1e3)
     # With dof 0 prescribed, the free subsystem is the single dof K_11 = 2.
     omega_free = np.sqrt(2.0)
     dt = 2.05 / omega_free
@@ -139,10 +139,14 @@ def test_linearity_of_probe_history():
     driven = np.array([1])
     report = eig.critical_dt(mesh, "vem", alpha0="unit")
     dt = 0.5 * report.dt_crit
+
+    class Doubled(BcSchedule):
+        def pulse(self, t):
+            return 2.0 * super().pulse(t)
+
     histories = []
-    for amp in (1.0, 2.0):
-        bcs = BcSchedule(fixed=fixed, driven=driven, tau=200 * dt,
-                         amplitude=amp)
+    for schedule in (BcSchedule, Doubled):
+        bcs = schedule(fixed=fixed, driven=driven, tau=200 * dt)
         res = dynamics.central_difference_run(K, M, bcs, dt, 500 * dt, [2])
         histories.append(res.probe_history[:, 0])
     assert histories[1] == pytest.approx(2.0 * histories[0], rel=1e-12,
@@ -250,7 +254,7 @@ def test_wedge_pair_stability_dichotomy(method):
     for factor, expect in ((0.9, False), (1.2, True)):
         dt = factor * 2.0 / omega_g
         bcs = dynamics.BcSchedule(fixed=fixed, driven=driven,
-                                  tau=50 * dt, amplitude=1.0)
+                                  tau=50 * dt)
         res = dynamics.central_difference_run(
             K, M, bcs, dt, 20000 * dt, probe,
             divergence_limit=1e3 / 16.0)
@@ -939,5 +943,5 @@ def test_fem_run_takes_the_case_pulse_duration():
     assert np.array_equal(default.u_norm, given.u_norm)
     own = dynamics.tapered_beam_experiment(
         "A", "fem", dt_basis="global", t_max_transits=0.01,
-        tau=100.0 * default.dt_crit_element)
+        tau=100.0 * (2.0 / default.omega_star))
     assert not np.array_equal(own.u_norm, default.u_norm)

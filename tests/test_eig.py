@@ -175,7 +175,7 @@ def test_group_sweep_matches_one_element_views(name, eps, variant, method):
             rows.append(e)
     assert sorted(rows) == list(range(mesh.num_elements))
     if variant == "auto":
-        assert "diag_scale" in eig.time_step_report(systems, method).lumping
+        assert "diag_scale" in eig.time_step_report(systems).lumping
 
 
 def separate_tets(apexes):
@@ -234,7 +234,7 @@ def test_nonpositive_lumped_mass_mid_batch_named():
              np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
              np.array(["row_sum"] * 3))
     with pytest.raises(ValidationError, match="^element 2: non-positive"):
-        eig.time_step_report([group], "vem")
+        eig.time_step_report([group])
 
 
 @pytest.mark.parametrize("K, mass, match", [
@@ -257,7 +257,7 @@ def test_unsound_element_rejected(K, mass, match):
              np.stack([np.eye(2)] * 2), np.ones((2, 2)),
              np.array(["row_sum"] * 2))
     with pytest.raises(ValidationError, match="^element 1: " + match):
-        eig.time_step_report([group, sound], "vem")
+        eig.time_step_report([group, sound])
 
 
 def test_first_unsound_element_named_across_groups():
@@ -270,7 +270,7 @@ def test_first_unsound_element_named_across_groups():
     for systems in ([nan_K, nan_m], [nan_m, nan_K]):
         with pytest.raises(ValidationError,
                            match="^element 1: non-finite stiffness"):
-            eig.time_step_report(systems, "fem")
+            eig.time_step_report(systems)
 
 
 def test_nan_alpha0_named_not_linalg_error():

@@ -18,12 +18,17 @@ FAMILIES = ("tri2d", "prism3d", "wedge", "kite", "spireA", "spireB",
             "spireC")
 
 
+def element_points(mesh, index):
+    """The element's node coordinates, in dof order (anchor first)."""
+    return mesh.vertices[meshmod.element_nodes(mesh, [index])[0]]
+
+
 def reference_geometry(mesh, index):
     """(volume, centroid, diameter, scaled moments) from anchored HNI."""
-    nodes, verts, conn = meshmod.element_local(mesh, index)
-    local = verts - verts[0]
-    integ = (hni.PolygonIntegrator(local[list(conn)]) if mesh.dimension == 2
-             else hni.PolyhedronIntegrator(local, conn))
+    el, verts = mesh.elements[index], element_points(mesh, index)
+    local = mesh.vertices - verts[0]
+    integ = (hni.PolygonIntegrator(local[list(el.loop)]) if mesh.dimension == 2
+             else hni.PolyhedronIntegrator(local, el.faces))
     volume = integ.integrate((0,) * mesh.dimension)
     first = np.array([integ.integrate(tuple(int(a == axis)
                                             for a in range(mesh.dimension)))
@@ -36,16 +41,17 @@ def reference_geometry(mesh, index):
 
 def reference_convex(mesh, index):
     """Every vertex on or behind every face plane (edge line in 2D)."""
-    nodes, verts, conn = meshmod.element_local(mesh, index)
+    el, verts = mesh.elements[index], element_points(mesh, index)
     tol = meshmod.TAU_GEOM * meshmod._max_pairwise_distance(verts)
     if mesh.dimension == 2:
-        pts = verts[list(conn)]
+        pts = mesh.vertices[list(el.loop)]
         t = np.roll(pts, -1, axis=0) - pts
         planes = [(p, np.array([d[1], -d[0]]) / np.linalg.norm(d))
                   for p, d in zip(pts, t)]
     else:
-        planes = [(verts[f[0]], meshmod.triangle_area_normal(verts[list(f)])[1])
-                  for f in conn]
+        planes = [(mesh.vertices[f[0]],
+                   meshmod.triangle_area_normal(mesh.vertices[list(f)])[1])
+                  for f in el.faces]
     return all(np.all((verts - p) @ n <= tol) for p, n in planes)
 
 

@@ -1,5 +1,7 @@
 """Mesh types, validation, geometry, extrusion, and file round trips."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -143,27 +145,73 @@ def test_split_prisms_conforming_volume():
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_split_prisms_orients_each_tet_in_place(reverse):
-    # A square (poly) beside a triangle (prism), extruded in two layers:
-    # each prism's three tets take its slot in order, and each tet is
-    # oriented as tet_element orients it from the vertices.  Listing the
-    # prism's corners clockwise makes every tet of the split negative.
+    # Two triangles extruded in two layers: each prism's three tets take
+    # its slot in order, every tet is positive, and the side quads split as
+    # extrude split them, so the tets meet face to face.  Listing each
+    # prism's corners clockwise makes every tet of the split negative
+    # before orientation; the result is the same tet mesh.
+    plane = Mesh(2, np.array([[0.0, 0], [1, 0], [1, 1], [2, 0.5]]),
+                 [Element(loop=t, kind="tri", nodes=t)
+                  for t in ((0, 1, 2), (1, 3, 2))])
+    solid = meshmod.extrude(plane, 0.5, 2)
+    given = solid
+    if reverse:
+        given = Mesh(3, solid.vertices, [
+            Element(faces=el.faces, kind="prism",
+                    nodes=tuple(el.nodes[i] for i in (0, 2, 1, 3, 5, 4)))
+            for el in solid.elements])
+    tets = meshmod.split_prisms_to_tets(given)
+    assert tets.elements == meshmod.split_prisms_to_tets(solid).elements
+    assert tets.num_elements == 3 * solid.num_elements
+    for k, el in enumerate(tets.elements):
+        assert set(el.nodes) <= set(solid.elements[k // 3].nodes)
+        assert tet_element(el.nodes) == el
+        assert meshmod.tet_volume(*solid.vertices[list(el.nodes)]) > 0
+
+    def boundary(mesh):
+        count = Counter(tuple(sorted(f)) for el in mesh.elements
+                        for f in el.faces)
+        assert max(count.values()) <= 2
+        return {f for f, n in count.items() if n == 1}
+
+    # Every tet face is shared by two tets or lies on a face of extrude's.
+    assert boundary(tets) == boundary(solid)
+
+
+def test_split_prisms_refuses_other_elements():
     plane = Mesh(2, np.array([[0.0, 0], [1, 0], [1, 1], [0, 1], [2, 0.5]]),
                  [Element(loop=(0, 1, 2, 3)),
                   Element(loop=(1, 4, 2), kind="tri", nodes=(1, 4, 2))])
-    solid = meshmod.extrude(plane, 0.5, 2)
-    if reverse:
-        solid = Mesh(3, solid.vertices, [
-            el if el.kind != "prism" else Element(
-                faces=el.faces, kind="prism",
-                nodes=tuple(el.nodes[i] for i in (0, 2, 1, 3, 5, 4)))
-            for el in solid.elements])
-    tets = meshmod.split_prisms_to_tets(solid)
-    assert [el.kind for el in tets.elements] == ["poly"] * 2 + ["tet"] * 6
-    assert tets.elements[:2] == solid.elements[:2]
-    for el in tets.elements[2:]:
-        assert tet_element(el.nodes, solid.vertices) == el
-        assert meshmod.tet_volume(*solid.vertices[list(el.nodes)]) > 0
-    assert meshmod.split_prisms_to_tets(tets).elements == tets.elements
+    with pytest.raises(ValidationError, match="^element 0: not a prism$"):
+        meshmod.split_prisms_to_tets(meshmod.extrude(plane, 0.5, 1))
+
+
+def test_tet_mesh_flips_exactly_the_negative_rows():
+    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                      [0, 0, -1], [1, 1, 1]])
+    tets = np.array([(0, 1, 2, 3), (0, 1, 2, 4), (1, 2, 3, 5),
+                     (1, 3, 2, 5), (0, 2, 1, 4)])
+    signs = [meshmod.tet_volume(*verts[t]) > 0 for t in tets]
+    assert signs == [True, False, True, False, True]
+    material = MaterialParams(1.0, 0.25, 2.0)
+    mesh = meshmod.tet_mesh(verts, tets, material)
+    assert [el.nodes for el in mesh.elements] == [
+        (0, 1, 2, 3), (0, 2, 1, 4), (1, 2, 3, 5), (1, 2, 3, 5),
+        (0, 2, 1, 4)]
+    assert mesh.elements == tuple(tet_element(el.nodes)
+                                  for el in mesh.elements)
+    assert mesh.material == material
+    assert tets[1].tolist() == [0, 1, 2, 4]  # the input is not modified
+    assert (mesh.geometry.volume > 0).all()
+
+
+def test_tet_mesh_names_an_out_of_range_id():
+    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValidationError, match=(
+            "^element 0, face 1: vertex index out of range$")):
+        meshmod.tet_mesh(verts, [(0, 1, 2, 9)])
+    with pytest.raises(ValidationError, match="^mesh has no elements$"):
+        meshmod.tet_mesh(verts, [])
 
 
 def test_is_convex():
@@ -404,7 +452,6 @@ def test_table_node_lists_follow_the_rule():
         assert g.node_start[-1] == len(g.nodes), label
         for e, nodes in enumerate(lists):
             assert meshmod.element_nodes(mesh, [e]).tolist() == [nodes]
-            assert meshmod.element_local(mesh, e)[0] == tuple(nodes)
 
 
 def test_face_owner_names_each_face_element():

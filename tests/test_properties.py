@@ -150,12 +150,12 @@ def test_dihedral_angles_of_random_tets(seed, n_tets):
     # through one stacked pass.
     rng = np.random.default_rng(seed)
     verts = rng.uniform(-1.0, 1.0, size=(4 * n_tets, 3))
-    elements = [tet_element(tuple(range(4 * k, 4 * k + 4)), verts)
-                for k in range(n_tets)]
     for k in range(n_tets):
         p = verts[4 * k:4 * k + 4]
         assume(abs(meshmod.tet_volume(*p))
                > 1e-6 * meshmod._max_pairwise_distance(p) ** 3)
+    elements = meshmod.tet_mesh(
+        verts, np.arange(4 * n_tets).reshape(-1, 4)).elements
 
     def angles(vertices):
         mesh = Mesh(3, vertices, elements)
