@@ -5,7 +5,8 @@ tapered beam, each in an `fem` (simplicial/prismatic) and a `vem`
 Each element family builds its `fem` mesh only, with the group of elements
 its `vem` variant merges; ``gen_benchmark`` derives that variant by one
 ``agglomerate.merge`` (the prism family extrudes the chosen 2D variant).
-The beams build both variants from one plane construction.
+The beams build both variants from one plane construction, whose
+polygons the `fem` variant splits by ``mesh.fan``.
 
 Geometries with exact reference coordinates (kite, spire) are used verbatim;
 figure-only configurations (2D family, wedge apexes, beam cut line) are
@@ -43,9 +44,9 @@ BEAM_GAP = {"A": 1.0e-4, "B": 3.6e-10}
 def gen_benchmark(name, eps=None, variant="fem"):
     """Generate a benchmark mesh by name.
 
-    eps is the mesh-degeneracy parameter in (0, 1] for the element
-    families; the beam cases ignore it (their near-degeneracy is fixed by
-    the cut line).
+    eps is the mesh-degeneracy parameter in (0, 1) for the element
+    families (at 1, tri2d's node 1 lands on node 2); the beam cases ignore
+    it (their near-degeneracy is fixed by the cut line).
     """
     if name not in BENCHMARK_NAMES:
         raise meshmod.ValidationError(f"unknown benchmark {name!r}")
@@ -53,15 +54,15 @@ def gen_benchmark(name, eps=None, variant="fem"):
         raise meshmod.ValidationError(f"unknown variant {variant!r}")
     if name.startswith("beam"):
         return _beam(name[-1], variant)
-    if eps is None or not (0.0 < eps <= 1.0):
-        raise meshmod.ValidationError("eps must lie in (0, 1]")
+    if eps is None or not (0.0 < eps < 1.0):
+        raise meshmod.ValidationError("eps must lie in (0, 1)")
     family = {"tri2d": _tri2d, "prism3d": _tri2d, "wedge": _wedge,
               "kite": _kite}.get(name)
     mesh, group = family(eps) if family else _spire(name[-1], eps)
     if variant == "vem":
         mesh = agglomerate.merge(mesh, group)
     if name == "prism3d":
-        mesh = meshmod.extrude(mesh, PRISM_THICKNESS, 1)
+        mesh = meshmod.extrude(mesh, PRISM_THICKNESS)
     return mesh
 
 
@@ -264,26 +265,16 @@ def _beam_2d(case):
 
 def _beam_mesh_2d(case, variant):
     verts, polygons, cells = _beam_2d(case)
-    elements = ([t for loop in polygons for t in _split_polygon(verts, loop)]
+    elements = ([Element(loop=t, kind="tri", nodes=t)
+                 for loop in polygons for t in meshmod.fan(verts, loop)]
                 if variant == "fem" else
                 [Element(loop=loop) for loop, _ in cells])
     return meshmod.validate_mesh(Mesh(2, verts, elements, STEEL_NU0))
 
 
-def _split_polygon(verts, loop):
-    """Triangulate a convex polygon loop into `tri` elements."""
-    pts = verts[list(loop)]
-    root = meshmod._fan_root(pts, loop)
-    tris = meshmod._fan_triangles(loop, root)
-    return [Element(loop=t, kind="tri", nodes=t) for t in tris]
-
-
 def _beam(case, variant):
-    mesh2d = _beam_mesh_2d(case, variant)
-    mesh3d = meshmod.extrude(mesh2d, BEAM_DY, 1)
-    if variant == "fem":
-        return meshmod.split_prisms_to_tets(mesh3d)
-    return mesh3d
+    mesh3d = meshmod.extrude(_beam_mesh_2d(case, variant), BEAM_DY)
+    return meshmod.split_prisms_to_tets(mesh3d) if variant == "fem" else mesh3d
 
 
 def beam_agglomeration_groups(case):

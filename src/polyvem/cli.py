@@ -38,6 +38,9 @@ def main(argv=None):
         cfg = _load_config(args)
         if args.version:
             print(f"polyvem {VERSION} (config {cfg.config_hash()})")
+        elif cfg.material and args.command in ("simulate", "tables"):
+            raise ValidationError(f"{args.command} keeps the benchmark "
+                                  "material; remove E, nu, rho from --config")
         else:
             args.func(args, cfg)
         return 0
@@ -179,7 +182,7 @@ def _cmd_quality(args, cfg):
 
 
 def _cmd_agglomerate(args, cfg):
-    mesh = meshmod.load_mesh(args.mesh)
+    mesh = cfgmod.apply_material(meshmod.load_mesh(args.mesh), cfg)
     if args.auto:
         merged, mapping, unmerged = agglomerate.auto_agglomerate(
             mesh, cfg.thresholds)
@@ -311,7 +314,7 @@ def _unit_shape(cube):
         square = meshmod.Mesh(
             2, np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]),
             [meshmod.Element(loop=(0, 1, 2, 3))])
-        return meshmod.extrude(square, 1.0, 1)
+        return meshmod.extrude(square, 1.0)
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     return meshmod.tet_mesh(verts, [(0, 1, 2, 3)])
 

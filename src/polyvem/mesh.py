@@ -7,7 +7,9 @@ elements can be built on them; purely polytopal elements do not need one.
 ``tet_mesh`` is the one constructor of tetrahedral meshes (the benchmark
 tets, ``split_prisms_to_tets``): it orients every tet in one stacked pass
 and validates the mesh.  ``tet_element`` makes one tet whose nodes are
-already positively ordered.
+already positively ordered.  ``fan`` is the one fan-triangulation rule: of
+the beam's plane split and of the caps of ``extrude``, which gives one
+polyhedron per plane element.
 
 Meshes are immutable by convention: nothing in this package mutates a mesh
 after construction, so instances can be shared freely.  Each mesh builds its
@@ -558,98 +560,62 @@ def element_integrator(mesh, index):
 # Extrusion
 
 
-def _fan_root(pts, loop_order):
-    """Pick the fan root for a cap polygon.
+def fan(vertices, loop):
+    """The fan triangles of one CCW loop, as vertex-id triples in fan order.
 
-    Roots are tried by ascending global vertex id; the first whose fan
-    triangles all have strictly positive area (CCW) wins.  A bare
-    lowest-index fan can hit collinear vertex runs (merged polygons keep
-    them), which would emit zero-area cap faces.
+    The root is the first vertex by ascending id whose fan triangles all
+    have positive area relative to their own longest edge (the per-face
+    zero-area rule), so collinear runs that merged polygons keep are skipped.
     """
-    n = len(loop_order)
-    order = sorted(range(n), key=lambda k: loop_order[k])
-    for root in order:
-        ok = True
-        for k in range(1, n - 1):
-            i = (root + k) % n
-            j = (root + k + 1) % n
-            u = pts[i] - pts[root]
-            v = pts[j] - pts[root]
-            w = pts[j] - pts[i]
+    n = len(loop)
+    pts = vertices[list(loop)]
+    for r in sorted(range(n), key=lambda k: loop[k]):
+        pairs = [((r + k) % n, (r + k + 1) % n) for k in range(1, n - 1)]
+        for i, j in pairs:
+            u, v, w = pts[i] - pts[r], pts[j] - pts[r], pts[j] - pts[i]
             cross = u[0] * v[1] - u[1] * v[0]
-            # Positive area relative to the triangle's own longest edge,
-            # mirroring the per-face zero-area rule: slivers with a tiny
-            # edge stay admissible, exactly collinear runs do not.
-            edge2 = max(u @ u, v @ v, w @ w)
-            if cross <= 2.0 * TAU_GEOM * edge2:
-                ok = False
+            if cross <= 2.0 * TAU_GEOM * max(u @ u, v @ v, w @ w):
                 break
-        if ok:
-            return root
+        else:
+            return [(loop[r], loop[i], loop[j]) for i, j in pairs]
     raise ValidationError("no valid fan root for cap polygon; "
                           "cap is non-star-shaped")
 
 
-def _fan_triangles(loop, root_pos):
-    n = len(loop)
-    tris = []
-    for k in range(1, n - 1):
-        i = (root_pos + k) % n
-        j = (root_pos + k + 1) % n
-        tris.append((loop[root_pos], loop[i], loop[j]))
-    return tris
+def extrude(mesh2d, thickness):
+    """The 2D mesh extruded along +z: one polyhedron per plane element.
 
-
-def extrude(mesh2d, thickness, layers=1):
-    """Extrude a 2D mesh along +z into layered polyhedra.
-
-    Every quadrilateral side face splits into two triangles by the diagonal
-    from its lowest-index vertex; caps are fan-triangulated (see _fan_root).
-    Prisms over triangles keep corner-node ordering for the reference wedge
-    element.
+    Vertices are the plane's at z = 0, then at z = thickness (id + n2).
+    The caps are the element's ``fan``, reversed at the bottom; each side
+    quad splits by the diagonal from its lower-id vertex.  A triangle
+    becomes a ``prism`` with nodes (bottom loop, top loop), as the reference
+    wedge element and ``split_prisms_to_tets`` read them.
     """
     if mesh2d.dimension != 2:
         raise ValidationError("extrude expects a 2D mesh")
-    if thickness <= 0 or layers < 1:
-        raise ValidationError("extrude needs thickness > 0 and layers >= 1")
+    if thickness <= 0:
+        raise ValidationError("extrude needs thickness > 0")
     n2 = mesh2d.num_vertices
-    dz = thickness / layers
-    verts = np.zeros(((layers + 1) * n2, 3))
-    for l in range(layers + 1):
-        verts[l * n2:(l + 1) * n2, :2] = mesh2d.vertices
-        verts[l * n2:(l + 1) * n2, 2] = l * dz
-
-    def vid(i, l):
-        return i + l * n2
-
+    verts = np.zeros((2 * n2, 3))
+    verts[:n2, :2] = verts[n2:, :2] = mesh2d.vertices
+    verts[n2:, 2] = thickness
     elements = []
-    for el in mesh2d.elements:
-        loop = el.loop
-        n = len(loop)
-        pts = mesh2d.vertices[list(loop)]
-        root = _fan_root(pts, loop)
-        for l in range(layers):
-            faces = []
-            bot = [vid(i, l) for i in loop]
-            top = [vid(i, l + 1) for i in loop]
-            for tri in _fan_triangles(bot, root):
-                faces.append((tri[0], tri[2], tri[1]))  # outward -z
-            faces.extend(_fan_triangles(top, root))     # outward +z
-            for k in range(n):
-                a, b = loop[k], loop[(k + 1) % n]
-                quad = (vid(a, l), vid(b, l), vid(b, l + 1), vid(a, l + 1))
-                start = quad.index(min(quad))
-                q = [quad[(start + s) % 4] for s in range(4)]
-                faces.append((q[0], q[1], q[2]))
-                faces.append((q[0], q[2], q[3]))
-            if n == 3:
-                nodes = tuple(bot) + tuple(top)
-                elements.append(Element(faces=tuple(faces), kind="prism",
-                                        nodes=nodes))
-            else:
-                elements.append(Element(faces=tuple(faces), kind="poly"))
-    mesh = Mesh(3, verts, elements, mesh2d.material)
-    return validate_mesh(mesh)
+    for e, el in enumerate(mesh2d.elements):
+        loop = tuple(el.loop)
+        try:
+            cap = fan(mesh2d.vertices, loop)
+        except ValidationError as exc:
+            raise ValidationError(f"element {e}: {exc}") from None
+        faces = [(a, c, b) for a, b, c in cap]                  # outward -z
+        faces += [(a + n2, b + n2, c + n2) for a, b, c in cap]  # outward +z
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            faces += ([(a, b, b + n2), (a, b + n2, a + n2)] if a < b else
+                      [(b, b + n2, a + n2), (b, a + n2, a)])
+        elements.append(
+            Element(faces=tuple(faces), kind="prism",
+                    nodes=loop + tuple(i + n2 for i in loop))
+            if len(loop) == 3 else Element(faces=tuple(faces), kind="poly"))
+    return validate_mesh(Mesh(3, verts, elements, mesh2d.material))
 
 
 # The three tets of a prism (a, b, c, d, e, f) turned so that a is the
@@ -726,7 +692,7 @@ def load_mesh(path):
         raise ParseError(f"cannot parse mesh file {path}: {exc}") from exc
     where = ""
     try:
-        dim = int(data["dimension"])
+        dim = _integral(data["dimension"], "dimension")
         vertices = np.asarray(data["vertices"], dtype=float)
         material = MaterialParams(
             youngs_modulus=float(data["material"]["E"]),
@@ -739,17 +705,17 @@ def load_mesh(path):
             if not isinstance(raw, dict):
                 raise TypeError(f"expected an object, got {raw!r}")
             kind = raw.get("kind")
-            nodes = (tuple(_vertex_id(v) for v in raw["nodes"])
+            nodes = (tuple(_integral(v) for v in raw["nodes"])
                      if "nodes" in raw else None)
             if "loop" in raw:
-                loop = tuple(_vertex_id(v) for v in raw["loop"])
+                loop = tuple(_integral(v) for v in raw["loop"])
                 if kind is None:
                     kind = "tri" if len(loop) == 3 else "poly"
                 if kind == "tri" and nodes is None:
                     nodes = loop
                 elements.append(Element(loop=loop, kind=kind, nodes=nodes))
             elif "faces" in raw:
-                faces = tuple(tuple(_vertex_id(v) for v in f)
+                faces = tuple(tuple(_integral(v) for v in f)
                               for f in raw["faces"])
                 if kind is None:
                     node_set = {v for f in faces for v in f}
@@ -766,12 +732,12 @@ def load_mesh(path):
     return validate_mesh(mesh)
 
 
-def _vertex_id(value):
-    """A vertex id read from a file: an integral number."""
-    vid = int(value)
-    if vid != value:
-        raise ValueError(f"non-integral vertex id {value!r}")
-    return vid
+def _integral(value, what="vertex id"):
+    """A vertex id (or the dimension) read from a file: an integral number."""
+    number = int(value)
+    if number != value:
+        raise ValueError(f"non-integral {what} {value!r}")
+    return number
 
 
 def _tet_nodes_from_faces(faces):

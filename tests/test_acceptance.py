@@ -40,7 +40,7 @@ class Timer:
 def unit_cube_mesh():
     square = Mesh(2, np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]),
                   [Element(loop=(0, 1, 2, 3))])
-    return meshmod.extrude(square, 1.0, 1)
+    return meshmod.extrude(square, 1.0)
 
 
 def test_criterion_1_hni_exactness():

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from polyvem import benchmarks, mesh as meshmod
+from polyvem import benchmarks, cli, mesh as meshmod
 from polyvem.mesh import ValidationError
 
 
@@ -22,6 +22,18 @@ def test_unknown_name_rejected():
         benchmarks.gen_benchmark("kite", 2.0, "fem")
     with pytest.raises(ValidationError):
         benchmarks.gen_benchmark("kite", None, "fem")
+
+
+@pytest.mark.parametrize("name", ["tri2d", "prism3d", "wedge", "kite",
+                                  "spireA", "spireB", "spireC"])
+def test_eps_range_is_open(name):
+    # At eps = 1, tri2d's (and prism3d's) node 1 lands on node 2 and kite's
+    # faces go flat, so every family refuses it; just below it they build.
+    for variant in ("fem", "vem"):
+        with pytest.raises(ValidationError,
+                           match=r"^eps must lie in \(0, 1\)$"):
+            benchmarks.gen_benchmark(name, 1.0, variant)
+        assert benchmarks.gen_benchmark(name, 0.999, variant).num_elements
 
 
 def test_kite_counts(kite_meshes):
@@ -239,11 +251,38 @@ MESH_SHA256 = {
 }
 
 
+def text_digest(mesh, tmp_path):
+    """SHA-256 of the mesh's `save_mesh` text."""
+    path = tmp_path / "mesh.json"
+    meshmod.save_mesh(mesh, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("name,eps,variant", list(MESH_SHA256))
 def test_mesh_text_is_pinned(tmp_path, beam_meshes, name, eps, variant):
     mesh = (beam_meshes[(name[-1], variant)] if name.startswith("beam")
             else benchmarks.gen_benchmark(name, eps, variant))
-    path = tmp_path / "mesh.json"
-    meshmod.save_mesh(mesh, path)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == MESH_SHA256[name, eps, variant]
+    assert text_digest(mesh, tmp_path) == MESH_SHA256[name, eps, variant]
+
+
+# The beams' plane meshes, which they extrude, in both variants, and the
+# CLI's extruded unit cube.
+PLANE_SHA256 = {
+    ("A", "fem"):
+        "8f2b0b846d9a376207b9aaad7feded4f36c99707bb8b296667973fe5e917b28b",
+    ("A", "vem"):
+        "7fa1292689411b2b5f9873945cdca289745c607563f5fa2a7a790e09ae06fab9",
+    ("B", "fem"):
+        "5c2ddfeabd0aa061d045b1811a1d85d973ee4c9f1a7132ba4df4aa61afccf799",
+    ("B", "vem"):
+        "e17c85d6bc3a38aa6f6515c1096538c881d7781c2132ee1275d50fcdb77cd7b1",
+    ("unit", "cube"):
+        "68f3d6137c6eeccdc9bf1151851713cf9b5bbc930df5171f776c1cb90199d3c7",
+}
+
+
+@pytest.mark.parametrize("case,variant", list(PLANE_SHA256))
+def test_plane_mesh_text_is_pinned(tmp_path, case, variant):
+    mesh = (cli._unit_shape(True) if case == "unit"
+            else benchmarks._beam_mesh_2d(case, variant))
+    assert text_digest(mesh, tmp_path) == PLANE_SHA256[case, variant]

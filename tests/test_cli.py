@@ -95,6 +95,19 @@ def test_agglomerate_groups(tmp_path):
     assert len(merged.elements[0].faces) == 6
 
 
+def test_agglomerate_applies_config_material(tmp_path, capsys):
+    mesh_path = tmp_path / "kite.json"
+    run(["mesh-gen", "--name", "kite", "--eps", "1e-1", "--out",
+         str(mesh_path)])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("E = 1e9\nnu = 0\nrho = 1000\n")
+    out_path = tmp_path / "merged.json"
+    assert run(["agglomerate", "--mesh", str(mesh_path), "--groups", "0,1",
+                "--out", str(out_path), "--config", str(cfg)]) == 0
+    assert meshmod.load_mesh(out_path).material == meshmod.MaterialParams(
+        1e9, 0.0, 1000.0)
+
+
 def test_agglomerate_auto(tmp_path):
     mesh_path = tmp_path / "wedge.json"
     run(["mesh-gen", "--name", "wedge", "--eps", "1e-3", "--variant", "fem",
@@ -173,6 +186,32 @@ def test_config_flag_overrides_file(tmp_path, capsys):
     assert run(["--config", str(cfg), "--version"]) == 0
     with_cfg = capsys.readouterr().out
     assert base != with_cfg
+
+
+def test_mesh_gen_eps_one_rejected(tmp_path, capsys):
+    out = tmp_path / "tri.json"
+    assert run(["mesh-gen", "--name", "tri2d", "--eps", "1",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: eps must lie in (0, 1)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--case", "A", "--method", "vem", "--transits", "0.01",
+     "--out", "{tmp}/hist.csv", "--summary", "{tmp}/run.json"],
+    ["tables", "--out", "{tmp}/tables"],
+], ids=["simulate", "tables"])
+def test_beam_commands_refuse_a_material_override(tmp_path, capsys, command):
+    # simulate and tables build their meshes with the benchmark material, so
+    # a config material would be silently ignored: it is refused instead.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("E = 1e9\nnu = 0\nrho = 1000\n")
+    argv = [a.format(tmp=tmp_path) for a in command]
+    assert run(argv + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {command[0]} keeps the benchmark material; "
+        "remove E, nu, rho from --config\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_simulate_vem(tmp_path, capsys):

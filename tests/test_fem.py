@@ -42,7 +42,7 @@ def test_tri3_rigid_modes():
 def test_prism6_rigid_modes_and_volume():
     tri = Mesh(2, np.array([[0.0, 0], [1, 0], [0, 1]]),
                [Element(loop=(0, 1, 2), kind="tri", nodes=(0, 1, 2))])
-    prism = meshmod.extrude(tri, 0.7, 1)
+    prism = meshmod.extrude(tri, 0.7)
     C = vem.constitutive_matrix(STEEL, 3)
     K, M = fem.prism6_matrices(prism.vertices[list(prism.elements[0].nodes)],
                                C, STEEL.density)
@@ -55,7 +55,7 @@ def test_prism6_rigid_modes_and_volume():
 def test_prism6_negative_jacobian():
     tri = Mesh(2, np.array([[0.0, 0], [1, 0], [0, 1]]),
                [Element(loop=(0, 1, 2), kind="tri", nodes=(0, 1, 2))])
-    prism = meshmod.extrude(tri, 0.7, 1)
+    prism = meshmod.extrude(tri, 0.7)
     verts = prism.vertices[list(prism.elements[0].nodes)].copy()
     verts[3:, 2] = -0.7  # top cap pushed below the bottom
     C = vem.constitutive_matrix(STEEL, 3)

@@ -17,7 +17,7 @@ def unit_tet_mesh():
 def unit_cube_mesh():
     square = meshmod.Mesh(2, np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]),
                           [meshmod.Element(loop=(0, 1, 2, 3))])
-    return meshmod.extrude(square, 1.0, 1)
+    return meshmod.extrude(square, 1.0)
 
 
 def test_unit_tet_basics():

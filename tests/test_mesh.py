@@ -34,7 +34,7 @@ def test_unit_tet_geometry():
 def test_unit_cube_geometry():
     square = Mesh(2, np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]),
                   [Element(loop=(0, 1, 2, 3))])
-    cube = meshmod.extrude(square, 1.0, 1)
+    cube = meshmod.extrude(square, 1.0)
     assert len(cube.elements[0].faces) == 12
     g = cube.geometry
     assert g.volume[0] == pytest.approx(1.0, rel=1e-14)
@@ -96,7 +96,7 @@ def test_out_of_range_index_rejected():
 def test_extrude_triangle_prism():
     tri = Mesh(2, np.array([[0.0, 0], [1, 0], [0, 1]]),
                [Element(loop=(0, 1, 2), kind="tri", nodes=(0, 1, 2))])
-    prism = meshmod.extrude(tri, 1.0, 1)
+    prism = meshmod.extrude(tri, 1.0)
     el = prism.elements[0]
     assert el.kind == "prism"
     assert len(el.faces) == 8  # 2 caps + 3 quads split in two
@@ -104,12 +104,35 @@ def test_extrude_triangle_prism():
 
 
 def test_extrude_volume_and_layers():
-    square = Mesh(2, np.array([[0.0, 0], [2, 0], [2, 1], [0, 1]]),
-                  [Element(loop=(0, 1, 2, 3))])
-    solid = meshmod.extrude(square, 0.7, 3)
-    assert solid.num_elements == 3
-    total = solid.geometry.volume.sum()
-    assert total == pytest.approx(2.0 * 0.7, rel=1e-13)
+    # One polyhedron per plane element, in order, between two vertex
+    # layers: the plane at z = 0, then at z = thickness (ids + n2).
+    plane = Mesh(2, np.array([[0.0, 0], [2, 0], [2, 1], [0, 1], [3, 0.5]]),
+                 [Element(loop=(0, 1, 2, 3)),
+                  Element(loop=(1, 4, 2), kind="tri", nodes=(1, 4, 2))])
+    solid = meshmod.extrude(plane, 0.7)
+    assert solid.num_elements == 2
+    assert solid.vertices.tolist() == (
+        [[x, y, 0.0] for x, y in plane.vertices.tolist()]
+        + [[x, y, 0.7] for x, y in plane.vertices.tolist()])
+    assert [el.kind for el in solid.elements] == ["poly", "prism"]
+    assert solid.elements[1].nodes == (1, 4, 2, 6, 9, 7)
+    assert solid.geometry.volume.tolist() == pytest.approx([1.4, 0.35],
+                                                           rel=1e-13)
+
+
+def test_non_star_cap_names_its_element():
+    # Element 1 is simple and valid in the plane, but its two notches leave
+    # no vertex that sees the whole loop, so no fan triangulates its caps.
+    verts = np.array([[0.0, 0], [2, 0], [2, 1.5], [2.5, 1.5], [2.5, 0],
+                      [3, 0], [3, 2], [1, 2], [1, 0.5], [0.5, 0.5],
+                      [0.5, 2], [0, 2], [4, 0]])
+    plane = meshmod.validate_mesh(Mesh(2, verts, [
+        Element(loop=(5, 12, 6), kind="tri", nodes=(5, 12, 6)),
+        Element(loop=tuple(range(12)))]))
+    with pytest.raises(ValidationError, match=(
+            "^element 1: no valid fan root for cap polygon; "
+            "cap is non-star-shaped$")):
+        meshmod.extrude(plane, 1.0)
 
 
 def test_extrude_agglomerated_polygon_face_count(beam_meshes):
@@ -136,7 +159,7 @@ def test_watertightness_of_generated_meshes():
 def test_split_prisms_conforming_volume():
     tri = Mesh(2, np.array([[0.0, 0], [1, 0], [0.1, 1.2]]),
                [Element(loop=(0, 1, 2), kind="tri", nodes=(0, 1, 2))])
-    prism = meshmod.extrude(tri, 0.4, 1)
+    prism = meshmod.extrude(tri, 0.4)
     tets = meshmod.split_prisms_to_tets(prism)
     assert tets.num_elements == 3
     vol = tets.geometry.volume.sum()
@@ -145,15 +168,16 @@ def test_split_prisms_conforming_volume():
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_split_prisms_orients_each_tet_in_place(reverse):
-    # Two triangles extruded in two layers: each prism's three tets take
-    # its slot in order, every tet is positive, and the side quads split as
+    # A plane of four triangles extruded: each prism's three tets take its
+    # slot in order, every tet is positive, and the side quads split as
     # extrude split them, so the tets meet face to face.  Listing each
     # prism's corners clockwise makes every tet of the split negative
     # before orientation; the result is the same tet mesh.
-    plane = Mesh(2, np.array([[0.0, 0], [1, 0], [1, 1], [2, 0.5]]),
+    plane = Mesh(2, np.array([[0.0, 0], [1, 0], [1, 1], [2, 0.5], [0, 1],
+                              [2, 1.5]]),
                  [Element(loop=t, kind="tri", nodes=t)
-                  for t in ((0, 1, 2), (1, 3, 2))])
-    solid = meshmod.extrude(plane, 0.5, 2)
+                  for t in ((0, 1, 2), (1, 3, 2), (0, 2, 4), (2, 3, 5))])
+    solid = meshmod.extrude(plane, 0.5)
     given = solid
     if reverse:
         given = Mesh(3, solid.vertices, [
@@ -183,7 +207,7 @@ def test_split_prisms_refuses_other_elements():
                  [Element(loop=(0, 1, 2, 3)),
                   Element(loop=(1, 4, 2), kind="tri", nodes=(1, 4, 2))])
     with pytest.raises(ValidationError, match="^element 0: not a prism$"):
-        meshmod.split_prisms_to_tets(meshmod.extrude(plane, 0.5, 1))
+        meshmod.split_prisms_to_tets(meshmod.extrude(plane, 0.5))
 
 
 def test_tet_mesh_flips_exactly_the_negative_rows():
@@ -218,7 +242,7 @@ def test_is_convex():
     assert unit_tet().geometry.convex[0]
     square = Mesh(2, np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]),
                   [Element(loop=(0, 1, 2, 3))])
-    cube = meshmod.extrude(square, 1.0, 1)
+    cube = meshmod.extrude(square, 1.0)
     assert cube.geometry.convex[0]
     kite = benchmarks.gen_benchmark("kite", 0.1, "vem")
     assert not kite.geometry.convex[0]
@@ -343,6 +367,17 @@ def test_bad_tet_nodes_rejected(tmp_path, nodes, error, match):
     path.write_text(TWO_TETS.replace("NODES", nodes))
     with pytest.raises(error, match=match):
         meshmod.load_mesh(path)
+
+
+def test_non_integral_dimension_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dimension": 2.9, "vertices": [[0,0],[1,0],[0,1]], '
+                    '"elements": [{"loop": [0, 1, 2]}], '
+                    '"material": {"E": 1e9, "nu": 0.3, "rho": 1000}}')
+    with pytest.raises(ParseError) as info:
+        meshmod.load_mesh(path)
+    assert str(info.value) == (
+        f"malformed mesh file {path}: non-integral dimension 2.9")
 
 
 def test_good_tet_nodes_accepted(tmp_path):

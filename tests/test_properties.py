@@ -62,7 +62,7 @@ def random_tet_pair_mesh(rng):
 
 def random_extruded_mesh(rng):
     poly = random_polygon_mesh(rng)
-    return meshmod.extrude(poly, float(rng.uniform(0.3, 1.5)), 1)
+    return meshmod.extrude(poly, float(rng.uniform(0.3, 1.5)))
 
 
 def test_projector_identities_randomized():

@@ -13,7 +13,7 @@ from conftest import random_rotation, random_tet_mesh
 def cube_mesh():
     square = Mesh(2, np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]),
                   [Element(loop=(0, 1, 2, 3))])
-    return meshmod.extrude(square, 1.0, 1)
+    return meshmod.extrude(square, 1.0)
 
 
 def scaled_coords(mesh, em):
