@@ -16,13 +16,15 @@ its VEM beam's element bound.
 
 ``scipy.sparse`` is imported inside ``assemble_systems``, the one place a
 global matrix is built, so importing this module (and running element
-studies) does not load it.  A long run splits each step's ``K @ u`` with
-a forked helper process, bit for bit (``central_difference_run``).
+studies) does not load it.  A long run splits each step with a forked helper
+process that owns a band of the dofs, bit for bit (``_domains``).
 """
 
 from __future__ import annotations
 
 import os
+import platform
+import threading
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -35,7 +37,7 @@ from .mesh import ValidationError
 
 BEAM_PULSE_AMPLITUDE = 1.0 / 16.0  # peak of (t/tau)^4 - 2(t/tau)^3 + (t/tau)^2
 BEAM_PROBE = (2.0, 0.5, 0.0)  # mid-beam node whose x displacement is recorded
-# n_steps * K.nnz from which a run forks a helper for K @ u (>= 6x break-even)
+# n_steps * K.nnz from which a run splits its step (>= 12x break-even)
 PARALLEL_MIN_WORK = 1e9
 
 
@@ -127,66 +129,89 @@ class RunResult:
     diverged: bool
     diverged_step: int | None
     wall_seconds: float
+    processes: int               # 1, or 2 when the step was split
 
 
-def _await_change(flags, i, old, alive):
-    """flags[i] once it differs from old, or -1 as soon as alive() fails:
-    spin 64 reads, then yield the CPU between reads."""
-    for _ in range(64):
-        if flags[i] != old:
-            return flags[i]
-    while flags[i] == old:
-        if not alive():
-            return -1
-        os.sched_yield()
-    return flags[i]
+def _banded(K, driven):
+    """(K in breadth-first order from the driven dofs or dof 0, unreached
+    dofs last, each row's entries in stored order so its sum keeps its
+    bits; the order; the half-nnz row r0, moved past the driven dofs)."""
+    seen, levels = np.zeros(K.shape[0], bool), []
+    front = np.unique(driven) if driven.size else np.arange(K.shape[0])[:1]
+    while front.size:
+        seen[front] = True
+        levels.append(front)
+        front = np.unique(K[front].indices)
+        front = front[~seen[front]]
+    order = np.concatenate(levels + [np.flatnonzero(~seen)])
+    pos = np.argsort(order)
+    K = K[order]
+    K.indices = pos[K.indices].astype(K.indices.dtype)
+    return K, order, max(int(np.searchsorted(K.indptr, K.nnz // 2)),
+                         int(pos[driven].max(initial=-1)) + 1)
+
+
+def _meet(flags, dots, me, step, dot, alive):
+    """The step's barrier: publish this process's partial u @ u, then its
+    step, wait for the other's (spin 64 reads, then yield between reads),
+    and return its partial u @ u, or None once it has stopped."""
+    dots[2 * (step & 1) + me], flags[me] = dot, step  # in this order
+    spin = 0
+    while flags[1 - me] == step - 1:
+        spin += 1
+        if spin > 64:
+            if not alive():  # in the helper: its parent died
+                raise RuntimeError("the helper process died mid-run")
+            os.sched_yield()
+    return dots[2 * (step & 1) + 1 - me] if flags[1 - me] >= step else None
 
 
 @contextmanager
-def _stiffness_product(K, n_steps):
-    """(u, product): the run's state vector and its K @ u function."""
-    import platform
-    import threading
-    if not (n_steps * K.nnz >= PARALLEL_MIN_WORK
-            and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2
-            and platform.machine() == "x86_64"
-            and threading.active_count() == 1):
-        u = np.zeros(K.shape[0])
-        yield u, lambda: K @ u
+def _domains(K, v_half, scale, driven, dt, n_steps, split):
+    """This process's part of a run: (its rows of K, its slices of v_half
+    and scale, u's buffers by step parity (step s writes buffer s & 1 from
+    the other, in a shared anonymous mmap), dof -> index in a buffer,
+    meet(step) -> the other process's partial u @ u).  The helper runs off
+    this process's CPU, leaves by os._exit when told, orphaned or on error,
+    and is reaped on exit; its death mid-run raises RuntimeError."""
+    ndof = K.shape[0]
+    if not split:
+        u = np.zeros(ndof)
+        yield K, v_half, scale, (u, u), np.arange(ndof), lambda step: 0.0
         return
     import ctypes
     import mmap
-    ndof, r0 = K.shape[0], int(np.searchsorted(K.indptr, K.nnz // 2))
-    shared = mmap.mmap(-1, 16 + 16 * ndof)  # anonymous: no name, no file
+    K, order, r0 = _banded(K, driven)
+    v_half, scale = v_half[order], scale[order]
+    shared = mmap.mmap(-1, 48 + 16 * ndof)  # anonymous: no name, no file
     flags = memoryview(shared)[:16].cast("q")
-    u, ku = np.frombuffer(shared, float, 2 * ndof, 16).reshape(2, ndof)
+    dots = memoryview(shared)[16:48].cast("d")
+    bufs = tuple(np.frombuffer(shared, float, 2 * ndof, 48).reshape(2, ndof))
     getcpu = ctypes.CDLL(None).sched_getcpu
     getcpu.argtypes, getcpu.restype = [], ctypes.c_int
-    cpu, parent, top = getcpu(), os.getpid(), K[:r0]
-    alive = lambda: os.waitpid(pid, os.WNOHANG)[0] == 0  # noqa: E731
-
-    def product():
-        flags[0] = step = flags[0] + 1
-        ku[:r0] = top @ u
-        if _await_change(flags, 1, step - 1, alive) < 0:
-            raise RuntimeError("the K @ u helper process died mid-run")
-        return ku
-
+    cpu, parent = getcpu(), os.getpid()
     pid = os.fork()
-    if pid == 0:  # the helper: rows r0: until flag 0 is -1 or it is orphaned
+    if pid == 0:  # the helper: rows r0: until told to stop or orphaned
         try:
             os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
-            bottom, step = K[r0:], 0
+            K, v, s = K[r0:], v_half[r0:], scale[r0:]
+            owns, work = [b[r0:] for b in bufs], np.empty(len(v))
             has_parent = lambda: os.getppid() == parent  # noqa: E731
-            while (step := _await_change(flags, 0, step, has_parent)) > 0:
-                ku[r0:] = bottom @ u
-                flags[1] = step
+            for step in range(1, n_steps + 1):
+                own = owns[step & 1]
+                np.add(owns[~step & 1], np.multiply(v, dt, out=work),
+                       out=own)
+                if _meet(flags, dots, 1, step, own @ own, has_parent) is None:
+                    break
+                np.multiply(K @ bufs[step & 1], s, out=work)
+                np.add(v, np.multiply(work, dt, out=work), out=v)
             os._exit(0)
         finally:
             os._exit(1)
+    alive = lambda: os.waitpid(pid, os.WNOHANG)[0] == 0  # noqa: E731
     try:
-        yield u, product
+        yield (K[:r0], v_half[:r0], scale[:r0], bufs, np.argsort(order),
+               lambda step: _meet(flags, dots, 0, step, 0.0, alive))
     finally:
         flags[0] = -1
         with suppress(ChildProcessError):  # reaped if it died mid-run
@@ -197,35 +222,39 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
                            divergence_limit=None):
     """Explicit central-difference run of M a + K u = 0 under the schedule.
 
-    K is a CSR matrix; probes are global dof indices recorded every step.
-    Divergence (any |u| beyond divergence_limit, or a non-finite u) aborts
-    and flags the result.  A run whose time and probe history would not
-    fit in physical memory is refused before anything is allocated.  A
+    K is a square scipy sparse matrix, one row per lumped mass entry (used
+    as CSR); probes are global dof indices recorded every step.  Divergence
+    (any |u| beyond divergence_limit, None or >= 0, or a non-finite u)
+    aborts and flags the result.  A run whose time and probe history would
+    not fit in physical memory is refused before anything is allocated.  A
     step is one ``K @ u`` (an assembled K stores no zeros) and in-place
     updates of preallocated vectors: -1/m is one scale that is 0 on the
     fixed and driven dofs, a fixed dof keeps v_half = 0 and so u = 0, and
     the exact max|u| check runs only when u @ u > limit^2 / 4.
 
-    A helper process forked for the run computes the rows of ``K @ u``
-    from r0 = searchsorted(K.indptr, K.nnz // 2) on, this process the rows
-    before, each with scipy's CSR product, so the history is the serial
-    loop's bit for bit.  That needs n_steps * K.nnz >= PARALLEL_MIN_WORK,
-    two allowed CPUs, x86-64 (whose store order publishes the product
-    before the flag after it) and no other thread (safe to fork).  u, the
-    products and two step flags share an anonymous mmap; the helper runs
-    off this process's CPU, leaves by os._exit when told, orphaned or on
-    error, is reaped when the run ends, breaks or raises, and its death
-    mid-run raises RuntimeError.
+    With n_steps * K.nnz >= PARALLEL_MIN_WORK, two allowed CPUs, x86-64
+    (whose store order publishes u before the flag after it) and no other
+    thread (safe to fork), a forked helper owns the dofs from row r0 of
+    ``_banded``'s order, this process the rest and every driven dof.  Each
+    updates its slices of u and v_half and computes its rows of ``K @ u``,
+    bit for bit; at one barrier per step this process alone takes over
+    the probes and divergence (u @ u sums the slices' partial dots).
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValidationError("time step must be positive and finite")
     if not (t_max >= 0.0 and np.isfinite(t_max / dt)):
         raise ValidationError("t_max must be non-negative and span a "
                               "finite number of steps")
-    ndof = K.shape[0]
+    if divergence_limit is not None and not divergence_limit >= 0.0:
+        raise ValidationError("divergence limit must be None or >= 0")
     ml = np.asarray(M_lumped, float)
-    if ml.shape != (ndof,) or not np.all(ml > 0.0):
-        raise ValidationError(f"lumped mass needs {ndof} positive entries")
+    if ml.ndim != 1 or not np.all(ml > 0.0):
+        raise ValidationError("lumped mass must be a positive vector")
+    ndof = len(ml)
+    if not (hasattr(K, "tocsr") and K.shape == (ndof, ndof)):
+        raise ValidationError(f"K must be a square scipy sparse matrix with "
+                              f"{ndof} rows, one per lumped mass entry")
+    K = K.tocsr()
     probes, fixed, driven = dofs = [np.asarray(d, dtype=int)
                                     for d in (probes, bcs.fixed, bcs.driven)]
     for name, d in zip(("probe", "fixed", "driven"), dofs):
@@ -245,34 +274,45 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
     times = np.arange(n_steps + 1, dtype=float)
     times *= dt
     history = np.zeros((n_steps + 1, len(probes)))
-    work = np.empty(ndof)
     # u @ u <= gate proves max|u| < limit; the gate is off (-1) where
     # limit^2 / 4 would overflow or underflow.
     limit = 0.0 if divergence_limit is None else divergence_limit
     gate = 0.25 * limit * limit
     gate = gate if np.finfo(float).tiny <= gate < np.inf else -1.0
     diverged_step = None
+    split = (n_steps * K.nnz >= PARALLEL_MIN_WORK
+             and hasattr(os, "sched_getaffinity")
+             and len(os.sched_getaffinity(0)) >= 2
+             and platform.machine() == "x86_64"
+             and threading.active_count() == 1)
     start = time.perf_counter()
-    with _stiffness_product(K, n_steps) as (u, product):
-        v_half = 0.5 * dt * ((K @ u) * scale)  # v at t = dt/2 from rest
+    v_half = 0.5 * dt * ((K @ np.zeros(ndof)) * scale)  # v at dt/2 from rest
+    with _domains(K, v_half, scale, driven, dt, n_steps, split) as (
+            K, v_half, scale, bufs, pos, meet):
+        driven, probes = pos[driven], pos[probes]
+        owns, work = [b[:len(v_half)] for b in bufs], np.empty(len(v_half))
         for step in range(1, n_steps + 1):
-            np.add(u, np.multiply(v_half, dt, out=work), out=u)
+            u, own = bufs[step & 1], owns[step & 1]
+            np.add(owns[~step & 1], np.multiply(v_half, dt, out=work),
+                   out=own)
             u[driven] = bcs.pulse(float(times[step]))
-            np.multiply(product(), scale, out=work)
-            np.add(v_half, np.multiply(work, dt, out=work), out=v_half)
+            dot = meet(step)
             history[step] = u[probes]
-            if divergence_limit is not None and not (u @ u <= gate):
+            if divergence_limit is not None and not (own @ own + dot <= gate):
                 peak = float(np.abs(u).max())
                 if not np.isfinite(peak) or peak > limit:
                     diverged_step = step
                     times = times[:step + 1]
                     history = history[:step + 1]
                     break
+            np.multiply(K @ u, scale, out=work)
+            np.add(v_half, np.multiply(work, dt, out=work), out=v_half)
     wall = time.perf_counter() - start
     return RunResult(times=times, probe_history=history,
                      steps=len(times) - 1,
                      diverged=diverged_step is not None,
-                     diverged_step=diverged_step, wall_seconds=wall)
+                     diverged_step=diverged_step, wall_seconds=wall,
+                     processes=1 + split)
 
 
 # ---------------------------------------------------------------------------
@@ -438,4 +478,7 @@ def run_summary(experiment):
         "omega_star": experiment.omega_star,
         "diverged": experiment.result.diverged,
         "wall_seconds": experiment.result.wall_seconds,
+        "processes": experiment.result.processes,
+        "step_us": 1e6 * experiment.result.wall_seconds / max(
+            experiment.result.steps, 1),
     }

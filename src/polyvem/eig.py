@@ -37,15 +37,20 @@ def element_max_frequency(K, M_lumped):
     """
     K, ml = np.asarray(K, float), np.asarray(M_lumped, float)
     _reject_faults(np.atleast_1d(_faults(K, ml)), ml.ndim > 1)
-    return _max_frequency(K, ml)
+    omega = _max_frequency(K, ml)
+    _reject_faults(np.atleast_1d(3 * np.isnan(omega)), ml.ndim > 1)
+    return omega
 
 
 def _max_frequency(K, ml):
-    """element_max_frequency of fault-free arrays, unchecked."""
+    """element_max_frequency of fault-free arrays; NaN, not eigensolved,
+    where K m^-1/2 m^-1/2 is not finite (an extreme length scale)."""
     inv_sqrt = 1.0 / np.sqrt(ml)
     A = K * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
-    lam = np.linalg.eigvalsh(A)[..., -1]
+    finite = np.isfinite(A).all(axis=(-2, -1))
+    A[~finite] = 0.0
+    lam = np.where(finite, np.linalg.eigvalsh(A)[..., -1], np.nan)
     omega = np.sqrt(np.maximum(lam, 0.0))
     return float(omega) if omega.ndim == 0 else omega
 
@@ -60,13 +65,14 @@ def _faults(K, ml):
 
 def _reject_faults(fault, named=True):
     """A ValidationError for the first element with a fault (_faults codes,
-    indexed by element id), named when `named`."""
+    or 3 for _max_frequency's NaN; by element id), named when `named`."""
     bad = np.flatnonzero(fault)
     if bad.size:
         e = bad[0]
         raise meshmod.ValidationError((f"element {e}: " if named else "") + (
             "non-positive or non-finite lumped mass entry",
-            "non-finite stiffness entry")[fault[e] - 1])
+            "non-finite stiffness entry",
+            "non-finite mass-normalized stiffness")[fault[e] - 1])
 
 
 @dataclass
@@ -152,6 +158,7 @@ def time_step_report(systems):
     omegas = np.zeros(len(fault))
     for ids, _, K, ml, _ in systems:
         omegas[ids] = _max_frequency(K, ml)
+    _reject_faults(3 * np.isnan(omegas))
     arg = int(np.argmax(omegas))
     omega_star = float(omegas[arg])
     dt = 2.0 / omega_star if omega_star > 0 else float("inf")

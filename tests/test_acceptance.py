@@ -243,7 +243,7 @@ def test_criterion_8_beam_dynamics(monkeypatch):
             "A", "fem", dt_factor=1.000001, dt_basis="global", tau=tau,
             t_max_transits=40.0)
         assert eu.result.diverged
-        # Both global-bound runs split K @ u with a forked helper where the
+        # Both global-bound runs split the step with a forked helper where the
         # machine allows it; the serial loop diverges at the same step.
         assert len(forks) == (2 if helper_capable() else 0)
         monkeypatch.setattr(dynamics, "PARALLEL_MIN_WORK", np.inf)

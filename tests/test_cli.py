@@ -150,6 +150,20 @@ def test_empty_mesh_timestep_rejected(tmp_path, capsys):
     assert "error: mesh has no elements" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_extreme_length_scale_timestep_names_element(tmp_path, capsys):
+    # A valid mesh at 1e-150 m: a validation error naming the element
+    # (exit 1), not numpy's "Eigenvalues did not converge" (exit 2).
+    from polyvem import benchmarks
+    mesh = benchmarks.gen_benchmark("tri2d", 1e-1, "fem")
+    path = tmp_path / "tiny.json"
+    meshmod.save_mesh(meshmod.Mesh(mesh.dimension, mesh.vertices * 1e-150,
+                                   mesh.elements, mesh.material), path)
+    assert run(["timestep", "--mesh", str(path), "--method", "fem"]) == 1
+    assert capsys.readouterr().err == (
+        "error: element 0: non-finite mass-normalized stiffness\n")
+
+
 def test_config_threads_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("lumping = auto\nthreads = 2\n")
@@ -226,6 +240,10 @@ def test_simulate_vem(tmp_path, capsys):
     info = json.loads(summary.read_text())
     assert info["method"] == "vem"
     assert not info["diverged"]
+    # A short VEM run stays serial; a step's cost is the loop's per step.
+    assert info["processes"] == 1
+    assert info["step_us"] == pytest.approx(
+        1e6 * info["wall_seconds"] / info["steps"], rel=1e-12)
 
 
 def test_unknown_flag_rejected(capsys):

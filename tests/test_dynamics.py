@@ -840,14 +840,17 @@ class _Injected(BcSchedule):
         return self.value if t == self.t else 0.0
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("limit, value", [
+GATE_CASES = [
     (10.0, np.nextafter(10.0, np.inf)),     # one dof just above the limit
     (10.0, np.nan),
     (10.0, np.inf),
     (np.inf, np.inf),                       # limit^2 / 4 overflows
     (1e-200, 1e-170),                       # limit^2 / 4 underflows
-])
+]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("limit, value", GATE_CASES)
 def test_divergence_gate_catches_every_excursion(limit, value):
     # Three uncoupled dofs at rest: only the driven one moves, and only at
     # step 7, so the gate sees one non-zero entry.
@@ -865,6 +868,148 @@ def test_divergence_gate_lets_the_limit_itself_pass():
         K, M, _Injected(7, dt, 10.0), dt, 20 * dt, [1], 10.0)
     assert not res.diverged and res.steps == 20
     assert res.probe_history[7, 0] == 10.0
+
+
+def _chain(n, unreached=0):
+    """A free spring chain of n dofs, plus `unreached` more dofs in a
+    chain of their own."""
+    def springs(m):
+        return sp.diags([-np.ones(m - 1), np.full(m, 2.0), -np.ones(m - 1)],
+                        [-1, 0, 1])
+    blocks = [springs(n)] + ([springs(unreached)] if unreached else [])
+    return sp.block_diag(blocks, format="csr")
+
+
+class _Pulse(BcSchedule):
+    def __init__(self, driven, dt):
+        super().__init__(fixed=np.array([], dtype=int),
+                         driven=np.array(driven, dtype=int), tau=40 * dt)
+
+
+def _split_cases():
+    """(id, run arguments) forced onto the split path."""
+    for limit, value in GATE_CASES:
+        K, M, dt = sp.identity(3, format="csr"), np.ones(3), 0.1
+        yield (f"gate-{limit}-{value}",
+               (K, M, _Injected(7, dt, value), dt, 20 * dt, [1, 2], limit))
+    dt = 0.5
+    # The driven chain 0..3 reaches nothing of the chain 4..11: BFS puts
+    # those last, and the half-nnz row falls among them.
+    yield "unreached", (_chain(4, 8), np.ones(12), _Pulse([0], dt), dt,
+                        200 * dt, [3, 0, 5], 1e3)
+    yield "undriven", (_chain(6), np.ones(6), _Pulse([], dt), dt, 50 * dt,
+                       [0, 5], None)
+    # Only the helper's dof 1 (light, so unstable at dt) diverges: the
+    # gate needs the helper's partial u @ u.
+    yield "helper-diverges", (sp.csr_matrix([[1.0, -1.0], [-1.0, 1.0]]),
+                              np.array([1.0, 1e-4]), _Pulse([0], dt), dt,
+                              200 * dt, [0, 1], 1e3)
+    # Five of six dofs driven: the split row moves past the last of them.
+    yield "driven-past-half", (_chain(6), np.ones(6),
+                               _Pulse([4, 0, 1, 2, 3], dt), dt, 80 * dt,
+                               [5, 4], 1e3)
+
+
+SPLIT_CASES = dict(_split_cases())
+
+
+@needs_helper
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("name", list(SPLIT_CASES))
+def test_split_run_matches_reference_loop(name, monkeypatch, forks):
+    monkeypatch.setattr(dynamics, "PARALLEL_MIN_WORK", 0)
+    args = SPLIT_CASES[name]
+    res = dynamics.central_difference_run(*args)
+    assert len(forks) == 1 and res.processes == 2
+    _assert_same_run(res, _reference_run(*args))
+
+
+@pytest.mark.parametrize("name", list(SPLIT_CASES) + ["tet-beam", "wedge"])
+def test_banded_order_is_a_permutation_with_driven_dofs_first(
+        name, beam_meshes, unpruned):
+    if name in SPLIT_CASES:
+        K, _, bcs, *_ = SPLIT_CASES[name]
+    else:
+        K, _, (_, bcs, *_) = _reference_case(name, beam_meshes, unpruned)
+    driven = np.asarray(bcs.driven, dtype=int)
+    Kb, order, r0 = dynamics._banded(K, driven)
+    assert np.array_equal(np.sort(order), np.arange(K.shape[0]))
+    pos = np.argsort(order)
+    assert (pos[driven] < r0).all() and r0 <= K.shape[0]
+    # Each row keeps its entries in stored order, relabelled.
+    for row, dof in enumerate(order):
+        entries = slice(K.indptr[dof], K.indptr[dof + 1])
+        mine = slice(Kb.indptr[row], Kb.indptr[row + 1])
+        assert Kb.data[mine].tobytes() == K.data[entries].tobytes()
+        assert np.array_equal(Kb.indices[mine], pos[K.indices[entries]])
+    if name == "driven-past-half":
+        assert r0 == 5 > np.searchsorted(Kb.indptr, Kb.nnz // 2)
+
+
+@needs_helper
+def test_split_raising_pulse_past_half_surfaces(monkeypatch, forks):
+    # The driven dofs fill the run's slice past the half-nnz row; a pulse
+    # that raises still surfaces as its own error, and the helper is reaped.
+    monkeypatch.setattr(dynamics, "PARALLEL_MIN_WORK", 0)
+    K, M, bcs, dt, t_max, probes, limit = SPLIT_CASES["driven-past-half"]
+
+    class Raising(_Pulse):
+        def pulse(self, t):
+            if t == 30 * dt:
+                raise KeyError("pulse failed")
+            return super().pulse(t)
+
+    with pytest.raises(KeyError, match="pulse failed"):
+        dynamics.central_difference_run(K, M, Raising(bcs.driven, dt), dt,
+                                        t_max, probes, limit)
+    _no_child_left()
+    assert len(forks) == 1
+
+
+@needs_helper
+def test_split_coo_stiffness_runs_as_csr(monkeypatch, forks):
+    monkeypatch.setattr(dynamics, "PARALLEL_MIN_WORK", 0)
+    K, *args = SPLIT_CASES["unreached"]
+    coo = dynamics.central_difference_run(K.tocoo(), *args)
+    assert len(forks) == 1 and coo.processes == 2
+    _assert_same_run(coo, _reference_run(K, *args))
+
+
+@pytest.mark.parametrize("K", [
+    np.eye(2),                                      # dense
+    sp.csr_matrix(np.ones((2, 3))),                 # not square
+    sp.identity(3, format="csr"),                   # 3 rows for 2 masses
+])
+def test_unusable_stiffness_rejected(K):
+    # Before: AttributeError on 'nnz', or a mass-length error for 3 x 3.
+    bcs = BcSchedule(fixed=np.array([], dtype=int),
+                     driven=np.array([], dtype=int), tau=1.0)
+    msg = "^K must be a square scipy sparse matrix with 2 rows"
+    with pytest.raises(ValidationError, match=msg):
+        dynamics.central_difference_run(K, np.ones(2), bcs, 0.1, 1.0, [0])
+
+
+@pytest.mark.parametrize("limit", [np.nan, -1.0, -np.inf])
+def test_bad_divergence_limit_rejected(limit):
+    # Before, NaN and -1 switched the check off: |u| reached 0.0148.
+    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    bcs = BcSchedule(fixed=np.array([], dtype=int), driven=np.array([0]),
+                     tau=1.0)
+    with pytest.raises(ValidationError, match="divergence limit"):
+        dynamics.central_difference_run(two, np.ones(2), bcs, 0.1, 1.0, [1],
+                                        limit)
+
+
+@pytest.mark.parametrize("limit", [None, 0.0, 1e-200, 10.0, np.inf])
+def test_divergence_limit_values_kept(limit):
+    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    bcs = BcSchedule(fixed=np.array([], dtype=int), driven=np.array([0]),
+                     tau=1.0)
+    args = (two, np.ones(2), bcs, 0.1, 1.0, [1], limit)
+    res = dynamics.central_difference_run(*args)
+    assert res.processes == 1
+    assert res.diverged == (limit in (0.0, 1e-200))
+    _assert_same_run(res, _reference_run(*args))
 
 
 @pytest.mark.parametrize("dt, t_max, probes, fixed, driven, mass, match", [

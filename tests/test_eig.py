@@ -280,6 +280,46 @@ def test_nan_alpha0_named_not_linalg_error():
         eig.critical_dt(mesh, "vem", alpha0=float("nan"))
 
 
+def _scaled(mesh, factor):
+    return meshmod.validate_mesh(Mesh(mesh.dimension, mesh.vertices * factor,
+                                      mesh.elements, mesh.material))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_extreme_length_scale_named_not_linalg_error():
+    # At 1e-150 the tri2d mesh is valid, but K m^-1/2 m^-1/2 overflows.
+    tiny = _scaled(benchmarks.gen_benchmark("tri2d", 1e-1, "fem"), 1e-150)
+    with pytest.raises(ValidationError, match="^element 0: non-finite "
+                       "mass-normalized stiffness"):
+        eig.critical_dt(tiny, "fem")
+    # A finite K and mass whose quotient overflows, one element and a
+    # stack (the row named), and in a sweep the lowest element id.
+    K, mass = np.diag([1e300, 1.0]), np.array([1e-10, 1.0])
+    with pytest.raises(ValidationError, match="^non-finite mass-normalized"):
+        eig.element_max_frequency(K, mass)
+    with pytest.raises(ValidationError, match="^element 1: non-finite mass"):
+        eig.element_max_frequency(np.stack([np.eye(2), K]),
+                                  np.stack([np.ones(2), mass]))
+    late = (np.array([0, 4]), np.zeros((2, 1), int), np.stack([np.eye(2), K]),
+            np.stack([np.ones(2), mass]), np.array(["row_sum"] * 2))
+    early = (np.array([3, 1, 2]), np.zeros((3, 1), int),
+             np.stack([np.eye(2), K, K]), np.stack([np.ones(2), mass, mass]),
+             np.array(["row_sum"] * 3))
+    with pytest.raises(ValidationError, match="^element 1: non-finite mass"):
+        eig.time_step_report([late, early])
+
+
+def test_scaled_valid_mesh_keeps_its_frequencies():
+    # The finiteness check leaves a valid mesh's frequencies untouched: a
+    # scaled tri2d mesh keeps omega * length (2D elasticity) to rounding.
+    mesh = benchmarks.gen_benchmark("tri2d", 1e-1, "fem")
+    report = eig.critical_dt(mesh, "fem")
+    assert np.isfinite(report.omega_elements).all()
+    scaled = eig.critical_dt(_scaled(mesh, 1e-8), "fem")
+    assert scaled.omega_star * 1e-8 == pytest.approx(report.omega_star,
+                                                     rel=1e-12)
+
+
 @pytest.mark.parametrize("fixed", [[7], [-1], [0, 3]])
 def test_global_fixed_dofs_out_of_range_rejected(fixed):
     K = np.diag([1.0, 4.0, 9.0])

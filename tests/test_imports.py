@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import helper_capable
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # One catalog case (both variants, a JSON round trip, the element bound,
@@ -36,6 +38,22 @@ print("scipy.sparse" in sys.modules, K.format)
 """
 
 
+# A wedge run forced onto the split step: its breadth-first order is numpy
+# only, so scipy.sparse.csgraph (~11 MB) stays unloaded.
+SPLIT_RUN = """
+import sys
+import numpy as np
+from polyvem import benchmarks, dynamics
+dynamics.PARALLEL_MIN_WORK = 0
+mesh = benchmarks.gen_benchmark("wedge", 1e-1, "vem")
+K, M = dynamics.assemble(mesh, "vem", alpha0="unit")
+bcs = dynamics.BcSchedule(fixed=np.array([0]), driven=np.array([1]),
+                          tau=1e-5)
+res = dynamics.central_difference_run(K, M, bcs, 1e-7, 1e-5, [2])
+print(res.processes, "scipy.sparse.csgraph" in sys.modules)
+"""
+
+
 def _python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -48,6 +66,12 @@ def test_element_studies_do_not_load_scipy_sparse():
     proc = _python("-c", COLD_START)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True", "csr"]
+
+
+def test_split_run_does_not_load_csgraph():
+    proc = _python("-c", SPLIT_RUN)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2" if helper_capable() else "1", "False"]
 
 
 def test_python_m_polyvem_version():
