@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .mesh import MaterialParams, ValidationError
 from .quality import QualityThresholds, DEFAULT_THRESHOLDS
 
-_THRESHOLD_KEYS = ("angle_deg", "face_area_rel", "face_separation",
-                   "edge_rel")
+_THRESHOLD_KEYS = tuple(f.name for f in fields(QualityThresholds))
 _KEYS = ("E", "nu", "rho", "alpha0", "lumping") + _THRESHOLD_KEYS
 
 
@@ -32,8 +31,7 @@ class RunConfig:
             "" if m is None else f"{m.youngs_modulus!r}/{m.poisson_ratio!r}"
                                  f"/{m.density!r}",
             str(self.alpha0), self.lumping,
-            repr((self.thresholds.angle_deg, self.thresholds.face_area_rel,
-                  self.thresholds.face_separation, self.thresholds.edge_rel)),
+            repr(astuple(self.thresholds)),
         ]
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:12]
 

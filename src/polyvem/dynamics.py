@@ -16,8 +16,9 @@ its VEM beam's element bound.
 
 ``scipy.sparse`` is imported inside ``assemble_systems``, the one place a
 global matrix is built, so importing this module (and running element
-studies) does not load it.  A long run splits each step with a forked helper
-process that owns a band of the dofs, bit for bit (``_domains``).
+studies) does not load it.  The step is written once, as the ``_steps``
+generator; a long run splits it with a forked helper process that steps a
+band of the dofs through its own ``_steps``, bit for bit (``_domains``).
 """
 
 from __future__ import annotations
@@ -166,20 +167,33 @@ def _meet(flags, dots, me, step, dot, alive):
     return dots[2 * (step & 1) + 1 - me] if flags[1 - me] >= step else None
 
 
+def _steps(K, v, scale, bufs, start, dt, n_steps):
+    """Steps 1..n_steps of one process's dofs start : start + len(v) (K,
+    v and scale its rows): move them into u's buffer for the step, yield
+    (step, u, own), and on resume add their rows of K @ u into v."""
+    owns = [b[start:start + len(v)] for b in bufs]
+    work = np.empty(len(v))
+    for step in range(1, n_steps + 1):
+        u, own = bufs[step & 1], owns[step & 1]
+        np.add(owns[~step & 1], np.multiply(v, dt, out=work), out=own)
+        yield step, u, own
+        np.multiply(K @ u, scale, out=work)
+        np.add(v, np.multiply(work, dt, out=work), out=v)
+
+
 @contextmanager
 def _domains(K, v_half, scale, driven, dt, n_steps, split):
-    """This process's part of a run: (its rows of K, its slices of v_half
-    and scale, u's buffers by step parity (step s writes buffer s & 1 from
-    the other, in a shared anonymous mmap), dof -> index in a buffer,
-    meet(step) -> the other process's partial u @ u).  The helper runs off
-    this process's CPU, leaves by os._exit when told, orphaned or on error,
-    and is reaped on exit; its death mid-run raises RuntimeError."""
+    """This process's part of a run: (its ``_steps``, dof -> index in u,
+    meet(step) -> the other process's partial u @ u).  Split, u's two
+    buffers sit in a shared anonymous mmap and a forked helper steps the
+    rows from r0 on; it leaves by os._exit when told, orphaned or on
+    error, and is reaped on exit; its death mid-run raises RuntimeError."""
     ndof = K.shape[0]
     if not split:
         u = np.zeros(ndof)
-        yield K, v_half, scale, (u, u), np.arange(ndof), lambda step: 0.0
+        yield (_steps(K, v_half, scale, (u, u), 0, dt, n_steps),
+               np.arange(ndof), lambda step: 0.0)
         return
-    import ctypes
     import mmap
     K, order, r0 = _banded(K, driven)
     v_half, scale = v_half[order], scale[order]
@@ -187,30 +201,21 @@ def _domains(K, v_half, scale, driven, dt, n_steps, split):
     flags = memoryview(shared)[:16].cast("q")
     dots = memoryview(shared)[16:48].cast("d")
     bufs = tuple(np.frombuffer(shared, float, 2 * ndof, 48).reshape(2, ndof))
-    getcpu = ctypes.CDLL(None).sched_getcpu
-    getcpu.argtypes, getcpu.restype = [], ctypes.c_int
-    cpu, parent = getcpu(), os.getpid()
-    pid = os.fork()
+    parent, pid = os.getpid(), os.fork()
     if pid == 0:  # the helper: rows r0: until told to stop or orphaned
         try:
-            os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
-            K, v, s = K[r0:], v_half[r0:], scale[r0:]
-            owns, work = [b[r0:] for b in bufs], np.empty(len(v))
             has_parent = lambda: os.getppid() == parent  # noqa: E731
-            for step in range(1, n_steps + 1):
-                own = owns[step & 1]
-                np.add(owns[~step & 1], np.multiply(v, dt, out=work),
-                       out=own)
+            for step, _, own in _steps(K[r0:], v_half[r0:], scale[r0:], bufs,
+                                       r0, dt, n_steps):
                 if _meet(flags, dots, 1, step, own @ own, has_parent) is None:
                     break
-                np.multiply(K @ bufs[step & 1], s, out=work)
-                np.add(v, np.multiply(work, dt, out=work), out=v)
             os._exit(0)
         finally:
             os._exit(1)
     alive = lambda: os.waitpid(pid, os.WNOHANG)[0] == 0  # noqa: E731
     try:
-        yield (K[:r0], v_half[:r0], scale[:r0], bufs, np.argsort(order),
+        yield (_steps(K[:r0], v_half[:r0], scale[:r0], bufs, 0, dt, n_steps),
+               np.argsort(order),
                lambda step: _meet(flags, dots, 0, step, 0.0, alive))
     finally:
         flags[0] = -1
@@ -236,9 +241,9 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
     (whose store order publishes u before the flag after it) and no other
     thread (safe to fork), a forked helper owns the dofs from row r0 of
     ``_banded``'s order, this process the rest and every driven dof.  Each
-    updates its slices of u and v_half and computes its rows of ``K @ u``,
-    bit for bit; at one barrier per step this process alone takes over
-    the probes and divergence (u @ u sums the slices' partial dots).
+    steps its own dofs through ``_steps``, bit for bit; at one barrier per
+    step this process alone takes the pulse, the probes and divergence
+    (u @ u sums the slices' partial dots).
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValidationError("time step must be positive and finite")
@@ -288,13 +293,9 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
     start = time.perf_counter()
     v_half = 0.5 * dt * ((K @ np.zeros(ndof)) * scale)  # v at dt/2 from rest
     with _domains(K, v_half, scale, driven, dt, n_steps, split) as (
-            K, v_half, scale, bufs, pos, meet):
+            steps, pos, meet):
         driven, probes = pos[driven], pos[probes]
-        owns, work = [b[:len(v_half)] for b in bufs], np.empty(len(v_half))
-        for step in range(1, n_steps + 1):
-            u, own = bufs[step & 1], owns[step & 1]
-            np.add(owns[~step & 1], np.multiply(v_half, dt, out=work),
-                   out=own)
+        for step, u, own in steps:
             u[driven] = bcs.pulse(float(times[step]))
             dot = meet(step)
             history[step] = u[probes]
@@ -305,8 +306,6 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
                     times = times[:step + 1]
                     history = history[:step + 1]
                     break
-            np.multiply(K @ u, scale, out=work)
-            np.add(v_half, np.multiply(work, dt, out=work), out=v_half)
     wall = time.perf_counter() - start
     return RunResult(times=times, probe_history=history,
                      steps=len(times) - 1,

@@ -42,6 +42,7 @@ def element_max_frequency(K, M_lumped):
     return omega
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the NaN is the signal
 def _max_frequency(K, ml):
     """element_max_frequency of fault-free arrays; NaN, not eigensolved,
     where K m^-1/2 m^-1/2 is not finite (an extreme length scale)."""

@@ -179,7 +179,8 @@ def group_matrices(mesh, ids, alpha0="unit"):
     ok = np.isfinite(vol) & (vol > 0.0)
     if not ok.all():
         k = np.argmin(ok)
-        raise ValidationError(f"element {ids[k]}: non-positive measure "
+        what = "positive" if np.isfinite(vol[k]) else "finite"
+        raise ValidationError(f"element {ids[k]}: non-{what} measure "
                               f"{float(vol[k])!r}")
     nodes = meshmod.element_nodes(mesh, ids)
     n_el, n = nodes.shape

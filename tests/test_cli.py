@@ -150,10 +150,11 @@ def test_empty_mesh_timestep_rejected(tmp_path, capsys):
     assert "error: mesh has no elements" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_extreme_length_scale_timestep_names_element(tmp_path, capsys):
     # A valid mesh at 1e-150 m: a validation error naming the element
-    # (exit 1), not numpy's "Eigenvalues did not converge" (exit 2).
+    # (exit 1), not numpy's "Eigenvalues did not converge" (exit 2), and
+    # no overflow warning before it (any warning fails the run).
     from polyvem import benchmarks
     mesh = benchmarks.gen_benchmark("tri2d", 1e-1, "fem")
     path = tmp_path / "tiny.json"
@@ -475,6 +476,20 @@ def test_config_thresholds_read():
     assert cfg.thresholds == quality.QualityThresholds(
         angle_deg=89.5, edge_rel=1e-2)
     assert cfgmod.build_config().thresholds == quality.DEFAULT_THRESHOLDS
+
+
+def test_config_hash_is_pinned(capsys):
+    # The hash names an experiment manifest: the default one, and one
+    # that overrides every key, keep their values.
+    from polyvem import config as cfgmod
+    assert run(["--version"]) == 0
+    assert capsys.readouterr().out.endswith("(config c13afcc5eff9)\n")
+    every = {"E": "1e9", "nu": "0.25", "rho": "2000", "alpha0": "0.5",
+             "lumping": "diag_scale", "angle_deg": "10",
+             "face_area_rel": "1e-3", "face_separation": "50",
+             "edge_rel": "1e-2"}
+    assert set(every) == set(cfgmod._KEYS)
+    assert cfgmod.build_config(every).config_hash() == "0698dfd15517"
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

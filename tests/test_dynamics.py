@@ -908,6 +908,11 @@ def _split_cases():
     yield "driven-past-half", (_chain(6), np.ones(6),
                                _Pulse([4, 0, 1, 2, 3], dt), dt, 80 * dt,
                                [5, 4], 1e3)
+    # The loop's edges: no step at all, and one step.
+    yield "no-steps", (_chain(6), np.ones(6), _Pulse([0], dt), dt, 0.0,
+                       [5, 0], 1e3)
+    yield "one-step", (_chain(6), np.ones(6), _Pulse([0], dt), dt, dt,
+                       [5, 0], 1e3)
 
 
 SPLIT_CASES = dict(_split_cases())
@@ -922,6 +927,15 @@ def test_split_run_matches_reference_loop(name, monkeypatch, forks):
     res = dynamics.central_difference_run(*args)
     assert len(forks) == 1 and res.processes == 2
     _assert_same_run(res, _reference_run(*args))
+
+
+@needs_helper
+@pytest.mark.parametrize("name, steps", [("no-steps", 0), ("one-step", 1)])
+def test_split_edge_runs_leave_no_child(name, steps, monkeypatch, forks):
+    monkeypatch.setattr(dynamics, "PARALLEL_MIN_WORK", 0)
+    res = dynamics.central_difference_run(*SPLIT_CASES[name])
+    assert len(forks) == 1 and res.steps == steps
+    _no_child_left()
 
 
 @pytest.mark.parametrize("name", list(SPLIT_CASES) + ["tet-beam", "wedge"])

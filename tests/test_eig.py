@@ -285,9 +285,10 @@ def _scaled(mesh, factor):
                                       mesh.elements, mesh.material))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_extreme_length_scale_named_not_linalg_error():
-    # At 1e-150 the tri2d mesh is valid, but K m^-1/2 m^-1/2 overflows.
+    # At 1e-150 the tri2d mesh is valid, but K m^-1/2 m^-1/2 overflows:
+    # named, with no overflow warning (any warning fails the test).
     tiny = _scaled(benchmarks.gen_benchmark("tri2d", 1e-1, "fem"), 1e-150)
     with pytest.raises(ValidationError, match="^element 0: non-finite "
                        "mass-normalized stiffness"):
@@ -307,6 +308,19 @@ def test_extreme_length_scale_named_not_linalg_error():
              np.array(["row_sum"] * 3))
     with pytest.raises(ValidationError, match="^element 1: non-finite mass"):
         eig.time_step_report([late, early])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("name, variant, measure", [
+    ("wedge", "fem", "inf"), ("prism3d", "vem", "nan")])
+def test_overflowing_measure_named_non_finite(name, variant, measure):
+    # At 1e150 the element volume overflows to inf (or, through inf - inf,
+    # NaN): the measure is named non-finite, not non-positive.
+    huge = _scaled(benchmarks.gen_benchmark(name, 1e-1, variant), 1e150)
+    with pytest.raises(ValidationError, match=f"^element 0: non-finite "
+                       f"measure {measure}$"):
+        eig.critical_dt(huge, "vem")
 
 
 def test_scaled_valid_mesh_keeps_its_frequencies():
