@@ -273,8 +273,12 @@ def _beam_mesh_2d(case, variant):
 
 
 def _beam(case, variant):
-    mesh3d = meshmod.extrude(_beam_mesh_2d(case, variant), BEAM_DY)
-    return meshmod.split_prisms_to_tets(mesh3d) if variant == "fem" else mesh3d
+    plane = _beam_mesh_2d(case, variant)
+    if variant == "vem":
+        return meshmod.extrude(plane, BEAM_DY)
+    tris = plane.geometry.nodes.reshape(-1, 3)  # rows of extrude's prisms
+    return meshmod.prism_tets(meshmod._lifted(plane, BEAM_DY), np.hstack(
+        [tris, tris + plane.num_vertices]), plane.material)
 
 
 def beam_agglomeration_groups(case):

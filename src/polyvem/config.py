@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 from .mesh import MaterialParams, ValidationError
 from .quality import QualityThresholds, DEFAULT_THRESHOLDS
@@ -104,5 +104,4 @@ def build_config(file_values=None, **overrides):
 def apply_material(mesh, config):
     if config.material is None:
         return mesh
-    from .mesh import Mesh
-    return Mesh(mesh.dimension, mesh.vertices, mesh.elements, config.material)
+    return replace(mesh, material=config.material)

@@ -137,17 +137,25 @@ def _banded(K, driven):
     """(K in breadth-first order from the driven dofs or dof 0, unreached
     dofs last, each row's entries in stored order so its sum keeps its
     bits; the order; the half-nnz row r0, moved past the driven dofs)."""
+    indptr, indices = K.indptr, K.indices
+
+    def entries(rows):  # positions of the rows' stored entries, in order
+        start, count = indptr[rows], indptr[rows + 1] - indptr[rows]
+        return (np.repeat(start - (np.cumsum(count) - count), count)
+                + np.arange(count.sum()))
     seen, levels = np.zeros(K.shape[0], bool), []
     front = np.unique(driven) if driven.size else np.arange(K.shape[0])[:1]
     while front.size:
         seen[front] = True
         levels.append(front)
-        front = np.unique(K[front].indices)
-        front = front[~seen[front]]
+        reached = np.bincount(indices[entries(front)], minlength=len(seen))
+        front = np.flatnonzero((reached > 0) & ~seen)
     order = np.concatenate(levels + [np.flatnonzero(~seen)])
     pos = np.argsort(order)
-    K = K[order]
-    K.indices = pos[K.indices].astype(K.indices.dtype)
+    at = entries(order)
+    K = type(K)((K.data[at], pos[indices[at]].astype(indices.dtype),
+                 np.append(0, np.cumsum(np.diff(indptr)[order]))),
+                shape=K.shape)
     return K, order, max(int(np.searchsorted(K.indptr, K.nnz // 2)),
                          int(pos[driven].max(initial=-1)) + 1)
 
@@ -213,8 +221,9 @@ def _domains(K, v_half, scale, driven, dt, n_steps, split):
         finally:
             os._exit(1)
     alive = lambda: os.waitpid(pid, os.WNOHANG)[0] == 0  # noqa: E731
+    K = K[:r0]  # this process keeps only its own rows
     try:
-        yield (_steps(K[:r0], v_half[:r0], scale[:r0], bufs, 0, dt, n_steps),
+        yield (_steps(K, v_half[:r0], scale[:r0], bufs, 0, dt, n_steps),
                np.argsort(order),
                lambda step: _meet(flags, dots, 0, step, 0.0, alive))
     finally:
@@ -349,21 +358,17 @@ class BeamExperiment:
 
 @dataclass
 class BeamProblem:
-    """A beam mesh under one method: its element sweep, assembled K and
-    lumped M, and the beam's boundary dofs.  The element bound, the global
-    omega and the wave transit time are derived on demand."""
+    """A beam mesh under one method: the element bound's report, K and
+    lumped M of one sweep (not kept: ``beam_problem`` derives from it), and
+    the boundary dofs.  The global omega and transit time are on demand."""
 
     mesh: object
     method: str
-    systems: list
+    report: eig.TimeStepReport
     K: object
     M: np.ndarray
     fixed: np.ndarray
     driven: np.ndarray
-
-    @cached_property
-    def report(self):
-        return eig.time_step_report(self.systems)
 
     @property
     def constrained(self):
@@ -392,8 +397,9 @@ class BeamProblem:
 def beam_problem(mesh, method, alpha0="auto", lumping="auto"):
     """Build a BeamProblem from one element sweep of the mesh."""
     systems = eig.element_systems(mesh, method, alpha0, lumping)
+    report = eig.time_step_report(systems)
     K, M = assemble_systems(mesh, systems)
-    return BeamProblem(mesh, method, systems, K, M, *beam_boundary_dofs(mesh))
+    return BeamProblem(mesh, method, report, K, M, *beam_boundary_dofs(mesh))
 
 
 def pulse_duration(report):

@@ -98,7 +98,7 @@ _KERNELS = {"tri": tri3_matrices, "tet": tet4_matrices,
 def group_matrices(mesh, ids):
     """Reference-FEM (K, M) stacks of tri/tet/prism elements of one kind:
     row k is mesh element ids[k]."""
-    kind = mesh.elements[ids[0]].kind
+    kind = mesh.geometry.kinds[ids[0]]
     kernel = _KERNELS.get(kind)
     if kernel is None:
         raise ValidationError(f"element {ids[0]} (kind {kind!r}) has no "

@@ -182,7 +182,8 @@ def _newell_normal(tri):
 def _cross(u, v):
     """Row-wise 3D cross products: np.cross's bits, at less cost per call."""
     i, j = np.array([[1, 2, 0], [2, 0, 1]])
-    return u.take(i, -1) * v.take(j, -1) - u.take(j, -1) * v.take(i, -1)
+    out, other = u[..., i] * v[..., j], u[..., j]
+    return np.subtract(out, np.multiply(other, v[..., i], out=other), out=out)
 
 
 def _dots(x, y):

@@ -5,11 +5,11 @@ watertight sets of outward-oriented triangular faces.  Simplices and extruded
 prisms additionally carry an ordered corner-node list so the reference finite
 elements can be built on them; purely polytopal elements do not need one.
 ``tet_mesh`` is the one constructor of tetrahedral meshes (the benchmark
-tets, ``split_prisms_to_tets``): it orients every tet in one stacked pass
-and validates the mesh.  ``tet_element`` makes one tet whose nodes are
-already positively ordered.  ``fan`` is the one fan-triangulation rule: of
-the beam's plane split and of the caps of ``extrude``, which gives one
-polyhedron per plane element.
+tets, ``split_prisms_to_tets``): it orients every tet in one stacked pass,
+validates the mesh and keeps the array (``Mesh.tets``), which the table
+reads; its ``elements`` (a ``tet_element`` per row) are built when read,
+by ``save_mesh``, ``agglomerate.merge`` or HNI.  ``fan`` is the one fan
+rule: of the beam's plane split and of ``extrude``'s caps.
 
 Meshes are immutable by convention: nothing in this package mutates a mesh
 after construction, so instances can be shared freely.  Each mesh builds its
@@ -91,12 +91,23 @@ class Element:
 class Mesh:
     dimension: int
     vertices: np.ndarray
-    elements: tuple[Element, ...]
+    elements: tuple[Element, ...] | None  # None: built from tets when read
     material: MaterialParams = STEEL
+    tets: np.ndarray | None = None  # a tet mesh's (m, 4) int64 node ids
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", np.asarray(self.vertices, float))
-        object.__setattr__(self, "elements", tuple(self.elements))
+        elements = self.__dict__.pop("elements")  # None: __getattr__ builds
+        if elements is not None:
+            object.__setattr__(self, "elements", tuple(elements))
+
+    def __getattr__(self, name):  # elements: a tet_element per tets row
+        if name != "elements" or self.__dict__.get("tets") is None:
+            raise AttributeError(name)
+        used, ids = np.unique(self.tets, return_inverse=True)
+        rows = used.astype(object)[ids.reshape(-1, 4)]  # ints shared by tets
+        return self.__dict__.setdefault(
+            name, tuple(map(tet_element, zip(*rows.T.tolist()))))
 
     @property
     def num_vertices(self):
@@ -104,7 +115,7 @@ class Mesh:
 
     @property
     def num_elements(self):
-        return len(self.elements)
+        return len(self.elements if self.tets is None else self.tets)
 
     @cached_property
     def geometry(self):
@@ -132,10 +143,7 @@ def tet_mesh(vertices, tets, material=STEEL):
     tets = np.array(tets, np.int64).reshape(-1, 4)
     flip = tet_volume(*vertices.take(tets.T, 0, mode="clip")) < 0
     tets[flip, 1:3] = tets[flip, 2:0:-1]
-    used, ids = np.unique(tets, return_inverse=True)
-    rows = used.astype(object)[ids.reshape(-1, 4)]  # ints shared by tets
-    elements = map(tet_element, zip(*rows.T.tolist()))  # no list per tet
-    return validate_mesh(Mesh(3, vertices, elements, material))
+    return validate_mesh(Mesh(3, vertices, None, material, tets))
 
 
 def tet_volume(p0, p1, p2, p3):
@@ -164,6 +172,7 @@ def _unit(vectors, lengths):
 # Geometry table and validation
 
 _KIND_NODES = {"tri": 3, "tet": 4, "prism": 6}
+_TET_FACES = np.array(tet_element(range(4)).faces)  # rows of a tet's nodes
 _NEXT = {2: np.array([1, 0]), 3: np.array([1, 2, 0])}  # corner successors
 _FACE_CHECKS = ("faces must be triangles", "vertex index out of range",
                 "repeated vertex", "zero-area face")
@@ -190,24 +199,39 @@ class MeshGeometry:
     """
 
     def __init__(self, mesh):
-        dim, n_vert, els = mesh.dimension, mesh.num_vertices, mesh.elements
+        dim, n_vert = mesh.dimension, mesh.num_vertices
         V = self._V = (mesh.vertices if n_vert else np.zeros((1, dim))).view()
-        n_el = len(els)
-        conns = [el.loop if dim == 2 else el.faces for el in els]
-        sizes = np.array([len(c or ()) for c in conns], np.int64)
+        if mesh.tets is not None:  # a tet mesh: faces in tet_element's order
+            faces = mesh.tets[:, _TET_FACES].reshape(-1, 3)
+            n_el, lengths = len(mesh.tets), np.full(len(faces), 3)
+            sizes = given_count = np.full(n_el, 4)
+            missing, self.kinds = np.zeros(n_el, bool), ["tet"] * n_el
+            given_ids, has_nodes = mesh.tets.ravel(), ~missing
+        else:
+            els, n_el = mesh.elements, mesh.num_elements
+            conns = [el.loop if dim == 2 else el.faces for el in els]
+            sizes = np.array([len(c or ()) for c in conns], np.int64)
+            missing = np.array([c is None for c in conns], bool)
+            if dim == 2:
+                corners = _ids([v for c in conns if c for v in c])
+            else:
+                faces = _ids([v for c in conns if c for f in c for v in (
+                    tuple(f) + (None,) * 3)[:3]]).reshape(-1, 3)
+                lengths = np.array([len(f) for c in conns if c for f in c])
+            nodes = [el.nodes for el in els]
+            given_count = np.array([len(x or ()) for x in nodes], np.int64)
+            given_ids = _ids([v for x in nodes if x for v in x])
+            has_nodes = np.array([x is not None for x in nodes], bool)
+            self.kinds = [el.kind for el in els]
         owner = self.face_owner = np.repeat(np.arange(n_el), sizes)
         starts = np.cumsum(sizes) - sizes
         self.face_start = np.append(starts, len(owner))
         if dim == 2:
-            corners = _ids([v for c in conns if c for v in c])
             succ = np.arange(1, len(corners) + 1)
             succ[(starts + sizes - 1)[sizes > 0]] = starts[sizes > 0]
             faces = np.stack([corners, corners[succ]], axis=1)
             corner_owner = owner
         else:
-            faces = _ids([v for c in conns if c for f in c
-                          for v in (tuple(f) + (None,) * 3)[:3]])
-            faces = faces.reshape(-1, 3)
             corners, corner_owner = faces.ravel(), np.repeat(owner, 3)
         pts = V.take(faces, 0, mode="clip")  # ids out of range clipped
         if dim == 2:
@@ -216,26 +240,28 @@ class MeshGeometry:
             areas, normals = hni._norms(t), _unit(nu, hni._norms(nu))
         else:
             areas, normals = triangle_area_normal(pts)
-        self.edge_lengths = hni._norms(pts.take(_NEXT[dim], 1) - pts)
+        self.edge_lengths = np.stack([hni._norms(pts[:, j] - pts[:, i])
+                                      for i, j in enumerate(_NEXT[dim])], 1)
         self.faces, self.face_areas, self.face_normals = faces, areas, normals
+        del pts  # the table holds one (faces, 3, dim) stack at a time
+        if dim == 3:  # before the vertex sets, for a lower memory peak
+            self._unpaired = _unpaired(faces, corner_owner)
+            unpaired = _any(corner_owner[self._unpaired], n_el)
 
         # Each element's vertex set, sorted.
-        order, run = corner_runs = _runs(corner_owner, corners)
+        order, run = _runs(corner_owner, corners)
         count = np.bincount(run)
         head = order[np.cumsum(count) - count]
         set_owner, self._set_ids = corner_owner[head], corners[head]
         self._set_size = set_size = np.bincount(set_owner, minlength=n_el)
         self._set_start = np.cumsum(set_size) - set_size
+        del order, run, count, head, corner_owner
 
         # Node lists in dof order: the given nodes, else the 2D loop, else
         # the sorted vertex set of the faces.  The first node anchors the
         # moments.
-        node_lists = [el.nodes for el in els]
-        given_count = np.array([len(x or ()) for x in node_lists], np.int64)
-        given_ids = _ids([v for x in node_lists if x for v in x])
         given_owner = np.repeat(np.arange(n_el), given_count)
-        has_nodes = np.array([x is not None for x in node_lists], bool)
-        rule_owner, rule_ids = ((corner_owner, corners) if dim == 2 else
+        rule_owner, rule_ids = ((owner, corners) if dim == 2 else
                                 (set_owner, self._set_ids))
         derived = ~has_nodes[rule_owner]
         owners = np.concatenate([given_owner, rule_owner[derived]])
@@ -257,19 +283,18 @@ class MeshGeometry:
         # Validation: one (message, failing elements) pair per check, in
         # the order an element is checked.
         outside = (lambda ids: (ids < 0) | (ids >= n_vert))
-        missing = np.array([c is None for c in conns], bool)
         if dim == 2:
             checks = [
                 ("2D element lacks a loop", missing),
                 ("loop has < 3 vertices", sizes < 3),
                 ("repeated vertex in loop",
-                 _repeated(owner, corner_runs, n_el)),
+                 _repeated(owner, _runs(owner, corners), n_el)),
                 ("vertex index out of range",
                  _any(owner[outside(corners)], n_el)),
                 ("loop is not CCW or has vanishing area", self.degenerate),
-                ("loop self-intersects", _crossing(pts[:, 0], starts, sizes))]
+                ("loop self-intersects", _crossing(
+                    V.take(corners, 0, mode="clip"), starts, sizes))]
         else:
-            lengths = np.array([len(f) for c in conns if c for f in c], int)
             edge = self.edge_lengths.max(axis=1)
             self._face_check = np.zeros(len(faces), np.int64)  # 0: none
             for k, bad in reversed(list(enumerate(
@@ -277,7 +302,6 @@ class MeshGeometry:
                      (faces == faces.take(_NEXT[3], 1)).any(axis=1),
                      areas <= TAU_GEOM * edge * edge], 1))):
                 self._face_check[bad] = k
-            self._unpaired = _unpaired(faces, corner_owner)
             weighted = _sum_per(owner, areas[:, None] * normals, n_el)
             largest = np.zeros(n_el)
             np.maximum.at(largest, owner, areas)
@@ -285,11 +309,10 @@ class MeshGeometry:
                 ("3D element lacks faces", missing),
                 ("fewer than 4 faces", sizes < 4),
                 ("<face>", _any(owner[self._face_check > 0], n_el)),
-                ("<edge>", _any(corner_owner[self._unpaired], n_el)),
+                ("<edge>", unpaired),
                 ("faces are not watertight",
                  hni._norms(weighted) > 1e-12 * largest),
                 ("faces oriented inward (volume {volume:g})", volume <= 0.0)]
-        self.kinds = [el.kind for el in els]
         self._expected = np.array([_KIND_NODES.get(k, -1)
                                    for k in self.kinds], np.int64)
         self._given_count = given_count
@@ -316,8 +339,8 @@ class MeshGeometry:
     def _simplices(self):
         """(owner, local, det) of each face-to-anchor simplex: its element,
         its face's corners about the anchor and d! x its signed measure."""
-        local = (self._V.take(self.faces, 0, mode="clip")
-                 - self._origin[self.face_owner][:, None, :])
+        local = self._V.take(self.faces, 0, mode="clip")
+        local -= self._origin[self.face_owner][:, None, :]
         if local.shape[-1] == 2:
             return self.face_owner, local, _cross2(local[:, 0], local[:, 1])
         return self.face_owner, local, (
@@ -445,12 +468,11 @@ def _runs(*keys):
     """(order, run): the lexicographic order of the rows (first key most
     significant) and, per sorted row, the number of its run of equal rows."""
     order = np.lexsort(keys[::-1])
-    new = np.zeros(len(order), bool)
+    run = np.zeros(len(order), np.int64)  # 1 where the next run starts
     for key in keys:
         key = key[order]
-        new[1:] |= key[1:] != key[:-1]
-    new[:1] = True
-    return order, np.cumsum(new) - 1
+        run[1:] |= key[1:] != key[:-1]
+    return order, np.cumsum(run, out=run)
 
 
 def _repeated(owners, runs, n_elements):
@@ -465,8 +487,9 @@ def _unpaired(faces, owner):
     is it not matched by exactly one opposite half-edge of its element, or
     not unique?  Each undirected edge must be crossed once each way."""
     a, b = faces.ravel(), faces.take(_NEXT[3], 1).ravel()
-    order, run = _runs(owner, np.minimum(a, b), np.maximum(a, b))
-    forward = np.bincount(run, (a < b)[order])
+    ahead, high, low = a < b, np.maximum(a, b), np.minimum(a, b, out=b)
+    order, run = _runs(owner, low, high)
+    forward = np.bincount(run, ahead[order])
     bad = np.empty(len(a), bool)
     bad[order] = (np.bincount(run) != 2)[run] | (forward != 1)[run]
     return bad
@@ -519,9 +542,12 @@ def validate_mesh(mesh):
 
 def _max_pairwise_distance(pts):
     """Largest distance between two of the points (k, dim), or per stack
-    of a (..., k, dim) array."""
-    diff = pts[..., :, None, :] - pts[..., None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1).max(axis=(-2, -1)))
+    of a (..., k, dim) array; the pairs (i, i + s) one shift s at a time."""
+    top = np.zeros(pts.shape[:-2])
+    for s in range(1, pts.shape[-2]):
+        diff = pts[..., s:, :] - pts[..., :-s, :]
+        np.maximum(top, (diff ** 2).sum(axis=-1).max(axis=-1), out=top)
+    return np.sqrt(top)
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +621,7 @@ def extrude(mesh2d, thickness):
         raise ValidationError("extrude expects a 2D mesh")
     if thickness <= 0:
         raise ValidationError("extrude needs thickness > 0")
-    n2 = mesh2d.num_vertices
-    verts = np.zeros((2 * n2, 3))
-    verts[:n2, :2] = verts[n2:, :2] = mesh2d.vertices
-    verts[n2:, 2] = thickness
+    n2, verts = mesh2d.num_vertices, _lifted(mesh2d, thickness)
     elements = []
     for e, el in enumerate(mesh2d.elements):
         loop = tuple(el.loop)
@@ -618,6 +641,12 @@ def extrude(mesh2d, thickness):
     return validate_mesh(Mesh(3, verts, elements, mesh2d.material))
 
 
+def _lifted(mesh2d, thickness):
+    """The plane's vertices at z = 0, then at z = thickness (id + n2)."""
+    z = np.repeat([0.0, thickness], mesh2d.num_vertices)[:, None]
+    return np.hstack([np.tile(mesh2d.vertices, (2, 1)), z])
+
+
 # The three tets of a prism (a, b, c, d, e, f) turned so that a is the
 # bottom's smallest node: side quad (b, c, f, e) splits toward min(b, c).
 _PRISM_SPLIT = np.array([[0, 1, 2, 5, 0, 1, 5, 4, 0, 4, 5, 3],    # b < c
@@ -633,15 +662,18 @@ def split_prisms_to_tets(mesh):
     """
     if mesh.dimension != 3:
         raise ValidationError("split_prisms_to_tets expects a 3D mesh")
-    reject([el.kind != "prism" for el in mesh.elements], "not a prism",
+    reject([kind != "prism" for kind in mesh.geometry.kinds], "not a prism",
            range(mesh.num_elements))
-    nodes = np.array([el.nodes for el in mesh.elements], np.int64)
-    nodes = nodes.reshape(-1, 6)
-    turn = (nodes[:, :3].argmin(axis=1)[:, None] + np.arange(3)) % 3
-    nodes = np.take_along_axis(nodes, np.hstack([turn, turn + 3]), 1)
+    return prism_tets(mesh.vertices, mesh.geometry.nodes.reshape(-1, 6),
+                      mesh.material)
+
+
+def prism_tets(vertices, prisms, material):
+    """split_prisms_to_tets of (m, 6) prism rows, with no prism mesh."""
+    turn = (prisms[:, :3].argmin(axis=1)[:, None] + np.arange(3)) % 3
+    nodes = np.take_along_axis(prisms, np.hstack([turn, turn + 3]), 1)
     split = _PRISM_SPLIT[(nodes[:, 1] > nodes[:, 2]).astype(np.int64)]
-    return tet_mesh(mesh.vertices, np.take_along_axis(nodes, split, 1),
-                    mesh.material)
+    return tet_mesh(vertices, np.take_along_axis(nodes, split, 1), material)
 
 
 # ---------------------------------------------------------------------------
@@ -652,36 +684,28 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _list(ids):
+    return "[" + ", ".join(map(str, ids)) + "]"
+
+
 def save_mesh(mesh, path):
-    lines = ["{"]
-    lines.append(f'  "dimension": {mesh.dimension},')
-    vrows = [
-        "[" + ", ".join(_fmt(c) for c in row) + "]" for row in mesh.vertices
-    ]
-    lines.append('  "vertices": [')
-    lines.append("    " + ",\n    ".join(vrows))
-    lines.append("  ],")
-    erows = []
+    rows = []
     for el in mesh.elements:
-        if mesh.dimension == 2:
-            body = f'"loop": [{", ".join(str(v) for v in el.loop)}]'
-        else:
-            facestr = ", ".join(
-                "[" + ", ".join(str(v) for v in f) + "]" for f in el.faces)
-            body = f'"faces": [{facestr}]'
+        body = (f'"loop": {_list(el.loop)}' if mesh.dimension == 2 else
+                f'"faces": [{", ".join(map(_list, el.faces))}]')
         if el.kind != "poly" and el.nodes is not None:
-            body += (f', "kind": "{el.kind}", '
-                     f'"nodes": [{", ".join(str(v) for v in el.nodes)}]')
-        erows.append("{" + body + "}")
-    lines.append('  "elements": [')
-    lines.append("    " + ",\n    ".join(erows))
-    lines.append("  ],")
+            body += f', "kind": "{el.kind}", "nodes": {_list(el.nodes)}'
+        rows.append("{" + body + "}")
     m = mesh.material
-    lines.append(f'  "material": {{"E": {_fmt(m.youngs_modulus)}, '
-                 f'"nu": {_fmt(m.poisson_ratio)}, "rho": {_fmt(m.density)}}}')
-    lines.append("}")
+    vertices = ("[" + ", ".join(map(_fmt, row)) + "]" for row in mesh.vertices)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([
+            "{", f'  "dimension": {mesh.dimension},', '  "vertices": [',
+            "    " + ",\n    ".join(vertices), "  ],", '  "elements": [',
+            "    " + ",\n    ".join(rows), "  ],",
+            f'  "material": {{"E": {_fmt(m.youngs_modulus)}, '
+            f'"nu": {_fmt(m.poisson_ratio)}, "rho": {_fmt(m.density)}}}',
+            "}"]) + "\n")
 
 
 def load_mesh(path):
@@ -694,11 +718,8 @@ def load_mesh(path):
     try:
         dim = _integral(data["dimension"], "dimension")
         vertices = np.asarray(data["vertices"], dtype=float)
-        material = MaterialParams(
-            youngs_modulus=float(data["material"]["E"]),
-            poisson_ratio=float(data["material"]["nu"]),
-            density=float(data["material"]["rho"]),
-        )
+        material = MaterialParams(*(float(data["material"][key])
+                                    for key in ("E", "nu", "rho")))
         elements = []
         for e, raw in enumerate(data["elements"]):
             where = f"element {e}: "
@@ -728,8 +749,7 @@ def load_mesh(path):
                 raise KeyError("element needs 'loop' or 'faces'")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed mesh file {path}: {where}{exc}") from exc
-    mesh = Mesh(dim, vertices, elements, material)
-    return validate_mesh(mesh)
+    return validate_mesh(Mesh(dim, vertices, elements, material))
 
 
 def _integral(value, what="vertex id"):

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from polyvem import benchmarks, mesh as meshmod
+from polyvem import benchmarks, dynamics, eig, mesh as meshmod
 from polyvem.mesh import (Element, MaterialParams, Mesh, ParseError,
                           ValidationError, tet_element)
 
@@ -236,6 +236,22 @@ def test_tet_mesh_names_an_out_of_range_id():
         meshmod.tet_mesh(verts, [(0, 1, 2, 9)])
     with pytest.raises(ValidationError, match="^mesh has no elements$"):
         meshmod.tet_mesh(verts, [])
+
+
+def test_fem_path_builds_no_tet_element(monkeypatch):
+    # A tet mesh keeps its array: the FEM beam run and a catalog tet
+    # family's critical_dt read only the geometry table, never an Element.
+    def refused(nodes):
+        raise AssertionError("tet_element called on the FEM path")
+
+    monkeypatch.setattr(meshmod, "tet_element", refused)
+    exp = dynamics.tapered_beam_experiment("A", "fem", t_max_transits=0.01)
+    assert not exp.result.diverged
+    mesh = benchmarks.gen_benchmark("wedge", 1e-3, "fem")
+    assert eig.critical_dt(mesh, "fem").omega_star > 0.0
+    assert "elements" not in vars(mesh)
+    with pytest.raises(AssertionError, match="tet_element called"):
+        mesh.elements
 
 
 def test_is_convex():

@@ -197,3 +197,54 @@ def test_on_demand_fields_independent_of_read_order(beam_meshes):
         reference = _on_demand_fields(mesh, "convex")
         for first in ("scaled_moments", "centroid", "_raw"):
             assert _on_demand_fields(mesh, first) == reference
+
+
+def _table_bytes(mesh):
+    """Every array of the mesh's geometry table, eager then on demand, as
+    raw bytes; its kinds; and every element's error text."""
+    g = mesh.geometry
+    arrays = [(k, a) for k, a in vars(g).items() if isinstance(a, np.ndarray)]
+    arrays += [("centroid", g.centroid), ("convex", g.convex),
+               *((f"raw{k}", a) for k, a in enumerate(g._raw)),
+               *((str(k), g.scaled_moments[k])
+                 for k in sorted(g.scaled_moments))]
+    return ([(k, a.dtype.str, a.shape, a.tobytes()) for k, a in arrays],
+            g.kinds, [g.error(e) for e in range(mesh.num_elements)])
+
+
+def _assert_array_path_matches_elements(mesh):
+    # A fresh table built from the tet array is the one built from the
+    # elements, bit for bit, and the elements are tet_element's.
+    expected = tuple(tet_element(tuple(int(v) for v in row))
+                     for row in mesh.tets)
+    assert _table_bytes(Mesh(3, mesh.vertices, None, tets=mesh.tets)) == (
+        _table_bytes(Mesh(3, mesh.vertices, expected)))
+    assert mesh.elements == expected
+    assert all(type(v) is int for el in mesh.elements for v in el.nodes)
+
+
+# Rows of a tet on the four vertices of random_tet_mesh: positive,
+# inverted, with a repeated node, with an out-of-range or negative id.
+TET_ROWS = [(0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 1, 3), (0, 1, 2, 4),
+            (3, 1, 2, -1), (1, 2, 3, 0), (0, 0, 0, 0)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       rows=st.lists(st.sampled_from(TET_ROWS), min_size=1, max_size=4))
+def test_tet_array_table_matches_element_table(seed, rows):
+    verts = random_tet_mesh(np.random.default_rng(seed)).vertices
+    _assert_array_path_matches_elements(
+        Mesh(3, verts, None, tets=np.array(rows)))
+    if all(max(r) < 4 and min(r) >= 0 and len(set(r)) == 4 for r in rows):
+        _assert_array_path_matches_elements(meshmod.tet_mesh(verts, rows))
+
+
+def test_tet_array_table_matches_on_benchmark_meshes(beam_meshes):
+    meshes = [benchmarks.gen_benchmark(name, eps, "fem")
+              for name in ("wedge", "kite", "spireA", "spireB", "spireC")
+              for eps in (1e-1, 1e-5)]
+    meshes += [beam_meshes[(case, "fem")] for case in ("A", "B")]
+    for mesh in meshes:
+        assert mesh.tets is not None
+        _assert_array_path_matches_elements(mesh)
