@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import (agglomerate, benchmarks, config as cfgmod, dynamics, eig,
-               mesh as meshmod, quality, vem)
+               mesh as meshmod, quality)
 from .eig import NumericalError
 from .mesh import MeshError, ValidationError
 
@@ -209,12 +209,12 @@ def _cmd_timestep(args, cfg):
         report.write_csv(args.out)
     if args.dump_matrices:
         os.makedirs(args.dump_matrices, exist_ok=True)
-        for ids, _, Ks, mls, _ in systems:
+        for ids, _, Ks, mls in systems:
             for e, K, ml in zip(ids, Ks, mls):
-                vem.write_matrix_csv(
-                    K, os.path.join(args.dump_matrices, f"K_{e}.csv"))
-                vem.write_matrix_csv(
-                    ml, os.path.join(args.dump_matrices, f"Ml_{e}.csv"))
+                for name, matrix in (("K", K), ("Ml", np.atleast_2d(ml))):
+                    np.savetxt(os.path.join(args.dump_matrices,
+                                            f"{name}_{e}.csv"),
+                               matrix, fmt="%.17g", delimiter=",")
     print(f"omega_star={report.omega_star:.6e} rad/s  "
           f"dt_crit={report.dt_crit:.6e} s  "
           f"argmax_element={report.argmax_element}")
@@ -261,7 +261,9 @@ def _cmd_simulate(args, cfg):
         for path in filter(os.path.exists, created):
             os.remove(path)
         raise
-    dynamics.write_history_csv(exp, args.out)
+    np.savetxt(args.out, np.column_stack([exp.t_norm, exp.u_norm]),
+               fmt="%.17g", delimiter=",", header="t_norm,u_x_norm",
+               comments="")
     if args.summary:
         with open(args.summary, "w") as fh:
             json.dump(dynamics.run_summary(exp), fh, indent=2)

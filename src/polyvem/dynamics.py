@@ -61,7 +61,7 @@ def assemble_systems(mesh, systems):
 
     dim, n = mesh.dimension, mesh.num_vertices
     size = np.zeros(mesh.num_elements, np.int64)
-    for ids, _, _, ml, _ in systems:
+    for ids, _, _, ml in systems:
         size[ids] = ml.shape[1]
     start = np.cumsum(size) - size
     dofs, masses = np.empty(size.sum(), np.int64), np.empty(size.sum())
@@ -82,7 +82,7 @@ def assemble_systems(mesh, systems):
         comp * n + col)
     np.cumsum(np.tile(dim * deg, dim), out=indptr[1:])
     data = np.zeros(dim * block)
-    for (ids, nodes, K, ml, _), pair in zip(systems, pairs):
+    for (ids, nodes, K, ml), pair in zip(systems, pairs):
         n_el, nn = nodes.shape
         at = start[ids][:, None] + np.arange(dim * nn)
         dofs[at] = (comp * n + nodes[:, None, :]).reshape(n_el, dim * nn)
@@ -466,13 +466,6 @@ def run_beam(problem, dt, t_max_transits, tau):
         t_norm=result.times / problem.transit,
         u_norm=result.probe_history[:, 0] / BEAM_PULSE_AMPLITUDE,
     )
-
-
-def write_history_csv(experiment, path):
-    with open(path, "w") as fh:
-        fh.write("t_norm,u_x_norm\n")
-        for t, u in zip(experiment.t_norm, experiment.u_norm):
-            fh.write(f"{t:.17g},{u:.17g}\n")
 
 
 def run_summary(experiment):

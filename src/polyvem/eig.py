@@ -1,9 +1,9 @@
 """Element and global maximum frequencies; critical-time-step estimates.
 
 One element sweep (``element_systems``) builds every element's stiffness and
-lumped mass once, elements of equal kind, node and face count as one stack:
-``group_system`` lumps the consistent mass of either kernel
-(``vem.group_matrices``, ``fem.group_matrices``) with ``vem.lump``.
+lumped mass once, elements of equal kind, node and face count as one stack
+``(ids, nodes, K, ml)``: ``group_system`` lumps the consistent mass of either
+kernel (``vem.group_matrices``, ``fem.group_matrices``) with ``vem.lump``.
 ``time_step_report`` checks the sweep for faults once and reduces it to the
 element bound; ``dynamics.assemble_systems`` reduces it to the global
 matrices.  The element problems are solved with LAPACK (``eigvalsh``) one
@@ -80,21 +80,16 @@ def _reject_faults(fault, named=True):
 class TimeStepReport:
     """Per-element frequencies and the element-eigenvalue time-step bound."""
 
-    lumping: str
     omega_elements: np.ndarray
     omega_star: float
     dt_crit: float
     argmax_element: int
 
-    def rows(self):
-        for i, w in enumerate(self.omega_elements):
-            dt = 2.0 / w if w > 0 else float("inf")
-            yield i, float(w), dt
-
     def write_csv(self, path):
         with open(path, "w") as fh:
             fh.write("element_id,omega_max,dt_element\n")
-            for i, w, dt in self.rows():
+            for i, w in enumerate(self.omega_elements):
+                dt = 2.0 / w if w > 0 else float("inf")
                 fh.write(f"{i},{w:.17g},{dt:.17g}\n")
             fh.write(f"omega_star,{self.omega_star:.17g},"
                      f"{self.dt_crit:.17g},argmax={self.argmax_element}\n")
@@ -122,10 +117,11 @@ def element_groups(mesh):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _faults names inf, NaN
 def group_system(mesh, ids, method, alpha0="unit", lumping="auto"):
-    """(ids, node ids, K, lumped M, lumping used) of elements `ids`, one
-    group of element_groups, under one method; all but ids are stacks
-    whose row k is element ids[k]."""
+    """(ids, node ids, K, lumped M) of elements `ids`, one group of
+    element_groups, under one method; all but ids are stacks whose row k
+    is element ids[k]."""
     if method == "vem":
         em = vem.group_matrices(mesh, ids, alpha0=alpha0)
         nodes, K, M = em.nodes, em.K, em.M
@@ -135,9 +131,9 @@ def group_system(mesh, ids, method, alpha0="unit", lumping="auto"):
     else:
         raise ValueError(f"unknown method {method!r}")
     g = mesh.geometry
-    ml, used = vem.lump(M, lumping, mesh.material.density, g.volume[ids],
-                        mesh.dimension, convex=g.convex[ids], ids=ids)
-    return ids, nodes, K, ml, used
+    ml = vem.lump(M, lumping, mesh.material.density, g.volume[ids],
+                  mesh.dimension, convex=g.convex[ids], ids=ids)
+    return ids, nodes, K, ml
 
 
 def element_systems(mesh, method, alpha0="unit", lumping="auto"):
@@ -153,24 +149,18 @@ def time_step_report(systems):
     is named in a ValidationError.  Each group is eigensolved as one stack.
     """
     fault = np.zeros(sum(len(ids) for ids, *_ in systems), np.int64)
-    for ids, _, K, ml, _ in systems:
+    for ids, _, K, ml in systems:
         fault[ids] = _faults(K, ml)
     _reject_faults(fault)
     omegas = np.zeros(len(fault))
-    for ids, _, K, ml, _ in systems:
+    for ids, _, K, ml in systems:
         omegas[ids] = _max_frequency(K, ml)
     _reject_faults(3 * np.isnan(omegas))
     arg = int(np.argmax(omegas))
     omega_star = float(omegas[arg])
     dt = 2.0 / omega_star if omega_star > 0 else float("inf")
-    return TimeStepReport(
-        lumping=",".join(sorted({mode for *_, used in systems
-                                 for mode in used.tolist()})),
-        omega_elements=omegas,
-        omega_star=omega_star,
-        dt_crit=dt,
-        argmax_element=arg,
-    )
+    return TimeStepReport(omega_elements=omegas, omega_star=omega_star,
+                          dt_crit=dt, argmax_element=arg)
 
 
 def critical_dt(mesh, method, alpha0="unit", lumping="auto"):

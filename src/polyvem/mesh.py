@@ -1,14 +1,15 @@
 """Polytopal mesh: types, validation, JSON I/O, geometry queries, extrusion.
 
 A mesh is dimension-tagged.  2D elements are CCW vertex loops; 3D elements are
-watertight sets of outward-oriented triangular faces.  Simplices and extruded
+closed sets of outward-oriented triangular faces.  Simplices and extruded
 prisms additionally carry an ordered corner-node list so the reference finite
 elements can be built on them; purely polytopal elements do not need one.
-``tet_mesh`` is the one constructor of tetrahedral meshes (the benchmark
-tets, ``split_prisms_to_tets``): it orients every tet in one stacked pass,
-validates the mesh and keeps the array (``Mesh.tets``), which the table
-reads; its ``elements`` (a ``tet_element`` per row) are built when read,
-by ``save_mesh``, ``agglomerate.merge`` or HNI.  ``fan`` is the one fan
+A mesh's one connectivity field, ``cells``, holds its elements or a tet
+mesh's (m, 4) node rows.  ``tet_mesh`` is the one constructor of tet meshes
+(the benchmark tets, ``prism_tets``): it orients every row in one stacked
+pass and validates; the table reads the rows (``Mesh.tets``), and
+``Mesh.elements`` (a ``tet_element`` per row) is built when read, by
+``save_mesh``, ``agglomerate.merge`` or HNI.  ``fan`` is the one fan
 rule: of the beam's plane split and of ``extrude``'s caps.
 
 Meshes are immutable by convention: nothing in this package mutates a mesh
@@ -91,23 +92,27 @@ class Element:
 class Mesh:
     dimension: int
     vertices: np.ndarray
-    elements: tuple[Element, ...] | None  # None: built from tets when read
+    cells: tuple[Element, ...] | np.ndarray  # elements, or (m, 4) tet ids
     material: MaterialParams = STEEL
-    tets: np.ndarray | None = None  # a tet mesh's (m, 4) int64 node ids
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", np.asarray(self.vertices, float))
-        elements = self.__dict__.pop("elements")  # None: __getattr__ builds
-        if elements is not None:
-            object.__setattr__(self, "elements", tuple(elements))
+        if self.tets is None:
+            object.__setattr__(self, "cells", tuple(self.cells))
 
-    def __getattr__(self, name):  # elements: a tet_element per tets row
-        if name != "elements" or self.__dict__.get("tets") is None:
-            raise AttributeError(name)
+    @property
+    def tets(self):
+        """A tet mesh's (m, 4) int64 node ids, else None."""
+        return self.cells if isinstance(self.cells, np.ndarray) else None
+
+    @cached_property
+    def elements(self):
+        """The elements: the given tuple, or a tet_element per tets row."""
+        if self.tets is None:
+            return self.cells
         used, ids = np.unique(self.tets, return_inverse=True)
         rows = used.astype(object)[ids.reshape(-1, 4)]  # ints shared by tets
-        return self.__dict__.setdefault(
-            name, tuple(map(tet_element, zip(*rows.T.tolist()))))
+        return tuple(map(tet_element, zip(*rows.T.tolist())))
 
     @property
     def num_vertices(self):
@@ -115,7 +120,7 @@ class Mesh:
 
     @property
     def num_elements(self):
-        return len(self.elements if self.tets is None else self.tets)
+        return len(self.cells)
 
     @cached_property
     def geometry(self):
@@ -143,7 +148,7 @@ def tet_mesh(vertices, tets, material=STEEL):
     tets = np.array(tets, np.int64).reshape(-1, 4)
     flip = tet_volume(*vertices.take(tets.T, 0, mode="clip")) < 0
     tets[flip, 1:3] = tets[flip, 2:0:-1]
-    return validate_mesh(Mesh(3, vertices, None, material, tets))
+    return validate_mesh(Mesh(3, vertices, tets, material))
 
 
 def tet_volume(p0, p1, p2, p3):
@@ -198,6 +203,7 @@ class MeshGeometry:
     ``error(e)`` words it.  Every array is read-only.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")  # checks name inf, NaN
     def __init__(self, mesh):
         dim, n_vert = mesh.dimension, mesh.num_vertices
         V = self._V = (mesh.vertices if n_vert else np.zeros((1, dim))).view()
@@ -271,14 +277,15 @@ class MeshGeometry:
         self._origin = V.take(np.append(self.nodes, 0)[self.node_start[:-1]],
                               0, mode="clip")
 
-        with np.errstate(invalid="ignore"):
-            volume = np.bincount(owner, self._simplices()[2],
-                                 minlength=n_el) / math.factorial(dim)
-            diameter = np.zeros(n_el)
-            for group, p in self._vertex_sets():
-                diameter[group] = _max_pairwise_distance(p)
+        volume = np.bincount(owner, self._simplices()[2],
+                             minlength=n_el) / math.factorial(dim)
+        diameter = np.zeros(n_el)
+        for group, p in self._vertex_sets():
+            diameter[group] = _max_pairwise_distance(p)
         self.volume, self.diameter = volume, diameter
         self.degenerate = volume <= TAU_GEOM * diameter ** dim
+        infinite = ("non-finite measure {volume!r}",
+                    ~(np.isfinite(volume) & np.isfinite(diameter)))
 
         # Validation: one (message, failing elements) pair per check, in
         # the order an element is checked.
@@ -291,6 +298,7 @@ class MeshGeometry:
                  _repeated(owner, _runs(owner, corners), n_el)),
                 ("vertex index out of range",
                  _any(owner[outside(corners)], n_el)),
+                infinite,
                 ("loop is not CCW or has vanishing area", self.degenerate),
                 ("loop self-intersects", _crossing(
                     V.take(corners, 0, mode="clip"), starts, sizes))]
@@ -302,16 +310,12 @@ class MeshGeometry:
                      (faces == faces.take(_NEXT[3], 1)).any(axis=1),
                      areas <= TAU_GEOM * edge * edge], 1))):
                 self._face_check[bad] = k
-            weighted = _sum_per(owner, areas[:, None] * normals, n_el)
-            largest = np.zeros(n_el)
-            np.maximum.at(largest, owner, areas)
             checks = [
                 ("3D element lacks faces", missing),
                 ("fewer than 4 faces", sizes < 4),
                 ("<face>", _any(owner[self._face_check > 0], n_el)),
                 ("<edge>", unpaired),
-                ("faces are not watertight",
-                 hni._norms(weighted) > 1e-12 * largest),
+                infinite,
                 ("faces oriented inward (volume {volume:g})", volume <= 0.0)]
         self._expected = np.array([_KIND_NODES.get(k, -1)
                                    for k in self.kinds], np.int64)
@@ -355,6 +359,7 @@ class MeshGeometry:
                 :, None] + np.arange(k)], 0, mode="clip")
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def _raw(self):
         """Order-0, 1 and 2 moments about each anchor (the simplices',
         summed d!-scaled and divided once per element: a unit cube's volume
@@ -367,9 +372,8 @@ class MeshGeometry:
             np.einsum("fki,fkj->fij", local, local)
             + s[:, :, None] * s[:, None, :]), n_el) / (
             scale * (dim + 1) * (dim + 2))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            centroid = np.where((self.volume > 0.0)[:, None],
-                                first / self.volume[:, None], np.nan)
+        centroid = np.where((self.volume > 0.0)[:, None],
+                            first / self.volume[:, None], np.nan)
         return self.volume, *_frozen(first, second, centroid)
 
     @cached_property
@@ -381,7 +385,7 @@ class MeshGeometry:
     def scaled_moments(self):
         """Order-<=2 moments of the scaled monomials about each element's
         (centroid, diameter), one array per exponent tuple."""
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             table = hni.scaled_moment_table(self, self._raw[3], self.diameter)
         return dict(zip(table, _frozen(*table.values())))
 
@@ -426,7 +430,7 @@ class MeshGeometry:
             message = ("face orientation mismatch on edge "
                        f"({self.faces[f, j]}, {self.faces[f, (j + 1) % 3]})")
         return f"{where}: " + message.format(
-            volume=self.volume[index], kind=self.kinds[index],
+            volume=float(self.volume[index]), kind=self.kinds[index],
             expected=self._expected[index], count=self._given_count[index])
 
 
@@ -615,7 +619,7 @@ def extrude(mesh2d, thickness):
     The caps are the element's ``fan``, reversed at the bottom; each side
     quad splits by the diagonal from its lower-id vertex.  A triangle
     becomes a ``prism`` with nodes (bottom loop, top loop), as the reference
-    wedge element and ``split_prisms_to_tets`` read them.
+    wedge element and ``prism_tets`` read them.
     """
     if mesh2d.dimension != 2:
         raise ValidationError("extrude expects a 2D mesh")
@@ -653,23 +657,12 @@ _PRISM_SPLIT = np.array([[0, 1, 2, 5, 0, 1, 5, 4, 0, 4, 5, 3],    # b < c
                          [0, 1, 2, 4, 0, 4, 2, 5, 0, 4, 5, 3]])   # b > c
 
 
-def split_prisms_to_tets(mesh):
-    """The tet mesh of a prism mesh: three tetrahedra per prism, in order.
-
-    Each prism splits along the lowest-index diagonal of its quad side
-    faces, as ``extrude`` triangulates them, so shared faces of adjacent
-    prisms stay conforming.  Any other element is a ValidationError.
-    """
-    if mesh.dimension != 3:
-        raise ValidationError("split_prisms_to_tets expects a 3D mesh")
-    reject([kind != "prism" for kind in mesh.geometry.kinds], "not a prism",
-           range(mesh.num_elements))
-    return prism_tets(mesh.vertices, mesh.geometry.nodes.reshape(-1, 6),
-                      mesh.material)
-
-
 def prism_tets(vertices, prisms, material):
-    """split_prisms_to_tets of (m, 6) prism rows, with no prism mesh."""
+    """The tet mesh of (m, 6) prism node rows (bottom triangle, then top):
+    three tetrahedra per prism, in order.  Each prism splits along the
+    lowest-index diagonal of its quad side faces, as ``extrude``
+    triangulates them, so shared faces of adjacent prisms stay conforming.
+    """
     turn = (prisms[:, :3].argmin(axis=1)[:, None] + np.arange(3)) % 3
     nodes = np.take_along_axis(prisms, np.hstack([turn, turn + 3]), 1)
     split = _PRISM_SPLIT[(nodes[:, 1] > nodes[:, 2]).astype(np.int64)]

@@ -7,8 +7,9 @@ equal node and face counts as stacks: the strain-energy and L2 projectors
 come from nodal values of the scaled monomials plus one-point face
 integration (exact on simplex faces), each scattered with one
 ``np.add.at`` over the group's stacked faces and solved with batched
-``np.linalg.solve``.  ``lump`` diagonalizes a mass stack of either method;
-``eig.group_system`` is its one caller in the package.
+``np.linalg.solve``.  ``lump`` diagonalizes a mass stack of either method
+and returns the masses; ``eig.group_system`` is its one caller in the
+package.
 """
 
 from __future__ import annotations
@@ -129,8 +130,7 @@ def _solve(A, B, ids, message):
 
 def lump(M, mode, rho, volume, dim, convex=None, ids=None):
     """Diagonal (lumped) mass by row-sum or diagonal scaling, of one element
-    matrix or a stack; returns the lumped masses and the mode used (per
-    element, for a stack).
+    matrix or a stack.
 
     Mode "auto" picks row-sum for convex elements and diagonal scaling for
     nonconvex ones, which keeps every entry positive.  A non-positive entry
@@ -152,8 +152,7 @@ def lump(M, mode, rho, volume, dim, convex=None, ids=None):
                "use diag_scale" if np.ravel(row)[np.argmax(bad)] else
                "mass diagonal has a non-positive entry", ids)
     scale = dim * rho * volume / diag.sum(axis=-1)
-    ml = np.where(row[..., None], row_sum, diag * scale[..., None])
-    return ml, np.where(row, "row_sum", "diag_scale")[()]
+    return np.where(row[..., None], row_sum, diag * scale[..., None])
 
 
 # Stiffness/mass bundle of a group of elements, stacked along a leading
@@ -248,10 +247,3 @@ def group_matrices(mesh, ids, alpha0="unit"):
     return ElementMatrices(Kc + Ks, Kc, Ks, M, block_diagonal(Ms, dim),
                            nodes, D, Pi, D0, G0, B0, S0)
 
-
-def write_matrix_csv(matrix, path):
-    """Row-major CSV dump of one element matrix, 17 significant digits."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w") as fh:
-        for row in matrix:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")

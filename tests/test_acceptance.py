@@ -98,8 +98,8 @@ def test_criterion_3_kernel_psd_lumping():
             dim = mesh.dimension
             n_rigid = dim * (dim + 1) // 2
             for i in range(mesh.num_elements):
-                _, _, K, ml, _ = eig.group_system(mesh, [i], variant,
-                                                  "unit", "auto")
+                _, _, K, ml = eig.group_system(mesh, [i], variant,
+                                               "unit", "auto")
                 K, ml = K[0], ml[0]
                 rho = mesh.material.density
                 assert np.all(ml > 0), (name, eps, variant, i)

@@ -165,6 +165,32 @@ def test_extreme_length_scale_timestep_names_element(tmp_path, capsys):
         "error: element 0: non-finite mass-normalized stiffness\n")
 
 
+@pytest.mark.parametrize("name, method, message", [
+    ("wedge", "fem", "non-finite measure inf"),
+    ("kite", "vem", "non-finite measure inf"),
+    ("prism3d", "vem", "non-finite measure nan"),
+    ("tri2d", "vem", "non-positive or non-finite lumped mass entry"),
+    ("tri2d", "fem", None)])
+def test_overflowing_length_scale_timestep_names_element(
+        tmp_path, capsys, name, method, message):
+    # A mesh at 1e150 m: where its measures (3D) or moments (2D VEM)
+    # overflow, one error line names the element (exit 1), with no
+    # overflow warning before it; the tri2d FEM mesh keeps a finite dt.
+    from polyvem import benchmarks
+    mesh = benchmarks.gen_benchmark(name, 1e-1, method)
+    path = tmp_path / "huge.json"
+    meshmod.save_mesh(meshmod.Mesh(mesh.dimension, mesh.vertices * 1e150,
+                                   mesh.elements, mesh.material), path)
+    code = run(["timestep", "--mesh", str(path), "--method", method])
+    out, err = capsys.readouterr()
+    if message is None:
+        assert code == 0 and err == ""
+        assert 0.0 < float(out.split("dt_crit=")[1].split()[0]) < np.inf
+    else:
+        assert code == 1
+        assert err == f"error: element 0: {message}\n"
+
+
 def test_config_threads_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("lumping = auto\nthreads = 2\n")
@@ -263,6 +289,53 @@ def test_matrix_dump(tmp_path):
     K = np.loadtxt(dump / "K_0.csv", delimiter=",")
     assert K.shape == (15, 15)
     assert np.abs(K - K.T).max() <= 1e-9 * np.abs(K).max()
+
+
+# Doubles whose text is easy to get wrong: signed zeros, infinities, NaN,
+# the smallest subnormal, the largest double and a 17-digit fraction.
+AWKWARD = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                    np.finfo(float).max, -1.0 / 3.0])
+
+
+def test_history_csv_prints_each_double_to_17_digits(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+    from polyvem import dynamics
+    t, u = AWKWARD, AWKWARD[::-1]
+    experiment = SimpleNamespace(t_norm=t, u_norm=u, dt=1.0, result=(
+        SimpleNamespace(diverged=False, steps=len(t) - 1)))
+    monkeypatch.setattr(dynamics, "tapered_beam_experiment",
+                        lambda *args, **kwargs: experiment)
+    hist = tmp_path / "hist.csv"
+    assert run(["simulate", "--case", "A", "--method", "vem",
+                "--out", str(hist)]) == 0
+    assert hist.read_text().splitlines(keepends=True) == [
+        "t_norm,u_x_norm\n"] + [f"{a:.17g},{b:.17g}\n" for a, b in zip(t, u)]
+
+
+def test_matrix_dump_prints_each_double_to_17_digits(tmp_path, monkeypatch):
+    from polyvem import eig
+    K = np.resize(AWKWARD, (2, 3, 3))
+    ml = np.resize(AWKWARD[::-1], (2, 3))
+    monkeypatch.setattr(eig, "element_systems", lambda *args: [
+        (np.array([0, 1]), np.zeros((2, 1), int), K, ml)])
+    monkeypatch.setattr(eig, "time_step_report",
+                        lambda systems: eig.TimeStepReport(
+                            np.ones(2), 1.0, 2.0, 0))
+    mesh_path, dump = tmp_path / "tri.json", tmp_path / "dump"
+    assert run(["mesh-gen", "--name", "tri2d", "--eps", "1e-1",
+                "--out", str(mesh_path)]) == 0
+    assert run(["timestep", "--mesh", str(mesh_path), "--method", "fem",
+                "--dump-matrices", str(dump)]) == 0
+
+    def lines(rows):
+        return [",".join(format(v, ".17g") for v in row) + "\n"
+                for row in rows]
+
+    for e in (0, 1):
+        assert (dump / f"K_{e}.csv").read_text().splitlines(
+            keepends=True) == lines(K[e])
+        assert (dump / f"Ml_{e}.csv").read_text().splitlines(
+            keepends=True) == lines([ml[e]])
 
 
 def test_tables(tmp_path):

@@ -478,7 +478,7 @@ def _coo_reference(mesh, systems):
     mass summed per dof in element order."""
     ndof = mesh.dimension * mesh.num_vertices
     rows, cols, vals, per_element = [], [], [], {}
-    for ids, nodes, K, ml, _ in systems:
+    for ids, nodes, K, ml in systems:
         dofs = _element_dofs(mesh, nodes)
         rows.append(np.repeat(dofs, dofs.shape[1], axis=1).ravel())
         cols.append(np.tile(dofs, dofs.shape[1]).ravel())
@@ -500,7 +500,7 @@ def _sweep_order_sums(mesh, systems):
     term by term in sweep order."""
     ndof = mesh.dimension * mesh.num_vertices
     keys, vals = [], []
-    for _, nodes, K, _, _ in systems:
+    for _, nodes, K, _ in systems:
         dofs = _element_dofs(mesh, nodes)
         keys.append((dofs[:, :, None] * ndof + dofs[:, None, :]).ravel())
         vals.append(K.ravel())
@@ -565,10 +565,10 @@ def test_assembly_sums_each_entry_in_sweep_order(beam_meshes, name):
 def test_assembly_skips_an_empty_stack():
     mesh = benchmarks.gen_benchmark("wedge", 1e-1, "fem")
     systems = eig.element_systems(mesh, "fem", "unit")
-    ids, nodes, K, ml, used = systems[0]
+    ids, nodes, K, ml = systems[0]
     K0, M0 = dynamics.assemble_systems(mesh, systems)
     K1, M1 = dynamics.assemble_systems(
-        mesh, [*systems, (ids[:0], nodes[:0], K[:0], ml[:0], used)])
+        mesh, [*systems, (ids[:0], nodes[:0], K[:0], ml[:0])])
     for a, b in ((K1.data, K0.data), (K1.indices, K0.indices),
                  (K1.indptr, K0.indptr), (M1, M0)):
         assert a.tobytes() == b.tobytes()

@@ -154,8 +154,8 @@ SWEEP_CASES = (
 @pytest.mark.parametrize("name, eps, variant, method", SWEEP_CASES)
 def test_group_sweep_matches_one_element_views(name, eps, variant, method):
     # Every row of the stacked sweep is the group_system of its element
-    # alone (a stack of one) to rounding, with the same lumping mode and
-    # nodes; every element sits in exactly one row.
+    # alone (a stack of one) to rounding, with the same nodes; every
+    # element sits in exactly one row.
     if variant == "auto":
         mesh = agglomerate.auto_agglomerate(
             benchmarks.gen_benchmark(name, eps, "fem"))[0]
@@ -164,18 +164,22 @@ def test_group_sweep_matches_one_element_views(name, eps, variant, method):
     alpha0 = "auto" if name.startswith("beam") else "unit"
     systems = eig.element_systems(mesh, method, alpha0, "auto")
     rows = []
-    for ids, group_nodes, group_K, group_ml, group_used in systems:
+    for ids, group_nodes, group_K, group_ml in systems:
         for k, e in enumerate(ids):
-            _, nodes, K, ml, used = eig.group_system(mesh, [e], method,
-                                                     alpha0, "auto")
+            _, nodes, K, ml = eig.group_system(mesh, [e], method, alpha0,
+                                               "auto")
             assert np.abs(group_K[k] - K[0]).max() <= 1e-13 * np.abs(K).max()
             assert np.abs(group_ml[k] - ml[0]).max() <= 1e-13 * ml.max()
-            assert group_used[k] == used[0]
             assert (group_nodes[k] == nodes[0]).all()
             rows.append(e)
     assert sorted(rows) == list(range(mesh.num_elements))
-    if variant == "auto":
-        assert "diag_scale" in eig.time_step_report(systems).lumping
+    if variant == "auto":  # the non-convex unions take diag_scale masses
+        assert not mesh.geometry.convex.all()
+        for (ids, *_, ml), (*_, diag) in zip(
+                systems, eig.element_systems(mesh, method, alpha0,
+                                             "diag_scale")):
+            nonconvex = ~mesh.geometry.convex[ids]
+            assert ml[nonconvex].tobytes() == diag[nonconvex].tobytes()
 
 
 def separate_tets(apexes):
@@ -231,8 +235,7 @@ def test_nonpositive_lumped_mass_mid_batch_named():
         vem.lump(np.stack([good, good, -good]), "diag_scale", 1.0,
                  np.ones(3), 1, ids=[5, 7, 9])
     group = (np.array([0, 2, 1]), np.zeros((3, 1), int), np.zeros((3, 2, 2)),
-             np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
-             np.array(["row_sum"] * 3))
+             np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(ValidationError, match="^element 2: non-positive"):
         eig.time_step_report([group])
 
@@ -251,11 +254,9 @@ def test_unsound_element_rejected(K, mass, match):
     stack_K, stack_m = np.stack([np.eye(2), K]), np.array([[1.0, 1.0], mass])
     with pytest.raises(ValidationError, match="^element 1: " + match):
         eig.element_max_frequency(stack_K, stack_m)
-    group = (np.array([3, 1]), np.zeros((2, 1), int), stack_K, stack_m,
-             np.array(["row_sum"] * 2))
+    group = (np.array([3, 1]), np.zeros((2, 1), int), stack_K, stack_m)
     sound = (np.array([0, 2]), np.zeros((2, 1), int),
-             np.stack([np.eye(2)] * 2), np.ones((2, 2)),
-             np.array(["row_sum"] * 2))
+             np.stack([np.eye(2)] * 2), np.ones((2, 2)))
     with pytest.raises(ValidationError, match="^element 1: " + match):
         eig.time_step_report([group, sound])
 
@@ -263,10 +264,9 @@ def test_unsound_element_rejected(K, mass, match):
 def test_first_unsound_element_named_across_groups():
     # Element 1 (stiffness) precedes element 2 (mass) in element order.
     nan_K = (np.array([0, 1]), np.zeros((2, 1), int),
-             np.stack([np.eye(2), np.diag([np.nan, 1.0])]), np.ones((2, 2)),
-             np.array(["row_sum"] * 2))
+             np.stack([np.eye(2), np.diag([np.nan, 1.0])]), np.ones((2, 2)))
     nan_m = (np.array([2]), np.zeros((1, 1), int), np.eye(2)[None],
-             np.array([[np.nan, 1.0]]), np.array(["row_sum"]))
+             np.array([[np.nan, 1.0]]))
     for systems in ([nan_K, nan_m], [nan_m, nan_K]):
         with pytest.raises(ValidationError,
                            match="^element 1: non-finite stiffness"):
@@ -302,25 +302,22 @@ def test_extreme_length_scale_named_not_linalg_error():
         eig.element_max_frequency(np.stack([np.eye(2), K]),
                                   np.stack([np.ones(2), mass]))
     late = (np.array([0, 4]), np.zeros((2, 1), int), np.stack([np.eye(2), K]),
-            np.stack([np.ones(2), mass]), np.array(["row_sum"] * 2))
+            np.stack([np.ones(2), mass]))
     early = (np.array([3, 1, 2]), np.zeros((3, 1), int),
-             np.stack([np.eye(2), K, K]), np.stack([np.ones(2), mass, mass]),
-             np.array(["row_sum"] * 3))
+             np.stack([np.eye(2), K, K]), np.stack([np.ones(2), mass, mass]))
     with pytest.raises(ValidationError, match="^element 1: non-finite mass"):
         eig.time_step_report([late, early])
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("name, variant, measure", [
     ("wedge", "fem", "inf"), ("prism3d", "vem", "nan")])
 def test_overflowing_measure_named_non_finite(name, variant, measure):
     # At 1e150 the element volume overflows to inf (or, through inf - inf,
-    # NaN): the measure is named non-finite, not non-positive.
-    huge = _scaled(benchmarks.gen_benchmark(name, 1e-1, variant), 1e150)
+    # NaN): validation names the measure non-finite, with no warning.
+    mesh = benchmarks.gen_benchmark(name, 1e-1, variant)
     with pytest.raises(ValidationError, match=f"^element 0: non-finite "
                        f"measure {measure}$"):
-        eig.critical_dt(huge, "vem")
+        _scaled(mesh, 1e150)
 
 
 def test_scaled_valid_mesh_keeps_its_frequencies():

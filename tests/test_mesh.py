@@ -156,11 +156,18 @@ def test_watertightness_of_generated_meshes():
                 assert np.linalg.norm(total) <= 1e-12 * max(areas)
 
 
+def _split(prisms):
+    """prism_tets of a prism mesh's node rows."""
+    return meshmod.prism_tets(prisms.vertices,
+                              prisms.geometry.nodes.reshape(-1, 6),
+                              prisms.material)
+
+
 def test_split_prisms_conforming_volume():
     tri = Mesh(2, np.array([[0.0, 0], [1, 0], [0.1, 1.2]]),
                [Element(loop=(0, 1, 2), kind="tri", nodes=(0, 1, 2))])
     prism = meshmod.extrude(tri, 0.4)
-    tets = meshmod.split_prisms_to_tets(prism)
+    tets = _split(prism)
     assert tets.num_elements == 3
     vol = tets.geometry.volume.sum()
     assert vol == pytest.approx(prism.geometry.volume[0], rel=1e-13)
@@ -184,8 +191,8 @@ def test_split_prisms_orients_each_tet_in_place(reverse):
             Element(faces=el.faces, kind="prism",
                     nodes=tuple(el.nodes[i] for i in (0, 2, 1, 3, 5, 4)))
             for el in solid.elements])
-    tets = meshmod.split_prisms_to_tets(given)
-    assert tets.elements == meshmod.split_prisms_to_tets(solid).elements
+    tets = _split(given)
+    assert tets.elements == _split(solid).elements
     assert tets.num_elements == 3 * solid.num_elements
     for k, el in enumerate(tets.elements):
         assert set(el.nodes) <= set(solid.elements[k // 3].nodes)
@@ -200,14 +207,6 @@ def test_split_prisms_orients_each_tet_in_place(reverse):
 
     # Every tet face is shared by two tets or lies on a face of extrude's.
     assert boundary(tets) == boundary(solid)
-
-
-def test_split_prisms_refuses_other_elements():
-    plane = Mesh(2, np.array([[0.0, 0], [1, 0], [1, 1], [0, 1], [2, 0.5]]),
-                 [Element(loop=(0, 1, 2, 3)),
-                  Element(loop=(1, 4, 2), kind="tri", nodes=(1, 4, 2))])
-    with pytest.raises(ValidationError, match="^element 0: not a prism$"):
-        meshmod.split_prisms_to_tets(meshmod.extrude(plane, 0.5))
 
 
 def test_tet_mesh_flips_exactly_the_negative_rows():

@@ -6,11 +6,14 @@ objectivity, watertightness, volume additivity, and lumped-mass positivity.
 Together the loops cover well over a hundred randomized cases.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polyvem import agglomerate, benchmarks, eig, mesh as meshmod, quality, vem
+from polyvem import (agglomerate, benchmarks, config, eig, mesh as meshmod,
+                     quality, vem)
 from polyvem.mesh import Element, Mesh, tet_element
 
 from conftest import random_rotation, random_tet_mesh
@@ -87,13 +90,13 @@ def test_rotation_objectivity_randomized():
     for _ in range(20):
         mesh = random_tet_pair_mesh(rng)
         merged = agglomerate.merge(mesh, (0, 1))
-        _, _, K, ml, _ = eig.group_system(merged, [0], "vem", alpha0="unit")
+        _, _, K, ml = eig.group_system(merged, [0], "vem", alpha0="unit")
         omega = eig.element_max_frequency(K[0], ml[0])
         R = random_rotation(rng)
         rotated = Mesh(3, merged.vertices @ R.T, merged.elements,
                        merged.material)
-        _, _, K2, ml2, _ = eig.group_system(rotated, [0], "vem",
-                                            alpha0="unit")
+        _, _, K2, ml2 = eig.group_system(rotated, [0], "vem",
+                                         alpha0="unit")
         omega2 = eig.element_max_frequency(K2[0], ml2[0])
         assert omega2 == pytest.approx(omega, rel=1e-9)
 
@@ -123,9 +126,8 @@ def test_lumped_mass_positivity_randomized():
         mesh = random_tet_pair_mesh(rng)
         merged = agglomerate.merge(mesh, (0, 1))
         for lump_mode in ("diag_scale", "auto"):
-            _, _, _, ml, _ = eig.group_system(merged, [0], "vem",
-                                              alpha0="unit",
-                                              lumping=lump_mode)
+            _, _, _, ml = eig.group_system(merged, [0], "vem",
+                                           alpha0="unit", lumping=lump_mode)
             assert np.all(ml[0] > 0)
             total = 3 * mesh.material.density * merged.geometry.volume[0]
             assert ml[0].sum() == pytest.approx(total, rel=1e-12)
@@ -212,12 +214,24 @@ def _table_bytes(mesh):
             g.kinds, [g.error(e) for e in range(mesh.num_elements)])
 
 
+def test_material_override_copies_the_tet_array():
+    # A material override copies a tet mesh's array: neither mesh builds
+    # its elements, and the copy's table is the one tet_mesh builds.
+    source = benchmarks.gen_benchmark("kite", 1e-3, "fem")
+    cfg = config.build_config({"E": "1e9", "nu": "0.25", "rho": "1000"})
+    copy = config.apply_material(source, cfg)
+    assert copy.material == cfg.material and copy.tets is source.tets
+    assert _table_bytes(copy) == _table_bytes(
+        meshmod.tet_mesh(source.vertices, source.tets, cfg.material))
+    assert "elements" not in vars(source) and "elements" not in vars(copy)
+
+
 def _assert_array_path_matches_elements(mesh):
     # A fresh table built from the tet array is the one built from the
     # elements, bit for bit, and the elements are tet_element's.
     expected = tuple(tet_element(tuple(int(v) for v in row))
                      for row in mesh.tets)
-    assert _table_bytes(Mesh(3, mesh.vertices, None, tets=mesh.tets)) == (
+    assert _table_bytes(Mesh(3, mesh.vertices, mesh.tets)) == (
         _table_bytes(Mesh(3, mesh.vertices, expected)))
     assert mesh.elements == expected
     assert all(type(v) is int for el in mesh.elements for v in el.nodes)
@@ -235,7 +249,7 @@ TET_ROWS = [(0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 1, 3), (0, 1, 2, 4),
 def test_tet_array_table_matches_element_table(seed, rows):
     verts = random_tet_mesh(np.random.default_rng(seed)).vertices
     _assert_array_path_matches_elements(
-        Mesh(3, verts, None, tets=np.array(rows)))
+        Mesh(3, verts, np.array(rows)))
     if all(max(r) < 4 and min(r) >= 0 and len(set(r)) == 4 for r in rows):
         _assert_array_path_matches_elements(meshmod.tet_mesh(verts, rows))
 
@@ -248,3 +262,51 @@ def test_tet_array_table_matches_on_benchmark_meshes(beam_meshes):
     for mesh in meshes:
         assert mesh.tets is not None
         _assert_array_path_matches_elements(mesh)
+
+
+@functools.cache
+def _closed_elements():
+    """(vertices, faces) of closed elements, each on its own vertices: a
+    tet, an extruded triangle and hexagon, and the auto-agglomerated unions
+    of the 3D catalog families."""
+    hexagon = [(np.cos(a), np.sin(a)) for a in np.arange(6) * np.pi / 3]
+    meshes = [Mesh(3, np.vstack([np.zeros(3), np.eye(3)]),
+                   [tet_element((0, 1, 2, 3))])]
+    meshes += [meshmod.extrude(Mesh(2, np.array(loop), [Element(
+        loop=tuple(range(len(loop))))]), 0.7)
+        for loop in ([(0.0, 0.0), (1.0, 0.2), (0.3, 0.9)], hexagon)]
+    meshes += [agglomerate.auto_agglomerate(
+        benchmarks.gen_benchmark(name, eps, "fem"))[0]
+        for name in ("prism3d", "wedge", "kite", "spireA", "spireB",
+                     "spireC") for eps in (1e-3, 1e-5)]
+    out = []
+    for mesh in meshes:
+        for el in mesh.elements:
+            if mesh.num_elements == 1 or el.kind == "poly":
+                used, faces = np.unique(el.faces, return_inverse=True)
+                out.append((mesh.vertices[used], faces.reshape(-1, 3)))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pick=st.integers(0, 10 ** 6), seed=st.integers(0, 2 ** 32 - 1),
+       exponent=st.floats(-100.0, 100.0),
+       offset=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3))
+def test_paired_faces_are_watertight(pick, seed, exponent, offset):
+    # An element whose faces pass their checks and whose half-edges pair is
+    # a closed, oriented surface, so its area-weighted face normals cancel:
+    # validation needs no separate watertightness check.  Jittered, scaled
+    # by up to 1e+-100 and offset by up to 1e6, the table's own areas and
+    # normals sum to zero within 1e-12 of the largest area wherever the
+    # areas are finite.  (Where a face area underflows to zero, the
+    # zero-area face check refuses the element first.)
+    verts, faces = _closed_elements()[pick % len(_closed_elements())]
+    rng = np.random.default_rng(seed)
+    jittered = verts + rng.uniform(-0.05, 0.05, verts.shape)
+    moved = jittered * 10.0 ** exponent + np.array(offset)
+    g = Mesh(3, moved, [Element(faces=tuple(map(tuple, faces.tolist())))]
+             ).geometry
+    assume(not (g._face_check.any() or g._unpaired.any())
+           and np.isfinite(g.face_areas).all())
+    weighted = (g.face_areas[:, None] * g.face_normals).sum(axis=0)
+    assert np.linalg.norm(weighted) <= 1e-12 * g.face_areas.max()

@@ -189,29 +189,33 @@ def test_lumping_modes():
     rho = mesh.material.density
     M = vem.group_matrices(mesh, [0], alpha0="unit").M[0]
     vol = mesh.geometry.volume[0]
-    for mode in ("row_sum", "diag_scale"):
-        ml, used = vem.lump(M, mode, rho, vol, 3)
-        assert used == mode
+    diag = np.diag(M)
+    for mode, expected in (("row_sum", M.sum(axis=1)),
+                           ("diag_scale", diag * (3 * rho * vol / diag.sum()))):
+        ml = vem.lump(M, mode, rho, vol, 3)
+        assert ml.tobytes() == expected.tobytes()
         assert ml.sum() == pytest.approx(3 * rho * vol, rel=1e-12)
         assert np.all(ml > 0)
 
 
 def test_lump_auto_picks_by_convexity(kite_meshes):
-    mesh = kite_meshes[(1e-5, "vem")]
-    *_, used = eig.group_system(mesh, [0], "vem", alpha0="unit",
-                                lumping="auto")
-    assert not mesh.geometry.convex[0]
-    assert used[0] == "diag_scale"
-    cube = cube_mesh()
-    *_, used2 = eig.group_system(cube, [0], "vem", lumping="auto")
-    assert cube.geometry.convex[0]
-    assert used2[0] == "row_sum"
+    # "auto" gives a non-convex element the diag_scale masses and a convex
+    # one the row_sum masses, bit for bit; the two modes differ on both.
+    def masses(mesh, mode):
+        return eig.group_system(mesh, [0], "vem", lumping=mode)[3].tobytes()
+
+    for mesh, convex, mode, other in (
+            (kite_meshes[(1e-5, "vem")], False, "diag_scale", "row_sum"),
+            (cube_mesh(), True, "row_sum", "diag_scale")):
+        assert bool(mesh.geometry.convex[0]) is convex
+        assert masses(mesh, "auto") == masses(mesh, mode)
+        assert masses(mesh, "auto") != masses(mesh, other)
 
 
 def test_unit_tet_row_sum_quarter_mass():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     mesh = Mesh(3, verts, [tet_element((0, 1, 2, 3))])
-    _, _, _, ml, _ = eig.group_system(mesh, [0], "vem", lumping="row_sum")
+    _, _, _, ml = eig.group_system(mesh, [0], "vem", lumping="row_sum")
     rho = mesh.material.density
     assert ml[0] == pytest.approx(
         np.full(12, rho * (1.0 / 6.0) / 4.0), rel=1e-12)
@@ -226,14 +230,14 @@ def test_row_sum_negative_entry_raises():
 def test_rotation_objectivity():
     rng = np.random.default_rng(5)
     mesh = benchmarks.gen_benchmark("kite", 1e-3, "vem")
-    _, _, K, ml, _ = eig.group_system(mesh, [0], "vem", alpha0="unit")
+    _, _, K, ml = eig.group_system(mesh, [0], "vem", alpha0="unit")
     lam = np.linalg.eigvalsh(K[0] / np.sqrt(ml[0])[:, None]
                              / np.sqrt(ml[0])[None, :])
     for _ in range(3):
         R = random_rotation(rng)
         rotated = Mesh(3, mesh.vertices @ R.T, mesh.elements, mesh.material)
-        _, _, K2, ml2, _ = eig.group_system(rotated, [0], "vem",
-                                            alpha0="unit")
+        _, _, K2, ml2 = eig.group_system(rotated, [0], "vem",
+                                         alpha0="unit")
         lam2 = np.linalg.eigvalsh(K2[0] / np.sqrt(ml2[0])[:, None]
                                   / np.sqrt(ml2[0])[None, :])
         assert lam2[-1] == pytest.approx(lam[-1], rel=1e-9)
