@@ -10,7 +10,7 @@ from . import (agglomerate, benchmarks, config, dynamics, eig, fem, hni,
 from .mesh import (Element, MaterialParams, Mesh, MeshError, ParseError,
                    ValidationError, extrude, load_mesh, save_mesh)
 from .benchmarks import gen_benchmark
-from .eig import critical_dt, element_max_frequency, global_max_frequency
+from .eig import critical_dt, global_max_frequency
 from .dynamics import assemble, central_difference_run, tapered_beam_experiment
 
 __version__ = "0.1.0"

@@ -106,9 +106,10 @@ def _build_parser():
 
     p = add_parser("agglomerate", help="merge element groups")
     p.add_argument("--mesh", required=True)
-    p.add_argument("--groups",
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--groups",
                    help="semicolon-separated comma lists, e.g. '0,1;4,5'")
-    p.add_argument("--auto", action="store_true",
+    g.add_argument("--auto", action="store_true",
                    help="merge every flagged element with neighbors")
     p.add_argument("--out", required=True)
     p.add_argument("--mapping", help="write old->new id mapping CSV here")
@@ -125,9 +126,10 @@ def _build_parser():
     p = add_parser("eig-global", help="assembled maximum frequency")
     p.add_argument("--mesh", required=True)
     p.add_argument("--method", choices=("fem", "vem"), required=True)
-    p.add_argument("--fixed-nodes",
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--fixed-nodes",
                    help="comma list of node ids with all dofs fixed")
-    p.add_argument("--beam-bcs", action="store_true",
+    g.add_argument("--beam-bcs", action="store_true",
                    help="apply the tapered-beam boundary conditions")
     p.set_defaults(func=_cmd_eig_global)
 
@@ -144,13 +146,15 @@ def _build_parser():
 
     p = add_parser("integrate", help="integrate a monomial over one "
                                          "element")
-    p.add_argument("--mesh")
     p.add_argument("--element", type=int, default=0)
-    p.add_argument("--unit-tet", action="store_true")
-    p.add_argument("--unit-cube", action="store_true")
-    p.add_argument("--exp",
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--mesh")
+    g.add_argument("--unit-tet", action="store_true")
+    g.add_argument("--unit-cube", action="store_true")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--exp",
                    help="comma-separated exponents, e.g. 2,1,0")
-    p.add_argument("--moments", action="store_true",
+    g.add_argument("--moments", action="store_true",
                    help="print the scaled order-<=2 moment table instead")
     p.set_defaults(func=_cmd_integrate)
 
@@ -237,8 +241,8 @@ def _cmd_eig_global(args, cfg):
         fixed = np.concatenate([nodes + c * mesh.num_vertices
                                 for c in range(mesh.dimension)])
     omega, _, iters = eig.global_max_frequency(K, M, fixed)
-    print(f"omega_global={omega:.6e} rad/s  dt={2.0 / omega:.6e} s  "
-          f"iterations={iters}")
+    print(f"omega_global={omega:.6e} rad/s  "
+          f"dt={eig.critical_step(omega):.6e} s  iterations={iters}")
 
 
 def _cmd_simulate(args, cfg):

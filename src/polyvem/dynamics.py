@@ -300,7 +300,7 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
              and platform.machine() == "x86_64"
              and threading.active_count() == 1)
     start = time.perf_counter()
-    v_half = 0.5 * dt * ((K @ np.zeros(ndof)) * scale)  # v at dt/2 from rest
+    v_half = np.zeros(ndof)  # v at dt/2 from rest
     with _domains(K, v_half, scale, driven, dt, n_steps, split) as (
             steps, pos, meet):
         driven, probes = pos[driven], pos[probes]
@@ -390,7 +390,7 @@ class BeamProblem:
         if basis == "element":
             return self.report.dt_crit
         if basis == "global":
-            return 2.0 / self.omega_global
+            return eig.critical_step(self.omega_global)
         raise ValidationError(f"unknown dt basis {basis!r}")
 
 

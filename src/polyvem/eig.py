@@ -10,9 +10,10 @@ matrices.  The element problems are solved with LAPACK (``eigvalsh``) one
 stack per group; the global bound by power iteration on the mass-normalized
 stiffness with homogeneous constraints eliminated.  The element-eigenvalue
 inequality makes max_E omega_E an upper bound for the global omega, so
-dt = 2 / max_E omega_E is a safe explicit step.  A power iteration that
-stops at its cap (POWER_MAX_ITER) raises NumericalError: no global omega,
-and so no time step, comes from a stalled Rayleigh quotient.
+dt = 2 / max_E omega_E is a safe explicit step; ``critical_step`` is the one
+omega -> dt rule.  A power iteration that meets a non-finite Rayleigh
+quotient or stops at its cap (POWER_MAX_ITER) raises NumericalError: no
+global omega, and so no time step, comes from a stalled or overflowed loop.
 """
 
 from __future__ import annotations
@@ -28,52 +29,46 @@ class NumericalError(RuntimeError):
     """An iterative solve did not converge."""
 
 
-def element_max_frequency(K, M_lumped):
-    """Largest natural frequency of one element, or of a same-size stack.
-
-    Solves the symmetric standard problem L^-1 K L^-T with L = sqrt(M);
-    omega = sqrt(lambda_max).  ``K`` is (n, n) with ``M_lumped`` (n,), giving
-    a float, or (batch, n, n) with (batch, n), giving a (batch,) array.
-    """
-    K, ml = np.asarray(K, float), np.asarray(M_lumped, float)
-    _reject_faults(np.atleast_1d(_faults(K, ml)), ml.ndim > 1)
-    omega = _max_frequency(K, ml)
-    _reject_faults(np.atleast_1d(3 * np.isnan(omega)), ml.ndim > 1)
-    return omega
-
-
 @np.errstate(over="ignore", invalid="ignore")  # the NaN is the signal
 def _max_frequency(K, ml):
-    """element_max_frequency of fault-free arrays; NaN, not eigensolved,
-    where K m^-1/2 m^-1/2 is not finite (an extreme length scale)."""
+    """Largest natural frequency of each element of a fault-free stack,
+    K (batch, n, n) with lumped masses (batch, n): omega = sqrt(lambda_max)
+    of L^-1 K L^-T, L = sqrt(M); NaN, not eigensolved, where
+    K m^-1/2 m^-1/2 is not finite (an extreme length scale)."""
     inv_sqrt = 1.0 / np.sqrt(ml)
     A = K * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
     finite = np.isfinite(A).all(axis=(-2, -1))
     A[~finite] = 0.0
     lam = np.where(finite, np.linalg.eigvalsh(A)[..., -1], np.nan)
-    omega = np.sqrt(np.maximum(lam, 0.0))
-    return float(omega) if omega.ndim == 0 else omega
+    return np.sqrt(np.maximum(lam, 0.0))
 
 
 def _faults(K, ml):
-    """Per element of a stack (or one element): 1 if a lumped mass entry
-    is not positive and finite, else 2 if a stiffness entry is not finite,
-    else 0."""
+    """Per element of a stack: 1 if a lumped mass entry is not positive and
+    finite, else 2 if a stiffness entry is not finite, else 0."""
     return np.where(~((ml > 0.0) & (ml < np.inf)).all(axis=-1), 1,
                     2 * ~np.isfinite(K).all(axis=(-2, -1)))
 
 
-def _reject_faults(fault, named=True):
-    """A ValidationError for the first element with a fault (_faults codes,
-    or 3 for _max_frequency's NaN; by element id), named when `named`."""
+def _reject_faults(fault):
+    """A ValidationError naming the first element with a fault (_faults
+    codes, or 3 for _max_frequency's NaN; by element id)."""
     bad = np.flatnonzero(fault)
     if bad.size:
         e = bad[0]
-        raise meshmod.ValidationError((f"element {e}: " if named else "") + (
+        raise meshmod.ValidationError(f"element {e}: " + (
             "non-positive or non-finite lumped mass entry",
             "non-finite stiffness entry",
             "non-finite mass-normalized stiffness")[fault[e] - 1])
+
+
+def critical_step(omega):
+    """The explicit step dt = 2 / omega of a scalar or an array omega: inf
+    where omega == 0, and every other value divided (a NaN stays NaN)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        dt = np.where(omega == 0, np.inf, np.divide(2.0, omega))
+    return dt if np.ndim(omega) else float(dt)
 
 
 @dataclass
@@ -88,8 +83,8 @@ class TimeStepReport:
     def write_csv(self, path):
         with open(path, "w") as fh:
             fh.write("element_id,omega_max,dt_element\n")
-            for i, w in enumerate(self.omega_elements):
-                dt = 2.0 / w if w > 0 else float("inf")
+            dts = critical_step(self.omega_elements).tolist()
+            for i, (w, dt) in enumerate(zip(self.omega_elements, dts)):
                 fh.write(f"{i},{w:.17g},{dt:.17g}\n")
             fh.write(f"omega_star,{self.omega_star:.17g},"
                      f"{self.dt_crit:.17g},argmax={self.argmax_element}\n")
@@ -158,9 +153,7 @@ def time_step_report(systems):
     _reject_faults(3 * np.isnan(omegas))
     arg = int(np.argmax(omegas))
     omega_star = float(omegas[arg])
-    dt = 2.0 / omega_star if omega_star > 0 else float("inf")
-    return TimeStepReport(omega_elements=omegas, omega_star=omega_star,
-                          dt_crit=dt, argmax_element=arg)
+    return TimeStepReport(omegas, omega_star, critical_step(omega_star), arg)
 
 
 def critical_dt(mesh, method, alpha0="unit", lumping="auto"):
@@ -172,19 +165,23 @@ def critical_dt(mesh, method, alpha0="unit", lumping="auto"):
 POWER_TOL, POWER_MAX_ITER, POWER_SEED = 1e-6, 200000, 0
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def global_max_frequency(K, M_lumped, fixed_dofs=()):
     """Largest global frequency by power iteration on L^-1 K L^-T.
 
     ``K`` is dense or CSR; ``fixed_dofs`` are eliminated before iterating;
-    a fixed dof outside [0, n) is a ValidationError.  Returns (omega,
-    converged, iterations), converged always True: a loop that reaches
-    POWER_MAX_ITER raises NumericalError.
+    a fixed dof outside [0, n), or no free dof, is a ValidationError.
+    Returns (omega, converged, iterations), converged always True: a
+    non-finite Rayleigh quotient, or a loop that reaches POWER_MAX_ITER,
+    raises NumericalError.  omega is 0 only when K_ff x is exactly zero.
     """
     n = K.shape[0]
     fixed = np.asarray(list(fixed_dofs), dtype=int)
     if fixed.size and not (0 <= fixed.min() and fixed.max() < n):
         raise meshmod.ValidationError(f"fixed dof out of range [0, {n})")
     free = np.setdiff1d(np.arange(n), fixed)
+    if not free.size:
+        raise meshmod.ValidationError("every dof is fixed")
     ml = np.asarray(M_lumped, float)[free]
     if not np.all(ml > 0.0):
         raise meshmod.ValidationError("non-positive lumped mass entry")
@@ -200,11 +197,13 @@ def global_max_frequency(K, M_lumped, fixed_dofs=()):
     lam = 0.0
     for it in range(1, POWER_MAX_ITER + 1):
         y = apply(x)
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
+        if not y.any():
             return 0.0, True, it
         lam_new = float(x @ y)
-        x = y / norm
+        if not np.isfinite(lam_new):
+            raise NumericalError(f"power iteration: non-finite Rayleigh "
+                                 f"quotient {lam_new} at iteration {it}")
+        x = y / np.linalg.norm(y)
         if it > 1 and abs(lam_new - lam) <= POWER_TOL * abs(lam_new):
             return float(np.sqrt(max(lam_new, 0.0))), True, it
         lam = lam_new

@@ -60,12 +60,12 @@ class MaterialParams:
     density: float
 
     def __post_init__(self):
-        if not self.youngs_modulus > 0:
-            raise ValidationError("Young's modulus must be positive")
+        for name, value in (("Young's modulus", self.youngs_modulus),
+                            ("density", self.density)):
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be positive and finite")
         if not (0.0 <= self.poisson_ratio < 0.5):
             raise ValidationError("Poisson ratio must lie in [0, 0.5)")
-        if not self.density > 0:
-            raise ValidationError("density must be positive")
 
 
 STEEL = MaterialParams(youngs_modulus=210e9, poisson_ratio=0.3, density=7800.0)

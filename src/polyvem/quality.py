@@ -1,7 +1,7 @@
 """Shape diagnostics for tetrahedra, prisms and triangles: dihedral angles,
 sliver/wedge/spire/thin-prism classification, in one array pass over the
-mesh's geometry table (``mesh_report``; ``dihedral_angles`` is the one
-tetrahedron's six angles).  Thresholds are policy, not physics: the
+mesh's geometry table (``mesh_report``; ``tet_angles`` is its kernel of a
+stack of tetrahedra's six angles).  Thresholds are policy, not physics: the
 defaults separate the benchmark pathologies (mesh parameter <= 0.1) from
 well-shaped reference elements.  All classification inputs are scale- and
 rotation-invariant ratios.
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hni, mesh as meshmod
-from .mesh import ValidationError
 
 
 @dataclass(frozen=True)
@@ -65,13 +64,13 @@ def _degrees(cosines):
                       c.shape)
 
 
-def _tet_angles(v):
-    """Interior dihedral angles (degrees) of tets with corners v (m, 4, 3),
+def tet_angles(corners):
+    """Interior dihedral angles (degrees) of tets with corners (m, 4, 3),
     one row of six per tet, in _EDGE_FACES order."""
     # Outward normals of the face opposite each vertex.
-    _, normals = meshmod.triangle_area_normal(v[:, _OPPOSITE_FACES])
-    inward = ((v - v[:, _OPPOSITE_FACES[:, 0]]) * normals).sum(axis=-1) > 0
-    normals[inward] *= -1.0
+    _, normals = meshmod.triangle_area_normal(corners[:, _OPPOSITE_FACES])
+    apex = corners - corners[:, _OPPOSITE_FACES[:, 0]]
+    normals[(apex * normals).sum(axis=-1) > 0] *= -1.0
     return _degrees(-hni._dots(normals[:, _EDGE_FACES[:, 0]],
                                normals[:, _EDGE_FACES[:, 1]]))
 
@@ -113,7 +112,7 @@ def mesh_report(mesh, thresholds=DEFAULT_THRESHOLDS):
     meshmod.reject(tet & (nodes != 4), "not a tetrahedron", ids)
     # Smallest and largest angle (tets, triangles) or cap edge (prisms).
     lo, hi = np.full(n, np.nan), np.full(n, np.nan)
-    for mask, values in ((tet, _tet_angles), (tri, _tri_angles),
+    for mask, values in ((tet, tet_angles), (tri, _tri_angles),
                          (prism, _cap_edges)):
         if mask.any():
             a = values(mesh.vertices[meshmod.element_nodes(mesh, ids[mask])])
@@ -131,15 +130,6 @@ def mesh_report(mesh, thresholds=DEFAULT_THRESHOLDS):
     return [QualityReport(*row) for row in zip(
         ids.tolist(), label.tolist(), lo_out.tolist(), hi_out.tolist(),
         min_edge.tolist(), min_face.tolist(), volume.tolist())]
-
-
-def dihedral_angles(mesh, index):
-    """Interior dihedral angles (degrees) of a tetrahedron, one per edge:
-    the one-element view of the classification pass's angles."""
-    nodes = meshmod.element_nodes(mesh, [index])
-    if mesh.dimension != 3 or nodes.shape[1] != 4:
-        raise ValidationError(f"element {index} is not a tetrahedron")
-    return _tet_angles(mesh.vertices[nodes])[0].tolist()
 
 
 def write_csv(reports, path):

@@ -1,18 +1,28 @@
 """The library surface the benchmark in ``perfbench/`` depends on.
 
 ``perfbench/workloads.py`` runs the beams through ``tapered_beam_experiment``
-with keyword arguments and reads a few fields of its result;
-``perfbench/tracing.py`` replaces module attributes of ``eig`` and
-``dynamics`` with wrappers and reads some of their arguments and return
-values.  These tests pin that surface on short case-A runs, by wrapping the
-same module attributes, so that a change which would break the benchmark
-fails here first.
+with keyword arguments and reads a few fields of its result, and runs each
+catalog case through generation, a JSON round trip, ``critical_dt``,
+``mesh_report`` and ``auto_agglomerate``; ``perfbench/tracing.py`` replaces
+the module attributes listed in its ``LAYERS`` with wrappers and reads some
+of their arguments and return values.  These tests pin that surface on
+short case-A runs, by wrapping the same module attributes, and on one
+catalog case, so that a change which would break the benchmark fails here
+first.
 """
+
+import importlib.util
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polyvem import dynamics, eig
+from polyvem import agglomerate, benchmarks, dynamics, eig, quality
+from polyvem import mesh as meshmod
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture
@@ -83,3 +93,54 @@ def test_pulse_duration_is_looked_up_when_tau_is_not_given(calls):
         case="A", method="fem", dt_basis="global", t_max_transits=0.01)
     _check_run(exp, calls)
     assert len(calls["beam_pulse_duration"]) == 1
+
+
+def test_catalog_case_surface(tmp_path):
+    # The calls of one catalog case (workloads.case_outputs) and the
+    # reference omegas the workload checks them against.
+    refs = json.loads((PERFBENCH / "references" / "catalog.json").read_text())
+    family, eps = "spireB", 1e-05
+    ref = refs["cases"][f"{family} {eps!r}"]
+    meshes = {}
+    for variant in ("fem", "vem"):
+        mesh = benchmarks.gen_benchmark(family, eps, variant)
+        path = tmp_path / f"{variant}.json"
+        meshmod.save_mesh(mesh, path)
+        meshes[variant] = loaded = meshmod.load_mesh(path)
+        assert np.array_equal(loaded.vertices, mesh.vertices)
+        omega = eig.critical_dt(loaded, variant, alpha0="unit").omega_star
+        assert math.isclose(omega, ref[variant], rel_tol=1e-12)
+    fem_mesh = meshes["fem"]
+    assert len(quality.mesh_report(fem_mesh)) == fem_mesh.num_elements
+    merged, mapping, _ = agglomerate.auto_agglomerate(fem_mesh)
+    covered = sorted(i for members in mapping.values() for i in members)
+    assert covered == list(range(fem_mesh.num_elements))
+    omega = eig.critical_dt(merged, "vem", alpha0="unit").omega_star
+    assert math.isclose(omega, ref["agglomerated"], rel_tol=1e-12)
+
+
+# LAYERS entries whose attribute was already gone when this test was
+# written; the tracer lists them as missing.
+GONE = {"mesh.validate_element", "mesh.split_prisms_to_tets",
+        "mesh.element_geometry", "mesh.is_convex", "quality.classify",
+        "vem.element_matrices", "fem.element_matrices", "eig.element_system",
+        "eig.jacobi_eigenvalues_batch", "eig.jacobi_eigenvalues"}
+
+
+def test_traced_attributes_exist():
+    # Every other attribute the tracer wraps resolves to a callable, looked
+    # up as the tracer does ("Class.method" in the class's own namespace).
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = {f"{m}.{a}" for m, a, *_ in tracing.LAYERS}
+    assert GONE < names
+    for module_name, attr, *_ in tracing.LAYERS:
+        if f"{module_name}.{attr}" in GONE:
+            continue
+        module = importlib.import_module(f"polyvem.{module_name}")
+        owner_name, _, name = attr.rpartition(".")
+        owner = getattr(module, owner_name) if owner_name else module
+        fn = vars(owner).get(name)
+        assert callable(fn), f"{module_name}.{attr}"

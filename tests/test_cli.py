@@ -44,10 +44,11 @@ def test_integrate_element_out_of_range(capsys, element):
 
 
 def test_moments_table(capsys):
-    assert run(["integrate", "--unit-cube", "--exp", "0,0,0",
-                "--moments"]) == 0
-    out = capsys.readouterr().out
-    assert '"0,0,0",1' in out
+    # The header and one row per exponent of order <= 2, lowest first.
+    assert run(["integrate", "--unit-cube", "--moments"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "exponent,value" and len(lines) == 1 + 10
+    assert lines[1] == '"0,0,0",1'
 
 
 def test_mesh_gen_round_trip(tmp_path, capsys):
@@ -660,3 +661,90 @@ def test_non_integer_list_rejected(tmp_path, capsys, option, value, args):
     assert run(argv + ["--mesh", str(mesh_path), option, value]) == 1
     assert capsys.readouterr().err == (
         f"error: {option}: expected comma-separated integers, got 'a'\n")
+
+
+@pytest.mark.parametrize("key, name", [("E", "Young's modulus"),
+                                       ("rho", "density")])
+def test_non_finite_material_rejected(tmp_path, capsys, key, name):
+    # E or rho = inf, from a config file or a mesh file ("1e999" parses to
+    # inf), is refused before any element is built.
+    mesh_path = tmp_path / "kite.json"
+    run(["mesh-gen", "--name", "kite", "--eps", "1e-1", "--out",
+         str(mesh_path)])
+    cfg = tmp_path / "run.cfg"
+    values = {"E": "2e11", "nu": "0.3", "rho": "7800", key: "inf"}
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    huge = tmp_path / "huge.json"
+    text = mesh_path.read_text()
+    material = json.loads(text)["material"]
+    huge.write_text(text.replace(f'"{key}": {material[key]!r}',
+                                 f'"{key}": 1e999'))
+    capsys.readouterr()
+    for argv in (["--config", str(cfg), "--mesh", str(mesh_path)],
+                 ["--mesh", str(huge)]):
+        assert run(["timestep", "--method", "fem"] + argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {name} must be positive and finite\n")
+
+
+def _tri2d_mesh(path, factor=1.0):
+    from polyvem import benchmarks
+    mesh = benchmarks.gen_benchmark("tri2d", 1e-1, "fem")
+    meshmod.save_mesh(meshmod.Mesh(mesh.dimension, mesh.vertices * factor,
+                                   mesh.elements, mesh.material), path)
+    return mesh
+
+
+@pytest.mark.parametrize("factor", [1e-150, 1e150])
+def test_eig_global_extreme_length_scale_is_a_numerical_failure(
+        tmp_path, capsys, factor):
+    # At 1e-150 m the power loop's product overflows, at 1e150 m its norm
+    # underflows: one "numerical failure" line at the first non-finite
+    # Rayleigh quotient (exit 2), no warning and no ZeroDivisionError.
+    path = tmp_path / "scaled.json"
+    _tri2d_mesh(path, factor)
+    assert run(["eig-global", "--mesh", str(path), "--method", "fem"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("numerical failure: power iteration: non-finite "
+                          "Rayleigh quotient")
+
+
+def test_eig_global_every_node_fixed_rejected(tmp_path, capsys):
+    path = tmp_path / "tri.json"
+    mesh = _tri2d_mesh(path)
+    nodes = ",".join(str(n) for n in range(mesh.num_vertices))
+    assert run(["eig-global", "--mesh", str(path), "--method", "fem",
+                "--fixed-nodes", nodes]) == 1
+    assert capsys.readouterr().err == "error: every dof is fixed\n"
+
+
+@pytest.mark.parametrize("command, first, second", [
+    (["agglomerate", "--out", "{out}", "--mesh", "{mesh}"],
+     ["--groups", "0,1"], ["--auto"]),
+    (["eig-global", "--method", "fem", "--mesh", "{mesh}"],
+     ["--fixed-nodes", "0"], ["--beam-bcs"]),
+    (["integrate", "--exp", "0,0,0"], ["--mesh", "{mesh}"], ["--unit-tet"]),
+    (["integrate", "--exp", "0,0,0"], ["--mesh", "{mesh}"], ["--unit-cube"]),
+    (["integrate", "--exp", "0,0,0"], ["--unit-tet"], ["--unit-cube"]),
+    (["integrate", "--unit-cube"], ["--exp", "0,0,0"], ["--moments"]),
+], ids=["groups-auto", "fixed-nodes-beam-bcs", "mesh-unit-tet",
+        "mesh-unit-cube", "unit-tet-unit-cube", "exp-moments"])
+def test_conflicting_options_refused(tmp_path, capsys, command, first,
+                                     second):
+    # Each option alone runs; together they are a usage error (exit 1)
+    # instead of one of them being ignored.
+    mesh_path = tmp_path / "kite.json"
+    run(["mesh-gen", "--name", "kite", "--eps", "1e-1", "--out",
+         str(mesh_path)])
+
+    def argv(*options):
+        return [a.format(out=tmp_path / "m.json", mesh=mesh_path)
+                for a in command + [o for opt in options for o in opt]]
+
+    for alone in (first, second):
+        assert run(argv(alone)) == 0
+    capsys.readouterr()
+    for pair in ((first, second), (second, first)):
+        assert run(argv(*pair)) == 1
+        assert "not allowed with argument" in capsys.readouterr().err

@@ -1,6 +1,7 @@
-"""Eigenvalue machinery: stacked vs one-by-one element frequencies, the
-grouped element sweep against its one-element views, frequency bounds,
-scaling laws, and the reference time-step tables."""
+"""Eigenvalue machinery: the omega -> dt rule, stacked vs one-by-one
+element frequencies, the grouped element sweep against its one-element
+views, frequency bounds, the power loop's refusals, scaling laws, and the
+reference time-step tables."""
 
 import numpy as np
 import pytest
@@ -12,34 +13,57 @@ from polyvem.mesh import Mesh, ValidationError, tet_element
 from conftest import random_tet_mesh
 
 
-def test_jacobi_batch_matches_scalar():
+def sweep(K, ml, ids=None):
+    """A one-group element sweep of the stack K (batch, n, n) with lumped
+    masses ml (batch, n), its rows elements `ids` (default 0, 1, ...)."""
+    K, ml = np.asarray(K, float), np.asarray(ml, float)
+    ids = np.arange(len(K)) if ids is None else np.asarray(ids)
+    return [(ids, np.zeros((len(K), 1), int), K, ml)]
+
+
+def test_stacked_group_matches_one_element_sweeps():
     # A stack of element problems gives the one-by-one frequencies.
     rng = np.random.default_rng(4)
     mats = rng.standard_normal((7, 9, 9))
     mats = mats + mats.transpose(0, 2, 1)
     masses = rng.uniform(0.5, 2.0, size=(7, 9))
-    batch = eig.element_max_frequency(mats, masses)
+    batch = eig.time_step_report(sweep(mats, masses)).omega_elements
     assert batch.shape == (7,)
     for k in range(7):
-        assert batch[k] == pytest.approx(
-            eig.element_max_frequency(mats[k], masses[k]), rel=1e-11)
+        one = eig.time_step_report(sweep(mats[k:k + 1], masses[k:k + 1]))
+        assert batch[k] == pytest.approx(one.omega_star, rel=1e-11)
 
 
 def test_two_dof_closed_form():
     k, m = 7.0, 3.0
     K = np.array([[k, -k], [-k, k]])
-    omega = eig.element_max_frequency(K, np.array([m, m]))
-    assert omega == pytest.approx(np.sqrt(2 * k / m), rel=1e-12)
+    report = eig.time_step_report(sweep([K], [[m, m]]))
+    assert report.omega_star == pytest.approx(np.sqrt(2 * k / m), rel=1e-12)
+    assert report.dt_crit == 2.0 / report.omega_star
 
 
 def test_zero_stiffness_zero_frequency():
-    omega = eig.element_max_frequency(np.zeros((3, 3)), np.ones(3))
-    assert omega == 0.0
+    report = eig.time_step_report(sweep([np.zeros((3, 3))], [np.ones(3)]))
+    assert report.omega_star == 0.0 and report.dt_crit == np.inf
 
 
 def test_nonpositive_mass_rejected():
-    with pytest.raises(meshmod.ValidationError):
-        eig.element_max_frequency(np.eye(2), np.array([1.0, 0.0]))
+    with pytest.raises(ValidationError, match="^element 0: non-positive"):
+        eig.time_step_report(sweep([np.eye(2)], [[1.0, 0.0]]))
+
+
+def test_critical_step_is_two_over_omega():
+    # Bit for bit 2 / omega, for a scalar (a float) and an array alike;
+    # omega == 0 (of either sign) gives inf and a NaN stays NaN.
+    omegas = np.array([3.0, 7.3e4, 1e-300, 5e-324, 0.0, -0.0, np.inf, np.nan])
+    expected = [2.0 / w if w else np.inf for w in omegas.tolist()]
+    dts = eig.critical_step(omegas)
+    assert isinstance(dts, np.ndarray)
+    np.testing.assert_array_equal(dts, expected)
+    for w, dt in zip(omegas.tolist(), expected):
+        one = eig.critical_step(w)
+        assert type(one) is float
+        assert one == dt or (np.isnan(one) and np.isnan(dt))
 
 
 def test_frequency_scale_law():
@@ -248,12 +272,10 @@ def test_nonpositive_lumped_mass_mid_batch_named():
     (np.diag([1.0, -np.inf]), [1.0, 1.0], "non-finite stiffness"),
 ])
 def test_unsound_element_rejected(K, mass, match):
-    with pytest.raises(ValidationError, match="^" + match):
-        eig.element_max_frequency(K, np.array(mass))
-    # In a stack, the row is named; in a sweep, the element.
+    with pytest.raises(ValidationError, match="^element 0: " + match):
+        eig.time_step_report(sweep([K], [mass]))
+    # In a sweep of two groups, the element (not the row) is named.
     stack_K, stack_m = np.stack([np.eye(2), K]), np.array([[1.0, 1.0], mass])
-    with pytest.raises(ValidationError, match="^element 1: " + match):
-        eig.element_max_frequency(stack_K, stack_m)
     group = (np.array([3, 1]), np.zeros((2, 1), int), stack_K, stack_m)
     sound = (np.array([0, 2]), np.zeros((2, 1), int),
              np.stack([np.eye(2)] * 2), np.ones((2, 2)))
@@ -293,14 +315,11 @@ def test_extreme_length_scale_named_not_linalg_error():
     with pytest.raises(ValidationError, match="^element 0: non-finite "
                        "mass-normalized stiffness"):
         eig.critical_dt(tiny, "fem")
-    # A finite K and mass whose quotient overflows, one element and a
-    # stack (the row named), and in a sweep the lowest element id.
+    # A finite K and mass whose quotient overflows, alone and, in a sweep,
+    # the lowest element id.
     K, mass = np.diag([1e300, 1.0]), np.array([1e-10, 1.0])
-    with pytest.raises(ValidationError, match="^non-finite mass-normalized"):
-        eig.element_max_frequency(K, mass)
-    with pytest.raises(ValidationError, match="^element 1: non-finite mass"):
-        eig.element_max_frequency(np.stack([np.eye(2), K]),
-                                  np.stack([np.ones(2), mass]))
+    with pytest.raises(ValidationError, match="^element 0: non-finite mass"):
+        eig.time_step_report(sweep([K], [mass]))
     late = (np.array([0, 4]), np.zeros((2, 1), int), np.stack([np.eye(2), K]),
             np.stack([np.ones(2), mass]))
     early = (np.array([3, 1, 2]), np.zeros((3, 1), int),
@@ -339,3 +358,28 @@ def test_global_fixed_dofs_out_of_range_rejected(fixed):
         eig.global_max_frequency(K, np.ones(3), fixed)
     omega, converged, _ = eig.global_max_frequency(K, np.ones(3), [2])
     assert converged and omega == pytest.approx(2.0, rel=1e-6)
+
+
+def test_power_loop_refuses_every_dof_fixed():
+    with pytest.raises(ValidationError, match="^every dof is fixed$"):
+        eig.global_max_frequency(np.eye(3), np.ones(3), [0, 1, 2])
+
+
+def test_power_loop_zero_only_for_an_exactly_zero_product():
+    assert eig.global_max_frequency(np.zeros((3, 3)), np.ones(3)) == (
+        0.0, True, 1)
+
+
+@pytest.mark.parametrize("K, mass, iteration", [
+    (np.diag([1.0, np.nan]), [1.0, 1.0], 1),
+    (np.diag([1e300, 1.0]), [1e-10, 1.0], 1),  # K x m^-1 overflows
+    (np.diag([1e-200, 2e-200]), [1.0, 1.0], 2),  # |K x| underflows to 0
+])
+def test_power_loop_stops_at_non_finite_rayleigh_quotient(K, mass,
+                                                          iteration):
+    # A NumericalError at the first non-finite quotient, with no warning
+    # (any warning fails the test): neither a loop to POWER_MAX_ITER on
+    # NaN nor an omega of 0 made up from a norm that underflowed.
+    with pytest.raises(eig.NumericalError, match="non-finite Rayleigh "
+                       f"quotient .* at iteration {iteration}$"):
+        eig.global_max_frequency(K, np.array(mass))
