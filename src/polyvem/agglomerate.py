@@ -28,9 +28,6 @@ def merge(mesh, group):
     The union takes the slot of the smallest group index; other group
     elements are dropped (indices above them shift down).
     """
-    group = sorted(set(int(g) for g in group))
-    if not group:
-        raise MergeError("empty merge group")
     return _rebuild(mesh, [group])[0]
 
 
@@ -41,23 +38,26 @@ def merge_groups(mesh, groups):
     Each union lands at its smallest member's slot.  Returns the new mesh
     and {new element id: tuple of original ids}.
     """
-    cleaned = [sorted(set(int(g) for g in group)) for group in groups]
-    if any(len(members) < 2 for members in cleaned):
-        raise MergeError("merge groups need at least two elements")
-    ids = [g for members in cleaned for g in members]
-    if len(set(ids)) < len(ids):
-        raise MergeError("merge groups overlap")
-    return _rebuild(mesh, cleaned)
+    return _rebuild(mesh, groups)
 
 
 def _rebuild(mesh, groups):
-    """The mesh with each group (sorted, disjoint member lists) replaced by
-    its union at the slot of its smallest member; the other elements keep
-    their order.  Every union must pass validation and must not be
-    degenerate; the first union in element order that fails either raises.
-    Returns the new mesh and {new element id: tuple of original ids}."""
-    if any(g < 0 or g >= mesh.num_elements for members in groups
-           for g in members):
+    """The mesh with each group replaced by its union at the slot of its
+    smallest member; the other elements keep their order.  The one group
+    rule: a non-empty list of disjoint groups, each of at least two
+    distinct element indices in range.  Every union must pass validation
+    and must not be degenerate; the first union in element order that
+    fails either raises.  Returns the new mesh and {new element id: tuple
+    of original ids}."""
+    groups = [sorted(set(int(g) for g in group)) for group in groups]
+    ids = [g for members in groups for g in members]
+    if not groups:
+        raise MergeError("no merge groups")
+    if any(len(members) < 2 for members in groups):
+        raise MergeError("merge groups need at least two elements")
+    if len(set(ids)) < len(ids):
+        raise MergeError("merge groups overlap")
+    if min(ids) < 0 or max(ids) >= mesh.num_elements:
         raise MergeError("merge group index out of range")
     slot_of = {members[0]: members for members in groups}
     union_at = dict(zip(slot_of, _unions(mesh, groups)))
@@ -85,8 +85,6 @@ def _unions(mesh, groups):
     member then face order.  A row held twice is internal: its copies must
     be oppositely oriented, that is, the permutations sorting them differ
     in parity, and such pairs must connect the group."""
-    if not groups:
-        return []
     size = [len(members) for members in groups]
     members = np.concatenate(groups)
     rows, pos = meshmod.face_rows(mesh, members)

@@ -174,9 +174,8 @@ _MERGE_HEIGHT = 0.47  # rows; cut pieces shorter than this merge downward
 
 def _beam_2d(case):
     """(vertices, polygons, cells) of the beam's plane mesh: the polygons
-    the `fem` variant splits into triangles, in order, and the cells of the
-    `vem` variant, in element order, each as (loop, ids of the triangles it
-    covers)."""
+    the `fem` variant splits into triangles, in order, and the loops of
+    the `vem` variant's cells, in element order."""
     gap = BEAM_GAP[case]
     delta0 = 3.0 / _BEAM_SLOPE + gap / BEAM_DY
 
@@ -235,32 +234,24 @@ def _beam_2d(case):
             height = max(ell(i) - row, ell(i + 1) - row)
             pieces.append((piece, height < _MERGE_HEIGHT, i, row))
 
-    # fem fan-splits each quad, then each piece, into len(loop) - 2
-    # triangles; tris: a quad's (col, row) or a piece's index -> their ids.
-    polygons = [*quads.items(), *enumerate(p[0] for p in pieces)]
-    tris, count = {}, 0
-    for key, loop in polygons:
-        tris[key] = list(range(count, count + len(loop) - 2))
-        count += len(loop) - 2
-
-    # Cells: the quads not merged, then the pieces, a thin piece with the
-    # cell below it as a hexagon, and the two pieces of each turn last.
+    # fem fan-splits each quad, then each piece, into triangles.  Cells:
+    # the quads not merged, then the pieces, a thin piece with the cell
+    # below it as a hexagon, and the two pieces of each turn last.
+    polygons = [*quads.values(), *(p[0] for p in pieces)]
     merged, turns = [], {}
-    for k, (loop, flag, col, row) in enumerate(pieces):
+    for loop, flag, col, row in pieces:
         if flag == "turn":
-            turns.setdefault(col, []).append((loop, tris[k]))
+            turns.setdefault(col, []).append(loop)
         elif flag:
             below = quads.pop((col, row - 1))
-            merged.append(((*below[:2], *loop[1:], loop[0]),
-                           tris[col, row - 1] + tris[k]))
+            merged.append((*below[:2], *loop[1:], loop[0]))
         else:
-            merged.append((loop, tris[k]))
-    for col, ((tri, t1), (pent, t2)) in sorted(turns.items()):
+            merged.append(loop)
+    for col, (tri, pent) in sorted(turns.items()):
         # tri = (d, S, P_col); pent = (a, b, P_right, S, d); they share S-d.
-        merged.append(((*pent[:4], tri[2], tri[0]), t1 + t2))
-    cells = [(loop, tris[key]) for key, loop in quads.items()] + merged
-    return (np.array([xy for _, xy in points.values()]),
-            [loop for _, loop in polygons], cells)
+        merged.append((*pent[:4], tri[2], tri[0]))
+    return (np.array([xy for _, xy in points.values()]), polygons,
+            [*quads.values(), *merged])
 
 
 def _beam_mesh_2d(case, variant):
@@ -268,7 +259,7 @@ def _beam_mesh_2d(case, variant):
     elements = ([Element(loop=t, kind="tri", nodes=t)
                  for loop in polygons for t in meshmod.fan(verts, loop)]
                 if variant == "fem" else
-                [Element(loop=loop) for loop, _ in cells])
+                [Element(loop=loop) for loop in cells])
     return meshmod.validate_mesh(Mesh(2, verts, elements, STEEL_NU0))
 
 
@@ -279,16 +270,3 @@ def _beam(case, variant):
     tris = plane.geometry.nodes.reshape(-1, 3)  # rows of extrude's prisms
     return meshmod.prism_tets(meshmod._lifted(plane, BEAM_DY), np.hstack(
         [tris, tris + plane.num_vertices]), plane.material)
-
-
-def beam_agglomeration_groups(case):
-    """Tet groups pairing the beam's FEM mesh with its polytopal mesh.
-
-    Returns a list aligned with the `vem` variant's element order; entry k
-    holds the indices of the FEM tetrahedra whose union is polytopal
-    element k.  Driving explicit merges with these groups reproduces the
-    549-element mesh from the 3456-tet mesh.
-    """
-    return [tuple(t for tri in tris for t in (3 * tri, 3 * tri + 1,
-                                              3 * tri + 2))
-            for _, tris in _beam_2d(case)[2]]

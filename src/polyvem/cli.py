@@ -15,12 +15,10 @@ import sys
 
 import numpy as np
 
-from . import (agglomerate, benchmarks, config as cfgmod, dynamics, eig,
-               mesh as meshmod, quality)
+from . import (__version__, agglomerate, benchmarks, config as cfgmod,
+               dynamics, eig, mesh as meshmod, quality)
 from .eig import NumericalError
 from .mesh import MeshError, ValidationError
-
-VERSION = "0.1.0"
 
 
 def main(argv=None):
@@ -37,7 +35,7 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         if args.version:
-            print(f"polyvem {VERSION} (config {cfg.config_hash()})")
+            print(f"polyvem {__version__} (config {cfg.config_hash()})")
         elif cfg.material and args.command in ("simulate", "tables"):
             raise ValidationError(f"{args.command} keeps the benchmark "
                                   "material; remove E, nu, rho from --config")

@@ -328,11 +328,15 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
 
 
 def beam_boundary_dofs(mesh):
-    """(fixed dofs, driven x-dofs) for the beam: clamp x=0, drive x=4."""
+    """(fixed dofs, driven x-dofs) for the beam: clamp x=0, drive x=4.  A
+    mesh with no node at either end is not a beam and is refused."""
     n = mesh.num_vertices
     x = mesh.vertices[:, 0]
     left = np.where(np.abs(x) < 1e-12)[0]
     right = np.where(np.abs(x - 4.0) < 1e-12)[0]
+    if not (left.size and right.size):
+        raise ValidationError("beam boundary conditions need nodes at "
+                              "x = 0 and x = 4 (not a beam mesh)")
     fixed = np.concatenate([left, left + n, left + 2 * n,
                             right + n, right + 2 * n])
     driven = right.copy()

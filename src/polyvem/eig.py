@@ -53,14 +53,16 @@ def _faults(K, ml):
 
 def _reject_faults(fault):
     """A ValidationError naming the first element with a fault (_faults
-    codes, or 3 for _max_frequency's NaN; by element id)."""
+    codes, 3 for a NaN omega, 4 for an infinite 2 / omega; by element id)."""
     bad = np.flatnonzero(fault)
     if bad.size:
         e = bad[0]
         raise meshmod.ValidationError(f"element {e}: " + (
             "non-positive or non-finite lumped mass entry",
             "non-finite stiffness entry",
-            "non-finite mass-normalized stiffness")[fault[e] - 1])
+            "non-finite mass-normalized stiffness",
+            "mass-normalized stiffness underflows (length scale or "
+            "material out of range)")[fault[e] - 1])
 
 
 def critical_step(omega):
@@ -125,6 +127,8 @@ def group_system(mesh, ids, method, alpha0="unit", lumping="auto"):
         nodes = meshmod.element_nodes(mesh, ids)
     else:
         raise ValueError(f"unknown method {method!r}")
+    meshmod.reject(~K.any(axis=(-2, -1)), "stiffness underflows to zero "
+                   "(length scale or material out of range)", ids)
     g = mesh.geometry
     ml = vem.lump(M, lumping, mesh.material.density, g.volume[ids],
                   mesh.dimension, convex=g.convex[ids], ids=ids)
@@ -149,8 +153,10 @@ def time_step_report(systems):
     _reject_faults(fault)
     omegas = np.zeros(len(fault))
     for ids, _, K, ml in systems:
-        omegas[ids] = _max_frequency(K, ml)
-    _reject_faults(3 * np.isnan(omegas))
+        omegas[ids] = w = _max_frequency(K, ml)
+        fault[ids] = np.where(np.isnan(w), 3, 4 * (
+            K.any(axis=(-2, -1)) & ~np.isfinite(critical_step(w))))
+    _reject_faults(fault)
     arg = int(np.argmax(omegas))
     omega_star = float(omegas[arg])
     return TimeStepReport(omegas, omega_star, critical_step(omega_star), arg)

@@ -67,7 +67,10 @@ def _degrees(cosines):
 def tet_angles(corners):
     """Interior dihedral angles (degrees) of tets with corners (m, 4, 3),
     one row of six per tet, in _EDGE_FACES order."""
-    # Outward normals of the face opposite each vertex.
+    # Outward normals of the face opposite each vertex.  A power-of-two
+    # rescale of each tet is exact and keeps the normals' products finite.
+    corners = np.ldexp(corners, -np.frexp(np.abs(corners).max(axis=(1, 2)))[
+        1][:, None, None])
     _, normals = meshmod.triangle_area_normal(corners[:, _OPPOSITE_FACES])
     apex = corners - corners[:, _OPPOSITE_FACES[:, 0]]
     normals[(apex * normals).sum(axis=-1) > 0] *= -1.0

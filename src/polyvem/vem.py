@@ -168,8 +168,8 @@ def group_matrices(mesh, ids, alpha0="unit"):
 
     K is the consistency part plus the diagonally scaled stability; M is the
     L2-projector mass plus its rank correction.  A non-finite or
-    non-positive measure or a singular projector system raises a
-    ValidationError naming the element.
+    non-positive measure, a non-finite scaled moment or a singular
+    projector system raises a ValidationError naming the element.
     """
     g = mesh.geometry
     dim, rho = mesh.dimension, mesh.material.density
@@ -181,6 +181,10 @@ def group_matrices(mesh, ids, alpha0="unit"):
         what = "positive" if np.isfinite(vol[k]) else "finite"
         raise ValidationError(f"element {ids[k]}: non-{what} measure "
                               f"{float(vol[k])!r}")
+    moments = np.array([g.scaled_moments[key] for key in _MOMENTS[dim]])[
+        :, ids].T
+    reject(~np.isfinite(moments).all(axis=1), "non-finite second moment "
+           "(length scale out of range)", ids)
     nodes = meshmod.element_nodes(mesh, ids)
     n_el, n = nodes.shape
     n_rigid = dim * (dim + 1) // 2
@@ -239,8 +243,7 @@ def group_matrices(mesh, ids, alpha0="unit"):
                  :, :, None])
     S0 = _solve(G0, B0, ids,
                 "singular L2 projector system (degenerate element)")
-    H = rho * np.array([g.scaled_moments[key] for key in _MOMENTS[dim]])[
-        :, ids].T.reshape(n_el, dim + 1, dim + 1)
+    H = rho * moments.reshape(n_el, dim + 1, dim + 1)
     I_Pi0 = np.eye(n) - D0 @ S0
     Ms = (rho * vol)[:, None, None] * np.swapaxes(I_Pi0, 1, 2) @ I_Pi0
     M = block_diagonal(np.swapaxes(S0, 1, 2) @ H @ S0 + Ms, dim)

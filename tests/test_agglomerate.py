@@ -230,6 +230,25 @@ def test_merge_groups_overlap_rejected():
         agglomerate.merge_groups(mesh, [(0, 1), (1, 0)])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda mesh: agglomerate.merge(mesh, [0]), "at least two"),
+    (lambda mesh: agglomerate.merge(mesh, [1, 1]), "at least two"),
+    (lambda mesh: agglomerate.merge(mesh, []), "at least two"),
+    (lambda mesh: agglomerate.merge(mesh, [0, 2]), "out of range"),
+    (lambda mesh: agglomerate.merge_groups(mesh, []), "no merge groups"),
+    (lambda mesh: agglomerate.merge_groups(mesh, [(0, 1), (1,)]),
+     "at least two"),
+    (lambda mesh: agglomerate.merge_groups(mesh, [(0, -1)]), "out of range"),
+], ids=["merge-one", "merge-one-twice", "merge-empty", "merge-range",
+        "groups-empty", "groups-one", "groups-range"])
+def test_one_group_rule(call, message):
+    # merge and merge_groups judge groups by one rule: a non-empty list of
+    # disjoint groups, each of at least two distinct in-range elements.  A
+    # one-element group is refused, not rebuilt as a copy of itself.
+    with pytest.raises(MergeError, match=message):
+        call(two_tets())
+
+
 def test_face_shared_by_three_members_rejected():
     # Tets 0 and 2 both sit above face {0, 1, 2}, tet 1 below it.
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.2, 1],

@@ -33,7 +33,9 @@ def calls(monkeypatch):
     for module, name in ((dynamics, "central_difference_run"),
                          (dynamics, "run_beam"),
                          (dynamics, "beam_pulse_duration"),
-                         (eig, "global_max_frequency")):
+                         (eig, "global_max_frequency"),
+                         (agglomerate, "merge"),
+                         (agglomerate, "merge_groups")):
         inner = getattr(module, name)
 
         def wrapper(*args, _inner=inner, _name=name, **kwargs):
@@ -117,6 +119,17 @@ def test_catalog_case_surface(tmp_path):
     assert covered == list(range(fem_mesh.num_elements))
     omega = eig.critical_dt(merged, "vem", alpha0="unit").omega_star
     assert math.isclose(omega, ref["agglomerated"], rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("family", benchmarks.BENCHMARK_NAMES[:7])
+def test_catalog_vem_merges_once(calls, family):
+    # The tracer wraps both merge and merge_groups and counts a group for
+    # each call that reaches them: one catalog vem mesh is one merge, and
+    # neither merge calls the other, nor does auto-agglomeration.
+    benchmarks.gen_benchmark(family, 1e-5, "vem")
+    assert len(calls.pop("merge")) == 1
+    agglomerate.auto_agglomerate(benchmarks.gen_benchmark(family, 1e-5))
+    assert not calls
 
 
 # LAYERS entries whose attribute was already gone when this test was

@@ -124,32 +124,47 @@ def test_generator_determinism_bitwise():
 
 
 def test_beam_explicit_pairing_reproduces_polytopal_mesh(beam_meshes):
-    """Merging the recorded tet groups yields the 549-element mesh.
+    """Merging the derived tet groups yields the 549-element mesh.
 
-    Cap triangulations differ between the 2D-aggregate-then-extrude mesh
-    and the union of tets (both are valid boundary triangulations of the
-    same solid), so equivalence is asserted geometrically.
+    Each FEM tet belongs to the one VEM element whose vertex set holds all
+    four of its nodes (both variants share the beam's vertices), so the
+    groups come from the two meshes alone.  Cap triangulations differ
+    between the 2D-aggregate-then-extrude mesh and the union of tets (both
+    are valid boundary triangulations of the same solid), so equivalence
+    is asserted geometrically.
     """
     from polyvem import agglomerate
-    groups = benchmarks.beam_agglomeration_groups("A")
-    fem = beam_meshes[("A", "fem")]
-    vem = beam_meshes[("A", "vem")]
-    assert len(groups) == 549
-    assert sorted(t for g in groups for t in g) == list(range(3456))
-    rng = np.random.default_rng(0)
-    spot = set(rng.choice(549, size=40, replace=False))
-    spot |= {i for i, el in enumerate(vem.elements) if len(el.faces) == 20}
-    elements = agglomerate._unions(fem, groups)
-    union_mesh = meshmod.validate_mesh(
-        benchmarks.Mesh(3, fem.vertices, elements, fem.material))
-    assert union_mesh.num_elements == vem.num_elements
-    for k in sorted(spot):
-        a = set(meshmod.element_nodes(union_mesh, [k])[0].tolist())
-        b = set(meshmod.element_nodes(vem, [k])[0].tolist())
-        assert a == b, k
-        va = union_mesh.geometry.volume[k]
-        vb = vem.geometry.volume[k]
-        assert vb == pytest.approx(va, rel=1e-12)
+    for case in ("A", "B"):
+        fem = beam_meshes[(case, "fem")]
+        vem = beam_meshes[(case, "vem")]
+        g = vem.geometry
+        holders = [set() for _ in range(vem.num_vertices)]
+        for k, face in zip(g.face_owner.tolist(), g.faces.tolist()):
+            for v in face:
+                holders[v].add(k)
+        owners = [set.intersection(*(holders[v] for v in tet))
+                  for tet in fem.tets.tolist()]
+        assert len(owners) == 3456
+        assert all(len(owner) == 1 for owner in owners)
+        groups = [[] for _ in range(vem.num_elements)]
+        for t, (k,) in enumerate(owners):
+            groups[k].append(t)
+        assert len(groups) == 549 and all(groups)
+        rng = np.random.default_rng(0)
+        spot = set(rng.choice(549, size=40, replace=False))
+        spot |= {i for i, el in enumerate(vem.elements)
+                 if len(el.faces) == 20}
+        elements = agglomerate._unions(fem, groups)
+        union_mesh = meshmod.validate_mesh(
+            benchmarks.Mesh(3, fem.vertices, elements, fem.material))
+        assert union_mesh.num_elements == vem.num_elements
+        for k in sorted(spot):
+            a = set(meshmod.element_nodes(union_mesh, [k])[0].tolist())
+            b = set(meshmod.element_nodes(vem, [k])[0].tolist())
+            assert a == b, (case, k)
+            va = union_mesh.geometry.volume[k]
+            vb = vem.geometry.volume[k]
+            assert vb == pytest.approx(va, rel=1e-12)
 
 
 # SHA-256 of the save_mesh text of every benchmark mesh: the seven element

@@ -13,9 +13,12 @@ def run(args):
 
 
 def test_version(capsys):
+    import polyvem
     assert run(["--version"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("polyvem 0.1.0")
+    assert out.startswith("polyvem 0.1.0 (config ")
+    # One version string: the CLI prints the package's own.
+    assert cli.__version__ is polyvem.__version__
 
 
 def test_no_command_usage():
@@ -170,7 +173,7 @@ def test_extreme_length_scale_timestep_names_element(tmp_path, capsys):
     ("wedge", "fem", "non-finite measure inf"),
     ("kite", "vem", "non-finite measure inf"),
     ("prism3d", "vem", "non-finite measure nan"),
-    ("tri2d", "vem", "non-positive or non-finite lumped mass entry"),
+    ("tri2d", "vem", "non-finite second moment (length scale out of range)"),
     ("tri2d", "fem", None)])
 def test_overflowing_length_scale_timestep_names_element(
         tmp_path, capsys, name, method, message):
@@ -190,6 +193,26 @@ def test_overflowing_length_scale_timestep_names_element(
     else:
         assert code == 1
         assert err == f"error: element 0: {message}\n"
+
+
+@pytest.mark.parametrize("scale, message", [
+    (1e-40, "stiffness underflows to zero"),
+    (1e85, "mass-normalized stiffness underflows")])
+def test_underflowing_stiffness_timestep_names_element(tmp_path, capsys,
+                                                       scale, message):
+    # E = 1e-300 (positive and finite, so accepted) on a wedge at 1e-40 m
+    # has a stiffness of exactly 0, and at 1e85 m a mass-normalized
+    # stiffness that underflows to 0: refused by element, not dt = inf.
+    from polyvem import benchmarks
+    mesh = benchmarks.gen_benchmark("wedge", 1e-1, "fem")
+    path = tmp_path / "soft.json"
+    soft = meshmod.MaterialParams(1e-300, 0.3, 7800.0)
+    meshmod.save_mesh(meshmod.Mesh(3, mesh.vertices * scale, mesh.elements,
+                                   soft), path)
+    assert run(["timestep", "--mesh", str(path), "--method", "fem"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: element 0: {message} (length scale or material out of "
+        "range)\n")
 
 
 def test_config_threads_key_rejected(tmp_path, capsys):
@@ -384,6 +407,39 @@ def test_eig_global_beam_bcs(tmp_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()[-1]
     # Power iteration on the clamped, driven beam (ARPACK: 377766.4).
     assert out.startswith("omega_global=3.777558e+05 rad/s")
+
+
+def test_eig_global_beam_bcs_refuses_a_non_beam_mesh(tmp_path, capsys):
+    # The kite has nodes at x = 0 but none at x = 4: refused, not run
+    # with whatever nodes sit at x = 0 clamped.
+    mesh_path = tmp_path / "kite.json"
+    run(["mesh-gen", "--name", "kite", "--eps", "1e-1", "--out",
+         str(mesh_path)])
+    capsys.readouterr()
+    assert run(["eig-global", "--mesh", str(mesh_path), "--method", "fem",
+                "--beam-bcs"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: beam boundary conditions need nodes at x = 0 "
+                   "and x = 4 (not a beam mesh)\n")
+
+
+@pytest.mark.parametrize("groups, message", [
+    (";", "no merge groups"), (" ; ;", "no merge groups"),
+    ("0", "merge groups need at least two elements"),
+    ("0,0", "merge groups need at least two elements")])
+def test_agglomerate_degenerate_groups_refused(tmp_path, capsys, groups,
+                                               message):
+    # Only separators, or a group of one distinct element, is refused
+    # (exit 1, one error line, no output written), not a copy of the input.
+    mesh_path, out_path = tmp_path / "kite.json", tmp_path / "merged.json"
+    run(["mesh-gen", "--name", "kite", "--eps", "1e-1", "--out",
+         str(mesh_path)])
+    capsys.readouterr()
+    assert run(["agglomerate", "--mesh", str(mesh_path), "--groups", groups,
+                "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_path.exists()
 
 
 def test_agglomerate_mapping_records_groups(tmp_path):
@@ -722,7 +778,7 @@ def test_eig_global_every_node_fixed_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("command, first, second", [
     (["agglomerate", "--out", "{out}", "--mesh", "{mesh}"],
      ["--groups", "0,1"], ["--auto"]),
-    (["eig-global", "--method", "fem", "--mesh", "{mesh}"],
+    (["eig-global", "--method", "fem", "--mesh", "{beam}"],
      ["--fixed-nodes", "0"], ["--beam-bcs"]),
     (["integrate", "--exp", "0,0,0"], ["--mesh", "{mesh}"], ["--unit-tet"]),
     (["integrate", "--exp", "0,0,0"], ["--mesh", "{mesh}"], ["--unit-cube"]),
@@ -733,13 +789,19 @@ def test_eig_global_every_node_fixed_rejected(tmp_path, capsys):
 def test_conflicting_options_refused(tmp_path, capsys, command, first,
                                      second):
     # Each option alone runs; together they are a usage error (exit 1)
-    # instead of one of them being ignored.
-    mesh_path = tmp_path / "kite.json"
+    # instead of one of them being ignored.  The beam conditions need
+    # nodes at x = 0 and x = 4: the kite stretched from x in [-1, 1].
+    mesh_path, beam_path = tmp_path / "kite.json", tmp_path / "beam.json"
     run(["mesh-gen", "--name", "kite", "--eps", "1e-1", "--out",
          str(mesh_path)])
+    kite = meshmod.load_mesh(mesh_path)
+    meshmod.save_mesh(meshmod.Mesh(3, kite.vertices * [2.0, 1.0, 1.0]
+                                   + [2.0, 0.0, 0.0], kite.elements,
+                                   kite.material), beam_path)
 
     def argv(*options):
-        return [a.format(out=tmp_path / "m.json", mesh=mesh_path)
+        return [a.format(out=tmp_path / "m.json", mesh=mesh_path,
+                         beam=beam_path)
                 for a in command + [o for opt in options for o in opt]]
 
     for alone in (first, second):

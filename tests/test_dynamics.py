@@ -164,6 +164,17 @@ def test_determinism():
     assert np.array_equal(runs[0].probe_history, runs[1].probe_history)
 
 
+@pytest.mark.parametrize("shift", [0.0, 5.0])
+def test_beam_boundary_dofs_refuse_a_mesh_without_both_ends(shift):
+    # The kite spans x in [-1, 1]: nodes at x = 0 but none at x = 4;
+    # shifted by 5, a node at x = 4 but none at x = 0.
+    kite = benchmarks.gen_benchmark("kite", 1e-1, "fem")
+    mesh = Mesh(3, kite.vertices + [shift, 0.0, 0.0], kite.elements,
+                kite.material)
+    with pytest.raises(ValidationError, match="not a beam mesh"):
+        dynamics.beam_boundary_dofs(mesh)
+
+
 def test_beam_boundary_dofs(beam_meshes):
     mesh = beam_meshes[("A", "fem")]
     fixed, driven = dynamics.beam_boundary_dofs(mesh)
