@@ -60,14 +60,9 @@ def main(argv=None):
 
 
 def _load_config(args):
-    file_values = None
-    if getattr(args, "config", None):
-        file_values = cfgmod.parse_config_file(args.config)
-    overrides = {}
-    for key in ("alpha0", "lumping"):
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
-    return cfgmod.build_config(file_values, **overrides)
+    path = getattr(args, "config", None)
+    return cfgmod.build_config(path and cfgmod.parse_config_file(path),
+                               alpha0=getattr(args, "alpha0", None))
 
 
 def _build_parser():
@@ -77,8 +72,6 @@ def _build_parser():
     common.add_argument("--config", help="key=value configuration file")
     common.add_argument("--alpha0",
                         help="stabilization preset: auto, unit, or a number")
-    common.add_argument("--lumping",
-                        choices=("auto", "row_sum", "diag_scale"))
     parser = argparse.ArgumentParser(
         prog="polyvem",
         description=__doc__.splitlines()[0],
@@ -205,7 +198,7 @@ def _cmd_agglomerate(args, cfg):
 
 def _cmd_timestep(args, cfg):
     mesh = cfgmod.apply_material(meshmod.load_mesh(args.mesh), cfg)
-    systems = eig.element_systems(mesh, args.method, cfg.alpha0, cfg.lumping)
+    systems = eig.element_systems(mesh, args.method, cfg.alpha0)
     report = eig.time_step_report(systems)
     if args.out:
         report.write_csv(args.out)
@@ -225,12 +218,10 @@ def _cmd_timestep(args, cfg):
 def _cmd_eig_global(args, cfg):
     mesh = cfgmod.apply_material(meshmod.load_mesh(args.mesh), cfg)
     if args.beam_bcs:
-        problem = dynamics.beam_problem(mesh, args.method, cfg.alpha0,
-                                        cfg.lumping)
+        problem = dynamics.beam_problem(mesh, args.method, cfg.alpha0)
         K, M, fixed = problem.K, problem.M, problem.constrained
     else:
-        K, M = dynamics.assemble(mesh, args.method, alpha0=cfg.alpha0,
-                                 lumping=cfg.lumping)
+        K, M = dynamics.assemble(mesh, args.method, alpha0=cfg.alpha0)
         nodes = np.array(_int_list(args.fixed_nodes, "--fixed-nodes")
                          if args.fixed_nodes else [], dtype=int)
         for node in nodes:
@@ -258,7 +249,7 @@ def _cmd_simulate(args, cfg):
         exp = dynamics.tapered_beam_experiment(
             args.case, args.method, dt_factor=args.dt_factor,
             dt_basis=args.dt_basis, t_max_transits=args.transits,
-            alpha0=cfg.alpha0, lumping=cfg.lumping)
+            alpha0=cfg.alpha0)
     except BaseException:  # no run: remove the outputs made above
         for path in filter(os.path.exists, created):
             os.remove(path)
@@ -329,43 +320,36 @@ def _unit_shape(cube):
 
 def _cmd_tables(args, cfg):
     os.makedirs(args.out, exist_ok=True)
-    eps_2d = (1e-1, 1e-2, 1e-5, 1e-8)
-    eps_3d = (1e-1, 1e-3, 1e-5)
-    eps_pair = (1e-1, 1e-5)
-    _family_table(os.path.join(args.out, "table1.csv"), "tri2d", eps_2d,
-                  alpha0=cfg.alpha0, lumping=cfg.lumping)
-    _family_table(os.path.join(args.out, "table2.csv"), "prism3d", eps_3d,
-                  alpha0=cfg.alpha0, lumping=cfg.lumping)
-    _family_table(os.path.join(args.out, "table3.csv"), "wedge", eps_3d,
-                  alpha0=cfg.alpha0, lumping=cfg.lumping)
-    _family_table(os.path.join(args.out, "table4.csv"), "kite", eps_pair,
-                  alpha0=cfg.alpha0, lumping=cfg.lumping)
-    _spire_table(os.path.join(args.out, "table5.csv"), eps_pair,
-                 alpha0=cfg.alpha0, lumping=cfg.lumping)
-    problems = _beam_table(os.path.join(args.out, "table6.csv"),
-                           alpha0=cfg.alpha0, lumping=cfg.lumping)
+    eps_3d, eps_pair = (1e-1, 1e-3, 1e-5), (1e-1, 1e-5)
+    for k, (name, eps) in enumerate((("tri2d", (1e-1, 1e-2, 1e-5, 1e-8)),
+                                     ("prism3d", eps_3d), ("wedge", eps_3d),
+                                     ("kite", eps_pair)), 1):
+        _family_table(os.path.join(args.out, f"table{k}.csv"), name, eps,
+                      cfg.alpha0)
+    _spire_table(os.path.join(args.out, "table5.csv"), eps_pair, cfg.alpha0)
+    problems = _beam_table(os.path.join(args.out, "table6.csv"), cfg.alpha0)
     _beam_steps_table(os.path.join(args.out, "table7.csv"), problems,
                       args.with_dynamics)
     print(f"wrote table1.csv .. table7.csv under {args.out}")
 
 
-def _variant_reports(name, eps, alpha0, lumping):
+def _variant_reports(name, eps, alpha0):
     """Element-bound reports of both variants of a benchmark at eps.  The
     O(1)-sized element studies use the unit stabilization scale; "auto"
     resolves to h_E only on the beam meshes."""
     a0 = "unit" if alpha0 == "auto" else alpha0
     return {variant: eig.critical_dt(
                 benchmarks.gen_benchmark(name, eps, variant), variant,
-                alpha0=a0, lumping=lumping)
+                alpha0=a0)
             for variant in ("fem", "vem")}
 
 
-def _family_table(path, name, eps_values, alpha0, lumping):
+def _family_table(path, name, eps_values, alpha0):
     with open(path, "w") as fh:
         fh.write("eps,method,omega_max,argmax_element,omega_reference,"
                  "dt_ratio_vem_over_fem\n")
         for eps in eps_values:
-            rows = _variant_reports(name, eps, alpha0, lumping)
+            rows = _variant_reports(name, eps, alpha0)
             ratio = rows["fem"].omega_star / rows["vem"].omega_star
             for variant, rep in rows.items():
                 others = [w for i, w in enumerate(rep.omega_elements)
@@ -376,17 +360,17 @@ def _family_table(path, name, eps_values, alpha0, lumping):
                          f"{rep.argmax_element},{ref:.6e},{tail}\n")
 
 
-def _spire_table(path, eps_values, alpha0, lumping):
+def _spire_table(path, eps_values, alpha0):
     with open(path, "w") as fh:
         fh.write("eps,case,omega_fem,omega_vem,dt_ratio_vem_over_fem\n")
         for eps in eps_values:
             for case in ("A", "B", "C"):
-                rows = _variant_reports(f"spire{case}", eps, alpha0, lumping)
+                rows = _variant_reports(f"spire{case}", eps, alpha0)
                 wf, wv = rows["fem"].omega_star, rows["vem"].omega_star
                 fh.write(f"{eps:g},{case},{wf:.6e},{wv:.6e},{wf / wv:.6e}\n")
 
 
-def _beam_table(path, alpha0, lumping):
+def _beam_table(path, alpha0):
     """Table 6; returns the four beam problems, by (case, method)."""
     problems = {}
     with open(path, "w") as fh:
@@ -396,7 +380,7 @@ def _beam_table(path, alpha0, lumping):
             for method in ("fem", "vem"):
                 problems[case, method] = dynamics.beam_problem(
                     benchmarks.gen_benchmark("beam" + case, variant=method),
-                    method, alpha0, lumping)
+                    method, alpha0)
             ratio = (problems[case, "fem"].report.omega_star
                      / problems[case, "vem"].report.omega_star)
             for method in ("fem", "vem"):

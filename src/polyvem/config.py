@@ -1,5 +1,5 @@
-"""Run configuration: material overrides, stabilization preset, lumping,
-quality thresholds.
+"""Run configuration: material overrides, stabilization preset, quality
+thresholds.
 
 Configs load from a flat key=value text file; command-line flags override
 file values.  The configuration hash identifies an experiment manifest.
@@ -15,14 +15,13 @@ from .mesh import MaterialParams, ValidationError
 from .quality import QualityThresholds, DEFAULT_THRESHOLDS
 
 _THRESHOLD_KEYS = tuple(f.name for f in fields(QualityThresholds))
-_KEYS = ("E", "nu", "rho", "alpha0", "lumping") + _THRESHOLD_KEYS
+_KEYS = ("E", "nu", "rho", "alpha0") + _THRESHOLD_KEYS
 
 
 @dataclass(frozen=True)
 class RunConfig:
     material: MaterialParams | None = None   # None: use the mesh's material
     alpha0: str | float = "auto"             # "auto" | "unit" | number
-    lumping: str = "auto"                    # "auto" | "row_sum" | "diag_scale"
     thresholds: QualityThresholds = DEFAULT_THRESHOLDS
 
     def config_hash(self):
@@ -30,7 +29,7 @@ class RunConfig:
         parts = [
             "" if m is None else f"{m.youngs_modulus!r}/{m.poisson_ratio!r}"
                                  f"/{m.density!r}",
-            str(self.alpha0), self.lumping,
+            str(self.alpha0),
             repr(astuple(self.thresholds)),
         ]
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:12]
@@ -89,15 +88,12 @@ def build_config(file_values=None, **overrides):
     if alpha0 not in ("auto", "unit"):
         alpha0 = _positive("alpha0", alpha0,
                            "auto, unit or a positive finite number")
-    lumping = values.get("lumping", "auto")
-    if lumping not in ("auto", "row_sum", "diag_scale"):
-        raise ValidationError(f"unknown lumping mode {lumping!r}")
     thresholds = {key: _positive(key, values[key])
                   for key in _THRESHOLD_KEYS if key in values}
     if thresholds.get("angle_deg", 0.0) >= 90.0:
         raise ValidationError(
             f"angle_deg must be below 90, got {values['angle_deg']!r}")
-    return RunConfig(material=material, alpha0=alpha0, lumping=lumping,
+    return RunConfig(material=material, alpha0=alpha0,
                      thresholds=QualityThresholds(**thresholds))
 
 

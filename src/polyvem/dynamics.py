@@ -42,10 +42,9 @@ BEAM_PROBE = (2.0, 0.5, 0.0)  # mid-beam node whose x displacement is recorded
 PARALLEL_MIN_WORK = 1e9
 
 
-def assemble(mesh, method, alpha0="unit", lumping="auto"):
+def assemble(mesh, method, alpha0="unit"):
     """Assembled stiffness (CSR) and lumped mass vector for a mesh."""
-    return assemble_systems(
-        mesh, eig.element_systems(mesh, method, alpha0, lumping))
+    return assemble_systems(mesh, eig.element_systems(mesh, method, alpha0))
 
 
 def assemble_systems(mesh, systems):
@@ -398,9 +397,9 @@ class BeamProblem:
         raise ValidationError(f"unknown dt basis {basis!r}")
 
 
-def beam_problem(mesh, method, alpha0="auto", lumping="auto"):
+def beam_problem(mesh, method, alpha0="auto"):
     """Build a BeamProblem from one element sweep of the mesh."""
-    systems = eig.element_systems(mesh, method, alpha0, lumping)
+    systems = eig.element_systems(mesh, method, alpha0)
     report = eig.time_step_report(systems)
     K, M = assemble_systems(mesh, systems)
     return BeamProblem(mesh, method, report, K, M, *beam_boundary_dofs(mesh))
@@ -413,21 +412,20 @@ def pulse_duration(report):
 
 
 @cache
-def beam_pulse_duration(case, alpha0="auto", lumping="auto"):
+def beam_pulse_duration(case, alpha0="auto"):
     """The pulse duration of the case: the pulse rule applied to its VEM
-    beam's element bound.  Memoized per (case, alpha0, lumping).
+    beam's element bound.  Memoized per (case, alpha0).
 
     The pulse duration is part of the problem statement, so FEM and VEM
     runs of the same case share it.
     """
     from . import benchmarks
     mesh = benchmarks.gen_benchmark("beam" + case, variant="vem")
-    return pulse_duration(eig.critical_dt(mesh, "vem", alpha0, lumping))
+    return pulse_duration(eig.critical_dt(mesh, "vem", alpha0))
 
 
 def tapered_beam_experiment(case, method, dt_factor=0.9, dt_basis="element",
-                            t_max_transits=3.0, alpha0="auto",
-                            lumping="auto", tau=None):
+                            t_max_transits=3.0, alpha0="auto", tau=None):
     """Run the pulse-loaded beam case and return the normalized history.
 
     dt_basis "element" uses the element-eigenvalue bound 2/max_E omega_E;
@@ -441,11 +439,11 @@ def tapered_beam_experiment(case, method, dt_factor=0.9, dt_basis="element",
         raise ValidationError(f"unknown beam case {case!r}")
     problem = beam_problem(
         benchmarks.gen_benchmark("beam" + case, variant=method), method,
-        alpha0, lumping)
+        alpha0)
     dt = dt_factor * problem.dt_crit(dt_basis)
     if tau is None:
         tau = (pulse_duration(problem.report) if method == "vem" else
-               beam_pulse_duration(case, alpha0=alpha0, lumping=lumping))
+               beam_pulse_duration(case, alpha0=alpha0))
     return run_beam(problem, dt, t_max_transits, tau)
 
 

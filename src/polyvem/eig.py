@@ -115,7 +115,7 @@ def element_groups(mesh):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _faults names inf, NaN
-def group_system(mesh, ids, method, alpha0="unit", lumping="auto"):
+def group_system(mesh, ids, method, alpha0="unit"):
     """(ids, node ids, K, lumped M) of elements `ids`, one group of
     element_groups, under one method; all but ids are stacks whose row k
     is element ids[k]."""
@@ -127,17 +127,16 @@ def group_system(mesh, ids, method, alpha0="unit", lumping="auto"):
         nodes = meshmod.element_nodes(mesh, ids)
     else:
         raise ValueError(f"unknown method {method!r}")
-    meshmod.reject(~K.any(axis=(-2, -1)), "stiffness underflows to zero "
-                   "(length scale or material out of range)", ids)
+    meshmod.reject(~K.any(axis=(-2, -1)), vem.UNDERFLOW, ids)
     g = mesh.geometry
-    ml = vem.lump(M, lumping, mesh.material.density, g.volume[ids],
-                  mesh.dimension, convex=g.convex[ids], ids=ids)
+    ml = vem.lump(M, mesh.material.density, g.volume[ids], mesh.dimension,
+                  g.convex[ids], ids)
     return ids, nodes, K, ml
 
 
-def element_systems(mesh, method, alpha0="unit", lumping="auto"):
+def element_systems(mesh, method, alpha0="unit"):
     """Element sweep: the group_system of every group of element_groups."""
-    return [group_system(mesh, ids, method, alpha0, lumping)
+    return [group_system(mesh, ids, method, alpha0)
             for ids in element_groups(mesh)]
 
 
@@ -162,9 +161,9 @@ def time_step_report(systems):
     return TimeStepReport(omegas, omega_star, critical_step(omega_star), arg)
 
 
-def critical_dt(mesh, method, alpha0="unit", lumping="auto"):
+def critical_dt(mesh, method, alpha0="unit"):
     """Element-eigenvalue critical time step for the whole mesh."""
-    return time_step_report(element_systems(mesh, method, alpha0, lumping))
+    return time_step_report(element_systems(mesh, method, alpha0))
 
 
 # Power iteration: stopping change of the Rayleigh quotient, cap, seed.

@@ -317,6 +317,9 @@ class MeshGeometry:
                 ("<edge>", unpaired),
                 infinite,
                 ("faces oriented inward (volume {volume:g})", volume <= 0.0)]
+        checks.append(("overlaps an earlier element: holds one of its " + (
+            "loop edges in the same direction" if dim == 2 else
+            "faces in the same orientation"), _held_before(faces, owner, n_el)))
         self._expected = np.array([_KIND_NODES.get(k, -1)
                                    for k in self.kinds], np.int64)
         self._given_count = given_count
@@ -497,6 +500,18 @@ def _unpaired(faces, owner):
     bad = np.empty(len(a), bool)
     bad[order] = (np.bincount(run) != 2)[run] | (forward != 1)[run]
     return bad
+
+
+def _held_before(faces, owner, n_elements):
+    """Per element: does it hold a face row (3D: an oriented triangle, 2D: a
+    directed loop edge) that an earlier row holds in the same direction?"""
+    if faces.shape[1] == 3:  # each triangle turned to start at its least id
+        turn = faces.argmin(axis=1)[:, None] + np.arange(3)
+        faces = np.take_along_axis(faces, turn % 3, 1)
+    order, run = _runs(*faces.T)
+    later = np.zeros(len(faces), bool)
+    later[order[1:]] = run[1:] == run[:-1]
+    return _any(owner[later], n_elements)
 
 
 def _crossing(corners, starts, sizes):

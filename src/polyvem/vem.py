@@ -29,6 +29,10 @@ __all__ = [
     "ElementMatrices",
 ]
 
+# The refusal of an element whose stiffness is exactly zero.
+UNDERFLOW = ("stiffness underflows to zero (length scale or material out "
+             "of range)")
+
 
 def constitutive_matrix(material, dim):
     """Isotropic Hooke matrix in Voigt notation with engineering shear.
@@ -128,29 +132,19 @@ def _solve(A, B, ids, message):
         raise
 
 
-def lump(M, mode, rho, volume, dim, convex=None, ids=None):
-    """Diagonal (lumped) mass by row-sum or diagonal scaling, of one element
-    matrix or a stack.
-
-    Mode "auto" picks row-sum for convex elements and diagonal scaling for
-    nonconvex ones, which keeps every entry positive.  A non-positive entry
-    raises a ValidationError naming the element by its index in `ids`.
+def lump(M, rho, volume, dim, convex, ids=None):
+    """Diagonal (lumped) mass of one element matrix or a stack, by the one
+    lumping rule: a convex element whose row sums are all positive gets its
+    row sums; every other element gets its diagonal scaled to d rho |E|
+    (Hinton, Rock & Zienkiewicz 1976).  Both conserve d rho |E|.  A
+    non-positive diagonal entry raises a ValidationError naming the element
+    by its index in `ids`.
     """
-    if mode == "auto":
-        if convex is None:
-            raise ValueError("auto lumping needs the convexity flag")
-        row = np.asarray(convex)
-    elif mode in ("row_sum", "diag_scale"):
-        row = np.full(np.shape(volume), mode == "row_sum")
-    else:
-        raise ValueError(f"unknown lumping mode {mode!r}")
     row_sum = M.sum(axis=-1)
     diag = np.diagonal(M, axis1=-2, axis2=-1)
-    bad = np.where(row, row_sum.min(axis=-1), diag.min(axis=-1)) <= 0.0
-    if bad.any():
-        reject(bad, "row-sum lumping produced a non-positive entry; "
-               "use diag_scale" if np.ravel(row)[np.argmax(bad)] else
-               "mass diagonal has a non-positive entry", ids)
+    reject(diag.min(axis=-1) <= 0.0, "mass diagonal has a non-positive "
+           "entry", ids)
+    row = np.asarray(convex) & (row_sum.min(axis=-1) > 0.0)
     scale = dim * rho * volume / diag.sum(axis=-1)
     return np.where(row[..., None], row_sum, diag * scale[..., None])
 
@@ -168,8 +162,9 @@ def group_matrices(mesh, ids, alpha0="unit"):
 
     K is the consistency part plus the diagonally scaled stability; M is the
     L2-projector mass plus its rank correction.  A non-finite or
-    non-positive measure, a non-finite scaled moment or a singular
-    projector system raises a ValidationError naming the element.
+    non-positive measure, a non-finite scaled moment, strain modes whose
+    material block underflows to zero or a singular projector system
+    raises a ValidationError naming the element.
     """
     g = mesh.geometry
     dim, rho = mesh.dimension, mesh.material.density
@@ -207,6 +202,7 @@ def group_matrices(mesh, ids, alpha0="unit"):
     B = _MODES[dim] / h[:, None, None]
     stress_modes = C @ B
     Gfull = np.swapaxes(B, 1, 2) @ stress_modes * vol[:, None, None]
+    reject(~Gfull.any(axis=(1, 2)) & B.any(axis=(1, 2)), UNDERFLOW, ids)
     G = Gfull.copy()
     G[:, :n_rigid] = (DT @ D)[:, :n_rigid] / n
     Bhat = np.zeros((n_el, 2 * n_rigid, dim * n))

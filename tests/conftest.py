@@ -148,6 +148,16 @@ def random_tet_mesh(rng, scale=1.0):
             return meshmod.Mesh(3, verts, [meshmod.tet_element((0, 1, 2, 3))])
 
 
+def clustered_polygon(cluster):
+    """The convex polygon with unit-circle vertices at the angles
+    `cluster`, then 2 and 4 rad past the last one.  Its VEM mass row sums
+    go non-positive when the cluster is tight enough."""
+    a = np.r_[cluster, cluster[-1] + 2.0, cluster[-1] + 4.0]
+    return meshmod.validate_mesh(meshmod.Mesh(
+        2, np.c_[np.cos(a), np.sin(a)],
+        [meshmod.Element(loop=tuple(range(len(a))))]))
+
+
 # ---------------------------------------------------------------------------
 # Cached benchmark meshes (generation is not free; share per session)
 

@@ -250,10 +250,12 @@ def test_one_group_rule(call, message):
 
 
 def test_face_shared_by_three_members_rejected():
-    # Tets 0 and 2 both sit above face {0, 1, 2}, tet 1 below it.
+    # Tets 0 and 2 both sit above face {0, 1, 2}, tet 1 below it: they
+    # overlap, so the mesh is built unvalidated.
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.2, 1],
                       [0.2, 0.2, -1], [0.3, 0.3, 2]])
-    mesh = meshmod.tet_mesh(verts, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)])
+    mesh = Mesh(3, verts, np.array([(0, 1, 2, 3), (0, 2, 1, 4),
+                                    (0, 1, 2, 5)]))
     with pytest.raises(MergeError, match="more than two"):
         agglomerate.merge(mesh, (0, 1, 2))
 

@@ -1,11 +1,14 @@
 """Command-line surface: subcommands, exit codes, file round trips."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polyvem import cli, mesh as meshmod
+from polyvem import cli, config as cfgmod, mesh as meshmod
 
 
 def run(args):
@@ -19,6 +22,44 @@ def test_version(capsys):
     assert out.startswith("polyvem 0.1.0 (config ")
     # One version string: the CLI prints the package's own.
     assert cli.__version__ is polyvem.__version__
+
+
+def _options(parser):
+    """The --options of a parser and its subcommands, --help aside."""
+    options = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _options(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            options |= {o for o in action.option_strings
+                        if o.startswith("--")}
+    return options
+
+
+def test_readme_documents_exactly_the_cli():
+    # README and the parser name the same options, both ways, and README's
+    # --config key list is exactly the configuration's keys.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    options = _options(cli._build_parser())
+    assert named - {"--no-build-isolation"} - options == set()
+    assert options - named == set()
+    keys = re.search(r"`--config\s+FILE`.*?keys:(.*?)\.", readme, re.S)
+    assert keys, "README lists no --config keys"
+    listed = re.findall(r"`(\w+)`", keys.group(1))
+    assert sorted(listed) == sorted(cfgmod._KEYS)
+
+
+def test_common_options():
+    # --config and --alpha0 are the only options every subcommand takes.
+    parser = cli._build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+    common = set.intersection(*map(_options, subs.values()))
+    assert common == {"--config", "--alpha0"}
+    top = {o for a in parser._actions for o in a.option_strings}
+    assert top == common | {"--version", "-h", "--help"}
 
 
 def test_no_command_usage():
@@ -195,21 +236,27 @@ def test_overflowing_length_scale_timestep_names_element(
         assert err == f"error: element 0: {message}\n"
 
 
-@pytest.mark.parametrize("scale, message", [
-    (1e-40, "stiffness underflows to zero"),
-    (1e85, "mass-normalized stiffness underflows")])
+@pytest.mark.parametrize("method, scale, message", [
+    pytest.param("fem", 1e-40, "stiffness underflows to zero",
+                 id="1e-40-stiffness underflows to zero"),
+    pytest.param("vem", 1e-40, "stiffness underflows to zero",
+                 id="vem-1e-40-stiffness underflows to zero"),
+    pytest.param("fem", 1e85, "mass-normalized stiffness underflows",
+                 id="1e+85-mass-normalized stiffness underflows")])
 def test_underflowing_stiffness_timestep_names_element(tmp_path, capsys,
-                                                       scale, message):
+                                                       method, scale,
+                                                       message):
     # E = 1e-300 (positive and finite, so accepted) on a wedge at 1e-40 m
-    # has a stiffness of exactly 0, and at 1e85 m a mass-normalized
-    # stiffness that underflows to 0: refused by element, not dt = inf.
+    # has a stiffness of exactly 0 (VEM: its projector's material block,
+    # refused before the solve), and at 1e85 m a mass-normalized stiffness
+    # that underflows to 0: refused by element, not dt = inf.
     from polyvem import benchmarks
     mesh = benchmarks.gen_benchmark("wedge", 1e-1, "fem")
     path = tmp_path / "soft.json"
     soft = meshmod.MaterialParams(1e-300, 0.3, 7800.0)
     meshmod.save_mesh(meshmod.Mesh(3, mesh.vertices * scale, mesh.elements,
                                    soft), path)
-    assert run(["timestep", "--mesh", str(path), "--method", "fem"]) == 1
+    assert run(["timestep", "--mesh", str(path), "--method", method]) == 1
     assert capsys.readouterr().err == (
         f"error: element 0: {message} (length scale or material out of "
         "range)\n")
@@ -217,7 +264,7 @@ def test_underflowing_stiffness_timestep_names_element(tmp_path, capsys,
 
 def test_config_threads_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("lumping = auto\nthreads = 2\n")
+    cfg.write_text("alpha0 = unit\nthreads = 2\n")
     assert run(["mesh-gen", "--name", "kite", "--eps", "1e-1",
                 "--out", str(tmp_path / "kite.json"),
                 "--config", str(cfg)]) == 1
@@ -226,10 +273,21 @@ def test_config_threads_key_rejected(tmp_path, capsys):
     assert f"{cfg}:2: unknown key 'threads'" in capsys.readouterr().err
 
 
+def test_lumping_option_and_key_rejected(tmp_path, capsys):
+    # One lumping rule: there is no --lumping flag and no lumping key.
+    assert run(["--lumping", "row_sum", "--version"]) == 1
+    assert capsys.readouterr().err.startswith("usage: polyvem")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lumping = auto\n")
+    assert run(["--config", str(cfg), "--version"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:1: unknown key 'lumping'\n")
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# test config\nE = 100e9\nnu = 0.25\nrho = 2000\n"
-                   "lumping = diag_scale\n")
+                   "alpha0 = unit\n")
     mesh_path = tmp_path / "kite.json"
     run(["mesh-gen", "--name", "kite", "--eps", "1e-1", "--variant", "fem",
          "--out", str(mesh_path), "--config", str(cfg)])
@@ -239,18 +297,18 @@ def test_config_file(tmp_path, capsys):
 
 
 def test_config_flag_overrides_file(tmp_path, capsys):
+    # alpha0 = 5 from the file changes the configuration hash; --alpha0
+    # unit overrides it, giving the hash of --alpha0 unit alone.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("lumping = row_sum\n")
-    mesh_path = tmp_path / "kite.json"
-    run(["mesh-gen", "--name", "kite", "--eps", "1e-5", "--variant", "vem",
-         "--out", str(mesh_path)])
-    # row_sum from file would be overridden to diag_scale by the flag; the
-    # command succeeds either way, so assert on the version hash changing.
-    assert run(["--version"]) == 0
-    base = capsys.readouterr().out
-    assert run(["--config", str(cfg), "--version"]) == 0
-    with_cfg = capsys.readouterr().out
-    assert base != with_cfg
+    cfg.write_text("alpha0 = 5\n")
+
+    def version(*argv):
+        assert run([*argv, "--version"]) == 0
+        return capsys.readouterr().out
+
+    assert version("--config", str(cfg)) != version()
+    assert version("--config", str(cfg), "--alpha0", "unit") == version(
+        "--alpha0", "unit") != version("--config", str(cfg))
 
 
 def test_mesh_gen_eps_one_rejected(tmp_path, capsys):
@@ -461,8 +519,7 @@ def test_family_table_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     for path in (a, b):
-        climod._family_table(str(path), "tri2d", (1e-1, 1e-3),
-                             alpha0="unit", lumping="auto")
+        climod._family_table(str(path), "tri2d", (1e-1, 1e-3), "unit")
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -551,9 +608,8 @@ def test_simulate_checks_outputs_before_the_run(tmp_path, capsys,
 
 @pytest.mark.parametrize("option, omega", [
     (["--alpha0", "5"], "8.536960e+04"),
-    (["--lumping", "row_sum"], "7.369571e+04"),
     (["--config", "CFG"], "8.536960e+04"),
-], ids=["alpha0", "lumping", "config"])
+], ids=["alpha0", "config"])
 def test_common_option_before_or_after_subcommand(tmp_path, capsys, option,
                                                   omega):
     mesh_path = tmp_path / "kite.json"
@@ -613,13 +669,12 @@ def test_config_hash_is_pinned(capsys):
     # that overrides every key, keep their values.
     from polyvem import config as cfgmod
     assert run(["--version"]) == 0
-    assert capsys.readouterr().out.endswith("(config c13afcc5eff9)\n")
+    assert capsys.readouterr().out.endswith("(config c02e2ff8f6bc)\n")
     every = {"E": "1e9", "nu": "0.25", "rho": "2000", "alpha0": "0.5",
-             "lumping": "diag_scale", "angle_deg": "10",
-             "face_area_rel": "1e-3", "face_separation": "50",
-             "edge_rel": "1e-2"}
+             "angle_deg": "10", "face_area_rel": "1e-3",
+             "face_separation": "50", "edge_rel": "1e-2"}
     assert set(every) == set(cfgmod._KEYS)
-    assert cfgmod.build_config(every).config_hash() == "0698dfd15517"
+    assert cfgmod.build_config(every).config_hash() == "21a929c36a47"
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -1103,7 +1103,7 @@ def test_beam_pulse_duration_is_the_vem_bound_memoized(beam_meshes,
                                                        monkeypatch):
     # The same bits as the pulse rule applied to the VEM beam problem's own
     # report (100 x its element bound); a second call for the same (case,
-    # alpha0, lumping) generates no mesh.
+    # alpha0) generates no mesh.
     tau = dynamics.beam_pulse_duration("A")
     problem = dynamics.beam_problem(beam_meshes[("A", "vem")], "vem")
     assert tau == dynamics.pulse_duration(problem.report)

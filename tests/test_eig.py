@@ -169,7 +169,7 @@ SWEEP_CASES = (
     [(name, 1e-3, "fem", method) for name in FAMILIES
      for method in ("fem", "vem")]
     + [(name, 1e-3, "vem", "vem") for name in FAMILIES]
-    # auto-agglomerated non-convex unions: diag_scale lumping under "auto"
+    # auto-agglomerated non-convex unions: scaled-diagonal masses
     + [("kite", 1e-5, "auto", "vem"), ("spireB", 1e-5, "auto", "vem")]
     + [("beam" + case, None, variant, variant) for case in "AB"
        for variant in ("fem", "vem")])
@@ -186,24 +186,26 @@ def test_group_sweep_matches_one_element_views(name, eps, variant, method):
     else:
         mesh = benchmarks.gen_benchmark(name, eps, variant)
     alpha0 = "auto" if name.startswith("beam") else "unit"
-    systems = eig.element_systems(mesh, method, alpha0, "auto")
+    systems = eig.element_systems(mesh, method, alpha0)
     rows = []
     for ids, group_nodes, group_K, group_ml in systems:
         for k, e in enumerate(ids):
-            _, nodes, K, ml = eig.group_system(mesh, [e], method, alpha0,
-                                               "auto")
+            _, nodes, K, ml = eig.group_system(mesh, [e], method, alpha0)
             assert np.abs(group_K[k] - K[0]).max() <= 1e-13 * np.abs(K).max()
             assert np.abs(group_ml[k] - ml[0]).max() <= 1e-13 * ml.max()
             assert (group_nodes[k] == nodes[0]).all()
             rows.append(e)
     assert sorted(rows) == list(range(mesh.num_elements))
-    if variant == "auto":  # the non-convex unions take diag_scale masses
+    if variant == "auto":  # the non-convex unions: the scaled diagonal
         assert not mesh.geometry.convex.all()
-        for (ids, *_, ml), (*_, diag) in zip(
-                systems, eig.element_systems(mesh, method, alpha0,
-                                             "diag_scale")):
+        dim, rho = mesh.dimension, mesh.material.density
+        for ids, *_, ml in systems:
+            diag = np.diagonal(vem.group_matrices(mesh, ids, alpha0).M,
+                               axis1=1, axis2=2)
+            scaled = diag * (dim * rho * mesh.geometry.volume[ids]
+                             / diag.sum(axis=-1))[:, None]
             nonconvex = ~mesh.geometry.convex[ids]
-            assert ml[nonconvex].tobytes() == diag[nonconvex].tobytes()
+            assert ml[nonconvex].tobytes() == scaled[nonconvex].tobytes()
 
 
 def separate_tets(apexes):
@@ -251,13 +253,10 @@ def test_singular_projector_mid_batch_named(monkeypatch):
 
 
 def test_nonpositive_lumped_mass_mid_batch_named():
-    good, bad = np.eye(2), np.array([[1.0, -2.0], [-2.0, 1.0]])
-    with pytest.raises(ValidationError, match="^element 7: row-sum"):
-        vem.lump(np.stack([good, bad, good]), "row_sum", 1.0, np.ones(3), 1,
-                 ids=[5, 7, 9])
+    good = np.eye(2)
     with pytest.raises(ValidationError, match="^element 9: mass diagonal"):
-        vem.lump(np.stack([good, good, -good]), "diag_scale", 1.0,
-                 np.ones(3), 1, ids=[5, 7, 9])
+        vem.lump(np.stack([good, good, -good]), 1.0, np.ones(3), 1,
+                 np.ones(3, bool), ids=[5, 7, 9])
     group = (np.array([0, 2, 1]), np.zeros((3, 1), int), np.zeros((3, 2, 2)),
              np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(ValidationError, match="^element 2: non-positive"):

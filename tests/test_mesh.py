@@ -86,6 +86,36 @@ def test_self_intersecting_loop_rejected():
         meshmod.validate_mesh(bad)
 
 
+def _rotated(el):
+    """The element with its loop, or its faces and each face's corners,
+    rotated: the same oriented element, no node list."""
+    if el.loop is not None:
+        return Element(loop=el.loop[1:] + el.loop[:1])
+    return Element(faces=tuple(f[1:] + f[:1] for f in el.faces[::-1]))
+
+
+@pytest.mark.parametrize("copy", [lambda el: el, _rotated],
+                         ids=["verbatim", "rotated"])
+@pytest.mark.parametrize("front", [False, True], ids=["end", "front"])
+@pytest.mark.parametrize("name", ["kite", "tri2d"])
+def test_overlapping_element_rejected(name, front, copy):
+    # Neighbours hold their shared faces (3D) or loop edges (2D) in
+    # opposite directions.  An element that holds one of an earlier
+    # element's in the same direction overlaps it and is refused, by the
+    # later element's id.
+    mesh = benchmarks.gen_benchmark(name, 1e-1, "fem")
+    first, n = mesh.elements[0], mesh.num_elements
+    elements = ((copy(first),) + mesh.elements if front else
+                mesh.elements + (copy(first),))
+    what = ("faces in the same orientation" if mesh.dimension == 3 else
+            "loop edges in the same direction")
+    with pytest.raises(ValidationError, match=(
+            f"^element {1 if front else n}: overlaps an earlier element: "
+            f"holds one of its {what}$")):
+        meshmod.validate_mesh(Mesh(mesh.dimension, mesh.vertices, elements,
+                                   mesh.material))
+
+
 def test_out_of_range_index_rejected():
     bad = Mesh(2, np.array([[0.0, 0], [1, 0], [0, 1]]),
                [Element(loop=(0, 1, 7))])
@@ -211,16 +241,15 @@ def test_split_prisms_orients_each_tet_in_place(reverse):
 
 def test_tet_mesh_flips_exactly_the_negative_rows():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
-                      [0, 0, -1], [1, 1, 1]])
+                      [0, 0, -1], [1, 1, 1], [1, 1, -1]])
     tets = np.array([(0, 1, 2, 3), (0, 1, 2, 4), (1, 2, 3, 5),
-                     (1, 3, 2, 5), (0, 2, 1, 4)])
+                     (1, 2, 4, 6)])
     signs = [meshmod.tet_volume(*verts[t]) > 0 for t in tets]
-    assert signs == [True, False, True, False, True]
+    assert signs == [True, False, True, False]
     material = MaterialParams(1.0, 0.25, 2.0)
     mesh = meshmod.tet_mesh(verts, tets, material)
     assert [el.nodes for el in mesh.elements] == [
-        (0, 1, 2, 3), (0, 2, 1, 4), (1, 2, 3, 5), (1, 2, 3, 5),
-        (0, 2, 1, 4)]
+        (0, 1, 2, 3), (0, 2, 1, 4), (1, 2, 3, 5), (1, 4, 2, 6)]
     assert mesh.elements == tuple(tet_element(el.nodes)
                                   for el in mesh.elements)
     assert mesh.material == material

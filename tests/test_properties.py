@@ -16,7 +16,7 @@ from polyvem import (agglomerate, benchmarks, config, eig, mesh as meshmod,
                      quality, vem)
 from polyvem.mesh import Element, Mesh, tet_element
 
-from conftest import random_rotation, random_tet_mesh
+from conftest import clustered_polygon, random_rotation, random_tet_mesh
 
 
 def random_polygon_mesh(rng, n_max=8):
@@ -120,16 +120,22 @@ def test_merge_conservation_randomized():
 
 
 def test_lumped_mass_positivity_randomized():
+    # Merged tet pairs, and convex polygons with clustered vertices, plane
+    # and extruded, whose VEM row sums can go non-positive: the one
+    # lumping rule gives each positive masses that sum to d rho |E|.
     rng = np.random.default_rng(23)
-    for _ in range(20):
-        mesh = random_tet_pair_mesh(rng)
-        merged = agglomerate.merge(mesh, (0, 1))
-        for lump_mode in ("diag_scale", "auto"):
-            _, _, _, ml = eig.group_system(merged, [0], "vem",
-                                           alpha0="unit", lumping=lump_mode)
-            assert np.all(ml[0] > 0)
-            total = 3 * mesh.material.density * merged.geometry.volume[0]
-            assert ml[0].sum() == pytest.approx(total, rel=1e-12)
+    meshes = [agglomerate.merge(random_tet_pair_mesh(rng), (0, 1))
+              for _ in range(20)]
+    for _ in range(10):
+        arc = rng.uniform(0.1, 0.3)
+        plane = clustered_polygon(np.linspace(0, arc, rng.integers(3, 7)))
+        meshes += [plane, meshmod.extrude(plane, rng.uniform(0.2, 2.0))]
+    for mesh in meshes:
+        _, _, _, ml = eig.group_system(mesh, [0], "vem", alpha0="unit")
+        assert np.all(ml[0] > 0)
+        total = (mesh.dimension * mesh.material.density
+                 * mesh.geometry.volume[0])
+        assert ml[0].sum() == pytest.approx(total, rel=1e-12)
 
 
 def test_kernel_dimension_randomized():
@@ -251,7 +257,13 @@ def test_tet_array_table_matches_element_table(seed, rows):
     _assert_array_path_matches_elements(
         Mesh(3, verts, np.array(rows)))
     if all(max(r) < 4 and min(r) >= 0 and len(set(r)) == 4 for r in rows):
-        _assert_array_path_matches_elements(meshmod.tet_mesh(verts, rows))
+        if len(rows) == 1:
+            _assert_array_path_matches_elements(meshmod.tet_mesh(verts, rows))
+            return
+        # Every row is the tet on vertices 0-3, so the later ones overlap.
+        with pytest.raises(meshmod.ValidationError,
+                           match="^element 1: overlaps an earlier element"):
+            meshmod.tet_mesh(verts, rows)
 
 
 def test_tet_array_table_matches_on_benchmark_meshes(beam_meshes):

@@ -7,7 +7,7 @@ import pytest
 from polyvem import benchmarks, eig, fem, mesh as meshmod, vem
 from polyvem.mesh import Element, Mesh, ValidationError, tet_element
 
-from conftest import random_rotation, random_tet_mesh
+from conftest import clustered_polygon, random_rotation, random_tet_mesh
 
 
 def cube_mesh():
@@ -184,47 +184,66 @@ def test_l2_projector_cube_oracle():
     assert np.sign(S0[1:]) == pytest.approx(np.sign(sc).T)
 
 
-def test_lumping_modes():
-    mesh = cube_mesh()
-    rho = mesh.material.density
-    M = vem.group_matrices(mesh, [0], alpha0="unit").M[0]
-    vol = mesh.geometry.volume[0]
-    diag = np.diag(M)
-    for mode, expected in (("row_sum", M.sum(axis=1)),
-                           ("diag_scale", diag * (3 * rho * vol / diag.sum()))):
-        ml = vem.lump(M, mode, rho, vol, 3)
-        assert ml.tobytes() == expected.tobytes()
-        assert ml.sum() == pytest.approx(3 * rho * vol, rel=1e-12)
-        assert np.all(ml > 0)
+def test_lump_one_rule_each_branch(kite_meshes):
+    # The one lumping rule, bit for bit on each branch: a convex element
+    # whose row sums are all positive gets its row sums; a non-convex
+    # element, and a convex one with a non-positive row sum, get the
+    # diagonal scaled to d rho |E|.
+    def scaled_diagonal(mesh, M):
+        vol, diag = mesh.geometry.volume[0], np.diag(M)
+        return diag * (mesh.dimension * mesh.material.density * vol
+                       / diag.sum())
 
-
-def test_lump_auto_picks_by_convexity(kite_meshes):
-    # "auto" gives a non-convex element the diag_scale masses and a convex
-    # one the row_sum masses, bit for bit; the two modes differ on both.
-    def masses(mesh, mode):
-        return eig.group_system(mesh, [0], "vem", lumping=mode)[3].tobytes()
-
-    for mesh, convex, mode, other in (
-            (kite_meshes[(1e-5, "vem")], False, "diag_scale", "row_sum"),
-            (cube_mesh(), True, "row_sum", "diag_scale")):
+    for mesh, convex, row_sums_positive in (
+            (cube_mesh(), True, True),
+            (kite_meshes[(1e-5, "vem")], False, True),
+            (clustered_polygon(np.linspace(0, 0.2, 5)), True, False)):
+        M = vem.group_matrices(mesh, [0], alpha0="unit").M[0]
         assert bool(mesh.geometry.convex[0]) is convex
-        assert masses(mesh, "auto") == masses(mesh, mode)
-        assert masses(mesh, "auto") != masses(mesh, other)
+        assert bool((M.sum(axis=1) > 0).all()) is row_sums_positive
+        expected = (M.sum(axis=1) if convex and row_sums_positive
+                    else scaled_diagonal(mesh, M))
+        ml = eig.group_system(mesh, [0], "vem", alpha0="unit")[3][0]
+        assert ml.tobytes() == expected.tobytes()
+    # A stack: the convex middle element's negative row sum takes it to
+    # its scaled diagonal; its neighbours keep their row sums.
+    good, bad = np.eye(2), np.array([[1.0, -2.0], [-2.0, 1.0]])
+    ml = vem.lump(np.stack([good, bad, good]), 1.0, np.ones(3), 1,
+                  np.ones(3, bool))
+    assert ml.tolist() == [[1.0, 1.0], [0.5, 0.5], [1.0, 1.0]]
+
+
+@pytest.mark.parametrize("extruded", [False, True], ids=["plane", "prism"])
+@pytest.mark.parametrize("size", [4, 5, 6])
+def test_clustered_convex_element_gets_a_step(size, extruded):
+    # Convex, but with clustered vertices: VEM row sums go non-positive on
+    # the 7- and 8-gon and on the extruded 6-, 7- and 8-gon, which once
+    # refused them.  The scaled diagonal gives a finite positive step and
+    # masses that sum to d rho |E|.
+    mesh = clustered_polygon(np.linspace(0, 0.2, size))
+    if extruded:
+        mesh = meshmod.extrude(mesh, 1.0)
+    assert mesh.geometry.convex[0]
+    dt = eig.critical_dt(mesh, "vem", "unit").dt_crit
+    assert np.isfinite(dt) and dt > 0.0
+    ml = eig.group_system(mesh, [0], "vem", alpha0="unit")[3][0]
+    total = mesh.dimension * mesh.material.density * mesh.geometry.volume[0]
+    assert ml.sum() == pytest.approx(total, rel=1e-12, abs=0.0)
 
 
 def test_unit_tet_row_sum_quarter_mass():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     mesh = Mesh(3, verts, [tet_element((0, 1, 2, 3))])
-    _, _, _, ml = eig.group_system(mesh, [0], "vem", lumping="row_sum")
+    _, _, _, ml = eig.group_system(mesh, [0], "vem")
     rho = mesh.material.density
     assert ml[0] == pytest.approx(
         np.full(12, rho * (1.0 / 6.0) / 4.0), rel=1e-12)
 
 
-def test_row_sum_negative_entry_raises():
-    M = np.array([[1.0, -2.0], [-2.0, 1.0]])
-    with pytest.raises(ValidationError, match="diag_scale"):
-        vem.lump(M, "row_sum", 1.0, 1.0, 1)
+def test_nonpositive_mass_diagonal_raises():
+    M = np.array([[1.0, 2.0], [2.0, -1.0]])
+    with pytest.raises(ValidationError, match="mass diagonal"):
+        vem.lump(M, 1.0, 1.0, 1, True)
 
 
 def test_rotation_objectivity():
