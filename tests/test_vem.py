@@ -184,33 +184,53 @@ def test_l2_projector_cube_oracle():
     assert np.sign(S0[1:]) == pytest.approx(np.sign(sc).T)
 
 
-def test_lump_one_rule_each_branch(kite_meshes):
-    # The one lumping rule, bit for bit on each branch: a convex element
-    # whose row sums are all positive gets its row sums; a non-convex
-    # element, and a convex one with a non-positive row sum, get the
-    # diagonal scaled to d rho |E|.
-    def scaled_diagonal(mesh, M):
-        vol, diag = mesh.geometry.volume[0], np.diag(M)
-        return diag * (mesh.dimension * mesh.material.density * vol
-                       / diag.sum())
+def _scaled_diagonal(mesh, M):
+    vol, diag = mesh.geometry.volume[0], np.diag(M)
+    return diag * (mesh.dimension * mesh.material.density * vol / diag.sum())
 
-    for mesh, convex, row_sums_positive in (
-            (cube_mesh(), True, True),
-            (kite_meshes[(1e-5, "vem")], False, True),
-            (clustered_polygon(np.linspace(0, 0.2, 5)), True, False)):
+
+def test_lumping_modes():
+    # The two masses of the one lumping rule, bit for bit: row sums for a
+    # convex element whose row sums are all positive, the diagonal scaled
+    # to d rho |E| for a convex one with a non-positive row sum.  Both
+    # conserve d rho |E| and are positive.
+    for mesh, row_sums_positive in (
+            (cube_mesh(), True),
+            (clustered_polygon(np.linspace(0, 0.2, 5)), False)):
+        rho, vol, d = (mesh.material.density, mesh.geometry.volume[0],
+                       mesh.dimension)
         M = vem.group_matrices(mesh, [0], alpha0="unit").M[0]
-        assert bool(mesh.geometry.convex[0]) is convex
+        assert mesh.geometry.convex[0]
         assert bool((M.sum(axis=1) > 0).all()) is row_sums_positive
-        expected = (M.sum(axis=1) if convex and row_sums_positive
-                    else scaled_diagonal(mesh, M))
-        ml = eig.group_system(mesh, [0], "vem", alpha0="unit")[3][0]
+        expected = M.sum(axis=1) if row_sums_positive else _scaled_diagonal(
+            mesh, M)
+        ml = vem.lump(M, rho, vol, d, True)
         assert ml.tobytes() == expected.tobytes()
+        assert ml.sum() == pytest.approx(d * rho * vol, rel=1e-12)
+        assert np.all(ml > 0)
     # A stack: the convex middle element's negative row sum takes it to
     # its scaled diagonal; its neighbours keep their row sums.
     good, bad = np.eye(2), np.array([[1.0, -2.0], [-2.0, 1.0]])
     ml = vem.lump(np.stack([good, bad, good]), 1.0, np.ones(3), 1,
                   np.ones(3, bool))
     assert ml.tolist() == [[1.0, 1.0], [0.5, 0.5], [1.0, 1.0]]
+
+
+def test_lump_auto_picks_by_convexity(kite_meshes):
+    # The rule gives a non-convex element the scaled diagonal and a convex
+    # one (row sums all positive) its row sums, bit for bit through
+    # eig.group_system; the two masses differ on both.
+    for mesh, convex in ((kite_meshes[(1e-5, "vem")], False),
+                         (cube_mesh(), True)):
+        M = vem.group_matrices(mesh, [0], alpha0="unit").M[0]
+        assert bool(mesh.geometry.convex[0]) is convex
+        assert (M.sum(axis=1) > 0).all()
+        picked, other = M.sum(axis=1), _scaled_diagonal(mesh, M)
+        if not convex:
+            picked, other = other, picked
+        ml = eig.group_system(mesh, [0], "vem", alpha0="unit")[3][0]
+        assert ml.tobytes() == picked.tobytes()
+        assert ml.tobytes() != other.tobytes()
 
 
 @pytest.mark.parametrize("extruded", [False, True], ids=["plane", "prism"])
