@@ -324,32 +324,29 @@ def _cmd_tables(args, cfg):
     for k, (name, eps) in enumerate((("tri2d", (1e-1, 1e-2, 1e-5, 1e-8)),
                                      ("prism3d", eps_3d), ("wedge", eps_3d),
                                      ("kite", eps_pair)), 1):
-        _family_table(os.path.join(args.out, f"table{k}.csv"), name, eps,
-                      cfg.alpha0)
-    _spire_table(os.path.join(args.out, "table5.csv"), eps_pair, cfg.alpha0)
+        _family_table(os.path.join(args.out, f"table{k}.csv"), name, eps)
+    _spire_table(os.path.join(args.out, "table5.csv"), eps_pair)
     problems = _beam_table(os.path.join(args.out, "table6.csv"), cfg.alpha0)
     _beam_steps_table(os.path.join(args.out, "table7.csv"), problems,
                       args.with_dynamics)
     print(f"wrote table1.csv .. table7.csv under {args.out}")
 
 
-def _variant_reports(name, eps, alpha0):
-    """Element-bound reports of both variants of a benchmark at eps.  The
-    O(1)-sized element studies use the unit stabilization scale; "auto"
-    resolves to h_E only on the beam meshes."""
-    a0 = "unit" if alpha0 == "auto" else alpha0
+def _variant_reports(name, eps):
+    """Element-bound reports of both variants of a benchmark at eps, under
+    the paper's "unit" preset: the element studies, table1-5, ignore alpha0."""
     return {variant: eig.critical_dt(
                 benchmarks.gen_benchmark(name, eps, variant), variant,
-                alpha0=a0)
+                alpha0="unit")
             for variant in ("fem", "vem")}
 
 
-def _family_table(path, name, eps_values, alpha0):
+def _family_table(path, name, eps_values):
     with open(path, "w") as fh:
         fh.write("eps,method,omega_max,argmax_element,omega_reference,"
                  "dt_ratio_vem_over_fem\n")
         for eps in eps_values:
-            rows = _variant_reports(name, eps, alpha0)
+            rows = _variant_reports(name, eps)
             ratio = rows["fem"].omega_star / rows["vem"].omega_star
             for variant, rep in rows.items():
                 others = [w for i, w in enumerate(rep.omega_elements)
@@ -360,12 +357,12 @@ def _family_table(path, name, eps_values, alpha0):
                          f"{rep.argmax_element},{ref:.6e},{tail}\n")
 
 
-def _spire_table(path, eps_values, alpha0):
+def _spire_table(path, eps_values):
     with open(path, "w") as fh:
         fh.write("eps,case,omega_fem,omega_vem,dt_ratio_vem_over_fem\n")
         for eps in eps_values:
             for case in ("A", "B", "C"):
-                rows = _variant_reports(f"spire{case}", eps, alpha0)
+                rows = _variant_reports(f"spire{case}", eps)
                 wf, wv = rows["fem"].omega_star, rows["vem"].omega_star
                 fh.write(f"{eps:g},{case},{wf:.6e},{wv:.6e},{wf / wv:.6e}\n")
 
@@ -404,7 +401,7 @@ def _beam_steps_table(path, problems, with_dynamics):
             wall = ""
             if with_dynamics and method == "vem":
                 exp = dynamics.run_beam(p, 0.9 * dt, 3.0,
-                                        dynamics.pulse_duration(p.report))
+                                        dynamics.beam_pulse_duration(case))
                 wall = f"{exp.result.wall_seconds:.3f}"
                 steps = exp.result.steps
             fh.write(f"{case},{method},{dt:.6e},{steps},{wall}\n")

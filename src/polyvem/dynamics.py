@@ -11,8 +11,8 @@ update with a diagonal mass; fixed dofs are held at rest and driven dofs
 are overwritten each step.  ``run_beam``, the one beam driver, reproduces
 the pulse-loaded tapered-beam runs: fixed at x = 0, an axial quartic pulse
 at x = 4, histories probed mid-beam and reported in normalized time and
-displacement.  A case's pulse duration is one rule, ``pulse_duration`` of
-its VEM beam's element bound.
+displacement.  A case's pulse duration is a constant of the problem,
+``BEAM_PULSE_DURATION``, whatever the method or stabilization preset.
 
 ``scipy.sparse`` is imported inside ``assemble_systems``, the one place a
 global matrix is built, so importing this module (and running element
@@ -29,7 +29,7 @@ import threading
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +38,10 @@ from .mesh import ValidationError
 
 BEAM_PULSE_AMPLITUDE = 1.0 / 16.0  # peak of (t/tau)^4 - 2(t/tau)^3 + (t/tau)^2
 BEAM_PROBE = (2.0, 0.5, 0.0)  # mid-beam node whose x displacement is recorded
+# The pulse duration tau of each beam case: 100 x the element bound of its
+# VEM beam under the default preset, to the last bit.
+BEAM_PULSE_DURATION = {"A": 0.0004194336679103224,
+                       "B": 0.00041816473926542167}
 # n_steps * K.nnz from which a run splits its step (>= 12x break-even)
 PARALLEL_MIN_WORK = 1e9
 
@@ -405,23 +409,9 @@ def beam_problem(mesh, method, alpha0="auto"):
     return BeamProblem(mesh, method, report, K, M, *beam_boundary_dofs(mesh))
 
 
-def pulse_duration(report):
-    """The pulse rule: tau = 100 x the element bound of `report`, which
-    is the case's pulse duration when `report` is its VEM beam's."""
-    return 100.0 * report.dt_crit
-
-
-@cache
-def beam_pulse_duration(case, alpha0="auto"):
-    """The pulse duration of the case: the pulse rule applied to its VEM
-    beam's element bound.  Memoized per (case, alpha0).
-
-    The pulse duration is part of the problem statement, so FEM and VEM
-    runs of the same case share it.
-    """
-    from . import benchmarks
-    mesh = benchmarks.gen_benchmark("beam" + case, variant="vem")
-    return pulse_duration(eig.critical_dt(mesh, "vem", alpha0))
+def beam_pulse_duration(case):
+    """Pulse duration of the case, the same for every method and preset."""
+    return BEAM_PULSE_DURATION[case]
 
 
 def tapered_beam_experiment(case, method, dt_factor=0.9, dt_basis="element",
@@ -431,19 +421,16 @@ def tapered_beam_experiment(case, method, dt_factor=0.9, dt_basis="element",
     dt_basis "element" uses the element-eigenvalue bound 2/max_E omega_E;
     "global" uses the assembled-eigenproblem bound (the element bound can be
     hopelessly conservative on nearly degenerate meshes).  tau=None takes
-    the case's pulse duration: a VEM run reads it from its own report, a
-    FEM run from beam_pulse_duration.
+    the case's pulse duration.
     """
     from . import benchmarks
-    if case not in ("A", "B"):
+    if case not in BEAM_PULSE_DURATION:
         raise ValidationError(f"unknown beam case {case!r}")
     problem = beam_problem(
         benchmarks.gen_benchmark("beam" + case, variant=method), method,
         alpha0)
     dt = dt_factor * problem.dt_crit(dt_basis)
-    if tau is None:
-        tau = (pulse_duration(problem.report) if method == "vem" else
-               beam_pulse_duration(case, alpha0=alpha0))
+    tau = beam_pulse_duration(case) if tau is None else tau
     return run_beam(problem, dt, t_max_transits, tau)
 
 

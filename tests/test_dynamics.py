@@ -1099,21 +1099,14 @@ def test_infeasible_run_refused_before_allocating():
                                         [0])
 
 
-def test_beam_pulse_duration_is_the_vem_bound_memoized(beam_meshes,
-                                                       monkeypatch):
-    # The same bits as the pulse rule applied to the VEM beam problem's own
-    # report (100 x its element bound); a second call for the same (case,
-    # alpha0) generates no mesh.
-    tau = dynamics.beam_pulse_duration("A")
-    problem = dynamics.beam_problem(beam_meshes[("A", "vem")], "vem")
-    assert tau == dynamics.pulse_duration(problem.report)
-    assert tau == 100.0 * problem.report.dt_crit
-
-    def no_generation(*args, **kwargs):
-        raise AssertionError("gen_benchmark called")
-
-    monkeypatch.setattr(benchmarks, "gen_benchmark", no_generation)
-    assert dynamics.beam_pulse_duration("A") == tau
+@pytest.mark.parametrize("case", ["A", "B"])
+def test_beam_pulse_duration_is_the_vem_bound(beam_meshes, case):
+    # The constant is 100 x the element bound of the case's VEM beam under
+    # the default preset, to the last bit; the lookup returns it.
+    tau = dynamics.BEAM_PULSE_DURATION[case]
+    report = eig.critical_dt(beam_meshes[(case, "vem")], "vem", "auto")
+    assert tau == 100.0 * report.dt_crit
+    assert dynamics.beam_pulse_duration(case) == tau
 
 
 @pytest.mark.parametrize("tau", [np.nan, np.inf, -1.0, 0.0])
@@ -1140,3 +1133,28 @@ def test_fem_run_takes_the_case_pulse_duration():
         "A", "fem", dt_basis="global", t_max_transits=0.01,
         tau=100.0 * (2.0 / default.omega_star))
     assert not np.array_equal(own.u_norm, default.u_norm)
+
+
+def test_fem_run_ignores_the_preset(monkeypatch):
+    # The pulse duration is part of the problem: a FEM run under another
+    # preset is the default run, bit for bit, and builds no VEM beam.  An
+    # unknown case is refused by name before any mesh is generated.
+    default = dynamics.tapered_beam_experiment(
+        "A", "fem", dt_basis="global", t_max_transits=0.01)
+    generated = []
+    generate = benchmarks.gen_benchmark
+
+    def recorded(*args, **kwargs):
+        generated.append((args, kwargs))
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(benchmarks, "gen_benchmark", recorded)
+    with pytest.raises(ValidationError, match="unknown beam case 'C'"):
+        dynamics.tapered_beam_experiment("C", "vem", tau=1e-4)
+    assert generated == []
+    other = dynamics.tapered_beam_experiment(
+        "A", "fem", dt_basis="global", t_max_transits=0.01, alpha0=0.5)
+    assert generated == [(("beamA",), {"variant": "fem"})]
+    assert other.dt == default.dt
+    assert np.array_equal(other.t_norm, default.t_norm)
+    assert np.array_equal(other.u_norm, default.u_norm)

@@ -349,6 +349,19 @@ def test_scaled_valid_mesh_keeps_its_frequencies():
                                                      rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["prism3d", "wedge", "kite", "spireC"])
+def test_fem_step_scales_with_the_mesh_by_2_to_the_300(name):
+    # A face area is computed from the face's own scale, so at 2^-300 m it
+    # does not underflow to 0 (its squared components do) and the mesh is
+    # valid: the FEM step scales as the length, 2^k dt, to rounding.
+    mesh = benchmarks.gen_benchmark(name, 1e-3, "fem")
+    dt = eig.critical_dt(mesh, "fem").dt_crit
+    for k in (-300, 300):
+        scaled = eig.critical_dt(_scaled(mesh, 2.0 ** k), "fem").dt_crit
+        assert scaled == pytest.approx(2.0 ** k * dt, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("fixed", [[7], [-1], [0, 3]])
 def test_global_fixed_dofs_out_of_range_rejected(fixed):
     K = np.diag([1.0, 4.0, 9.0])

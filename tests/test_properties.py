@@ -310,8 +310,9 @@ def test_paired_faces_are_watertight(pick, seed, exponent, offset):
     # validation needs no separate watertightness check.  Jittered, scaled
     # by up to 1e+-100 and offset by up to 1e6, the table's own areas and
     # normals sum to zero within 1e-12 of the largest area wherever the
-    # areas are finite.  (Where a face area underflows to zero, the
-    # zero-area face check refuses the element first.)
+    # areas are finite.  (Face areas are computed from each face's own
+    # scale, so at 1e+-100 they neither underflow nor overflow; the sum is
+    # taken in units of the largest area, so its norm does not overflow.)
     verts, faces = _closed_elements()[pick % len(_closed_elements())]
     rng = np.random.default_rng(seed)
     jittered = verts + rng.uniform(-0.05, 0.05, verts.shape)
@@ -321,4 +322,4 @@ def test_paired_faces_are_watertight(pick, seed, exponent, offset):
     assume(not (g._face_check.any() or g._unpaired.any())
            and np.isfinite(g.face_areas).all())
     weighted = (g.face_areas[:, None] * g.face_normals).sum(axis=0)
-    assert np.linalg.norm(weighted) <= 1e-12 * g.face_areas.max()
+    assert np.linalg.norm(weighted / g.face_areas.max()) <= 1e-12
