@@ -329,7 +329,8 @@ def _cmd_tables(args, cfg):
     problems = _beam_table(os.path.join(args.out, "table6.csv"), cfg.alpha0)
     _beam_steps_table(os.path.join(args.out, "table7.csv"), problems,
                       args.with_dynamics)
-    print(f"wrote table1.csv .. table7.csv under {args.out}")
+    print(f"wrote table1.csv .. table7.csv under {args.out} (table1-5 at "
+          f"alpha0=unit, table6-7 at alpha0={cfg.alpha0})")
 
 
 def _variant_reports(name, eps):

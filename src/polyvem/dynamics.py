@@ -411,6 +411,8 @@ def beam_problem(mesh, method, alpha0="auto"):
 
 def beam_pulse_duration(case):
     """Pulse duration of the case, the same for every method and preset."""
+    if case not in BEAM_PULSE_DURATION:
+        raise ValidationError(f"unknown beam case {case!r}")
     return BEAM_PULSE_DURATION[case]
 
 
@@ -424,13 +426,12 @@ def tapered_beam_experiment(case, method, dt_factor=0.9, dt_basis="element",
     the case's pulse duration.
     """
     from . import benchmarks
-    if case not in BEAM_PULSE_DURATION:
-        raise ValidationError(f"unknown beam case {case!r}")
+    if tau is None or case not in BEAM_PULSE_DURATION:
+        tau = beam_pulse_duration(case)  # refuses an unknown case
     problem = beam_problem(
         benchmarks.gen_benchmark("beam" + case, variant=method), method,
         alpha0)
     dt = dt_factor * problem.dt_crit(dt_basis)
-    tau = beam_pulse_duration(case) if tau is None else tau
     return run_beam(problem, dt, t_max_transits, tau)
 
 

@@ -193,17 +193,13 @@ def _dots(x, y):
 
 
 def _norms(x):
-    """Row-wise Euclidean norms: np.linalg.norm's bits for each row whose
-    sum of squares is normal; any other row is divided by a power of two
-    near its largest |component| first and its norm scaled back."""
-    sq = _dots(x, x)
-    if (np.minimum.reduce(sq, None, initial=np.inf) >= 2.0 ** -1022 and
-            np.maximum.reduce(sq, None, initial=0.0) < np.inf):
-        return np.sqrt(sq)  # every sum of squares is normal
+    """Row-wise Euclidean norms, np.linalg.norm's bits for each row whose
+    sum of squares is normal.  Each row is divided by a power of two near
+    its largest |component| and its norm scaled back, which is exact, so a
+    norm neither underflows nor overflows where the squares would."""
     e = np.frexp(np.abs(x).max(axis=-1))[1]
     y = np.ldexp(x, -e[..., None])
-    return np.where((sq >= 2.0 ** -1022) & (sq < np.inf), np.sqrt(sq),
-                    np.ldexp(np.sqrt(_dots(y, y)), e))
+    return np.ldexp(np.sqrt(_dots(y, y)), e)
 
 
 def scaled_moment_table(integrator, centroid, diameter):

@@ -432,6 +432,12 @@ def test_tables(tmp_path):
     assert float(row.split(",")[2]) == pytest.approx(6.0e4, rel=0.15)
     beam_rows = (out / "table6.csv").read_text().strip().splitlines()
     assert len(beam_rows) == 5
+    # table1-5 run the paper's "unit" preset whatever --alpha0 is.
+    other = tmp_path / "other"
+    assert run(["--alpha0", "5", "tables", "--out", str(other)]) == 0
+    for k in range(1, 6):
+        name = f"table{k}.csv"
+        assert (other / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_tables_reuse_beam_problems(tmp_path, monkeypatch):
@@ -521,16 +527,6 @@ def test_family_table_deterministic(tmp_path):
     for path in (a, b):
         climod._family_table(str(path), "tri2d", (1e-1, 1e-3))
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_element_study_tables_ignore_the_preset(tmp_path):
-    # table1-5 run the paper's "unit" preset whatever --alpha0 is.
-    plain, other = tmp_path / "plain", tmp_path / "other"
-    assert run(["tables", "--out", str(plain)]) == 0
-    assert run(["--alpha0", "5", "tables", "--out", str(other)]) == 0
-    for k in range(1, 6):
-        name = f"table{k}.csv"
-        assert (other / name).read_bytes() == (plain / name).read_bytes()
 
 
 @pytest.mark.parametrize("nodes", ["[0,1,2,999]", "[1,2,3,4]", "[0,1,2]",

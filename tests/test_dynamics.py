@@ -1118,9 +1118,12 @@ def test_bad_pulse_duration_rejected(beam_meshes, tau):
         dynamics.run_beam(problem, problem.dt_crit("element"), 0.01, tau)
 
 
-def test_fem_run_takes_the_case_pulse_duration():
+def test_fem_run_takes_the_case_pulse_duration(monkeypatch):
     # With no tau a FEM run takes the case's pulse duration (the VEM
-    # bound's), not a pulse from its own far smaller element bound.
+    # bound's), not a pulse from its own far smaller element bound.  The
+    # pulse duration is part of the problem: a FEM run under another preset
+    # is the default run, bit for bit, and builds no VEM beam.  An unknown
+    # case is refused by name before any mesh is generated.
     default = dynamics.tapered_beam_experiment(
         "A", "fem", dt_basis="global", t_max_transits=0.01)
     given = dynamics.tapered_beam_experiment(
@@ -1133,14 +1136,6 @@ def test_fem_run_takes_the_case_pulse_duration():
         "A", "fem", dt_basis="global", t_max_transits=0.01,
         tau=100.0 * (2.0 / default.omega_star))
     assert not np.array_equal(own.u_norm, default.u_norm)
-
-
-def test_fem_run_ignores_the_preset(monkeypatch):
-    # The pulse duration is part of the problem: a FEM run under another
-    # preset is the default run, bit for bit, and builds no VEM beam.  An
-    # unknown case is refused by name before any mesh is generated.
-    default = dynamics.tapered_beam_experiment(
-        "A", "fem", dt_basis="global", t_max_transits=0.01)
     generated = []
     generate = benchmarks.gen_benchmark
 
@@ -1151,6 +1146,8 @@ def test_fem_run_ignores_the_preset(monkeypatch):
     monkeypatch.setattr(benchmarks, "gen_benchmark", recorded)
     with pytest.raises(ValidationError, match="unknown beam case 'C'"):
         dynamics.tapered_beam_experiment("C", "vem", tau=1e-4)
+    with pytest.raises(ValidationError, match="unknown beam case 'C'"):
+        dynamics.beam_pulse_duration("C")
     assert generated == []
     other = dynamics.tapered_beam_experiment(
         "A", "fem", dt_basis="global", t_max_transits=0.01, alpha0=0.5)
