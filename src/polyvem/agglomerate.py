@@ -49,6 +49,7 @@ def _rebuild(mesh, groups):
     and must not be degenerate; the first union in element order that
     fails either raises.  Returns the new mesh and {new element id: tuple
     of original ids}."""
+    meshmod.validate_mesh(mesh)  # an invalid mesh is refused (cached)
     groups = [sorted(set(int(g) for g in group)) for group in groups]
     ids = [g for members in groups for g in members]
     if not groups:
@@ -82,9 +83,9 @@ def _unions(mesh, groups):
     """The union element of each group, from one pass over its members'
     rows of the geometry table's stacked faces (loop edges in 2D), matched
     as ``_contacts`` matches them.  A row held once is boundary, kept in
-    member then face order.  A row held twice is internal: its copies must
-    be oppositely oriented, that is, the permutations sorting them differ
-    in parity, and such pairs must connect the group."""
+    member then face order.  A row held twice is internal (a valid mesh
+    holds no row more than twice, nor twice in one direction), and such
+    pairs must connect the group."""
     size = [len(members) for members in groups]
     members = np.concatenate(groups)
     rows, pos = meshmod.face_rows(mesh, members)
@@ -94,22 +95,7 @@ def _unions(mesh, groups):
     key = np.sort(faces, axis=1)
     order, run = meshmod._runs(group, *key.T)
     copies = np.bincount(run)[run]
-    what = "edge" if mesh.dimension == 2 else "face"
-    if (copies > 2).any():
-        raise MergeError(f"{what} {tuple(key[order[copies > 2][0]].tolist())}"
-                         " shared by more than two elements")
-    k = faces.shape[1]
-    parity = sum(faces[:, a] > faces[:, b]
-                 for a in range(k) for b in range(a + 1, k)) % 2
-    paired = order[copies == 2]
-    i, j = paired[::2], paired[1::2]
-    same = np.flatnonzero(parity[i] == parity[j])
-    if same.size:
-        a, b = i[same[0]], j[same[0]]
-        raise MergeError(
-            f"elements {members[pos[a]]} and {members[pos[b]]} traverse "
-            f"shared {what} {tuple(key[a].tolist())} in the same direction "
-            "(orientation mismatch)")
+    i, j = order[copies == 2].reshape(-1, 2).T
     apart = (_components(len(members), pos[i], pos[j])
              != np.repeat(np.cumsum(size) - size, size))
     if apart.any():

@@ -6,8 +6,8 @@ groups), adding each group straight into K's CSR arrays, which are laid
 out once from the coupled node pairs: each stored entry sums its element
 terms in sweep order.  A beam problem (``beam_problem``) builds one sweep
 per beam mesh and feeds it to both the time-step bound and the assembly.
-The integrator is the standard half-step-velocity central-difference
-update with a diagonal mass; fixed dofs are held at rest and driven dofs
+The integrator is the central-difference update with a diagonal mass, in
+displacement-increment form; fixed dofs are held at rest and driven dofs
 are overwritten each step.  ``run_beam``, the one beam driver, reproduces
 the pulse-loaded tapered-beam runs: fixed at x = 0, an axial quartic pulse
 at x = 4, histories probed mid-beam and reported in normalized time and
@@ -15,10 +15,11 @@ displacement.  A case's pulse duration is a constant of the problem,
 ``BEAM_PULSE_DURATION``, whatever the method or stabilization preset.
 
 ``scipy.sparse`` is imported inside ``assemble_systems``, the one place a
-global matrix is built, so importing this module (and running element
-studies) does not load it.  The step is written once, as the ``_steps``
-generator; a long run splits it with a forked helper process that steps a
-band of the dofs through its own ``_steps``, bit for bit (``_domains``).
+global matrix is built, and ``_steps``, so importing this module (and
+running element studies) does not load it.  The step is written once, as
+the ``_steps`` generator; a long run splits it with a forked helper
+process that steps a band of the dofs through its own ``_steps``, bit for
+bit (``_domains``).
 """
 
 from __future__ import annotations
@@ -178,36 +179,46 @@ def _meet(flags, dots, me, step, dot, alive):
     return dots[2 * (step & 1) + 1 - me] if flags[1 - me] >= step else None
 
 
-def _steps(K, v, scale, bufs, start, dt, n_steps):
-    """Steps 1..n_steps of one process's dofs start : start + len(v) (K,
-    v and scale its rows): move them into u's buffer for the step, yield
-    (step, u, own), and on resume add their rows of K @ u into v."""
-    owns = [b[start:start + len(v)] for b in bufs]
-    work = np.empty(len(v))
+def _scaled(K, s):
+    """K with row i scaled by s[i] (float64, the kernel's type), sharing K's
+    pattern: one new array of nnz floats and no other copy."""
+    data = np.repeat(s, np.diff(K.indptr))
+    np.multiply(data, K.data, out=data, dtype=float)
+    return type(K)((data, K.indices, K.indptr), shape=K.shape)
+
+
+def _steps(K, w, bufs, start, n_steps):
+    """Steps 1..n_steps of one process's dofs start : start + len(w) (K,
+    scaled by -dt^2/m, and w = dt v at the half step, its rows): move them
+    by w into u's buffer for the step, yield (step, u, own), and on resume
+    accumulate their rows of K @ u into w, each row in stored order."""
+    from scipy.sparse._sparsetools import csr_matvec
+    owns = [b[start:start + len(w)] for b in bufs]
+    kernel = (*K.shape, K.indptr, K.indices, K.data)
     for step in range(1, n_steps + 1):
         u, own = bufs[step & 1], owns[step & 1]
-        np.add(owns[~step & 1], np.multiply(v, dt, out=work), out=own)
+        np.add(owns[~step & 1], w, out=own)
         yield step, u, own
-        np.multiply(K @ u, scale, out=work)
-        np.add(v, np.multiply(work, dt, out=work), out=v)
+        csr_matvec(*kernel, u, w)
 
 
 @contextmanager
-def _domains(K, v_half, scale, driven, dt, n_steps, split):
+def _domains(K, scale, driven, n_steps, split):
     """This process's part of a run: (its ``_steps``, dof -> index in u,
     meet(step) -> the other process's partial u @ u).  Split, u's two
     buffers sit in a shared anonymous mmap and a forked helper steps the
     rows from r0 on; it leaves by os._exit when told, orphaned or on
     error, and is reaped on exit; its death mid-run raises RuntimeError."""
     ndof = K.shape[0]
+    w = np.zeros(ndof)  # dt v at dt/2 from rest
     if not split:
         u = np.zeros(ndof)
-        yield (_steps(K, v_half, scale, (u, u), 0, dt, n_steps),
+        yield (_steps(_scaled(K, scale), w, (u, u), 0, n_steps),
                np.arange(ndof), lambda step: 0.0)
         return
     import mmap
     K, order, r0 = _banded(K, driven)
-    v_half, scale = v_half[order], scale[order]
+    K = _scaled(K, scale[order])  # each row's bits, as in the serial run
     shared = mmap.mmap(-1, 48 + 16 * ndof)  # anonymous: no name, no file
     flags = memoryview(shared)[:16].cast("q")
     dots = memoryview(shared)[16:48].cast("d")
@@ -216,8 +227,7 @@ def _domains(K, v_half, scale, driven, dt, n_steps, split):
     if pid == 0:  # the helper: rows r0: until told to stop or orphaned
         try:
             has_parent = lambda: os.getppid() == parent  # noqa: E731
-            for step, _, own in _steps(K[r0:], v_half[r0:], scale[r0:], bufs,
-                                       r0, dt, n_steps):
+            for step, _, own in _steps(K[r0:], w[r0:], bufs, r0, n_steps):
                 if _meet(flags, dots, 1, step, own @ own, has_parent) is None:
                     break
             os._exit(0)
@@ -226,8 +236,7 @@ def _domains(K, v_half, scale, driven, dt, n_steps, split):
     alive = lambda: os.waitpid(pid, os.WNOHANG)[0] == 0  # noqa: E731
     K = K[:r0]  # this process keeps only its own rows
     try:
-        yield (_steps(K, v_half[:r0], scale[:r0], bufs, 0, dt, n_steps),
-               np.argsort(order),
+        yield (_steps(K, w[:r0], bufs, 0, n_steps), np.argsort(order),
                lambda step: _meet(flags, dots, 0, step, 0.0, alive))
     finally:
         flags[0] = -1
@@ -239,15 +248,16 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
                            divergence_limit=None):
     """Explicit central-difference run of M a + K u = 0 under the schedule.
 
-    K is a square scipy sparse matrix, one row per lumped mass entry (used
-    as CSR); probes are global dof indices recorded every step.  Divergence
-    (any |u| beyond divergence_limit, None or >= 0, or a non-finite u)
-    aborts and flags the result.  A run whose time and probe history would
-    not fit in physical memory is refused before anything is allocated.  A
-    step is one ``K @ u`` (an assembled K stores no zeros) and in-place
-    updates of preallocated vectors: -1/m is one scale that is 0 on the
-    fixed and driven dofs, a fixed dof keeps v_half = 0 and so u = 0, and
-    the exact max|u| check runs only when u @ u > limit^2 / 4.
+    K is a square scipy sparse matrix of real, finite entries, one row per
+    lumped mass entry (used as CSR); probes are global dof indices recorded
+    every step.  Divergence (any |u| beyond divergence_limit, None or >= 0,
+    or a non-finite u) aborts and flags the result.  A run whose time and
+    probe history would not fit in physical memory is refused before
+    anything is allocated.  The run keeps w = dt v at the half step and
+    folds s = -dt^2/m (0 on the fixed and driven dofs) into K's rows once:
+    a step is u = u_prev + w and one ``csr_matvec`` adding those rows of
+    K @ u into w.  A fixed dof keeps w = 0 and so u = 0, and the exact
+    max|u| check runs only when u @ u > limit^2 / 4.
 
     With n_steps * K.nnz >= PARALLEL_MIN_WORK, two allowed CPUs, x86-64
     (whose store order publishes u before the flag after it) and no other
@@ -272,6 +282,10 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
         raise ValidationError(f"K must be a square scipy sparse matrix with "
                               f"{ndof} rows, one per lumped mass entry")
     K = K.tocsr()
+    if K.dtype.kind not in "biuf":
+        raise ValidationError(f"K must be real, not {K.dtype}")
+    if not np.isfinite(K.data).all():
+        raise ValidationError("K has a non-finite entry")
     probes, fixed, driven = dofs = [np.asarray(d, dtype=int)
                                     for d in (probes, bcs.fixed, bcs.driven)]
     for name, d in zip(("probe", "fixed", "driven"), dofs):
@@ -285,9 +299,8 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
             f"{n_steps} steps need {need / 2 ** 30:.3g} GiB of time and "
             f"probe history, more than the {memory / 2 ** 30:.3g} GiB of "
             "physical memory")
-    scale = -1.0 / ml
-    scale[fixed] = 0.0
-    scale[driven] = 0.0
+    scale = -(dt * dt) / ml
+    scale[fixed] = scale[driven] = 0.0
     times = np.arange(n_steps + 1, dtype=float)
     times *= dt
     history = np.zeros((n_steps + 1, len(probes)))
@@ -303,9 +316,7 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
              and platform.machine() == "x86_64"
              and threading.active_count() == 1)
     start = time.perf_counter()
-    v_half = np.zeros(ndof)  # v at dt/2 from rest
-    with _domains(K, v_half, scale, driven, dt, n_steps, split) as (
-            steps, pos, meet):
+    with _domains(K, scale, driven, n_steps, split) as (steps, pos, meet):
         driven, probes = pos[driven], pos[probes]
         for step, u, own in steps:
             u[driven] = bcs.pulse(float(times[step]))

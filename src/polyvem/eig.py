@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fem, mesh as meshmod, vem
+from . import fem, hni, mesh as meshmod, vem
 
 
 class NumericalError(RuntimeError):
@@ -174,13 +174,15 @@ POWER_TOL, POWER_MAX_ITER, POWER_SEED = 1e-6, 200000, 0
 def global_max_frequency(K, M_lumped, fixed_dofs=()):
     """Largest global frequency by power iteration on L^-1 K L^-T.
 
-    ``K`` is dense or CSR; ``fixed_dofs`` are eliminated before iterating;
-    a fixed dof outside [0, n), or no free dof, is a ValidationError.
+    ``K`` is real, dense or CSR; ``fixed_dofs`` are eliminated first; a
+    fixed dof outside [0, n), or no free dof, is a ValidationError.
     Returns (omega, converged, iterations), converged always True: a
     non-finite Rayleigh quotient, or a loop that reaches POWER_MAX_ITER,
     raises NumericalError.  omega is 0 only when K_ff x is exactly zero.
     """
     n = K.shape[0]
+    if K.dtype.kind not in "biuf":
+        raise meshmod.ValidationError(f"K must be real, not {K.dtype}")
     fixed = np.asarray(list(fixed_dofs), dtype=int)
     if fixed.size and not (0 <= fixed.min() and fixed.max() < n):
         raise meshmod.ValidationError(f"fixed dof out of range [0, {n})")
@@ -198,7 +200,7 @@ def global_max_frequency(K, M_lumped, fixed_dofs=()):
 
     rng = np.random.default_rng(POWER_SEED)
     x = rng.standard_normal(len(free))
-    x /= np.linalg.norm(x)
+    x /= hni._norms(x)
     lam = 0.0
     for it in range(1, POWER_MAX_ITER + 1):
         y = apply(x)
@@ -208,7 +210,7 @@ def global_max_frequency(K, M_lumped, fixed_dofs=()):
         if not np.isfinite(lam_new):
             raise NumericalError(f"power iteration: non-finite Rayleigh "
                                  f"quotient {lam_new} at iteration {it}")
-        x = y / np.linalg.norm(y)
+        x = y / hni._norms(y)  # exact scaling: no underflow
         if it > 1 and abs(lam_new - lam) <= POWER_TOL * abs(lam_new):
             return float(np.sqrt(max(lam_new, 0.0))), True, it
         lam = lam_new

@@ -76,10 +76,13 @@ def test_disconnected_group_rejected():
 
 
 def test_overlapping_orientation_rejected():
+    # Two copies of one tet hold its faces in the same orientation: merging
+    # validates the mesh first, which refuses the overlap.
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     mesh = Mesh(3, verts, [tet_element((0, 1, 2, 3)),
                            tet_element((0, 1, 2, 3))])
-    with pytest.raises(MergeError, match="orientation"):
+    with pytest.raises(ValidationError,
+                       match="^element 1: overlaps an earlier element"):
         agglomerate.merge(mesh, (0, 1))
 
 
@@ -106,14 +109,14 @@ def test_auto_agglomerate_refuses_vanishing_union():
         agglomerate.auto_agglomerate(mirror_slivers())
 
 
-def nested_cones():
-    # Two tets over the same base, apexes 1 and 2 high, the taller one
-    # inside out: their union is closed but encloses negative volume.
-    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.2, 1],
-                      [0.2, 0.2, 2]])
-    tall = tet_element((0, 1, 2, 4))
-    return Mesh(3, verts, [tet_element((0, 1, 2, 3)), Element(
-        faces=tuple(f[::-1] for f in tall.faces))])
+def pinched_tets():
+    # Four valid tets in a chain about vertex 0, each sharing a face with
+    # the next; the first and the last share only the edge (0, 1), so the
+    # union holds that edge on four faces: closed, but not a manifold.
+    verts = np.array([[0.0, 0, 0], [2, -2, 0], [-2, 0, 2], [1, -1, 2],
+                      [1, 2, -2], [0, 2, 1]])
+    return Mesh(3, verts, [tet_element(t) for t in (
+        (0, 2, 1, 3), (0, 5, 2, 3), (0, 5, 4, 2), (0, 1, 4, 5))])
 
 
 def side_by_side(*meshes):
@@ -134,14 +137,18 @@ def side_by_side(*meshes):
 def test_first_bad_union_in_element_order_raises(first, later):
     # One merge_groups call with a good union and then two bad ones names
     # the earlier bad union by its new element id (1), with the error of
-    # the check it fails; merged without it, the later one (new id 3)
-    # fails the other check.
+    # the check it fails; merged without it, the later one (new id 1 + the
+    # earlier one's members) fails the other check.
     errors = {"vanishing": (MergeError, "merged element {} has vanishing"),
-              "invalid": (ValidationError, "element {}: faces oriented")}
-    bad = {"vanishing": mirror_slivers(), "invalid": nested_cones()}
+              "invalid": (ValidationError, "element {}, face 0: face "
+                          "orientation mismatch on edge")}
+    bad = {"vanishing": mirror_slivers(), "invalid": pinched_tets()}
     mesh = side_by_side(two_tets(), bad[first], bad[later])
-    for groups, new_id, kind in (([(4, 5), (2, 3), (0, 1)], 1, first),
-                                 ([(0, 1), (4, 5)], 3, later)):
+    n = bad[first].num_elements
+    early, late = (tuple(range(2, 2 + n)),
+                   tuple(range(2 + n, mesh.num_elements)))
+    for groups, new_id, kind in (([late, early, (0, 1)], 1, first),
+                                 ([(0, 1), late], 1 + n, later)):
         with pytest.raises(ValidationError) as info:
             agglomerate.merge_groups(mesh, groups)
         error, message = errors[kind]
@@ -251,12 +258,13 @@ def test_one_group_rule(call, message):
 
 def test_face_shared_by_three_members_rejected():
     # Tets 0 and 2 both sit above face {0, 1, 2}, tet 1 below it: they
-    # overlap, so the mesh is built unvalidated.
+    # overlap, so the mesh is built unvalidated, and merging refuses it.
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.2, 1],
                       [0.2, 0.2, -1], [0.3, 0.3, 2]])
     mesh = Mesh(3, verts, np.array([(0, 1, 2, 3), (0, 2, 1, 4),
                                     (0, 1, 2, 5)]))
-    with pytest.raises(MergeError, match="more than two"):
+    with pytest.raises(ValidationError,
+                       match="^element 2: overlaps an earlier element"):
         agglomerate.merge(mesh, (0, 1, 2))
 
 
@@ -276,5 +284,6 @@ def test_2d_group_without_shared_edge_rejected(loops):
 
 
 def test_coincident_2d_triangles_rejected():
-    with pytest.raises(MergeError, match="same direction"):
+    with pytest.raises(ValidationError,
+                       match="^element 1: overlaps an earlier element"):
         agglomerate.merge(plane_mesh(((0, 1, 2), (0, 1, 2))), (0, 1))

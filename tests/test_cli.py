@@ -812,12 +812,12 @@ def _tri2d_mesh(path, factor=1.0):
     return mesh
 
 
-@pytest.mark.parametrize("factor", [1e-150, 1e150])
+@pytest.mark.parametrize("factor", [1e-150])
 def test_eig_global_extreme_length_scale_is_a_numerical_failure(
         tmp_path, capsys, factor):
-    # At 1e-150 m the power loop's product overflows, at 1e150 m its norm
-    # underflows: one "numerical failure" line at the first non-finite
-    # Rayleigh quotient (exit 2), no warning and no ZeroDivisionError.
+    # At 1e-150 m the power loop's product overflows: one "numerical
+    # failure" line at the first non-finite Rayleigh quotient (exit 2), no
+    # warning and no ZeroDivisionError.
     path = tmp_path / "scaled.json"
     _tri2d_mesh(path, factor)
     assert run(["eig-global", "--mesh", str(path), "--method", "fem"]) == 2
@@ -825,6 +825,22 @@ def test_eig_global_extreme_length_scale_is_a_numerical_failure(
     assert out == "" and err.count("\n") == 1
     assert err.startswith("numerical failure: power iteration: non-finite "
                           "Rayleigh quotient")
+
+
+def test_eig_global_large_length_scale_scales_omega(tmp_path, capsys):
+    # At 1e150 m the power loop's iterates are ~1e-300: each is normalized
+    # by an exactly scaled norm, which does not underflow, so omega comes
+    # out as the unscaled omega / 1e150 (2 ulp off, measured).
+    from polyvem import dynamics, eig
+    path = tmp_path / "scaled.json"
+    mesh = _tri2d_mesh(path, 1e150)
+    omega = eig.global_max_frequency(*dynamics.assemble(mesh, "fem"))[0]
+    huge = meshmod.load_mesh(path)
+    scaled = eig.global_max_frequency(*dynamics.assemble(huge, "fem"))[0]
+    assert scaled * 1e150 == pytest.approx(omega, rel=1e-15)
+    assert run(["eig-global", "--mesh", str(path), "--method", "fem"]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"omega_global={scaled:.6e} rad/s")
 
 
 def test_eig_global_every_node_fixed_rejected(tmp_path, capsys):

@@ -443,9 +443,18 @@ def _reference_run(K, M_lumped, bcs, dt, t_max, probes,
 
 
 def _assert_same_run(res, ref):
+    """The reference loop's times, steps and divergence step, bit for bit,
+    and its probe history within 1e-12 of its peak (the run's update is
+    the displacement-increment form of the same recurrence)."""
     times, history, diverged_step = ref
     assert res.times.tobytes() == times.tobytes()
-    assert res.probe_history.tobytes() == history.tobytes()
+    assert res.probe_history.shape == history.shape
+    finite = np.isfinite(history)
+    peak = np.abs(history[finite]).max(initial=0.0)
+    assert np.array_equal(res.probe_history[~finite], history[~finite],
+                          equal_nan=True)
+    assert (np.abs(res.probe_history[finite] - history[finite])
+            <= 1e-12 * peak).all()
     assert res.diverged_step == diverged_step
     assert res.diverged == (diverged_step is not None)
     assert res.steps == len(times) - 1
@@ -721,6 +730,34 @@ def test_helper_beam_history_is_the_serial_one(monkeypatch, forks):
     assert len(forks) == 1 and serial.steps == helper.steps > 3000
     assert helper.times.tobytes() == serial.times.tobytes()
     assert helper.probe_history.tobytes() == serial.probe_history.tobytes()
+
+
+@pytest.mark.parametrize("index", [np.int32, np.int64])
+def test_step_kernel_accumulates_each_row_in_stored_order(index):
+    # The step's kernel adds row i of K @ u into y[i]: from y[i], one
+    # product at a time, in the row's stored order (here unsorted, with
+    # entries of widely spread size, so the order shows in the bits).
+    # Into zeros it gives K @ u bit for bit.
+    from scipy.sparse._sparsetools import csr_matvec
+    rng = np.random.default_rng(7)
+    n = 40
+    K = sp.random(n, n, density=0.3, random_state=rng, format="csr")
+    for i in range(n):
+        row = slice(K.indptr[i], K.indptr[i + 1])
+        K.indices[row] = rng.permutation(K.indices[row])
+    K.data = rng.standard_normal(K.nnz) * 10.0 ** rng.integers(-8, 9, K.nnz)
+    u, y0 = rng.standard_normal(n), rng.standard_normal(n)
+    indptr, indices = K.indptr.astype(index), K.indices.astype(index)
+    y = y0.copy()
+    csr_matvec(n, n, indptr, indices, K.data, u, y)
+    expected = y0.copy()
+    for i in range(n):
+        for k in range(indptr[i], indptr[i + 1]):
+            expected[i] += K.data[k] * u[indices[k]]
+    assert y.tobytes() == expected.tobytes()
+    zeros = np.zeros(n)
+    csr_matvec(n, n, indptr, indices, K.data, u, zeros)
+    assert zeros.tobytes() == (K @ u).tobytes()
 
 
 def _wedge_run_args():
@@ -1037,6 +1074,36 @@ def test_unusable_stiffness_rejected(K):
     msg = "^K must be a square scipy sparse matrix with 2 rows"
     with pytest.raises(ValidationError, match=msg):
         dynamics.central_difference_run(K, np.ones(2), bcs, 0.1, 1.0, [0])
+
+
+@pytest.mark.parametrize("value, match", [
+    (1.0 + 1.0j, "^K must be real, not complex128$"),
+    (np.nan, "^K has a non-finite entry$"),
+    (np.inf, "^K has a non-finite entry$"),
+    (-np.inf, "^K has a non-finite entry$"),
+])
+def test_non_real_or_non_finite_stiffness_rejected(value, match):
+    # Before: a raw UFuncTypeError for complex K; a NaN K ran two steps
+    # and reported divergence.
+    K = sp.csr_matrix(np.array([[2.0, -1.0], [value, 2.0]]))
+    bcs = BcSchedule(fixed=np.array([], dtype=int), driven=np.array([0]),
+                     tau=1.0)
+    with pytest.raises(ValidationError, match=match):
+        dynamics.central_difference_run(K, np.ones(2), bcs, 0.1, 1.0, [1],
+                                        10.0)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.longdouble])
+def test_stiffness_of_any_real_dtype_runs_as_float64(dtype):
+    # The kernel takes float64 rows: an integer, single or extended
+    # precision K with float64 values runs as the float64 K does.
+    two = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    bcs = BcSchedule(fixed=np.array([], dtype=int), driven=np.array([0]),
+                     tau=1.0)
+    runs = [dynamics.central_difference_run(
+        sp.csr_matrix(two.astype(d)), np.ones(2), bcs, 0.1, 1.0, [1])
+        for d in (float, dtype)]
+    assert runs[1].probe_history.tobytes() == runs[0].probe_history.tobytes()
 
 
 @pytest.mark.parametrize("limit", [np.nan, -1.0, -np.inf])

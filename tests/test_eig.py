@@ -372,6 +372,16 @@ def test_global_fixed_dofs_out_of_range_rejected(fixed):
     assert converged and omega == pytest.approx(2.0, rel=1e-6)
 
 
+def test_power_loop_refuses_a_complex_stiffness():
+    # Before: this Hermitian K (omega^2 = 1 and 3) gave omega = 0.0.
+    import scipy.sparse as sp
+    K = np.array([[2.0, 1j], [-1j, 2.0]])
+    for form in (K, sp.csr_matrix(K)):
+        with pytest.raises(ValidationError,
+                           match="^K must be real, not complex128$"):
+            eig.global_max_frequency(form, np.ones(2))
+
+
 def test_power_loop_refuses_every_dof_fixed():
     with pytest.raises(ValidationError, match="^every dof is fixed$"):
         eig.global_max_frequency(np.eye(3), np.ones(3), [0, 1, 2])
@@ -385,7 +395,6 @@ def test_power_loop_zero_only_for_an_exactly_zero_product():
 @pytest.mark.parametrize("K, mass, iteration", [
     (np.diag([1.0, np.nan]), [1.0, 1.0], 1),
     (np.diag([1e300, 1.0]), [1e-10, 1.0], 1),  # K x m^-1 overflows
-    (np.diag([1e-200, 2e-200]), [1.0, 1.0], 2),  # |K x| underflows to 0
 ])
 def test_power_loop_stops_at_non_finite_rayleigh_quotient(K, mass,
                                                           iteration):
@@ -395,3 +404,13 @@ def test_power_loop_stops_at_non_finite_rayleigh_quotient(K, mass,
     with pytest.raises(eig.NumericalError, match="non-finite Rayleigh "
                        f"quotient .* at iteration {iteration}$"):
         eig.global_max_frequency(K, np.array(mass))
+
+
+def test_power_loop_runs_where_the_norm_underflowed():
+    # |K x|^2 underflows to 0 here: each iterate is normalized by an
+    # exactly scaled norm, so the loop converges to omega = sqrt(2e-200)
+    # instead of stopping at a NaN quotient.
+    omega, converged, _ = eig.global_max_frequency(
+        np.diag([1e-200, 2e-200]), np.ones(2))
+    assert converged
+    assert omega == pytest.approx(np.sqrt(2e-200), rel=1e-6)

@@ -136,3 +136,12 @@ def test_degree_six_closed_forms():
     import math
     want = (math.factorial(2) ** 3) / math.factorial(9)
     assert integ_t.integrate((2, 2, 2)) == pytest.approx(want, rel=1e-13)
+
+
+def test_norm_of_one_vector_is_numpys_and_scales_exactly():
+    # The power loop's normalization: np.linalg.norm's bits in range, and
+    # at 2^-540 (whose squares underflow) the same bits scaled back.
+    x = np.random.default_rng(5).standard_normal(3846)
+    assert hni._norms(x) == np.linalg.norm(x)
+    assert np.linalg.norm(np.ldexp(x, -540)) == 0.0
+    assert hni._norms(np.ldexp(x, -540)) == np.ldexp(np.linalg.norm(x), -540)
