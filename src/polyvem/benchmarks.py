@@ -257,7 +257,7 @@ def _beam_2d(case):
 def _beam_mesh_2d(case, variant):
     verts, polygons, cells = _beam_2d(case)
     elements = ([Element(loop=t, kind="tri", nodes=t)
-                 for loop in polygons for t in meshmod.fan(verts, loop)]
+                 for cap in meshmod.fan(verts, polygons) for t in cap]
                 if variant == "fem" else
                 [Element(loop=loop) for loop in cells])
     return meshmod.validate_mesh(Mesh(2, verts, elements, STEEL_NU0))

@@ -43,8 +43,8 @@ BEAM_PROBE = (2.0, 0.5, 0.0)  # mid-beam node whose x displacement is recorded
 # VEM beam under the default preset, to the last bit.
 BEAM_PULSE_DURATION = {"A": 0.0004194336679103224,
                        "B": 0.00041816473926542167}
-# n_steps * K.nnz from which a run splits its step (>= 12x break-even)
-PARALLEL_MIN_WORK = 1e9
+# n_steps * K.nnz from which a run splits (~3x the pinned split's break-even)
+PARALLEL_MIN_WORK = 1e8
 
 
 def assemble(mesh, method, alpha0="unit"):
@@ -138,9 +138,9 @@ class RunResult:
 
 
 def _banded(K, driven):
-    """(K in breadth-first order from the driven dofs or dof 0, unreached
-    dofs last, each row's entries in stored order so its sum keeps its
-    bits; the order; the half-nnz row r0, moved past the driven dofs)."""
+    """(the breadth-first order from the driven dofs or dof 0, unreached
+    dofs last; each dof's place in it; its half-nnz row r0, moved past the
+    driven dofs)."""
     indptr, indices = K.indptr, K.indices
 
     def entries(rows):  # positions of the rows' stored entries, in order
@@ -156,12 +156,9 @@ def _banded(K, driven):
         front = np.flatnonzero((reached > 0) & ~seen)
     order = np.concatenate(levels + [np.flatnonzero(~seen)])
     pos = np.argsort(order)
-    at = entries(order)
-    K = type(K)((K.data[at], pos[indices[at]].astype(indices.dtype),
-                 np.append(0, np.cumsum(np.diff(indptr)[order]))),
-                shape=K.shape)
-    return K, order, max(int(np.searchsorted(K.indptr, K.nnz // 2)),
-                         int(pos[driven].max(initial=-1)) + 1)
+    ends = np.append(0, np.cumsum(np.diff(indptr)[order]))
+    return order, pos, max(int(np.searchsorted(ends, K.nnz // 2)),
+                           int(pos[driven].max(initial=-1)) + 1)
 
 
 def _meet(flags, dots, me, step, dot, alive):
@@ -179,22 +176,25 @@ def _meet(flags, dots, me, step, dot, alive):
     return dots[2 * (step & 1) + 1 - me] if flags[1 - me] >= step else None
 
 
-def _scaled(K, s):
-    """K with row i scaled by s[i] (float64, the kernel's type), sharing K's
-    pattern: one new array of nnz floats and no other copy."""
+def _scaled(K, s, rows=None, pos=None):
+    """The kernel's arguments for K's rows (all, sharing K's pattern, or
+    ``rows`` gathered in order, columns relabelled by ``pos``), row i scaled
+    by s[i] in float64 (the kernel's type), entries in stored order."""
+    if rows is not None:
+        K, s = K[rows], s[rows]  # scipy keeps each row's stored order
+        K.indices = pos.astype(K.indices.dtype)[K.indices]
     data = np.repeat(s, np.diff(K.indptr))
     np.multiply(data, K.data, out=data, dtype=float)
-    return type(K)((data, K.indices, K.indptr), shape=K.shape)
+    return (*K.shape, K.indptr, K.indices, data)
 
 
-def _steps(K, w, bufs, start, n_steps):
-    """Steps 1..n_steps of one process's dofs start : start + len(w) (K,
-    scaled by -dt^2/m, and w = dt v at the half step, its rows): move them
-    by w into u's buffer for the step, yield (step, u, own), and on resume
+def _steps(kernel, w, bufs, start, n_steps):
+    """Steps 1..n_steps of one process's dofs start : start + len(w) (its
+    ``_scaled`` rows of K, and w = dt v at the half step): move them by w
+    into u's buffer for the step, yield (step, u, own), and on resume
     accumulate their rows of K @ u into w, each row in stored order."""
     from scipy.sparse._sparsetools import csr_matvec
     owns = [b[start:start + len(w)] for b in bufs]
-    kernel = (*K.shape, K.indptr, K.indices, K.data)
     for step in range(1, n_steps + 1):
         u, own = bufs[step & 1], owns[step & 1]
         np.add(owns[~step & 1], w, out=own)
@@ -207,8 +207,9 @@ def _domains(K, scale, driven, n_steps, split):
     """This process's part of a run: (its ``_steps``, dof -> index in u,
     meet(step) -> the other process's partial u @ u).  Split, u's two
     buffers sit in a shared anonymous mmap and a forked helper steps the
-    rows from r0 on; it leaves by os._exit when told, orphaned or on
-    error, and is reaped on exit; its death mid-run raises RuntimeError."""
+    rows from r0 on, each process on its own CPU building only its rows; it
+    leaves by os._exit when told, orphaned or on error, and is reaped on
+    exit, when the CPUs are restored; its death mid-run raises RuntimeError."""
     ndof = K.shape[0]
     w = np.zeros(ndof)  # dt v at dt/2 from rest
     if not split:
@@ -217,31 +218,35 @@ def _domains(K, scale, driven, n_steps, split):
                np.arange(ndof), lambda step: 0.0)
         return
     import mmap
-    K, order, r0 = _banded(K, driven)
-    K = _scaled(K, scale[order])  # each row's bits, as in the serial run
+    order, pos, r0 = _banded(K, driven)
     shared = mmap.mmap(-1, 48 + 16 * ndof)  # anonymous: no name, no file
     flags = memoryview(shared)[:16].cast("q")
     dots = memoryview(shared)[16:48].cast("d")
     bufs = tuple(np.frombuffer(shared, float, 2 * ndof, 48).reshape(2, ndof))
+    cpus = os.sched_getaffinity(0)
     parent, pid = os.getpid(), os.fork()
     if pid == 0:  # the helper: rows r0: until told to stop or orphaned
         try:
+            os.sched_setaffinity(0, sorted(cpus)[1:2])
             has_parent = lambda: os.getppid() == parent  # noqa: E731
-            for step, _, own in _steps(K[r0:], w[r0:], bufs, r0, n_steps):
+            rows = _scaled(K, scale, order[r0:], pos)
+            for step, _, own in _steps(rows, w[r0:], bufs, r0, n_steps):
                 if _meet(flags, dots, 1, step, own @ own, has_parent) is None:
                     break
             os._exit(0)
         finally:
             os._exit(1)
     alive = lambda: os.waitpid(pid, os.WNOHANG)[0] == 0  # noqa: E731
-    K = K[:r0]  # this process keeps only its own rows
     try:
-        yield (_steps(K, w[:r0], bufs, 0, n_steps), np.argsort(order),
+        os.sched_setaffinity(0, sorted(cpus)[:1])
+        yield (_steps(_scaled(K, scale, order[:r0], pos), w[:r0], bufs, 0,
+                      n_steps), pos,
                lambda step: _meet(flags, dots, 0, step, 0.0, alive))
     finally:
         flags[0] = -1
         with suppress(ChildProcessError):  # reaped if it died mid-run
             os.waitpid(pid, 0)
+        os.sched_setaffinity(0, cpus)
 
 
 def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
@@ -262,10 +267,10 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
     With n_steps * K.nnz >= PARALLEL_MIN_WORK, two allowed CPUs, x86-64
     (whose store order publishes u before the flag after it) and no other
     thread (safe to fork), a forked helper owns the dofs from row r0 of
-    ``_banded``'s order, this process the rest and every driven dof.  Each
-    steps its own dofs through ``_steps``, bit for bit; at one barrier per
-    step this process alone takes the pulse, the probes and divergence
-    (u @ u sums the slices' partial dots).
+    ``_banded``'s order, this process the rest and every driven dof.  Each,
+    pinned to its own CPU, steps its own rows through ``_steps``, bit for
+    bit; at one barrier per step this process alone takes the pulse, the
+    probes and divergence (u @ u sums the slices' partial dots).
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValidationError("time step must be positive and finite")
@@ -286,11 +291,8 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
         raise ValidationError(f"K must be real, not {K.dtype}")
     if not np.isfinite(K.data).all():
         raise ValidationError("K has a non-finite entry")
-    probes, fixed, driven = dofs = [np.asarray(d, dtype=int)
-                                    for d in (probes, bcs.fixed, bcs.driven)]
-    for name, d in zip(("probe", "fixed", "driven"), dofs):
-        if d.size and not (0 <= d.min() and d.max() < ndof):
-            raise ValidationError(f"{name} dof out of range [0, {ndof})")
+    probes, fixed, driven = [eig.dof_ids(d, name, ndof) for d, name in zip(
+        (probes, bcs.fixed, bcs.driven), ("probe", "fixed", "driven"))]
     n_steps = int(np.ceil(t_max / dt))
     need = (n_steps + 1) * (1 + len(probes)) * 8
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

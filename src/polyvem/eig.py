@@ -170,12 +170,23 @@ def critical_dt(mesh, method, alpha0="unit"):
 POWER_TOL, POWER_MAX_ITER, POWER_SEED = 1e-6, 200000, 0
 
 
+def dof_ids(dofs, name, n):
+    """The dofs as ints; a non-integral or out-of-range dof is refused."""
+    d = np.asarray(dofs)
+    if d.dtype.kind not in "biu" and not np.all(d == np.trunc(d)):
+        raise meshmod.ValidationError(f"{name} dof is not an integer")
+    if d.size and not (0 <= d.min() and d.max() < n):
+        raise meshmod.ValidationError(f"{name} dof out of range [0, {n})")
+    return d.astype(int)
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def global_max_frequency(K, M_lumped, fixed_dofs=()):
     """Largest global frequency by power iteration on L^-1 K L^-T.
 
     ``K`` is real, dense or CSR; ``fixed_dofs`` are eliminated first; a
-    fixed dof outside [0, n), or no free dof, is a ValidationError.
+    fixed dof that is not an integer in [0, n), or no free dof, is a
+    ValidationError.
     Returns (omega, converged, iterations), converged always True: a
     non-finite Rayleigh quotient, or a loop that reaches POWER_MAX_ITER,
     raises NumericalError.  omega is 0 only when K_ff x is exactly zero.
@@ -183,10 +194,7 @@ def global_max_frequency(K, M_lumped, fixed_dofs=()):
     n = K.shape[0]
     if K.dtype.kind not in "biuf":
         raise meshmod.ValidationError(f"K must be real, not {K.dtype}")
-    fixed = np.asarray(list(fixed_dofs), dtype=int)
-    if fixed.size and not (0 <= fixed.min() and fixed.max() < n):
-        raise meshmod.ValidationError(f"fixed dof out of range [0, {n})")
-    free = np.setdiff1d(np.arange(n), fixed)
+    free = np.setdiff1d(np.arange(n), dof_ids(list(fixed_dofs), "fixed", n))
     if not free.size:
         raise meshmod.ValidationError("every dof is fixed")
     ml = np.asarray(M_lumped, float)[free]

@@ -605,26 +605,35 @@ def element_integrator(mesh, index):
 # Extrusion
 
 
-def fan(vertices, loop):
-    """The fan triangles of one CCW loop, as vertex-id triples in fan order.
-
-    The root is the first vertex by ascending id whose fan triangles all
-    have positive area relative to their own longest edge (the per-face
-    zero-area rule), so collinear runs that merged polygons keep are skipped.
-    """
-    n = len(loop)
-    pts = vertices[list(loop)]
-    for r in sorted(range(n), key=lambda k: loop[k]):
-        pairs = [((r + k) % n, (r + k + 1) % n) for k in range(1, n - 1)]
-        for i, j in pairs:
-            u, v, w = pts[i] - pts[r], pts[j] - pts[r], pts[j] - pts[i]
-            cross = u[0] * v[1] - u[1] * v[0]
-            if cross <= 2.0 * TAU_GEOM * max(u @ u, v @ v, w @ w):
-                break
-        else:
-            return [(loop[r], loop[i], loop[j]) for i, j in pairs]
-    raise ValidationError("no valid fan root for cap polygon; "
-                          "cap is non-star-shaped")
+def fan(vertices, loops):
+    """The fan triangles of each CCW loop, as vertex-id triples in fan
+    order, in one array pass per loop length.  A loop's root is its first
+    vertex by ascending id whose fan triangles all have positive area
+    relative to their own longest edge (the per-face zero-area rule), so
+    collinear runs that merged polygons keep are skipped.  A loop with no
+    root is refused by its place in ``loops``."""
+    caps, bad = [None] * len(loops), []
+    sizes = np.array([len(loop) for loop in loops], np.int64)
+    for n in np.unique(sizes).tolist():
+        at = np.flatnonzero(sizes == n)
+        ids = np.array([loops[i] for i in at], np.int64).reshape(len(at), n)
+        k = np.arange(1, n - 1)  # root r's triangles: r, r + k, r + k + 1
+        tri = (np.arange(n)[:, None, None] + np.c_[0 * k, k, k + 1]) % n
+        p = vertices[ids][:, tri]  # (loop, root, triangle, corner, axis)
+        e = p[..., [1, 2, 2], :] - p[..., [0, 0, 1], :]  # its u, v and w
+        flat = (e[..., 0, 0] * e[..., 1, 1] - e[..., 0, 1] * e[..., 1, 0]
+                <= 2.0 * TAU_GEOM * (e * e).sum(-1).max(-1))
+        rank = np.argsort(ids, axis=1)
+        ok = np.take_along_axis(~flat.any(-1), rank, 1)  # roots by id
+        bad += at[~ok.any(1)].tolist()
+        row = np.arange(len(at))
+        tris = ids[row[:, None, None], tri[rank[row, ok.argmax(1)]]]
+        for i, cap in zip(at.tolist(), tris.tolist()):
+            caps[i] = list(map(tuple, cap))
+    if bad:
+        raise ValidationError(f"element {min(bad)}: no valid fan root for "
+                              "cap polygon; cap is non-star-shaped")
+    return caps
 
 
 def extrude(mesh2d, thickness):
@@ -641,13 +650,9 @@ def extrude(mesh2d, thickness):
     if thickness <= 0:
         raise ValidationError("extrude needs thickness > 0")
     n2, verts = mesh2d.num_vertices, _lifted(mesh2d, thickness)
+    loops = [tuple(el.loop) for el in mesh2d.elements]
     elements = []
-    for e, el in enumerate(mesh2d.elements):
-        loop = tuple(el.loop)
-        try:
-            cap = fan(mesh2d.vertices, loop)
-        except ValidationError as exc:
-            raise ValidationError(f"element {e}: {exc}") from None
+    for loop, cap in zip(loops, fan(mesh2d.vertices, loops)):
         faces = [(a, c, b) for a, b, c in cap]                  # outward -z
         faces += [(a + n2, b + n2, c + n2) for a, b, c in cap]  # outward +z
         for a, b in zip(loop, loop[1:] + loop[:1]):

@@ -19,7 +19,8 @@ from polyvem import benchmarks, mesh as meshmod
 
 # ---------------------------------------------------------------------------
 # Leak guard: a central-difference run may fork a helper process for its
-# products, and no test may leave a child process behind.
+# products and pin itself and the helper to CPUs; no test may leave a child
+# process behind or this process's CPU affinity changed.
 
 
 def helper_capable():
@@ -30,14 +31,24 @@ def helper_capable():
             and len(os.sched_getaffinity(0)) >= 2)
 
 
+_affinity = getattr(os, "sched_getaffinity", lambda pid: None)
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
+    cpus = _affinity(0)  # read past any monkeypatch of the test's
     yield
     try:
         left = os.waitpid(-1, os.WNOHANG)  # also reaps an exited child
     except ChildProcessError:
-        return
-    pytest.fail(f"the test left a child process behind: {left}")
+        left = None
+    if left is not None:
+        pytest.fail(f"the test left a child process behind: {left}")
+    if _affinity(0) != cpus:
+        changed = _affinity(0)
+        os.sched_setaffinity(0, cpus)  # later tests run as before
+        pytest.fail(f"the test left this process's CPU affinity changed: "
+                    f"{sorted(changed)}, not {sorted(cpus)}")
 
 
 # ---------------------------------------------------------------------------

@@ -773,8 +773,12 @@ def test_serial_path_never_forks(monkeypatch, why):
     def no_fork():
         raise AssertionError("os.fork called")
 
+    def no_pin(pid, cpus):
+        raise AssertionError("os.sched_setaffinity called")
+
     K, M, bcs, dt, t_max, probes = _wedge_run_args()
     monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_setaffinity", no_pin, raising=False)
     steps = int(np.ceil(t_max / dt))
     monkeypatch.setattr(dynamics, "PARALLEL_MIN_WORK",
                         steps * K.nnz + 1 if why == "little work" else 0)
@@ -811,13 +815,23 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _cpu(pid):
+    """The CPU the process last ran on: field 39 of /proc/<pid>/stat."""
+    stat = Path(f"/proc/{pid}/stat").read_text()
+    return int(stat.rpartition(")")[2].split()[36])  # fields 3, 4, ...
+
+
 @needs_helper
 def test_helper_is_reaped_after_every_kind_of_run(monkeypatch, forks):
+    # ... and this process's CPUs are restored after each, whether the run
+    # ends, diverges or raises.
     monkeypatch.setattr(dynamics, "PARALLEL_MIN_WORK", 0)
+    cpus = os.sched_getaffinity(0)
     K, M, bcs, dt, t_max, probes = _wedge_run_args()
     assert dynamics.central_difference_run(K, M, bcs, dt, t_max,
                                            probes).steps > 50
     _no_child_left()
+    assert os.sched_getaffinity(0) == cpus
     two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     diverging = BcSchedule(fixed=np.array([], dtype=int),
                            driven=np.array([0]), tau=1e3)
@@ -825,6 +839,7 @@ def test_helper_is_reaped_after_every_kind_of_run(monkeypatch, forks):
     assert dynamics.central_difference_run(
         two, np.ones(2), diverging, dt2, 1e5 * dt2, [1], 10.0).diverged
     _no_child_left()
+    assert os.sched_getaffinity(0) == cpus
 
     def boom():
         raise KeyError("pulse failed")
@@ -833,7 +848,25 @@ def test_helper_is_reaped_after_every_kind_of_run(monkeypatch, forks):
         dynamics.central_difference_run(K, M, _RaisingAt50(dt, boom), dt,
                                         t_max, probes)
     _no_child_left()
+    assert os.sched_getaffinity(0) == cpus
     assert len(forks) == 3
+
+
+@needs_helper
+def test_run_and_helper_sit_on_two_cpus(monkeypatch, forks):
+    # At step 50 each process is pinned to one allowed CPU of its own and
+    # has last run there.
+    monkeypatch.setattr(dynamics, "PARALLEL_MIN_WORK", 0)
+    K, M, _, dt, t_max, probes = _wedge_run_args()
+    seen = []
+    bcs = _RaisingAt50(dt, lambda: seen.append(
+        [(os.sched_getaffinity(pid), {_cpu(pid)})
+         for pid in (os.getpid(), forks[-1])]))
+    res = dynamics.central_difference_run(K, M, bcs, dt, t_max, probes)
+    assert res.processes == 2 and len(seen) == 1
+    (run, run_cpu), (helper, helper_cpu) = seen[0]
+    assert run == run_cpu and helper == helper_cpu and run != helper
+    assert run | helper <= os.sched_getaffinity(0)
 
 
 @needs_helper
@@ -1019,18 +1052,26 @@ def test_banded_order_is_a_permutation_with_driven_dofs_first(
     else:
         K, _, (_, bcs, *_) = _reference_case(name, beam_meshes, unpruned)
     driven = np.asarray(bcs.driven, dtype=int)
-    Kb, order, r0 = dynamics._banded(K, driven)
+    order, pos, r0 = dynamics._banded(K, driven)
     assert np.array_equal(np.sort(order), np.arange(K.shape[0]))
-    pos = np.argsort(order)
+    assert np.array_equal(pos[order], np.arange(K.shape[0]))
     assert (pos[driven] < r0).all() and r0 <= K.shape[0]
-    # Each row keeps its entries in stored order, relabelled.
-    for row, dof in enumerate(order):
-        entries = slice(K.indptr[dof], K.indptr[dof + 1])
-        mine = slice(Kb.indptr[row], Kb.indptr[row + 1])
-        assert Kb.data[mine].tobytes() == K.data[entries].tobytes()
-        assert np.array_equal(Kb.indices[mine], pos[K.indices[entries]])
+    # Each process's gather keeps each row's entries in stored order,
+    # relabelled, with the serial scaled row's bits.
+    s = -np.random.default_rng(3).uniform(0.5, 2.0, K.shape[0])
+    *_, serial = dynamics._scaled(K, s)
+    for rows in (order[:r0], order[r0:]):
+        n, cols, indptr, indices, data = dynamics._scaled(K, s, rows, pos)
+        assert (n, cols) == (len(rows), K.shape[1])
+        assert indptr.dtype == indices.dtype == K.indices.dtype
+        for row, dof in enumerate(rows):
+            entries = slice(K.indptr[dof], K.indptr[dof + 1])
+            mine = slice(indptr[row], indptr[row + 1])
+            assert data[mine].tobytes() == serial[entries].tobytes()
+            assert np.array_equal(indices[mine], pos[K.indices[entries]])
     if name == "driven-past-half":
-        assert r0 == 5 > np.searchsorted(Kb.indptr, Kb.nnz // 2)
+        ends = np.append(0, np.cumsum(np.diff(K.indptr)[order]))
+        assert r0 == 5 > np.searchsorted(ends, K.nnz // 2)
 
 
 @needs_helper
@@ -1152,6 +1193,32 @@ def test_bad_run_inputs_rejected(dt, t_max, probes, fixed, driven, mass,
     with pytest.raises(ValidationError, match=match):
         dynamics.central_difference_run(two, np.array(mass, float), bcs, dt,
                                         t_max, probes)
+
+
+@pytest.mark.parametrize("where, value", [("probe", 0.7), ("probe", np.nan),
+                                          ("fixed", 0.9), ("driven", 0.5),
+                                          ("driven", np.nan)])
+def test_non_integral_dof_rejected(where, value):
+    # Before: a probe at 0.7 recorded dof 0 and a fixed dof 0.9 clamped it.
+    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    dofs = {"probe": [1], "fixed": [], "driven": []} | {where: [value]}
+    bcs = BcSchedule(fixed=np.array(dofs["fixed"]),
+                     driven=np.array(dofs["driven"]), tau=1.0)
+    with pytest.raises(ValidationError,
+                       match=f"^{where} dof is not an integer$"):
+        dynamics.central_difference_run(two, np.ones(2), bcs, 0.1, 1.0,
+                                        dofs["probe"])
+
+
+def test_integral_float_dofs_run_as_ints():
+    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    runs = [dynamics.central_difference_run(
+        two, np.ones(2), BcSchedule(fixed=np.array(fixed),
+                                    driven=np.array(driven), tau=1.0),
+        0.1, 1.0, probes) for fixed, driven, probes in
+        (([1.0], [0.0], [1.0, 0.0]), ([1], [0], [1, 0]))]
+    assert runs[0].probe_history.tobytes() == runs[1].probe_history.tobytes()
+    assert runs[0].probe_history[:, 1].any()
 
 
 def test_infeasible_run_refused_before_allocating():

@@ -372,6 +372,16 @@ def test_global_fixed_dofs_out_of_range_rejected(fixed):
     assert converged and omega == pytest.approx(2.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("fixed", [[0.5], [np.nan], [1, 0.5]])
+def test_global_non_integral_fixed_dof_rejected(fixed):
+    # Before: [0.5] fixed dof 0 and gave sqrt(2).
+    K = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    with pytest.raises(ValidationError, match="^fixed dof is not an integer$"):
+        eig.global_max_frequency(K, np.ones(2), fixed)
+    assert (eig.global_max_frequency(K, np.ones(2), [1.0])
+            == eig.global_max_frequency(K, np.ones(2), [1]))
+
+
 def test_power_loop_refuses_a_complex_stiffness():
     # Before: this Hermitian K (omega^2 = 1 and 3) gave omega = 0.0.
     import scipy.sparse as sp

@@ -165,6 +165,51 @@ def test_non_star_cap_names_its_element():
         meshmod.extrude(plane, 1.0)
 
 
+def _fan_one(vertices, loop):
+    """The fan rule, one loop at a time: the triangles of the first root by
+    ascending id whose fan triangles all pass the per-face zero-area rule,
+    or None."""
+    n, pts = len(loop), vertices[list(loop)]
+    for r in sorted(range(n), key=lambda k: loop[k]):
+        tris = [(r, (r + k) % n, (r + k + 1) % n) for k in range(1, n - 1)]
+        for a, b, c in tris:
+            u, v, w = pts[b] - pts[a], pts[c] - pts[a], pts[c] - pts[b]
+            if u[0] * v[1] - u[1] * v[0] <= 2.0 * meshmod.TAU_GEOM * max(
+                    u @ u, v @ v, w @ w):
+                break
+        else:
+            return [tuple(loop[i] for i in t) for t in tris]
+    return None
+
+
+def test_fan_of_a_stack_is_the_rule_of_each_loop():
+    # The beam's plane polygons and cells (3 to 6 vertices, some with
+    # collinear runs that move the root off the lowest id), shuffled so
+    # that the loop lengths interleave.
+    verts, polygons, cells = benchmarks._beam_2d("A")
+    loops = list(polygons) + list(cells)
+    loops = [loops[i] for i in np.random.default_rng(5).permutation(
+        len(loops))]
+    caps = meshmod.fan(verts, loops)
+    assert caps == [_fan_one(verts, loop) for loop in loops]
+    assert {len(loop) for loop in loops} == {3, 4, 5, 6}
+    assert any(cap[0][0] != min(loop) for cap, loop in zip(caps, loops))
+    assert meshmod.fan(verts, []) == []
+
+
+def test_fan_names_the_first_loop_without_a_root():
+    # Loop 2 (12 vertices, two notches) and loop 3 (a flat triangle) have
+    # no root; the error names the first of them in the stack's order.
+    verts = np.array([[0.0, 0], [2, 0], [2, 1.5], [2.5, 1.5], [2.5, 0],
+                      [3, 0], [3, 2], [1, 2], [1, 0.5], [0.5, 0.5],
+                      [0.5, 2], [0, 2], [4, 0]])
+    loops = [(5, 12, 6), (0, 1, 2, 11), tuple(range(12)), (0, 1, 4)]
+    with pytest.raises(ValidationError, match="^element 2: no valid fan"):
+        meshmod.fan(verts, loops)
+    assert meshmod.fan(verts, loops[:2]) == [[(5, 12, 6)],
+                                             [(0, 1, 2), (0, 2, 11)]]
+
+
 def test_extrude_agglomerated_polygon_face_count(beam_meshes):
     counts = sorted({len(el.faces) for el in beam_meshes[("A", "vem")].elements})
     assert counts == [12, 20]  # hexahedral cells and merged hexagon prisms
