@@ -214,11 +214,3 @@ def auto_agglomerate(mesh, thresholds=quality.DEFAULT_THRESHOLDS):
     out, mapping = _rebuild(mesh, groups)
     meshmod.validate_mesh(out)
     return out, mapping, unmerged
-
-
-def write_mapping_csv(mapping, path):
-    with open(path, "w") as fh:
-        fh.write("new_element_id,old_element_ids\n")
-        for new_id in sorted(mapping):
-            olds = ",".join(str(o) for o in mapping[new_id])
-            fh.write(f"{new_id},\"{olds}\"\n")

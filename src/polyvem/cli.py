@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -127,10 +126,12 @@ def _build_parser():
     p = add_parser("simulate", help="tapered-beam explicit run")
     p.add_argument("--case", choices=("A", "B"), required=True)
     p.add_argument("--method", choices=("fem", "vem"), required=True)
-    p.add_argument("--dt-factor", type=float, default=0.9)
+    p.add_argument("--dt-factor", type=float,
+                   default=dynamics.BEAM_DT_FACTOR)
     p.add_argument("--dt-basis", choices=("element", "global"),
                    default="element")
-    p.add_argument("--transits", type=float, default=3.0)
+    p.add_argument("--transits", type=float,
+                   default=dynamics.BEAM_TRANSITS)
     p.add_argument("--out", required=True, help="history CSV path")
     p.add_argument("--summary", help="run summary JSON path")
     p.set_defaults(func=_cmd_simulate)
@@ -168,7 +169,16 @@ def _cmd_mesh_gen(args, cfg):
 def _cmd_quality(args, cfg):
     mesh = meshmod.load_mesh(args.mesh)
     reports = quality.mesh_report(mesh, cfg.thresholds)
-    quality.write_csv(reports, args.out)
+
+    def row(r):
+        return f"{r.element},{r.classification}," + ",".join(
+            "" if x is None else format(x, ".17g") for x in (
+                r.min_dihedral_deg, r.max_dihedral_deg, r.min_edge,
+                r.min_face_area, r.volume))
+
+    _write_csv(args.out, "element_id,class,min_dihedral_deg,"
+               "max_dihedral_deg,min_edge,min_face_area,volume",
+               map(row, reports))
     counts = {}
     for r in reports:
         counts[r.classification] = counts.get(r.classification, 0) + 1
@@ -192,7 +202,9 @@ def _cmd_agglomerate(args, cfg):
         raise ValidationError("agglomerate needs --groups or --auto")
     meshmod.save_mesh(merged, args.out)
     if args.mapping:
-        agglomerate.write_mapping_csv(mapping, args.mapping)
+        _write_csv(args.mapping, "new_element_id,old_element_ids",
+                   (f'{new},"' + ",".join(map(str, mapping[new])) + '"'
+                    for new in sorted(mapping)))
     print(f"wrote {args.out}: {merged.num_elements} elements")
 
 
@@ -201,7 +213,12 @@ def _cmd_timestep(args, cfg):
     systems = eig.element_systems(mesh, args.method, cfg.alpha0)
     report = eig.time_step_report(systems)
     if args.out:
-        report.write_csv(args.out)
+        dts = eig.critical_step(report.omega_elements).tolist()
+        _write_csv(args.out, "element_id,omega_max,dt_element", [
+            f"{i},{w:.17g},{dt:.17g}"
+            for i, (w, dt) in enumerate(zip(report.omega_elements, dts))] + [
+            f"omega_star,{report.omega_star:.17g},{report.dt_crit:.17g},"
+            f"argmax={report.argmax_element}"])
     if args.dump_matrices:
         os.makedirs(args.dump_matrices, exist_ok=True)
         for ids, _, Ks, mls in systems:
@@ -257,13 +274,19 @@ def _cmd_simulate(args, cfg):
     np.savetxt(args.out, np.column_stack([exp.t_norm, exp.u_norm]),
                fmt="%.17g", delimiter=",", header="t_norm,u_x_norm",
                comments="")
+    res = exp.result
     if args.summary:
         with open(args.summary, "w") as fh:
-            json.dump(dynamics.run_summary(exp), fh, indent=2)
-    if exp.result.diverged:
-        raise NumericalError(
-            f"run diverged at step {exp.result.diverged_step}")
-    print(f"wrote {args.out}: {exp.result.steps} steps at dt={exp.dt:.6e}")
+            json.dump({"method": exp.method, "steps": res.steps,
+                       "dt": exp.dt, "omega_star": exp.omega_star,
+                       "diverged": res.diverged,
+                       "wall_seconds": res.wall_seconds,
+                       "processes": res.processes,
+                       "step_us": 1e6 * res.wall_seconds / max(res.steps, 1)},
+                      fh, indent=2)
+    if res.diverged:
+        raise NumericalError(f"run diverged at step {res.diverged_step}")
+    print(f"wrote {args.out}: {res.steps} steps at dt={exp.dt:.6e}")
 
 
 def _cmd_integrate(args, cfg):
@@ -290,6 +313,13 @@ def _cmd_integrate(args, cfg):
     if len(exponent) != mesh.dimension:
         raise ValidationError("exponent arity must match mesh dimension")
     print(f"{integ.integrate(exponent):.17g}")
+
+
+def _write_csv(path, header, rows):
+    """Write a result file: the header line, then one line per row."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row + "\n" for row in rows)
 
 
 def _int_list(text, option):
@@ -321,14 +351,23 @@ def _unit_shape(cube):
 def _cmd_tables(args, cfg):
     os.makedirs(args.out, exist_ok=True)
     eps_3d, eps_pair = (1e-1, 1e-3, 1e-5), (1e-1, 1e-5)
-    for k, (name, eps) in enumerate((("tri2d", (1e-1, 1e-2, 1e-5, 1e-8)),
-                                     ("prism3d", eps_3d), ("wedge", eps_3d),
-                                     ("kite", eps_pair)), 1):
-        _family_table(os.path.join(args.out, f"table{k}.csv"), name, eps)
-    _spire_table(os.path.join(args.out, "table5.csv"), eps_pair)
-    problems = _beam_table(os.path.join(args.out, "table6.csv"), cfg.alpha0)
-    _beam_steps_table(os.path.join(args.out, "table7.csv"), problems,
-                      args.with_dynamics)
+    problems = {(case, method): dynamics.beam_problem(
+                    benchmarks.gen_benchmark("beam" + case, variant=method),
+                    method, cfg.alpha0)
+                for case in ("A", "B") for method in ("fem", "vem")}
+    tables = [("eps,method,omega_max,argmax_element,omega_reference,"
+               "dt_ratio_vem_over_fem", _family_rows(name, eps))
+              for name, eps in (("tri2d", (1e-1, 1e-2, 1e-5, 1e-8)),
+                                ("prism3d", eps_3d), ("wedge", eps_3d),
+                                ("kite", eps_pair))] + [
+        ("eps,case,omega_fem,omega_vem,dt_ratio_vem_over_fem",
+         _spire_rows(eps_pair)),
+        ("case,method,omega_star_element,omega_global,dt_ratio_vem_over_fem",
+         _beam_rows(problems)),
+        ("case,method,dt_crit,steps_for_three_transits,measured_wall_seconds",
+         _beam_steps_rows(problems, args.with_dynamics))]
+    for k, (header, rows) in enumerate(tables, 1):
+        _write_csv(os.path.join(args.out, f"table{k}.csv"), header, rows)
     print(f"wrote table1.csv .. table7.csv under {args.out} (table1-5 at "
           f"alpha0=unit, table6-7 at alpha0={cfg.alpha0})")
 
@@ -342,70 +381,52 @@ def _variant_reports(name, eps):
             for variant in ("fem", "vem")}
 
 
-def _family_table(path, name, eps_values):
-    with open(path, "w") as fh:
-        fh.write("eps,method,omega_max,argmax_element,omega_reference,"
-                 "dt_ratio_vem_over_fem\n")
-        for eps in eps_values:
-            rows = _variant_reports(name, eps)
-            ratio = rows["fem"].omega_star / rows["vem"].omega_star
-            for variant, rep in rows.items():
-                others = [w for i, w in enumerate(rep.omega_elements)
-                          if i != rep.argmax_element]
-                ref = min(others) if others else float("nan")
-                tail = f"{ratio:.6e}" if variant == "vem" else ""
-                fh.write(f"{eps:g},{variant},{rep.omega_star:.6e},"
-                         f"{rep.argmax_element},{ref:.6e},{tail}\n")
+def _family_rows(name, eps_values):
+    """Table 1-4 rows of a benchmark family."""
+    for eps in eps_values:
+        reports = _variant_reports(name, eps)
+        ratio = reports["fem"].omega_star / reports["vem"].omega_star
+        for variant, rep in reports.items():
+            others = [w for i, w in enumerate(rep.omega_elements)
+                      if i != rep.argmax_element]
+            ref = min(others) if others else float("nan")
+            tail = f"{ratio:.6e}" if variant == "vem" else ""
+            yield (f"{eps:g},{variant},{rep.omega_star:.6e},"
+                   f"{rep.argmax_element},{ref:.6e},{tail}")
 
 
-def _spire_table(path, eps_values):
-    with open(path, "w") as fh:
-        fh.write("eps,case,omega_fem,omega_vem,dt_ratio_vem_over_fem\n")
-        for eps in eps_values:
-            for case in ("A", "B", "C"):
-                rows = _variant_reports(f"spire{case}", eps)
-                wf, wv = rows["fem"].omega_star, rows["vem"].omega_star
-                fh.write(f"{eps:g},{case},{wf:.6e},{wv:.6e},{wf / wv:.6e}\n")
+def _spire_rows(eps_values):
+    """Table 5 rows: the three spire cases."""
+    for eps in eps_values:
+        for case in ("A", "B", "C"):
+            reports = _variant_reports(f"spire{case}", eps)
+            wf, wv = reports["fem"].omega_star, reports["vem"].omega_star
+            yield f"{eps:g},{case},{wf:.6e},{wv:.6e},{wf / wv:.6e}"
 
 
-def _beam_table(path, alpha0):
-    """Table 6; returns the four beam problems, by (case, method)."""
-    problems = {}
-    with open(path, "w") as fh:
-        fh.write("case,method,omega_star_element,omega_global,"
-                 "dt_ratio_vem_over_fem\n")
-        for case in ("A", "B"):
-            for method in ("fem", "vem"):
-                problems[case, method] = dynamics.beam_problem(
-                    benchmarks.gen_benchmark("beam" + case, variant=method),
-                    method, alpha0)
-            ratio = (problems[case, "fem"].report.omega_star
-                     / problems[case, "vem"].report.omega_star)
-            for method in ("fem", "vem"):
-                p = problems[case, method]
-                fh.write(f"{case},{method},{p.report.omega_star:.6e},"
-                         f"{p.omega_global:.6e},"
-                         f"{ratio if method == 'vem' else ''}\n")
-    return problems
+def _beam_rows(problems):
+    """Table 6 rows: both bounds of the four beam problems."""
+    for (case, method), p in problems.items():
+        ratio = (problems[case, "fem"].report.omega_star
+                 / problems[case, "vem"].report.omega_star)
+        yield (f"{case},{method},{p.report.omega_star:.6e},"
+               f"{p.omega_global:.6e},{ratio if method == 'vem' else ''}")
 
 
-def _beam_steps_table(path, problems, with_dynamics):
-    """Table 7: steps for three transits at 0.9 x the bound the method
-    runs on (FEM: global, VEM: element); with_dynamics runs the VEM beams
-    and reports their measured steps and loop time."""
-    with open(path, "w") as fh:
-        fh.write("case,method,dt_crit,steps_for_three_transits,"
-                 "measured_wall_seconds\n")
-        for (case, method), p in problems.items():
-            dt = p.dt_crit("element" if method == "vem" else "global")
-            steps = int(math.ceil(3.0 * p.transit / (0.9 * dt)))
-            wall = ""
-            if with_dynamics and method == "vem":
-                exp = dynamics.run_beam(p, 0.9 * dt, 3.0,
-                                        dynamics.beam_pulse_duration(case))
-                wall = f"{exp.result.wall_seconds:.3f}"
-                steps = exp.result.steps
-            fh.write(f"{case},{method},{dt:.6e},{steps},{wall}\n")
+def _beam_steps_rows(problems, with_dynamics):
+    """Table 7 rows: the steps of the beam run schedule on the bound the
+    method runs on (FEM: global, VEM: element); with_dynamics runs the VEM
+    beams and reports their measured steps and loop time."""
+    for (case, method), p in problems.items():
+        bound = p.dt_crit("element" if method == "vem" else "global")
+        dt = dynamics.BEAM_DT_FACTOR * bound
+        steps = dynamics.step_count(dynamics.BEAM_TRANSITS * p.transit, dt)
+        wall = ""
+        if with_dynamics and method == "vem":
+            res = dynamics.run_beam(p, dt, dynamics.BEAM_TRANSITS,
+                                    dynamics.beam_pulse_duration(case)).result
+            steps, wall = res.steps, f"{res.wall_seconds:.3f}"
+        yield f"{case},{method},{bound:.6e},{steps},{wall}"
 
 
 if __name__ == "__main__":

@@ -43,6 +43,9 @@ BEAM_PROBE = (2.0, 0.5, 0.0)  # mid-beam node whose x displacement is recorded
 # VEM beam under the default preset, to the last bit.
 BEAM_PULSE_DURATION = {"A": 0.0004194336679103224,
                        "B": 0.00041816473926542167}
+# A beam run's schedule: dt = BEAM_DT_FACTOR x the bound, for BEAM_TRANSITS
+# transit times.
+BEAM_DT_FACTOR, BEAM_TRANSITS = 0.9, 3.0
 # n_steps * K.nnz from which a run splits (~3x the pinned split's break-even)
 PARALLEL_MIN_WORK = 1e8
 
@@ -249,6 +252,11 @@ def _domains(K, scale, driven, n_steps, split):
         os.sched_setaffinity(0, cpus)
 
 
+def step_count(t_max, dt):
+    """Steps of dt a run takes to cover t_max."""
+    return int(np.ceil(t_max / dt))
+
+
 def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
                            divergence_limit=None):
     """Explicit central-difference run of M a + K u = 0 under the schedule.
@@ -293,7 +301,7 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
         raise ValidationError("K has a non-finite entry")
     probes, fixed, driven = [eig.dof_ids(d, name, ndof) for d, name in zip(
         (probes, bcs.fixed, bcs.driven), ("probe", "fixed", "driven"))]
-    n_steps = int(np.ceil(t_max / dt))
+    n_steps = step_count(t_max, dt)
     need = (n_steps + 1) * (1 + len(probes)) * 8
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > memory:
@@ -429,8 +437,9 @@ def beam_pulse_duration(case):
     return BEAM_PULSE_DURATION[case]
 
 
-def tapered_beam_experiment(case, method, dt_factor=0.9, dt_basis="element",
-                            t_max_transits=3.0, alpha0="auto", tau=None):
+def tapered_beam_experiment(case, method, dt_factor=BEAM_DT_FACTOR,
+                            dt_basis="element", t_max_transits=BEAM_TRANSITS,
+                            alpha0="auto", tau=None):
     """Run the pulse-loaded beam case and return the normalized history.
 
     dt_basis "element" uses the element-eigenvalue bound 2/max_E omega_E;
@@ -469,17 +478,3 @@ def run_beam(problem, dt, t_max_transits, tau):
         t_norm=result.times / problem.transit,
         u_norm=result.probe_history[:, 0] / BEAM_PULSE_AMPLITUDE,
     )
-
-
-def run_summary(experiment):
-    return {
-        "method": experiment.method,
-        "steps": experiment.result.steps,
-        "dt": experiment.dt,
-        "omega_star": experiment.omega_star,
-        "diverged": experiment.result.diverged,
-        "wall_seconds": experiment.result.wall_seconds,
-        "processes": experiment.result.processes,
-        "step_us": 1e6 * experiment.result.wall_seconds / max(
-            experiment.result.steps, 1),
-    }

@@ -82,15 +82,6 @@ class TimeStepReport:
     dt_crit: float
     argmax_element: int
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("element_id,omega_max,dt_element\n")
-            dts = critical_step(self.omega_elements).tolist()
-            for i, (w, dt) in enumerate(zip(self.omega_elements, dts)):
-                fh.write(f"{i},{w:.17g},{dt:.17g}\n")
-            fh.write(f"omega_star,{self.omega_star:.17g},"
-                     f"{self.dt_crit:.17g},argmax={self.argmax_element}\n")
-
 
 # Entries of the largest stack of (dim n)^2 matrices built at once.  Each
 # of the ~20 stacked arrays a VEM kernel holds then stays within 128 KiB,

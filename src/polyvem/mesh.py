@@ -316,7 +316,9 @@ class MeshGeometry:
                 ("<face>", _any(owner[self._face_check > 0], n_el)),
                 ("<edge>", unpaired),
                 infinite,
-                ("faces oriented inward (volume {volume:g})", volume <= 0.0)]
+                ("zero volume (flat element or length scale out of range)",
+                 volume == 0.0),
+                ("faces oriented inward (volume {volume:g})", volume < 0.0)]
         checks.append(("overlaps an earlier element: holds one of its " + (
             "loop edges in the same direction" if dim == 2 else
             "faces in the same orientation"), _held_before(faces, owner, n_el)))

@@ -37,19 +37,6 @@ class QualityReport:
     min_face_area: float
     volume: float
 
-    def csv_row(self):
-        def fmt(x):
-            return "" if x is None else format(x, ".17g")
-
-        return (f"{self.element},{self.classification},"
-                f"{fmt(self.min_dihedral_deg)},{fmt(self.max_dihedral_deg)},"
-                f"{fmt(self.min_edge)},{fmt(self.min_face_area)},"
-                f"{fmt(self.volume)}")
-
-
-CSV_HEADER = ("element_id,class,min_dihedral_deg,max_dihedral_deg,"
-              "min_edge,min_face_area,volume")
-
 # Tet corners: the face opposite each vertex, and per edge (01, 02, 03, 12,
 # 13, 23) the two faces meeting there, those opposite its other vertices.
 _OPPOSITE_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
@@ -133,10 +120,3 @@ def mesh_report(mesh, thresholds=DEFAULT_THRESHOLDS):
     return [QualityReport(*row) for row in zip(
         ids.tolist(), label.tolist(), lo_out.tolist(), hi_out.tolist(),
         min_edge.tolist(), min_face.tolist(), volume.tolist())]
-
-
-def write_csv(reports, path):
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in reports:
-            fh.write(r.csv_row() + "\n")

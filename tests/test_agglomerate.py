@@ -4,7 +4,7 @@ auto-agglomeration policy."""
 import numpy as np
 import pytest
 
-from polyvem import agglomerate, benchmarks, mesh as meshmod
+from polyvem import agglomerate, benchmarks, cli, mesh as meshmod
 from polyvem.agglomerate import MergeError
 from polyvem.mesh import Element, Mesh, ValidationError, tet_element
 
@@ -194,10 +194,12 @@ def test_auto_agglomerate_isolated_bad_element():
 
 
 def test_mapping_csv(tmp_path):
-    mesh = benchmarks.gen_benchmark("wedge", 1e-3, "fem")
-    _, mapping, _ = agglomerate.auto_agglomerate(mesh)
+    mesh = tmp_path / "wedge.json"
+    meshmod.save_mesh(benchmarks.gen_benchmark("wedge", 1e-3, "fem"), mesh)
     path = tmp_path / "map.csv"
-    agglomerate.write_mapping_csv(mapping, path)
+    assert cli.main(["agglomerate", "--mesh", str(mesh), "--auto",
+                     "--out", str(tmp_path / "merged.json"),
+                     "--mapping", str(path)]) == 0
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "new_element_id,old_element_ids"
     assert lines[1] == '0,"0,1"'

@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, exit codes, file round trips."""
 
 import argparse
+import ast
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -520,13 +522,9 @@ def test_agglomerate_mapping_records_groups(tmp_path):
     assert lines[1] == '0,"0,1,2"'
 
 
-def test_family_table_deterministic(tmp_path):
-    from polyvem import cli as climod
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    for path in (a, b):
-        climod._family_table(str(path), "tri2d", (1e-1, 1e-3))
-    assert a.read_bytes() == b.read_bytes()
+def test_family_table_deterministic():
+    a, b = (list(cli._family_rows("tri2d", (1e-1, 1e-3))) for _ in "ab")
+    assert a == b
 
 
 @pytest.mark.parametrize("nodes", ["[0,1,2,999]", "[1,2,3,4]", "[0,1,2]",
@@ -887,3 +885,88 @@ def test_conflicting_options_refused(tmp_path, capsys, command, first,
     for pair in ((first, second), (second, first)):
         assert run(argv(*pair)) == 1
         assert "not allowed with argument" in capsys.readouterr().err
+
+
+# SHA-256 of the result files, in the way MESH_SHA256 pins the meshes:
+# `quality` and `agglomerate --auto --mapping` on the kite fem mesh at eps
+# 1e-5, `timestep --alpha0 unit --out` on its fem and vem variants, and
+# the tables of `tables` (table7 without --with-dynamics: no wall seconds).
+RESULT_SHA256 = {
+    "quality.csv":
+        "8bab4770f042e7f4ab81e870166865d7d49d514f40c5655b07b0eb0d3286bb81",
+    "mapping.csv":
+        "87cfa37b2dff4a61ded60fb6fa9ba8fe0d59499f48f67d7678f26c9db0bcf82c",
+    "timestep_fem.csv":
+        "633afda587e818dfc0cc7ad896a3a91017bc79b932d76f6ac0f2a1b1dbabf021",
+    "timestep_vem.csv":
+        "cbd311705268d12cc0991675d074d0d61a7219877ae2ed5875dfe3c38dc2120d",
+    "table1.csv":
+        "0a40af7992d7ae89e193d6c3e345c6b5359f0c713f2562e223c674c5fd422707",
+    "table2.csv":
+        "3fef2c54359117cbed4130245e5339a066b674d2b5af2895eee74a533f3bccd4",
+    "table3.csv":
+        "86fa62e729a94d5c9aafe7622ddefc10fe16f9f13d166fa18d35934dad45656e",
+    "table4.csv":
+        "c4ceaf43fe09c4b3bb3150ef43ceb8cf3d6a0d9a30a74eaec9bf352b2ab169e6",
+    "table5.csv":
+        "0426232b8e932b2fd7950618ad86bb16d8fac05d192931d39d110515493b0920",
+    "table6.csv":
+        "3a549360b99cf6706b7209a935f9df37baf58b4dc573984804e75a1a982cafa7",
+    "table7.csv":
+        "32a976415a1c2b93a58a8f95dc0fe6691bca66bbbf0178890a7e56b5253576f0",
+}
+
+
+@pytest.fixture(scope="module")
+def result_files(tmp_path_factory):
+    out = tmp_path_factory.mktemp("results")
+    for variant in ("fem", "vem"):
+        mesh = str(out / f"kite_{variant}.json")
+        assert run(["mesh-gen", "--name", "kite", "--eps", "1e-5",
+                    "--variant", variant, "--out", mesh]) == 0
+        assert run(["timestep", "--alpha0", "unit", "--mesh", mesh,
+                    "--method", variant,
+                    "--out", str(out / f"timestep_{variant}.csv")]) == 0
+    mesh = str(out / "kite_fem.json")
+    assert run(["quality", "--mesh", mesh,
+                "--out", str(out / "quality.csv")]) == 0
+    assert run(["agglomerate", "--mesh", mesh, "--auto",
+                "--out", str(out / "merged.json"),
+                "--mapping", str(out / "mapping.csv")]) == 0
+    assert run(["tables", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", list(RESULT_SHA256))
+def test_result_file_is_pinned(result_files, name):
+    digest = hashlib.sha256((result_files / name).read_bytes()).hexdigest()
+    assert digest == RESULT_SHA256[name]
+
+
+def _writes(tree):
+    """Lines of the calls in a module that write a file: `open` in a "w"
+    or "a" mode (or one not spelt out), `savetxt` and `json.dump`."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == "open":
+            mode = (node.args[1:2] + [k.value for k in node.keywords
+                                      if k.arg == "mode"])
+            if mode and not (isinstance(mode[0], ast.Constant)
+                             and not set("wa") & set(str(mode[0].value))):
+                yield node.lineno
+        elif isinstance(f, ast.Attribute) and (f.attr == "savetxt" or (
+                f.attr == "dump" and isinstance(f.value, ast.Name)
+                and f.value.id == "json")):
+            yield node.lineno
+
+
+def test_only_cli_and_mesh_write_files():
+    # The library computes and returns data; the result files are written
+    # by the CLI and the mesh files by the mesh module.
+    src = Path(cli.__file__).parent
+    writers = {path.name: list(_writes(ast.parse(path.read_text())))
+               for path in sorted(src.glob("*.py"))}
+    assert writers.pop("cli.py") and writers.pop("mesh.py")
+    assert {name: lines for name, lines in writers.items() if lines} == {}

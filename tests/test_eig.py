@@ -6,7 +6,8 @@ reference time-step tables."""
 import numpy as np
 import pytest
 
-from polyvem import agglomerate, benchmarks, dynamics, eig, mesh as meshmod
+from polyvem import (agglomerate, benchmarks, cli, dynamics, eig,
+                     mesh as meshmod)
 from polyvem import vem
 from polyvem.mesh import Mesh, ValidationError, tet_element
 
@@ -148,8 +149,10 @@ def test_global_bounded_by_element_max(beam_meshes):
 
 def test_report_csv(tmp_path, kite_meshes):
     report = eig.critical_dt(kite_meshes[(1e-1, "fem")], "fem")
-    path = tmp_path / "ts.csv"
-    report.write_csv(path)
+    mesh, path = tmp_path / "kite.json", tmp_path / "ts.csv"
+    meshmod.save_mesh(kite_meshes[(1e-1, "fem")], mesh)
+    assert cli.main(["timestep", "--mesh", str(mesh), "--method", "fem",
+                     "--out", str(path)]) == 0
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "element_id,omega_max,dt_element"
     assert len(lines) == 2 + len(report.omega_elements)

@@ -67,8 +67,20 @@ def test_all_faces_inward_rejected():
     faces = tuple(tuple(reversed(f)) for f in
                   ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)))
     bad = Mesh(3, verts, [Element(faces=faces)])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^element 0: faces oriented "
+                       r"inward \(volume -0.166667\)$"):
         meshmod.validate_mesh(bad)
+
+
+def test_zero_volume_is_not_called_inward():
+    # A valid prism mesh scaled by 1e-160 keeps its face areas but its
+    # volume underflows to 0: a length scale out of range, not an
+    # orientation fault (the inward tet above keeps that message).
+    prism = benchmarks.gen_benchmark("prism3d", 1e-1, "fem")
+    tiny = Mesh(3, prism.vertices * 1e-160, prism.elements, prism.material)
+    with pytest.raises(ValidationError, match=r"^element 0: zero volume "
+                       r"\(flat element or length scale out of range\)$"):
+        meshmod.validate_mesh(tiny)
 
 
 def test_clockwise_loop_rejected():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from polyvem import agglomerate, benchmarks, mesh as meshmod, quality
+from polyvem import agglomerate, benchmarks, cli, mesh as meshmod, quality
 from polyvem.mesh import Element, Mesh, tet_element
 
 from conftest import random_rotation
@@ -132,11 +132,13 @@ def test_rotation_invariance():
 
 def test_csv_report(tmp_path):
     mesh = benchmarks.gen_benchmark("kite", 1e-5, "fem")
-    reports = quality.mesh_report(mesh)
+    meshmod.save_mesh(mesh, tmp_path / "kite.json")
     path = tmp_path / "report.csv"
-    quality.write_csv(reports, path)
+    assert cli.main(["quality", "--mesh", str(tmp_path / "kite.json"),
+                     "--out", str(path)]) == 0
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == quality.CSV_HEADER
+    assert lines[0] == ("element_id,class,min_dihedral_deg,"
+                        "max_dihedral_deg,min_edge,min_face_area,volume")
     assert len(lines) == 1 + mesh.num_elements
     assert lines[1].startswith("0,sliver_kite,")
 
