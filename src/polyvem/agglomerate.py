@@ -164,7 +164,7 @@ def _contacts(mesh):
     return neighbors, area
 
 
-def auto_agglomerate(mesh, thresholds=quality.DEFAULT_THRESHOLDS):
+def auto_agglomerate(mesh):
     """Merge every pathological element with neighbors, greedily.
 
     Each flagged element absorbs the neighbor sharing the largest contact
@@ -173,7 +173,7 @@ def auto_agglomerate(mesh, thresholds=quality.DEFAULT_THRESHOLDS):
     nothing to merge comes back as the same object with the identity
     mapping.
     """
-    reports = quality.mesh_report(mesh, thresholds)
+    reports = quality.mesh_report(mesh)
     bad = [r.element for r in reports
            if r.classification not in ("good", "not_applicable")]
     groups = {i: {i} for i in range(mesh.num_elements)}

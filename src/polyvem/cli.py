@@ -168,7 +168,7 @@ def _cmd_mesh_gen(args, cfg):
 
 def _cmd_quality(args, cfg):
     mesh = meshmod.load_mesh(args.mesh)
-    reports = quality.mesh_report(mesh, cfg.thresholds)
+    reports = quality.mesh_report(mesh)
 
     def row(r):
         return f"{r.element},{r.classification}," + ",".join(
@@ -189,8 +189,7 @@ def _cmd_quality(args, cfg):
 def _cmd_agglomerate(args, cfg):
     mesh = cfgmod.apply_material(meshmod.load_mesh(args.mesh), cfg)
     if args.auto:
-        merged, mapping, unmerged = agglomerate.auto_agglomerate(
-            mesh, cfg.thresholds)
+        merged, mapping, unmerged = agglomerate.auto_agglomerate(mesh)
         for e in unmerged:
             print(f"warning: element {e} flagged but has no merge partner",
                   file=sys.stderr)

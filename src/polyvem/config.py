@@ -1,36 +1,36 @@
-"""Run configuration: material overrides, stabilization preset, quality
-thresholds.
+"""Run configuration: material overrides and the stabilization preset.
 
 Configs load from a flat key=value text file; command-line flags override
-file values.  The configuration hash identifies an experiment manifest.
+file values.  The keys are `E`, `nu`, `rho` and `alpha0`; the quality cuts
+are constants of `quality`, not keys.  The configuration hash identifies an
+experiment manifest: the config's values and the quality cuts.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, replace
 
+from . import quality
 from .mesh import MaterialParams, ValidationError
-from .quality import QualityThresholds, DEFAULT_THRESHOLDS
 
-_THRESHOLD_KEYS = tuple(f.name for f in fields(QualityThresholds))
-_KEYS = ("E", "nu", "rho", "alpha0") + _THRESHOLD_KEYS
+_KEYS = ("E", "nu", "rho", "alpha0")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     material: MaterialParams | None = None   # None: use the mesh's material
     alpha0: str | float = "auto"             # "auto" | "unit" | number
-    thresholds: QualityThresholds = DEFAULT_THRESHOLDS
 
     def config_hash(self):
+        import hashlib   # ~3 ms of import that only this call needs
         m = self.material
         parts = [
             "" if m is None else f"{m.youngs_modulus!r}/{m.poisson_ratio!r}"
                                  f"/{m.density!r}",
             str(self.alpha0),
-            repr(astuple(self.thresholds)),
+            repr((quality.ANGLE_DEG, quality.FACE_AREA_REL,
+                  quality.FACE_SEPARATION, quality.EDGE_REL)),
         ]
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:12]
 
@@ -66,13 +66,6 @@ def _number(key, raw, what="a number"):
         raise ValidationError(f"{key} must be {what}, got {raw!r}") from None
 
 
-def _positive(key, raw, what="a positive finite number"):
-    value = _number(key, raw, what)
-    if not 0.0 < value < math.inf:
-        raise ValidationError(f"{key} must be {what}, got {raw!r}")
-    return value
-
-
 def build_config(file_values=None, **overrides):
     """Merge file values and explicit overrides into a RunConfig."""
     values = dict(file_values or {})
@@ -84,17 +77,13 @@ def build_config(file_values=None, **overrides):
             raise ValidationError(
                 "material override needs all of E, nu, rho")
         material = MaterialParams(*(_number(k, values[k]) for k in mat_keys))
-    alpha0 = values.get("alpha0", "auto")
+    alpha0 = raw = values.get("alpha0", "auto")
     if alpha0 not in ("auto", "unit"):
-        alpha0 = _positive("alpha0", alpha0,
-                           "auto, unit or a positive finite number")
-    thresholds = {key: _positive(key, values[key])
-                  for key in _THRESHOLD_KEYS if key in values}
-    if thresholds.get("angle_deg", 0.0) >= 90.0:
-        raise ValidationError(
-            f"angle_deg must be below 90, got {values['angle_deg']!r}")
-    return RunConfig(material=material, alpha0=alpha0,
-                     thresholds=QualityThresholds(**thresholds))
+        what = "auto, unit or a positive finite number"
+        alpha0 = _number("alpha0", raw, what)
+        if not 0.0 < alpha0 < math.inf:
+            raise ValidationError(f"alpha0 must be {what}, got {raw!r}")
+    return RunConfig(material=material, alpha0=alpha0)
 
 
 def apply_material(mesh, config):

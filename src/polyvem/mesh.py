@@ -198,7 +198,8 @@ class MeshGeometry:
     built with the table; ``integrate``, ``centroid``, ``scaled_moments``
     and ``convex`` on first read, from it alone.  Moments are signed sums
     over the simplices joining each face to the element's anchor (its first
-    node); ``integrate`` serves them to ``hni.scaled_moment_table``.
+    node), in units of a power of two near the element's diameter;
+    ``integrate`` serves them to ``hni.scaled_moment_table``.
     ``failed_check[e]`` is the first check element e fails (-1: none) and
     ``error(e)`` words it.  Every array is read-only.
     """
@@ -345,11 +346,14 @@ class MeshGeometry:
             self.failed_check[checks[k][1]] = k
         _frozen(*(a for a in vars(self).values() if isinstance(a, np.ndarray)))
 
-    def _simplices(self):
+    def _simplices(self, unit=None):
         """(owner, local, det) of each face-to-anchor simplex: its element,
-        its face's corners about the anchor and d! x its signed measure."""
+        its face's corners about the anchor (over 2^unit[element], if
+        given) and d! x its signed measure."""
         local = self._V.take(self.faces, 0, mode="clip")
         local -= self._origin[self.face_owner][:, None, :]
+        if unit is not None:
+            np.ldexp(local, -unit[self.face_owner][:, None, None], out=local)
         if local.shape[-1] == 2:
             return self.face_owner, local, _cross2(local[:, 0], local[:, 1])
         return self.face_owner, local, (
@@ -368,30 +372,39 @@ class MeshGeometry:
     def _raw(self):
         """Order-0, 1 and 2 moments about each anchor (the simplices',
         summed d!-scaled and divided once per element: a unit cube's volume
-        comes out exact), then the centroid about the anchor."""
-        owner, local, det = self._simplices()
+        comes out exact) and the centroid about it, in units of 2^unit near
+        the element's diameter, then unit.  The scaling is exact: an
+        in-range moment keeps its bits, and none under- or overflows."""
+        unit = np.frexp(self.diameter)[1]
+        owner, local, det = self._simplices(unit)
         n_el, dim = len(self.volume), local.shape[-1]
         scale, s = math.factorial(dim), local.sum(axis=1)
+        volume = np.bincount(owner, det, minlength=n_el) / scale
         first = _sum_per(owner, det[:, None] * s, n_el) / (scale * (dim + 1))
         second = _sum_per(owner, det[:, None, None] * (
             np.einsum("fki,fkj->fij", local, local)
             + s[:, :, None] * s[:, None, :]), n_el) / (
             scale * (dim + 1) * (dim + 2))
         centroid = np.where((self.volume > 0.0)[:, None],
-                            first / self.volume[:, None], np.nan)
-        return self.volume, *_frozen(first, second, centroid)
+                            first / volume[:, None], np.nan)
+        return _frozen(volume, first, second, centroid, unit)
 
     @cached_property
     def centroid(self):
         """Each element's centroid (NaN where its volume is not positive)."""
-        return _frozen(self._raw[3] + self._origin)[0]
+        return _frozen(np.ldexp(self._raw[3], self._raw[4][:, None])
+                       + self._origin)[0]
 
     @cached_property
     def scaled_moments(self):
         """Order-<=2 moments of the scaled monomials about each element's
-        (centroid, diameter), one array per exponent tuple."""
+        (centroid, diameter), one array per exponent tuple: built in the
+        element's unit and scaled back by 2^(dim x unit), which is exact."""
+        unit = self._raw[4]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            table = hni.scaled_moment_table(self, self._raw[3], self.diameter)
+            table = hni.scaled_moment_table(self, self._raw[3], np.ldexp(
+                self.diameter, -unit))
+            table = {k: np.ldexp(v, len(k) * unit) for k, v in table.items()}
         return dict(zip(table, _frozen(*table.values())))
 
     @cached_property
@@ -413,7 +426,7 @@ class MeshGeometry:
 
     def integrate(self, exponent):
         """Raw integral of a degree <= 2 monomial over every element, about
-        each element's anchor: one value per element."""
+        its anchor and in its unit (``_raw``): one value per element."""
         axes = [a for a, e in enumerate(exponent) for _ in range(e)]
         return self._raw[len(axes)][(slice(None), *axes)]
 

@@ -1,10 +1,10 @@
 """Shape diagnostics for tetrahedra, prisms and triangles: dihedral angles,
 sliver/wedge/spire/thin-prism classification, in one array pass over the
 mesh's geometry table (``mesh_report``; ``tet_angles`` is its kernel of a
-stack of tetrahedra's six angles).  Thresholds are policy, not physics: the
-defaults separate the benchmark pathologies (mesh parameter <= 0.1) from
-well-shaped reference elements.  All classification inputs are scale- and
-rotation-invariant ratios.
+stack of tetrahedra's six angles).  The four cuts are policy, not physics:
+module constants that separate the benchmark pathologies (mesh parameter
+<= 0.1) from well-shaped reference elements.  All classification inputs are
+scale- and rotation-invariant ratios.
 """
 
 from __future__ import annotations
@@ -16,16 +16,11 @@ import numpy as np
 
 from . import hni, mesh as meshmod
 
+ANGLE_DEG = 5.0          # dihedral angle cut for wedge/sliver
+FACE_AREA_REL = 1e-4     # tiny-face cut, relative to h_E^2
+FACE_SEPARATION = 100.0  # smallest face must be this much smaller
+EDGE_REL = 1e-3          # thin-prism edge cut, relative to h_E
 
-@dataclass(frozen=True)
-class QualityThresholds:
-    angle_deg: float = 5.0          # dihedral angle cut for wedge/sliver
-    face_area_rel: float = 1e-4     # tiny-face cut, relative to h_E^2
-    face_separation: float = 100.0  # smallest face must be this much smaller
-    edge_rel: float = 1e-3          # thin-prism edge cut, relative to h_E
-
-
-DEFAULT_THRESHOLDS = QualityThresholds()
 
 @dataclass(frozen=True)
 class QualityReport:
@@ -79,10 +74,10 @@ def _cap_edges(p):
     return hni._norms(np.roll(caps, -1, axis=2) - caps).reshape(-1, 6)
 
 
-def mesh_report(mesh, thresholds=DEFAULT_THRESHOLDS):
+def mesh_report(mesh):
     """One QualityReport per element, classified in one array pass.
     Polytopes report metrics only."""
-    g, t, dim = mesh.geometry, thresholds, mesh.dimension
+    g, dim = mesh.geometry, mesh.dimension
     n = mesh.num_elements
     ids = np.arange(n)
     owner, first = g.face_owner, g.face_start[:-1]
@@ -92,8 +87,8 @@ def mesh_report(mesh, thresholds=DEFAULT_THRESHOLDS):
     edges = g.edge_lengths.min(axis=1)
     min_edge = edges[np.lexsort((edges, owner))][first]
     volume, h, flat = g.volume, g.diameter, g.degenerate
-    spire = ((second >= t.face_separation * min_face)
-             & (min_face < t.face_area_rel * h * h))
+    spire = ((second >= FACE_SEPARATION * min_face)
+             & (min_face < FACE_AREA_REL * h * h))
 
     kind, nodes = np.array(g.kinds, object), np.diff(g.node_start)
     tet = (kind == "tet") & (dim == 3)
@@ -109,9 +104,9 @@ def mesh_report(mesh, thresholds=DEFAULT_THRESHOLDS):
             lo[mask], hi[mask] = a.min(axis=1), a.max(axis=1)
     # Each kind's branches in order; the kind masks are disjoint.
     label = np.select(
-        [tet & spire, tet & (hi > 180.0 - t.angle_deg) & (lo < t.angle_deg),
-         tet & (lo < t.angle_deg), prism & (lo < t.edge_rel * h), tri & flat,
-         tri & (lo < t.angle_deg), (tet | prism) & flat, tet | prism | tri],
+        [tet & spire, tet & (hi > 180.0 - ANGLE_DEG) & (lo < ANGLE_DEG),
+         tet & (lo < ANGLE_DEG), prism & (lo < EDGE_REL * h), tri & flat,
+         tri & (lo < ANGLE_DEG), (tet | prism) & flat, tet | prism | tri],
         ["spire", "sliver_kite", "wedge", "thin_prism", "degenerate",
          "wedge", "degenerate", "good"], "not_applicable")
     angled = tet | (tri & ~flat)

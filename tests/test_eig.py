@@ -365,6 +365,23 @@ def test_fem_step_scales_with_the_mesh_by_2_to_the_300(name):
         assert scaled == pytest.approx(2.0 ** k * dt, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", [1e-1, 1e-5])
+@pytest.mark.parametrize("name", ["tri2d", "prism3d", "wedge", "kite",
+                                  "spireA", "spireB", "spireC"])
+def test_vem_auto_step_scales_with_the_mesh_by_2_to_the_300(name, eps):
+    # The moments are built in units of a power of two near each element's
+    # diameter, so their L^(d+2) terms neither underflow at 2^-300 m (dt
+    # once came out 1.21x too large on prism3d, ~0 on the spires) nor
+    # overflow at 2^300 m (once refused as a non-finite second moment).
+    mesh = benchmarks.gen_benchmark(name, eps, "vem")
+    dt = eig.critical_dt(mesh, "vem", alpha0="auto").dt_crit
+    for k in (-300, 300):
+        scaled = eig.critical_dt(_scaled(mesh, 2.0 ** k), "vem",
+                                 alpha0="auto").dt_crit
+        assert scaled == pytest.approx(2.0 ** k * dt, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("fixed", [[7], [-1], [0, 3]])
 def test_global_fixed_dofs_out_of_range_rejected(fixed):
     K = np.diag([1.0, 4.0, 9.0])

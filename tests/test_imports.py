@@ -68,6 +68,16 @@ def test_element_studies_do_not_load_scipy_sparse():
     assert proc.stdout.split() == ["False", "True", "csr"]
 
 
+def test_import_does_not_load_hashlib():
+    # hashlib (~3 ms of import) is loaded by config_hash, its one user.
+    proc = _python("-c", "import sys, polyvem, polyvem.cli; "
+                   "print('hashlib' in sys.modules); "
+                   "polyvem.config.RunConfig().config_hash(); "
+                   "print('hashlib' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_split_run_does_not_load_csgraph():
     proc = _python("-c", SPLIT_RUN)
     assert proc.returncode == 0, proc.stderr
