@@ -45,7 +45,7 @@ def gen_benchmark(name, eps=None, variant="fem"):
     """Generate a benchmark mesh by name.
 
     eps is the mesh-degeneracy parameter in (0, 1) for the element
-    families (at 1, tri2d's node 1 lands on node 2); the beam cases ignore
+    families (at 1, tri2d's node 1 lands on node 2); the beam cases refuse
     it (their near-degeneracy is fixed by the cut line).
     """
     if name not in BENCHMARK_NAMES:
@@ -53,6 +53,9 @@ def gen_benchmark(name, eps=None, variant="fem"):
     if variant not in ("fem", "vem"):
         raise meshmod.ValidationError(f"unknown variant {variant!r}")
     if name.startswith("beam"):
+        if eps is not None:
+            raise meshmod.ValidationError(f"{name} takes no eps: its cut "
+                                          "line fixes its taper")
         return _beam(name[-1], variant)
     if eps is None or not (0.0 < eps < 1.0):
         raise meshmod.ValidationError("eps must lie in (0, 1)")

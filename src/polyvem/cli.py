@@ -32,13 +32,11 @@ def main(argv=None):
         parser.print_usage()
         return 1
     try:
-        cfg = _load_config(args)
+        cfg = cfgmod.build_config(getattr(args, "alpha0", None))
         if args.version:
             print(f"polyvem {__version__} (config {cfg.config_hash()})")
-        elif cfg.material and args.command in ("simulate", "tables"):
-            raise ValidationError(f"{args.command} keeps the benchmark "
-                                  "material; remove E, nu, rho from --config")
         else:
+            _check_paths(args)
             args.func(args, cfg)
         return 0
     except (NumericalError, np.linalg.LinAlgError) as exc:
@@ -49,26 +47,19 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        # Inputs are read through load_mesh/parse_config_file, which raise
-        # the errors above, so an OSError here is an output that failed (a
-        # failed write or close carries no file name).
+        # Inputs are read through load_mesh, which raises the errors above,
+        # so an OSError here is an output that failed (a failed write or
+        # close carries no file name).
         path = "output" if exc.filename is None else exc.filename
         print(f"error: cannot write {path}: {exc.strerror or exc}",
               file=sys.stderr)
         return 1
 
 
-def _load_config(args):
-    path = getattr(args, "config", None)
-    return cfgmod.build_config(path and cfgmod.parse_config_file(path),
-                               alpha0=getattr(args, "alpha0", None))
-
-
 def _build_parser():
     # No defaults: the subcommand's parse keeps a value given before it.
     common = argparse.ArgumentParser(add_help=False,
                                      argument_default=argparse.SUPPRESS)
-    common.add_argument("--config", help="key=value configuration file")
     common.add_argument("--alpha0",
                         help="stabilization preset: auto, unit, or a number")
     parser = argparse.ArgumentParser(
@@ -160,7 +151,6 @@ def _build_parser():
 
 def _cmd_mesh_gen(args, cfg):
     mesh = benchmarks.gen_benchmark(args.name, args.eps, args.variant)
-    mesh = cfgmod.apply_material(mesh, cfg)
     meshmod.save_mesh(mesh, args.out)
     print(f"wrote {args.out}: {mesh.num_vertices} vertices, "
           f"{mesh.num_elements} elements")
@@ -187,7 +177,7 @@ def _cmd_quality(args, cfg):
 
 
 def _cmd_agglomerate(args, cfg):
-    mesh = cfgmod.apply_material(meshmod.load_mesh(args.mesh), cfg)
+    mesh = meshmod.load_mesh(args.mesh)
     if args.auto:
         merged, mapping, unmerged = agglomerate.auto_agglomerate(mesh)
         for e in unmerged:
@@ -208,7 +198,7 @@ def _cmd_agglomerate(args, cfg):
 
 
 def _cmd_timestep(args, cfg):
-    mesh = cfgmod.apply_material(meshmod.load_mesh(args.mesh), cfg)
+    mesh = meshmod.load_mesh(args.mesh)
     systems = eig.element_systems(mesh, args.method, cfg.alpha0)
     report = eig.time_step_report(systems)
     if args.out:
@@ -232,7 +222,7 @@ def _cmd_timestep(args, cfg):
 
 
 def _cmd_eig_global(args, cfg):
-    mesh = cfgmod.apply_material(meshmod.load_mesh(args.mesh), cfg)
+    mesh = meshmod.load_mesh(args.mesh)
     if args.beam_bcs:
         problem = dynamics.beam_problem(mesh, args.method, cfg.alpha0)
         K, M, fixed = problem.K, problem.M, problem.constrained
@@ -312,6 +302,19 @@ def _cmd_integrate(args, cfg):
     if len(exponent) != mesh.dimension:
         raise ValidationError("exponent arity must match mesh dimension")
     print(f"{integ.integrate(exponent):.17g}")
+
+
+def _check_paths(args):
+    """Refuse an output that is the input mesh or another output."""
+    seen = {}
+    for option in ("--mesh", "--out", "--mapping", "--summary"):
+        path = getattr(args, option[2:], None)
+        real = path and os.path.realpath(path)
+        if real in seen:
+            raise ValidationError(f"{seen[real]} and {option} name the "
+                                  f"same file {path}")
+        if real:
+            seen[real] = option
 
 
 def _write_csv(path, header, rows):

@@ -36,6 +36,22 @@ def test_eps_range_is_open(name):
         assert benchmarks.gen_benchmark(name, 0.999, variant).num_elements
 
 
+@pytest.mark.parametrize("eps", [7.0, float("nan"), 0.1])
+@pytest.mark.parametrize("name", ["beamA", "beamB"])
+def test_beam_refuses_eps(tmp_path, capsys, name, eps):
+    # The beam's taper is fixed by its cut line: an eps is refused by the
+    # beam's name instead of ignored, and mesh-gen writes no mesh.
+    for variant in ("fem", "vem"):
+        with pytest.raises(ValidationError,
+                           match=f"^{name} takes no eps: its cut line"):
+            benchmarks.gen_benchmark(name, eps, variant)
+        out = tmp_path / "beam.json"
+        assert cli.main(["mesh-gen", "--name", name, "--eps", str(eps),
+                         "--variant", variant, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} takes no")
+        assert not out.exists()
+
+
 def test_kite_counts(kite_meshes):
     fem = kite_meshes[(1e-1, "fem")]
     assert fem.num_vertices == 5

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyvem import cli, config as cfgmod, mesh as meshmod
+from polyvem import cli, mesh as meshmod
 
 
 def run(args):
@@ -40,26 +40,21 @@ def _options(parser):
 
 
 def test_readme_documents_exactly_the_cli():
-    # README and the parser name the same options, both ways, and README's
-    # --config key list is exactly the configuration's keys.
+    # README and the parser name the same options, both ways.
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
     options = _options(cli._build_parser())
     assert named - {"--no-build-isolation"} - options == set()
     assert options - named == set()
-    keys = re.search(r"`--config\s+FILE`.*?keys:(.*?)\.", readme, re.S)
-    assert keys, "README lists no --config keys"
-    listed = re.findall(r"`(\w+)`", keys.group(1))
-    assert sorted(listed) == sorted(cfgmod._KEYS)
 
 
 def test_common_options():
-    # --config and --alpha0 are the only options every subcommand takes.
+    # --alpha0 is the only option every subcommand takes.
     parser = cli._build_parser()
     subs = next(a for a in parser._actions
                 if isinstance(a, argparse._SubParsersAction)).choices
     common = set.intersection(*map(_options, subs.values()))
-    assert common == {"--config", "--alpha0"}
+    assert common == {"--alpha0"}
     top = {o for a in parser._actions for o in a.option_strings}
     assert top == common | {"--version", "-h", "--help"}
 
@@ -142,17 +137,18 @@ def test_agglomerate_groups(tmp_path):
     assert len(merged.elements[0].faces) == 6
 
 
-def test_agglomerate_applies_config_material(tmp_path, capsys):
+def test_agglomerate_keeps_the_mesh_material(tmp_path, capsys):
+    # The material is the mesh file's: the merged mesh carries it.
+    from polyvem import benchmarks
+    soft = meshmod.MaterialParams(1e9, 0.0, 1000.0)
+    mesh = benchmarks.gen_benchmark("kite", 1e-1, "fem")
     mesh_path = tmp_path / "kite.json"
-    run(["mesh-gen", "--name", "kite", "--eps", "1e-1", "--out",
-         str(mesh_path)])
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("E = 1e9\nnu = 0\nrho = 1000\n")
+    meshmod.save_mesh(meshmod.tet_mesh(mesh.vertices, mesh.tets, soft),
+                      mesh_path)
     out_path = tmp_path / "merged.json"
     assert run(["agglomerate", "--mesh", str(mesh_path), "--groups", "0,1",
-                "--out", str(out_path), "--config", str(cfg)]) == 0
-    assert meshmod.load_mesh(out_path).material == meshmod.MaterialParams(
-        1e9, 0.0, 1000.0)
+                "--out", str(out_path)]) == 0
+    assert meshmod.load_mesh(out_path).material == soft
 
 
 def test_agglomerate_auto(tmp_path):
@@ -267,56 +263,39 @@ def test_underflowing_stiffness_timestep_names_element(tmp_path, capsys,
 @pytest.mark.parametrize("key", ["threads", "angle_deg", "face_area_rel",
                                  "face_separation", "edge_rel"])
 def test_retired_config_key_rejected(tmp_path, capsys, key):
-    # Retired keys are refused with their line: the thread pool is gone and
-    # the four quality cuts are constants of `quality`.
+    # Retired keys are no options, and no config file carries them: the
+    # thread pool is gone, the four quality cuts are constants of `quality`
+    # and --config is gone.  Each is a usage error that writes nothing.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"alpha0 = unit\n{key} = 2\n")
-    assert run(["mesh-gen", "--name", "kite", "--eps", "1e-1",
-                "--out", str(tmp_path / "kite.json"),
-                "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {cfg}:2: unknown key {key!r}\n")
-    assert run(["--config", str(cfg), "--version"]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {cfg}:2: unknown key {key!r}\n")
+    for extra in (["--config", str(cfg)], [f"--{key.replace('_', '-')}", "2"]):
+        assert run(["mesh-gen", "--name", "kite", "--eps", "1e-1",
+                    "--out", str(tmp_path / "kite.json"), *extra]) == 1
+        assert run([*extra, "--version"]) == 1
+        assert capsys.readouterr().err.startswith("usage: polyvem")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_lumping_option_and_key_rejected(tmp_path, capsys):
-    # One lumping rule: there is no --lumping flag and no lumping key.
+    # One lumping rule: there is no --lumping flag.
     assert run(["--lumping", "row_sum", "--version"]) == 1
     assert capsys.readouterr().err.startswith("usage: polyvem")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("lumping = auto\n")
-    assert run(["--config", str(cfg), "--version"]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {cfg}:1: unknown key 'lumping'\n")
 
 
 def test_config_file(tmp_path, capsys):
+    # There is no config file: mesh-gen writes the generator's material,
+    # and a --config that would have replaced it is a usage error.
+    from polyvem import benchmarks
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# test config\nE = 100e9\nnu = 0.25\nrho = 2000\n"
-                   "alpha0 = unit\n")
+    cfg.write_text("E = 100e9\nnu = 0.25\nrho = 2000\n")
     mesh_path = tmp_path / "kite.json"
-    run(["mesh-gen", "--name", "kite", "--eps", "1e-1", "--variant", "fem",
-         "--out", str(mesh_path), "--config", str(cfg)])
-    mesh = meshmod.load_mesh(mesh_path)
-    assert mesh.material.youngs_modulus == pytest.approx(100e9)
-    assert mesh.material.poisson_ratio == pytest.approx(0.25)
-
-
-def test_config_flag_overrides_file(tmp_path, capsys):
-    # alpha0 = 5 from the file changes the configuration hash; --alpha0
-    # unit overrides it, giving the hash of --alpha0 unit alone.
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha0 = 5\n")
-
-    def version(*argv):
-        assert run([*argv, "--version"]) == 0
-        return capsys.readouterr().out
-
-    assert version("--config", str(cfg)) != version()
-    assert version("--config", str(cfg), "--alpha0", "unit") == version(
-        "--alpha0", "unit") != version("--config", str(cfg))
+    argv = ["mesh-gen", "--name", "kite", "--eps", "1e-1", "--out",
+            str(mesh_path)]
+    assert run(argv + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("usage: polyvem")
+    assert not mesh_path.exists()
+    assert run(argv) == 0
+    assert meshmod.load_mesh(mesh_path).material == benchmarks.STEEL
 
 
 def test_mesh_gen_eps_one_rejected(tmp_path, capsys):
@@ -333,15 +312,14 @@ def test_mesh_gen_eps_one_rejected(tmp_path, capsys):
     ["tables", "--out", "{tmp}/tables"],
 ], ids=["simulate", "tables"])
 def test_beam_commands_refuse_a_material_override(tmp_path, capsys, command):
-    # simulate and tables build their meshes with the benchmark material, so
-    # a config material would be silently ignored: it is refused instead.
+    # simulate and tables build their meshes with the benchmark material;
+    # no option overrides it, so a config file is a usage error that
+    # writes nothing.
     cfg = tmp_path / "run.cfg"
     cfg.write_text("E = 1e9\nnu = 0\nrho = 1000\n")
     argv = [a.format(tmp=tmp_path) for a in command]
     assert run(argv + ["--config", str(cfg)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {command[0]} keeps the benchmark material; "
-        "remove E, nu, rho from --config\n")
+    assert capsys.readouterr().err.startswith("usage: polyvem")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
@@ -618,16 +596,12 @@ def test_simulate_checks_outputs_before_the_run(tmp_path, capsys,
 
 @pytest.mark.parametrize("option, omega", [
     (["--alpha0", "5"], "8.536960e+04"),
-    (["--config", "CFG"], "8.536960e+04"),
-], ids=["alpha0", "config"])
+], ids=["alpha0"])
 def test_common_option_before_or_after_subcommand(tmp_path, capsys, option,
                                                   omega):
     mesh_path = tmp_path / "kite.json"
     run(["mesh-gen", "--name", "kite", "--eps", "1e-3", "--variant", "vem",
          "--out", str(mesh_path)])
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha0 = 5\n")
-    option = [str(cfg) if v == "CFG" else v for v in option]
     timestep = ["timestep", "--mesh", str(mesh_path), "--method", "vem"]
     capsys.readouterr()
     assert run(timestep) == 0
@@ -647,20 +621,6 @@ def test_bad_alpha0_rejected(tmp_path, capsys, value):
     assert err.startswith("error: alpha0 must be") and repr(value) in err
 
 
-@pytest.mark.parametrize("key, value", [("E", "abc")])
-def test_bad_config_value_rejected(tmp_path, capsys, key, value):
-    # A value that is no number is refused with its key named.
-    from polyvem import config as cfgmod
-    values = {"E": "2e11", "nu": "0.3", "rho": "7800", key: value}
-    with pytest.raises(meshmod.ValidationError, match=f"^{key} must be"):
-        cfgmod.build_config(values)
-    path = tmp_path / "run.cfg"
-    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-    assert run(["--config", str(path), "--version"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {key} must be") and repr(value) in err
-
-
 def test_config_thresholds_read(monkeypatch):
     # The config hash reads the quality cuts from their constants.
     from polyvem import config as cfgmod, quality
@@ -672,14 +632,13 @@ def test_config_thresholds_read(monkeypatch):
 
 
 def test_config_hash_is_pinned(capsys):
-    # The hash names an experiment manifest: the default one, and one
-    # that overrides every key, keep their values.
-    from polyvem import config as cfgmod
-    assert run(["--version"]) == 0
-    assert capsys.readouterr().out.endswith("(config c02e2ff8f6bc)\n")
-    every = {"E": "1e9", "nu": "0.25", "rho": "2000", "alpha0": "0.5"}
-    assert set(every) == set(cfgmod._KEYS)
-    assert cfgmod.build_config(every).config_hash() == "e5306b30abda"
+    # The hash names an experiment manifest: every alpha0-only manifest
+    # keeps the value it had when a config file could set a material.
+    for option, digest in (([], "c02e2ff8f6bc"),
+                           (["--alpha0", "unit"], "a68609b8e17c"),
+                           (["--alpha0", "0.5"], "c34b0beada13")):
+        assert run([*option, "--version"]) == 0
+        assert capsys.readouterr().out.endswith(f"(config {digest})\n")
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -745,11 +704,59 @@ def test_unwritable_output_is_an_error(tmp_path, capsys, args):
     assert "Traceback" not in err
 
 
-def test_missing_config_file_is_an_error(tmp_path, capsys):
-    missing = tmp_path / "none.cfg"
-    assert run(["--config", str(missing), "--version"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read config file {missing}: ")
+# An output that names the input mesh or another output, spelled directly
+# or through another path to the same file.
+@pytest.mark.parametrize("args, first, second", [
+    (["agglomerate", "--mesh", "{mesh}", "--groups", "0,1",
+      "--out", "{dir}/m.json", "--mapping", "{dir}/m.json"],
+     "--out", "--mapping"),
+    (["quality", "--mesh", "{mesh}", "--out", "{dir}/./kite.json"],
+     "--mesh", "--out"),
+    (["simulate", "--case", "A", "--method", "vem", "--transits", "0.05",
+      "--out", "{dir}/r.json", "--summary", "{dir}/r.json"],
+     "--out", "--summary"),
+    (["timestep", "--out", "{mesh}", "--mesh", "{mesh}", "--method", "fem"],
+     "--mesh", "--out"),
+], ids=["agglomerate-mapping", "quality-mesh", "simulate-summary",
+        "timestep-mesh"])
+def test_output_that_names_another_path_is_refused(tmp_path, capsys,
+                                                   monkeypatch, args, first,
+                                                   second):
+    def no_run(*args, **kwargs):
+        raise AssertionError("tapered_beam_experiment called")
+
+    monkeypatch.setattr(cli.dynamics, "tapered_beam_experiment", no_run)
+    mesh_path = tmp_path / "kite.json"
+    run(["mesh-gen", "--name", "kite", "--eps", "1e-1", "--out",
+         str(mesh_path)])
+    (tmp_path / "m.json").write_text("old mesh\n")
+    (tmp_path / "r.json").write_text("old history\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    argv = [a.format(mesh=mesh_path, dir=tmp_path) for a in args]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: {first} and {second} name the "
+                                 f"same file {argv[argv.index(second) + 1]}\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_config_option_is_a_usage_error(tmp_path, capsys):
+    # --config is gone: naming it, before or after the subcommand, is a
+    # usage error, whether or not the file exists.
+    mesh_path = tmp_path / "kite.json"
+    run(["mesh-gen", "--name", "kite", "--eps", "1e-1", "--out",
+         str(mesh_path)])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha0 = unit\n")
+    capsys.readouterr()
+    for path in (cfg, tmp_path / "none.cfg"):
+        for argv in (["--config", str(path), "--version"],
+                     ["timestep", "--config", str(path), "--mesh",
+                      str(mesh_path), "--method", "fem"]):
+            assert run(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage: polyvem")
 
 
 def test_moments_without_exp(capsys):
@@ -782,25 +789,20 @@ def test_non_integer_list_rejected(tmp_path, capsys, option, value, args):
 @pytest.mark.parametrize("key, name", [("E", "Young's modulus"),
                                        ("rho", "density")])
 def test_non_finite_material_rejected(tmp_path, capsys, key, name):
-    # E or rho = inf, from a config file or a mesh file ("1e999" parses to
-    # inf), is refused before any element is built.
+    # E or rho = inf in a mesh file ("1e999" parses to inf) is refused
+    # before any element is built.
     mesh_path = tmp_path / "kite.json"
     run(["mesh-gen", "--name", "kite", "--eps", "1e-1", "--out",
          str(mesh_path)])
-    cfg = tmp_path / "run.cfg"
-    values = {"E": "2e11", "nu": "0.3", "rho": "7800", key: "inf"}
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     huge = tmp_path / "huge.json"
     text = mesh_path.read_text()
     material = json.loads(text)["material"]
     huge.write_text(text.replace(f'"{key}": {material[key]!r}',
                                  f'"{key}": 1e999'))
     capsys.readouterr()
-    for argv in (["--config", str(cfg), "--mesh", str(mesh_path)],
-                 ["--mesh", str(huge)]):
-        assert run(["timestep", "--method", "fem"] + argv) == 1
-        assert capsys.readouterr().err == (
-            f"error: {name} must be positive and finite\n")
+    assert run(["timestep", "--method", "fem", "--mesh", str(huge)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {name} must be positive and finite\n")
 
 
 def _tri2d_mesh(path, factor=1.0):

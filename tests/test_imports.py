@@ -88,3 +88,10 @@ def test_python_m_polyvem_version():
     proc = _python("-m", "polyvem", "--version")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("polyvem 0.1.0")
+
+
+def test_python_m_polyvem_config_is_a_usage_error():
+    # --config is gone: an old command line fails loudly (exit 1).
+    proc = _python("-m", "polyvem", "--config", "x", "--version")
+    assert proc.returncode == 1
+    assert proc.stdout == "" and proc.stderr.startswith("usage: polyvem")

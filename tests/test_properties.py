@@ -6,14 +6,15 @@ objectivity, watertightness, volume additivity, and lumped-mass positivity.
 Together the loops cover well over a hundred randomized cases.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polyvem import (agglomerate, benchmarks, config, eig, mesh as meshmod,
-                     quality, vem)
+from polyvem import (agglomerate, benchmarks, eig, mesh as meshmod, quality,
+                     vem)
 from polyvem.mesh import Element, Mesh, tet_element
 
 from conftest import clustered_polygon, random_rotation, random_tet_mesh
@@ -221,14 +222,15 @@ def _table_bytes(mesh):
 
 
 def test_material_override_copies_the_tet_array():
-    # A material override copies a tet mesh's array: neither mesh builds
-    # its elements, and the copy's table is the one tet_mesh builds.
+    # A material override (`dataclasses.replace`) copies a tet mesh's
+    # array: neither mesh builds its elements, and the copy's table is the
+    # one tet_mesh builds.
     source = benchmarks.gen_benchmark("kite", 1e-3, "fem")
-    cfg = config.build_config({"E": "1e9", "nu": "0.25", "rho": "1000"})
-    copy = config.apply_material(source, cfg)
-    assert copy.material == cfg.material and copy.tets is source.tets
+    material = meshmod.MaterialParams(1e9, 0.25, 1000.0)
+    copy = dataclasses.replace(source, material=material)
+    assert copy.material == material and copy.tets is source.tets
     assert _table_bytes(copy) == _table_bytes(
-        meshmod.tet_mesh(source.vertices, source.tets, cfg.material))
+        meshmod.tet_mesh(source.vertices, source.tets, material))
     assert "elements" not in vars(source) and "elements" not in vars(copy)
 
 

@@ -290,3 +290,52 @@ def test_singular_projector_reported():
     mesh = Mesh(3, verts, [tet_element((0, 1, 2, 3))])
     with pytest.raises(ValidationError, match="element 0"):
         vem.group_matrices(mesh, [0])
+
+
+def _scaled_meshes():
+    """Catalog meshes and a unit tet at scales from subnormal to near
+    overflow, some off powers of two, and unit tets whose volume sweeps up
+    to where it overflows."""
+    unit_tet = meshmod.tet_mesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0],
+                                          [0, 0, 1]]), [(0, 1, 2, 3)])
+    bases = [unit_tet] + [benchmarks.gen_benchmark(name, 1e-1, variant)
+                          for name in ("tri2d", "wedge", "kite", "spireC")
+                          for variant in ("fem", "vem")]
+    for base in bases:
+        for k in range(-1090, 1024, 23):
+            for mantissa in (1.0, 1.37):
+                yield base, np.ldexp(mantissa, k)
+    for volume in np.geomspace(1e300, 1.7e308, 61):
+        yield unit_tet, np.cbrt(6.0) * np.cbrt(volume)
+
+
+def test_moments_finite_where_the_measure_check_passes():
+    # The moments are built in element units and scaled back by 2^(dim e),
+    # so a scaled moment is at most its element's volume: wherever
+    # group_matrices' measure check (a finite, positive volume) passes,
+    # every moment is finite.
+    passed = 0
+    for base, scale in _scaled_meshes():
+        with np.errstate(over="ignore", invalid="ignore"):
+            mesh = Mesh(base.dimension, base.vertices * scale, base.cells)
+        g = mesh.geometry
+        ok = np.isfinite(g.volume) & (g.volume > 0.0)
+        for key, moment in g.scaled_moments.items():
+            assert np.isfinite(moment[ok]).all(), (scale, key)
+        passed += ok.sum()
+    assert passed > 1000
+
+
+def test_non_finite_second_moment_names_an_unvalidated_element():
+    # The one way found past the measure check to a non-finite moment: an
+    # unvalidated tet whose volume is finite while its diameter overflows
+    # (two vertices 2e308 apart).  Validation refuses it; the kernel names it.
+    verts = np.array([[0.0, 0, 0], [1e308, 0, 0], [-1e308, 1e-300, 0],
+                      [0, 0, 1]])
+    mesh = Mesh(3, verts, [tet_element((0, 1, 2, 3))])
+    g = mesh.geometry
+    assert 0.0 < g.volume[0] < np.inf and g.diameter[0] == np.inf
+    assert g.failed_check[0] >= 0
+    with pytest.raises(ValidationError,
+                       match="^element 0: non-finite second moment"):
+        vem.group_matrices(mesh, [0])
