@@ -68,6 +68,11 @@ def _build_parser():
         parents=[common])
     parser.add_argument("--version", action="store_true",
                         help="print version and config hash")
+    # Retired options, refused here as the subcommands refuse them: else
+    # argparse would take the value of one for the subcommand.
+    for old in ("--config", "--threads", "--lumping"):
+        parser.add_argument(old, help=argparse.SUPPRESS, type=lambda v, o=old:
+                            parser.error(f"unrecognized arguments: {o} {v}"))
     sub = parser.add_subparsers(dest="command")
 
     def add_parser(name, **kw):

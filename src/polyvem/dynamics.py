@@ -14,12 +14,11 @@ at x = 4, histories probed mid-beam and reported in normalized time and
 displacement.  A case's pulse duration is a constant of the problem,
 ``BEAM_PULSE_DURATION``, whatever the method or stabilization preset.
 
-``scipy.sparse`` is imported inside ``assemble_systems``, the one place a
-global matrix is built, and ``_steps``, so importing this module (and
-running element studies) does not load it.  The step is written once, as
-the ``_steps`` generator; a long run splits it with a forked helper
-process that steps a band of the dofs through its own ``_steps``, bit for
-bit (``_domains``).
+K is an ``eig.Csr``, polyvem's own CSR arrays, and a step applies it with
+scipy's C++ kernel loaded from its file (``eig.csr_kernel``), so nothing
+here loads ``scipy.sparse``.  The step is written once, as the ``_steps``
+generator; a long run splits it with a forked helper process that steps a
+band of the dofs through its own ``_steps``, bit for bit (``_domains``).
 """
 
 from __future__ import annotations
@@ -51,32 +50,32 @@ PARALLEL_MIN_WORK = 1e8
 
 
 def assemble(mesh, method, alpha0="unit"):
-    """Assembled stiffness (CSR) and lumped mass vector for a mesh."""
+    """Assembled stiffness (``eig.Csr``) and lumped mass vector for a mesh."""
     return assemble_systems(mesh, eig.element_systems(mesh, method, alpha0))
 
 
 def assemble_systems(mesh, systems):
-    """Scatter-add an element sweep into the global stiffness (CSR) and
-    lumped mass vector.  K's pattern is laid out from the node pairs the
-    elements couple: row (a, i) holds columns b n + j, b = 0..dim-1, for
-    the nodes j coupled to node i, in order.  Each group's stack is added
-    into its slots of ``K.data`` with one ``np.add.at``, so each stored
-    entry is the sequential sum of its element terms in sweep order
-    (groups in ``eig.element_groups`` order, stack rows in order).  Each
-    mass entry sums its element terms in element order."""
-    import scipy.sparse as sp
-
+    """Scatter-add an element sweep into the global stiffness (an
+    ``eig.Csr``) and lumped mass vector.  K's pattern is laid out from the
+    node pairs the elements couple: row (a, i) holds columns b n + j, b =
+    0..dim-1, for the nodes j coupled to node i, in order.  Each group's
+    stack is added into its slots of ``K.data`` with one ``np.add.at``, so
+    each stored entry is the sequential sum of its element terms in sweep
+    order (groups in ``eig.element_groups`` order, stack rows in order);
+    exact zeros, summed terms that cancel, are then dropped.  Each mass
+    entry sums its element terms in element order."""
     dim, n = mesh.dimension, mesh.num_vertices
     size = np.zeros(mesh.num_elements, np.int64)
     for ids, _, _, ml in systems:
         size[ids] = ml.shape[1]
     start = np.cumsum(size) - size
     dofs, masses = np.empty(size.sum(), np.int64), np.empty(size.sum())
-    pairs = [nodes[:, :, None] * n + nodes[:, None, :]
-             for _, nodes, *_ in systems]
-    keys = np.sort(np.concatenate([np.empty(0, np.int64),
-                                   *map(np.ravel, pairs)]))
-    keys = keys[np.diff(keys, prepend=-1) > 0]  # the coupled pairs i n + j
+
+    def pairs(nodes):  # the node pairs i n + j the elements couple
+        return nodes[:, :, None] * n + nodes[:, None, :]
+    keys = np.sort(np.concatenate([np.empty(0, np.int64), *(
+        pairs(nodes).ravel() for _, nodes, *_ in systems)]))
+    keys = keys[np.diff(keys, prepend=-1) > 0]  # the coupled pairs
     # Pair p = (i, j) in column block b of row (a, i) has slot
     # a dim P + offset[i] + b deg[i] + p of K.data, P = len(keys).
     row, col = np.divmod(keys, n)
@@ -89,19 +88,17 @@ def assemble_systems(mesh, systems):
         comp * n + col)
     np.cumsum(np.tile(dim * deg, dim), out=indptr[1:])
     data = np.zeros(dim * block)
-    for (ids, nodes, K, ml), pair in zip(systems, pairs):
+    for ids, nodes, K, ml in systems:
         n_el, nn = nodes.shape
         at = start[ids][:, None] + np.arange(dim * nn)
         dofs[at] = (comp * n + nodes[:, None, :]).reshape(n_el, dim * nn)
         masses[at] = ml
-        at = offset[nodes][:, :, None] + np.searchsorted(keys, pair)
+        at = offset[nodes][:, :, None] + np.searchsorted(keys, pairs(nodes))
         at = (block * comp[:, :, None, None] + at[:, None, :, None, :]
               + comp * deg[nodes][:, None, :, None, None])  # (el, a, i, b, j)
         np.add.at(data, at.ravel(), K.ravel())  # 1-D: numpy's fast path
-    K = sp.csr_matrix((data, np.tile(indices, dim), indptr),
-                      shape=(dim * n, dim * n))
-    K.eliminate_zeros()  # exact zeros: summed terms that cancel
-    return K, np.bincount(dofs, masses, minlength=dim * n)
+    K = eig.Csr(data, np.tile(indices, dim), indptr, (dim * n,) * 2)
+    return K.where(data != 0.0), np.bincount(dofs, masses, minlength=dim * n)
 
 
 @dataclass
@@ -144,22 +141,17 @@ def _banded(K, driven):
     """(the breadth-first order from the driven dofs or dof 0, unreached
     dofs last; each dof's place in it; its half-nnz row r0, moved past the
     driven dofs)."""
-    indptr, indices = K.indptr, K.indices
-
-    def entries(rows):  # positions of the rows' stored entries, in order
-        start, count = indptr[rows], indptr[rows + 1] - indptr[rows]
-        return (np.repeat(start - (np.cumsum(count) - count), count)
-                + np.arange(count.sum()))
     seen, levels = np.zeros(K.shape[0], bool), []
     front = np.unique(driven) if driven.size else np.arange(K.shape[0])[:1]
     while front.size:
         seen[front] = True
         levels.append(front)
-        reached = np.bincount(indices[entries(front)], minlength=len(seen))
+        reached = np.bincount(K.indices[K.entries(front)],
+                              minlength=len(seen))
         front = np.flatnonzero((reached > 0) & ~seen)
     order = np.concatenate(levels + [np.flatnonzero(~seen)])
     pos = np.argsort(order)
-    ends = np.append(0, np.cumsum(np.diff(indptr)[order]))
+    ends = np.append(0, np.cumsum(np.diff(K.indptr)[order]))
     return order, pos, max(int(np.searchsorted(ends, K.nnz // 2)),
                            int(pos[driven].max(initial=-1)) + 1)
 
@@ -179,13 +171,12 @@ def _meet(flags, dots, me, step, dot, alive):
     return dots[2 * (step & 1) + 1 - me] if flags[1 - me] >= step else None
 
 
-def _scaled(K, s, rows=None, pos=None):
+def _scaled(K, s, rows=None, order=None):
     """The kernel's arguments for K's rows (all, sharing K's pattern, or
-    ``rows`` gathered in order, columns relabelled by ``pos``), row i scaled
-    by s[i] in float64 (the kernel's type), entries in stored order."""
+    ``rows`` gathered in order, columns in ``order``), row i scaled by s[i]
+    in float64 (the kernel's type), entries in stored order."""
     if rows is not None:
-        K, s = K[rows], s[rows]  # scipy keeps each row's stored order
-        K.indices = pos.astype(K.indices.dtype)[K.indices]
+        K, s = K.take(rows, order), s[rows]
     data = np.repeat(s, np.diff(K.indptr))
     np.multiply(data, K.data, out=data, dtype=float)
     return (*K.shape, K.indptr, K.indices, data)
@@ -196,7 +187,7 @@ def _steps(kernel, w, bufs, start, n_steps):
     ``_scaled`` rows of K, and w = dt v at the half step): move them by w
     into u's buffer for the step, yield (step, u, own), and on resume
     accumulate their rows of K @ u into w, each row in stored order."""
-    from scipy.sparse._sparsetools import csr_matvec
+    csr_matvec = eig.csr_kernel()
     owns = [b[start:start + len(w)] for b in bufs]
     for step in range(1, n_steps + 1):
         u, own = bufs[step & 1], owns[step & 1]
@@ -232,7 +223,7 @@ def _domains(K, scale, driven, n_steps, split):
         try:
             os.sched_setaffinity(0, sorted(cpus)[1:2])
             has_parent = lambda: os.getppid() == parent  # noqa: E731
-            rows = _scaled(K, scale, order[r0:], pos)
+            rows = _scaled(K, scale, order[r0:], order)
             for step, _, own in _steps(rows, w[r0:], bufs, r0, n_steps):
                 if _meet(flags, dots, 1, step, own @ own, has_parent) is None:
                     break
@@ -242,7 +233,7 @@ def _domains(K, scale, driven, n_steps, split):
     alive = lambda: os.waitpid(pid, os.WNOHANG)[0] == 0  # noqa: E731
     try:
         os.sched_setaffinity(0, sorted(cpus)[:1])
-        yield (_steps(_scaled(K, scale, order[:r0], pos), w[:r0], bufs, 0,
+        yield (_steps(_scaled(K, scale, order[:r0], order), w[:r0], bufs, 0,
                       n_steps), pos,
                lambda step: _meet(flags, dots, 0, step, 0.0, alive))
     finally:
@@ -261,8 +252,8 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
                            divergence_limit=None):
     """Explicit central-difference run of M a + K u = 0 under the schedule.
 
-    K is a square scipy sparse matrix of real, finite entries, one row per
-    lumped mass entry (used as CSR); probes are global dof indices recorded
+    K is a square ``eig.Csr`` or scipy sparse matrix (read as CSR) of real,
+    finite entries, one row per lumped mass entry; probes are global dof indices recorded
     every step.  Divergence (any |u| beyond divergence_limit, None or >= 0,
     or a non-finite u) aborts and flags the result.  A run whose time and
     probe history would not fit in physical memory is refused before
@@ -294,9 +285,9 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
     if not (hasattr(K, "tocsr") and K.shape == (ndof, ndof)):
         raise ValidationError(f"K must be a square scipy sparse matrix with "
                               f"{ndof} rows, one per lumped mass entry")
-    K = K.tocsr()
-    if K.dtype.kind not in "biuf":
-        raise ValidationError(f"K must be real, not {K.dtype}")
+    K = eig.csr(K)
+    if K.data.dtype.kind not in "biuf":
+        raise ValidationError(f"K must be real, not {K.data.dtype}")
     if not np.isfinite(K.data).all():
         raise ValidationError("K has a non-finite entry")
     probes, fixed, driven = [eig.dof_ids(d, name, ndof) for d, name in zip(

@@ -6,7 +6,8 @@ lumped mass once, elements of equal kind, node and face count as one stack
 kernel (``vem.group_matrices``, ``fem.group_matrices``) with ``vem.lump``.
 ``time_step_report`` checks the sweep for faults once and reduces it to the
 element bound; ``dynamics.assemble_systems`` reduces it to the global
-matrices.  The element problems are solved with LAPACK (``eigvalsh``) one
+matrices, K a ``Csr`` (CSR arrays that scipy's kernel, ``csr_kernel``,
+applies without ``scipy.sparse``).  The element problems are solved with LAPACK (``eigvalsh``) one
 stack per group; the global bound by power iteration on the mass-normalized
 stiffness with homogeneous constraints eliminated.  The element-eigenvalue
 inequality makes max_E omega_E an upper bound for the global omega, so
@@ -18,7 +19,10 @@ global omega, and so no time step, comes from a stalled or overflowed loop.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from importlib import machinery, util
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,6 +161,79 @@ def critical_dt(mesh, method, alpha0="unit"):
     return time_step_report(element_systems(mesh, method, alpha0))
 
 
+class Csr(NamedTuple):
+    """A sparse matrix in scipy's CSR arrays: row i stores data[indptr[i]:
+    indptr[i + 1]] in those columns of indices, in that (stored) order."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self):
+        return len(self.data)
+
+    def tocsr(self):
+        return self
+
+    def __matmul__(self, x):
+        """A x, each row summed from zero in stored order (scipy's bits)."""
+        y = np.zeros(self.shape[0])
+        csr_kernel()(*self.shape, self.indptr, self.indices,
+                     self.data.astype(float, copy=False), x, y)
+        return y
+
+    def where(self, keep):
+        """The entries where keep holds, each row in stored order."""
+        gone = np.searchsorted(np.flatnonzero(~keep), self.indptr)
+        return Csr(self.data[keep], self.indices[keep],
+                   self.indptr - gone.astype(self.indptr.dtype), self.shape)
+
+    def entries(self, rows):
+        """Positions of the rows' stored entries, row by row, in order."""
+        start, count = self.indptr[rows], np.diff(self.indptr)[rows]
+        return (np.repeat(start - np.cumsum(count) + count, count)
+                + np.arange(count.sum()))
+
+    def take(self, rows, cols):
+        """The rows and columns given, in the order given."""
+        at, label = self.entries(rows), np.full(self.shape[1], -1)
+        label[cols] = np.arange(len(cols))
+        kept = label[self.indices[at]]
+        indptr = np.append(0, np.cumsum(np.diff(self.indptr)[rows]))
+        return Csr(self.data[at], kept.astype(self.indices.dtype),
+                   indptr.astype(self.indptr.dtype),
+                   (len(rows), len(cols))).where(kept >= 0)
+
+
+def csr(K):
+    """K, a Csr or any scipy sparse matrix, as a Csr."""
+    K = K.tocsr()
+    return Csr(K.data, K.indices, K.indptr, K.shape)
+
+
+SPARSETOOLS = "sparse/_sparsetools"  # the kernel's file under scipy's
+
+
+@functools.cache
+def csr_kernel():
+    """scipy's csr_matvec(rows, cols, indptr, indices, data, x, y), which
+    adds each row of A x into y in stored order: loaded from its file, so
+    that scipy.sparse (~20 MB) stays unloaded, or imported if that fails."""
+    try:
+        root, = util.find_spec("scipy").submodule_search_locations
+        spec = util.spec_from_file_location(
+            "scipy.sparse._sparsetools",
+            f"{root}/{SPARSETOOLS}{machinery.EXTENSION_SUFFIXES[0]}")
+        module = util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.csr_matvec
+    except (ImportError, AttributeError, ValueError):  # not found or loaded
+        from scipy.sparse._sparsetools import csr_matvec
+        return csr_matvec
+
+
 # Power iteration: stopping change of the Rayleigh quotient, cap, seed.
 POWER_TOL, POWER_MAX_ITER, POWER_SEED = 1e-6, 200000, 0
 
@@ -175,23 +252,28 @@ def dof_ids(dofs, name, n):
 def global_max_frequency(K, M_lumped, fixed_dofs=()):
     """Largest global frequency by power iteration on L^-1 K L^-T.
 
-    ``K`` is real, dense or CSR; ``fixed_dofs`` are eliminated first; a
-    fixed dof that is not an integer in [0, n), or no free dof, is a
-    ValidationError.
+    ``K`` is real, dense, a Csr or a scipy sparse matrix; ``fixed_dofs``
+    are eliminated first; a fixed dof that is not an integer in [0, n), or
+    no free dof, is a ValidationError.  A sparse K_ff keeps each row's
+    stored order, so ``Kff @ x`` has the bits of scipy's
+    ``K[:, free][free] @ x``.
     Returns (omega, converged, iterations), converged always True: a
     non-finite Rayleigh quotient, or a loop that reaches POWER_MAX_ITER,
     raises NumericalError.  omega is 0 only when K_ff x is exactly zero.
     """
-    n = K.shape[0]
-    if K.dtype.kind not in "biuf":
-        raise meshmod.ValidationError(f"K must be real, not {K.dtype}")
+    sparse = hasattr(K, "tocsr")
+    K = csr(K) if sparse else np.asarray(K)
+    n, dtype = K.shape[0], (K.data if sparse else K).dtype
+    if dtype.kind not in "biuf":
+        raise meshmod.ValidationError(f"K must be real, not {dtype}")
     free = np.setdiff1d(np.arange(n), dof_ids(list(fixed_dofs), "fixed", n))
     if not free.size:
         raise meshmod.ValidationError("every dof is fixed")
     ml = np.asarray(M_lumped, float)[free]
     if not np.all(ml > 0.0):
         raise meshmod.ValidationError("non-positive lumped mass entry")
-    Kff = K[:, free][free]  # C-ordered when dense: the same bits as np.ix_
+    # Sparse: scipy's bits; dense, C-ordered: the same bits as np.ix_.
+    Kff = K.take(free, free) if sparse else K[:, free][free]
     inv_sqrt = 1.0 / np.sqrt(ml)
 
     def apply(x):

@@ -746,7 +746,10 @@ def load_mesh(path):
     try:
         dim = _integral(data["dimension"], "dimension")
         vertices = np.asarray(data["vertices"], dtype=float)
-        material = MaterialParams(*(float(data["material"][key])
+        material = data.get("material")
+        if not isinstance(material, dict):
+            raise ValueError('no "material" object')
+        material = MaterialParams(*(_number(material, key)
                                     for key in ("E", "nu", "rho")))
         elements = []
         for e, raw in enumerate(data["elements"]):
@@ -778,6 +781,15 @@ def load_mesh(path):
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed mesh file {path}: {where}{exc}") from exc
     return validate_mesh(Mesh(dim, vertices, elements, material))
+
+
+def _number(material, key):
+    """A material value read from a file: a number, or refused by key."""
+    try:
+        return float(material.get(key))
+    except (TypeError, ValueError):
+        raise ValueError(f'material "{key}" is not a number: '
+                         f'{material.get(key)!r}') from None
 
 
 def _integral(value, what="vertex id"):

@@ -34,6 +34,14 @@ def helper_capable():
 _affinity = getattr(os, "sched_getaffinity", lambda pid: None)
 
 
+def as_scipy(K):
+    """An assembled ``eig.Csr`` (or any scipy sparse matrix) as a scipy CSR
+    matrix on the same arrays, for the checks that use scipy's operators."""
+    import scipy.sparse as sp
+    K = K.tocsr()
+    return sp.csr_matrix((K.data, K.indices, K.indptr), shape=K.shape)
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     cpus = _affinity(0)  # read past any monkeypatch of the test's

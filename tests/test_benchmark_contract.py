@@ -58,8 +58,11 @@ def _check_run(exp, calls):
     # bytes of K's CSR arrays per step and the steps of the result.
     [(args, _, out)] = calls["central_difference_run"]
     K = args[0]
-    assert K.shape == (K.shape[0], K.shape[0])
+    assert K.shape == (len(K.indptr) - 1,) * 2
     assert all(a.nbytes > 0 for a in (K.data, K.indices, K.indptr))
+    assert K.data.dtype == np.float64 and K.indices.dtype.kind == "i"
+    assert K.indices.dtype == K.indptr.dtype
+    assert len(K.data) == len(K.indices) == K.indptr[-1] == K.nnz
     assert out.steps == exp.result.steps
     assert len(calls["run_beam"]) == 1
 
@@ -95,6 +98,14 @@ def test_pulse_duration_is_looked_up_when_tau_is_not_given(calls):
         case="A", method="fem", dt_basis="global", t_max_transits=0.01)
     _check_run(exp, calls)
     assert len(calls["beam_pulse_duration"]) == 1
+
+
+def test_assembled_nnz():
+    # The tracer adds int(dynamics.assemble(...)[0].nnz) per call: the
+    # stored entries of K, here the case-A tet beam's, exact zeros dropped.
+    K, _ = dynamics.assemble(benchmarks.gen_benchmark("beamA", variant="fem"),
+                             "fem")
+    assert int(K.nnz) == len(K.data) == K.indptr[-1] == 100062
 
 
 def test_catalog_case_surface(tmp_path):

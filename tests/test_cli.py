@@ -27,13 +27,15 @@ def test_version(capsys):
 
 
 def _options(parser):
-    """The --options of a parser and its subcommands, --help aside."""
+    """The --options of a parser and its subcommands, --help and the
+    hidden ones (retired options, refused by name) aside."""
     options = set()
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
                 options |= _options(sub)
-        elif not isinstance(action, argparse._HelpAction):
+        elif not (isinstance(action, argparse._HelpAction)
+                  or action.help == argparse.SUPPRESS):
             options |= {o for o in action.option_strings
                         if o.startswith("--")}
     return options
@@ -55,7 +57,8 @@ def test_common_options():
                 if isinstance(a, argparse._SubParsersAction)).choices
     common = set.intersection(*map(_options, subs.values()))
     assert common == {"--alpha0"}
-    top = {o for a in parser._actions for o in a.option_strings}
+    top = {o for a in parser._actions for o in a.option_strings
+           if a.help != argparse.SUPPRESS}
     assert top == common | {"--version", "-h", "--help"}
 
 
@@ -193,6 +196,26 @@ def test_empty_mesh_timestep_rejected(tmp_path, capsys):
     assert "error: mesh has no elements" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("material, message", [
+    ('{"E": "abc", "nu": 0.3, "rho": 1000}',
+     """material "E" is not a number: 'abc'"""),
+    ('{"E": null, "nu": 0.3, "rho": 1000}',
+     'material "E" is not a number: None'),
+    ('{"E": 1e9, "rho": 1000}', 'material "nu" is not a number: None'),
+    (None, 'no "material" object'),
+    ('[1e9, 0.3, 1000]', 'no "material" object')])
+def test_bad_material_is_named(tmp_path, capsys, material, message):
+    path = tmp_path / "k.json"
+    path.write_text('{"dimension": 3, "vertices": [[0,0,0],[1,0,0],[0,1,0],'
+                    '[0,0,1]], "elements": [{"nodes": [0,1,2,3], "faces": '
+                    '[[0,2,1],[0,1,3],[1,2,3],[0,3,2]]}]'
+                    + ("" if material is None else
+                       f', "material": {material}') + "}")
+    assert run(["timestep", "--mesh", str(path), "--method", "fem"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: malformed mesh file {path}: {message}\n")
+
+
 @pytest.mark.filterwarnings("error")
 def test_extreme_length_scale_timestep_names_element(tmp_path, capsys):
     # A valid mesh at 1e-150 m: a validation error naming the element
@@ -279,7 +302,9 @@ def test_retired_config_key_rejected(tmp_path, capsys, key):
 def test_lumping_option_and_key_rejected(tmp_path, capsys):
     # One lumping rule: there is no --lumping flag.
     assert run(["--lumping", "row_sum", "--version"]) == 1
-    assert capsys.readouterr().err.startswith("usage: polyvem")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: polyvem")
+    assert err.endswith("error: unrecognized arguments: --lumping row_sum\n")
 
 
 def test_config_file(tmp_path, capsys):
@@ -757,6 +782,8 @@ def test_config_option_is_a_usage_error(tmp_path, capsys):
             assert run(argv) == 1
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("usage: polyvem")
+            assert err.endswith(
+                f"error: unrecognized arguments: --config {path}\n")
 
 
 def test_moments_without_exp(capsys):

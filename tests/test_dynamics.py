@@ -19,7 +19,7 @@ from polyvem import agglomerate, benchmarks, dynamics, eig
 from polyvem.dynamics import BcSchedule
 from polyvem.mesh import Element, Mesh, ValidationError, extrude, tet_element
 
-from conftest import helper_capable
+from conftest import as_scipy, helper_capable
 
 needs_helper = pytest.mark.skipif(
     not helper_capable(), reason="the forked K @ u helper needs x86-64 and "
@@ -32,7 +32,7 @@ def test_assemble_block_diagonal_for_disjoint_tets():
     mesh = Mesh(3, verts, [tet_element((0, 1, 2, 3)),
                            tet_element((4, 5, 6, 7))])
     K, M = dynamics.assemble(mesh, "fem")
-    K = K.toarray()
+    K = as_scipy(K).toarray()
     n = 8
     for comp_a in range(3):
         for comp_b in range(3):
@@ -44,6 +44,7 @@ def test_assemble_block_diagonal_for_disjoint_tets():
 
 def test_assembled_symmetry(beam_meshes):
     K, _ = dynamics.assemble(beam_meshes[("A", "vem")], "vem", alpha0="auto")
+    K = as_scipy(K)
     asym = (K - K.T)
     assert abs(asym).max() <= 1e-12 * abs(K).max()
 
@@ -290,7 +291,7 @@ def test_assembled_patch_consistency(beam_meshes, method, alpha0):
     shift = np.array([0.7, -1.0, 0.2])
     u = np.concatenate([(mesh.vertices @ grad[c]) + shift[c]
                         for c in range(3)])
-    f = K @ u
+    f = as_scipy(K) @ u
     C = vemmod.constitutive_matrix(mesh.material, 3)
     eps = 0.5 * (grad + grad.T)
     voigt = np.array([eps[0, 0], eps[1, 1], eps[2, 2],
@@ -417,7 +418,7 @@ def _reference_run(K, M_lumped, bcs, dt, t_max, probes,
     """The straightforward central-difference loop: fresh arrays every
     step, prescribed dofs overwritten in u and a, max|u| checked every
     step.  Returns (times, probe history, diverged step or None)."""
-    inv_m = 1.0 / np.asarray(M_lumped, float)
+    K, inv_m = as_scipy(K), 1.0 / np.asarray(M_lumped, float)
     probes = np.asarray(probes, dtype=int)
     n_steps = int(np.ceil(t_max / dt))
     u = np.zeros(K.shape[0])
@@ -465,7 +466,7 @@ def unpruned(monkeypatch):
     """assemble as it stands without dropping K's stored zeros."""
     def build(*args, **kwargs):
         with monkeypatch.context() as m:
-            m.setattr(sp.csr_matrix, "eliminate_zeros", lambda self: None)
+            m.setattr(eig.Csr, "where", lambda self, keep: self)
             return dynamics.assemble(*args, **kwargs)
     return build
 
@@ -477,6 +478,7 @@ def test_assembled_stiffness_stores_no_zeros(beam_meshes, unpruned):
     assert (K.data != 0).all()
     assert K.nnz < K0.nnz  # the tet beam's K holds cancelled sums
     assert np.array_equal(M, M0)
+    K, K0 = as_scipy(K), as_scipy(K0)
     assert np.array_equal(K.toarray(), K0.toarray())
     u = np.random.default_rng(3).standard_normal(K.shape[0])
     assert (K @ u).tobytes() == (K0 @ u).tobytes()
@@ -758,6 +760,31 @@ def test_step_kernel_accumulates_each_row_in_stored_order(index):
     zeros = np.zeros(n)
     csr_matvec(n, n, indptr, indices, K.data, u, zeros)
     assert zeros.tobytes() == (K @ u).tobytes()
+
+
+@pytest.mark.parametrize("index", [np.int32, np.int64])
+def test_csr_record_has_scipys_bits(index):
+    # Csr.take keeps each row's stored order (here unsorted) with the rows
+    # and columns in the order given, as scipy's K[:, cols][rows] does, and
+    # Csr @ x has the bits of scipy's K @ x.
+    rng = np.random.default_rng(8)
+    n = 40
+    K = sp.random(n, n, density=0.3, random_state=rng, format="csr")
+    for i in range(n):
+        row = slice(K.indptr[i], K.indptr[i + 1])
+        K.indices[row] = rng.permutation(K.indices[row])
+    K.data = rng.standard_normal(K.nnz) * 10.0 ** rng.integers(-8, 9, K.nnz)
+    K.indptr, K.indices = K.indptr.astype(index), K.indices.astype(index)
+    x = rng.standard_normal(n)
+    assert (eig.csr(K) @ x).tobytes() == (K @ x).tobytes()
+    rows, cols = rng.permutation(n)[:25], rng.permutation(n)[:30]
+    mine, theirs = eig.csr(K).take(rows, cols), K[:, cols][rows]
+    assert mine.shape == theirs.shape and mine.data.tobytes() == (
+        theirs.data.tobytes())
+    assert np.array_equal(mine.indices, theirs.indices)
+    assert np.array_equal(mine.indptr, theirs.indptr)
+    assert mine.indices.dtype == mine.indptr.dtype == index  # the kernel's
+    assert (mine @ x[:30]).tobytes() == (theirs @ x[:30]).tobytes()
 
 
 def _wedge_run_args():
@@ -1051,7 +1078,7 @@ def test_banded_order_is_a_permutation_with_driven_dofs_first(
         K, _, bcs, *_ = SPLIT_CASES[name]
     else:
         K, _, (_, bcs, *_) = _reference_case(name, beam_meshes, unpruned)
-    driven = np.asarray(bcs.driven, dtype=int)
+    K, driven = eig.csr(K), np.asarray(bcs.driven, dtype=int)
     order, pos, r0 = dynamics._banded(K, driven)
     assert np.array_equal(np.sort(order), np.arange(K.shape[0]))
     assert np.array_equal(pos[order], np.arange(K.shape[0]))
@@ -1061,7 +1088,7 @@ def test_banded_order_is_a_permutation_with_driven_dofs_first(
     s = -np.random.default_rng(3).uniform(0.5, 2.0, K.shape[0])
     *_, serial = dynamics._scaled(K, s)
     for rows in (order[:r0], order[r0:]):
-        n, cols, indptr, indices, data = dynamics._scaled(K, s, rows, pos)
+        n, cols, indptr, indices, data = dynamics._scaled(K, s, rows, order)
         assert (n, cols) == (len(rows), K.shape[1])
         assert indptr.dtype == indices.dtype == K.indices.dtype
         for row, dof in enumerate(rows):

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import helper_capable
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -34,7 +36,7 @@ merged, _, _ = agglomerate.auto_agglomerate(meshes["fem"])
 eig.critical_dt(merged, "vem", alpha0="unit")
 print("scipy.sparse" in sys.modules)
 K, M = dynamics.assemble(merged, "vem", alpha0="unit")
-print("scipy.sparse" in sys.modules, K.format)
+print("scipy.sparse" in sys.modules, type(K).__name__)
 """
 
 
@@ -65,7 +67,66 @@ def _python(*args):
 def test_element_studies_do_not_load_scipy_sparse():
     proc = _python("-c", COLD_START)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True", "csr"]
+    assert proc.stdout.split() == ["False", "False", "Csr"]
+
+
+# A command run through the CLI, then whether it loaded scipy.sparse.
+COMMAND = """
+import sys
+from polyvem import cli
+out = sys.argv[1]
+argv = {
+    "simulate-vem": ["simulate", "--case", "A", "--method", "vem",
+                     "--out", out + "/a.csv"],
+    "simulate-fem-global": ["simulate", "--case", "A", "--method", "fem",
+                            "--dt-basis", "global", "--transits", "0.05",
+                            "--out", out + "/a.csv"],
+    "eig-global": ["eig-global", "--beam-bcs", "--mesh", out + "/beam.json",
+                   "--method", "fem"],
+    "tables": ["tables", "--out", out],
+}[sys.argv[2]]
+if sys.argv[2] == "eig-global":
+    assert cli.main(["mesh-gen", "--name", "beamA", "--variant", "fem",
+                     "--out", out + "/beam.json"]) == 0
+print(cli.main(argv), "scipy.sparse" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate-vem", "simulate-fem-global",
+                                     "eig-global", "tables"])
+def test_beam_commands_do_not_load_scipy_sparse(tmp_path, command):
+    # K is polyvem's own CSR record and its kernel is loaded from its file.
+    proc = _python("-c", COMMAND, str(tmp_path), command)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+# The wedge run of SPLIT_RUN on the serial step, with the step kernel
+# loaded from its file or, its file missing, by the plain import.
+KERNEL_FALLBACK = """
+import hashlib, sys
+import numpy as np
+from polyvem import benchmarks, dynamics, eig
+if sys.argv[1] == "missing":
+    eig.SPARSETOOLS = "sparse/no_such_kernel"
+mesh = benchmarks.gen_benchmark("wedge", 1e-1, "vem")
+K, M = dynamics.assemble(mesh, "vem", alpha0="unit")
+bcs = dynamics.BcSchedule(fixed=np.array([0]), driven=np.array([1]),
+                          tau=1e-5)
+res = dynamics.central_difference_run(K, M, bcs, 1e-7, 1e-5, [2])
+print("scipy.sparse" in sys.modules,
+      hashlib.sha256(res.probe_history.tobytes()).hexdigest())
+"""
+
+
+def test_kernel_fallback_gives_the_same_history():
+    runs = [_python("-c", KERNEL_FALLBACK, where)
+            for where in ("file", "missing")]
+    assert all(proc.returncode == 0 for proc in runs), runs[1].stderr
+    (loaded_file, history_file), (loaded_missing, history_missing) = [
+        proc.stdout.split() for proc in runs]
+    assert (loaded_file, loaded_missing) == ("False", "True")
+    assert history_file == history_missing
 
 
 def test_import_does_not_load_hashlib():
@@ -91,7 +152,10 @@ def test_python_m_polyvem_version():
 
 
 def test_python_m_polyvem_config_is_a_usage_error():
-    # --config is gone: an old command line fails loudly (exit 1).
+    # --config is gone: an old command line fails loudly (exit 1), and the
+    # error names the option, not its value taken for the subcommand.
     proc = _python("-m", "polyvem", "--config", "x", "--version")
     assert proc.returncode == 1
     assert proc.stdout == "" and proc.stderr.startswith("usage: polyvem")
+    assert proc.stderr.endswith(
+        "polyvem: error: unrecognized arguments: --config x\n")
