@@ -5,8 +5,8 @@ agglomerating poor-quality finite elements, element-eigenvalue critical
 time-step estimation, and explicit central-difference simulation.
 """
 
-from . import (agglomerate, benchmarks, config, dynamics, eig, fem, hni,
-               mesh, quality, vem)
+from . import (agglomerate, benchmarks, dynamics, eig, fem, hni, mesh,
+               quality, vem)
 from .mesh import (Element, MaterialParams, Mesh, MeshError, ParseError,
                    ValidationError, extrude, load_mesh, save_mesh)
 from .benchmarks import gen_benchmark

@@ -14,11 +14,12 @@ at x = 4, histories probed mid-beam and reported in normalized time and
 displacement.  A case's pulse duration is a constant of the problem,
 ``BEAM_PULSE_DURATION``, whatever the method or stabilization preset.
 
-K is an ``eig.Csr``, polyvem's own CSR arrays, and a step applies it with
-scipy's C++ kernel loaded from its file (``eig.csr_kernel``), so nothing
-here loads ``scipy.sparse``.  The step is written once, as the ``_steps``
-generator; a long run splits it with a forked helper process that steps a
-band of the dofs through its own ``_steps``, bit for bit (``_domains``).
+K is only an ``eig.Csr``, polyvem's own CSR arrays; a run refuses any other
+K and applies it with scipy's C++ kernel loaded from its file
+(``eig.csr_kernel``), so nothing here loads ``scipy.sparse``.  The step is
+written once, as the ``_steps`` generator; a long run splits it with a
+forked helper process that steps a band of the dofs through its own
+``_steps``, bit for bit (``_domains``).
 """
 
 from __future__ import annotations
@@ -252,15 +253,15 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
                            divergence_limit=None):
     """Explicit central-difference run of M a + K u = 0 under the schedule.
 
-    K is a square ``eig.Csr`` or scipy sparse matrix (read as CSR) of real,
-    finite entries, one row per lumped mass entry; probes are global dof indices recorded
-    every step.  Divergence (any |u| beyond divergence_limit, None or >= 0,
-    or a non-finite u) aborts and flags the result.  A run whose time and
-    probe history would not fit in physical memory is refused before
-    anything is allocated.  The run keeps w = dt v at the half step and
-    folds s = -dt^2/m (0 on the fixed and driven dofs) into K's rows once:
-    a step is u = u_prev + w and one ``csr_matvec`` adding those rows of
-    K @ u into w.  A fixed dof keeps w = 0 and so u = 0, and the exact
+    K is a square ``eig.Csr`` of real, finite entries, one row per lumped
+    mass entry (``eig.check_stiffness``); probes are global dof indices
+    recorded every step.  Divergence (any |u| beyond divergence_limit, None
+    or >= 0, or a non-finite u) aborts and flags the result.  A run whose
+    time and probe history would not fit in physical memory is refused
+    before anything is allocated.  The run keeps w = dt v at the half step
+    and folds s = -dt^2/m (0 on the fixed and driven dofs) into K's rows
+    once: a step is u = u_prev + w and one ``csr_matvec`` adding those rows
+    of K @ u into w.  A fixed dof keeps w = 0 and so u = 0, and the exact
     max|u| check runs only when u @ u > limit^2 / 4.
 
     With n_steps * K.nnz >= PARALLEL_MIN_WORK, two allowed CPUs, x86-64
@@ -282,12 +283,7 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
     if ml.ndim != 1 or not np.all(ml > 0.0):
         raise ValidationError("lumped mass must be a positive vector")
     ndof = len(ml)
-    if not (hasattr(K, "tocsr") and K.shape == (ndof, ndof)):
-        raise ValidationError(f"K must be a square scipy sparse matrix with "
-                              f"{ndof} rows, one per lumped mass entry")
-    K = eig.csr(K)
-    if K.data.dtype.kind not in "biuf":
-        raise ValidationError(f"K must be real, not {K.data.dtype}")
+    eig.check_stiffness(K, ndof)
     if not np.isfinite(K.data).all():
         raise ValidationError("K has a non-finite entry")
     probes, fixed, driven = [eig.dof_ids(d, name, ndof) for d, name in zip(
@@ -384,7 +380,7 @@ class BeamProblem:
     mesh: object
     method: str
     report: eig.TimeStepReport
-    K: object
+    K: eig.Csr
     M: np.ndarray
     fixed: np.ndarray
     driven: np.ndarray

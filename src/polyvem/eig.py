@@ -5,16 +5,16 @@ lumped mass once, elements of equal kind, node and face count as one stack
 ``(ids, nodes, K, ml)``: ``group_system`` lumps the consistent mass of either
 kernel (``vem.group_matrices``, ``fem.group_matrices``) with ``vem.lump``.
 ``time_step_report`` checks the sweep for faults once and reduces it to the
-element bound; ``dynamics.assemble_systems`` reduces it to the global
-matrices, K a ``Csr`` (CSR arrays that scipy's kernel, ``csr_kernel``,
-applies without ``scipy.sparse``).  The element problems are solved with LAPACK (``eigvalsh``) one
-stack per group; the global bound by power iteration on the mass-normalized
-stiffness with homogeneous constraints eliminated.  The element-eigenvalue
-inequality makes max_E omega_E an upper bound for the global omega, so
-dt = 2 / max_E omega_E is a safe explicit step; ``critical_step`` is the one
-omega -> dt rule.  A power iteration that meets a non-finite Rayleigh
-quotient or stops at its cap (POWER_MAX_ITER) raises NumericalError: no
-global omega, and so no time step, comes from a stalled or overflowed loop.
+element bound; ``dynamics.assemble_systems`` reduces it to K, which is only
+ever a ``Csr`` (CSR arrays that scipy's kernel, ``csr_kernel``, applies
+without ``scipy.sparse``), and the lumped mass.  The element problems are
+solved with LAPACK (``eigvalsh``) one stack per group; the global bound by
+power iteration on the mass-normalized K_ff, K's free rows and columns.
+The element-eigenvalue inequality makes max_E omega_E an upper bound for
+the global omega, so dt = 2 / max_E omega_E is a safe explicit step;
+``critical_step`` is the one omega -> dt rule.  A power iteration that
+meets a non-finite Rayleigh quotient or stops at its cap (POWER_MAX_ITER)
+raises NumericalError: no global omega comes from a stalled or overflowed loop.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def group_system(mesh, ids, method, alpha0="unit"):
         K, M = fem.group_matrices(mesh, ids)
         nodes = meshmod.element_nodes(mesh, ids)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise meshmod.ValidationError(f"unknown method {method!r}")
     meshmod.reject(~K.any(axis=(-2, -1)), vem.UNDERFLOW, ids)
     g = mesh.geometry
     ml = vem.lump(M, mesh.material.density, g.volume[ids], mesh.dimension,
@@ -174,9 +174,6 @@ class Csr(NamedTuple):
     def nnz(self):
         return len(self.data)
 
-    def tocsr(self):
-        return self
-
     def __matmul__(self, x):
         """A x, each row summed from zero in stored order (scipy's bits)."""
         y = np.zeros(self.shape[0])
@@ -205,12 +202,6 @@ class Csr(NamedTuple):
         return Csr(self.data[at], kept.astype(self.indices.dtype),
                    indptr.astype(self.indptr.dtype),
                    (len(rows), len(cols))).where(kept >= 0)
-
-
-def csr(K):
-    """K, a Csr or any scipy sparse matrix, as a Csr."""
-    K = K.tocsr()
-    return Csr(K.data, K.indices, K.indptr, K.shape)
 
 
 SPARSETOOLS = "sparse/_sparsetools"  # the kernel's file under scipy's
@@ -248,32 +239,38 @@ def dof_ids(dofs, name, n):
     return d.astype(int)
 
 
+def check_stiffness(K, n):
+    """Refuse a K that is not a square Csr of n rows with real entries."""
+    if not (isinstance(K, Csr) and K.shape == (n, n)):
+        raise meshmod.ValidationError(f"K must be a square eig.Csr with {n} "
+                                      "rows, one per lumped mass entry")
+    if K.data.dtype.kind not in "biuf":
+        raise meshmod.ValidationError(f"K must be real, not {K.data.dtype}")
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def global_max_frequency(K, M_lumped, fixed_dofs=()):
-    """Largest global frequency by power iteration on L^-1 K L^-T.
+    """Largest global frequency by power iteration on L^-1 K_ff L^-T.
 
-    ``K`` is real, dense, a Csr or a scipy sparse matrix; ``fixed_dofs``
-    are eliminated first; a fixed dof that is not an integer in [0, n), or
-    no free dof, is a ValidationError.  A sparse K_ff keeps each row's
-    stored order, so ``Kff @ x`` has the bits of scipy's
-    ``K[:, free][free] @ x``.
+    ``K`` is a square ``Csr`` of real entries, one row per lumped mass
+    entry (``check_stiffness``); ``fixed_dofs`` are eliminated first; a
+    fixed dof that is not an integer in [0, n), or no free dof, is a
+    ValidationError.  K_ff keeps each row's stored order, so ``Kff @ x``
+    has the bits of scipy's ``K[:, free][free] @ x``.
     Returns (omega, converged, iterations), converged always True: a
     non-finite Rayleigh quotient, or a loop that reaches POWER_MAX_ITER,
     raises NumericalError.  omega is 0 only when K_ff x is exactly zero.
     """
-    sparse = hasattr(K, "tocsr")
-    K = csr(K) if sparse else np.asarray(K)
-    n, dtype = K.shape[0], (K.data if sparse else K).dtype
-    if dtype.kind not in "biuf":
-        raise meshmod.ValidationError(f"K must be real, not {dtype}")
+    ml = np.asarray(M_lumped, float)
+    n = len(ml)
+    check_stiffness(K, n)
     free = np.setdiff1d(np.arange(n), dof_ids(list(fixed_dofs), "fixed", n))
     if not free.size:
         raise meshmod.ValidationError("every dof is fixed")
-    ml = np.asarray(M_lumped, float)[free]
+    ml = ml[free]
     if not np.all(ml > 0.0):
         raise meshmod.ValidationError("non-positive lumped mass entry")
-    # Sparse: scipy's bits; dense, C-ordered: the same bits as np.ix_.
-    Kff = K.take(free, free) if sparse else K[:, free][free]
+    Kff = K.take(free, free)
     inv_sqrt = 1.0 / np.sqrt(ml)
 
     def apply(x):

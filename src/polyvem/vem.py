@@ -21,14 +21,6 @@ import numpy as np
 from . import mesh as meshmod
 from .mesh import ValidationError, reject
 
-__all__ = [
-    "constitutive_matrix",
-    "strain_operator",
-    "lump",
-    "group_matrices",
-    "ElementMatrices",
-]
-
 # The refusal of an element whose stiffness is exactly zero.
 UNDERFLOW = ("stiffness underflows to zero (length scale or material out "
              "of range)")
@@ -156,24 +148,41 @@ ElementMatrices = namedtuple(
     "ElementMatrices", "K Kc Ks M Ms nodes D Pi D0 G0 B0 S0")
 
 
+def preset(alpha0):
+    """The stabilization preset alpha0: "auto", "unit", or a positive
+    finite number or its text, as a float; any other value is refused."""
+    if alpha0 in ("auto", "unit"):
+        return alpha0
+    try:
+        value = float(alpha0)
+    except (TypeError, ValueError):
+        value = np.nan
+    if not 0.0 < value < np.inf:
+        raise ValidationError("alpha0 must be auto, unit or a positive "
+                              f"finite number, got {alpha0!r}")
+    return value
+
+
 def group_matrices(mesh, ids, alpha0="unit"):
     """K_E and the consistent M_E of virtual elements with equal node and
     face counts, stacked: row k is mesh element ids[k].
 
     K is the consistency part plus the diagonally scaled stability; M is the
-    L2-projector mass plus its rank correction.  A non-finite or
-    non-positive measure, a non-finite scaled moment, strain modes whose
-    material block underflows to zero or a singular projector system
-    raises a ValidationError naming the element.
+    L2-projector mass plus its rank correction; alpha0 is read by
+    ``preset``.  A non-positive or non-finite measure (volume or diameter),
+    a non-finite scaled moment, strain modes whose material block
+    underflows to zero or a singular projector system raises a
+    ValidationError naming the element.
     """
+    alpha0 = preset(alpha0)
     g = mesh.geometry
     dim, rho = mesh.dimension, mesh.material.density
     ids = np.asarray(ids)
     vol, h = g.volume[ids], g.diameter[ids]
-    ok = np.isfinite(vol) & (vol > 0.0)
+    ok = np.isfinite(vol) & np.isfinite(h) & (vol > 0.0)
     if not ok.all():
         k = np.argmin(ok)
-        what = "positive" if np.isfinite(vol[k]) else "finite"
+        what = "positive" if np.isfinite([vol[k], h[k]]).all() else "finite"
         raise ValidationError(f"element {ids[k]}: non-{what} measure "
                               f"{float(vol[k])!r}")
     moments = np.array([g.scaled_moments[key] for key in _MOMENTS[dim]])[

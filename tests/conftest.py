@@ -14,7 +14,7 @@ import platform
 import numpy as np
 import pytest
 
-from polyvem import benchmarks, mesh as meshmod
+from polyvem import benchmarks, eig, mesh as meshmod
 
 
 # ---------------------------------------------------------------------------
@@ -35,11 +35,19 @@ _affinity = getattr(os, "sched_getaffinity", lambda pid: None)
 
 
 def as_scipy(K):
-    """An assembled ``eig.Csr`` (or any scipy sparse matrix) as a scipy CSR
-    matrix on the same arrays, for the checks that use scipy's operators."""
+    """An ``eig.Csr`` as a scipy CSR matrix on the same arrays, for the
+    checks that use scipy's operators."""
     import scipy.sparse as sp
-    K = K.tocsr()
     return sp.csr_matrix((K.data, K.indices, K.indptr), shape=K.shape)
+
+
+def csr(K):
+    """A dense or scipy sparse K as an ``eig.Csr``, the one form of K the
+    library takes: a scipy matrix's CSR arrays as they are, a dense K's as
+    scipy's ``csr_matrix`` lays them out (its zeros not stored)."""
+    import scipy.sparse as sp
+    K = K.tocsr() if sp.issparse(K) else sp.csr_matrix(K)
+    return eig.Csr(K.data, K.indices, K.indptr, K.shape)
 
 
 @pytest.fixture(autouse=True)

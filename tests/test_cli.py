@@ -50,6 +50,17 @@ def test_readme_documents_exactly_the_cli():
     assert options - named == set()
 
 
+def test_readme_layout_names_exactly_the_modules():
+    # One Layout row per module of the package, both ways.
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text()
+    layout = readme.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `polyvem\.(\w+)` \|", layout, re.MULTILINE)
+    modules = {p.stem for p in (root / "src" / "polyvem").glob("*.py")}
+    assert len(rows) == len(set(rows))
+    assert set(rows) == modules - {"__init__", "__main__"}
+
+
 def test_common_options():
     # --alpha0 is the only option every subcommand takes.
     parser = cli._build_parser()
@@ -638,9 +649,9 @@ def test_common_option_before_or_after_subcommand(tmp_path, capsys, option,
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
 def test_bad_alpha0_rejected(tmp_path, capsys, value):
-    from polyvem import config as cfgmod
+    from polyvem import vem
     with pytest.raises(meshmod.ValidationError, match="alpha0"):
-        cfgmod.build_config(alpha0=value)
+        vem.preset(value)
     assert run(["--alpha0", value, "--version"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: alpha0 must be") and repr(value) in err
@@ -648,12 +659,12 @@ def test_bad_alpha0_rejected(tmp_path, capsys, value):
 
 def test_config_thresholds_read(monkeypatch):
     # The config hash reads the quality cuts from their constants.
-    from polyvem import config as cfgmod, quality
+    from polyvem import quality
     assert (quality.ANGLE_DEG, quality.FACE_AREA_REL, quality.FACE_SEPARATION,
             quality.EDGE_REL) == (5.0, 1e-4, 100.0, 1e-3)
-    default = cfgmod.build_config().config_hash()
+    default = cli._config_hash("auto")
     monkeypatch.setattr(quality, "EDGE_REL", 1e-2)
-    assert cfgmod.build_config().config_hash() != default
+    assert cli._config_hash("auto") != default
 
 
 def test_config_hash_is_pinned(capsys):

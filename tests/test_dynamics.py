@@ -19,7 +19,7 @@ from polyvem import agglomerate, benchmarks, dynamics, eig
 from polyvem.dynamics import BcSchedule
 from polyvem.mesh import Element, Mesh, ValidationError, extrude, tet_element
 
-from conftest import as_scipy, helper_capable
+from conftest import as_scipy, csr, helper_capable
 
 needs_helper = pytest.mark.skipif(
     not helper_capable(), reason="the forked K @ u helper needs x86-64 and "
@@ -69,7 +69,7 @@ def test_zero_forcing_stays_zero():
 
 
 def _sdof_system(k=4.0, m=1.0):
-    K = sp.csr_matrix(np.array([[k]]))
+    K = csr(np.array([[k]]))
     M = np.array([m])
     return K, M, np.sqrt(k / m)
 
@@ -108,7 +108,7 @@ def test_run_divergence_detection():
         K, M, bcs, dt, 4000 * dt, [0], divergence_limit=10.0)
     # The driven dof itself stays bounded; divergence cannot trigger there.
     assert not res.diverged
-    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    two = csr(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     bcs2 = BcSchedule(fixed=np.array([], dtype=int), driven=np.array([0]),
                       tau=1e3)
     # With dof 0 prescribed, the free subsystem is the single dof K_11 = 2.
@@ -677,7 +677,7 @@ def _reference_case(name, beam_meshes, unpruned):
         bcs = BcSchedule(fixed=fixed, driven=driven, tau=100 * dt)
         return K, K0, (M, bcs, dt, 400 * dt, [probe, fixed[0], driven[0]],
                        1e3 / 16)
-    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    two = csr(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     bcs = BcSchedule(fixed=np.array([], dtype=int), driven=np.array([0]),
                      tau=1e3)
     dt = 2.05 / np.sqrt(2.0)
@@ -776,9 +776,9 @@ def test_csr_record_has_scipys_bits(index):
     K.data = rng.standard_normal(K.nnz) * 10.0 ** rng.integers(-8, 9, K.nnz)
     K.indptr, K.indices = K.indptr.astype(index), K.indices.astype(index)
     x = rng.standard_normal(n)
-    assert (eig.csr(K) @ x).tobytes() == (K @ x).tobytes()
+    assert (csr(K) @ x).tobytes() == (K @ x).tobytes()
     rows, cols = rng.permutation(n)[:25], rng.permutation(n)[:30]
-    mine, theirs = eig.csr(K).take(rows, cols), K[:, cols][rows]
+    mine, theirs = csr(K).take(rows, cols), K[:, cols][rows]
     assert mine.shape == theirs.shape and mine.data.tobytes() == (
         theirs.data.tobytes())
     assert np.array_equal(mine.indices, theirs.indices)
@@ -859,7 +859,7 @@ def test_helper_is_reaped_after_every_kind_of_run(monkeypatch, forks):
                                            probes).steps > 50
     _no_child_left()
     assert os.sched_getaffinity(0) == cpus
-    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    two = csr(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     diverging = BcSchedule(fixed=np.array([], dtype=int),
                            driven=np.array([0]), tau=1e3)
     dt2 = 2.05 / np.sqrt(2.0)
@@ -987,7 +987,7 @@ GATE_CASES = [
 def test_divergence_gate_catches_every_excursion(limit, value):
     # Three uncoupled dofs at rest: only the driven one moves, and only at
     # step 7, so the gate sees one non-zero entry.
-    K, M, dt = sp.identity(3, format="csr"), np.ones(3), 0.1
+    K, M, dt = csr(np.eye(3)), np.ones(3), 0.1
     bcs = _Injected(7, dt, value)
     args = (K, M, bcs, dt, 20 * dt, [1, 2], limit)
     res = dynamics.central_difference_run(*args)
@@ -996,7 +996,7 @@ def test_divergence_gate_catches_every_excursion(limit, value):
 
 
 def test_divergence_gate_lets_the_limit_itself_pass():
-    K, M, dt = sp.identity(3, format="csr"), np.ones(3), 0.1
+    K, M, dt = csr(np.eye(3)), np.ones(3), 0.1
     res = dynamics.central_difference_run(
         K, M, _Injected(7, dt, 10.0), dt, 20 * dt, [1], 10.0)
     assert not res.diverged and res.steps == 20
@@ -1010,7 +1010,7 @@ def _chain(n, unreached=0):
         return sp.diags([-np.ones(m - 1), np.full(m, 2.0), -np.ones(m - 1)],
                         [-1, 0, 1])
     blocks = [springs(n)] + ([springs(unreached)] if unreached else [])
-    return sp.block_diag(blocks, format="csr")
+    return csr(sp.block_diag(blocks, format="csr"))
 
 
 class _Pulse(BcSchedule):
@@ -1022,7 +1022,7 @@ class _Pulse(BcSchedule):
 def _split_cases():
     """(id, run arguments) forced onto the split path."""
     for limit, value in GATE_CASES:
-        K, M, dt = sp.identity(3, format="csr"), np.ones(3), 0.1
+        K, M, dt = csr(np.eye(3)), np.ones(3), 0.1
         yield (f"gate-{limit}-{value}",
                (K, M, _Injected(7, dt, value), dt, 20 * dt, [1, 2], limit))
     dt = 0.5
@@ -1034,7 +1034,7 @@ def _split_cases():
                        [0, 5], None)
     # Only the helper's dof 1 (light, so unstable at dt) diverges: the
     # gate needs the helper's partial u @ u.
-    yield "helper-diverges", (sp.csr_matrix([[1.0, -1.0], [-1.0, 1.0]]),
+    yield "helper-diverges", (csr(np.array([[1.0, -1.0], [-1.0, 1.0]])),
                               np.array([1.0, 1e-4]), _Pulse([0], dt), dt,
                               200 * dt, [0, 1], 1e3)
     # Five of six dofs driven: the split row moves past the last of them.
@@ -1078,7 +1078,7 @@ def test_banded_order_is_a_permutation_with_driven_dofs_first(
         K, _, bcs, *_ = SPLIT_CASES[name]
     else:
         K, _, (_, bcs, *_) = _reference_case(name, beam_meshes, unpruned)
-    K, driven = eig.csr(K), np.asarray(bcs.driven, dtype=int)
+    driven = np.asarray(bcs.driven, dtype=int)
     order, pos, r0 = dynamics._banded(K, driven)
     assert np.array_equal(np.sort(order), np.arange(K.shape[0]))
     assert np.array_equal(pos[order], np.arange(K.shape[0]))
@@ -1121,25 +1121,17 @@ def test_split_raising_pulse_past_half_surfaces(monkeypatch, forks):
     assert len(forks) == 1
 
 
-@needs_helper
-def test_split_coo_stiffness_runs_as_csr(monkeypatch, forks):
-    monkeypatch.setattr(dynamics, "PARALLEL_MIN_WORK", 0)
-    K, *args = SPLIT_CASES["unreached"]
-    coo = dynamics.central_difference_run(K.tocoo(), *args)
-    assert len(forks) == 1 and coo.processes == 2
-    _assert_same_run(coo, _reference_run(K, *args))
-
-
 @pytest.mark.parametrize("K", [
     np.eye(2),                                      # dense
-    sp.csr_matrix(np.ones((2, 3))),                 # not square
-    sp.identity(3, format="csr"),                   # 3 rows for 2 masses
+    sp.identity(2, format="csr"),                   # scipy, not an eig.Csr
+    csr(np.ones((2, 3))),                           # not square
+    csr(np.eye(3)),                                 # 3 rows for 2 masses
 ])
 def test_unusable_stiffness_rejected(K):
     # Before: AttributeError on 'nnz', or a mass-length error for 3 x 3.
     bcs = BcSchedule(fixed=np.array([], dtype=int),
                      driven=np.array([], dtype=int), tau=1.0)
-    msg = "^K must be a square scipy sparse matrix with 2 rows"
+    msg = r"^K must be a square eig\.Csr with 2 rows"
     with pytest.raises(ValidationError, match=msg):
         dynamics.central_difference_run(K, np.ones(2), bcs, 0.1, 1.0, [0])
 
@@ -1153,7 +1145,7 @@ def test_unusable_stiffness_rejected(K):
 def test_non_real_or_non_finite_stiffness_rejected(value, match):
     # Before: a raw UFuncTypeError for complex K; a NaN K ran two steps
     # and reported divergence.
-    K = sp.csr_matrix(np.array([[2.0, -1.0], [value, 2.0]]))
+    K = csr(np.array([[2.0, -1.0], [value, 2.0]]))
     bcs = BcSchedule(fixed=np.array([], dtype=int), driven=np.array([0]),
                      tau=1.0)
     with pytest.raises(ValidationError, match=match):
@@ -1169,7 +1161,7 @@ def test_stiffness_of_any_real_dtype_runs_as_float64(dtype):
     bcs = BcSchedule(fixed=np.array([], dtype=int), driven=np.array([0]),
                      tau=1.0)
     runs = [dynamics.central_difference_run(
-        sp.csr_matrix(two.astype(d)), np.ones(2), bcs, 0.1, 1.0, [1])
+        csr(two.astype(d)), np.ones(2), bcs, 0.1, 1.0, [1])
         for d in (float, dtype)]
     assert runs[1].probe_history.tobytes() == runs[0].probe_history.tobytes()
 
@@ -1177,7 +1169,7 @@ def test_stiffness_of_any_real_dtype_runs_as_float64(dtype):
 @pytest.mark.parametrize("limit", [np.nan, -1.0, -np.inf])
 def test_bad_divergence_limit_rejected(limit):
     # Before, NaN and -1 switched the check off: |u| reached 0.0148.
-    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    two = csr(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     bcs = BcSchedule(fixed=np.array([], dtype=int), driven=np.array([0]),
                      tau=1.0)
     with pytest.raises(ValidationError, match="divergence limit"):
@@ -1187,7 +1179,7 @@ def test_bad_divergence_limit_rejected(limit):
 
 @pytest.mark.parametrize("limit", [None, 0.0, 1e-200, 10.0, np.inf])
 def test_divergence_limit_values_kept(limit):
-    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    two = csr(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     bcs = BcSchedule(fixed=np.array([], dtype=int), driven=np.array([0]),
                      tau=1.0)
     args = (two, np.ones(2), bcs, 0.1, 1.0, [1], limit)
@@ -1214,7 +1206,7 @@ def test_divergence_limit_values_kept(limit):
 ])
 def test_bad_run_inputs_rejected(dt, t_max, probes, fixed, driven, mass,
                                  match):
-    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    two = csr(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     bcs = BcSchedule(fixed=np.array(fixed, dtype=int),
                      driven=np.array(driven, dtype=int), tau=1.0)
     with pytest.raises(ValidationError, match=match):
@@ -1227,7 +1219,7 @@ def test_bad_run_inputs_rejected(dt, t_max, probes, fixed, driven, mass,
                                           ("driven", np.nan)])
 def test_non_integral_dof_rejected(where, value):
     # Before: a probe at 0.7 recorded dof 0 and a fixed dof 0.9 clamped it.
-    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    two = csr(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     dofs = {"probe": [1], "fixed": [], "driven": []} | {where: [value]}
     bcs = BcSchedule(fixed=np.array(dofs["fixed"]),
                      driven=np.array(dofs["driven"]), tau=1.0)
@@ -1238,7 +1230,7 @@ def test_non_integral_dof_rejected(where, value):
 
 
 def test_integral_float_dofs_run_as_ints():
-    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    two = csr(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     runs = [dynamics.central_difference_run(
         two, np.ones(2), BcSchedule(fixed=np.array(fixed),
                                     driven=np.array(driven), tau=1.0),
@@ -1251,7 +1243,7 @@ def test_integral_float_dofs_run_as_ints():
 def test_infeasible_run_refused_before_allocating():
     # ~1e15 steps of time and probe history (16 PB) cannot fit in memory:
     # the run is refused by step count, not by a failed allocation.
-    two = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    two = csr(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     bcs = BcSchedule(fixed=np.array([], dtype=int),
                      driven=np.array([], dtype=int), tau=1.0)
     with pytest.raises(ValidationError,

@@ -11,7 +11,7 @@ from polyvem import (agglomerate, benchmarks, cli, dynamics, eig,
 from polyvem import vem
 from polyvem.mesh import Mesh, ValidationError, tet_element
 
-from conftest import random_tet_mesh
+from conftest import csr, random_tet_mesh
 
 
 def sweep(K, ml, ids=None):
@@ -243,13 +243,15 @@ def test_degenerate_element_mid_batch_named(method, message):
     assert str(info.value) == message
 
 
-def test_singular_projector_mid_batch_named(monkeypatch):
-    # An infinite diameter zeroes the scaled coordinates and the strain
-    # modes of element 2, so its projector system is exactly singular.
+def test_singular_projector_mid_batch_named():
+    # Element 2's nodes are moved onto its centroid once the geometry table
+    # is built (a stale table): its scaled coordinates, and so the rotation
+    # rows of its projector system, are exactly zero.  (An infinite
+    # diameter did this before the measure check refused it.)
     mesh = separate_tets(GOOD_APEXES)
-    diameter = mesh.geometry.diameter.copy()
-    diameter[2] = np.inf
-    monkeypatch.setattr(mesh.geometry, "diameter", diameter)
+    g = mesh.geometry
+    assert np.isfinite(g.scaled_moments[(2, 0, 0)]).all()  # built first
+    mesh.vertices[8:12] = g.centroid[2]
     with pytest.raises(ValidationError, match="^element 2: singular "
                        "projector system"):
         eig.critical_dt(mesh, "vem")
@@ -300,7 +302,8 @@ def test_first_unsound_element_named_across_groups():
 def test_nan_alpha0_named_not_linalg_error():
     mesh = benchmarks.gen_benchmark("wedge", 1e-1, "vem")
     with pytest.raises(ValidationError,
-                       match="^element 0: non-finite stiffness"):
+                       match="^alpha0 must be auto, unit or a positive "
+                       "finite number, got nan$"):
         eig.critical_dt(mesh, "vem", alpha0=float("nan"))
 
 
@@ -384,7 +387,7 @@ def test_vem_auto_step_scales_with_the_mesh_by_2_to_the_300(name, eps):
 
 @pytest.mark.parametrize("fixed", [[7], [-1], [0, 3]])
 def test_global_fixed_dofs_out_of_range_rejected(fixed):
-    K = np.diag([1.0, 4.0, 9.0])
+    K = csr(np.diag([1.0, 4.0, 9.0]))
     with pytest.raises(ValidationError,
                        match=r"fixed dof out of range \[0, 3\)"):
         eig.global_max_frequency(K, np.ones(3), fixed)
@@ -395,7 +398,7 @@ def test_global_fixed_dofs_out_of_range_rejected(fixed):
 @pytest.mark.parametrize("fixed", [[0.5], [np.nan], [1, 0.5]])
 def test_global_non_integral_fixed_dof_rejected(fixed):
     # Before: [0.5] fixed dof 0 and gave sqrt(2).
-    K = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    K = csr(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     with pytest.raises(ValidationError, match="^fixed dof is not an integer$"):
         eig.global_max_frequency(K, np.ones(2), fixed)
     assert (eig.global_max_frequency(K, np.ones(2), [1.0])
@@ -404,21 +407,29 @@ def test_global_non_integral_fixed_dof_rejected(fixed):
 
 def test_power_loop_refuses_a_complex_stiffness():
     # Before: this Hermitian K (omega^2 = 1 and 3) gave omega = 0.0.
+    K = csr(np.array([[2.0, 1j], [-1j, 2.0]]))
+    with pytest.raises(ValidationError,
+                       match="^K must be real, not complex128$"):
+        eig.global_max_frequency(K, np.ones(2))
+
+
+def test_power_loop_takes_only_a_square_csr_of_the_mass_length():
+    # A dense or scipy K is no longer read: K is only ever an eig.Csr.
     import scipy.sparse as sp
-    K = np.array([[2.0, 1j], [-1j, 2.0]])
-    for form in (K, sp.csr_matrix(K)):
+    for K in (np.eye(2), sp.identity(2, format="csr"), csr(np.ones((2, 3))),
+              csr(np.eye(3))):
         with pytest.raises(ValidationError,
-                           match="^K must be real, not complex128$"):
-            eig.global_max_frequency(form, np.ones(2))
+                           match=r"^K must be a square eig\.Csr with 2 rows"):
+            eig.global_max_frequency(K, np.ones(2))
 
 
 def test_power_loop_refuses_every_dof_fixed():
     with pytest.raises(ValidationError, match="^every dof is fixed$"):
-        eig.global_max_frequency(np.eye(3), np.ones(3), [0, 1, 2])
+        eig.global_max_frequency(csr(np.eye(3)), np.ones(3), [0, 1, 2])
 
 
 def test_power_loop_zero_only_for_an_exactly_zero_product():
-    assert eig.global_max_frequency(np.zeros((3, 3)), np.ones(3)) == (
+    assert eig.global_max_frequency(csr(np.zeros((3, 3))), np.ones(3)) == (
         0.0, True, 1)
 
 
@@ -433,7 +444,7 @@ def test_power_loop_stops_at_non_finite_rayleigh_quotient(K, mass,
     # NaN nor an omega of 0 made up from a norm that underflowed.
     with pytest.raises(eig.NumericalError, match="non-finite Rayleigh "
                        f"quotient .* at iteration {iteration}$"):
-        eig.global_max_frequency(K, np.array(mass))
+        eig.global_max_frequency(csr(K), np.array(mass))
 
 
 def test_power_loop_runs_where_the_norm_underflowed():
@@ -441,6 +452,40 @@ def test_power_loop_runs_where_the_norm_underflowed():
     # exactly scaled norm, so the loop converges to omega = sqrt(2e-200)
     # instead of stopping at a NaN quotient.
     omega, converged, _ = eig.global_max_frequency(
-        np.diag([1e-200, 2e-200]), np.ones(2))
+        csr(np.diag([1e-200, 2e-200])), np.ones(2))
     assert converged
     assert omega == pytest.approx(np.sqrt(2e-200), rel=1e-6)
+
+
+@pytest.mark.parametrize("call", [eig.critical_dt, dynamics.assemble,
+                                  dynamics.beam_problem])
+def test_unknown_method_is_a_validation_error(call):
+    # Before: a plain ValueError, unlike every other bad library input.
+    mesh = benchmarks.gen_benchmark("wedge", 1e-1, "fem")
+    with pytest.raises(ValidationError, match="^unknown method 'FEM'$"):
+        call(mesh, "FEM")
+    assert cli.main(["timestep", "--mesh", "wedge.json", "--method",
+                     "FEM"]) == 1  # a usage error: --method has choices
+
+
+@pytest.mark.parametrize("call", [eig.critical_dt, dynamics.beam_problem])
+@pytest.mark.parametrize("alpha0", [0, -1, float("nan"), float("inf"),
+                                    "Auto", None])
+def test_library_refuses_a_bad_preset(call, alpha0):
+    # vem.preset is the one rule, with the CLI's message.  Before, 0 and -1
+    # ran the floor-free stabilization (omega* 4.9459e4 on this kite) and
+    # "Auto" raised a raw numpy ValueError.
+    mesh = benchmarks.gen_benchmark("kite", 1e-5, "vem")
+    message = ("alpha0 must be auto, unit or a positive finite number, "
+               f"got {alpha0!r}")
+    with pytest.raises(ValidationError) as info:
+        call(mesh, "vem", alpha0=alpha0)
+    assert str(info.value) == message
+
+
+def test_preset_text_and_number_agree():
+    mesh = benchmarks.gen_benchmark("kite", 1e-5, "vem")
+    omegas = [eig.critical_dt(mesh, "vem", alpha0=a).omega_star
+              for a in ("0.5", 0.5)]
+    assert omegas[0] == omegas[1] != eig.critical_dt(
+        mesh, "vem", alpha0="unit").omega_star

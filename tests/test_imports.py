@@ -130,10 +130,10 @@ def test_kernel_fallback_gives_the_same_history():
 
 
 def test_import_does_not_load_hashlib():
-    # hashlib (~3 ms of import) is loaded by config_hash, its one user.
+    # hashlib (~3 ms of import) is loaded by _config_hash, its one user.
     proc = _python("-c", "import sys, polyvem, polyvem.cli; "
                    "print('hashlib' in sys.modules); "
-                   "polyvem.config.RunConfig().config_hash(); "
+                   "polyvem.cli._config_hash('auto'); "
                    "print('hashlib' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]

@@ -309,33 +309,72 @@ def _scaled_meshes():
         yield unit_tet, np.cbrt(6.0) * np.cbrt(volume)
 
 
+def _unvalidated_tets(spread, count=3000, seed=0):
+    """One mesh of `count` disjoint, unvalidated tets: corners uniform in
+    [-1, 1]^3, each coordinate scaled by 2^k for k up to `spread` in size,
+    each tet by 2^k for k anywhere in the float range (about half are
+    inverted)."""
+    rng = np.random.default_rng(seed)
+    shape = (count, 4, 3)
+    v = rng.uniform(-1.0, 1.0, shape) * np.ldexp(
+        1.0, rng.integers(-spread, spread + 1, shape))
+    v = np.ldexp(v, rng.integers(-1074, 1024, (count, 1, 1)))
+    return Mesh(3, v.reshape(-1, 3), np.arange(4 * count).reshape(-1, 4))
+
+
+def _measure_check_passes(g):
+    """group_matrices' measure check: a finite, positive volume and a
+    finite diameter."""
+    return np.isfinite(g.volume) & np.isfinite(g.diameter) & (g.volume > 0.0)
+
+
 def test_moments_finite_where_the_measure_check_passes():
     # The moments are built in element units and scaled back by 2^(dim e),
     # so a scaled moment is at most its element's volume: wherever
-    # group_matrices' measure check (a finite, positive volume) passes,
-    # every moment is finite.
+    # group_matrices' measure check passes, every moment is finite.
     passed = 0
     for base, scale in _scaled_meshes():
         with np.errstate(over="ignore", invalid="ignore"):
             mesh = Mesh(base.dimension, base.vertices * scale, base.cells)
         g = mesh.geometry
-        ok = np.isfinite(g.volume) & (g.volume > 0.0)
+        ok = _measure_check_passes(g)
         for key, moment in g.scaled_moments.items():
             assert np.isfinite(moment[ok]).all(), (scale, key)
         passed += ok.sum()
     assert passed > 1000
 
 
+def test_moments_finite_on_validated_tets_of_any_shape_and_scale():
+    # On unvalidated tets the measure check does not suffice: a needle
+    # whose volume underflows in units of its diameter has NaN moments, so
+    # group_matrices keeps its moment check.  Every tet that reaches that
+    # check is one validation refuses.
+    valid = reached = 0
+    for spread in (0, 30, 300, 1074):
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = _unvalidated_tets(spread).geometry
+            finite = np.all([np.isfinite(m) for m in
+                             g.scaled_moments.values()], axis=0)
+        ok = _measure_check_passes(g)
+        assert (g.failed_check[ok & ~finite] >= 0).all(), spread
+        valid += (ok & (g.failed_check < 0)).sum()
+        reached += (ok & ~finite).sum()
+    assert valid > 1000 and reached > 10
+
+
 def test_non_finite_second_moment_names_an_unvalidated_element():
-    # The one way found past the measure check to a non-finite moment: an
-    # unvalidated tet whose volume is finite while its diameter overflows
-    # (two vertices 2e308 apart).  Validation refuses it; the kernel names it.
-    verts = np.array([[0.0, 0, 0], [1e308, 0, 0], [-1e308, 1e-300, 0],
-                      [0, 0, 1]])
-    mesh = Mesh(3, verts, [tet_element((0, 1, 2, 3))])
-    g = mesh.geometry
-    assert 0.0 < g.volume[0] < np.inf and g.diameter[0] == np.inf
-    assert g.failed_check[0] >= 0
-    with pytest.raises(ValidationError,
-                       match="^element 0: non-finite second moment"):
-        vem.group_matrices(mesh, [0])
+    # A tet whose volume is finite while its diameter overflows (two
+    # vertices 2e308 apart) is a non-finite measure, as in the geometry
+    # table's check.  A needle passes the measure check (volume 1.7e-151,
+    # diameter 1e150) but its volume underflows in units of its diameter,
+    # so its moments are NaN.  Validation refuses both; the kernel names
+    # each.
+    wide = [[0.0, 0, 0], [1e308, 0, 0], [-1e308, 1e-300, 0], [0, 0, 1]]
+    needle = [[0.0, 0, 0], [1e150, 0, 0], [0, 1e-150, 0], [0, 0, 1e-150]]
+    for verts, message in ((wide, "non-finite measure 16666666.666666666$"),
+                           (needle, "non-finite second moment")):
+        mesh = Mesh(3, np.array(verts), [tet_element((0, 1, 2, 3))])
+        g = mesh.geometry
+        assert 0.0 < g.volume[0] < np.inf and g.failed_check[0] >= 0
+        with pytest.raises(ValidationError, match="^element 0: " + message):
+            vem.group_matrices(mesh, [0])
