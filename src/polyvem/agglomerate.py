@@ -86,18 +86,18 @@ def _unions(mesh, groups):
     member then face order.  A row held twice is internal (a valid mesh
     holds no row more than twice, nor twice in one direction), and such
     pairs must connect the group."""
-    size = [len(members) for members in groups]
+    size = np.array([len(members) for members in groups])
     members = np.concatenate(groups)
     rows, pos = meshmod.face_rows(mesh, members)
     faces = mesh.geometry.faces[rows]
-    member_group = np.repeat(np.arange(len(groups)), size)
+    member_group = np.arange(len(groups)).repeat(size)
     group = member_group[pos]
     key = np.sort(faces, axis=1)
     order, run = meshmod._runs(group, *key.T)
     copies = np.bincount(run)[run]
     i, j = order[copies == 2].reshape(-1, 2).T
     apart = (_components(len(members), pos[i], pos[j])
-             != np.repeat(np.cumsum(size) - size, size))
+             != (size.cumsum() - size).repeat(size))
     if apart.any():
         raise MergeError(f"group {groups[member_group[np.argmax(apart)]]} "
                          "is not face-connected")
@@ -151,7 +151,7 @@ def _contacts(mesh):
     order, run = meshmod._runs(*np.sort(g.faces, axis=1).T)
     first = np.empty_like(order)
     first[order] = order[np.searchsorted(run, run)]
-    later = np.flatnonzero(first != np.arange(len(first)))
+    later = (first != np.arange(len(first))).nonzero()[0]
     a, b = owner[later].tolist(), owner[first[later]].tolist()
     neighbors = [set() for _ in range(mesh.num_elements)]
     for i, j in zip(a, b):

@@ -41,7 +41,7 @@ def _max_frequency(K, ml):
     K m^-1/2 m^-1/2 is not finite (an extreme length scale)."""
     inv_sqrt = 1.0 / np.sqrt(ml)
     A = K * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
-    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    A = 0.5 * (A + A.swapaxes(-1, -2))
     finite = np.isfinite(A).all(axis=(-2, -1))
     A[~finite] = 0.0
     lam = np.where(finite, np.linalg.eigvalsh(A)[..., -1], np.nan)
@@ -58,7 +58,7 @@ def _faults(K, ml):
 def _reject_faults(fault):
     """A ValidationError naming the first element with a fault (_faults
     codes, 3 for a NaN omega, 4 for an infinite 2 / omega; by element id)."""
-    bad = np.flatnonzero(fault)
+    bad = fault.nonzero()[0]
     if bad.size:
         e = bad[0]
         raise meshmod.ValidationError(f"element {e}: " + (
@@ -130,7 +130,9 @@ def group_system(mesh, ids, method, alpha0="unit"):
 
 
 def element_systems(mesh, method, alpha0="unit"):
-    """Element sweep: the group_system of every group of element_groups."""
+    """Element sweep: the group_system of every group of element_groups.
+    The preset is read by ``vem.preset`` first, under either method."""
+    alpha0 = vem.preset(alpha0)
     return [group_system(mesh, ids, method, alpha0)
             for ids in element_groups(mesh)]
 
@@ -151,7 +153,7 @@ def time_step_report(systems):
         fault[ids] = np.where(np.isnan(w), 3, 4 * (
             K.any(axis=(-2, -1)) & ~np.isfinite(critical_step(w))))
     _reject_faults(fault)
-    arg = int(np.argmax(omegas))
+    arg = int(omegas.argmax())
     omega_star = float(omegas[arg])
     return TimeStepReport(omegas, omega_star, critical_step(omega_star), arg)
 

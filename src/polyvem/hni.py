@@ -39,11 +39,17 @@ def _lowered(exponent, axis):
     return tuple(e)
 
 
+def _refused(message):
+    """The ValidationError (``mesh``'s) that refuses bad integrator input."""
+    from .mesh import ValidationError  # mesh imports this module
+    return ValidationError(message)
+
+
 def _checked(exponent):
-    """An exponent tuple of nonnegative ints, or ValueError."""
+    """An exponent tuple of nonnegative ints, or a ValidationError."""
     exponent = tuple(int(e) for e in exponent)
     if any(e < 0 for e in exponent):
-        raise ValueError("monomial exponents must be nonnegative")
+        raise _refused("monomial exponents must be nonnegative")
     return exponent
 
 
@@ -108,7 +114,7 @@ class PolygonIntegrator:
     def __init__(self, vertices):
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.shape[1] != 2:
-            raise ValueError("polygon vertices must be 2D")
+            raise _refused("polygon vertices must be 2D")
         edges = []
         n = len(self.vertices)
         for i in range(n):
@@ -119,7 +125,7 @@ class PolygonIntegrator:
             nu = np.array([t[1], -t[0]])
             norm = np.linalg.norm(nu)
             if norm == 0.0:
-                raise ValueError("polygon has a zero-length edge")
+                raise _refused("polygon has a zero-length edge")
             nu /= norm
             edges.append((float(nu @ a), _edge(a, b, np.linalg.norm(b - a))))
         self._polygon = _Facet(np.zeros(2), edges, 2)
@@ -140,12 +146,12 @@ class PolyhedronIntegrator:
     def __init__(self, vertices, faces):
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.shape[1] != 3:
-            raise ValueError("polyhedron vertices must be 3D")
+            raise _refused("polyhedron vertices must be 3D")
         tris = self.vertices[np.asarray(faces, dtype=int).reshape(-1, 3)]
         normals = _newell_normal(tris)
         area2 = _norms(normals)
         if np.any(area2 == 0.0):
-            raise ValueError("zero-area face in polyhedron")
+            raise _refused("zero-area face in polyhedron")
         units = normals / area2[:, None]
         x0 = tris[:, 0]
         plane_dists = _dots(units, x0)
@@ -179,11 +185,16 @@ def _newell_normal(tri):
     return 0.5 * _cross(u, v)
 
 
+_CROSS_AXES = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _cross(u, v):
     """Row-wise 3D cross products: np.cross's bits, at less cost per call."""
-    i, j = np.array([[1, 2, 0], [2, 0, 1]])
-    out, other = u[..., i] * v[..., j], u[..., j]
-    return np.subtract(out, np.multiply(other, v[..., i], out=other), out=out)
+    i, j = _CROSS_AXES
+    out, other = u.take(i, -1) * v.take(j, -1), u.take(j, -1)
+    other *= v.take(i, -1)
+    out -= other
+    return out
 
 
 def _dots(x, y):
@@ -214,34 +225,19 @@ def scaled_moment_table(integrator, centroid, diameter):
     c = np.asarray(centroid, dtype=float)
     dim = c.shape[-1]
     h = np.asarray(diameter, dtype=float)
+    unit = [tuple(int(a == b) for b in range(dim)) for a in range(dim)]
     v = integrator.integrate((0,) * dim)
-    first = []
-    for axis in range(dim):
-        e = [0] * dim
-        e[axis] = 1
-        first.append(integrator.integrate(tuple(e)))
-
-    def second(i, j):
-        e = [0] * dim
-        e[i] += 1
-        e[j] += 1
-        return integrator.integrate(tuple(e))
-
+    first = [integrator.integrate(e) for e in unit]
     table = {(0,) * dim: v}
-    for axis in range(dim):
-        key = [0] * dim
-        key[axis] = 1
-        table[tuple(key)] = (first[axis] - c[..., axis] * v) / h
+    for axis, key in enumerate(unit):
+        table[key] = (first[axis] - c[..., axis] * v) / h
     for i in range(dim):
         for j in range(i, dim):
-            key = [0] * dim
-            key[i] += 1
-            key[j] += 1
-            ci, cj = c[..., i], c[..., j]
+            key = tuple(a + b for a, b in zip(unit[i], unit[j]))
+            ci, cj, raw = c[..., i], c[..., j], integrator.integrate(key)
             if i == j:
-                raw = second(i, i) - 2.0 * ci * first[i] + ci ** 2 * v
+                raw = raw - 2.0 * ci * first[i] + ci ** 2 * v
             else:
-                raw = (second(i, j) - cj * first[i] - ci * first[j]
-                       + ci * cj * v)
-            table[tuple(key)] = raw / h ** 2
+                raw = raw - cj * first[i] - ci * first[j] + ci * cj * v
+            table[key] = raw / h ** 2
     return table

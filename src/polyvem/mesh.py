@@ -16,13 +16,13 @@ Meshes are immutable by convention: nothing in this package mutates a mesh
 after construction, so instances can be shared freely.  Each mesh builds its
 geometry table (``Mesh.geometry``: stacked face data, each element's node
 list in dof order, measures and the validation verdict of every element)
-once, on the first geometry query or validation, and keeps it; moments and
-convexity are added on first read.  The table alone decides element
-connectivity: every reader of element nodes or face contacts reads it.
-Mutating ``mesh.vertices`` in place after that leaves the table stale;
+once, in one array pass per quantity, on the first geometry query or
+validation, and keeps it, as it keeps the moments and convexity it adds on
+first read and ``quality.mesh_report``'s reports.  The table alone decides
+element connectivity: every reader of element nodes or face contacts reads
+it.  Mutating ``mesh.vertices`` in place after that leaves the table stale;
 build a new ``Mesh`` instead.  The HNI integrators (``element_integrator``)
-are the arbitrary-degree reference and are not used by the element
-pipeline.
+are the arbitrary-degree reference, not used by the element pipeline.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -169,7 +169,7 @@ def triangle_area_normal(tri):
 
 def _unit(vectors, lengths):
     """Rows divided by their lengths; a zero-length row stays zero."""
-    return np.divide(vectors, lengths[..., None], out=np.zeros_like(vectors),
+    return np.divide(vectors, lengths[..., None], out=np.zeros(vectors.shape),
                      where=lengths[..., None] > 0.0)
 
 
@@ -179,6 +179,9 @@ def _unit(vectors, lengths):
 _KIND_NODES = {"tri": 3, "tet": 4, "prism": 6}
 _TET_FACES = np.array(tet_element(range(4)).faces)  # rows of a tet's nodes
 _NEXT = {2: np.array([1, 0]), 3: np.array([1, 2, 0])}  # corner successors
+_TURNS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])  # a triangle from corner k
+NON_FINITE = ("non-finite measure (volume {volume:.16e}, "
+              "diameter {diameter:.16e})")
 _FACE_CHECKS = ("faces must be triangles", "vertex index out of range",
                 "repeated vertex", "zero-area face")
 
@@ -195,8 +198,10 @@ class MeshGeometry:
     face areas, normals and edge lengths, ``volume``, ``diameter``,
     ``degenerate`` (volume <= TAU_GEOM x diameter^dim: the one degeneracy
     rule, which 2D validation, quality and merging read) and the verdict are
-    built with the table; ``integrate``, ``centroid``, ``scaled_moments``
-    and ``convex`` on first read, from it alone.  Moments are signed sums
+    built with the table, one array pass each (the verdict: one ``argmax``
+    over the stacked check flags; the vertex sets serve ``convex`` too);
+    ``integrate``, ``centroid``, ``scaled_moments`` and ``convex`` once, on
+    first read, from it alone.  Moments are signed sums
     over the simplices joining each face to the element's anchor (its first
     node), in units of a power of two near the element's diameter;
     ``integrate`` serves them to ``hni.scaled_moment_table``.
@@ -209,7 +214,7 @@ class MeshGeometry:
         dim, n_vert = mesh.dimension, mesh.num_vertices
         V = self._V = (mesh.vertices if n_vert else np.zeros((1, dim))).view()
         if mesh.tets is not None:  # a tet mesh: faces in tet_element's order
-            faces = mesh.tets[:, _TET_FACES].reshape(-1, 3)
+            faces = mesh.tets.take(_TET_FACES, 1).reshape(-1, 3)
             n_el, lengths = len(mesh.tets), np.full(len(faces), 3)
             sizes = given_count = np.full(n_el, 4)
             missing, self.kinds = np.zeros(n_el, bool), ["tet"] * n_el
@@ -230,62 +235,69 @@ class MeshGeometry:
             given_ids = _ids([v for x in nodes if x for v in x])
             has_nodes = np.array([x is not None for x in nodes], bool)
             self.kinds = [el.kind for el in els]
-        owner = self.face_owner = np.repeat(np.arange(n_el), sizes)
-        starts = np.cumsum(sizes) - sizes
-        self.face_start = np.append(starts, len(owner))
+        owner = self.face_owner = np.arange(n_el).repeat(sizes)
+        self.face_start = np.concatenate([[0], sizes.cumsum()])
+        starts = self.face_start[:-1]
         if dim == 2:
             succ = np.arange(1, len(corners) + 1)
             succ[(starts + sizes - 1)[sizes > 0]] = starts[sizes > 0]
             faces = np.stack([corners, corners[succ]], axis=1)
             corner_owner = owner
         else:
-            corners, corner_owner = faces.ravel(), np.repeat(owner, 3)
+            corners, corner_owner = faces.ravel(), owner.repeat(3)
         pts = V.take(faces, 0, mode="clip")  # ids out of range clipped
-        if dim == 2:
-            t = pts[:, 1] - pts[:, 0]
-            nu = np.stack([t[:, 1], -t[:, 0]], axis=1)
-            areas, normals = hni._norms(t), _unit(nu, hni._norms(nu))
-        else:
+        if dim == 3:
             areas, normals = triangle_area_normal(pts)
-        self.edge_lengths = np.stack([hni._norms(pts[:, j] - pts[:, i])
-                                      for i, j in enumerate(_NEXT[dim])], 1)
-        self.faces, self.face_areas, self.face_normals = faces, areas, normals
+        edges = pts.take(_NEXT[dim], 1)  # each corner's edge to the next
+        edges -= pts
         del pts  # the table holds one (faces, 3, dim) stack at a time
+        self.edge_lengths = hni._norms(edges)
+        if dim == 2:  # a loop edge's length is its area
+            nu = np.stack([edges[:, 0, 1], -edges[:, 0, 0]], axis=1)
+            areas, normals = self.edge_lengths[:, 0], _unit(nu, hni._norms(nu))
+        del edges
+        self.faces, self.face_areas, self.face_normals = faces, areas, normals
         if dim == 3:  # before the vertex sets, for a lower memory peak
             self._unpaired = _unpaired(faces, corner_owner)
             unpaired = _any(corner_owner[self._unpaired], n_el)
 
-        # Each element's vertex set, sorted.
+        # Each element's vertex set, sorted, and the sets' ids per set size.
         order, run = _runs(corner_owner, corners)
         count = np.bincount(run)
-        head = order[np.cumsum(count) - count]
-        set_owner, self._set_ids = corner_owner[head], corners[head]
-        self._set_size = set_size = np.bincount(set_owner, minlength=n_el)
-        self._set_start = np.cumsum(set_size) - set_size
+        if dim == 2:  # a loop's runs also find a repeated vertex
+            repeated = _any(owner.take(order)[count.take(run) > 1], n_el)
+        head = order[count.cumsum() - count]
+        set_owner, set_ids = corner_owner[head], corners[head]
+        set_size = np.bincount(set_owner, minlength=n_el)
+        set_start = set_size.cumsum() - set_size
+        self._sets = [(group, set_ids[set_start[group][:, None] + np.arange(k)])
+                      for k in np.bincount(set_size)[1:].nonzero()[0] + 1
+                      for group in [(set_size == k).nonzero()[0]]]
         del order, run, count, head, corner_owner
 
         # Node lists in dof order: the given nodes, else the 2D loop, else
         # the sorted vertex set of the faces.  The first node anchors the
         # moments.
-        given_owner = np.repeat(np.arange(n_el), given_count)
+        given_owner = np.arange(n_el).repeat(given_count)
         rule_owner, rule_ids = ((owner, corners) if dim == 2 else
-                                (set_owner, self._set_ids))
+                                (set_owner, set_ids))
         derived = ~has_nodes[rule_owner]
         owners = np.concatenate([given_owner, rule_owner[derived]])
-        pick = np.argsort(owners, kind="stable")
+        pick = owners.argsort(kind="stable")
         self.nodes = np.concatenate([given_ids, rule_ids[derived]])[pick]
         self.node_start = np.searchsorted(owners[pick], np.arange(n_el + 1))
-        self._origin = V.take(np.append(self.nodes, 0)[self.node_start[:-1]],
-                              0, mode="clip")
+        self._origin = V.take(np.concatenate([self.nodes, [0]])[
+            self.node_start[:-1]], 0, mode="clip")
 
         volume = np.bincount(owner, self._simplices()[2],
                              minlength=n_el) / math.factorial(dim)
         diameter = np.zeros(n_el)
-        for group, p in self._vertex_sets():
-            diameter[group] = _max_pairwise_distance(p)
+        for group, ids in self._sets:
+            diameter[group] = _max_pairwise_distance(V.take(ids, 0,
+                                                            mode="clip"))
         self.volume, self.diameter = volume, diameter
         self.degenerate = volume <= TAU_GEOM * diameter ** dim
-        infinite = ("non-finite measure {volume!r}",
+        infinite = (NON_FINITE,
                     ~(np.isfinite(volume) & np.isfinite(diameter)))
 
         # Validation: one (message, failing elements) pair per check, in
@@ -295,8 +307,7 @@ class MeshGeometry:
             checks = [
                 ("2D element lacks a loop", missing),
                 ("loop has < 3 vertices", sizes < 3),
-                ("repeated vertex in loop",
-                 _repeated(owner, _runs(owner, corners), n_el)),
+                ("repeated vertex in loop", repeated),
                 ("vertex index out of range",
                  _any(owner[outside(corners)], n_el)),
                 infinite,
@@ -305,12 +316,10 @@ class MeshGeometry:
                     V.take(corners, 0, mode="clip"), starts, sizes))]
         else:
             edge = self.edge_lengths.max(axis=1)
-            self._face_check = np.zeros(len(faces), np.int64)  # 0: none
-            for k, bad in reversed(list(enumerate(
-                    [lengths != 3, outside(faces).any(axis=1),
-                     (faces == faces.take(_NEXT[3], 1)).any(axis=1),
-                     areas <= TAU_GEOM * edge * edge], 1))):
-                self._face_check[bad] = k
+            self._face_check = 1 + _first(np.array(  # 0: none
+                [lengths != 3, outside(faces).any(axis=1),
+                 (faces == faces.take(_NEXT[3], 1)).any(axis=1),
+                 areas <= TAU_GEOM * edge * edge]))
             checks = [
                 ("3D element lacks faces", missing),
                 ("fewer than 4 faces", sizes < 4),
@@ -326,25 +335,27 @@ class MeshGeometry:
         self._expected = np.array([_KIND_NODES.get(k, -1)
                                    for k in self.kinds], np.int64)
         self._given_count = given_count
-        # Sorted (owner, clipped id) keys of the vertex sets, searched.
-        keys = set_owner * len(V) + self._set_ids.clip(0, len(V) - 1)
-        query = given_owner * len(V) + given_ids.clip(0, len(V) - 1)
-        in_set = np.append(keys, -1)[np.searchsorted(keys, query)] == query
+        # (owner, clipped id) keys: the vertex sets' (sorted), searched for
+        # the given nodes'; a sorted run of equal node keys is a repeat.
+        # Where clipping merges ids, an earlier check refuses the element.
+        top = len(V) - 1
+        keys = set_owner * len(V) + np.minimum(np.maximum(set_ids, 0), top)
+        query = given_owner * len(V) + np.minimum(np.maximum(given_ids, 0), top)
+        in_set = np.concatenate([keys, [-1]])[keys.searchsorted(query)] == query
+        query.sort()
+        repeat = query[1:][query[1:] == query[:-1]] // len(V)
         checks += [
             ("a {kind} needs {expected} nodes, got {count}",
              (self._expected >= 0) & (given_count != self._expected)),
             ("node id out of range or not an integer",
              _any(given_owner[outside(given_ids)], n_el)),
-            ("repeated node", _repeated(
-                given_owner, _runs(given_owner, given_ids), n_el)),
+            ("repeated node", _any(repeat, n_el)),
             ("nodes differ from the element's vertex set",
              has_nodes & (_any(given_owner[~in_set], n_el)
                           | (set_size != given_count)))]
         self._messages = [message for message, _ in checks]
-        self.failed_check = np.full(n_el, -1)
-        for k in reversed(range(len(checks))):
-            self.failed_check[checks[k][1]] = k
-        _frozen(*(a for a in vars(self).values() if isinstance(a, np.ndarray)))
+        self.failed_check = _first(np.array([bad for _, bad in checks]))
+        _frozen(*[a for a in vars(self).values() if type(a) is np.ndarray])
 
     def _simplices(self, unit=None):
         """(owner, local, det) of each face-to-anchor simplex: its element,
@@ -358,14 +369,6 @@ class MeshGeometry:
             return self.face_owner, local, _cross2(local[:, 0], local[:, 1])
         return self.face_owner, local, (
             local[:, 0] * hni._cross(local[:, 1], local[:, 2])).sum(1)
-
-    def _vertex_sets(self):
-        """(elements, their sets' points (elements, size, dim)) per size
-        of vertex set."""
-        for k in np.flatnonzero(np.bincount(self._set_size)[1:]) + 1:
-            group = np.flatnonzero(self._set_size == k)
-            yield group, self._V.take(self._set_ids[self._set_start[group][
-                :, None] + np.arange(k)], 0, mode="clip")
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -404,8 +407,9 @@ class MeshGeometry:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             table = hni.scaled_moment_table(self, self._raw[3], np.ldexp(
                 self.diameter, -unit))
-            table = {k: np.ldexp(v, len(k) * unit) for k, v in table.items()}
-        return dict(zip(table, _frozen(*table.values())))
+            rows = np.ldexp(np.array(list(table.values())),
+                            self._V.shape[1] * unit)
+        return dict(zip(table, _frozen(rows)[0]))
 
     @cached_property
     def convex(self):
@@ -414,14 +418,15 @@ class MeshGeometry:
         owner = self.face_owner
         base = self._V.take(self.faces[:, :1], 0, mode="clip")
         convex = np.ones(len(self.volume), bool)
-        for group, p in self._vertex_sets():
+        for group, ids in self._sets:
             row = np.full(len(self.volume), -1)
             row[group] = np.arange(len(group))
-            f = np.flatnonzero(row[owner] >= 0)
-            height = ((p[row[owner[f]]] - base[f])
-                      @ self.face_normals[f, :, None])[..., 0]
-            tol = TAU_GEOM * self.diameter[owner[f], None]
-            convex[owner[f][(height > tol).any(axis=1)]] = False
+            f = (row[owner] >= 0).nonzero()[0]
+            e = owner[f]
+            p = self._V.take(ids[row[e]], 0, mode="clip")
+            height = ((p - base[f]) @ self.face_normals[f, :, None])[..., 0]
+            tol = TAU_GEOM * self.diameter[e, None]
+            convex[e[(height > tol).any(axis=1)]] = False
         return _frozen(convex)[0]
 
     def integrate(self, exponent):
@@ -448,7 +453,8 @@ class MeshGeometry:
             message = ("face orientation mismatch on edge "
                        f"({self.faces[f, j]}, {self.faces[f, (j + 1) % 3]})")
         return f"{where}: " + message.format(
-            volume=float(self.volume[index]), kind=self.kinds[index],
+            volume=float(self.volume[index]),
+            diameter=float(self.diameter[index]), kind=self.kinds[index],
             expected=self._expected[index], count=self._given_count[index])
 
 
@@ -477,8 +483,14 @@ def _cross2(u, v):
 def _frozen(*arrays):
     """The arrays, each made read-only."""
     for arr in arrays:
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     return arrays
+
+
+def _first(flags):
+    """Per column of the stacked flags (checks, items): the first check
+    that flags it, or -1."""
+    return np.where(flags.any(axis=0), flags.argmax(axis=0), -1)
 
 
 def _any(owners, n_elements):
@@ -490,18 +502,10 @@ def _runs(*keys):
     """(order, run): the lexicographic order of the rows (first key most
     significant) and, per sorted row, the number of its run of equal rows."""
     order = np.lexsort(keys[::-1])
-    run = np.zeros(len(order), np.int64)  # 1 where the next run starts
-    for key in keys:
-        key = key[order]
-        run[1:] |= key[1:] != key[:-1]
-    return order, np.cumsum(run, out=run)
-
-
-def _repeated(owners, runs, n_elements):
-    """Per element: does one of its ids occur twice?  `runs` is
-    _runs(owners, ids)."""
-    order, run = runs
-    return _any(owners[order][np.bincount(run)[run] > 1], n_elements)
+    rows = np.array(keys).take(order, 1)  # the keys in sorted order
+    run = np.zeros(len(order), np.int64)
+    (rows[:, 1:] != rows[:, :-1]).any(axis=0).cumsum(out=run[1:])
+    return order, run
 
 
 def _unpaired(faces, owner):
@@ -511,9 +515,9 @@ def _unpaired(faces, owner):
     a, b = faces.ravel(), faces.take(_NEXT[3], 1).ravel()
     ahead, high, low = a < b, np.maximum(a, b), np.minimum(a, b, out=b)
     order, run = _runs(owner, low, high)
-    forward = np.bincount(run, ahead[order])
+    forward = np.bincount(run, ahead.take(order))
     bad = np.empty(len(a), bool)
-    bad[order] = (np.bincount(run) != 2)[run] | (forward != 1)[run]
+    bad[order] = ((np.bincount(run) != 2) | (forward != 1)).take(run)
     return bad
 
 
@@ -521,12 +525,10 @@ def _held_before(faces, owner, n_elements):
     """Per element: does it hold a face row (3D: an oriented triangle, 2D: a
     directed loop edge) that an earlier row holds in the same direction?"""
     if faces.shape[1] == 3:  # each triangle turned to start at its least id
-        turn = faces.argmin(axis=1)[:, None] + np.arange(3)
-        faces = np.take_along_axis(faces, turn % 3, 1)
+        faces = faces[np.arange(len(faces))[:, None],
+                      _TURNS[faces.argmin(axis=1)]]
     order, run = _runs(*faces.T)
-    later = np.zeros(len(faces), bool)
-    later[order[1:]] = run[1:] == run[:-1]
-    return _any(owner[later], n_elements)
+    return _any(owner.take(order[1:][run[1:] == run[:-1]]), n_elements)
 
 
 def _crossing(corners, starts, sizes):
@@ -551,7 +553,7 @@ def _crossing(corners, starts, sizes):
 def reject(bad, message, ids=None):
     """Raise a ValidationError for the first element flagged in `bad` (one
     flag, or one per stacked element), named by its mesh index in `ids`."""
-    first = np.flatnonzero(bad)
+    first = np.asarray(bad).ravel().nonzero()[0]
     if first.size:
         raise ValidationError(
             message if ids is None else f"element {ids[first[0]]}: {message}")
@@ -564,24 +566,28 @@ def validate_mesh(mesh):
         raise ValidationError(f"unsupported dimension {mesh.dimension}")
     if mesh.vertices.ndim != 2 or mesh.vertices.shape[1] != mesh.dimension:
         raise ValidationError("vertex array shape does not match dimension")
-    if not np.all(np.isfinite(mesh.vertices)):
+    if not np.isfinite(mesh.vertices).all():
         raise ValidationError("non-finite vertex coordinate")
     if mesh.num_elements == 0:
         raise ValidationError("mesh has no elements")
-    bad = np.flatnonzero(mesh.geometry.failed_check >= 0)
-    if bad.size:
-        raise ValidationError(mesh.geometry.error(bad[0]))
+    bad = mesh.geometry.failed_check >= 0
+    if np.count_nonzero(bad):
+        raise ValidationError(mesh.geometry.error(bad.argmax()))
     return mesh
 
 
 def _max_pairwise_distance(pts):
     """Largest distance between two of the points (k, dim), or per stack
-    of a (..., k, dim) array; the pairs (i, i + s) one shift s at a time."""
-    top = np.zeros(pts.shape[:-2])
-    for s in range(1, pts.shape[-2]):
-        diff = pts[..., s:, :] - pts[..., :-s, :]
-        np.maximum(top, (diff ** 2).sum(axis=-1).max(axis=-1), out=top)
-    return np.sqrt(top)
+    of a (..., k, dim) array: one pass over the pairs i < j (0 if k < 2)."""
+    i, j = _pairs(pts.shape[-2])
+    diff = pts.take(j, -2) - pts.take(i, -2)
+    return np.sqrt((diff ** 2).sum(axis=-1).max(axis=-1, initial=0.0))
+
+
+@cache
+def _pairs(k):
+    """The index pairs (i, j), i < j, of k points, read-only."""
+    return _frozen(*np.triu_indices(k, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -593,19 +599,20 @@ def element_nodes(mesh, ids):
     rows of the geometry table's node lists."""
     g = mesh.geometry
     start, end = g.node_start[:-1][ids], g.node_start[1:][ids]
-    if (end - start != end[0] - start[0]).any():
-        raise ValueError("the elements of one stack differ in node count")
+    if np.count_nonzero(end - start != end[0] - start[0]):
+        raise ValidationError("the elements of one stack differ in node "
+                              "count")
     return g.nodes[start[:, None] + np.arange(end[0] - start[0])]
 
 
 def face_rows(mesh, ids):
     """(rows, owner): the geometry table's face rows of the elements `ids`,
     stacked in that order, and each row's position in `ids`."""
-    start = mesh.geometry.face_start[ids]
-    count = mesh.geometry.face_start[np.add(ids, 1)] - start
-    owner = np.repeat(np.arange(len(count)), count)
-    shift = start - (np.cumsum(count) - count)
-    return np.arange(len(owner)) + np.repeat(shift, count), owner
+    start = mesh.geometry.face_start.take(ids)
+    count = mesh.geometry.face_start.take(np.add(ids, 1)) - start
+    owner = np.arange(len(count)).repeat(count)
+    shift = start - (count.cumsum() - count)
+    return np.arange(len(owner)) + shift.repeat(count), owner
 
 
 def element_integrator(mesh, index):

@@ -1,15 +1,16 @@
 """Shape diagnostics for tetrahedra, prisms and triangles: dihedral angles,
 sliver/wedge/spire/thin-prism classification, in one array pass over the
-mesh's geometry table (``mesh_report``; ``tet_angles`` is its kernel of a
-stack of tetrahedra's six angles).  The four cuts are policy, not physics:
-module constants that separate the benchmark pathologies (mesh parameter
-<= 0.1) from well-shaped reference elements.  All classification inputs are
-scale- and rotation-invariant ratios.
+mesh's geometry table, once per table (``mesh_report``; ``tet_angles`` is
+its kernel of a stack of tetrahedra's six angles).  The four cuts are
+policy, not physics: module constants that separate the benchmark
+pathologies (mesh parameter <= 0.1) from well-shaped reference elements.
+All classification inputs are scale- and rotation-invariant ratios.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ class QualityReport:
 # 13, 23) the two faces meeting there, those opposite its other vertices.
 _OPPOSITE_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 _EDGE_FACES = np.array([[2, 3], [1, 3], [1, 2], [0, 3], [0, 2], [0, 1]])
+_REPORTS = weakref.WeakKeyDictionary()  # geometry table -> its reports
 
 
 def _degrees(cosines):
@@ -75,7 +77,15 @@ def _cap_edges(p):
 
 
 def mesh_report(mesh):
-    """One QualityReport per element, classified in one array pass.
+    """One QualityReport per element, in a new list; the mesh is classified
+    (``_classify``) once per geometry table, kept while the table lives."""
+    if mesh.geometry not in _REPORTS:
+        _REPORTS[mesh.geometry] = _classify(mesh)
+    return list(_REPORTS[mesh.geometry])
+
+
+def _classify(mesh):
+    """The QualityReports of the elements, classified in one array pass.
     Polytopes report metrics only."""
     g, dim = mesh.geometry, mesh.dimension
     n = mesh.num_elements
@@ -99,19 +109,20 @@ def mesh_report(mesh):
     lo, hi = np.full(n, np.nan), np.full(n, np.nan)
     for mask, values in ((tet, tet_angles), (tri, _tri_angles),
                          (prism, _cap_edges)):
-        if mask.any():
+        if np.count_nonzero(mask):
             a = values(mesh.vertices[meshmod.element_nodes(mesh, ids[mask])])
             lo[mask], hi[mask] = a.min(axis=1), a.max(axis=1)
-    # Each kind's branches in order; the kind masks are disjoint.
-    label = np.select(
+    # Each kind's branches in order (the kind masks are disjoint), else the
+    # last label.
+    label = np.array(["spire", "sliver_kite", "wedge", "thin_prism",
+                      "degenerate", "wedge", "degenerate", "good",
+                      "not_applicable"])[meshmod._first(np.array(
         [tet & spire, tet & (hi > 180.0 - ANGLE_DEG) & (lo < ANGLE_DEG),
          tet & (lo < ANGLE_DEG), prism & (lo < EDGE_REL * h), tri & flat,
-         tri & (lo < ANGLE_DEG), (tet | prism) & flat, tet | prism | tri],
-        ["spire", "sliver_kite", "wedge", "thin_prism", "degenerate",
-         "wedge", "degenerate", "good"], "not_applicable")
+         tri & (lo < ANGLE_DEG), (tet | prism) & flat, tet | prism | tri]))]
     angled = tet | (tri & ~flat)
     lo_out, hi_out = np.full(n, None, object), np.full(n, None, object)
     lo_out[angled], hi_out[angled] = lo[angled], hi[angled]
-    return [QualityReport(*row) for row in zip(
+    return tuple(QualityReport(*row) for row in zip(
         ids.tolist(), label.tolist(), lo_out.tolist(), hi_out.tolist(),
-        min_edge.tolist(), min_face.tolist(), volume.tolist())]
+        min_edge.tolist(), min_face.tolist(), volume.tolist()))

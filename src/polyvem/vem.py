@@ -14,6 +14,7 @@ package.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 import numpy as np
@@ -26,8 +27,10 @@ UNDERFLOW = ("stiffness underflows to zero (length scale or material out "
              "of range)")
 
 
+@functools.cache
 def constitutive_matrix(material, dim):
-    """Isotropic Hooke matrix in Voigt notation with engineering shear.
+    """Isotropic Hooke matrix in Voigt notation with engineering shear,
+    built once per (material, dim) and read-only.
 
     2D is plane strain (3x3); 3D is the full 6x6 with Voigt order
     (xx, yy, zz, yz, xz, xy).
@@ -41,6 +44,7 @@ def constitutive_matrix(material, dim):
     C[:dim, :dim] = lam
     C[normal, normal] += 2 * mu
     C[shear, shear] = mu
+    C.setflags(write=False)
     return C
 
 
@@ -107,8 +111,7 @@ def block_diagonal(block, dim):
 def _scatter(out, flat, values):
     """out.flat[flat] += values (broadcast to flat's shape), with one
     np.add.at that adds in C order of `flat`."""
-    np.add.at(out.reshape(-1), flat.ravel(),
-              np.broadcast_to(values, flat.shape).ravel())
+    np.add.at(out.reshape(-1), flat, values)
 
 
 def _solve(A, B, ids, message):
@@ -133,7 +136,7 @@ def lump(M, rho, volume, dim, convex, ids=None):
     by its index in `ids`.
     """
     row_sum = M.sum(axis=-1)
-    diag = np.diagonal(M, axis1=-2, axis2=-1)
+    diag = M.diagonal(0, -2, -1)
     reject(diag.min(axis=-1) <= 0.0, "mass diagonal has a non-positive "
            "entry", ids)
     row = np.asarray(convex) & (row_sum.min(axis=-1) > 0.0)
@@ -181,12 +184,13 @@ def group_matrices(mesh, ids, alpha0="unit"):
     vol, h = g.volume[ids], g.diameter[ids]
     ok = np.isfinite(vol) & np.isfinite(h) & (vol > 0.0)
     if not ok.all():
-        k = np.argmin(ok)
-        what = "positive" if np.isfinite([vol[k], h[k]]).all() else "finite"
-        raise ValidationError(f"element {ids[k]}: non-{what} measure "
-                              f"{float(vol[k])!r}")
-    moments = np.array([g.scaled_moments[key] for key in _MOMENTS[dim]])[
-        :, ids].T
+        k = ok.argmin()
+        raise ValidationError(f"element {ids[k]}: " + (
+            f"non-positive measure {float(vol[k])!r}" if np.isfinite(
+                [vol[k], h[k]]).all() else meshmod.NON_FINITE.format(
+                    volume=vol[k], diameter=h[k])))
+    moments = np.array([g.scaled_moments[key] for key in _MOMENTS[dim]]).take(
+        ids, 1).T
     reject(~np.isfinite(moments).all(axis=1), "non-finite second moment "
            "(length scale out of range)", ids)
     nodes = meshmod.element_nodes(mesh, ids)
@@ -204,13 +208,13 @@ def group_matrices(mesh, ids, alpha0="unit"):
     D0[..., 1:] = (mesh.vertices[nodes] - g.centroid[ids][:, None]) / h[
         :, None, None]
     D = (D0[:, None] @ _BASIS[dim]).reshape(n_el, dim * n, -1)
-    DT = np.swapaxes(D, 1, 2)
+    DT = D.swapaxes(1, 2)
 
     # Strain-energy projector.
     C = constitutive_matrix(mesh.material, dim)
     B = _MODES[dim] / h[:, None, None]
     stress_modes = C @ B
-    Gfull = np.swapaxes(B, 1, 2) @ stress_modes * vol[:, None, None]
+    Gfull = B.swapaxes(1, 2) @ stress_modes * vol[:, None, None]
     reject(~Gfull.any(axis=(1, 2)) & B.any(axis=(1, 2)), UNDERFLOW, ids)
     G = Gfull.copy()
     G[:, :n_rigid] = (DT @ D)[:, :n_rigid] / n
@@ -218,8 +222,8 @@ def group_matrices(mesh, ids, alpha0="unit"):
     Bhat[:, :n_rigid] = DT[:, :n_rigid] / n
     # Face tractions of the modes, weighted by the one-point rule (a hat
     # integrates to area / dim over a simplex), scattered in face order.
-    traction = np.ascontiguousarray(np.swapaxes(strain_operator(
-        normals[..., None, :]), -1, -2)) @ stress_modes[:, None]
+    traction = np.ascontiguousarray(strain_operator(
+        normals[..., None, :]).swapaxes(-1, -2)) @ stress_modes[:, None]
     w = (areas / dim)[..., None, None] * traction[..., n_rigid:]
     rows = el[..., None] * 2 * n_rigid + np.arange(n_rigid, 2 * n_rigid)
     dofs = np.arange(dim) * n + local[..., None]
@@ -227,19 +231,18 @@ def group_matrices(mesh, ids, alpha0="unit"):
     PiStar = _solve(G, Bhat, ids,
                     "singular projector system (degenerate element)")
     Pi = D @ PiStar
-    Kc = np.swapaxes(PiStar, 1, 2) @ Gfull @ PiStar
+    Kc = PiStar.swapaxes(1, 2) @ Gfull @ PiStar
     # Stabilization scale alpha0: "auto" is 1 in 2D and h_E in 3D.
     a0 = {"auto": 1.0 if dim == 2 else h, "unit": 1.0}.get(alpha0, alpha0)
-    floor = np.asarray(a0, float) * np.trace(C) / (3 * dim - 3)
-    Sd = np.maximum(np.reshape(floor, (-1, 1)),
-                    np.diagonal(Kc, axis1=1, axis2=2))
+    floor = np.asarray(a0, float) * C.trace() / (3 * dim - 3)
+    Sd = np.maximum(floor.reshape(-1, 1), Kc.diagonal(0, 1, 2))
     I_Pi = np.eye(dim * n) - Pi
-    Ks = np.swapaxes(I_Pi, 1, 2) @ (Sd[..., None] * I_Pi)
+    Ks = I_Pi.swapaxes(1, 2) @ (Sd[..., None] * I_Pi)
 
     # Scalar L2 (= elliptic) projector and the mass, one block per
     # displacement component.
     G0 = np.zeros((n_el, dim + 1, dim + 1))
-    G0[:, 0] = (np.swapaxes(D0, 1, 2) @ D0)[:, 0] / n
+    G0[:, 0] = (D0.swapaxes(1, 2) @ D0)[:, 0] / n
     G0[:, 1:, 1:] = (vol / h ** 2)[:, None, None] * np.eye(dim)
     B0 = np.zeros((n_el, dim + 1, n))
     B0[:, 0] = 1.0 / n
@@ -250,8 +253,8 @@ def group_matrices(mesh, ids, alpha0="unit"):
                 "singular L2 projector system (degenerate element)")
     H = rho * moments.reshape(n_el, dim + 1, dim + 1)
     I_Pi0 = np.eye(n) - D0 @ S0
-    Ms = (rho * vol)[:, None, None] * np.swapaxes(I_Pi0, 1, 2) @ I_Pi0
-    M = block_diagonal(np.swapaxes(S0, 1, 2) @ H @ S0 + Ms, dim)
+    Ms = (rho * vol)[:, None, None] * I_Pi0.swapaxes(1, 2) @ I_Pi0
+    M = block_diagonal(S0.swapaxes(1, 2) @ H @ S0 + Ms, dim)
     return ElementMatrices(Kc + Ks, Kc, Ks, M, block_diagonal(Ms, dim),
                            nodes, D, Pi, D0, G0, B0, S0)
 

@@ -242,10 +242,18 @@ def test_extreme_length_scale_timestep_names_element(tmp_path, capsys):
         "error: element 0: non-finite mass-normalized stiffness\n")
 
 
+def _non_finite(name, method, volume, diameter):
+    """A case refused for a non-finite measure, naming both values; its id
+    names only the volume."""
+    return pytest.param(
+        name, method, f"non-finite measure (volume {volume}, diameter "
+        f"{diameter})", id=f"{name}-{method}-non-finite measure {volume}")
+
+
 @pytest.mark.parametrize("name, method, message", [
-    ("wedge", "fem", "non-finite measure inf"),
-    ("kite", "vem", "non-finite measure inf"),
-    ("prism3d", "vem", "non-finite measure nan"),
+    _non_finite("wedge", "fem", "inf", "1.4142135623730950e+150"),
+    _non_finite("kite", "vem", "inf", "2.0000000000000000e+150"),
+    _non_finite("prism3d", "vem", "nan", "1.4999999999999999e+150"),
     ("tri2d", "vem", None), ("tri2d", "fem", None)])
 def test_overflowing_length_scale_timestep_names_element(
         tmp_path, capsys, name, method, message):

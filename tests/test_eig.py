@@ -337,10 +337,12 @@ def test_extreme_length_scale_named_not_linalg_error():
     ("wedge", "fem", "inf"), ("prism3d", "vem", "nan")])
 def test_overflowing_measure_named_non_finite(name, variant, measure):
     # At 1e150 the element volume overflows to inf (or, through inf - inf,
-    # NaN): validation names the measure non-finite, with no warning.
+    # NaN): validation names the measure non-finite, with both values (the
+    # diameter stays finite), and no warning.
     mesh = benchmarks.gen_benchmark(name, 1e-1, variant)
-    with pytest.raises(ValidationError, match=f"^element 0: non-finite "
-                       f"measure {measure}$"):
+    with pytest.raises(ValidationError, match=(
+            fr"^element 0: non-finite measure \(volume {measure}, "
+            r"diameter [0-9.]+e\+150\)$")):
         _scaled(mesh, 1e150)
 
 
@@ -468,19 +470,22 @@ def test_unknown_method_is_a_validation_error(call):
                      "FEM"]) == 1  # a usage error: --method has choices
 
 
-@pytest.mark.parametrize("call", [eig.critical_dt, dynamics.beam_problem])
+@pytest.mark.parametrize("call", [eig.critical_dt, dynamics.beam_problem,
+                                  dynamics.assemble])
 @pytest.mark.parametrize("alpha0", [0, -1, float("nan"), float("inf"),
                                     "Auto", None])
 def test_library_refuses_a_bad_preset(call, alpha0):
-    # vem.preset is the one rule, with the CLI's message.  Before, 0 and -1
-    # ran the floor-free stabilization (omega* 4.9459e4 on this kite) and
-    # "Auto" raised a raw numpy ValueError.
-    mesh = benchmarks.gen_benchmark("kite", 1e-5, "vem")
+    # vem.preset is the one rule, with the CLI's message, under either
+    # method.  Before, 0 and -1 ran the floor-free stabilization (omega*
+    # 4.9459e4 on this kite), "Auto" raised a raw numpy ValueError, and
+    # the fem method ran with any preset (omega* 6.0202e8).
     message = ("alpha0 must be auto, unit or a positive finite number, "
                f"got {alpha0!r}")
-    with pytest.raises(ValidationError) as info:
-        call(mesh, "vem", alpha0=alpha0)
-    assert str(info.value) == message
+    for method in ("vem", "fem"):
+        mesh = benchmarks.gen_benchmark("kite", 1e-5, method)
+        with pytest.raises(ValidationError) as info:
+            call(mesh, method, alpha0=alpha0)
+        assert str(info.value) == message
 
 
 def test_preset_text_and_number_agree():

@@ -117,10 +117,27 @@ def test_scaled_moment_example_cube():
 
 
 def test_rejects_negative_exponent():
+    # Before: a plain ValueError, unlike every other bad library input.
     m = unit_tet_mesh()
     integ = meshmod.element_integrator(m, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(meshmod.ValidationError, match="nonnegative"):
         integ.integrate((-1, 0, 0))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: hni.PolygonIntegrator(np.eye(3)),
+     "polygon vertices must be 2D"),
+    (lambda: hni.PolygonIntegrator(np.array([[0.0, 0], [0, 0], [0, 1]])),
+     "polygon has a zero-length edge"),
+    (lambda: hni.PolyhedronIntegrator(np.eye(2), [(0, 1, 0)]),
+     "polyhedron vertices must be 3D"),
+    (lambda: hni.PolyhedronIntegrator(np.eye(3), [(0, 1, 1)]),
+     "zero-area face in polyhedron")],
+    ids=["polygon-3d", "zero-edge", "polyhedron-2d", "zero-face"])
+def test_bad_integrator_input_is_a_validation_error(build, message):
+    # Before: a plain ValueError for each.
+    with pytest.raises(meshmod.ValidationError, match=f"^{message}$"):
+        build()
 
 
 def test_degree_six_closed_forms():

@@ -605,7 +605,7 @@ def test_element_nodes_rejects_mixed_node_counts(beam_meshes):
     mesh = beam_meshes[("A", "vem")]
     sizes = np.diff(mesh.geometry.node_start)
     mixed = [int(np.flatnonzero(sizes == n)[0]) for n in (8, 12)]
-    with pytest.raises(ValueError, match="differ in node count"):
+    with pytest.raises(ValidationError, match="differ in node count"):
         meshmod.element_nodes(mesh, mixed)
 
 

@@ -171,3 +171,24 @@ def test_classify_matches_mesh_report(name, eps, variant):
     for r, flat in zip(reports, g.degenerate.tolist()):
         if r.classification in ("degenerate", "good"):
             assert flat == (r.classification == "degenerate")
+
+
+def test_mesh_report_classifies_once_per_table(monkeypatch):
+    # auto_agglomerate reads the reports mesh_report built for the same
+    # mesh.  Each call returns a new list: mutating one leaves the next
+    # unchanged.  A new mesh of the same data has its own table.
+    calls, classify = [], quality._classify
+    monkeypatch.setattr(quality, "_classify",
+                        lambda mesh: calls.append(mesh) or classify(mesh))
+    mesh = benchmarks.gen_benchmark("kite", 1e-5, "fem")
+    reports = quality.mesh_report(mesh)
+    expected = list(reports)
+    assert agglomerate.auto_agglomerate(mesh)[0].num_elements == 1
+    assert len(calls) == 1
+    reports[0] = None
+    reports.append(None)
+    assert quality.mesh_report(mesh) == expected
+    assert len(calls) == 1
+    twin = Mesh(3, mesh.vertices, mesh.cells, mesh.material)
+    assert quality.mesh_report(twin) == expected
+    assert len(calls) == 2

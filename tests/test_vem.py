@@ -371,7 +371,8 @@ def test_non_finite_second_moment_names_an_unvalidated_element():
     # each.
     wide = [[0.0, 0, 0], [1e308, 0, 0], [-1e308, 1e-300, 0], [0, 0, 1]]
     needle = [[0.0, 0, 0], [1e150, 0, 0], [0, 1e-150, 0], [0, 0, 1e-150]]
-    for verts, message in ((wide, "non-finite measure 16666666.666666666$"),
+    for verts, message in ((wide, r"non-finite measure \(volume "
+                                  r"1.6666666666666666e\+07, diameter inf\)$"),
                            (needle, "non-finite second moment")):
         mesh = Mesh(3, np.array(verts), [tet_element((0, 1, 2, 3))])
         g = mesh.geometry
