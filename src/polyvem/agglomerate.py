@@ -169,12 +169,11 @@ def auto_agglomerate(mesh):
 
     Each flagged element absorbs the neighbor sharing the largest contact
     area until its volume reaches VOLUME_FLOOR * h_E^dim.  Returns the new
-    mesh and a mapping {new element id: tuple of original ids}.  A mesh with
-    nothing to merge comes back as the same object with the identity
-    mapping.
+    mesh and a mapping {new element id: tuple of original ids}.  The mesh
+    is validated once, up front; a mesh with nothing to merge comes back as
+    the same object with the identity mapping.
     """
-    reports = quality.mesh_report(mesh)
-    bad = [r.element for r in reports
+    bad = [r.element for r in quality.mesh_report(meshmod.validate_mesh(mesh))
            if r.classification not in ("good", "not_applicable")]
     groups = {i: {i} for i in range(mesh.num_elements)}
     owner = list(range(mesh.num_elements))
@@ -209,8 +208,6 @@ def auto_agglomerate(mesh):
 
     groups = sorted(sorted(m) for m in groups.values() if len(m) > 1)
     if not groups:
-        identity = {i: (i,) for i in range(mesh.num_elements)}
-        return meshmod.validate_mesh(mesh), identity, unmerged
-    out, mapping = _rebuild(mesh, groups)
-    meshmod.validate_mesh(out)
-    return out, mapping, unmerged
+        return mesh, {i: (i,) for i in range(mesh.num_elements)}, unmerged
+    # _rebuild checks every union; a kept element's checks are its own.
+    return (*_rebuild(mesh, groups), unmerged)

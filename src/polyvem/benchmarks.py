@@ -186,9 +186,9 @@ def _beam_2d(case):
         return 11.0 + delta0 - s / _BEAM_SLOPE
 
     K = [int(math.floor(ell(i))) for i in range(BEAM_COLS + 1)]
-    s_turn1 = _BEAM_SLOPE * delta0            # crossing of row line 11
-    s_turn2 = _BEAM_SLOPE * (1.0 + delta0)    # crossing of row line 10
-    c1, c2 = int(s_turn1), int(s_turn2)
+    # The columns where the cut crosses row line K[i]: a turn node there
+    # splits the cut cell into a triangle and a pentagon.
+    turns = [i for i in range(BEAM_COLS) if K[i] != K[i + 1]]
 
     points = {}  # node key -> (id, (x, y)), in id order
 
@@ -203,58 +203,42 @@ def _beam_2d(case):
     def cut_node(i):
         return add(("p", i), i, ell(i))
 
-    def turn_node(which):
-        return add(("s", which), *((s_turn1, 11) if which == 1 else
-                                   (s_turn2, 10)))
+    def turn_node(i):
+        return add(("s", i), _BEAM_SLOPE * (11 - K[i] + delta0), K[i])
 
     for i in range(BEAM_COLS + 1):
         for j in range(K[i] + 1):
             node(i, j)
     for i in range(BEAM_COLS + 1):
         cut_node(i)
-    turn_node(1)
-    turn_node(2)
+    for i in turns:
+        turn_node(i)
 
-    quads = {}      # fully kept cells: (col, row) -> loop
-    pieces = []     # cut-cell polygons: (loop, merge_down flag, col, row)
+    # fem fan-splits each polygon: the fully kept cells (quads), then the
+    # cut-cell pieces.  The vem cells: the quads not merged, then each
+    # piece, a thin one with the cell below it as a hexagon, then each turn
+    # cell's triangle and pentagon, joined on their shared edge.
+    quads, kept, pieces, cells, turn_cells = {}, {}, [], [], []
     for i in range(BEAM_COLS):
-        kept_rows = min(K[i], K[i + 1])
-        for r in range(kept_rows):
-            quads[i, r] = (node(i, r), node(i + 1, r), node(i + 1, r + 1),
-                           node(i, r + 1))
-        if i == c1 or i == c2:
-            which = 1 if i == c1 else 2
-            row = 11 if i == c1 else 10
-            tri = (node(i, row), turn_node(which), cut_node(i))
+        for r in range(min(K[i], K[i + 1])):
+            quads[i, r] = kept[i, r] = (node(i, r), node(i + 1, r),
+                                        node(i + 1, r + 1), node(i, r + 1))
+        row = K[i]
+        if i in turns:
+            tri = (node(i, row), turn_node(i), cut_node(i))
             pent = (node(i, row - 1), node(i + 1, row - 1),
-                    cut_node(i + 1), turn_node(which), node(i, row))
-            pieces.append((tri, "turn", i, row))
-            pieces.append((pent, "turn", i, row - 1))
-        else:
-            row = K[i]
-            piece = (node(i, row), node(i + 1, row), cut_node(i + 1),
-                     cut_node(i))
-            height = max(ell(i) - row, ell(i + 1) - row)
-            pieces.append((piece, height < _MERGE_HEIGHT, i, row))
-
-    # fem fan-splits each quad, then each piece, into triangles.  Cells:
-    # the quads not merged, then the pieces, a thin piece with the cell
-    # below it as a hexagon, and the two pieces of each turn last.
-    polygons = [*quads.values(), *(p[0] for p in pieces)]
-    merged, turns = [], {}
-    for loop, flag, col, row in pieces:
-        if flag == "turn":
-            turns.setdefault(col, []).append(loop)
-        elif flag:
-            below = quads.pop((col, row - 1))
-            merged.append((*below[:2], *loop[1:], loop[0]))
-        else:
-            merged.append(loop)
-    for col, (tri, pent) in sorted(turns.items()):
-        # tri = (d, S, P_col); pent = (a, b, P_right, S, d); they share S-d.
-        merged.append((*pent[:4], tri[2], tri[0]))
-    return (np.array([xy for _, xy in points.values()]), polygons,
-            [*quads.values(), *merged])
+                    cut_node(i + 1), turn_node(i), node(i, row))
+            pieces += [tri, pent]
+            turn_cells.append((*pent[:4], tri[2], tri[0]))
+            continue
+        piece = (node(i, row), node(i + 1, row), cut_node(i + 1),
+                 cut_node(i))
+        pieces.append(piece)
+        if ell(i) - row < _MERGE_HEIGHT:  # ell falls: the piece's height
+            piece = (*kept.pop((i, row - 1))[:2], *piece[1:], piece[0])
+        cells.append(piece)
+    return (np.array([xy for _, xy in points.values()]),
+            [*quads.values(), *pieces], [*kept.values(), *cells, *turn_cells])
 
 
 def _beam_mesh_2d(case, variant):

@@ -22,7 +22,9 @@ from .mesh import MeshError, ValidationError
 
 def main(argv=None):
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        _refuse_stray_option(parser, argv)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 is reserved for numerical
@@ -32,7 +34,8 @@ def main(argv=None):
         parser.print_usage()
         return 1
     try:
-        alpha0 = args.alpha0 = vem.preset(getattr(args, "alpha0", "auto"))
+        alpha0 = args.alpha0 = vem.preset(
+            getattr(args, "alpha0", vem.DEFAULT_ALPHA0))
         if args.version:
             print(f"polyvem {__version__} (config {_config_hash(alpha0)})")
         else:
@@ -62,54 +65,48 @@ def _build_parser():
                                      argument_default=argparse.SUPPRESS)
     common.add_argument("--alpha0",
                         help="stabilization preset: auto, unit, or a number")
-    parser = argparse.ArgumentParser(
-        prog="polyvem",
-        description=__doc__.splitlines()[0],
-        parents=[common])
+    parser = argparse.ArgumentParser(  # as _refuse_stray_option: in full
+        prog="polyvem", description=__doc__.splitlines()[0],
+        parents=[common], allow_abbrev=False)
     parser.add_argument("--version", action="store_true",
                         help="print version and config hash")
-    # Retired options, refused here as the subcommands refuse them: else
-    # argparse would take the value of one for the subcommand.
-    for old in ("--config", "--threads", "--lumping"):
-        parser.add_argument(old, help=argparse.SUPPRESS, type=lambda v, o=old:
-                            parser.error(f"unrecognized arguments: {o} {v}"))
     sub = parser.add_subparsers(dest="command")
+    parser.commands = sub.choices  # name -> subparser: where options end
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, func, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = add_parser("mesh-gen", help="generate a benchmark mesh file")
+    p = add_parser("mesh-gen", _cmd_mesh_gen, "generate a benchmark mesh file")
     p.add_argument("--name", required=True, choices=benchmarks.BENCHMARK_NAMES)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--variant", choices=("fem", "vem"), default="fem")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_mesh_gen)
 
-    p = add_parser("quality", help="per-element quality report (CSV)")
+    p = add_parser("quality", _cmd_quality, "per-element quality report (CSV)")
     p.add_argument("--mesh", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_quality)
 
-    p = add_parser("agglomerate", help="merge element groups")
+    p = add_parser("agglomerate", _cmd_agglomerate, "merge element groups")
     p.add_argument("--mesh", required=True)
-    g = p.add_mutually_exclusive_group()
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--groups",
                    help="semicolon-separated comma lists, e.g. '0,1;4,5'")
     g.add_argument("--auto", action="store_true",
                    help="merge every flagged element with neighbors")
     p.add_argument("--out", required=True)
     p.add_argument("--mapping", help="write old->new id mapping CSV here")
-    p.set_defaults(func=_cmd_agglomerate)
 
-    p = add_parser("timestep", help="element-eigenvalue dt estimate")
+    p = add_parser("timestep", _cmd_timestep, "element-eigenvalue dt estimate")
     p.add_argument("--mesh", required=True)
     p.add_argument("--method", choices=("fem", "vem"), required=True)
     p.add_argument("--out", help="CSV output (default: stdout summary)")
     p.add_argument("--dump-matrices",
                    help="directory for per-element K/M CSV dumps")
-    p.set_defaults(func=_cmd_timestep)
 
-    p = add_parser("eig-global", help="assembled maximum frequency")
+    p = add_parser("eig-global", _cmd_eig_global,
+                   "assembled maximum frequency")
     p.add_argument("--mesh", required=True)
     p.add_argument("--method", choices=("fem", "vem"), required=True)
     g = p.add_mutually_exclusive_group()
@@ -117,9 +114,8 @@ def _build_parser():
                    help="comma list of node ids with all dofs fixed")
     g.add_argument("--beam-bcs", action="store_true",
                    help="apply the tapered-beam boundary conditions")
-    p.set_defaults(func=_cmd_eig_global)
 
-    p = add_parser("simulate", help="tapered-beam explicit run")
+    p = add_parser("simulate", _cmd_simulate, "tapered-beam explicit run")
     p.add_argument("--case", choices=("A", "B"), required=True)
     p.add_argument("--method", choices=("fem", "vem"), required=True)
     p.add_argument("--dt-factor", type=float,
@@ -130,28 +126,44 @@ def _build_parser():
                    default=dynamics.BEAM_TRANSITS)
     p.add_argument("--out", required=True, help="history CSV path")
     p.add_argument("--summary", help="run summary JSON path")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = add_parser("integrate", help="integrate a monomial over one "
-                                         "element")
+    p = add_parser("integrate", _cmd_integrate,
+                   "integrate a monomial over one element")
     p.add_argument("--element", type=int, default=0)
-    g = p.add_mutually_exclusive_group()
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--mesh")
     g.add_argument("--unit-tet", action="store_true")
     g.add_argument("--unit-cube", action="store_true")
-    g = p.add_mutually_exclusive_group()
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--exp",
                    help="comma-separated exponents, e.g. 2,1,0")
     g.add_argument("--moments", action="store_true",
                    help="print the scaled order-<=2 moment table instead")
-    p.set_defaults(func=_cmd_integrate)
 
-    p = add_parser("tables", help="regenerate benchmark summary tables")
+    p = add_parser("tables", _cmd_tables,
+                   "regenerate benchmark summary tables")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--with-dynamics", action="store_true",
                    help="include the measured beam run table")
-    p.set_defaults(func=_cmd_tables)
     return parser
+
+
+def _refuse_stray_option(parser, argv):
+    """Refuse the first option before the subcommand that polyvem does not
+    take, named in full, with its value, as a subcommand refuses one
+    (argparse would take that value for the subcommand)."""
+    tokens = iter(argv)
+    for token in tokens:
+        if token in parser.commands:
+            return
+        if token.startswith("-") and token.split("=")[0] not in (
+                "--alpha0", "--version", "-h", "--help"):
+            value = next(tokens, "-")
+            parser.error(f"unrecognized arguments: {token}" + (
+                "" if value[:1] == "-" or value in parser.commands
+                else f" {value}"))
+        if token == "--alpha0":
+            next(tokens, None)
 
 
 def _cmd_mesh_gen(args):
@@ -188,12 +200,10 @@ def _cmd_agglomerate(args):
         for e in unmerged:
             print(f"warning: element {e} flagged but has no merge partner",
                   file=sys.stderr)
-    elif args.groups:
+    else:
         groups = [tuple(_int_list(part, "--groups"))
                   for part in args.groups.split(";") if part.strip()]
         merged, mapping = agglomerate.merge_groups(mesh, groups)
-    else:
-        raise ValidationError("agglomerate needs --groups or --auto")
     meshmod.save_mesh(merged, args.out)
     if args.mapping:
         _write_csv(args.mapping, "new_element_id,old_element_ids",
@@ -284,12 +294,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_integrate(args):
-    if args.unit_tet or args.unit_cube:
-        mesh = _unit_shape(args.unit_cube)
-    elif args.mesh:
-        mesh = meshmod.load_mesh(args.mesh)
-    else:
-        raise ValidationError("integrate needs --mesh or --unit-tet/--unit-cube")
+    mesh = (_unit_shape(args.unit_cube) if args.unit_tet or args.unit_cube
+            else meshmod.load_mesh(args.mesh))
     if not 0 <= args.element < mesh.num_elements:
         raise ValidationError(f"element {args.element} out of range "
                               f"[0, {mesh.num_elements})")
@@ -300,8 +306,6 @@ def _cmd_integrate(args):
             name = ",".join(str(v) for v in key)
             print(f"\"{name}\",{moments[key][args.element]:.17g}")
         return
-    if args.exp is None:
-        raise ValidationError("integrate needs --exp (or --moments)")
     exponent = tuple(_int_list(args.exp, "--exp"))
     integ = meshmod.element_integrator(mesh, args.element)
     if len(exponent) != mesh.dimension:

@@ -10,9 +10,10 @@ The integrator is the central-difference update with a diagonal mass, in
 displacement-increment form; fixed dofs are held at rest and driven dofs
 are overwritten each step.  ``run_beam``, the one beam driver, reproduces
 the pulse-loaded tapered-beam runs: fixed at x = 0, an axial quartic pulse
-at x = 4, histories probed mid-beam and reported in normalized time and
-displacement.  A case's pulse duration is a constant of the problem,
-``BEAM_PULSE_DURATION``, whatever the method or stabilization preset.
+at x = 4, histories probed at the mid-beam node ``BEAM_PROBE`` (a mesh with
+no node there, or at either end, is refused) and reported in normalized
+time and displacement.  A case's pulse duration is a constant of the
+problem, ``BEAM_PULSE_DURATION``, whatever the method or preset.
 
 K is only an ``eig.Csr``, polyvem's own CSR arrays; a run refuses any other
 K and applies it with scipy's C++ kernel loaded from its file
@@ -34,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import eig
+from . import eig, vem
 from .mesh import ValidationError
 
 BEAM_PULSE_AMPLITUDE = 1.0 / 16.0  # peak of (t/tau)^4 - 2(t/tau)^3 + (t/tau)^2
@@ -50,7 +51,7 @@ BEAM_DT_FACTOR, BEAM_TRANSITS = 0.9, 3.0
 PARALLEL_MIN_WORK = 1e8
 
 
-def assemble(mesh, method, alpha0="unit"):
+def assemble(mesh, method, alpha0=vem.DEFAULT_ALPHA0):
     """Assembled stiffness (``eig.Csr``) and lumped mass vector for a mesh."""
     return assemble_systems(mesh, eig.element_systems(mesh, method, alpha0))
 
@@ -160,13 +161,15 @@ def _banded(K, driven):
 def _meet(flags, dots, me, step, dot, alive):
     """The step's barrier: publish this process's partial u @ u, then its
     step, wait for the other's (spin 64 reads, then yield between reads),
-    and return its partial u @ u, or None once it has stopped."""
+    and return its partial u @ u, or None once it has stopped.  The other
+    (in the helper: its parent) died mid-run only if it is gone and its
+    step still is not: it publishes its last step before it leaves."""
     dots[2 * (step & 1) + me], flags[me] = dot, step  # in this order
     spin = 0
     while flags[1 - me] == step - 1:
         spin += 1
         if spin > 64:
-            if not alive():  # in the helper: its parent died
+            if not alive() and flags[1 - me] == step - 1:
                 raise RuntimeError("the helper process died mid-run")
             os.sched_yield()
     return dots[2 * (step & 1) + 1 - me] if flags[1 - me] >= step else None
@@ -341,24 +344,21 @@ def central_difference_run(K, M_lumped, bcs, dt, t_max, probes,
 def beam_boundary_dofs(mesh):
     """(fixed dofs, driven x-dofs) for the beam: clamp x=0, drive x=4.  A
     mesh with no node at either end is not a beam and is refused."""
-    n = mesh.num_vertices
-    x = mesh.vertices[:, 0]
-    left = np.where(np.abs(x) < 1e-12)[0]
-    right = np.where(np.abs(x - 4.0) < 1e-12)[0]
+    n, x = mesh.num_vertices, mesh.vertices[:, 0]
+    left, right = (np.flatnonzero(np.abs(x - end) < 1e-12) for end in (0, 4))
     if not (left.size and right.size):
         raise ValidationError("beam boundary conditions need nodes at "
                               "x = 0 and x = 4 (not a beam mesh)")
-    fixed = np.concatenate([left, left + n, left + 2 * n,
-                            right + n, right + 2 * n])
-    driven = right.copy()
-    return np.unique(fixed), driven
+    return np.unique(np.concatenate([left, left + n, left + 2 * n,
+                                     right + n, right + 2 * n])), right
 
 
 def find_probe_dof(mesh, point):
-    """(x dof of the node nearest `point`, is the node at `point`?)"""
+    """The x dof of the node at `point`; no node there is refused."""
     d2 = ((mesh.vertices - np.asarray(point)) ** 2).sum(axis=1)
-    node = int(np.argmin(d2))
-    return node, d2[node] < 1e-20
+    if not d2.min(initial=np.inf) < 1e-20:
+        raise ValidationError(f"no mesh node at the probe point {point}")
+    return int(d2.argmin())
 
 
 @dataclass
@@ -409,7 +409,7 @@ class BeamProblem:
         raise ValidationError(f"unknown dt basis {basis!r}")
 
 
-def beam_problem(mesh, method, alpha0="auto"):
+def beam_problem(mesh, method, alpha0=vem.DEFAULT_ALPHA0):
     """Build a BeamProblem from one element sweep of the mesh."""
     systems = eig.element_systems(mesh, method, alpha0)
     report = eig.time_step_report(systems)
@@ -426,7 +426,7 @@ def beam_pulse_duration(case):
 
 def tapered_beam_experiment(case, method, dt_factor=BEAM_DT_FACTOR,
                             dt_basis="element", t_max_transits=BEAM_TRANSITS,
-                            alpha0="auto", tau=None):
+                            alpha0=vem.DEFAULT_ALPHA0, tau=None):
     """Run the pulse-loaded beam case and return the normalized history.
 
     dt_basis "element" uses the element-eigenvalue bound 2/max_E omega_E;
@@ -450,13 +450,10 @@ def run_beam(problem, dt, t_max_transits, tau):
     times, probed at BEAM_PROBE, with the history normalized by the
     transit time and the pulse peak."""
     bcs = BcSchedule(fixed=problem.fixed, driven=problem.driven, tau=tau)
-    probe_dof, exact = find_probe_dof(problem.mesh, BEAM_PROBE)
-    if not exact:
-        import warnings
-        warnings.warn("probe point is not a mesh node; using nearest node")
     result = central_difference_run(
         problem.K, problem.M, bcs, dt, t_max_transits * problem.transit,
-        [probe_dof], divergence_limit=1e3 * BEAM_PULSE_AMPLITUDE)
+        [find_probe_dof(problem.mesh, BEAM_PROBE)],
+        divergence_limit=1e3 * BEAM_PULSE_AMPLITUDE)
     return BeamExperiment(
         method=problem.method,
         dt=dt,

@@ -110,7 +110,7 @@ def element_groups(mesh):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _faults names inf, NaN
-def group_system(mesh, ids, method, alpha0="unit"):
+def group_system(mesh, ids, method, alpha0):
     """(ids, node ids, K, lumped M) of elements `ids`, one group of
     element_groups, under one method; all but ids are stacks whose row k
     is element ids[k]."""
@@ -129,7 +129,7 @@ def group_system(mesh, ids, method, alpha0="unit"):
     return ids, nodes, K, ml
 
 
-def element_systems(mesh, method, alpha0="unit"):
+def element_systems(mesh, method, alpha0):
     """Element sweep: the group_system of every group of element_groups.
     The preset is read by ``vem.preset`` first, under either method."""
     alpha0 = vem.preset(alpha0)
@@ -158,7 +158,7 @@ def time_step_report(systems):
     return TimeStepReport(omegas, omega_star, critical_step(omega_star), arg)
 
 
-def critical_dt(mesh, method, alpha0="unit"):
+def critical_dt(mesh, method, alpha0=vem.DEFAULT_ALPHA0):
     """Element-eigenvalue critical time step for the whole mesh."""
     return time_step_report(element_systems(mesh, method, alpha0))
 

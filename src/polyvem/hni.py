@@ -33,12 +33,6 @@ def monomial_value(point, exponent):
     return out
 
 
-def _lowered(exponent, axis):
-    e = list(exponent)
-    e[axis] -= 1
-    return tuple(e)
-
-
 def _refused(message):
     """The ValidationError (``mesh``'s) that refuses bad integrator input."""
     from .mesh import ValidationError  # mesh imports this module
@@ -93,7 +87,7 @@ class _Facet:
         for axis, e in enumerate(exponent):
             if e and self.x0[axis] != 0.0:
                 total += self.x0[axis] * e * self.integrate(
-                    _lowered(exponent, axis))
+                    exponent[:axis] + (e - 1,) + exponent[axis + 1:])
         value = total / (self.k + sum(exponent))
         self.memo[exponent] = value
         return value
@@ -116,18 +110,14 @@ class PolygonIntegrator:
         if self.vertices.shape[1] != 2:
             raise _refused("polygon vertices must be 2D")
         edges = []
-        n = len(self.vertices)
-        for i in range(n):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % n]
+        for a, b in zip(self.vertices, np.roll(self.vertices, -1, axis=0)):
             t = b - a
-            # Outward normal of a CCW loop.
-            nu = np.array([t[1], -t[0]])
+            nu = np.array([t[1], -t[0]])  # outward normal of a CCW loop
             norm = np.linalg.norm(nu)
             if norm == 0.0:
                 raise _refused("polygon has a zero-length edge")
-            nu /= norm
-            edges.append((float(nu @ a), _edge(a, b, np.linalg.norm(b - a))))
+            edges.append((float(nu / norm @ a),
+                          _edge(a, b, np.linalg.norm(t))))
         self._polygon = _Facet(np.zeros(2), edges, 2)
 
     def integrate(self, exponent):

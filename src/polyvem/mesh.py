@@ -533,7 +533,7 @@ def _held_before(faces, owner, n_elements):
 
 def _crossing(corners, starts, sizes):
     """Per 2D loop (corner points, stacked): do two non-adjacent edges
-    cross?  Loops are grouped by length; a group tests all edge pairs."""
+    cross?  Loops are grouped by length; a group tests all its pairs."""
     def orient(a, b, c):
         return _cross2(b - a, c - a)
 
@@ -541,13 +541,20 @@ def _crossing(corners, starts, sizes):
     for n in 4 + np.flatnonzero(np.bincount(sizes)[4:]):
         group = np.flatnonzero(sizes == n)
         p = corners[starts[group][:, None] + np.arange(n)]
-        i, j = np.array([(i, j) for i in range(n) for j in range(i + 2, n)
-                         if (j + 1) % n != i]).T
+        i, j = _apart(n)
         p1, p2, p3, p4 = p[:, i], p[:, (i + 1) % n], p[:, j], p[:, (j + 1) % n]
         out[group] = (((orient(p3, p4, p1) > 0) != (orient(p3, p4, p2) > 0))
                       & ((orient(p1, p2, p3) > 0) != (orient(p1, p2, p4) > 0))
                       ).any(axis=1)
     return out
+
+
+@cache
+def _apart(n):
+    """The pairs (i, j), i < j, of an n-gon's non-adjacent edges (edge k
+    joins corners k and k + 1), read-only."""
+    return _frozen(*np.array([(i, j) for i in range(n) for j in range(
+        i + 2, n) if (j + 1) % n != i]).T)
 
 
 def reject(bad, message, ids=None):

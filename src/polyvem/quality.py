@@ -86,11 +86,20 @@ def mesh_report(mesh):
 
 def _classify(mesh):
     """The QualityReports of the elements, classified in one array pass.
-    Polytopes report metrics only."""
+    Polytopes report metrics only.  The mesh need not be valid, but an
+    element with a vertex id out of range is refused by the table's
+    message."""
     g, dim = mesh.geometry, mesh.dimension
     n = mesh.num_elements
     ids = np.arange(n)
     owner, first = g.face_owner, g.face_start[:-1]
+    top = mesh.num_vertices
+    stray = meshmod._any(np.concatenate([
+        who[(vertex < 0) | (vertex >= top)] for who, vertex in (
+            (owner.repeat(g.faces.shape[1]), g.faces.ravel()),
+            (ids.repeat(np.diff(g.node_start)), g.nodes))]), n)
+    if stray.any():
+        raise meshmod.ValidationError(g.error(stray.argmax()))
     ranked = g.face_areas[np.lexsort((g.face_areas, owner))]
     min_face = ranked[first]
     second = ranked[np.minimum(first + 1, len(ranked) - 1)]

@@ -151,6 +151,11 @@ ElementMatrices = namedtuple(
     "ElementMatrices", "K Kc Ks M Ms nodes D Pi D0 G0 B0 S0")
 
 
+# The preset of every entry point that is given none (the CLI's too):
+# "auto" scales the stability by h_E in 3D (``group_matrices``).
+DEFAULT_ALPHA0 = "auto"
+
+
 def preset(alpha0):
     """The stabilization preset alpha0: "auto", "unit", or a positive
     finite number or its text, as a float; any other value is refused."""
@@ -166,7 +171,7 @@ def preset(alpha0):
     return value
 
 
-def group_matrices(mesh, ids, alpha0="unit"):
+def group_matrices(mesh, ids, alpha0):
     """K_E and the consistent M_E of virtual elements with equal node and
     face counts, stacked: row k is mesh element ids[k].
 

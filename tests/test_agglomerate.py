@@ -285,6 +285,31 @@ def test_2d_group_without_shared_edge_rejected(loops):
         agglomerate.merge(plane_mesh(loops), (0, 1))
 
 
+def grid_mesh(cols, rows):
+    """Unit squares of a cols x rows grid, cell (i, j) at element
+    j * cols + i."""
+    x, y = np.meshgrid(np.arange(cols + 1.0), np.arange(rows + 1.0))
+    verts = np.column_stack([x.ravel(), y.ravel()])
+
+    def v(i, j):
+        return j * (cols + 1) + i
+    return Mesh(2, verts, [Element(loop=(v(i, j), v(i + 1, j),
+                                         v(i + 1, j + 1), v(i, j + 1)))
+                           for j in range(rows) for i in range(cols)])
+
+
+@pytest.mark.parametrize("group, message", [
+    # Every cell of a 3 x 3 grid but the centre (4) and the bottom right
+    # corner (2): cells 1 and 5 meet at one vertex only.
+    ((0, 1, 3, 5, 6, 7, 8), "is not edge-connected or touches itself at a "
+                            "vertex"),
+    ((0, 1, 2, 3, 5, 6, 7, 8), "has a hole or is disconnected"),
+], ids=["pinched", "hole"])
+def test_2d_union_that_is_no_simple_loop_rejected(group, message):
+    with pytest.raises(MergeError, match=f"^merged region {message}$"):
+        agglomerate.merge(grid_mesh(3, 3), group)
+
+
 def test_coincident_2d_triangles_rejected():
     with pytest.raises(ValidationError,
                        match="^element 1: overlaps an earlier element"):

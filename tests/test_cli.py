@@ -98,6 +98,14 @@ def test_integrate_element_out_of_range(capsys, element):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("shape, exp", [("--unit-tet", "1,0"),
+                                        ("--unit-cube", "1,0,0,0")])
+def test_integrate_exponent_of_the_wrong_arity_rejected(capsys, shape, exp):
+    assert run(["integrate", shape, "--exp", exp]) == 1
+    assert capsys.readouterr().err == (
+        "error: exponent arity must match mesh dimension\n")
+
+
 def test_moments_table(capsys):
     # The header and one row per exponent of order <= 2, lowest first.
     assert run(["integrate", "--unit-cube", "--moments"]) == 0
@@ -173,6 +181,21 @@ def test_agglomerate_auto(tmp_path):
     assert run(["agglomerate", "--mesh", str(mesh_path), "--auto",
                 "--out", str(out_path)]) == 0
     assert meshmod.load_mesh(out_path).num_elements == 1
+
+
+def test_agglomerate_auto_warns_of_an_element_without_partner(tmp_path,
+                                                              capsys):
+    # The kite's sliver alone: flagged, with no neighbour to merge with.
+    kite = meshmod.tet_mesh(np.array([[-1.0, 0, 1e-5], [1, 0, 1e-5],
+                                      [0, -1, -1e-5], [0, 1, -1e-5]]),
+                            [(0, 1, 2, 3)])
+    mesh_path, out_path = tmp_path / "sliver.json", tmp_path / "auto.json"
+    meshmod.save_mesh(kite, mesh_path)
+    assert run(["agglomerate", "--mesh", str(mesh_path), "--auto",
+                "--out", str(out_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "warning: element 0 flagged but has no merge partner\n"
+    assert out == f"wrote {out_path}: 1 elements\n"
 
 
 def test_eig_global(tmp_path, capsys):
@@ -383,6 +406,19 @@ def test_simulate_vem(tmp_path, capsys):
     assert info["processes"] == 1
     assert info["step_us"] == pytest.approx(
         1e6 * info["wall_seconds"] / info["steps"], rel=1e-12)
+
+
+def test_diverging_simulate_is_a_numerical_failure(tmp_path, capsys):
+    # Three times the element bound diverges within a few steps: exit 2,
+    # with the history and summary up to the divergence step written.
+    hist, summary = tmp_path / "h.csv", tmp_path / "s.json"
+    assert run(["simulate", "--case", "A", "--method", "vem", "--dt-factor",
+                "3", "--out", str(hist), "--summary", str(summary)]) == 2
+    err = capsys.readouterr().err
+    info = json.loads(summary.read_text())
+    assert info["diverged"] and err == (
+        f"numerical failure: run diverged at step {info['steps']}\n")
+    assert len(hist.read_text().splitlines()) == info["steps"] + 2
 
 
 def test_unknown_flag_rejected(capsys):
@@ -655,6 +691,42 @@ def test_common_option_before_or_after_subcommand(tmp_path, capsys, option,
         assert f"omega_star={omega}" in capsys.readouterr().out, argv
 
 
+@pytest.mark.parametrize("name, eps, omega", [
+    ("beamA", None, "4.768334e+05"), ("kite", "1e-5", "5.924122e+04")])
+def test_one_default_preset_gives_one_omega(tmp_path, capsys, name, eps,
+                                            omega):
+    # The library's entry points and the CLI all run vem.DEFAULT_ALPHA0
+    # ("auto") when given no preset, so one mesh has one omega*.  The kite
+    # is stretched from x in [-1, 1] to the beam's ends, x in [0, 4], so
+    # that beam_problem takes it.
+    from polyvem import dynamics, eig, vem
+    path = tmp_path / "mesh.json"
+    run(["mesh-gen", "--name", name, "--variant", "vem", "--out", str(path)]
+        + (["--eps", eps] if eps else []))
+    mesh = meshmod.load_mesh(path)
+    if name == "kite":
+        mesh = meshmod.Mesh(3, mesh.vertices * [2.0, 1.0, 1.0]
+                            + [2.0, 0.0, 0.0], mesh.elements, mesh.material)
+        meshmod.save_mesh(mesh, path)
+    def omegas(report):
+        return report.omega_elements.tolist(), report.omega_star
+
+    report = eig.critical_dt(mesh, "vem")
+    assert f"{report.omega_star:.6e}" == omega
+    assert vem.DEFAULT_ALPHA0 == "auto"
+    assert omegas(eig.critical_dt(mesh, "vem", "auto")) == omegas(report)
+    assert omegas(dynamics.beam_problem(mesh, "vem").report) == omegas(report)
+    K, M = dynamics.assemble(mesh, "vem")
+    K_auto, M_auto = dynamics.assemble(mesh, "vem", "auto")
+    assert np.array_equal(K.data, K_auto.data)
+    capsys.readouterr()
+    assert run(["timestep", "--mesh", str(path), "--method", "vem"]) == 0
+    assert capsys.readouterr().out.startswith(f"omega_star={omega} ")
+    if name == "beamA":
+        exp = dynamics.tapered_beam_experiment("A", "vem", t_max_transits=0.01)
+        assert exp.omega_star == report.omega_star
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
 def test_bad_alpha0_rejected(tmp_path, capsys, value):
     from polyvem import vem
@@ -805,6 +877,26 @@ def test_config_option_is_a_usage_error(tmp_path, capsys):
                 f"error: unrecognized arguments: --config {path}\n")
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--angle-deg", "2", "--version"], "--angle-deg 2"),
+    (["--threads", "2", "--version"], "--threads 2"),
+    (["--lumping=row", "--version"], "--lumping=row"),
+    (["--alpha0", "unit", "-x", "--version"], "-x"),
+    (["--frobnicate", "timestep", "--method", "fem"], "--frobnicate"),
+    (["--vers"], "--vers"),
+], ids=["value", "retired", "joined", "after-alpha0", "before-command",
+        "abbreviated"])
+def test_unknown_option_before_the_subcommand_names_itself(capsys, argv,
+                                                           named):
+    # An option polyvem does not take, before the subcommand, is named with
+    # its value (if it has one); argparse would blame the subcommand.  A
+    # top-level option is taken only in full.
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: polyvem")
+    assert err.endswith(f"error: unrecognized arguments: {named}\n")
+
+
 def test_moments_without_exp(capsys):
     assert run(["integrate", "--unit-cube", "--moments"]) == 0
     assert '"0,0,0",1' in capsys.readouterr().out
@@ -813,7 +905,23 @@ def test_moments_without_exp(capsys):
 def test_integrate_without_exp_or_moments(capsys):
     assert run(["integrate", "--unit-cube"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--exp" in err
+    assert err.startswith("usage: polyvem integrate") and err.endswith(
+        "error: one of the arguments --exp --moments is required\n")
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["agglomerate", "--mesh", "m.json", "--out", "o.json"],
+     "--groups --auto"),
+    (["integrate", "--exp", "0,0,0"], "--mesh --unit-tet --unit-cube"),
+], ids=["agglomerate", "integrate-shape"])
+def test_missing_choice_is_a_usage_error(capsys, argv, options):
+    # A subcommand that needs one of several options refuses none, as it
+    # refuses two (test_conflicting_options_refused), before reading input.
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage: polyvem {argv[0]}")
+    assert err.endswith(f"error: one of the arguments {options} is "
+                        "required\n")
 
 
 @pytest.mark.parametrize("option, value, args", [

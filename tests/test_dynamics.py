@@ -3,6 +3,7 @@ oscillator, linearity, determinism, and beam plumbing."""
 
 import os
 import platform
+import re
 import signal
 import subprocess
 import sys
@@ -188,18 +189,23 @@ def test_beam_boundary_dofs(beam_meshes):
 
 
 def test_probe_node_exists(beam_meshes):
-    for variant in ("fem", "vem"):
-        mesh = beam_meshes[("A", variant)]
-        dof, exact = dynamics.find_probe_dof(mesh, (2.0, 0.5, 0.0))
-        assert exact
-        node = dof % mesh.num_vertices
-        assert mesh.vertices[node] == pytest.approx([2.0, 0.5, 0.0])
+    for case in ("A", "B"):
+        for variant in ("fem", "vem"):
+            mesh = beam_meshes[(case, variant)]
+            dof = dynamics.find_probe_dof(mesh, dynamics.BEAM_PROBE)
+            assert 0 <= dof < mesh.num_vertices  # an x dof
+            assert mesh.vertices[dof].tolist() == [2.0, 0.5, 0.0]
 
 
-def test_probe_fallback_warns():
-    mesh = benchmarks.gen_benchmark("wedge", 1e-1, "vem")
-    dof, exact = dynamics.find_probe_dof(mesh, (9.0, 9.0, 9.0))
-    assert not exact
+def test_probe_off_every_node_is_refused(beam_meshes):
+    # No nearest-node fallback: a probe point that is not a node is refused
+    # by name, also a point a hair off the beam's probe node.
+    wedge = benchmarks.gen_benchmark("wedge", 1e-1, "vem")
+    for mesh, point in ((wedge, (9.0, 9.0, 9.0)),
+                        (beam_meshes[("A", "vem")], (2.0, 0.5 + 1e-9, 0.0))):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"no mesh node at the probe point {point}")):
+            dynamics.find_probe_dof(mesh, point)
 
 
 def test_invalid_dt_rejected():
@@ -670,7 +676,7 @@ def _reference_case(name, beam_meshes, unpruned):
         K, M = dynamics.assemble(mesh, "fem")
         K0, _ = unpruned(mesh, "fem")
         fixed, driven = dynamics.beam_boundary_dofs(mesh)
-        probe, _ = dynamics.find_probe_dof(mesh, dynamics.BEAM_PROBE)
+        probe = dynamics.find_probe_dof(mesh, dynamics.BEAM_PROBE)
         omega, _, _ = eig.global_max_frequency(
             K, M, np.concatenate([fixed, driven]))
         dt = 0.9 * 2.0 / omega
@@ -904,6 +910,23 @@ def test_helper_death_mid_run_raises(monkeypatch, forks):
     with pytest.raises(RuntimeError, match="helper process died"):
         dynamics.central_difference_run(K, M, bcs, dt, t_max, probes)
     _no_child_left()
+
+
+def test_barrier_reads_the_last_step_of_a_helper_that_just_left():
+    # The helper publishes its last step and leaves between this process's
+    # read of its flag and the liveness check: that is no death mid-run.
+    flags = memoryview(bytearray(16)).cast("q")
+    dots = memoryview(bytearray(32)).cast("d")
+    flags[1] = 4  # the helper is at step 4; this process meets at step 5
+
+    def leaves():
+        dots[3], flags[1] = 7.0, 5
+        return False  # gone, its step published
+    assert dynamics._meet(flags, dots, 0, 5, 2.0, leaves) == 7.0
+    assert (flags[0], dots[2]) == (5, 2.0)
+    flags[1] = 5  # gone without publishing step 6: dead mid-run
+    with pytest.raises(RuntimeError, match="helper process died mid-run"):
+        dynamics._meet(flags, dots, 0, 6, 2.0, lambda: False)
 
 
 KILLED_MID_RUN = """
@@ -1269,6 +1292,12 @@ def test_bad_pulse_duration_rejected(beam_meshes, tau):
     problem = dynamics.beam_problem(beam_meshes[("A", "vem")], "vem")
     with pytest.raises(ValidationError, match="pulse duration tau"):
         dynamics.run_beam(problem, problem.dt_crit("element"), 0.01, tau)
+
+
+def test_unknown_dt_basis_refused(beam_meshes):
+    problem = dynamics.beam_problem(beam_meshes[("A", "vem")], "vem")
+    with pytest.raises(ValidationError, match="^unknown dt basis 'local'$"):
+        problem.dt_crit("local")
 
 
 def test_fem_run_takes_the_case_pulse_duration(monkeypatch):

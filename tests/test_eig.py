@@ -430,6 +430,17 @@ def test_power_loop_refuses_every_dof_fixed():
         eig.global_max_frequency(csr(np.eye(3)), np.ones(3), [0, 1, 2])
 
 
+@pytest.mark.parametrize("mass", [0.0, -1.0, np.nan])
+def test_power_loop_refuses_a_non_positive_free_mass(mass):
+    # Only the free dofs' masses are read: a fixed dof may carry any.
+    ml = np.array([1.0, mass, 1.0])
+    with pytest.raises(ValidationError,
+                       match="^non-positive lumped mass entry$"):
+        eig.global_max_frequency(csr(np.eye(3)), ml, [0])
+    assert eig.global_max_frequency(csr(np.eye(3)), ml, [1])[0] == (
+        pytest.approx(1.0, rel=1e-6))
+
+
 def test_power_loop_zero_only_for_an_exactly_zero_product():
     assert eig.global_max_frequency(csr(np.zeros((3, 3))), np.ones(3)) == (
         0.0, True, 1)

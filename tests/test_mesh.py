@@ -162,6 +162,28 @@ def test_extrude_volume_and_layers():
                                                            rel=1e-13)
 
 
+_TRIANGLE = Mesh(2, np.array([[0.0, 0], [1, 0], [0, 1]]),
+                 [Element(loop=(0, 1, 2))])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: meshmod.validate_mesh(Mesh(4, np.zeros((5, 4)), [])),
+     "unsupported dimension 4"),
+    (lambda: meshmod.validate_mesh(Mesh(3, _TRIANGLE.vertices,
+                                        [tet_element((0, 1, 2, 0))])),
+     "vertex array shape does not match dimension"),
+    (lambda: meshmod.extrude(meshmod.extrude(_TRIANGLE, 1.0), 1.0),
+     "extrude expects a 2D mesh"),
+    (lambda: meshmod.extrude(_TRIANGLE, 0.0), "extrude needs thickness > 0"),
+    (lambda: meshmod.extrude(_TRIANGLE, -1.0),
+     "extrude needs thickness > 0"),
+], ids=["dimension", "vertex-shape", "extrude-3d", "zero-thickness",
+        "negative-thickness"])
+def test_mesh_level_input_refused(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
+
+
 def test_non_star_cap_names_its_element():
     # Element 1 is simple and valid in the plane, but its two notches leave
     # no vertex that sees the whole loop, so no fan triangulates its caps.

@@ -94,6 +94,36 @@ def test_flat_triangle_is_degenerate():
     assert report.min_dihedral_deg is None
 
 
+UNIT_TET = [[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("mesh, message", [
+    (Mesh(3, np.array(UNIT_TET), [tet_element((0, 1, 2, 7))]),
+     "element 0, face 1: vertex index out of range"),
+    (Mesh(3, np.array(UNIT_TET), [tet_element((0, 1, 2, 3)),
+                                  tet_element((0, 1, 2, -1))]),
+     "element 1, face 1: vertex index out of range"),
+    (Mesh(3, np.array(UNIT_TET), [Element(
+        faces=((0, 2, 1), (0, 1, 9), (0, 9, 2)), kind="tet",
+        nodes=(0, 1, 2, 9))]), "element 0: fewer than 4 faces"),
+    (Mesh(2, np.array(UNIT_TET)[:3, :2], [Element(
+        loop=(0, 1, 5), kind="tri", nodes=(0, 1, 5))]),
+     "element 0: vertex index out of range"),
+    (Mesh(3, np.array(UNIT_TET), [Element(
+        faces=tet_element((0, 1, 2, 3)).faces, kind="tet",
+        nodes=(0, 1, 2, 4))]),
+     "element 0: node id out of range or not an integer"),
+], ids=["tet", "negative", "few-faces", "triangle", "node"])
+def test_out_of_range_ids_refused_by_the_table_message(mesh, message):
+    # Classification reads no coordinate of an id out of range: such an
+    # element is refused by name with the table's message (its first
+    # failed check), not an IndexError; auto-agglomeration validates first.
+    assert mesh.geometry.error(int(message.split()[1].strip(":,"))) == message
+    for call in (quality.mesh_report, agglomerate.auto_agglomerate):
+        with pytest.raises(meshmod.ValidationError, match=f"^{message}$"):
+            call(mesh)
+
+
 def test_thin_prism_detected():
     mesh = benchmarks.gen_benchmark("prism3d", 1e-5, "fem")
     labels = [r.classification for r in quality.mesh_report(mesh)]

@@ -254,7 +254,7 @@ def test_clustered_convex_element_gets_a_step(size, extruded):
 def test_unit_tet_row_sum_quarter_mass():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     mesh = Mesh(3, verts, [tet_element((0, 1, 2, 3))])
-    _, _, _, ml = eig.group_system(mesh, [0], "vem")
+    _, _, _, ml = eig.group_system(mesh, [0], "vem", "unit")
     rho = mesh.material.density
     assert ml[0] == pytest.approx(
         np.full(12, rho * (1.0 / 6.0) / 4.0), rel=1e-12)
@@ -289,7 +289,7 @@ def test_singular_projector_reported():
                       [0.4, 0.4, 0.0]])
     mesh = Mesh(3, verts, [tet_element((0, 1, 2, 3))])
     with pytest.raises(ValidationError, match="element 0"):
-        vem.group_matrices(mesh, [0])
+        vem.group_matrices(mesh, [0], "unit")
 
 
 def _scaled_meshes():
@@ -378,4 +378,4 @@ def test_non_finite_second_moment_names_an_unvalidated_element():
         g = mesh.geometry
         assert 0.0 < g.volume[0] < np.inf and g.failed_check[0] >= 0
         with pytest.raises(ValidationError, match="^element 0: " + message):
-            vem.group_matrices(mesh, [0])
+            vem.group_matrices(mesh, [0], "unit")
